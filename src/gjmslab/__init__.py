@@ -20,7 +20,7 @@ from .errors import (
     ZeroTrial,
 )
 from .geometry import conformal_factor, conformal_lift, distance, mobius
-from .grids import GridKind, RadialFunction, RadialGrid, Space, SpectralProfile
+from .grids import RadialFunction, RadialGrid, Space, SpectralProfile
 from .multipliers import b_constant, gap_constant, integer_multiplier, multiplier, \
     spectral_bottom, verify_decomposition
 from .params import MultiplierKind, Params

@@ -17,14 +17,21 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import DegenerateData, ParameterError, SupportError, TailError
 from .geometry import sphere_area
-from .grids import GridKind, RadialFunction, RadialGrid, Space, SpectralProfile, geometric_grid
+from .grids import (
+    PHASE_PER_PANEL,
+    RadialFunction,
+    RadialGrid,
+    Space,
+    SpectralProfile,
+    gauss_panels,
+    geometric_edges,
+    geometric_grid,
+)
 from .params import Params
 
-PHASE_PER_PANEL = 18.0       # radians of Bessel phase a 16-node panel resolves
 OSC_BUDGET = 4000.0          # max r*rho phase per frequency band (with sub-window)
 BASELINE_RADII = (2000.0, 4000.0)   # window radii for the bubble-energy baseline
 
-_GL16_X, _GL16_W = leggauss(16)
 _GL48_X, _GL48_W = leggauss(48)
 
 
@@ -102,21 +109,13 @@ def truncated_bubble_profile(p: Params, bp: BubbleParams):
     return fn
 
 
-def bubble_grid(eps: float, r_max: float, nodes_per_panel: int = 16) -> RadialGrid:
-    """Graded grid resolving the bubble core scale eps on [0, r_max]."""
+def bubble_grid(eps: float, r_max: float) -> RadialGrid:
+    """Graded grid resolving the bubble core scale eps on [0, r_max]: uniform
+    eps/2 panels out to 6 eps, then panels growing by 1.25 from eps."""
     core = min(6.0 * eps, r_max)
-    edges = list(np.linspace(0.0, core, max(2, int(np.ceil(core / (eps / 2.0))) + 1)))
-    width = eps
-    while edges[-1] < r_max:
-        edges.append(min(edges[-1] + width, r_max))
-        width *= 1.25
-    x, w = leggauss(nodes_per_panel)
-    e = np.asarray(edges)
-    half = 0.5 * np.diff(e)
-    mid = 0.5 * (e[:-1] + e[1:])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return RadialGrid(nodes, weights, GridKind.EUCLIDEAN, domain_end=float(r_max))
+    core_edges = np.linspace(0.0, core, max(2, int(np.ceil(core / (eps / 2.0))) + 1))
+    tail_edges = geometric_edges(r_max, eps, growth=1.25, start=core)
+    return RadialGrid.from_edges(np.concatenate([core_edges[:-1], tail_edges]))
 
 
 def sampled_bubble(p: Params, bp: BubbleParams) -> RadialFunction:
@@ -135,7 +134,7 @@ def crit_mass(p: Params, bp: BubbleParams) -> float:
 
 def bubble_mass_limit(n: int) -> float:
     """M_inf = int (1+|y|^2)^-n dy, the eps -> 0 critical mass."""
-    grid = geometric_grid(1e5, GridKind.EUCLIDEAN, first_width=0.05)
+    grid = geometric_grid(1e5, first_width=0.05)
     r = grid.nodes
     return sphere_area(n) * grid.integrate((1.0 + r * r) ** (-n) * r ** (n - 1))
 
@@ -182,12 +181,12 @@ def radial_fourier(w: RadialFunction, n: int, rho_grid: RadialGrid,
     grid, values = w.grid, w.values
     max_panel = PHASE_PER_PANEL / max(rho_max, 1.0)
     if w.profile is not None and _max_panel_width(grid) > max_panel:
-        grid = _refined_copy(grid, max_panel)
+        grid = geometric_grid(grid.r_max, 0.02, max_width=max_panel)
         values = np.where(grid.nodes <= w.support_radius, w.profile(grid.nodes), 0.0)
     mat = _scaled_bessel_matrix(n, grid.nodes, rho_grid.nodes)
     density = values * grid.nodes ** (n - 1) * grid.weights
     what = mat.T @ density
-    tail = _spectral_tail_fraction(rho_grid, what ** 2 * rho_grid.nodes ** (n - 1))
+    tail = rho_grid.tail_fraction(what ** 2 * rho_grid.nodes ** (n - 1))
     if tail > tail_tol:
         raise TailError(f"radial_fourier high-rho tail fraction {tail:.3e} > {tail_tol:.1e}")
     return SpectralProfile(rho_grid, what)
@@ -198,35 +197,6 @@ def _max_panel_width(grid: RadialGrid):
     return float(np.max(np.diff(grid.nodes))) * 16.0 / 2.0
 
 
-def _refined_copy(grid: RadialGrid, max_width):
-    return _grid_from_edges(_edges_for(grid.r_max, 0.02, max_width))
-
-
-def _edges_for(r_max, first_width, max_width, growth=1.2):
-    edges = [0.0]
-    width = min(first_width, max_width)
-    while edges[-1] < r_max:
-        edges.append(min(edges[-1] + width, r_max))
-        width = min(width * growth, max_width)
-    return np.asarray(edges)
-
-
-def _grid_from_edges(edges, kind=GridKind.EUCLIDEAN):
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half[:, None] * _GL16_X[None, :]).ravel()
-    weights = (half[:, None] * _GL16_W[None, :]).ravel()
-    return RadialGrid(nodes, weights, kind, domain_end=float(edges[-1]))
-
-
-def _spectral_tail_fraction(grid, magnitude):
-    total = float(np.dot(grid.weights, np.abs(magnitude)))
-    if total <= 0.0:
-        return 0.0
-    tail = grid.nodes >= 0.9 * grid.r_max
-    return float(np.dot(grid.weights[tail], np.abs(magnitude[tail]))) / total
-
-
 def _hankel_banded(profile, support, n, rho_bands):
     """w_hat on a list of (rho_nodes,) bands; r truncated per band under a
     smooth sub-window so that r*rho stays within the oscillation budget."""
@@ -235,8 +205,7 @@ def _hankel_banded(profile, support, n, rho_bands):
         rho_lo = float(rho_nodes[0])
         rho_hi = float(rho_nodes[-1])
         r_cut = min(support, max(200.0, OSC_BUDGET / max(rho_lo, 1e-300)))
-        edges = _edges_for(r_cut, 0.02, max(PHASE_PER_PANEL / rho_hi, 1e-4))
-        grid = _grid_from_edges(edges)
+        grid = geometric_grid(r_cut, 0.02, max_width=max(PHASE_PER_PANEL / rho_hi, 1e-4))
         vals = np.where(grid.nodes <= support, profile(grid.nodes), 0.0)
         if r_cut < support:
             vals = vals * smooth_window(grid.nodes, 0.5 * r_cut, r_cut)
@@ -245,18 +214,14 @@ def _hankel_banded(profile, support, n, rho_bands):
     return out
 
 
-def _octave_bands(rho_min, rho_max, panels_per_octave=3):
-    """GL node/weight bands covering [rho_min, rho_max] in octaves."""
+def _octave_bands(rho_min, rho_max):
+    """GL node/weight bands covering [rho_min, rho_max] in octaves, three
+    panels each."""
     bands = []
     lo = rho_min
     while lo < rho_max:
         hi = min(2.0 * lo, rho_max)
-        edges = np.linspace(lo, hi, panels_per_octave + 1)
-        half = 0.5 * np.diff(edges)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        nodes = (mid[:, None] + half[:, None] * _GL16_X[None, :]).ravel()
-        weights = (half[:, None] * _GL16_W[None, :]).ravel()
-        bands.append((nodes, weights))
+        bands.append(gauss_panels(np.linspace(lo, hi, 4)))
         lo = hi
     return bands
 

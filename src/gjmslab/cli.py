@@ -7,11 +7,9 @@ data files; the timestamp lives only in the manifest sidecar.
 """
 
 import argparse
-import concurrent.futures
 import datetime
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -22,9 +20,10 @@ from .bubbles import BubbleParams, crit_mass, bubble_mass_limit, fit_loglog_slop
 from .errors import GjmsLabError, ParameterError
 from .multipliers import b_constant, gap_constant, multiplier, spectral_bottom
 from .params import MultiplierKind, Params
-from .quotients import BubbleFamily, SplineFamily, gap_scan, multibump_blowdown, \
-    sharp_constant_estimate, sobolev_quotient, spline_knots, spline_trial
-from .spherical import decay_rate_fit, lp_mass, regularized_kernel, regularized_kernel_scan
+from .quotients import QUOTIENT_TOL, BubbleFamily, SplineFamily, gap_scan, \
+    multibump_blowdown, sharp_constant_estimate, sobolev_quotient, spline_knots, spline_trial
+from .spherical import DEFAULT_TAIL_TOL, KERNEL_SCAN_EPS, decay_fit_radii, decay_slope, \
+    eps_extrapolation, lp_mass, regularized_kernel
 from .special import DEFAULT_CONFIG
 
 _KINDS = {
@@ -32,29 +31,6 @@ _KINDS = {
     "intertwined": MultiplierKind.INTERTWINED,
     "remainder": MultiplierKind.REMAINDER,
 }
-
-
-def worker_count() -> int:
-    """Worker-pool cap from GJMS_LAB_THREADS (positive integer)."""
-    raw = os.environ.get("GJMS_LAB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ParameterError(f"GJMS_LAB_THREADS must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise ParameterError(f"GJMS_LAB_THREADS must be >= 1, got {value}")
-    return min(value, os.cpu_count() or 1)
-
-
-def ordered_map(fn, items):
-    """Map preserving order, on the worker pool when one is configured."""
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _git_describe():
@@ -75,8 +51,8 @@ def _tolerances():
         "series_tol": DEFAULT_CONFIG.series_tol,
         "series_cap": DEFAULT_CONFIG.series_cap,
         "pole_tol": DEFAULT_CONFIG.pole_tol,
-        "quotient_tol": 1e-5,
-        "tail_tol": 1e-4,
+        "quotient_tol": QUOTIENT_TOL,
+        "tail_tol": DEFAULT_TAIL_TOL,
     }
 
 
@@ -183,15 +159,15 @@ def cmd_bubble_asymptotics(args) -> int:
     if any(e <= 0 or e >= 1 for e in ladder) or len(ladder) < 2:
         raise ParameterError("eps ladder must have >= 2 entries in (0, 1)")
     delta = args.delta
-    rows = ordered_map(
-        lambda eps: (
+    rows = [
+        (
             eps,
             crit_mass(p, BubbleParams(eps, delta)),
             hyperbolic_l2_mass(p, BubbleParams(eps, delta)),
             fractional_energy(sampled_bubble(p, BubbleParams(eps, delta)), p),
-        ),
-        ladder,
-    )
+        )
+        for eps in ladder
+    ]
     write_csv(args.out, ["eps", "crit_mass", "l2_mass", "energy"], rows)
 
     eps = np.array([r[0] for r in rows])
@@ -262,17 +238,25 @@ def cmd_kernel_decay(args) -> int:
         raise ParameterError("kernel radii must satisfy r >= 0.5")
     if not args.eps_reg > 0:
         raise ParameterError("eps-reg must be > 0")
-    values = ordered_map(lambda r: regularized_kernel(kind, p, r, args.eps_reg), radii)
+    table = {}   # (r, eps) -> k^eps(r): each kernel value is computed once
+
+    def kernel(r, eps):
+        key = (float(r), eps)
+        if key not in table:
+            table[key] = regularized_kernel(kind, p, r, eps)
+        return table[key]
+
+    values = [kernel(r, args.eps_reg) for r in radii]
     rows = [(float(r), float(v), float(np.log(abs(v)))) for r, v in zip(radii, values)]
     write_csv(args.out, ["r", "k_eps", "log_abs_k"], rows)
-    fit_radii = [r for r in radii if 2.0 <= r <= 8.0]
+    fit_radii = decay_fit_radii(radii)
     summary = {"target_slope": -p.rho, "eps_reg": args.eps_reg}
     if len(fit_radii) >= 4:
-        summary["slope"] = decay_rate_fit(kind, p, fit_radii, args.eps_reg)
-        summary["slope_half_eps"] = decay_rate_fit(kind, p, fit_radii, args.eps_reg / 2.0)
-    scan = regularized_kernel_scan(kind, p, radii[-1])
-    summary["kernel_scan_at_rmax"] = {repr(k): v for k, v in scan["values"].items()}
-    summary["kernel_extrapolated_at_rmax"] = scan["extrapolated"]
+        for name, eps in (("slope", args.eps_reg), ("slope_half_eps", args.eps_reg / 2.0)):
+            summary[name] = decay_slope(fit_radii, [kernel(r, eps) for r in fit_radii])
+    scan = {eps: kernel(radii[-1], eps) for eps in KERNEL_SCAN_EPS}
+    summary["kernel_scan_at_rmax"] = {repr(k): v for k, v in scan.items()}
+    summary["kernel_extrapolated_at_rmax"] = eps_extrapolation(scan)
     write_json(args.out + ".summary.json", summary)
     write_manifest(args.out, "kernel-decay", vars_of(args))
     return 0
@@ -318,11 +302,11 @@ def cmd_blowdown(args) -> int:
         return 4
     q = -numerator
     fit_radii = [2.0, 3.0, 4.0, 5.0]
-    slope = decay_rate_fit(MultiplierKind.INTERTWINED, p, fit_radii, 0.01)
+    ks = [regularized_kernel(MultiplierKind.INTERTWINED, p, r, 0.01) for r in fit_radii]
+    slope = decay_slope(fit_radii, ks)
     alpha = min(0.8 * p.rho, 0.9 * abs(slope))
     l1_norm = lp_mass(u, p.n, 1.0)
-    ks = [abs(regularized_kernel(MultiplierKind.INTERTWINED, p, r, 0.01)) for r in fit_radii]
-    C = max(k * math.exp(alpha * r) for k, r in zip(ks, fit_radii)) * l1_norm ** 2
+    C = max(abs(k) * math.exp(alpha * r) for k, r in zip(ks, fit_radii)) * l1_norm ** 2
     R0 = max(1.0, math.log(8.0 * C / q) / alpha)
     rows = multibump_blowdown(p, args.lam, q, C, alpha, R0, n_values,
                               crit_norm_phi=rep.crit_norm)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, SupportError
-from .grids import GridKind, RadialFunction, RadialGrid, Space
+from .grids import RadialFunction, RadialGrid, Space
 from .params import Params
 
 
@@ -93,8 +93,7 @@ def conformal_lift(w: RadialFunction, p: Params) -> RadialFunction:
     phi = 2.0 / (1.0 - t * t)
     r_nodes = ball_to_geodesic(t)
     r_weights = w.grid.weights * phi
-    grid = RadialGrid(r_nodes, r_weights, GridKind.HYPERBOLIC_GEODESIC,
-                      domain_end=float(ball_to_geodesic(w.grid.r_max)))
+    grid = RadialGrid(r_nodes, r_weights, domain_end=float(ball_to_geodesic(w.grid.r_max)))
     exponent = p.s - p.n / 2.0
     values = np.where(t <= w.support_radius, phi ** exponent * w.values, 0.0)
     support_r = float(ball_to_geodesic(min(w.support_radius, w.grid.r_max)))

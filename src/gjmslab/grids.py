@@ -1,9 +1,11 @@
 """Quadrature grids and sampled radial/spectral profiles.
 
-A RadialGrid holds plain dr-weights on [0, R]; measure factors (sinh^{n-1},
-ball weights, Plancherel densities) are applied by callers. Grids are
-composite Gauss-Legendre: uniform panels for transform-grade resolution and
-geometric panels for the wide-range bubble integrals.
+Every quadrature in the package is built here from one rule: 16-node
+Gauss-Legendre on each panel of a list of edges (gauss_panels), with
+uniform edges for transform-grade resolution and geometric edges for the
+wide-range bubble integrals. A RadialGrid holds plain dr-weights on
+[0, R]; measure factors (sinh^{n-1}, ball weights, Plancherel densities) are
+applied by callers.
 """
 
 import enum
@@ -15,10 +17,10 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import ParameterError, SupportError
 
+PHASE_PER_PANEL = 18.0     # radians of oscillation a 16-node panel resolves cleanly
 
-class GridKind(enum.Enum):
-    HYPERBOLIC_GEODESIC = "hyperbolic_geodesic"
-    EUCLIDEAN = "euclidean"
+# the 16-node Gauss-Legendre rule on [-1, 1]
+GAUSS_NODES, GAUSS_WEIGHTS = leggauss(16)
 
 
 class Space(enum.Enum):
@@ -26,11 +28,33 @@ class Space(enum.Enum):
     EUCLIDEAN = "euclidean"
 
 
+def gauss_panels(edges):
+    """Composite 16-node Gauss-Legendre nodes and weights, panel by panel,
+    on the panels [edges[i], edges[i+1]] (plain arrays, no validation)."""
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    nodes = (mid[:, None] + half[:, None] * GAUSS_NODES[None, :]).ravel()
+    weights = (half[:, None] * GAUSS_WEIGHTS[None, :]).ravel()
+    return nodes, weights
+
+
+def geometric_edges(r_max: float, first_width: float, growth: float = 1.2,
+                    max_width: float = np.inf, start: float = 0.0):
+    """Panel edges from start to r_max, widths growing geometrically from
+    first_width and capped at max_width."""
+    edges = [start]
+    width = min(first_width, max_width)
+    while edges[-1] < r_max:
+        edges.append(min(edges[-1] + width, r_max))
+        width = min(width * growth, max_width)
+    return np.asarray(edges)
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     nodes: np.ndarray
     weights: np.ndarray
-    kind: GridKind
     domain_end: Optional[float] = None   # right edge of the covered interval
 
     def __post_init__(self):
@@ -47,6 +71,12 @@ class RadialGrid:
         if self.domain_end is None:
             object.__setattr__(self, "domain_end", float(nodes[-1]))
 
+    @classmethod
+    def from_edges(cls, edges) -> "RadialGrid":
+        """The gauss_panels grid on the given edges, covering [edges[0], edges[-1]]."""
+        nodes, weights = gauss_panels(edges)
+        return cls(nodes, weights, domain_end=float(edges[-1]))
+
     @property
     def r_max(self) -> float:
         return float(self.domain_end)
@@ -54,53 +84,39 @@ class RadialGrid:
     def integrate(self, values) -> float:
         return float(np.dot(self.weights, np.asarray(values, dtype=float)))
 
-    def fingerprint(self):
-        """Hashable identity used by the spherical-function matrix cache."""
-        return (self.kind, self.nodes.size, hash(self.nodes.tobytes()))
+    def tail_fraction(self, values) -> float:
+        """Fraction of the integral of |values| carried by the last decade of
+        the grid (the nodes in [0.9 * r_max, r_max]); 0 when that integral is 0."""
+        magnitude = np.abs(values)
+        total = float(np.dot(self.weights, magnitude))
+        if total <= 0.0:
+            return 0.0
+        tail = self.nodes >= 0.9 * self.r_max
+        return float(np.dot(self.weights[tail], magnitude[tail])) / total
+
+    def fingerprint(self) -> bytes:
+        """The exact node bytes: the identity of the grid in the
+        spherical-function matrix cache."""
+        return self.nodes.tobytes()
 
 
-def _panels_to_grid(edges, nodes_per_panel, kind):
-    x, w = leggauss(nodes_per_panel)
-    lo = edges[:-1]
-    hi = edges[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return RadialGrid(nodes, weights, kind, domain_end=float(edges[-1]))
-
-
-def uniform_grid(r_max: float, kind: GridKind, panel_width: float = 0.05,
-                 nodes_per_panel: int = 16) -> RadialGrid:
+def uniform_grid(r_max: float, panel_width: float = 0.05) -> RadialGrid:
     """Composite Gauss-Legendre grid with (near-)uniform panels on [0, r_max]."""
     if not r_max > 0.0:
         raise ParameterError(f"r_max must be > 0, got {r_max}")
     n_panels = max(1, int(np.ceil(r_max / panel_width)))
-    edges = np.linspace(0.0, r_max, n_panels + 1)
-    return _panels_to_grid(edges, nodes_per_panel, kind)
+    return RadialGrid.from_edges(np.linspace(0.0, r_max, n_panels + 1))
 
 
-def geometric_grid(r_max: float, kind: GridKind, first_width: float,
-                   growth: float = 1.2, nodes_per_panel: int = 16) -> RadialGrid:
-    """Panels growing geometrically from first_width; for wide-range integrands."""
-    if not (r_max > 0.0 and first_width > 0.0 and growth > 1.0):
-        raise ParameterError("geometric_grid needs r_max, first_width > 0 and growth > 1")
-    edges = [0.0]
-    width = first_width
-    while edges[-1] < r_max:
-        edges.append(min(edges[-1] + width, r_max))
-        width *= growth
-    return _panels_to_grid(np.asarray(edges), nodes_per_panel, kind)
-
-
-def refine_panels(edges, max_width):
-    """Split panel edges so no panel exceeds max_width (array in/out)."""
-    out = [edges[0]]
-    for hi in edges[1:]:
-        lo = out[-1]
-        k = max(1, int(np.ceil((hi - lo) / max_width)))
-        out.extend(np.linspace(lo, hi, k + 1)[1:])
-    return np.asarray(out)
+def geometric_grid(r_max: float, first_width: float, growth: float = 1.2,
+                   max_width: float = np.inf) -> RadialGrid:
+    """Panels growing geometrically from first_width, none wider than
+    max_width; for wide-range integrands."""
+    if not (r_max > 0.0 and first_width > 0.0 and growth > 1.0 and max_width > 0.0):
+        raise ParameterError(
+            "geometric_grid needs r_max, first_width, max_width > 0 and growth > 1"
+        )
+    return RadialGrid.from_edges(geometric_edges(r_max, first_width, growth, max_width))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .bubbles import (
 )
 from .errors import BudgetExceeded, ParameterError, TailError, ZeroTrial
 from .geometry import ball_to_geodesic, conformal_lift
-from .grids import GridKind, RadialFunction, Space, uniform_grid
+from .grids import RadialFunction, Space, uniform_grid
 from .params import MultiplierKind, Params
 from .spherical import DEFAULT_B_MAX, l2_mass, lp_mass, quadratic_form
 
@@ -55,7 +55,7 @@ def standard_hyperbolic_grid(r_max: float):
     for bucket in _GRID_BUCKETS:
         if r_max <= bucket:
             width = 0.025 if bucket <= 2.0 else (0.05 if bucket <= 16.0 else 0.125)
-            return uniform_grid(bucket, GridKind.HYPERBOLIC_GEODESIC, panel_width=width)
+            return uniform_grid(bucket, panel_width=width)
     raise ParameterError(f"trial support {r_max} exceeds the largest grid bucket")
 
 
@@ -481,26 +481,17 @@ def multibump_blowdown(p: Params, lam: float, q: float, C: float, alpha: float,
     return rows
 
 
-_SHARP_CACHE = {}
-
-
 def sharp_constant_report(p: Params) -> dict:
     """Internal sharp-constant estimate with its ingredients and error bar."""
-    key = (p.n, p.s)
-    hit = _SHARP_CACHE.get(key)
-    if hit is not None:
-        return hit
     base = bubble_energy_baseline(p)
     crit_integral = bubble_mass_limit(p.n)
     s_est = base["energy"] / crit_integral ** (2.0 / p.two_star)
-    out = {
+    return {
         "s_est": s_est,
         "energy": base["energy"],
         "energy_tail_bound": base["tail_bound"],
         "crit_integral": crit_integral,
     }
-    _SHARP_CACHE[key] = out
-    return out
 
 
 def sharp_constant_estimate(p: Params) -> float:

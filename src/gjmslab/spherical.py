@@ -17,26 +17,30 @@ import math
 from collections import OrderedDict
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DegenerateData, DomainError, NonConvergence, SupportError, TailError
 from .geometry import sphere_area
-from .grids import GridKind, RadialFunction, RadialGrid, Space, SpectralProfile
+from .grids import (
+    GAUSS_WEIGHTS,
+    PHASE_PER_PANEL,
+    RadialFunction,
+    RadialGrid,
+    Space,
+    SpectralProfile,
+    gauss_panels,
+)
 from .multipliers import multiplier
 from .params import MultiplierKind, Params
 from .special import log_abs_gamma_sq
 
 R_MIN_TAYLOR = 0.05        # below this radius, use the eigen-equation Taylor series
 TAYLOR_TERMS = 6
-PHASE_PER_PANEL = 18.0     # radians of oscillation a 16-node panel resolves cleanly
 DEFAULT_B_MAX = 60.0
 B_MAX_TAIL_RULE = 1e-8     # B_max selection rule: last-decade mass below this
 DEFAULT_TAIL_TOL = 1e-4    # runtime guard on inverse/quadratic-form truncation
 
 # coth r = 1/r + sum_j COTH_COEFFS[j] r^(2j+1)
 _COTH_COEFFS = (1.0 / 3.0, -1.0 / 45.0, 2.0 / 945.0, -1.0 / 4725.0, 2.0 / 93555.0)
-
-_GL16_X, _GL16_W = leggauss(16)
 
 
 def plancherel_density(n: int, beta):
@@ -97,12 +101,7 @@ def _mehler_u_quadrature(r, beta_max):
         int(math.ceil(2.0 * abs(beta_max) * umax * umax / PHASE_PER_PANEL)),
         int(math.ceil(umax / 0.5)),
     )
-    edges = np.linspace(0.0, umax, n_panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    u = (mid[:, None] + half[:, None] * _GL16_X[None, :]).ravel()
-    w = (half[:, None] * _GL16_W[None, :]).ravel()
-    return u, w
+    return gauss_panels(np.linspace(0.0, umax, n_panels + 1))
 
 
 def _mehler_constant(n):
@@ -172,22 +171,7 @@ def default_beta_grid(support_radius: float, b_max: float = DEFAULT_B_MAX) -> Ra
     supported in [0, support_radius] (whose transform oscillates at that scale)."""
     width = min(2.0, PHASE_PER_PANEL / max(support_radius, 1.0))
     n_panels = max(8, int(math.ceil(b_max / width)))
-    edges = np.linspace(0.0, b_max, n_panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half[:, None] * _GL16_X[None, :]).ravel()
-    weights = (half[:, None] * _GL16_W[None, :]).ravel()
-    return RadialGrid(nodes, weights, GridKind.EUCLIDEAN, domain_end=float(b_max))
-
-
-def _tail_fraction(grid: RadialGrid, magnitude) -> float:
-    """Fraction of integral mass carried by the last decade of samples
-    (the nodes in [0.9 * b_max, b_max])."""
-    total = float(np.dot(grid.weights, magnitude))
-    if total <= 0.0:
-        return 0.0
-    tail = grid.nodes >= 0.9 * grid.r_max
-    return float(np.dot(grid.weights[tail], magnitude[tail])) / total
+    return RadialGrid.from_edges(np.linspace(0.0, b_max, n_panels + 1))
 
 
 def spherical_transform(f: RadialFunction, n: int, beta_grid: RadialGrid) -> SpectralProfile:
@@ -213,7 +197,7 @@ def inverse_spherical_transform(F: SpectralProfile, n: int, r_grid: RadialGrid,
     full-line form double counts the +-beta symmetry.
     """
     dens = plancherel_density(n, F.beta_grid.nodes)
-    tail = _tail_fraction(F.beta_grid, np.abs(F.values) * dens)
+    tail = F.beta_grid.tail_fraction(F.values * dens)
     if tail > tail_tol:
         raise TailError(
             f"inverse transform tail fraction {tail:.3e} exceeds tolerance {tail_tol:.1e}"
@@ -259,7 +243,7 @@ def quadratic_form(kind, p: Params, lam: float, f: RadialFunction,
     dens = plancherel_density(p.n, beta)
     m = _symbol_values(kind, p, beta)
     weight = F.values ** 2 * dens
-    tail = _tail_fraction(beta_grid, (np.abs(m) + abs(lam)) * weight)
+    tail = beta_grid.tail_fraction((np.abs(m) + abs(lam)) * weight)
     if tail > tail_tol:
         raise TailError(
             f"quadratic form tail fraction {tail:.3e} exceeds tolerance {tail_tol:.1e}"
@@ -286,13 +270,14 @@ def regularized_kernel(kind, p: Params, r: float, eps_reg: float,
     beta_cut = math.sqrt(16.0 * math.log(10.0) / eps_reg)
 
     def panel_value(a, b):
-        half = 0.5 * (b - a)
-        nodes = 0.5 * (a + b) + half * _GL16_X
+        # the one-panel rule scales the reference weights after the dot
+        # product; composite weights would move the last bits of k^eps
+        nodes, _ = gauss_panels((a, b))
         m = _symbol_values(kind, p, nodes)
         phi = spherical_function(p.n, nodes, r)
         dens = plancherel_density(p.n, nodes)
         g = m * np.exp(-eps_reg * nodes * nodes) * phi * dens
-        return half * float(np.dot(_GL16_W, g))
+        return 0.5 * (b - a) * float(np.dot(GAUSS_WEIGHTS, g))
 
     width = min(1.5, PHASE_PER_PANEL / max(r, 1.0))
     n0 = max(8, int(math.ceil(beta_cut / width)))
@@ -321,25 +306,45 @@ def regularized_kernel(kind, p: Params, r: float, eps_reg: float,
     return 2.0 * math.fsum(result)
 
 
+KERNEL_SCAN_EPS = (0.02, 0.01, 0.005)   # default regularization ladder
+
+
+def eps_extrapolation(values: dict) -> float:
+    """Linear-in-eps Richardson extrapolation of the two smallest-eps entries
+    of {eps: k^eps(r)}."""
+    e0, e1 = sorted(values)[:2]
+    return (e1 * values[e0] - e0 * values[e1]) / (e1 - e0)
+
+
 def regularized_kernel_scan(kind, p: Params, r: float,
-                            eps_values=(0.02, 0.01, 0.005)) -> dict:
+                            eps_values=KERNEL_SCAN_EPS) -> dict:
     """Raw kernel values over a regularization ladder plus the linear-in-eps
     Richardson extrapolation of the two smallest entries."""
-    eps_sorted = sorted(eps_values, reverse=True)
-    values = {eps: regularized_kernel(kind, p, r, eps) for eps in eps_sorted}
-    e1, e0 = eps_sorted[-2], eps_sorted[-1]
-    extrapolated = (e1 * values[e0] - e0 * values[e1]) / (e1 - e0)
-    return {"values": values, "extrapolated": extrapolated}
+    values = {eps: regularized_kernel(kind, p, r, eps)
+              for eps in sorted(eps_values, reverse=True)}
+    return {"values": values, "extrapolated": eps_extrapolation(values)}
+
+
+def decay_fit_radii(r_values) -> np.ndarray:
+    """The radii of r_values inside the decay-fit window [2, 8]."""
+    r_values = np.asarray(r_values, dtype=float)
+    return r_values[(r_values >= 2.0) & (r_values <= 8.0)]
+
+
+def decay_slope(radii, values) -> float:
+    """Least-squares slope of log|values| against radii, over at least four
+    radii of the window [2, 8] (see decay_fit_radii)."""
+    radii = np.asarray(radii, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if radii.size < 4 or decay_fit_radii(radii).size != radii.size:
+        raise DegenerateData("decay fit needs >= 4 radii, all in [2, 8]")
+    if np.any(values == 0.0) or not np.all(np.isfinite(values)):
+        raise DegenerateData("kernel values underflowed; cannot fit a decay rate")
+    return float(np.polyfit(radii, np.log(np.abs(values)), 1)[0])
 
 
 def decay_rate_fit(kind, p: Params, r_values, eps_reg: float) -> float:
-    """Least-squares slope of log|k^eps(r)| against r; expected ~ -(n-1)/2."""
-    r_values = np.asarray(r_values, dtype=float)
-    inside = (r_values >= 2.0) & (r_values <= 8.0)
-    if int(np.sum(inside)) < 4:
-        raise DegenerateData("decay_rate_fit needs >= 4 radii in [2, 8]")
-    ks = np.array([regularized_kernel(kind, p, float(r), eps_reg) for r in r_values])
-    if np.any(ks == 0.0) or not np.all(np.isfinite(ks)):
-        raise DegenerateData("kernel values underflowed; cannot fit a decay rate")
-    slope = np.polyfit(r_values, np.log(np.abs(ks)), 1)[0]
-    return float(slope)
+    """Least-squares slope of log|k^eps(r)| against r over the radii of
+    r_values in [2, 8] (at least four); expected ~ -(n-1)/2."""
+    radii = decay_fit_radii(r_values)
+    return decay_slope(radii, [regularized_kernel(kind, p, float(r), eps_reg) for r in radii])

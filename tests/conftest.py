@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gjmslab.bubbles import smooth_window
-from gjmslab.grids import GridKind, RadialFunction, Space, uniform_grid
+from gjmslab.grids import RadialFunction, Space, uniform_grid
 
 
 def windowed_gaussian(width: float, support: float):
@@ -16,13 +16,13 @@ def windowed_gaussian(width: float, support: float):
 
 
 def hyperbolic_bump(width=0.5, support=3.0, panel_width=0.05):
-    grid = uniform_grid(support, GridKind.HYPERBOLIC_GEODESIC, panel_width=panel_width)
+    grid = uniform_grid(support, panel_width=panel_width)
     return RadialFunction.from_profile(windowed_gaussian(width, support), grid,
                                        support, Space.HYPERBOLIC)
 
 
 def euclidean_bump(width=0.1, support=0.8, panel_width=0.01):
-    grid = uniform_grid(support, GridKind.EUCLIDEAN, panel_width=panel_width)
+    grid = uniform_grid(support, panel_width=panel_width)
     return RadialFunction.from_profile(windowed_gaussian(width, support), grid,
                                        support, Space.EUCLIDEAN)
 

@@ -18,7 +18,7 @@ from gjmslab.bubbles import (
     hyperbolic_l2_mass,
 )
 from gjmslab.cli import main as cli_main
-from gjmslab.grids import GridKind, RadialFunction, Space, uniform_grid
+from gjmslab.grids import RadialFunction, Space, uniform_grid
 from gjmslab.multipliers import (
     b_constant,
     gap_constant,
@@ -97,7 +97,7 @@ def test_03_closed_form_constants(rng):
 
 def test_04_plancherel_roundtrip():
     worst_norm, worst_rt = 0.0, 0.0
-    grid = uniform_grid(3.0, GridKind.HYPERBOLIC_GEODESIC)
+    grid = uniform_grid(3.0)
     bg = default_beta_grid(3.0, 60.0)
     for n in (3, 4, 5):
         for width in (0.5, 1.0):
@@ -207,7 +207,7 @@ def test_09_sharp_inequality_floor():
                 rep = bubble_quotient(INT, p, 0.0, BubbleParams(eps, delta))
                 margins.append(rep.quotient / s_est - 1.0)
         # 8 direct hyperbolic trials through the spectral energy
-        grid = uniform_grid(3.0, GridKind.HYPERBOLIC_GEODESIC)
+        grid = uniform_grid(3.0)
         for width in (0.4, 0.7, 1.0, 1.4, 1.9, 2.4, 3.0, 3.6):
             u = RadialFunction.from_profile(windowed_gaussian(width, 3.0), grid,
                                             3.0, Space.HYPERBOLIC)

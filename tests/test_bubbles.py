@@ -25,7 +25,7 @@ from gjmslab.bubbles import (
 )
 from gjmslab.errors import ParameterError
 from gjmslab.geometry import sphere_area
-from gjmslab.grids import GridKind, RadialFunction, Space, geometric_grid, uniform_grid
+from gjmslab.grids import RadialFunction, Space, geometric_grid, uniform_grid
 from gjmslab.params import Params
 
 mp.mp.dps = 30
@@ -95,7 +95,7 @@ class TestCritMass:
         p = Params(3, 1.0)
         masses = []
         for eps in (1.0 - 1e-15, 0.1):
-            grid = geometric_grid(2e3, GridKind.EUCLIDEAN, first_width=eps / 4.0)
+            grid = geometric_grid(2e3, first_width=eps / 4.0)
             r = grid.nodes
             q = (p.n - 2 * p.s) / 2.0
             vals = eps ** (-q) * (1.0 + (r / eps) ** 2) ** (-q)
@@ -133,16 +133,16 @@ class TestHyperbolicL2Mass:
 
 class TestRadialFourier:
     def test_zero(self):
-        grid = uniform_grid(1.0, GridKind.EUCLIDEAN, panel_width=0.05)
+        grid = uniform_grid(1.0, panel_width=0.05)
         w = RadialFunction(grid, np.zeros_like(grid.nodes), 1.0, Space.EUCLIDEAN)
-        rho = uniform_grid(20.0, GridKind.EUCLIDEAN, panel_width=0.5)
+        rho = uniform_grid(20.0, panel_width=0.5)
         assert np.all(radial_fourier(w, 3, rho).values == 0.0)
 
     def test_gaussian_self_transform(self):
-        grid = uniform_grid(12.0, GridKind.EUCLIDEAN, panel_width=0.1)
+        grid = uniform_grid(12.0, panel_width=0.1)
         w = RadialFunction.from_profile(lambda r: np.exp(-r * r / 2.0), grid, 12.0,
                                         Space.EUCLIDEAN)
-        rho = uniform_grid(10.0, GridKind.EUCLIDEAN, panel_width=0.1)
+        rho = uniform_grid(10.0, panel_width=0.1)
         what = radial_fourier(w, 3, rho).values
         target = np.exp(-rho.nodes ** 2 / 2.0)
         err = math.sqrt(float(np.dot(rho.weights, (what - target) ** 2))
@@ -151,19 +151,19 @@ class TestRadialFourier:
 
     def test_tail_error_on_short_grid(self):
         from gjmslab.errors import TailError
-        grid = uniform_grid(12.0, GridKind.EUCLIDEAN, panel_width=0.1)
+        grid = uniform_grid(12.0, panel_width=0.1)
         w = RadialFunction.from_profile(lambda r: np.exp(-r * r / 2.0), grid, 12.0,
                                         Space.EUCLIDEAN)
-        rho = uniform_grid(1.5, GridKind.EUCLIDEAN, panel_width=0.1)
+        rho = uniform_grid(1.5, panel_width=0.1)
         with pytest.raises(TailError):
             radial_fourier(w, 3, rho)
 
     def test_plancherel(self):
-        grid = uniform_grid(2.5, GridKind.EUCLIDEAN, panel_width=0.02)
+        grid = uniform_grid(2.5, panel_width=0.02)
         w = RadialFunction.from_profile(windowed_gaussian(0.4, 2.5), grid, 2.5,
                                         Space.EUCLIDEAN)
         n = 4
-        rho = uniform_grid(40.0, GridKind.EUCLIDEAN, panel_width=0.25)
+        rho = uniform_grid(40.0, panel_width=0.25)
         what = radial_fourier(w, n, rho).values
         spectral = sphere_area(n) * rho.integrate(what ** 2 * rho.nodes ** (n - 1))
         direct = sphere_area(n) * grid.integrate(w.values ** 2 * grid.nodes ** (n - 1))
@@ -172,7 +172,7 @@ class TestRadialFourier:
 
 class TestFractionalEnergy:
     def test_zero(self):
-        grid = uniform_grid(1.0, GridKind.EUCLIDEAN, panel_width=0.05)
+        grid = uniform_grid(1.0, panel_width=0.05)
         w = RadialFunction(grid, np.zeros_like(grid.nodes), 1.0, Space.EUCLIDEAN)
         assert fractional_energy(w, Params(3, 0.75)) == 0.0
 
@@ -242,7 +242,7 @@ class TestEnergyAsymptotics:
             wz = RadialFunction.from_profile(z_part, bubble_grid(eps, 2000.0), 2000.0,
                                              Space.EUCLIDEAN)
             cross = fractional_cross_energy(wU, wz, p)
-            grid = geometric_grid(3e3, GridKind.EUCLIDEAN, first_width=eps / 3.0)
+            grid = geometric_grid(3e3, first_width=eps / 3.0)
             r = grid.nodes
             integrand = ((cutoff(delta, r) - 1.0) * bubble(p, bp, r) ** p.two_star
                          * r ** (p.n - 1))

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from gjmslab.cli import main, worker_count
+from gjmslab.cli import main, write_manifest
+from gjmslab.quotients import QUOTIENT_TOL
+from gjmslab.spherical import DEFAULT_TAIL_TOL
 
 
 def run(argv):
@@ -167,25 +169,10 @@ class TestConfig:
         assert json.loads(capsys.readouterr().out)["s"] == 0.5
 
 
-class TestWorkerPool:
-    def test_env_validation(self, monkeypatch):
-        monkeypatch.setenv("GJMS_LAB_THREADS", "2")
-        assert worker_count() >= 1
-        monkeypatch.setenv("GJMS_LAB_THREADS", "zero")
-        with pytest.raises(Exception):
-            worker_count()
-        monkeypatch.setenv("GJMS_LAB_THREADS", "0")
-        with pytest.raises(Exception):
-            worker_count()
-        monkeypatch.delenv("GJMS_LAB_THREADS")
-        assert worker_count() == 1
-
-    def test_pool_matches_serial(self, tmp_path, monkeypatch):
-        base, pooled = str(tmp_path / "ser.csv"), str(tmp_path / "par.csv")
-        args = ["kernel-decay", "--kind", "intertwined", "--n", "3", "--s", "0.6",
-                "--r-spec", "2,3,4", "--eps-reg", "0.01"]
-        monkeypatch.delenv("GJMS_LAB_THREADS", raising=False)
-        run(args + ["--out", base])
-        monkeypatch.setenv("GJMS_LAB_THREADS", "2")
-        run(args + ["--out", pooled])
-        assert open(base, "rb").read() == open(pooled, "rb").read()
+class TestManifest:
+    def test_tolerances_are_the_package_constants(self, tmp_path):
+        write_manifest(str(tmp_path / "x.csv"), "constants", {"n": 3})
+        manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+        tolerances = manifest["tolerances"]
+        assert tolerances["quotient_tol"] == QUOTIENT_TOL
+        assert tolerances["tail_tol"] == DEFAULT_TAIL_TOL

@@ -7,11 +7,12 @@ from conftest import hyperbolic_bump, windowed_gaussian
 from gjmslab.bubbles import fractional_energy
 from gjmslab.errors import DegenerateData, DomainError, SupportError, TailError
 from gjmslab.geometry import conformal_lift
-from gjmslab.grids import GridKind, RadialFunction, Space, SpectralProfile, uniform_grid
+from gjmslab.grids import RadialFunction, Space, SpectralProfile, uniform_grid
 from gjmslab.params import MultiplierKind, Params
 from gjmslab.special import legendre_p
 from gjmslab.spherical import (
     decay_rate_fit,
+    decay_slope,
     default_beta_grid,
     inverse_spherical_transform,
     l2_mass,
@@ -122,7 +123,7 @@ class TestSphericalFunction:
 
 class TestTransforms:
     def test_zero_transform(self):
-        grid = uniform_grid(2.0, GridKind.HYPERBOLIC_GEODESIC)
+        grid = uniform_grid(2.0)
         f = RadialFunction(grid, np.zeros_like(grid.nodes), 2.0, Space.HYPERBOLIC)
         F = spherical_transform(f, 3, default_beta_grid(2.0, 40.0))
         assert np.all(F.values == 0.0)
@@ -130,7 +131,7 @@ class TestTransforms:
         assert back.is_zero()
 
     def test_linearity(self):
-        grid = uniform_grid(3.0, GridKind.HYPERBOLIC_GEODESIC)
+        grid = uniform_grid(3.0)
         bg = default_beta_grid(3.0, 40.0)
         f = RadialFunction.from_profile(windowed_gaussian(0.5, 3.0), grid, 3.0, Space.HYPERBOLIC)
         g = RadialFunction.from_profile(windowed_gaussian(0.9, 3.0), grid, 3.0, Space.HYPERBOLIC)
@@ -142,7 +143,7 @@ class TestTransforms:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_plancherel_and_roundtrip(self, n):
-        grid = uniform_grid(3.0, GridKind.HYPERBOLIC_GEODESIC)
+        grid = uniform_grid(3.0)
         bg = default_beta_grid(3.0, 60.0)
         for width in (0.3, 0.5, 0.8, 1.2, 2.0):
             f = RadialFunction.from_profile(windowed_gaussian(width, 3.0), grid,
@@ -159,7 +160,7 @@ class TestTransforms:
             assert err <= 1e-3
 
     def test_support_errors(self):
-        grid = uniform_grid(2.0, GridKind.HYPERBOLIC_GEODESIC)
+        grid = uniform_grid(2.0)
         f = RadialFunction(grid, np.zeros_like(grid.nodes), math.inf, Space.HYPERBOLIC)
         with pytest.raises(SupportError):
             spherical_transform(f, 3, default_beta_grid(2.0, 40.0))
@@ -169,7 +170,7 @@ class TestTransforms:
         bg = default_beta_grid(1.0, 40.0)
         F = SpectralProfile(bg, np.ones_like(bg.nodes))
         with pytest.raises(TailError):
-            inverse_spherical_transform(F, 3, uniform_grid(1.0, GridKind.HYPERBOLIC_GEODESIC))
+            inverse_spherical_transform(F, 3, uniform_grid(1.0))
 
 
 class TestQuadraticForm:
@@ -194,7 +195,7 @@ class TestQuadraticForm:
     def test_conformal_energy_identity(self, n, s):
         # intertwined energy of the lift equals the Euclidean fractional energy
         p = Params(n, s)
-        grid = uniform_grid(0.6, GridKind.EUCLIDEAN, panel_width=0.005)
+        grid = uniform_grid(0.6, panel_width=0.005)
         w = RadialFunction.from_profile(windowed_gaussian(0.05, 0.6), grid, 0.6,
                                         Space.EUCLIDEAN)
         u = conformal_lift(w, p)
@@ -260,6 +261,13 @@ class TestDecayFit:
         s1 = np.polyfit(radii, np.log(np.abs(ks)), 1)[0]
         s2 = np.polyfit(radii, np.log(np.abs(2.0 * ks)), 1)[0]
         assert s1 == pytest.approx(s2, abs=1e-12)
+
+    def test_fit_ignores_radii_outside_window(self):
+        p = Params(3, 0.6)
+        assert decay_rate_fit(INT, p, [2, 3, 4, 5, 9.5], 0.01) == \
+            decay_rate_fit(INT, p, [2, 3, 4, 5], 0.01)
+        with pytest.raises(DegenerateData):
+            decay_slope([2.0, 3.0, 4.0, 5.0, 9.5], np.ones(5))
 
     def test_needs_enough_radii(self):
         with pytest.raises(DegenerateData):
