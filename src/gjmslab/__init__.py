@@ -27,7 +27,7 @@ from .params import MultiplierKind, Params
 from .quotients import BubbleFamily, QuotientReport, SplineFamily, bubble_quotient, \
     gap_scan, minimize_quotient, multibump_blowdown, sharp_constant_estimate, \
     sobolev_quotient
-from .special import SpecialConfig, abs_gamma_sq, bessel_j, hyp2f1, legendre_p, log_gamma
+from .special import abs_gamma_sq, bessel_j, hyp2f1, legendre_p, log_gamma
 from .spherical import decay_rate_fit, inverse_spherical_transform, plancherel_density, \
     quadratic_form, regularized_kernel, spherical_function, spherical_transform
 

@@ -252,8 +252,7 @@ def _banded_energy(profile, support, p: Params, rho_min, rho_max, pair=None):
     return sphere_area(n) * total
 
 
-def fractional_energy(w: RadialFunction, p: Params, rho_min: float = None,
-                      rho_max_hint: float = None) -> float:
+def fractional_energy(w: RadialFunction, p: Params) -> float:
     """The 2s-weighted Plancherel integral omega int rho^{2s} |w_hat|^2 rho^{n-1} d rho.
 
     For s = 1 this is the Dirichlet integral. The frequency range extends
@@ -272,11 +271,7 @@ def fractional_energy(w: RadialFunction, p: Params, rho_min: float = None,
             return np.interp(r, _g[0].nodes, _g[1], left=_g[1][0], right=0.0)
 
     support = min(w.support_radius, w.grid.r_max)
-    if rho_min is None:
-        rho_min = min(1e-4, 0.05 / support)
-    if rho_max_hint is None:
-        rho_max_hint = 64.0
-    return _banded_energy(profile, support, p, rho_min, rho_max_hint)
+    return _banded_energy(profile, support, p, min(1e-4, 0.05 / support), 64.0)
 
 
 def fractional_cross_energy(w1: RadialFunction, w2: RadialFunction, p: Params) -> float:
@@ -325,7 +320,7 @@ def bubble_energy_baseline(p: Params) -> dict:
     return out
 
 
-def fit_loglog_slope(x, y, drop_largest_outlier: bool = True) -> float:
+def fit_loglog_slope(x, y) -> float:
     """OLS slope of log y against log x; the largest-x point is dropped when
     its residual exceeds twice the residual spread (leading-constant
     contamination at the coarse end of an eps ladder)."""
@@ -335,7 +330,7 @@ def fit_loglog_slope(x, y, drop_largest_outlier: bool = True) -> float:
         raise DegenerateData("slope fit needs >= 3 points with positive values")
     lx, ly = np.log(x), np.log(y)
     coeffs = np.polyfit(lx, ly, 1)
-    if drop_largest_outlier and x.size >= 4:
+    if x.size >= 4:
         resid = ly - np.polyval(coeffs, lx)
         sigma = float(np.std(resid))
         largest = int(np.argmax(x))

@@ -10,6 +10,7 @@ import argparse
 import datetime
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -24,7 +25,7 @@ from .quotients import QUOTIENT_TOL, BubbleFamily, SplineFamily, gap_scan, \
     multibump_blowdown, sharp_constant_estimate, sobolev_quotient, spline_knots, spline_trial
 from .spherical import DEFAULT_TAIL_TOL, KERNEL_SCAN_EPS, decay_fit_radii, decay_slope, \
     eps_extrapolation, lp_mass, regularized_kernel
-from .special import DEFAULT_CONFIG
+from .special import POLE_TOL, SERIES_CAP, SERIES_TOL
 
 _KINDS = {
     "gjms": MultiplierKind.GJMS,
@@ -34,10 +35,13 @@ _KINDS = {
 
 
 def _git_describe():
+    """Describe the source tree this package was loaded from, wherever the
+    command runs."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
             capture_output=True, text=True, timeout=10,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
         )
         if out.returncode == 0:
             return out.stdout.strip()
@@ -48,9 +52,9 @@ def _git_describe():
 
 def _tolerances():
     return {
-        "series_tol": DEFAULT_CONFIG.series_tol,
-        "series_cap": DEFAULT_CONFIG.series_cap,
-        "pole_tol": DEFAULT_CONFIG.pole_tol,
+        "series_tol": SERIES_TOL,
+        "series_cap": SERIES_CAP,
+        "pole_tol": POLE_TOL,
         "quotient_tol": QUOTIENT_TOL,
         "tail_tol": DEFAULT_TAIL_TOL,
     }
@@ -140,9 +144,6 @@ def cmd_multiplier(args) -> int:
               [(float(b), float(v)) for b, v in zip(betas, values)])
     write_manifest(args.out, "multiplier", vars_of(args))
     return 0
-
-
-_L2_REGIMES = ("power", "log", "low")
 
 
 def _l2_regime(p: Params):
@@ -254,7 +255,7 @@ def cmd_kernel_decay(args) -> int:
     if len(fit_radii) >= 4:
         for name, eps in (("slope", args.eps_reg), ("slope_half_eps", args.eps_reg / 2.0)):
             summary[name] = decay_slope(fit_radii, [kernel(r, eps) for r in fit_radii])
-    scan = {eps: kernel(radii[-1], eps) for eps in KERNEL_SCAN_EPS}
+    scan = {eps: kernel(max(radii), eps) for eps in KERNEL_SCAN_EPS}
     summary["kernel_scan_at_rmax"] = {repr(k): v for k, v in scan.items()}
     summary["kernel_extrapolated_at_rmax"] = eps_extrapolation(scan)
     write_json(args.out + ".summary.json", summary)
@@ -430,9 +431,6 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

@@ -210,6 +210,9 @@ def _golden_section(f, lo, hi, *, steps):
 
 
 class _Budget:
+    """Evaluation counter and the one owner of the best report found (the
+    first of equal quotients wins)."""
+
     def __init__(self, cap):
         self.cap = cap
         self.used = 0
@@ -342,18 +345,17 @@ def _minimize_bubble(kind, p, lam, family, budget, b_max):
                                     le_lo, le_hi, steps=18)
             de, _ = _golden_section(lambda x: evaluate(le, x).quotient,
                                     family.delta_lo, family.delta_hi, steps=14)
-            best = min(cache.values(), key=lambda r: r.quotient)
+            best = budget.best
             if abs(previous - best.quotient) <= QUOTIENT_TOL * (1.0 + abs(best.quotient)):
                 converged = True
                 break
     except BudgetExceeded:
         pass
-    best = min(cache.values(), key=lambda r: r.quotient)
     if not converged and budget.used >= budget.cap:
         raise BudgetExceeded(
             f"bubble search used {budget.used} evaluations without converging"
         )
-    return best
+    return budget.best
 
 
 def _lifted_bubble_shape(p, eps, delta_e):
@@ -384,8 +386,6 @@ def _spline_start_candidates(family, p):
 
 
 def _minimize_spline(kind, p, lam, family, budget, b_max):
-    best_holder = {}
-
     def evaluate(theta):
         budget.tick()
         u = spline_trial(family, theta, p)
@@ -404,8 +404,6 @@ def _minimize_spline(kind, p, lam, family, budget, b_max):
         ))
         log.debug("spline eval #%d -> %.10g", budget.used, rep.quotient)
         budget.offer(rep)
-        if "best" not in best_holder or rep.quotient < best_holder["best"].quotient:
-            best_holder["best"] = rep
         return rep.quotient
 
     candidates = _spline_start_candidates(family, p)
@@ -422,13 +420,13 @@ def _minimize_spline(kind, p, lam, family, budget, b_max):
         theta0 = candidates[0]
     step = 0.1 * np.ones_like(theta0)
     _, _, converged = _nelder_mead(evaluate, theta0, step, budget, QUOTIENT_TOL)
-    if "best" not in best_holder:
+    if budget.best is None:
         raise BudgetExceeded("spline search could not finish a single evaluation")
     if not converged and budget.used >= budget.cap:
         raise BudgetExceeded(
             f"spline search used {budget.used} evaluations without converging"
         )
-    return best_holder["best"]
+    return budget.best
 
 
 def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,

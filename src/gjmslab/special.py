@@ -1,32 +1,26 @@
-"""Self-contained special functions: complex log-Gamma, Gauss 2F1, associated
-Legendre functions of complex degree, and Bessel J on the half-integer lattice.
+"""Special functions: complex log-Gamma, Gauss 2F1, associated Legendre
+functions of complex degree, and Bessel J on the half-integer lattice.
 
 Everything downstream (spectral symbols, Plancherel densities, radial Fourier
-transforms) is built on these four entry points, so their tolerances live in a
-single configuration record, ``SpecialConfig``.
+transforms) is built on these four entry points. Their tolerances are the
+module constants below. Integer-order Bessel functions come from
+``scipy.special.jv``; the half-odd orders keep their closed forms, which are
+several times faster than ``jv`` there.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import jv
 
 from .errors import DomainError, NonConvergence, ParameterPole, PoleError, UnsupportedOrder
 
+POLE_TOL = 1e-12        # distance to a Gamma pole that counts as "at" it
+SERIES_TOL = 1e-14      # 2F1 term-ratio stopping tolerance
+SERIES_CAP = 10_000     # 2F1 iteration cap before NonConvergence
 
-@dataclass(frozen=True)
-class SpecialConfig:
-    """Module-wide tolerances and iteration caps."""
-
-    pole_tol: float = 1e-12          # distance to a Gamma pole that counts as "at" it
-    series_tol: float = 1e-14        # 2F1 term-ratio stopping tolerance
-    series_cap: int = 10_000         # 2F1 iteration cap before NonConvergence
-    bessel_series_x_max: float = 12.0   # integer orders: ascending series below, Hankel above
-    bessel_small_x: float = 0.5      # half-integer orders: series below, Miller on [small, 1)
-    bessel_miller_extra: int = 26    # downward-recursion start offset above the target order
-
-
-DEFAULT_CONFIG = SpecialConfig()
+_BESSEL_SMALL_X = 0.5   # half-integer orders: series below, Miller on [small, 1)
+_MILLER_EXTRA = 26      # downward-recursion start offset above the target order
 
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -104,15 +98,15 @@ def _log_gamma_array(z):
     return out[0] if scalar else out
 
 
-def log_gamma(z, config: SpecialConfig = DEFAULT_CONFIG) -> complex:
+def log_gamma(z) -> complex:
     """Principal-branch log Gamma(z) for complex z off the pole set.
 
-    Raises PoleError when z is within config.pole_tol of 0, -1, -2, ...
+    Raises PoleError when z is within POLE_TOL of 0, -1, -2, ...
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"log_gamma requires finite z, got {z}")
-    if _nearest_nonpositive_int(z.real, z.imag, config.pole_tol) is not None:
+    if _nearest_nonpositive_int(z.real, z.imag, POLE_TOL) is not None:
         raise PoleError(f"Gamma pole at z = {z}")
     return complex(_log_gamma_array(z))
 
@@ -129,18 +123,18 @@ def log_abs_gamma_sq(a, b):
     return 2.0 * np.real(_log_gamma_array(z))
 
 
-def abs_gamma_sq(a: float, b: float, config: SpecialConfig = DEFAULT_CONFIG) -> float:
+def abs_gamma_sq(a: float, b: float) -> float:
     """|Gamma(a + i b)|^2 > 0."""
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"abs_gamma_sq requires finite (a, b), got ({a}, {b})")
-    if _nearest_nonpositive_int(a, b, config.pole_tol) is not None:
+    if _nearest_nonpositive_int(a, b, POLE_TOL) is not None:
         raise PoleError(f"Gamma pole at z = {a}+{b}j")
     return float(np.exp(log_abs_gamma_sq(a, b)))
 
 
-def _hyp2f1_series(a, b, c, y, config: SpecialConfig = DEFAULT_CONFIG):
+def _hyp2f1_series(a, b, c, y):
     """Raw Gauss series sum_k (a)_k (b)_k / ((c)_k k!) y^k for 0 <= y < 1.
 
     a, b may be complex ndarrays (broadcast together); c real scalar.
@@ -150,18 +144,17 @@ def _hyp2f1_series(a, b, c, y, config: SpecialConfig = DEFAULT_CONFIG):
     shape = np.broadcast_shapes(a.shape, b.shape)
     term = np.ones(shape, dtype=complex)
     total = term.copy()
-    for k in range(config.series_cap):
+    for k in range(SERIES_CAP):
         term = term * ((a + k) * (b + k)) / ((c + k) * (k + 1.0)) * y
         total = total + term
-        if np.all(np.abs(term) <= config.series_tol * (np.abs(total) + 1e-300)):
+        if np.all(np.abs(term) <= SERIES_TOL * (np.abs(total) + 1e-300)):
             return total
     raise NonConvergence(
-        f"2F1 series did not converge in {config.series_cap} terms (y = {y})"
+        f"2F1 series did not converge in {SERIES_CAP} terms (y = {y})"
     )
 
 
-def hyp2f1(a: float, b: float, c: float, x: float,
-           config: SpecialConfig = DEFAULT_CONFIG) -> float:
+def hyp2f1(a: float, b: float, c: float, x: float) -> float:
     """Gauss 2F1(a, b; c; x) for real parameters and x <= 0.
 
     The argument is mapped into [0, 1) by the Pfaff transformation
@@ -171,19 +164,18 @@ def hyp2f1(a: float, b: float, c: float, x: float,
     for name, v in (("a", a), ("b", b), ("c", c), ("x", x)):
         if not math.isfinite(float(v)):
             raise DomainError(f"hyp2f1 requires finite {name}, got {v}")
-    if _nearest_nonpositive_int(c, 0.0, config.pole_tol) is not None:
+    if _nearest_nonpositive_int(c, 0.0, POLE_TOL) is not None:
         raise ParameterPole(f"2F1 lower parameter c = {c} is a non-positive integer")
     if x > 0.0:
         raise DomainError(f"hyp2f1 is restricted to x <= 0, got x = {x}")
     if x == 0.0:
         return 1.0
     y = x / (x - 1.0)
-    f = _hyp2f1_series(a, c - b, c, y, config)
+    f = _hyp2f1_series(a, c - b, c, y)
     return float(np.real((1.0 - x) ** (-a) * f))
 
 
-def legendre_p(nu, mu: float, z: float,
-               config: SpecialConfig = DEFAULT_CONFIG) -> complex:
+def legendre_p(nu, mu: float, z: float) -> complex:
     """Associated Legendre function P_nu^mu(z) of the first kind, z > 1.
 
     P_nu^mu(z) = ((z+1)/(z-1))^(mu/2) / Gamma(1-mu)
@@ -198,12 +190,12 @@ def legendre_p(nu, mu: float, z: float,
     if not z > 1.0:
         raise DomainError(f"legendre_p requires z > 1, got z = {z}")
     c = 1.0 - mu
-    if _nearest_nonpositive_int(c, 0.0, config.pole_tol) is not None:
+    if _nearest_nonpositive_int(c, 0.0, POLE_TOL) is not None:
         raise ParameterPole(f"legendre_p parameter 1 - mu = {c} is a non-positive integer")
     x = (1.0 - z) / 2.0
     y = x / (x - 1.0)  # = (z-1)/(z+1) in [0, 1)
     a = -nu
-    f = _hyp2f1_series(a, c - nu - 1.0, c, y, config)
+    f = _hyp2f1_series(a, c - nu - 1.0, c, y)
     pfaff = np.exp(nu * math.log((z + 1.0) / 2.0)) * f
     pref = math.exp(0.5 * mu * (math.log(z + 1.0) - math.log(z - 1.0)))
     inv_gamma = np.exp(-_log_gamma_array(complex(c)))
@@ -214,21 +206,21 @@ def legendre_p(nu, mu: float, z: float,
 # Bessel J on the half-integer lattice {k/2 : k >= 0}
 # ----------------------------------------------------------------------------
 
-def _validate_order(order, config):
+def _validate_order(order):
     two = 2.0 * float(order)
     if order < 0 or abs(two - round(two)) > 1e-12:
         raise UnsupportedOrder(f"order {order} is not on the half-integer lattice >= 0")
     return round(two) / 2.0
 
 
-def _series_scaled(nu, x, terms=24):
-    """J_nu(x)/x^nu by the ascending series; stable for x < ~1."""
+def _series_scaled(nu, x):
+    """J_nu(x)/x^nu by 24 terms of the ascending series; stable for x < ~1."""
     x = np.asarray(x, dtype=float)
     pref = math.exp(-math.lgamma(nu + 1.0)) * 0.5 ** nu
     q = -0.25 * x * x
     term = np.ones_like(x)
     total = np.ones_like(x)
-    for k in range(terms):
+    for k in range(24):
         term = term * q / ((k + 1.0) * (nu + k + 1.0))
         total = total + term
     return pref * total
@@ -246,9 +238,9 @@ def _half_upward(m, x):
     return j
 
 
-def _half_miller(m, x, extra):
+def _half_miller(m, x):
     """J_{m+1/2}(x) for x in [0.5, 1) by downward (Miller) recursion."""
-    top = m + extra
+    top = m + _MILLER_EXTRA
     fp = np.zeros_like(x)
     f = np.full_like(x, 1e-30)
     target = np.zeros_like(x)
@@ -263,93 +255,53 @@ def _half_miller(m, x, extra):
     return target * scale
 
 
-def _int_series(nu, x, terms=60):
-    return _series_scaled(nu, x, terms=terms) * x ** nu
-
-
-def _int_hankel(nu, x):
-    """Hankel asymptotic expansion for integer nu and x > ~12.
-
-    Terms are added until the smallest one (truncating an asymptotic series
-    at its minimum term leaves an error of that term's size, ~1e-13 at the
-    series split).
-    """
-    mu = 4.0 * nu * nu
-    inv8x = 1.0 / (8.0 * x)
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
-    ak = np.ones_like(x)
-    last = np.full_like(x, np.inf)
-    active = np.ones(x.shape, dtype=bool)
-    for k in range(1, 40):
-        ak = ak * (mu - (2.0 * k - 1.0) ** 2) / k * inv8x
-        grew = np.abs(ak) >= last
-        active &= ~grew
-        if not np.any(active):
-            break
-        sign = (-1.0) ** (k // 2)
-        if k % 2 == 1:
-            q = q + np.where(active, sign * ak, 0.0)
-        else:
-            p = p + np.where(active, sign * ak, 0.0)
-        last = np.abs(ak)
-    chi = x - (0.5 * nu + 0.25) * math.pi
-    return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
-
-
-def bessel_j(order: float, x, config: SpecialConfig = DEFAULT_CONFIG):
+def bessel_j(order: float, x):
     """Bessel J_order(x) for half-integer orders >= 0 and x >= 0.
 
     Scalar or ndarray x. Half-odd orders go through the spherical-Bessel
     closed forms (upward recursion for x >= 1, Miller recursion on [0.5, 1),
-    ascending series below); integer orders use the ascending series up to
-    the configured split and the Hankel expansion above it.
+    ascending series below); integer orders use ``scipy.special.jv``.
     """
-    nu = _validate_order(order, config)
+    nu = _validate_order(order)
     xa = np.asarray(x, dtype=float)
     scalar = xa.ndim == 0
     xa = np.atleast_1d(xa).astype(float)
     if np.any(xa < 0.0) or not np.all(np.isfinite(xa)):
         raise DomainError("bessel_j requires finite x >= 0")
-    out = np.empty_like(xa)
-    half = (round(2 * nu) % 2) == 1
-    if half:
+    if round(2 * nu) % 2 == 0:
+        out = jv(nu, xa)
+    else:
         m = int(round(nu - 0.5))
-        lo = xa < config.bessel_small_x
+        out = np.empty_like(xa)
+        lo = xa < _BESSEL_SMALL_X
         mid = (~lo) & (xa < 1.0)
         hi = xa >= 1.0
         if np.any(lo):
             out[lo] = _series_scaled(nu, xa[lo]) * xa[lo] ** nu
         if np.any(mid):
-            out[mid] = _half_miller(m, xa[mid], config.bessel_miller_extra)
+            out[mid] = _half_miller(m, xa[mid])
         if np.any(hi):
             out[hi] = _half_upward(m, xa[hi])
-    else:
-        lo = xa <= config.bessel_series_x_max
-        if np.any(lo):
-            out[lo] = _int_series(nu, xa[lo])
-        if np.any(~lo):
-            out[~lo] = _int_hankel(nu, xa[~lo])
     return float(out[0]) if scalar else out
 
 
-def bessel_j_scaled(order: float, x, config: SpecialConfig = DEFAULT_CONFIG):
+def bessel_j_scaled(order: float, x):
     """J_order(x) / x^order, finite and stable down to x = 0.
 
     This is the kernel the radial Fourier transform actually needs: its
     x -> 0 limit is 2^-order / Gamma(order+1).
     """
-    nu = _validate_order(order, config)
+    nu = _validate_order(order)
     xa = np.asarray(x, dtype=float)
     scalar = xa.ndim == 0
     xa = np.atleast_1d(xa).astype(float)
     if np.any(xa < 0.0) or not np.all(np.isfinite(xa)):
         raise DomainError("bessel_j_scaled requires finite x >= 0")
     out = np.empty_like(xa)
-    lo = xa < config.bessel_small_x
+    lo = xa < _BESSEL_SMALL_X
     if np.any(lo):
         out[lo] = _series_scaled(nu, xa[lo])
     if np.any(~lo):
         xs = xa[~lo]
-        out[~lo] = bessel_j(nu, xs, config) / xs ** nu
+        out[~lo] = bessel_j(nu, xs) / xs ** nu
     return float(out[0]) if scalar else out

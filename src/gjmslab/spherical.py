@@ -147,7 +147,7 @@ def spherical_function(n: int, beta, r: float):
 # ---------------------------------------------------------------------------
 
 _PHI_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-_PHI_CACHE_MAX = 12
+_PHI_CACHE_MAX_BYTES = 256 * 2 ** 20
 
 
 def phi_matrix(n: int, beta_grid: RadialGrid, r_grid: RadialGrid) -> np.ndarray:
@@ -161,8 +161,10 @@ def phi_matrix(n: int, beta_grid: RadialGrid, r_grid: RadialGrid) -> np.ndarray:
     for j, r in enumerate(r_grid.nodes):
         mat[:, j] = spherical_function(n, beta, float(r))
     _PHI_CACHE[key] = mat
-    if len(_PHI_CACHE) > _PHI_CACHE_MAX:
-        _PHI_CACHE.popitem(last=False)
+    # least recently used first; the matrix just built always stays
+    held = sum(m.nbytes for m in _PHI_CACHE.values())
+    while held > _PHI_CACHE_MAX_BYTES and len(_PHI_CACHE) > 1:
+        held -= _PHI_CACHE.popitem(last=False)[1].nbytes
     return mat
 
 

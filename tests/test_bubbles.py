@@ -270,7 +270,7 @@ class TestEnergyAsymptotics:
             e_z = fractional_energy(wz, p)
             e_u = bubble_energy_baseline(p)["energy"]
             values.append(abs(e_w - e_u - e_z))
-        slope = fit_loglog_slope(ladder, values, drop_largest_outlier=False)
+        slope = fit_loglog_slope(ladder, values)
         assert slope >= 0.8 * min(p.n, p.n - 2.0 * p.s)
 
 

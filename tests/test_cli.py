@@ -1,9 +1,12 @@
 import json
 import math
+import os
+import subprocess
 
 import numpy as np
 import pytest
 
+from gjmslab import cli
 from gjmslab.cli import main, write_manifest
 from gjmslab.quotients import QUOTIENT_TOL
 from gjmslab.spherical import DEFAULT_TAIL_TOL
@@ -125,6 +128,18 @@ class TestKernelDecay:
         assert run(["kernel-decay", "--kind", "intertwined", "--n", "3", "--s", "0.6",
                     "--r-spec", "0.3,2", "--eps-reg", "0.01", "--out", out]) == 2
 
+    def test_rmax_is_the_largest_radius(self, tmp_path):
+        summaries = []
+        for spec in ("2,3,4,5,6", "6,2,3,4,5"):
+            out = str(tmp_path / "kd.csv")
+            assert run(["kernel-decay", "--kind", "intertwined", "--n", "3", "--s", "0.6",
+                        "--r-spec", spec, "--eps-reg", "0.01", "--out", out]) == 0
+            summaries.append(json.load(open(out + ".summary.json")))
+        ordered, shuffled = summaries
+        assert shuffled["kernel_scan_at_rmax"] == ordered["kernel_scan_at_rmax"]
+        assert shuffled["kernel_extrapolated_at_rmax"] == ordered["kernel_extrapolated_at_rmax"]
+        assert shuffled["slope"] == pytest.approx(ordered["slope"], rel=1e-12)
+
 
 class TestBlowdown:
     def test_below_bottom_rejected(self, tmp_path, capsys):
@@ -176,3 +191,21 @@ class TestManifest:
         tolerances = manifest["tolerances"]
         assert tolerances["quotient_tol"] == QUOTIENT_TOL
         assert tolerances["tail_tol"] == DEFAULT_TAIL_TOL
+        assert tolerances["pole_tol"] == 1e-12
+        assert tolerances["series_tol"] == 1e-14
+        assert tolerances["series_cap"] == 10_000
+
+    def test_describes_the_package_tree_from_any_cwd(self, tmp_path, monkeypatch):
+        package = os.path.dirname(os.path.abspath(cli.__file__))
+        try:
+            inside = subprocess.run(["git", "rev-parse", "--is-inside-work-tree"],
+                                    cwd=package, capture_output=True, text=True, timeout=10)
+        except OSError:
+            pytest.skip("git is not available")
+        if inside.returncode != 0:
+            pytest.skip("the package is not in a git work tree")
+        monkeypatch.chdir(tmp_path)
+        assert run(["multiplier", "--kind", "gjms", "--n", "3", "--s", "1",
+                    "--beta-max", "2", "--count", "3", "--out", "m.csv"]) == 0
+        manifest = json.loads((tmp_path / "m.csv.manifest.json").read_text())
+        assert manifest["git_describe"] != "unknown"

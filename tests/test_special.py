@@ -6,7 +6,6 @@ import pytest
 
 from gjmslab.errors import DomainError, NonConvergence, ParameterPole, PoleError, UnsupportedOrder
 from gjmslab.special import (
-    SpecialConfig,
     abs_gamma_sq,
     bessel_j,
     bessel_j_scaled,
@@ -119,9 +118,10 @@ class TestHyp2f1:
             hyp2f1(0.5, 0.5, 1.5, 0.25)
 
     def test_nonconvergence_cap(self):
-        tight = SpecialConfig(series_cap=5)
+        # after the Pfaff map y = 1 - 1e-8 and the terms decay like k^-2, so
+        # the default cap runs out long before the series tolerance is met
         with pytest.raises(NonConvergence):
-            hyp2f1(0.5, 1.5, 2.0, -30.0, config=tight)
+            hyp2f1(0.5, 1.5, 2.0, -1e8)
 
     def test_contiguity(self, rng):
         # c F(a,b;c;x) - c F(a-1,b;c;x) - b x F(a,b+1;c+1;x) = 0
@@ -195,7 +195,7 @@ class TestBesselJ:
             ref = np.array([float(mp.besselj(nu, x)) for x in xs])
             # relative where the value is not near a zero, absolute otherwise
             err = np.abs(ours - ref) / np.maximum(np.abs(ref), 1e-2)
-            assert np.max(err) <= 1e-9
+            assert np.max(err) <= 1e-13
 
     def test_product_series_oracle(self, rng):
         # J_nu(x) J_{nu+1}(x) cross-checked at 20 points

@@ -1,13 +1,15 @@
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 from conftest import hyperbolic_bump, windowed_gaussian
+from gjmslab import spherical
 from gjmslab.bubbles import fractional_energy
 from gjmslab.errors import DegenerateData, DomainError, SupportError, TailError
 from gjmslab.geometry import conformal_lift
-from gjmslab.grids import RadialFunction, Space, SpectralProfile, uniform_grid
+from gjmslab.grids import RadialFunction, RadialGrid, Space, SpectralProfile, uniform_grid
 from gjmslab.params import MultiplierKind, Params
 from gjmslab.special import legendre_p
 from gjmslab.spherical import (
@@ -16,6 +18,7 @@ from gjmslab.spherical import (
     default_beta_grid,
     inverse_spherical_transform,
     l2_mass,
+    phi_matrix,
     plancherel_density,
     quadratic_form,
     regularized_kernel,
@@ -171,6 +174,30 @@ class TestTransforms:
         F = SpectralProfile(bg, np.ones_like(bg.nodes))
         with pytest.raises(TailError):
             inverse_spherical_transform(F, 3, uniform_grid(1.0))
+
+
+class TestPhiCache:
+    def test_bounded_by_bytes_lru(self, monkeypatch):
+        monkeypatch.setattr(spherical, "_PHI_CACHE", OrderedDict())
+        bg = default_beta_grid(1.0, 8.0)
+        a, b, c, d = (RadialGrid.from_edges(np.linspace(0.0, top, panels + 1))
+                      for top, panels in ((0.5, 1), (0.25, 1), (1.0, 2), (1.5, 3)))
+        size = bg.nodes.size * 16 * 8       # bytes of a one-panel matrix
+        monkeypatch.setattr(spherical, "_PHI_CACHE_MAX_BYTES", 3 * size)
+        mat_a = phi_matrix(3, bg, a)
+        mat_b = phi_matrix(3, bg, b)
+        assert mat_a.nbytes == mat_b.nbytes == size
+        assert phi_matrix(3, bg, a) is mat_a      # the hit makes b least recent
+        phi_matrix(3, bg, c)                      # 4 sizes held: b goes
+        held = list(spherical._PHI_CACHE.values())
+        assert len(held) == 2 and not any(m is mat_b for m in held)
+        assert phi_matrix(3, bg, a) is mat_a
+        # a matrix larger than the cap is still kept, alone
+        monkeypatch.setattr(spherical, "_PHI_CACHE_MAX_BYTES", size)
+        mat_d = phi_matrix(3, bg, d)
+        held = list(spherical._PHI_CACHE.values())
+        assert len(held) == 1 and held[0] is mat_d
+        assert phi_matrix(3, bg, d) is mat_d
 
 
 class TestQuadraticForm:
