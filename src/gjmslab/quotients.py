@@ -191,7 +191,7 @@ def spline_trial(family: SplineFamily, theta, p: Params) -> RadialFunction:
 
 
 def _golden_section(f, lo, hi, *, steps):
-    """Deterministic bounded golden-section minimization; returns (x, f(x))."""
+    """Deterministic bounded golden-section minimization; returns argmin x."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
@@ -206,7 +206,7 @@ def _golden_section(f, lo, hi, *, steps):
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(d)
-    return (c, fc) if fc <= fd else (d, fd)
+    return c if fc <= fd else d
 
 
 class _Budget:
@@ -218,18 +218,32 @@ class _Budget:
         self.used = 0
         self.best = None
 
-    def tick(self):
-        self.used += 1
-        if self.used > self.cap:
+    @property
+    def spent(self):
+        return self.used >= self.cap
+
+    def price(self, trial, *args):
+        """Count and price one trial; returns its quotient.
+
+        `trial(*args)` returns a QuotientReport, or None for a trial that
+        cannot be priced (read as +inf). Raises BudgetExceeded, before
+        pricing, once the cap is spent.
+        """
+        if self.spent:
             raise BudgetExceeded(f"evaluation cap {self.cap} exhausted")
+        self.used += 1
+        rep = trial(*args)
+        if rep is None:
+            log.debug("eval #%d not priceable", self.used)
+            return math.inf
+        log.debug("eval #%d %s -> %.10g", self.used, rep.trial_descriptor, rep.quotient)
+        if self.best is None or rep.quotient < self.best.quotient:
+            self.best = rep
+        return rep.quotient
 
-    def offer(self, report):
-        if self.best is None or report.quotient < self.best.quotient:
-            self.best = report
 
-
-def _nelder_mead(f, x0, step, budget: _Budget, ftol):
-    """Deterministic Nelder-Mead; returns (x_best, f_best, converged).
+def _nelder_mead(f, x0, step, ftol):
+    """Deterministic Nelder-Mead; returns whether it converged.
 
     Converges when either the simplex values collapse or the running best
     stalls (changes by <= ftol) over a 2n-iteration window.
@@ -241,51 +255,40 @@ def _nelder_mead(f, x0, step, budget: _Budget, ftol):
         v = x0.copy()
         v[i] += step[i]
         simplex.append(v)
-    try:
-        fvals = [f(v) for v in simplex]
-    except BudgetExceeded:
-        return x0, math.inf, False
-    converged = False
+    fvals = [f(v) for v in simplex]
     best_trace = []
+    window = 2 * n
     while True:
         order = np.argsort(fvals, kind="stable")
         simplex = [simplex[i] for i in order]
         fvals = [fvals[i] for i in order]
         best_trace.append(fvals[0])
-        window = 2 * n
         if abs(fvals[-1] - fvals[0]) <= ftol * (1.0 + abs(fvals[0])):
-            converged = True
-            break
+            return True
         if (len(best_trace) > window
                 and best_trace[-window] - best_trace[-1] <= ftol * (1.0 + abs(best_trace[-1]))):
-            converged = True
-            break
+            return True
         centroid = np.mean(simplex[:-1], axis=0)
-        try:
-            xr = centroid + alpha * (centroid - simplex[-1])
-            fr = f(xr)
-            if fr < fvals[0]:
-                xe = centroid + gamma * (centroid - simplex[-1])
-                fe = f(xe)
-                if fe < fr:
-                    simplex[-1], fvals[-1] = xe, fe
-                else:
-                    simplex[-1], fvals[-1] = xr, fr
-            elif fr < fvals[-2]:
-                simplex[-1], fvals[-1] = xr, fr
+        xr = centroid + alpha * (centroid - simplex[-1])
+        fr = f(xr)
+        if fr < fvals[0]:
+            xe = centroid + gamma * (centroid - simplex[-1])
+            fe = f(xe)
+            if fe < fr:
+                simplex[-1], fvals[-1] = xe, fe
             else:
-                xc = centroid + rho * (simplex[-1] - centroid)
-                fc = f(xc)
-                if fc < fvals[-1]:
-                    simplex[-1], fvals[-1] = xc, fc
-                else:
-                    for i in range(1, n + 1):
-                        simplex[i] = simplex[0] + sigma * (simplex[i] - simplex[0])
-                        fvals[i] = f(simplex[i])
-        except BudgetExceeded:
-            break
-    best = int(np.argmin(fvals))
-    return simplex[best], fvals[best], converged
+                simplex[-1], fvals[-1] = xr, fr
+        elif fr < fvals[-2]:
+            simplex[-1], fvals[-1] = xr, fr
+        else:
+            xc = centroid + rho * (simplex[-1] - centroid)
+            fc = f(xc)
+            if fc < fvals[-1]:
+                simplex[-1], fvals[-1] = xc, fc
+            else:
+                for i in range(1, n + 1):
+                    simplex[i] = simplex[0] + sigma * (simplex[i] - simplex[0])
+                    fvals[i] = f(simplex[i])
 
 
 DEFAULT_EVAL_CAP = 500
@@ -300,62 +303,61 @@ def minimize_quotient(kind: MultiplierKind, p: Params, lam: float, family,
 
     BubbleFamily: coordinate descent in (log eps, delta) with golden-section
     line searches. SplineFamily: Nelder-Mead over knot values with the
-    amplitude normalized away by quotient homogeneity. Deterministic; raises
-    BudgetExceeded when the cap lands before the stopping tolerance (pass
-    on_budget="return" to take the best report found instead).
+    amplitude normalized away by quotient homogeneity. Deterministic; at
+    most eval_cap trials are priced. Raises BudgetExceeded when no trial
+    could be priced, or when the cap is spent before the stopping tolerance
+    (pass on_budget="return" to take the best report found instead).
     """
     if on_budget not in ("raise", "return"):
         raise ParameterError('on_budget must be "raise" or "return"')
+    if isinstance(family, BubbleFamily):
+        name, search = "bubble", _minimize_bubble
+    elif isinstance(family, SplineFamily):
+        name, search = "spline", _minimize_spline
+    else:
+        raise ParameterError(f"unknown trial family {family!r}")
     budget = _Budget(eval_cap)
     try:
-        if isinstance(family, BubbleFamily):
-            return _minimize_bubble(kind, p, lam, family, budget, b_max)
-        if isinstance(family, SplineFamily):
-            return _minimize_spline(kind, p, lam, family, budget, b_max)
+        converged = search(kind, p, lam, family, budget, b_max)
     except BudgetExceeded:
-        if on_budget == "raise" or budget.best is None:
-            raise
-        return budget.best
-    raise ParameterError(f"unknown trial family {family!r}")
+        converged = False
+    if budget.best is None:
+        raise BudgetExceeded(
+            f"{name} search priced no trial in {budget.used} of {budget.cap} evaluations")
+    if not converged and budget.spent and on_budget == "raise":
+        raise BudgetExceeded(
+            f"{name} search used {budget.used} of {budget.cap} evaluations"
+            " without converging")
+    return budget.best
 
 
 def _minimize_bubble(kind, p, lam, family, budget, b_max):
-    cache = {}
+    """Coordinate descent over (log eps, delta); returns whether it converged."""
+    memo = {}
+
+    def trial(log_eps, delta):
+        return bubble_quotient(kind, p, lam, BubbleParams(math.exp(log_eps), delta),
+                               b_max=b_max)
 
     def evaluate(log_eps, delta):
         key = (round(log_eps, 12), round(delta, 12))
-        if key not in cache:
-            budget.tick()
-            rep = bubble_quotient(kind, p, lam, BubbleParams(math.exp(log_eps), delta),
-                                  b_max=b_max)
-            log.debug("bubble eval #%d %s -> %.10g", budget.used, key, rep.quotient)
-            budget.offer(rep)
-            cache[key] = rep
-        return cache[key]
+        if key not in memo:
+            memo[key] = budget.price(trial, log_eps, delta)
+        return memo[key]
 
     le_lo, le_hi = math.log(family.eps_lo), math.log(family.eps_hi)
     le = 0.5 * (le_lo + le_hi)
     de = 0.5 * (family.delta_lo + family.delta_hi)
-    best = evaluate(le, de)
-    converged = False
-    try:
-        for _ in range(4):
-            previous = best.quotient
-            le, _ = _golden_section(lambda x: evaluate(x, de).quotient,
-                                    le_lo, le_hi, steps=18)
-            de, _ = _golden_section(lambda x: evaluate(le, x).quotient,
-                                    family.delta_lo, family.delta_hi, steps=14)
-            best = budget.best
-            if abs(previous - best.quotient) <= QUOTIENT_TOL * (1.0 + abs(best.quotient)):
-                converged = True
-                break
-    except BudgetExceeded:
-        pass
-    if not converged and budget.used >= budget.cap:
-        raise BudgetExceeded(
-            f"bubble search used {budget.used} evaluations without converging"
-        )
-    return budget.best
+    evaluate(le, de)
+    for _ in range(4):
+        previous = budget.best.quotient
+        le = _golden_section(lambda x: evaluate(x, de), le_lo, le_hi, steps=18)
+        de = _golden_section(lambda x: evaluate(le, x),
+                             family.delta_lo, family.delta_hi, steps=14)
+        best = budget.best.quotient
+        if abs(previous - best) <= QUOTIENT_TOL * (1.0 + abs(best)):
+            return True
+    return False
 
 
 def _lifted_bubble_shape(p, eps, delta_e):
@@ -386,47 +388,28 @@ def _spline_start_candidates(family, p):
 
 
 def _minimize_spline(kind, p, lam, family, budget, b_max):
-    def evaluate(theta):
-        budget.tick()
+    """Nelder-Mead from the best start candidate; returns whether it converged."""
+    def trial(theta):
         u = spline_trial(family, theta, p)
         if u.is_zero():
-            return math.inf
+            return None
         try:
             rep = sobolev_quotient(kind, p, lam, u, b_max=b_max)
         except TailError:
             # spectral content past b_max: not priceable at this resolution
-            log.debug("spline eval #%d rejected by the tail guard", budget.used)
-            return math.inf
+            return None
         scale = math.sqrt(rep.crit_norm)  # crit_norm(c u) = c^2 crit_norm(u)
-        rep = replace(rep, trial_descriptor=(
+        return replace(rep, trial_descriptor=(
             f"spline[m={family.knots},R={family.radius:.6g},"
             f"theta={np.array2string(np.asarray(theta) / max(scale, 1e-300), precision=4, separator=',')}]"
         ))
-        log.debug("spline eval #%d -> %.10g", budget.used, rep.quotient)
-        budget.offer(rep)
-        return rep.quotient
+
+    def evaluate(theta):
+        return budget.price(trial, theta)
 
     candidates = _spline_start_candidates(family, p)
-    theta0 = None
-    best_f = math.inf
-    try:
-        for cand in candidates:
-            f = evaluate(cand)
-            if f < best_f:
-                theta0, best_f = cand, f
-    except BudgetExceeded:
-        pass
-    if theta0 is None:
-        theta0 = candidates[0]
-    step = 0.1 * np.ones_like(theta0)
-    _, _, converged = _nelder_mead(evaluate, theta0, step, budget, QUOTIENT_TOL)
-    if budget.best is None:
-        raise BudgetExceeded("spline search could not finish a single evaluation")
-    if not converged and budget.used >= budget.cap:
-        raise BudgetExceeded(
-            f"spline search used {budget.used} evaluations without converging"
-        )
-    return budget.best
+    theta0 = candidates[int(np.argmin([evaluate(cand) for cand in candidates]))]
+    return _nelder_mead(evaluate, theta0, 0.1 * np.ones_like(theta0), QUOTIENT_TOL)
 
 
 def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,

@@ -140,9 +140,27 @@ class TestMinimize:
 
     def test_on_budget_return(self):
         p = Params(5, 0.8)
-        rep = minimize_quotient(INT, p, 0.05, BubbleFamily(), eval_cap=5,
-                                on_budget="return")
-        assert np.isfinite(rep.quotient)
+        for family in (BubbleFamily(), SplineFamily(knots=6, radius=3.0)):
+            rep = minimize_quotient(INT, p, 0.05, family, eval_cap=7,
+                                    on_budget="return")
+            assert np.isfinite(rep.quotient)
+
+    def test_cap_prices_exactly_cap_trials(self, monkeypatch):
+        import gjmslab.quotients as quotients
+
+        calls = []
+        for name in ("bubble_quotient", "spline_trial"):
+            def counted(*args, _fn=getattr(quotients, name), **kwargs):
+                calls.append(1)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(quotients, name, counted)
+        p = Params(5, 0.8)
+        for family in (BubbleFamily(), SplineFamily(knots=6, radius=3.0)):
+            for cap, message in ((0, "priced no trial in 0 of 0"), (7, "used 7 of 7")):
+                calls.clear()
+                with pytest.raises(BudgetExceeded, match=message):
+                    minimize_quotient(INT, p, 0.05, family, eval_cap=cap)
+                assert len(calls) == cap
 
     def test_floor_at_nonpositive_lambda(self):
         p = Params(5, 0.8)
