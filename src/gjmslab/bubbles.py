@@ -163,8 +163,7 @@ def _scaled_bessel_matrix(n, r_nodes, rho_nodes):
     return bessel_j_scaled(nu, x.ravel()).reshape(x.shape)
 
 
-def radial_fourier(w: RadialFunction, n: int, rho_grid: RadialGrid,
-                   tail_tol: float = 1e-6) -> SpectralProfile:
+def radial_fourier(w: RadialFunction, n: int, rho_grid: RadialGrid) -> SpectralProfile:
     """Unitary radial Fourier transform
     w_hat(rho) = rho^{-(n-2)/2} int_0^inf w(r) J_{(n-2)/2}(r rho) r^{n/2} dr.
 
@@ -187,8 +186,8 @@ def radial_fourier(w: RadialFunction, n: int, rho_grid: RadialGrid,
     density = values * grid.nodes ** (n - 1) * grid.weights
     what = mat.T @ density
     tail = rho_grid.tail_fraction(what ** 2 * rho_grid.nodes ** (n - 1))
-    if tail > tail_tol:
-        raise TailError(f"radial_fourier high-rho tail fraction {tail:.3e} > {tail_tol:.1e}")
+    if tail > 1e-6:
+        raise TailError(f"radial_fourier high-rho tail fraction {tail:.3e} > 1e-6")
     return SpectralProfile(rho_grid, what)
 
 

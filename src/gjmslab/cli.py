@@ -285,13 +285,11 @@ def cmd_blowdown(args) -> int:
     p = Params(args.n, args.s)
     bottom = spectral_bottom(MultiplierKind.INTERTWINED, p)
     if not args.lam > bottom:
-        print(
-            "error: the quadratic form of the intertwined operator is nonnegative "
+        raise ParameterError(
+            "the quadratic form of the intertwined operator is nonnegative "
             f"for every trial if and only if lambda <= its spectral bottom ({bottom!r}); "
-            "blow-down requires lambda above the bottom",
-            file=sys.stderr,
+            "blow-down requires lambda above the bottom"
         )
-        return 2
     n_values = [int(v) for v in _parse_floats(args.n_spec)]
     if any(v < 1 for v in n_values):
         raise ParameterError("N values must be positive integers")

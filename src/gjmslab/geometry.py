@@ -69,10 +69,6 @@ def ball_to_geodesic(t):
     return 2.0 * np.arctanh(np.asarray(t, dtype=float))
 
 
-def geodesic_to_ball(r):
-    return np.tanh(np.asarray(r, dtype=float) / 2.0)
-
-
 def conformal_lift(w: RadialFunction, p: Params) -> RadialFunction:
     """Lift a Euclidean radial profile on the ball to a hyperbolic one.
 

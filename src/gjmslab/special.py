@@ -3,15 +3,15 @@ functions of complex degree, and Bessel J on the half-integer lattice.
 
 Everything downstream (spectral symbols, Plancherel densities, radial Fourier
 transforms) is built on these four entry points. Their tolerances are the
-module constants below. Integer-order Bessel functions come from
-``scipy.special.jv``; the half-odd orders keep their closed forms, which are
-several times faster than ``jv`` there.
+module constants below. Bessel J comes from scipy: ``jv`` for integer orders
+and ``spherical_jn`` for half-odd ones; only ``bessel_j_scaled`` keeps its own
+ascending series near the origin.
 """
 
 import math
 
 import numpy as np
-from scipy.special import jv
+from scipy.special import jv, spherical_jn
 
 from .errors import DomainError, NonConvergence, ParameterPole, PoleError, UnsupportedOrder
 
@@ -19,8 +19,7 @@ POLE_TOL = 1e-12        # distance to a Gamma pole that counts as "at" it
 SERIES_TOL = 1e-14      # 2F1 term-ratio stopping tolerance
 SERIES_CAP = 10_000     # 2F1 iteration cap before NonConvergence
 
-_BESSEL_SMALL_X = 0.5   # half-integer orders: series below, Miller on [small, 1)
-_MILLER_EXTRA = 26      # downward-recursion start offset above the target order
+_BESSEL_SMALL_X = 0.5   # bessel_j_scaled: ascending series below this x
 
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -226,41 +225,12 @@ def _series_scaled(nu, x):
     return pref * total
 
 
-def _half_upward(m, x):
-    """J_{m+1/2}(x) for x >= 1 by upward recursion from the closed forms."""
-    pref = np.sqrt(2.0 / (np.pi * x))
-    jm1 = pref * np.cos(x)   # J_{-1/2}
-    j = pref * np.sin(x)     # J_{+1/2}
-    nu = 0.5
-    for _ in range(m):
-        j, jm1 = (2.0 * nu / x) * j - jm1, j
-        nu += 1.0
-    return j
-
-
-def _half_miller(m, x):
-    """J_{m+1/2}(x) for x in [0.5, 1) by downward (Miller) recursion."""
-    top = m + _MILLER_EXTRA
-    fp = np.zeros_like(x)
-    f = np.full_like(x, 1e-30)
-    target = np.zeros_like(x)
-    nu = top + 0.5
-    for k in range(top, 0, -1):
-        fp, f = f, (2.0 * nu / x) * f - fp
-        nu -= 1.0
-        if k - 1 == m:
-            target = f.copy()
-    # f now holds the unnormalized J_{1/2}
-    scale = np.sqrt(2.0 / (np.pi * x)) * np.sin(x) / f
-    return target * scale
-
-
 def bessel_j(order: float, x):
     """Bessel J_order(x) for half-integer orders >= 0 and x >= 0.
 
-    Scalar or ndarray x. Half-odd orders go through the spherical-Bessel
-    closed forms (upward recursion for x >= 1, Miller recursion on [0.5, 1),
-    ascending series below); integer orders use ``scipy.special.jv``.
+    Scalar or ndarray x. Integer orders use ``scipy.special.jv``; half-odd
+    orders use J_{m+1/2}(x) = sqrt(2x/pi) j_m(x) with the spherical Bessel
+    function ``scipy.special.spherical_jn``.
     """
     nu = _validate_order(order)
     xa = np.asarray(x, dtype=float)
@@ -271,17 +241,7 @@ def bessel_j(order: float, x):
     if round(2 * nu) % 2 == 0:
         out = jv(nu, xa)
     else:
-        m = int(round(nu - 0.5))
-        out = np.empty_like(xa)
-        lo = xa < _BESSEL_SMALL_X
-        mid = (~lo) & (xa < 1.0)
-        hi = xa >= 1.0
-        if np.any(lo):
-            out[lo] = _series_scaled(nu, xa[lo]) * xa[lo] ** nu
-        if np.any(mid):
-            out[mid] = _half_miller(m, xa[mid])
-        if np.any(hi):
-            out[hi] = _half_upward(m, xa[hi])
+        out = np.sqrt(2.0 * xa / np.pi) * spherical_jn(round(nu - 0.5), xa)
     return float(out[0]) if scalar else out
 
 

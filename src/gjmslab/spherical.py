@@ -36,7 +36,6 @@ from .special import log_abs_gamma_sq
 R_MIN_TAYLOR = 0.05        # below this radius, use the eigen-equation Taylor series
 TAYLOR_TERMS = 6
 DEFAULT_B_MAX = 60.0
-B_MAX_TAIL_RULE = 1e-8     # B_max selection rule: last-decade mass below this
 DEFAULT_TAIL_TOL = 1e-4    # runtime guard on inverse/quadratic-form truncation
 
 # coth r = 1/r + sum_j COTH_COEFFS[j] r^(2j+1)
@@ -230,25 +229,23 @@ def _symbol_values(kind, p: Params, beta):
 
 
 def quadratic_form(kind, p: Params, lam: float, f: RadialFunction,
-                   b_max: float = DEFAULT_B_MAX, beta_grid: RadialGrid = None,
-                   tail_tol: float = DEFAULT_TAIL_TOL) -> float:
+                   b_max: float = DEFAULT_B_MAX) -> float:
     """int_0^{b_max} (m(beta) - lam) |f_hat|^2 |c|^{-2} d beta.
 
     kind may be a MultiplierKind or a callable beta -> m(beta) (test hook);
     at kind = INTERTWINED, lam = 0 this is the intertwined-operator energy.
     Half-line normalization, matching the radial Plancherel identity.
     """
-    if beta_grid is None:
-        beta_grid = default_beta_grid(f.support_radius, b_max)
+    beta_grid = default_beta_grid(f.support_radius, b_max)
     F = spherical_transform(f, p.n, beta_grid)
     beta = beta_grid.nodes
     dens = plancherel_density(p.n, beta)
     m = _symbol_values(kind, p, beta)
     weight = F.values ** 2 * dens
     tail = beta_grid.tail_fraction((np.abs(m) + abs(lam)) * weight)
-    if tail > tail_tol:
+    if tail > DEFAULT_TAIL_TOL:
         raise TailError(
-            f"quadratic form tail fraction {tail:.3e} exceeds tolerance {tail_tol:.1e}"
+            f"quadratic form tail fraction {tail:.3e} exceeds tolerance {DEFAULT_TAIL_TOL:.1e}"
         )
     return float(np.dot(beta_grid.weights, (m - lam) * weight))
 
@@ -308,7 +305,7 @@ def regularized_kernel(kind, p: Params, r: float, eps_reg: float,
     return 2.0 * math.fsum(result)
 
 
-KERNEL_SCAN_EPS = (0.02, 0.01, 0.005)   # default regularization ladder
+KERNEL_SCAN_EPS = (0.02, 0.01, 0.005)   # regularization ladder
 
 
 def eps_extrapolation(values: dict) -> float:
@@ -318,12 +315,11 @@ def eps_extrapolation(values: dict) -> float:
     return (e1 * values[e0] - e0 * values[e1]) / (e1 - e0)
 
 
-def regularized_kernel_scan(kind, p: Params, r: float,
-                            eps_values=KERNEL_SCAN_EPS) -> dict:
+def regularized_kernel_scan(kind, p: Params, r: float) -> dict:
     """Raw kernel values over a regularization ladder plus the linear-in-eps
     Richardson extrapolation of the two smallest entries."""
     values = {eps: regularized_kernel(kind, p, r, eps)
-              for eps in sorted(eps_values, reverse=True)}
+              for eps in sorted(KERNEL_SCAN_EPS, reverse=True)}
     return {"values": values, "extrapolated": eps_extrapolation(values)}
 
 
