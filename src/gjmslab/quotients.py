@@ -335,14 +335,11 @@ def _minimize_bubble(kind, p, lam, family, budget, b_max):
     """Coordinate descent over (log eps, delta); returns whether it converged."""
     memo = {}
 
-    def trial(log_eps, delta):
-        return bubble_quotient(kind, p, lam, BubbleParams(math.exp(log_eps), delta),
-                               b_max=b_max)
-
     def evaluate(log_eps, delta):
         key = (round(log_eps, 12), round(delta, 12))
         if key not in memo:
-            memo[key] = budget.price(trial, log_eps, delta)
+            memo[key] = budget.price(bubble_quotient, kind, p, lam,
+                                     BubbleParams(math.exp(log_eps), delta), b_max)
         return memo[key]
 
     le_lo, le_hi = math.log(family.eps_lo), math.log(family.eps_hi)
