@@ -3,11 +3,12 @@ plus a run manifest.
 
 Exit codes: 0 success, 2 input validation, 3 I/O failure, 4 acceptance-fit
 failure. Re-running a subcommand with identical flags produces byte-identical
-data files; the timestamp lives only in the manifest sidecar.
+data files; the timestamps live only in the manifest sidecar.
 """
 
 import argparse
 import datetime
+import hashlib
 import json
 import math
 import os
@@ -16,6 +17,7 @@ import sys
 
 import numpy as np
 
+from . import __version__
 from .bubbles import BubbleParams, crit_mass, bubble_mass_limit, fit_loglog_slope, \
     fractional_energy, hyperbolic_l2_mass, sampled_bubble, bubble_energy_baseline
 from .errors import GjmsLabError, ParameterError
@@ -34,20 +36,37 @@ _KINDS = {
 }
 
 
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
+
+
+def _source_digest():
+    """sha256 over the package's module sources, file names included."""
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(_PACKAGE_DIR)):
+        if name.endswith(".py"):
+            with open(os.path.join(_PACKAGE_DIR, name), "rb") as fh:
+                digest.update(name.encode() + b"\0" + fh.read())
+    return digest.hexdigest()
+
+
 def _git_describe():
     """Describe the source tree this package was loaded from, wherever the
-    command runs."""
+    command runs; outside git, the package version and a digest of its
+    module sources."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
-            capture_output=True, text=True, timeout=10,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, timeout=10, cwd=_PACKAGE_DIR,
         )
         if out.returncode == 0:
             return out.stdout.strip()
     except OSError:
         pass
-    return "unknown"
+    return f"{__version__}+sha256.{_source_digest()}"
+
+
+def _now():
+    return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
 def _tolerances():
@@ -60,13 +79,16 @@ def _tolerances():
     }
 
 
-def write_manifest(out_path, command, params):
+def write_manifest(out_path, command, params, started_at):
+    """The run's sidecar: flags, source tree, start and finish times (UTC,
+    ISO 8601; finished when the manifest is written) and tolerances."""
     manifest = {
         "command": command,
         "params": {k: (v if not isinstance(v, (list, tuple)) else list(v))
                    for k, v in sorted(params.items())},
         "git_describe": _git_describe(),
-        "started_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "started_at": started_at,
+        "finished_at": _now(),
         "tolerances": _tolerances(),
     }
     with open(out_path + ".manifest.json", "w") as fh:
@@ -142,7 +164,7 @@ def cmd_multiplier(args) -> int:
     values = multiplier(kind, p, betas)
     write_csv(args.out, ["beta", "value"],
               [(float(b), float(v)) for b, v in zip(betas, values)])
-    write_manifest(args.out, "multiplier", vars_of(args))
+    write_manifest(args.out, "multiplier", vars_of(args), args.started_at)
     return 0
 
 
@@ -202,7 +224,7 @@ def cmd_bubble_asymptotics(args) -> int:
     summary["energy"] = {"slope": energy_slope, "target": e_target, "tol_rel": 0.15,
                          "passed": bool(abs(energy_slope - e_target) <= 0.15 * e_target)}
     write_json(args.out + ".summary.json", summary)
-    write_manifest(args.out, "bubble-asymptotics", vars_of(args))
+    write_manifest(args.out, "bubble-asymptotics", vars_of(args), args.started_at)
     if not all(block["passed"] for block in summary.values()):
         return 4
     return 0
@@ -227,7 +249,7 @@ def cmd_gap_scan(args) -> int:
     rows = [(float(lam), rep.quotient, rep.quotient / s_est - 1.0, rep.trial_descriptor)
             for lam, rep in zip(lambdas, reports)]
     write_csv(args.out, ["lambda", "quotient", "margin_vs_Sest", "trial_descriptor"], rows)
-    write_manifest(args.out, "gap-scan", vars_of(args))
+    write_manifest(args.out, "gap-scan", vars_of(args), args.started_at)
     return 0
 
 
@@ -259,7 +281,7 @@ def cmd_kernel_decay(args) -> int:
     summary["kernel_scan_at_rmax"] = {repr(k): v for k, v in scan.items()}
     summary["kernel_extrapolated_at_rmax"] = eps_extrapolation(scan)
     write_json(args.out + ".summary.json", summary)
-    write_manifest(args.out, "kernel-decay", vars_of(args))
+    write_manifest(args.out, "kernel-decay", vars_of(args), args.started_at)
     return 0
 
 
@@ -318,7 +340,7 @@ def cmd_blowdown(args) -> int:
     if len(rows) >= 2 and np.all(scaled > 0):
         summary["slope"] = float(np.polyfit(np.log(ns), np.log(scaled), 1)[0])
     write_json(args.out + ".summary.json", summary)
-    write_manifest(args.out, "blowdown", vars_of(args))
+    write_manifest(args.out, "blowdown", vars_of(args), args.started_at)
     return 0
 
 
@@ -327,7 +349,7 @@ def cmd_blowdown(args) -> int:
 # ---------------------------------------------------------------------------
 
 def vars_of(args):
-    skip = {"func", "config"}
+    skip = {"func", "config", "started_at"}
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 
@@ -416,6 +438,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    started_at = _now()
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
@@ -427,6 +450,7 @@ def main(argv=None) -> int:
     except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    args.started_at = started_at
     try:
         return args.func(args)
     except OSError as exc:

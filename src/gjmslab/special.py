@@ -134,22 +134,27 @@ def abs_gamma_sq(a: float, b: float) -> float:
 
 
 def _hyp2f1_series(a, b, c, y):
-    """Raw Gauss series sum_k (a)_k (b)_k / ((c)_k k!) y^k for 0 <= y < 1.
+    """Raw Gauss series sum_k (a)_k (b)_k / ((c)_k k!) y^k.
 
-    a, b may be complex ndarrays (broadcast together); c real scalar.
+    a, b and c may be complex scalars or ndarrays and y a real scalar or
+    ndarray with values in [0, 1); all four broadcast together, and the sum
+    has their broadcast shape. It stops once every term is within SERIES_TOL
+    of its partial sum and raises NonConvergence after SERIES_CAP terms.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    shape = np.broadcast_shapes(a.shape, b.shape)
+    a, b, c = (np.asarray(v, dtype=complex) for v in (a, b, c))
+    y = np.asarray(y, dtype=float)
+    shape = np.broadcast_shapes(a.shape, b.shape, c.shape, y.shape)
     term = np.ones(shape, dtype=complex)
     total = term.copy()
     for k in range(SERIES_CAP):
-        term = term * ((a + k) * (b + k)) / ((c + k) * (k + 1.0)) * y
-        total = total + term
+        # the term ratio on the parameters' (smaller) shape, then y
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0))
+        term *= y
+        total += term
         if np.all(np.abs(term) <= SERIES_TOL * (np.abs(total) + 1e-300)):
             return total
     raise NonConvergence(
-        f"2F1 series did not converge in {SERIES_CAP} terms (y = {y})"
+        f"2F1 series did not converge in {SERIES_CAP} terms (largest y = {np.max(y):.17g})"
     )
 
 

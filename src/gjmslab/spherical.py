@@ -3,7 +3,8 @@
 Plancherel density, spherical functions, forward/inverse transforms,
 spectral quadratic forms, and the regularized radial kernel with its decay
 fit. The spherical function Phi_beta(r) is the Legendre function of degree
--1/2 + i*beta; it is evaluated through the Mehler-Dirichlet integral
+-1/2 + i*beta. Pointwise (spherical_function) it is evaluated through the
+Mehler-Dirichlet integral
 
     Phi_beta(r) = C_n (sinh r)^{2-n} int_0^sqrt(r) cos(beta (r - u^2)) h_r(u) du,
     h_r(u) = 2 u (2 sinh(r - u^2/2) sinh(u^2/2))^{(n-3)/2},
@@ -11,6 +12,24 @@ fit. The spherical function Phi_beta(r) is the Legendre function of degree
 which is uniformly stable in (beta, r) where the raw hypergeometric series
 loses ~ 2 beta arctan(1/sinh(r/2)) digits to cancellation. Below r_min the
 even Taylor expansion generated by the radial eigen-equation takes over.
+
+phi_matrix builds its columns with r >= R_MIN_JACOBI in one vectorized
+block from the Harish-Chandra expansion of the Jacobi function with
+(alpha, beta) = ((n-2)/2, -1/2) (Koornwinder 1984):
+
+    Phi_beta(r) = 2 Re[c(beta) Psi_beta(r)],
+    Psi_beta(r) = (2 cosh r)^{i beta - rho}
+                  2F1((rho - i beta)/2, (n + 1 - 2 i beta)/4; 1 - i beta; cosh^-2 r),
+    c(beta) = 2^{rho - i beta} Gamma(n/2) Gamma(i beta)
+              / (Gamma((i beta + rho)/2) Gamma((i beta + (n+1)/2)/2)),
+
+whose series converges geometrically there (cosh^-2 r <= 0.42). The pole
+of Gamma(i beta) is taken out exactly, Gamma(i beta) = Gamma(1 + i beta)/(i beta),
+so the smallest frequencies keep full accuracy. Its columns below
+R_MIN_JACOBI stay on Taylor/Mehler. spherical_function, and with it
+regularized_kernel, stays on Mehler everywhere: at (n, s) = (3, 1) the
+kernel values that cli blowdown reduces to its constants are quadrature
+roundoff, so any route change would move them.
 """
 
 import math
@@ -31,12 +50,15 @@ from .grids import (
 )
 from .multipliers import multiplier
 from .params import MultiplierKind, Params
-from .special import log_abs_gamma_sq
+from .special import _hyp2f1_series, _log_gamma_array, log_abs_gamma_sq
 
 R_MIN_TAYLOR = 0.05        # below this radius, use the eigen-equation Taylor series
 TAYLOR_TERMS = 6
+R_MIN_JACOBI = 1.0         # phi_matrix columns from this radius on: Jacobi expansion
 DEFAULT_B_MAX = 60.0
 DEFAULT_TAIL_TOL = 1e-4    # runtime guard on inverse/quadratic-form truncation
+
+_JACOBI_BLOCK_CELLS = 1 << 14   # cells per Jacobi block: 256 KB per complex temporary
 
 # coth r = 1/r + sum_j COTH_COEFFS[j] r^(2j+1)
 _COTH_COEFFS = (1.0 / 3.0, -1.0 / 45.0, 2.0 / 945.0, -1.0 / 4725.0, 2.0 / 93555.0)
@@ -118,6 +140,29 @@ def _phi_mehler(n, beta_arr, r):
     return _mehler_constant(n) * math.sinh(r) ** (2 - n) * integral
 
 
+def _phi_jacobi(n, beta, radii, out):
+    """Write Phi_beta(r) on the (beta, r) block, r >= R_MIN_JACOBI, beta > 0,
+    into out by the Harish-Chandra expansion of the module docstring, in
+    column blocks of at most _JACOBI_BLOCK_CELLS cells."""
+    rho = (n - 1) / 2.0
+    b = beta[:, None]
+    ib = 1j * b
+    # c(beta) * (i beta): Gamma(i beta) = Gamma(1 + i beta) / (i beta), and
+    # 2 Re[z / (i beta)] = 2 Im[z] / beta below
+    log_c = ((rho - ib) * math.log(2.0) + math.lgamma(n / 2.0)
+             + _log_gamma_array(1.0 + ib)
+             - _log_gamma_array(0.5 * (ib + rho))
+             - _log_gamma_array(0.5 * (ib + 0.5 * (n + 1))))
+    a1, a2, c1 = 0.5 * (rho - ib), 0.25 * (n + 1) - 0.5 * ib, 1.0 - ib
+    step = max(1, _JACOBI_BLOCK_CELLS // beta.size)
+    for j in range(0, radii.size, step):
+        r = radii[j:j + step]
+        log_2cosh = np.logaddexp(r, -r)
+        series = _hyp2f1_series(a1, a2, c1, np.exp(2.0 * (math.log(2.0) - log_2cosh)))
+        series *= np.exp(log_c + (ib - rho) * log_2cosh)
+        np.multiply(2.0 / b, series.imag, out=out[:, j:j + step])
+
+
 def spherical_function(n: int, beta, r: float):
     """Phi_beta(r): the radial eigenfunction normalized to Phi_beta(0) = 1.
 
@@ -150,15 +195,24 @@ _PHI_CACHE_MAX_BYTES = 256 * 2 ** 20
 
 
 def phi_matrix(n: int, beta_grid: RadialGrid, r_grid: RadialGrid) -> np.ndarray:
+    """Phi_beta(r) on beta_grid x r_grid, cached by (n, exact nodes).
+
+    Columns with r < R_MIN_JACOBI come from spherical_function one radius at
+    a time; the rest from the vectorized Jacobi expansion (_phi_jacobi).
+    """
+    if n < 2:
+        raise DomainError(f"phi_matrix requires n >= 2, got {n}")
     key = (n, beta_grid.fingerprint(), r_grid.fingerprint())
     hit = _PHI_CACHE.get(key)
     if hit is not None:
         _PHI_CACHE.move_to_end(key)
         return hit
-    beta = beta_grid.nodes
-    mat = np.empty((beta.size, r_grid.nodes.size))
-    for j, r in enumerate(r_grid.nodes):
-        mat[:, j] = spherical_function(n, beta, float(r))
+    beta, radii = beta_grid.nodes, r_grid.nodes
+    mat = np.empty((beta.size, radii.size))
+    near = int(np.searchsorted(radii, R_MIN_JACOBI))   # nodes increase
+    for j in range(near):
+        mat[:, j] = spherical_function(n, beta, float(radii[j]))
+    _phi_jacobi(n, beta, radii[near:], mat[:, near:])
     _PHI_CACHE[key] = mat
     # least recently used first; the matrix just built always stays
     held = sum(m.nbytes for m in _PHI_CACHE.values())

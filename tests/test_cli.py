@@ -1,3 +1,5 @@
+import datetime
+import hashlib
 import json
 import math
 import os
@@ -6,7 +8,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from gjmslab import cli
+from gjmslab import __version__, cli
 from gjmslab.cli import main, write_manifest
 from gjmslab.quotients import QUOTIENT_TOL
 from gjmslab.spherical import DEFAULT_TAIL_TOL
@@ -186,7 +188,8 @@ class TestConfig:
 
 class TestManifest:
     def test_tolerances_are_the_package_constants(self, tmp_path):
-        write_manifest(str(tmp_path / "x.csv"), "constants", {"n": 3})
+        write_manifest(str(tmp_path / "x.csv"), "constants", {"n": 3},
+                       "2026-01-01T00:00:00+00:00")
         manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
         tolerances = manifest["tolerances"]
         assert tolerances["quotient_tol"] == QUOTIENT_TOL
@@ -209,3 +212,32 @@ class TestManifest:
                     "--beta-max", "2", "--count", "3", "--out", "m.csv"]) == 0
         manifest = json.loads((tmp_path / "m.csv.manifest.json").read_text())
         assert manifest["git_describe"] != "unknown"
+
+    def test_started_before_finished(self, tmp_path):
+        out = str(tmp_path / "kd.csv")
+        assert run(["kernel-decay", "--kind", "intertwined", "--n", "3", "--s", "0.6",
+                    "--r-spec", "2,3", "--eps-reg", "0.02", "--out", out]) == 0
+        manifest = json.loads(open(out + ".manifest.json").read())
+        started = datetime.datetime.fromisoformat(manifest["started_at"])
+        finished = datetime.datetime.fromisoformat(manifest["finished_at"])
+        assert started <= finished
+        assert "started_at" not in manifest["params"]
+
+    @pytest.mark.parametrize("failure", ["no git", "not a work tree"])
+    def test_provenance_outside_git(self, tmp_path, monkeypatch, failure):
+        def fake_run(*args, **kwargs):
+            if failure == "no git":
+                raise OSError("git not found")
+            return subprocess.CompletedProcess(args, 128, "", "fatal: not a git repository")
+
+        monkeypatch.setattr(cli.subprocess, "run", fake_run)
+        package = os.path.dirname(os.path.abspath(cli.__file__))
+        digest = hashlib.sha256()
+        for name in sorted(os.listdir(package)):
+            if name.endswith(".py"):
+                with open(os.path.join(package, name), "rb") as fh:
+                    digest.update(name.encode() + b"\0" + fh.read())
+        assert run(["multiplier", "--kind", "gjms", "--n", "3", "--s", "1",
+                    "--beta-max", "2", "--count", "3", "--out", str(tmp_path / "m.csv")]) == 0
+        manifest = json.loads((tmp_path / "m.csv.manifest.json").read_text())
+        assert manifest["git_describe"] == f"{__version__}+sha256.{digest.hexdigest()}"

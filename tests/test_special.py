@@ -12,6 +12,7 @@ from gjmslab.special import (
     hyp2f1,
     legendre_p,
     log_gamma,
+    _hyp2f1_series,
 )
 
 mp.mp.dps = 50
@@ -122,6 +123,18 @@ class TestHyp2f1:
         # the default cap runs out long before the series tolerance is met
         with pytest.raises(NonConvergence):
             hyp2f1(0.5, 1.5, 2.0, -1e8)
+
+    def test_series_broadcasts_complex_parameters(self):
+        # complex a, b, c on one axis and y on the other, as the Jacobi block uses them
+        beta = np.array([0.01, 1.0, 7.5])[:, None]
+        y = np.array([0.0, 0.1, 0.42])
+        a, b, c = 0.5 * (1.0 - 1j * beta), 1.0 - 0.5j * beta, 1.0 - 1j * beta
+        ours = _hyp2f1_series(a, b, c, y)
+        assert ours.shape == (3, 3)
+        for i in range(3):
+            for j in range(3):
+                ref = complex(mp.hyp2f1(complex(a[i, 0]), complex(b[i, 0]), complex(c[i, 0]), y[j]))
+                assert abs(ours[i, j] - ref) <= 1e-13 * abs(ref)
 
     def test_contiguity(self, rng):
         # c F(a,b;c;x) - c F(a-1,b;c;x) - b x F(a,b+1;c+1;x) = 0

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import hyperbolic_bump, windowed_gaussian
-from gjmslab import spherical
+from gjmslab import special, spherical
 from gjmslab.bubbles import fractional_energy
-from gjmslab.errors import DegenerateData, DomainError, SupportError, TailError
+from gjmslab.errors import DegenerateData, DomainError, NonConvergence, SupportError, TailError
 from gjmslab.geometry import conformal_lift
 from gjmslab.grids import RadialFunction, RadialGrid, Space, SpectralProfile, uniform_grid
 from gjmslab.params import MultiplierKind, Params
@@ -198,6 +198,84 @@ class TestPhiCache:
         held = list(spherical._PHI_CACHE.values())
         assert len(held) == 1 and held[0] is mat_d
         assert phi_matrix(3, bg, d) is mat_d
+
+
+# radii on both sides of the Jacobi switch, out to where Phi is ~ e^{-rho r}
+_SWITCH_RADII = np.array([0.3, 0.7, 0.99, 1.0, 1.01, 1.7, 3.0, 5.5, 12.0])
+
+
+def _radii_grid(radii):
+    return RadialGrid(np.asarray(radii, dtype=float), np.ones(len(radii)))
+
+
+class TestPhiMatrixJacobi:
+    """The r >= R_MIN_JACOBI columns come from the Jacobi expansion; Mehler
+    (spherical_function) is the oracle."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_cache(self, monkeypatch):
+        monkeypatch.setattr(spherical, "_PHI_CACHE", OrderedDict())
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7])
+    @pytest.mark.parametrize("support,b_max", [(6.0, 60.0), (40.0, 8.0)])
+    def test_far_columns_match_mehler(self, n, support, b_max):
+        bg = default_beta_grid(support, b_max)
+        radii = _SWITCH_RADII[_SWITCH_RADII >= spherical.R_MIN_JACOBI]
+        mat = phi_matrix(n, bg, _radii_grid(radii))
+        mehler = np.column_stack([spherical_function(n, bg.nodes, float(r)) for r in radii])
+        assert np.max(np.abs(mat - mehler)) <= 1e-12
+        # the smallest Gauss node, nearest the pole of Gamma(i beta)
+        assert bg.nodes[0] < 0.011
+        assert np.max(np.abs(mat[0] - mehler[0])) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_tiny_frequencies_need_no_fallback(self, n):
+        beta = np.array([1e-9, 1e-6, 1e-3])
+        radii = np.array([1.0, 2.0, 9.0])
+        mat = phi_matrix(n, _radii_grid(beta), _radii_grid(radii))
+        mehler = np.column_stack([spherical_function(n, beta, float(r)) for r in radii])
+        assert np.max(np.abs(mat - mehler)) <= 1e-12
+
+    def test_three_dim_closed_form(self):
+        bg = default_beta_grid(12.0, 60.0)
+        mat = phi_matrix(3, bg, _radii_grid(_SWITCH_RADII))
+        b, r = bg.nodes[:, None], _SWITCH_RADII[None, :]
+        assert np.max(np.abs(mat - np.sin(b * r) / (b * np.sinh(r)))) <= 1e-12
+
+    def test_near_columns_are_spherical_function(self):
+        bg = default_beta_grid(3.0, 60.0)
+        grid = uniform_grid(1.25)
+        mat = phi_matrix(4, bg, grid)
+        near = grid.nodes < spherical.R_MIN_JACOBI
+        assert 0 < near.sum() < near.size
+        for j in np.flatnonzero(near):
+            assert np.array_equal(mat[:, j], spherical_function(4, bg.nodes, float(grid.nodes[j])))
+
+    def test_rebuild_is_byte_identical(self):
+        bg = default_beta_grid(5.0, 60.0)
+        grid = uniform_grid(5.0)
+        first = phi_matrix(5, bg, grid)
+        spherical._PHI_CACHE.clear()
+        second = phi_matrix(5, bg, grid)
+        assert second is not first and second.tobytes() == first.tobytes()
+
+    def test_blocks_cover_every_column(self, monkeypatch):
+        bg = default_beta_grid(3.0, 8.0)
+        grid = uniform_grid(3.0)
+        whole = phi_matrix(3, bg, grid)
+        spherical._PHI_CACHE.clear()
+        # one column per block; the series stops per block, so only the last bits move
+        monkeypatch.setattr(spherical, "_JACOBI_BLOCK_CELLS", 3 * bg.nodes.size // 2)
+        assert np.max(np.abs(phi_matrix(3, bg, grid) - whole)) <= 1e-14
+
+    def test_series_cap_reaches_nonconvergence(self, monkeypatch):
+        monkeypatch.setattr(special, "SERIES_CAP", 3)
+        with pytest.raises(NonConvergence, match="3 terms"):
+            phi_matrix(3, default_beta_grid(3.0, 8.0), _radii_grid([1.0, 2.0]))
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            phi_matrix(1, default_beta_grid(3.0, 8.0), _radii_grid([2.0]))
 
 
 class TestQuadraticForm:
