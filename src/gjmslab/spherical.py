@@ -25,8 +25,12 @@ block from the Harish-Chandra expansion of the Jacobi function with
 
 whose series converges geometrically there (cosh^-2 r <= 0.42). The pole
 of Gamma(i beta) is taken out exactly, Gamma(i beta) = Gamma(1 + i beta)/(i beta),
-so the smallest frequencies keep full accuracy. Its columns below
-R_MIN_JACOBI stay on Taylor/Mehler. spherical_function, and with it
+so the smallest frequencies keep full accuracy. At large beta the series
+cancels: its terms turn by ~90 degrees per step and grow to about
+e^{g} times the sum, g = beta cosh^-2(r) / 4, so the expansion is used only
+where g <= JACOBI_GROWTH_MAX for the largest beta of the grid; that moves
+the switch above R_MIN_JACOBI once beta_max > 4 JACOBI_GROWTH_MAX cosh^2(1)
+(~67). Columns below the switch stay on Taylor/Mehler. spherical_function, and with it
 regularized_kernel, stays on Mehler everywhere: at (n, s) = (3, 1) the
 kernel values that cli blowdown reduces to its constants are quadrature
 roundoff, so any route change would move them.
@@ -55,6 +59,9 @@ from .special import _hyp2f1_series, _log_gamma_array, log_abs_gamma_sq
 R_MIN_TAYLOR = 0.05        # below this radius, use the eigen-equation Taylor series
 TAYLOR_TERMS = 6
 R_MIN_JACOBI = 1.0         # phi_matrix columns from this radius on: Jacobi expansion
+# bound on g = beta cosh^-2(r) / 4 for a Jacobi cell; against Mehler at r = 1,
+# n = 3 the error is 6e-15 at g = 6.3, 8e-13 at g = 15.8, 2e-6 at g = 31.5
+JACOBI_GROWTH_MAX = 7.0
 DEFAULT_B_MAX = 60.0
 DEFAULT_TAIL_TOL = 1e-4    # runtime guard on inverse/quadratic-form truncation
 
@@ -142,8 +149,9 @@ def _phi_mehler(n, beta_arr, r):
 
 def _phi_jacobi(n, beta, radii, out):
     """Write Phi_beta(r) on the (beta, r) block, r >= R_MIN_JACOBI, beta > 0,
-    into out by the Harish-Chandra expansion of the module docstring, in
-    column blocks of at most _JACOBI_BLOCK_CELLS cells."""
+    beta cosh^-2(r) / 4 <= JACOBI_GROWTH_MAX, into out by the Harish-Chandra
+    expansion of the module docstring, in column blocks of at most
+    _JACOBI_BLOCK_CELLS cells."""
     rho = (n - 1) / 2.0
     b = beta[:, None]
     ib = 1j * b
@@ -161,6 +169,14 @@ def _phi_jacobi(n, beta, radii, out):
         series = _hyp2f1_series(a1, a2, c1, np.exp(2.0 * (math.log(2.0) - log_2cosh)))
         series *= np.exp(log_c + (ib - rho) * log_2cosh)
         np.multiply(2.0 / b, series.imag, out=out[:, j:j + step])
+
+
+def _jacobi_switch_radius(beta_max):
+    """Smallest radius whose column takes the Jacobi expansion for
+    frequencies up to beta_max: R_MIN_JACOBI, or higher where
+    beta_max cosh^-2(r) / 4 would exceed JACOBI_GROWTH_MAX."""
+    cosh_sq = beta_max / (4.0 * JACOBI_GROWTH_MAX)
+    return max(R_MIN_JACOBI, math.acosh(math.sqrt(max(cosh_sq, 1.0))))
 
 
 def spherical_function(n: int, beta, r: float):
@@ -197,8 +213,10 @@ _PHI_CACHE_MAX_BYTES = 256 * 2 ** 20
 def phi_matrix(n: int, beta_grid: RadialGrid, r_grid: RadialGrid) -> np.ndarray:
     """Phi_beta(r) on beta_grid x r_grid, cached by (n, exact nodes).
 
-    Columns with r < R_MIN_JACOBI come from spherical_function one radius at
-    a time; the rest from the vectorized Jacobi expansion (_phi_jacobi).
+    Columns below the Jacobi switch (R_MIN_JACOBI, raised for large
+    frequencies by _jacobi_switch_radius) come from spherical_function one
+    radius at a time; the rest from the vectorized Jacobi expansion
+    (_phi_jacobi).
     """
     if n < 2:
         raise DomainError(f"phi_matrix requires n >= 2, got {n}")
@@ -209,7 +227,8 @@ def phi_matrix(n: int, beta_grid: RadialGrid, r_grid: RadialGrid) -> np.ndarray:
         return hit
     beta, radii = beta_grid.nodes, r_grid.nodes
     mat = np.empty((beta.size, radii.size))
-    near = int(np.searchsorted(radii, R_MIN_JACOBI))   # nodes increase
+    switch = _jacobi_switch_radius(float(np.max(np.abs(beta))))
+    near = int(np.searchsorted(radii, switch))   # nodes increase
     for j in range(near):
         mat[:, j] = spherical_function(n, beta, float(radii[j]))
     _phi_jacobi(n, beta, radii[near:], mat[:, near:])

@@ -228,6 +228,27 @@ class TestPhiMatrixJacobi:
         assert bg.nodes[0] < 0.011
         assert np.max(np.abs(mat[0] - mehler[0])) <= 1e-12
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_large_frequencies_raise_the_switch(self, n):
+        # at b_max = 300 the r = 1 column would lose ~6 digits to cancellation
+        bg = default_beta_grid(6.0, 300.0)
+        switch = spherical._jacobi_switch_radius(float(bg.nodes[-1]))
+        assert 1.5 < switch < 1.9
+        radii = np.array([0.99, 1.0, 1.5, 1.9, 3.0])
+        mat = phi_matrix(n, bg, _radii_grid(radii))
+        mehler = np.column_stack([spherical_function(n, bg.nodes, float(r)) for r in radii])
+        assert np.max(np.abs(mat - mehler)) <= 1e-12
+
+    def test_switch_radius(self):
+        for b_max in (8.0, 60.0):
+            beta_max = float(default_beta_grid(6.0, b_max).nodes[-1])
+            assert spherical._jacobi_switch_radius(beta_max) == spherical.R_MIN_JACOBI
+        for beta_max in (96.0, 300.0, 1e4):
+            switch = spherical._jacobi_switch_radius(beta_max)
+            assert switch > spherical.R_MIN_JACOBI
+            growth = beta_max / (4.0 * math.cosh(switch) ** 2)
+            assert growth == pytest.approx(spherical.JACOBI_GROWTH_MAX, rel=1e-12)
+
     @pytest.mark.parametrize("n", [3, 7])
     def test_tiny_frequencies_need_no_fallback(self, n):
         beta = np.array([1e-9, 1e-6, 1e-3])
