@@ -2,11 +2,14 @@
 energy through radial Fourier (Hankel) analysis, plus the cut-off asymptotics
 experiments built on them.
 
-The energy of wide profiles (the truncated-bubble baseline in particular) is
-computed with octave-banded quadrature: each frequency band integrates r only
-out to where its own oscillation budget allows, behind a smooth sub-window,
-which keeps every Bessel oscillation resolved without ever building an
-r-grid of millions of nodes.
+The energy of wide profiles is computed with octave-banded quadrature: each
+frequency band integrates r only out to where its own oscillation budget
+allows, behind a smooth sub-window, which keeps every Bessel oscillation
+resolved without ever building an r-grid of millions of nodes.
+
+The untruncated bubble U = (1+r^2)^{-(n-2s)/2} solves (-Delta)^s U = c U^{2*-1}
+(Lieb 1983; Cotsiolis-Tavoularis 2004), so its energy and critical mass are
+closed forms (bubble_energy_limit, bubble_mass_limit).
 """
 
 import math
@@ -30,7 +33,6 @@ from .grids import (
 from .params import Params
 
 OSC_BUDGET = 4000.0          # max r*rho phase per frequency band (with sub-window)
-BASELINE_RADII = (2000.0, 4000.0)   # window radii for the bubble-energy baseline
 
 _GL48_X, _GL48_W = leggauss(48)
 
@@ -133,10 +135,16 @@ def crit_mass(p: Params, bp: BubbleParams) -> float:
 
 
 def bubble_mass_limit(n: int) -> float:
-    """M_inf = int (1+|y|^2)^-n dy, the eps -> 0 critical mass."""
-    grid = geometric_grid(1e5, first_width=0.05)
-    r = grid.nodes
-    return sphere_area(n) * grid.integrate((1.0 + r * r) ** (-n) * r ** (n - 1))
+    """M_inf = int (1+|y|^2)^-n dy = pi^{n/2} Gamma(n/2) / Gamma(n), the eps -> 0 limit."""
+    return math.pi ** (n / 2.0) * math.gamma(n / 2.0) / math.gamma(n)
+
+
+def bubble_energy_limit(p: Params) -> float:
+    """E(U) of U = (1+r^2)^{-(n-2s)/2}: its Euler-Lagrange constant
+    2^{2s} Gamma((n+2s)/2) / Gamma((n-2s)/2) times bubble_mass_limit(n)."""
+    c = (2.0 ** (2.0 * p.s) * math.gamma((p.n + 2.0 * p.s) / 2.0)
+         / math.gamma((p.n - 2.0 * p.s) / 2.0))
+    return c * bubble_mass_limit(p.n)
 
 
 def hyperbolic_l2_mass(p: Params, bp: BubbleParams) -> float:
@@ -289,36 +297,6 @@ def fractional_cross_energy(w1: RadialFunction, w2: RadialFunction, p: Params) -
     )
 
 
-_BASELINE_CACHE = {}
-
-
-def bubble_energy_baseline(p: Params) -> dict:
-    """E(U) for the untruncated bubble, by smooth windowing at two radii and
-    Richardson extrapolation in the window radius (bias ~ R^-(n-2s)).
-
-    Returns {"energy", "tail_bound", "raw": {R: E_R}}.
-    """
-    key = (p.n, p.s)
-    hit = _BASELINE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    q = (p.n - 2.0 * p.s) / 2.0
-    raw = {}
-    for R in BASELINE_RADII:
-        def prof(r, _R=R):
-            r = np.asarray(r, dtype=float)
-            return (1.0 + r * r) ** (-q) * smooth_window(r, 0.5 * _R, _R)
-
-        raw[R] = _banded_energy(prof, R, p, min(1e-4, 0.05 / R), 64.0)
-    r1, r2 = BASELINE_RADII
-    a = p.n - 2.0 * p.s
-    ratio = (r2 / r1) ** a
-    energy = (ratio * raw[r2] - raw[r1]) / (ratio - 1.0)
-    out = {"energy": energy, "tail_bound": abs(raw[r2] - raw[r1]), "raw": raw}
-    _BASELINE_CACHE[key] = out
-    return out
-
-
 def fit_loglog_slope(x, y) -> float:
     """OLS slope of log y against log x; the largest-x point is dropped when
     its residual exceeds twice the residual spread (leading-constant
@@ -344,7 +322,7 @@ def energy_asymptotics_experiment(p: Params, delta: float, eps_ladder) -> float:
     eps_ladder = np.asarray(eps_ladder, dtype=float)
     if eps_ladder.size < 4 or np.any(np.diff(eps_ladder) >= 0.0):
         raise ParameterError("eps_ladder must be decreasing with >= 4 entries")
-    base = bubble_energy_baseline(p)["energy"]
+    base = bubble_energy_limit(p)
     diffs = []
     for eps in eps_ladder:
         w = sampled_bubble(p, BubbleParams(float(eps), delta))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .bubbles import BubbleParams, crit_mass, bubble_mass_limit, fit_loglog_slope, \
-    fractional_energy, hyperbolic_l2_mass, sampled_bubble, bubble_energy_baseline
+    fractional_energy, hyperbolic_l2_mass, sampled_bubble, bubble_energy_limit
 from .errors import GjmsLabError, ParameterError
 from .multipliers import b_constant, gap_constant, multiplier, spectral_bottom
 from .params import MultiplierKind, Params
@@ -198,7 +198,7 @@ def cmd_bubble_asymptotics(args) -> int:
     l2 = np.array([r[2] for r in rows])
     energy = np.array([r[3] for r in rows])
     m_inf = bubble_mass_limit(p.n)
-    e_base = bubble_energy_baseline(p)["energy"]
+    e_base = bubble_energy_limit(p)
 
     crit_slope = fit_loglog_slope(eps, np.abs(m_inf - crit))
     regime, l2_target = _l2_regime(p)

@@ -2,6 +2,7 @@
 bubble and spline trial families, the strict-gap scans, the explicit
 multi-bump blow-down bound, and the internal sharp-constant estimate."""
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -11,7 +12,7 @@ from scipy.interpolate import CubicSpline
 
 from .bubbles import (
     BubbleParams,
-    bubble_energy_baseline,
+    bubble_energy_limit,
     bubble_mass_limit,
     crit_mass,
     fractional_energy,
@@ -23,7 +24,7 @@ from .errors import BudgetExceeded, ParameterError, TailError, ZeroTrial
 from .geometry import ball_to_geodesic, conformal_lift
 from .grids import RadialFunction, Space, uniform_grid
 from .params import MultiplierKind, Params
-from .spherical import DEFAULT_B_MAX, l2_mass, lp_mass, quadratic_form
+from .spherical import DEFAULT_B_MAX, _quadratic_forms, l2_mass, lp_mass, quadratic_form
 
 log = logging.getLogger(__name__)
 
@@ -72,15 +73,17 @@ def sobolev_quotient(kind: MultiplierKind, p: Params, lam: float,
     """Quotient of an arbitrary radial hyperbolic trial.
 
     The energy goes through the spectral quadratic form; for GJMS it is
-    assembled as the intertwined energy plus the remainder-symbol form.
+    assembled as the intertwined energy plus the remainder-symbol form, both
+    read from one spherical transform of u.
     """
     if kind not in (MultiplierKind.GJMS, MultiplierKind.INTERTWINED):
         raise ParameterError("sobolev_quotient expects GJMS or INTERTWINED")
     if u.is_zero():
         raise ZeroTrial("sobolev_quotient needs a nonzero trial")
-    energy = quadratic_form(MultiplierKind.INTERTWINED, p, 0.0, u, b_max=b_max)
+    kinds = (MultiplierKind.INTERTWINED,)
     if kind is MultiplierKind.GJMS:
-        energy += quadratic_form(MultiplierKind.REMAINDER, p, 0.0, u, b_max=b_max)
+        kinds += (MultiplierKind.REMAINDER,)
+    energy = sum(_quadratic_forms(kinds, p, 0.0, u, b_max))
     l2 = l2_mass(u, p.n)
     crit_integral = lp_mass(u, p.n, p.two_star)
     return _report(p, lam, energy, l2, crit_integral, f"radial[{kind.value}]")
@@ -308,10 +311,15 @@ def minimize_quotient(kind: MultiplierKind, p: Params, lam: float, family,
     could be priced, or when the cap is spent before the stopping tolerance
     (pass on_budget="return" to take the best report found instead).
     """
+    return _search(kind, p, lam, family, eval_cap, b_max, on_budget, {})
+
+
+def _search(kind, p, lam, family, eval_cap, b_max, on_budget, bubble_reports):
+    """minimize_quotient with a bubble-report memo that gap_scan shares across lambda."""
     if on_budget not in ("raise", "return"):
         raise ParameterError('on_budget must be "raise" or "return"')
     if isinstance(family, BubbleFamily):
-        name, search = "bubble", _minimize_bubble
+        name, search = "bubble", functools.partial(_minimize_bubble, reports=bubble_reports)
     elif isinstance(family, SplineFamily):
         name, search = "spline", _minimize_spline
     else:
@@ -331,16 +339,24 @@ def minimize_quotient(kind: MultiplierKind, p: Params, lam: float, family,
     return budget.best
 
 
-def _minimize_bubble(kind, p, lam, family, budget, b_max):
-    """Coordinate descent over (log eps, delta); returns whether it converged."""
-    memo = {}
+def _minimize_bubble(kind, p, lam, family, budget, b_max, reports):
+    """Coordinate descent over (log eps, delta); returns whether it converged.
+
+    reports maps rounded (log eps, delta) keys to reports at any lambda,
+    read back through at_lambda; the budget still counts each trial priced.
+    """
+    quotients = {}
+
+    def trial(key, bp):
+        if key not in reports:
+            reports[key] = bubble_quotient(kind, p, lam, bp, b_max)
+        return reports[key].at_lambda(lam)
 
     def evaluate(log_eps, delta):
         key = (round(log_eps, 12), round(delta, 12))
-        if key not in memo:
-            memo[key] = budget.price(bubble_quotient, kind, p, lam,
-                                     BubbleParams(math.exp(log_eps), delta), b_max)
-        return memo[key]
+        if key not in quotients:
+            quotients[key] = budget.price(trial, key, BubbleParams(math.exp(log_eps), delta))
+        return quotients[key]
 
     le_lo, le_hi = math.log(family.eps_lo), math.log(family.eps_hi)
     le = 0.5 * (le_lo + le_hi)
@@ -421,16 +437,15 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
     if lambda_grid.size == 0:
         raise ParameterError("gap_scan needs a nonempty lambda grid")
     order = np.argsort(lambda_grid, kind="stable")
-    reports = {}
-    carried = []
+    reports = {}        # in increasing lambda: the carried-over winners
+    bubble_reports = {}
     for idx in order:
         lam = float(lambda_grid[idx])
-        rep = minimize_quotient(kind, p, lam, family, eval_cap=eval_cap, b_max=b_max)
-        for earlier in carried:
+        rep = _search(kind, p, lam, family, eval_cap, b_max, "raise", bubble_reports)
+        for earlier in reports.values():
             candidate = earlier.at_lambda(lam)
             if candidate.quotient < rep.quotient:
                 rep = candidate
-        carried.append(rep)
         reports[idx] = rep
     return [reports[i] for i in range(lambda_grid.size)]
 
@@ -459,22 +474,9 @@ def multibump_blowdown(p: Params, lam: float, q: float, C: float, alpha: float,
     return rows
 
 
-def sharp_constant_report(p: Params) -> dict:
-    """Internal sharp-constant estimate with its ingredients and error bar."""
-    base = bubble_energy_baseline(p)
-    crit_integral = bubble_mass_limit(p.n)
-    s_est = base["energy"] / crit_integral ** (2.0 / p.two_star)
-    return {
-        "s_est": s_est,
-        "energy": base["energy"],
-        "energy_tail_bound": base["tail_bound"],
-        "crit_integral": crit_integral,
-    }
-
-
 def sharp_constant_estimate(p: Params) -> float:
-    """S_est: the bubble energy over its critical norm, the package's
-    internal reference for every gap margin."""
+    """S_est = E(U) / M^{2/2*}: the closed-form bubble energy over its
+    critical norm, the package's internal reference for every gap margin."""
     if not (2 <= p.n <= 10):
         raise ParameterError("sharp_constant_estimate supports n in [2, 10]")
-    return sharp_constant_report(p)["s_est"]
+    return bubble_energy_limit(p) / bubble_mass_limit(p.n) ** (2.0 / p.two_star)

@@ -36,6 +36,7 @@ kernel values that cli blowdown reduces to its constants are quadrature
 roundoff, so any route change would move them.
 """
 
+import functools
 import math
 from collections import OrderedDict
 
@@ -301,6 +302,18 @@ def _symbol_values(kind, p: Params, beta):
     return np.asarray(kind(beta), dtype=float)
 
 
+@functools.lru_cache(maxsize=32)
+def _spectral_weights(kinds, p: Params, support_radius: float, b_max: float):
+    """default_beta_grid(support_radius, b_max), |c|^{-2} and each kind's symbol
+    on its nodes, read-only; test-hook kinds skip the cache via __wrapped__."""
+    beta_grid = default_beta_grid(support_radius, b_max)
+    dens = plancherel_density(p.n, beta_grid.nodes)
+    symbols = tuple(_symbol_values(kind, p, beta_grid.nodes) for kind in kinds)
+    for array in (beta_grid.nodes, beta_grid.weights, dens, *symbols):
+        array.flags.writeable = False
+    return beta_grid, dens, symbols
+
+
 def quadratic_form(kind, p: Params, lam: float, f: RadialFunction,
                    b_max: float = DEFAULT_B_MAX) -> float:
     """int_0^{b_max} (m(beta) - lam) |f_hat|^2 |c|^{-2} d beta.
@@ -309,18 +322,24 @@ def quadratic_form(kind, p: Params, lam: float, f: RadialFunction,
     at kind = INTERTWINED, lam = 0 this is the intertwined-operator energy.
     Half-line normalization, matching the radial Plancherel identity.
     """
-    beta_grid = default_beta_grid(f.support_radius, b_max)
-    F = spherical_transform(f, p.n, beta_grid)
-    beta = beta_grid.nodes
-    dens = plancherel_density(p.n, beta)
-    m = _symbol_values(kind, p, beta)
-    weight = F.values ** 2 * dens
-    tail = beta_grid.tail_fraction((np.abs(m) + abs(lam)) * weight)
-    if tail > DEFAULT_TAIL_TOL:
-        raise TailError(
-            f"quadratic form tail fraction {tail:.3e} exceeds tolerance {DEFAULT_TAIL_TOL:.1e}"
-        )
-    return float(np.dot(beta_grid.weights, (m - lam) * weight))
+    return _quadratic_forms((kind,), p, lam, f, b_max)[0]
+
+
+def _quadratic_forms(kinds, p: Params, lam: float, f: RadialFunction, b_max: float):
+    """quadratic_form of each kind from one transform and one |f_hat|^2 |c|^{-2}."""
+    hooks = not all(isinstance(kind, MultiplierKind) for kind in kinds)
+    weights = _spectral_weights.__wrapped__ if hooks else _spectral_weights
+    beta_grid, dens, symbols = weights(kinds, p, f.support_radius, b_max)
+    weight = spherical_transform(f, p.n, beta_grid).values ** 2 * dens
+    forms = []
+    for m in symbols:
+        tail = beta_grid.tail_fraction((np.abs(m) + abs(lam)) * weight)
+        if tail > DEFAULT_TAIL_TOL:
+            raise TailError(
+                f"quadratic form tail fraction {tail:.3e} exceeds tolerance {DEFAULT_TAIL_TOL:.1e}"
+            )
+        forms.append(float(np.dot(beta_grid.weights, (m - lam) * weight)))
+    return forms
 
 
 # ---------------------------------------------------------------------------

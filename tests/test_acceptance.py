@@ -8,9 +8,9 @@ import mpmath as mp
 import numpy as np
 
 from conftest import windowed_gaussian
+from oracles import windowed_bubble_energy
 from gjmslab.bubbles import (
     BubbleParams,
-    bubble_energy_baseline,
     bubble_mass_limit,
     crit_mass,
     energy_asymptotics_experiment,
@@ -181,7 +181,7 @@ def test_07_l2_three_regimes():
 
 
 def test_08_energy_expansion():
-    base = bubble_energy_baseline(Params(3, 1.0))["energy"]
+    base = windowed_bubble_energy(Params(3, 1.0))["energy"]
     target = 3.0 * math.pi ** 2 / 4.0
     dirichlet_err = abs(base - target) / target
     assert dirichlet_err <= 1e-4

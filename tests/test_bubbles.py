@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import windowed_gaussian
+from oracles import quadrature_mass_limit, windowed_bubble_energy
 from gjmslab.bubbles import (
     BubbleParams,
     bubble,
-    bubble_energy_baseline,
+    bubble_energy_limit,
     bubble_grid,
     bubble_mass_limit,
     crit_mass,
@@ -89,6 +90,10 @@ class TestCritMass:
         oracle = float(4 * mp.pi * mp.quad(lambda r: r ** 2 / (1 + r ** 2) ** 3, [0, mp.inf]))
         assert oracle == pytest.approx(math.pi ** 2 / 4.0, rel=1e-12)
         assert bubble_mass_limit(3) == pytest.approx(oracle, rel=1e-6)
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_closed_form_matches_quadrature(self, n):
+        assert bubble_mass_limit(n) == pytest.approx(quadrature_mass_limit(n), rel=1e-13)
 
     def test_eps_independence_without_cutoff(self):
         # int |U_eps|^{2*} is exactly eps-free
@@ -204,9 +209,19 @@ class TestFractionalEnergy:
             assert energy == pytest.approx(oracle, rel=1e-5)
 
     def test_bubble_baseline_dirichlet_value(self):
-        base = bubble_energy_baseline(Params(3, 1.0))
+        # the windowed Hankel route reproduces the Dirichlet energy of U
+        base = windowed_bubble_energy(Params(3, 1.0))
         assert base["energy"] == pytest.approx(3.0 * math.pi ** 2 / 4.0, rel=1e-4)
         assert base["tail_bound"] < 0.05
+        assert bubble_energy_limit(Params(3, 1.0)) == pytest.approx(
+            3.0 * math.pi ** 2 / 4.0, rel=1e-15)
+
+    @pytest.mark.parametrize("n,s", [(5, 1.0), (5, 0.8), (3, 1.0), (3, 0.6), (7, 2.3),
+                                     (4, 0.75)])
+    def test_energy_limit_matches_windowed_oracle(self, n, s):
+        p = Params(n, s)
+        assert bubble_energy_limit(p) == pytest.approx(
+            windowed_bubble_energy(p)["energy"], rel=5e-9)
 
 
 class TestEnergyAsymptotics:
@@ -221,8 +236,7 @@ class TestEnergyAsymptotics:
         # <U_eps, (eta-1) U_eps>_s against the Euler-Lagrange closed form
         p = Params(3, 0.75)
         delta = 0.2
-        base = bubble_energy_baseline(p)["energy"]
-        kappa = base / bubble_mass_limit(p.n)
+        kappa = bubble_energy_limit(p) / bubble_mass_limit(p.n)
         q = (p.n - 2 * p.s) / 2.0
         for eps in (0.3, 0.2):
             bp = BubbleParams(eps, delta)
@@ -268,7 +282,7 @@ class TestEnergyAsymptotics:
             wz = RadialFunction.from_profile(z_part, bubble_grid(eps, 2000.0), 2000.0,
                                              Space.EUCLIDEAN)
             e_z = fractional_energy(wz, p)
-            e_u = bubble_energy_baseline(p)["energy"]
+            e_u = bubble_energy_limit(p)
             values.append(abs(e_w - e_u - e_z))
         slope = fit_loglog_slope(ladder, values)
         assert slope >= 0.8 * min(p.n, p.n - 2.0 * p.s)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import hyperbolic_bump
-from gjmslab.bubbles import BubbleParams
+from oracles import windowed_bubble_energy
+from gjmslab.bubbles import BubbleParams, bubble_energy_limit
 from gjmslab.errors import BudgetExceeded, ParameterError, ZeroTrial
 from gjmslab.grids import RadialFunction, Space
 from gjmslab.multipliers import multiplier, spectral_bottom
@@ -17,12 +18,11 @@ from gjmslab.quotients import (
     minimize_quotient,
     multibump_blowdown,
     sharp_constant_estimate,
-    sharp_constant_report,
     sobolev_quotient,
     spline_knots,
     spline_trial,
 )
-from gjmslab.spherical import quadratic_form
+from gjmslab.spherical import DEFAULT_B_MAX, quadratic_form
 
 GJMS = MultiplierKind.GJMS
 INT = MultiplierKind.INTERTWINED
@@ -188,6 +188,44 @@ class TestGapScan:
         with pytest.raises(ParameterError):
             gap_scan(INT, Params(3, 1.0), [], BubbleFamily())
 
+    def test_scan_prices_each_bubble_once(self, monkeypatch):
+        # energy and masses do not depend on lambda: the scan reads trials
+        # priced at an earlier lambda back instead of recomputing them, and
+        # returns the reports of independent per-lambda searches bit for bit
+        import gjmslab.quotients as quotients
+
+        calls = []
+
+        def counted(*args, _fn=quotients.bubble_quotient, **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(quotients, "bubble_quotient", counted)
+        p = Params(5, 0.8)
+        lambdas = [0.0, 0.25]
+        independent = []
+        for lam in lambdas:
+            rep = minimize_quotient(INT, p, lam, BubbleFamily())
+            for earlier in independent:
+                if earlier.at_lambda(lam).quotient < rep.quotient:
+                    rep = earlier.at_lambda(lam)
+            independent.append(rep)
+        assert len(calls) == 128
+        calls.clear()
+        assert gap_scan(INT, p, lambdas, BubbleFamily()) == independent
+        assert len(calls) == 86
+
+    def test_scan_memo_hits_count_against_the_cap(self):
+        from gjmslab.quotients import _search
+
+        p = Params(5, 0.8)
+        memo = {}
+        _search(INT, p, 0.0, BubbleFamily(), 7, DEFAULT_B_MAX, "return", memo)
+        assert len(memo) == 7
+        with pytest.raises(BudgetExceeded, match="used 7 of 7"):
+            _search(INT, p, 0.25, BubbleFamily(), 7, DEFAULT_B_MAX, "raise", memo)
+        assert len(memo) < 14
+
 
 class TestBlowdown:
     def test_side_condition_bound(self):
@@ -230,14 +268,14 @@ class TestSharpConstant:
     def test_three_one_closed_form(self):
         # S_{3,1} = 3 (pi/2)^{4/3}
         assert sharp_constant_estimate(Params(3, 1.0)) == pytest.approx(
-            3.0 * (math.pi / 2.0) ** (4.0 / 3.0), rel=1e-6)
+            3.0 * (math.pi / 2.0) ** (4.0 / 3.0), rel=1e-12)
 
     def test_window_stability(self):
-        # the two window radii bracket a (n-2s)-power tail model
+        # the two window radii of the Hankel oracle bracket a (n-2s)-power
+        # tail model of the energy the estimate is built on
         p = Params(3, 0.75)
-        report = sharp_constant_report(p)
-        raw = report["energy_tail_bound"]
-        assert raw <= 2e-3 * report["energy"]
+        raw = windowed_bubble_energy(p)["tail_bound"]
+        assert raw <= 2e-3 * bubble_energy_limit(p)
 
     def test_range_validation(self):
         with pytest.raises(ParameterError):

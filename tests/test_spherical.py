@@ -330,6 +330,47 @@ class TestQuadraticForm:
         assert hyperbolic == pytest.approx(euclidean, rel=1e-3)
 
 
+class TestSpectralWeightCache:
+    def test_gjms_quotient_transforms_once(self, monkeypatch):
+        from gjmslab.quotients import sobolev_quotient
+
+        calls = []
+
+        def counted(*args, _fn=spherical.spherical_transform, **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(spherical, "spherical_transform", counted)
+        sobolev_quotient(MultiplierKind.GJMS, Params(3, 1.0), 0.0, hyperbolic_bump(0.5, 3.0))
+        assert len(calls) == 1
+
+    def test_cold_and_warm_values_bit_equal(self):
+        p = Params(4, 0.75)
+        f = hyperbolic_bump(0.8, 3.0)
+        kinds = (INT, MultiplierKind.REMAINDER, MultiplierKind.GJMS)
+        spherical._spectral_weights.cache_clear()
+        cold = [quadratic_form(kind, p, 0.3, f) for kind in kinds]
+        warm = [quadratic_form(kind, p, 0.3, f) for kind in kinds]
+        hooks = [quadratic_form(lambda b, _k=kind: spherical.multiplier(_k, p, b), p, 0.3, f)
+                 for kind in kinds]
+        assert cold == warm == hooks
+        assert spherical._spectral_weights.cache_info().hits >= len(kinds)
+
+    def test_cached_arrays_are_read_only(self):
+        beta_grid, dens, symbols = spherical._spectral_weights(
+            (INT, MultiplierKind.REMAINDER), Params(3, 1.0), 3.0, 60.0)
+        for array in (beta_grid.nodes, beta_grid.weights, dens, *symbols):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_bounded(self):
+        cache = spherical._spectral_weights
+        for k in range(cache.cache_parameters()["maxsize"] + 5):
+            spherical._spectral_weights((INT,), Params(3, 1.0), 1.0 + 0.5 * k, 8.0)
+        assert cache.cache_info().currsize == cache.cache_parameters()["maxsize"]
+
+
 class TestKernel:
     def test_preconditions(self):
         p = Params(3, 0.6)
