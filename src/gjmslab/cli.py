@@ -2,8 +2,9 @@
 plus a run manifest.
 
 Exit codes: 0 success, 2 input validation, 3 I/O failure, 4 acceptance-fit
-failure. Re-running a subcommand with identical flags produces byte-identical
-data files; the timestamps live only in the manifest sidecar.
+failure, 5 numerical-contract failure (TailError, NonConvergence,
+BudgetExceeded, DegenerateData). Re-running with identical flags gives
+byte-identical data files; the timestamps live only in the manifest sidecar.
 """
 
 import argparse
@@ -20,13 +21,14 @@ import numpy as np
 from . import __version__
 from .bubbles import BubbleParams, crit_mass, bubble_mass_limit, fit_loglog_slope, \
     fractional_energy, hyperbolic_l2_mass, sampled_bubble, bubble_energy_limit
-from .errors import GjmsLabError, ParameterError
+from .errors import BudgetExceeded, DegenerateData, GjmsLabError, NonConvergence, \
+    ParameterError, TailError
 from .multipliers import b_constant, gap_constant, multiplier, spectral_bottom
 from .params import MultiplierKind, Params
-from .quotients import QUOTIENT_TOL, BubbleFamily, SplineFamily, gap_scan, \
+from .quotients import DEFAULT_EVAL_CAP, QUOTIENT_TOL, BubbleFamily, SplineFamily, gap_scan, \
     multibump_blowdown, sharp_constant_estimate, sobolev_quotient, spline_knots, spline_trial
-from .spherical import DEFAULT_TAIL_TOL, KERNEL_SCAN_EPS, decay_fit_radii, decay_slope, \
-    eps_extrapolation, lp_mass, regularized_kernel
+from .spherical import DEFAULT_B_MAX, DEFAULT_TAIL_TOL, KERNEL_SCAN_EPS, decay_fit_radii, \
+    decay_slope, eps_extrapolation, lp_mass, regularized_kernel
 from .special import POLE_TOL, SERIES_CAP, SERIES_TOL
 
 _KINDS = {
@@ -354,14 +356,15 @@ def vars_of(args):
 
 
 def _config_argv(argv):
-    """Expand --config key=value files into flags; explicit flags win."""
+    """Expand --config key=value files into flags; explicit flags, spelled
+    --flag value or --flag=value, win."""
     argv = list(argv)
-    if "--config" not in argv:
+    config = argparse.ArgumentParser(prog="gjms-lab", add_help=False)
+    config.add_argument("--config")
+    path = config.parse_known_args(argv)[0].config
+    if path is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ParameterError("--config needs a path")
-    path = argv[idx + 1]
+    given = {arg.split("=", 1)[0] for arg in argv}
     extra = []
     with open(path) as fh:
         for line in fh:
@@ -372,7 +375,7 @@ def _config_argv(argv):
                 raise ParameterError(f"bad config line {line!r}")
             key, value = line.split("=", 1)
             flag = "--" + key.strip().replace("_", "-")
-            if flag not in argv:
+            if flag not in given:
                 extra.extend([flag, value.strip()])
     return argv + extra
 
@@ -411,8 +414,8 @@ def build_parser():
     sp.add_argument("--kind", choices=["gjms", "intertwined"], required=True)
     sp.add_argument("--lambda-spec", type=str, required=True)
     sp.add_argument("--family", choices=["bubble", "spline"], required=True)
-    sp.add_argument("--budget", type=int, default=500)
-    sp.add_argument("--b-max", type=float, default=60.0)
+    sp.add_argument("--budget", type=int, default=DEFAULT_EVAL_CAP)
+    sp.add_argument("--b-max", type=float, default=DEFAULT_B_MAX)
     sp.add_argument("--spline-knots", type=int, default=12)
     sp.add_argument("--spline-radius", type=float, default=8.0)
     sp.add_argument("--spline-grading", type=float, default=3.3)
@@ -456,6 +459,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except (TailError, NonConvergence, BudgetExceeded, DegenerateData) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 5
     except GjmsLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

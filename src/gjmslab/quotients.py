@@ -1,6 +1,7 @@
 """Poincare-Sobolev quotients on hyperbolic space and their minimization over
 bubble and spline trial families, the strict-gap scans, the explicit
-multi-bump blow-down bound, and the internal sharp-constant estimate."""
+multi-bump blow-down bound, and the internal sharp-constant estimate. The
+spline search is one SLSQP solve (Kraft 1988) on the family's quadratic forms."""
 
 import functools
 import logging
@@ -9,6 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.optimize import minimize
 
 from .bubbles import (
     BubbleParams,
@@ -20,11 +22,12 @@ from .bubbles import (
     sampled_bubble,
     smooth_window,
 )
-from .errors import BudgetExceeded, ParameterError, TailError, ZeroTrial
-from .geometry import ball_to_geodesic, conformal_lift
+from .errors import BudgetExceeded, ParameterError, ZeroTrial
+from .geometry import ball_to_geodesic, conformal_lift, sphere_area
 from .grids import RadialFunction, Space, uniform_grid
 from .params import MultiplierKind, Params
-from .spherical import DEFAULT_B_MAX, _quadratic_forms, l2_mass, lp_mass, quadratic_form
+from .spherical import DEFAULT_B_MAX, DEFAULT_TAIL_TOL, _quadratic_forms, _spectral_weights, \
+    l2_mass, lp_mass, phi_matrix, quadratic_form
 
 log = logging.getLogger(__name__)
 
@@ -68,6 +71,14 @@ def _report(p, lam, energy, l2, crit_integral, descriptor):
     return QuotientReport(lam, energy, l2, crit, quotient, descriptor)
 
 
+def _energy_kinds(kind):
+    """The symbols whose spectral forms add up to kind's energy."""
+    if kind not in (MultiplierKind.GJMS, MultiplierKind.INTERTWINED):
+        raise ParameterError("a quotient needs the GJMS or INTERTWINED kind")
+    remainder = (MultiplierKind.REMAINDER,) if kind is MultiplierKind.GJMS else ()
+    return (MultiplierKind.INTERTWINED,) + remainder
+
+
 def sobolev_quotient(kind: MultiplierKind, p: Params, lam: float,
                      u: RadialFunction, b_max: float = DEFAULT_B_MAX) -> QuotientReport:
     """Quotient of an arbitrary radial hyperbolic trial.
@@ -76,13 +87,9 @@ def sobolev_quotient(kind: MultiplierKind, p: Params, lam: float,
     assembled as the intertwined energy plus the remainder-symbol form, both
     read from one spherical transform of u.
     """
-    if kind not in (MultiplierKind.GJMS, MultiplierKind.INTERTWINED):
-        raise ParameterError("sobolev_quotient expects GJMS or INTERTWINED")
+    kinds = _energy_kinds(kind)
     if u.is_zero():
         raise ZeroTrial("sobolev_quotient needs a nonzero trial")
-    kinds = (MultiplierKind.INTERTWINED,)
-    if kind is MultiplierKind.GJMS:
-        kinds += (MultiplierKind.REMAINDER,)
     energy = sum(_quadratic_forms(kinds, p, 0.0, u, b_max))
     l2 = l2_mass(u, p.n)
     crit_integral = lp_mass(u, p.n, p.two_star)
@@ -97,8 +104,7 @@ def bubble_quotient(kind: MultiplierKind, p: Params, lam: float,
     the truncated bubble (the exact conformal reduction); the GJMS case adds
     the remainder form of the lifted trial through the spherical transform.
     """
-    if kind not in (MultiplierKind.GJMS, MultiplierKind.INTERTWINED):
-        raise ParameterError("bubble_quotient expects GJMS or INTERTWINED")
+    _energy_kinds(kind)
     w = sampled_bubble(p, bp)
     energy = fractional_energy(w, p)
     if kind is MultiplierKind.GJMS:
@@ -114,7 +120,7 @@ def bubble_quotient(kind: MultiplierKind, p: Params, lam: float,
 
 
 # ---------------------------------------------------------------------------
-# Trial families and derivative-free minimization
+# Trial families and their minimization
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -164,6 +170,14 @@ def spline_knots(family: SplineFamily) -> np.ndarray:
     return family.radius * np.sinh(a * i) / math.sinh(a)
 
 
+def _windowed_spline(family: SplineFamily, values):
+    """r -> the clamped cubic spline through (knots, values) times the smooth
+    window vanishing at the radius; one column per column of a 2-d values."""
+    clamped = (1, np.zeros(values.shape[1:]))
+    spline = CubicSpline(spline_knots(family), values, bc_type=(clamped, clamped))
+    return lambda r: (spline(r).T * smooth_window(r, 0.8 * family.radius, family.radius)).T
+
+
 def spline_trial(family: SplineFamily, theta, p: Params) -> RadialFunction:
     """Radial trial from knot values: natural-in-slope spline times a smooth
     window vanishing at the support radius (keeps the transform tail closed)."""
@@ -171,8 +185,7 @@ def spline_trial(family: SplineFamily, theta, p: Params) -> RadialFunction:
     if theta.shape != (family.knots - 1,):
         raise ParameterError(f"expected {family.knots - 1} free knot values")
     knots_x = spline_knots(family)
-    values = np.concatenate([theta, [0.0]])
-    spline = CubicSpline(knots_x, values, bc_type=((1, 0.0), (1, 0.0)))
+    windowed = _windowed_spline(family, np.concatenate([theta, [0.0]]))
     R = family.radius
     # trailing zero knots truncate the support: past-the-support spline
     # ringing (~1e-15) would otherwise be amplified by sinh^{n-1} weights
@@ -186,7 +199,7 @@ def spline_trial(family: SplineFamily, theta, p: Params) -> RadialFunction:
         r = np.asarray(r, dtype=float)
         inside = r <= support
         out = np.zeros_like(r)
-        out[inside] = spline(r[inside]) * smooth_window(r[inside], 0.8 * R, R)
+        out[inside] = windowed(r[inside])
         return out
 
     grid = standard_hyperbolic_grid(R)
@@ -225,73 +238,21 @@ class _Budget:
     def spent(self):
         return self.used >= self.cap
 
-    def price(self, trial, *args):
+    def price(self, trial, *args, admissible=True):
         """Count and price one trial; returns its quotient.
 
-        `trial(*args)` returns a QuotientReport, or None for a trial that
-        cannot be priced (read as +inf). Raises BudgetExceeded, before
-        pricing, once the cap is spent.
+        `trial(*args)` returns a QuotientReport; one priced with
+        admissible=False never becomes the best. Raises BudgetExceeded,
+        before pricing, once the cap is spent.
         """
         if self.spent:
             raise BudgetExceeded(f"evaluation cap {self.cap} exhausted")
         self.used += 1
         rep = trial(*args)
-        if rep is None:
-            log.debug("eval #%d not priceable", self.used)
-            return math.inf
         log.debug("eval #%d %s -> %.10g", self.used, rep.trial_descriptor, rep.quotient)
-        if self.best is None or rep.quotient < self.best.quotient:
+        if admissible and (self.best is None or rep.quotient < self.best.quotient):
             self.best = rep
         return rep.quotient
-
-
-def _nelder_mead(f, x0, step, ftol):
-    """Deterministic Nelder-Mead; returns whether it converged.
-
-    Converges when either the simplex values collapse or the running best
-    stalls (changes by <= ftol) over a 2n-iteration window.
-    """
-    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
-    n = x0.size
-    simplex = [x0.copy()]
-    for i in range(n):
-        v = x0.copy()
-        v[i] += step[i]
-        simplex.append(v)
-    fvals = [f(v) for v in simplex]
-    best_trace = []
-    window = 2 * n
-    while True:
-        order = np.argsort(fvals, kind="stable")
-        simplex = [simplex[i] for i in order]
-        fvals = [fvals[i] for i in order]
-        best_trace.append(fvals[0])
-        if abs(fvals[-1] - fvals[0]) <= ftol * (1.0 + abs(fvals[0])):
-            return True
-        if (len(best_trace) > window
-                and best_trace[-window] - best_trace[-1] <= ftol * (1.0 + abs(best_trace[-1]))):
-            return True
-        centroid = np.mean(simplex[:-1], axis=0)
-        xr = centroid + alpha * (centroid - simplex[-1])
-        fr = f(xr)
-        if fr < fvals[0]:
-            xe = centroid + gamma * (centroid - simplex[-1])
-            fe = f(xe)
-            if fe < fr:
-                simplex[-1], fvals[-1] = xe, fe
-            else:
-                simplex[-1], fvals[-1] = xr, fr
-        elif fr < fvals[-2]:
-            simplex[-1], fvals[-1] = xr, fr
-        else:
-            xc = centroid + rho * (simplex[-1] - centroid)
-            fc = f(xc)
-            if fc < fvals[-1]:
-                simplex[-1], fvals[-1] = xc, fc
-            else:
-                for i in range(1, n + 1):
-                    simplex[i] = simplex[0] + sigma * (simplex[i] - simplex[0])
-                    fvals[i] = f(simplex[i])
 
 
 DEFAULT_EVAL_CAP = 500
@@ -305,11 +266,13 @@ def minimize_quotient(kind: MultiplierKind, p: Params, lam: float, family,
     """Best quotient report found over the trial family.
 
     BubbleFamily: coordinate descent in (log eps, delta) with golden-section
-    line searches. SplineFamily: Nelder-Mead over knot values with the
-    amplitude normalized away by quotient homogeneity. Deterministic; at
-    most eval_cap trials are priced. Raises BudgetExceeded when no trial
-    could be priced, or when the cap is spent before the stopping tolerance
-    (pass on_budget="return" to take the best report found instead).
+    line searches; an evaluation is one bubble_quotient (or a gap scan's
+    read-back of one). SplineFamily: SLSQP over knot values under the tail
+    guards; an evaluation is one _spline_report from the family's matrices,
+    and only guard-passing trials are returned. Deterministic; at most
+    eval_cap trials are priced. Raises BudgetExceeded when no trial could be
+    priced, or when the cap is spent before the stopping tolerance (pass
+    on_budget="return" to take the best report found instead).
     """
     return _search(kind, p, lam, family, eval_cap, b_max, on_budget, {})
 
@@ -373,56 +336,86 @@ def _minimize_bubble(kind, p, lam, family, budget, b_max, reports):
     return False
 
 
-def _lifted_bubble_shape(p, eps, delta_e):
-    """Geodesic profile of a lifted ball-truncated bubble (start candidate)."""
-    q = (p.n - 2.0 * p.s) / 2.0
-
-    def shape(r):
-        t = np.tanh(np.asarray(r, dtype=float) / 2.0)
-        phi = 2.0 / (1.0 - t * t)
-        return (phi ** (p.s - p.n / 2.0)
-                * smooth_window(t, delta_e, min(2.0 * delta_e, 0.999))
-                * eps ** (-q) * (1.0 + (t / eps) ** 2) ** (-q))
-
-    return shape
-
-
 def _spline_start_candidates(family, p):
-    """Deterministic starting shapes: a wide bump plus lifted-bubble profiles."""
+    """Deterministic starting knot values: a wide bump plus the geodesic
+    profiles of lifted ball-truncated bubbles, each peak-normalized."""
     knots_x = spline_knots(family)
-    cands = [np.exp(-((2.2 * knots_x / family.radius) ** 2))[:-1]]
+    t = np.tanh(knots_x / 2.0)
+    q = (p.n - 2.0 * p.s) / 2.0
+    cands = [np.exp(-((2.2 * knots_x / family.radius) ** 2))]
     for eps, de in ((0.3, 0.35), (0.15, 0.45), (0.08, 0.45), (0.05, 0.45)):
-        shape = _lifted_bubble_shape(p, eps, de)
-        vals = shape(knots_x)
-        peak = float(np.max(np.abs(vals)))
-        if peak > 0.0:
-            cands.append((vals / peak)[:-1])
-    return cands
+        vals = ((2.0 / (1.0 - t * t)) ** (p.s - p.n / 2.0)
+                * smooth_window(t, de, min(2.0 * de, 0.999))
+                * eps ** (-q) * (1.0 + (t / eps) ** 2) ** (-q))
+        cands.append(vals / np.max(np.abs(vals)))
+    return [cand[:-1] for cand in cands]
+
+
+def _spline_forms(kind, p, family, b_max):
+    """(basis, measure, energy, l2, guards) of the family on its full support:
+    knot values theta give the trial basis @ theta, critical integral
+    measure @ |basis @ theta|^{2*}, energy theta^T energy theta, L2 mass
+    theta^T l2 theta, and pass kind k's tail guard iff theta^T guards[k] theta
+    >= 0."""
+    kinds = _energy_kinds(kind)
+    grid = standard_hyperbolic_grid(family.radius)
+    r = grid.nodes
+    inside = r <= family.radius
+    basis = np.zeros((r.size, family.knots - 1))
+    basis[inside] = _windowed_spline(family, np.eye(family.knots, family.knots - 1))(r[inside])
+    measure = sphere_area(p.n) * np.sinh(r) ** (p.n - 1) * grid.weights
+    beta_grid, dens, symbols = _spectral_weights(kinds, p, family.radius, b_max)
+    transforms = phi_matrix(p.n, beta_grid, grid) @ (measure[:, None] * basis)
+    weighted = transforms.T * (beta_grid.weights * dens)
+    # tol * total - tail of |m| |f_hat|^2 |c|^{-2}, the tail being beta >= 0.9 b_max
+    guard_weight = DEFAULT_TAIL_TOL - (beta_grid.nodes >= 0.9 * beta_grid.r_max)
+    guards = np.array([(weighted * guard_weight * np.abs(m)) @ transforms for m in symbols])
+    energy = (weighted * sum(symbols)) @ transforms
+    return basis, measure, energy, basis.T @ (measure[:, None] * basis), guards
+
+
+def _spline_report(family, p, lam, forms, theta):
+    """Report of the spline trial theta from the family's matrices; the
+    descriptor lists theta scaled to unit critical integral."""
+    basis, measure, energy, l2, _ = forms
+    crit_integral = float(measure @ np.abs(basis @ theta) ** p.two_star)
+    values = np.array2string(theta / crit_integral ** (1.0 / p.two_star), precision=4,
+                             separator=",", max_line_width=np.inf)
+    return _report(p, lam, float(theta @ energy @ theta), float(theta @ l2 @ theta),
+                   crit_integral, f"spline[m={family.knots},R={family.radius:.6g},theta={values}]")
 
 
 def _minimize_spline(kind, p, lam, family, budget, b_max):
-    """Nelder-Mead from the best start candidate; returns whether it converged."""
-    def trial(theta):
-        u = spline_trial(family, theta, p)
-        if u.is_zero():
-            return None
-        try:
-            rep = sobolev_quotient(kind, p, lam, u, b_max=b_max)
-        except TailError:
-            # spectral content past b_max: not priceable at this resolution
-            return None
-        scale = math.sqrt(rep.crit_norm)  # crit_norm(c u) = c^2 crit_norm(u)
-        return replace(rep, trial_descriptor=(
-            f"spline[m={family.knots},R={family.radius:.6g},"
-            f"theta={np.array2string(np.asarray(theta) / max(scale, 1e-300), precision=4, separator=',')}]"
-        ))
+    """SLSQP on theta^T (A - lam M) theta / crit^{2/2*} under the tail guards,
+    from the best start candidate scaled to unit critical integral; returns
+    whether it converged (at SLSQP's default accuracy, 1e-6 on Q)."""
+    forms = _spline_forms(kind, p, family, b_max)
+    basis, measure, energy, l2, guards = forms
+    shifted = energy - lam * l2
 
-    def evaluate(theta):
-        return budget.price(trial, theta)
+    def guard_values(theta):
+        return np.einsum("i,kij,j->k", theta, guards, theta)
+
+    def quotient(theta):
+        # a trial outside a guard steers the search but is never returned
+        return budget.price(_spline_report, family, p, lam, forms, theta,
+                            admissible=bool(np.all(guard_values(theta) >= 0.0)))
+
+    def gradient(theta):
+        u = basis @ theta
+        crit_integral = measure @ np.abs(u) ** p.two_star
+        pull = basis.T @ (measure * np.abs(u) ** (p.two_star - 2.0) * u) / crit_integral
+        return (2.0 * (shifted @ theta - (theta @ shifted @ theta) * pull)
+                / crit_integral ** (2.0 / p.two_star))
 
     candidates = _spline_start_candidates(family, p)
-    theta0 = candidates[int(np.argmin([evaluate(cand) for cand in candidates]))]
-    return _nelder_mead(evaluate, theta0, 0.1 * np.ones_like(theta0), QUOTIENT_TOL)
+    theta0 = candidates[int(np.argmin([quotient(cand) for cand in candidates]))]
+    theta0 = theta0 / (measure @ np.abs(basis @ theta0) ** p.two_star) ** (1.0 / p.two_star)
+    result = minimize(quotient, theta0, jac=gradient, method="SLSQP",
+                      constraints={"type": "ineq", "fun": guard_values,
+                                   "jac": lambda theta: 2.0 * guards @ theta},
+                      options={"maxiter": budget.cap})
+    return bool(result.success)
 
 
 def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,

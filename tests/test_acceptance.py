@@ -226,12 +226,11 @@ def test_10_strict_gap():
     s_est = sharp_constant_estimate(p)
     lam0 = spectral_bottom(INT, p)
     fam = SplineFamily(knots=16, radius=3.5)
-    rep_int = minimize_quotient(INT, p, 0.5 * lam0, fam, eval_cap=600, b_max=96.0,
-                                on_budget="return")
+    rep_int = minimize_quotient(INT, p, 0.5 * lam0, fam, eval_cap=600, b_max=96.0)
     margin_int = rep_int.quotient / s_est - 1.0
     assert margin_int <= -1e-3, margin_int
     rep_gjms = minimize_quotient(GJMS, p, 1.2 * b_constant(p.s), fam, eval_cap=600,
-                                 b_max=96.0, on_budget="return")
+                                 b_max=96.0)
     margin_gjms = rep_gjms.quotient / s_est - 1.0
     assert margin_gjms <= -1e-3, margin_gjms
     floor = minimize_quotient(INT, p, -1.0, BubbleFamily(), eval_cap=300,

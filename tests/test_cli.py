@@ -174,6 +174,16 @@ class TestGapScan:
         assert lines[0] == "lambda,quotient,margin_vs_Sest,trial_descriptor"
         assert len(lines) == 3
 
+    def test_spline_row_is_one_line(self, tmp_path):
+        # the spline descriptor lists every knot value on one CSV line
+        out = str(tmp_path / "s.csv")
+        assert run(["gap-scan", "--kind", "gjms", "--n", "3", "--s", "1",
+                    "--lambda-spec=0", "--family", "spline", "--spline-radius", "3.5",
+                    "--out", out]) == 0
+        lines = open(out).read().splitlines()
+        assert len(lines) == 2
+        assert lines[1].count("theta=[") == 1 and lines[1].endswith("]]")
+
 
 class TestConfig:
     def test_config_defaults_and_flag_priority(self, tmp_path, capsys):
@@ -184,6 +194,30 @@ class TestConfig:
         # explicit flags win over the config values
         assert run(["constants", "--config", str(cfg), "--s", "0.5"]) == 0
         assert json.loads(capsys.readouterr().out)["s"] == 0.5
+
+    def test_explicit_equals_flag_wins(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lambda_spec=0.5\n")
+        argv = cli._config_argv(["gap-scan", "--config", str(cfg), "--lambda-spec=0"])
+        args = cli.build_parser().parse_args(argv + [
+            "--n", "3", "--s", "1", "--kind", "gjms", "--family", "bubble", "--out", "x"])
+        assert args.lambda_spec == "0"
+
+    def test_config_equals_spelling(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=3\ns=1\n")
+        assert run(["constants", f"--config={cfg}"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 3
+
+
+class TestExitCodes:
+    def test_numerical_failure_is_not_bad_input(self, tmp_path, capsys):
+        out = str(tmp_path / "gs.csv")
+        assert run(["gap-scan", "--kind", "gjms", "--n", "3", "--s", "1",
+                    "--lambda-spec=0", "--family", "spline", "--spline-radius", "3.5",
+                    "--budget", "3", "--out", out]) == 5
+        assert "numerical error" in capsys.readouterr().err
+        assert run(["constants", "--n", "3", "--s", "2"]) == 2
 
 
 class TestManifest:

@@ -8,7 +8,7 @@ from oracles import windowed_bubble_energy
 from gjmslab.bubbles import BubbleParams, bubble_energy_limit
 from gjmslab.errors import BudgetExceeded, ParameterError, ZeroTrial
 from gjmslab.grids import RadialFunction, Space
-from gjmslab.multipliers import multiplier, spectral_bottom
+from gjmslab.multipliers import b_constant, multiplier, spectral_bottom
 from gjmslab.params import MultiplierKind, Params
 from gjmslab.quotients import (
     BubbleFamily,
@@ -128,10 +128,12 @@ class TestSplineTrial:
 class TestMinimize:
     def test_determinism(self):
         p = Params(5, 0.8)
-        fam = BubbleFamily(eps_lo=0.05, eps_hi=0.2, delta_lo=0.1, delta_hi=0.24)
-        r1 = minimize_quotient(INT, p, 0.05, fam, eval_cap=200)
-        r2 = minimize_quotient(INT, p, 0.05, fam, eval_cap=200)
-        assert r1 == r2
+        for kind, fam in ((INT, BubbleFamily(eps_lo=0.05, eps_hi=0.2, delta_lo=0.1,
+                                             delta_hi=0.24)),
+                          (GJMS, SplineFamily(knots=8, radius=3.0))):
+            r1 = minimize_quotient(kind, p, 0.05, fam, eval_cap=200)
+            r2 = minimize_quotient(kind, p, 0.05, fam, eval_cap=200)
+            assert r1 == r2
 
     def test_budget_exceeded(self):
         p = Params(5, 0.8)
@@ -149,7 +151,7 @@ class TestMinimize:
         import gjmslab.quotients as quotients
 
         calls = []
-        for name in ("bubble_quotient", "spline_trial"):
+        for name in ("bubble_quotient", "_spline_report"):
             def counted(*args, _fn=getattr(quotients, name), **kwargs):
                 calls.append(1)
                 return _fn(*args, **kwargs)
@@ -161,6 +163,37 @@ class TestMinimize:
                 with pytest.raises(BudgetExceeded, match=message):
                     minimize_quotient(INT, p, 0.05, family, eval_cap=cap)
                 assert len(calls) == cap
+
+    @pytest.mark.parametrize("kind, n, s, lam, family, b_max", [
+        # the benchmark's spline gap-scan
+        (GJMS, 3, 1.0, 0.0, SplineFamily(knots=12, radius=3.5), DEFAULT_B_MAX),
+        # the strict-gap searches of the acceptance suite
+        (INT, 5, 0.8, 0.5 * spectral_bottom(INT, Params(5, 0.8)),
+         SplineFamily(knots=16, radius=3.5), 96.0),
+        (GJMS, 5, 0.8, 1.2 * b_constant(0.8), SplineFamily(knots=16, radius=3.5), 96.0),
+    ], ids=["benchmark-scan", "strict-gap-intertwined", "strict-gap-gjms"])
+    def test_spline_search_matches_sobolev_quotient(self, monkeypatch, kind, n, s, lam,
+                                                    family, b_max):
+        # the search prices knot values through the family's matrices; the
+        # trial it returns, rebuilt by spline_trial and priced through one
+        # spherical transform, gives the same report and passes the tail
+        # guard (sobolev_quotient raises TailError otherwise)
+        import gjmslab.quotients as quotients
+
+        priced = []
+
+        def recorded(*args, _fn=quotients._spline_report):
+            rep = _fn(*args)
+            priced.append((np.array(args[-1]), rep))
+            return rep
+
+        monkeypatch.setattr(quotients, "_spline_report", recorded)
+        p = Params(n, s)
+        rep = minimize_quotient(kind, p, lam, family, b_max=b_max)
+        theta = next(theta for theta, r in priced if r is rep)
+        direct = sobolev_quotient(kind, p, lam, spline_trial(family, theta, p), b_max=b_max)
+        for field in ("energy", "l2_mass", "crit_norm", "quotient"):
+            assert getattr(rep, field) == pytest.approx(getattr(direct, field), rel=1e-10)
 
     def test_floor_at_nonpositive_lambda(self):
         p = Params(5, 0.8)
