@@ -3,8 +3,8 @@ hyperbolic space -- their Gamma-ratio spectral symbols, the radial
 spherical-transform calculus, conformal bubble asymptotics, and
 Poincare-Sobolev quotient minimization."""
 
-from .bubbles import BubbleParams, bubble, cutoff, crit_mass, derivative_bound_check, \
-    energy_asymptotics_experiment, fractional_energy, hyperbolic_l2_mass, radial_fourier
+from .bubbles import BubbleParams, bubble, bubble_asymptotics, cutoff, crit_mass, \
+    derivative_bound_check, fractional_energy, hyperbolic_l2_mass, radial_fourier
 from .errors import (
     BudgetExceeded,
     DegenerateData,
@@ -28,7 +28,7 @@ from .quotients import BubbleFamily, QuotientReport, SplineFamily, bubble_quotie
     gap_scan, minimize_quotient, multibump_blowdown, sharp_constant_estimate, \
     sobolev_quotient
 from .special import abs_gamma_sq, bessel_j, hyp2f1, legendre_p, log_gamma
-from .spherical import decay_rate_fit, inverse_spherical_transform, plancherel_density, \
+from .spherical import inverse_spherical_transform, kernel_decay, plancherel_density, \
     quadratic_form, regularized_kernel, spherical_function, spherical_transform
 
 __version__ = "0.1.0"

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.optimize import minimize_scalar
 
 from .errors import DegenerateData, ParameterError, SupportError, TailError
 from .geometry import sphere_area
@@ -317,20 +318,75 @@ def fit_loglog_slope(x, y) -> float:
     return float(coeffs[0])
 
 
-def energy_asymptotics_experiment(p: Params, delta: float, eps_ladder) -> float:
-    """Fitted slope of log|E(eta U_eps) - E(U)| against log eps (expect n-2s)."""
-    eps_ladder = np.asarray(eps_ladder, dtype=float)
-    if eps_ladder.size < 4 or np.any(np.diff(eps_ladder) >= 0.0):
-        raise ParameterError("eps_ladder must be decreasing with >= 4 entries")
-    base = bubble_energy_limit(p)
-    diffs = []
-    for eps in eps_ladder:
-        w = sampled_bubble(p, BubbleParams(float(eps), delta))
-        diffs.append(abs(fractional_energy(w, p) - base))
-    diffs = np.asarray(diffs)
-    if np.any(diffs <= 0.0):
-        raise DegenerateData("energy differences underflowed")
-    return fit_loglog_slope(eps_ladder, diffs)
+def fit_leading_exponent(x, y, correction_exponent: float):
+    """Leading exponent a of y ~ A x^a + B x^b with the correction exponent b
+    known, by variable projection: a bounded search over a in (0, b), with A
+    and B from a linear least-squares solve in relative residuals at each a.
+
+    Returns a and the correction's relative size B x^b / y at the smallest x.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.size < 3 or np.any(y <= 0.0):
+        raise DegenerateData("exponent fit needs >= 3 points with positive values")
+
+    def solve(a):
+        columns = np.column_stack([x ** a, x ** correction_exponent]) / y[:, None]
+        coeffs = np.linalg.lstsq(columns, np.ones_like(y), rcond=None)[0]
+        resid = columns @ coeffs - 1.0
+        return float(resid @ resid), coeffs
+
+    a = float(minimize_scalar(lambda a: solve(a)[0], bounds=(0.0, correction_exponent),
+                              method="bounded", options={"xatol": 1e-10}).x)
+    smallest = int(np.argmin(x))
+    correction = solve(a)[1][1] * x[smallest] ** correction_exponent / y[smallest]
+    return a, float(correction)
+
+
+def _l2_verdict(p: Params, eps, l2):
+    """The L2-mass rate: eps^{2s}|log eps| for n = 4s (ratio drift between
+    the two smallest eps), else eps^a with a the smaller of {2s, n-2s},
+    fitted against the larger as the correction exponent."""
+    if p.n == 4 * p.s:
+        ratios = l2 / (eps ** (2.0 * p.s) * np.abs(np.log(eps)))
+        drift = float(abs(ratios[-1] / ratios[-2] - 1.0))
+        return {"regime": "log", "target": 2.0 * p.s, "ratio_drift": drift, "tol": 0.10,
+                "passed": bool(drift <= 0.10 and np.all(ratios > 0))}
+    target, correction_exponent = sorted((2.0 * p.s, p.n - 2.0 * p.s))
+    exponent, correction = fit_leading_exponent(eps, l2, correction_exponent)
+    tol = 0.1 if p.n > 4 * p.s else 0.05
+    return {"regime": "power" if p.n > 4 * p.s else "low", "exponent": exponent,
+            "target": target, "tol": tol, "passed": bool(abs(exponent - target) <= tol),
+            "raw_slope": fit_loglog_slope(eps, l2),
+            "correction_exponent": correction_exponent, "correction_size": correction}
+
+
+def bubble_asymptotics(p: Params, delta: float, eps_ladder):
+    """The cut-off bubble asymptotics over an eps ladder.
+
+    rows holds (eps, critical mass, hyperbolic L2 mass, fractional energy) of
+    the truncated bubble at each eps. summary holds one verdict block each,
+    with its target, tolerance and "passed": crit, the log-log slope of
+    M_inf minus the critical mass (target n); energy, the log-log slope of
+    |E - E(U)| (target n - 2s, within 15%); l2, see _l2_verdict.
+    """
+    if len(eps_ladder) < 3:   # every rate is fitted over at least three points
+        raise ParameterError("eps ladder must have >= 3 entries")
+    trials = [BubbleParams(eps, delta) for eps in eps_ladder]
+    rows = [(bp.eps, crit_mass(p, bp), hyperbolic_l2_mass(p, bp),
+             fractional_energy(sampled_bubble(p, bp), p)) for bp in trials]
+    eps, crit, l2, energy = (np.array(column) for column in zip(*rows))
+    crit_slope = fit_loglog_slope(eps, np.abs(bubble_mass_limit(p.n) - crit))
+    energy_slope = fit_loglog_slope(eps, np.abs(energy - bubble_energy_limit(p)))
+    e_target = p.n - 2.0 * p.s
+    summary = {
+        "crit": {"slope": crit_slope, "target": float(p.n), "tol": 0.3,
+                 "passed": bool(abs(crit_slope - p.n) <= 0.3)},
+        "l2": _l2_verdict(p, eps, l2),
+        "energy": {"slope": energy_slope, "target": e_target, "tol_rel": 0.15,
+                   "passed": bool(abs(energy_slope - e_target) <= 0.15 * e_target)},
+    }
+    return rows, summary
 
 
 def _bubble_radial_derivative(p: Params, order: int):

@@ -19,16 +19,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bubbles import BubbleParams, crit_mass, bubble_mass_limit, fit_loglog_slope, \
-    fractional_energy, hyperbolic_l2_mass, sampled_bubble, bubble_energy_limit
+from .bubbles import bubble_asymptotics
 from .errors import BudgetExceeded, DegenerateData, GjmsLabError, NonConvergence, \
     ParameterError, TailError
 from .multipliers import b_constant, gap_constant, multiplier, spectral_bottom
 from .params import MultiplierKind, Params
 from .quotients import DEFAULT_EVAL_CAP, QUOTIENT_TOL, BubbleFamily, SplineFamily, gap_scan, \
     multibump_blowdown, sharp_constant_estimate, sobolev_quotient, spline_knots, spline_trial
-from .spherical import DEFAULT_B_MAX, DEFAULT_TAIL_TOL, KERNEL_SCAN_EPS, decay_fit_radii, \
-    decay_slope, eps_extrapolation, lp_mass, regularized_kernel
+from .spherical import DEFAULT_B_MAX, DEFAULT_TAIL_TOL, decay_slope, kernel_decay, lp_mass, \
+    regularized_kernel
 from .special import POLE_TOL, SERIES_CAP, SERIES_TOL
 
 _KINDS = {
@@ -170,61 +169,10 @@ def cmd_multiplier(args) -> int:
     return 0
 
 
-def _l2_regime(p: Params):
-    if p.n > 4 * p.s:
-        return "power", 2.0 * p.s
-    if p.n == 4 * p.s:
-        return "log", 2.0 * p.s
-    return "low", p.n - 2.0 * p.s
-
-
 def cmd_bubble_asymptotics(args) -> int:
-    p = Params(args.n, args.s)
-    ladder = _parse_floats(args.eps_ladder)
-    if any(e <= 0 or e >= 1 for e in ladder) or len(ladder) < 2:
-        raise ParameterError("eps ladder must have >= 2 entries in (0, 1)")
-    delta = args.delta
-    rows = [
-        (
-            eps,
-            crit_mass(p, BubbleParams(eps, delta)),
-            hyperbolic_l2_mass(p, BubbleParams(eps, delta)),
-            fractional_energy(sampled_bubble(p, BubbleParams(eps, delta)), p),
-        )
-        for eps in ladder
-    ]
+    rows, summary = bubble_asymptotics(Params(args.n, args.s), args.delta,
+                                       _parse_floats(args.eps_ladder))
     write_csv(args.out, ["eps", "crit_mass", "l2_mass", "energy"], rows)
-
-    eps = np.array([r[0] for r in rows])
-    crit = np.array([r[1] for r in rows])
-    l2 = np.array([r[2] for r in rows])
-    energy = np.array([r[3] for r in rows])
-    m_inf = bubble_mass_limit(p.n)
-    e_base = bubble_energy_limit(p)
-
-    crit_slope = fit_loglog_slope(eps, np.abs(m_inf - crit))
-    regime, l2_target = _l2_regime(p)
-    summary = {
-        "crit": {"slope": crit_slope, "target": float(p.n), "tol": 0.3,
-                 "passed": bool(abs(crit_slope - p.n) <= 0.3)},
-        "energy": {}, "l2": {},
-    }
-    if regime == "log":
-        ratios = l2 / (eps ** (2.0 * p.s) * np.abs(np.log(eps)))
-        drift = float(abs(ratios[-1] / ratios[-2] - 1.0))
-        summary["l2"] = {"regime": "log", "target": l2_target,
-                         "ratio_drift": drift, "tol": 0.10,
-                         "passed": bool(drift <= 0.10 and np.all(ratios > 0))}
-    else:
-        l2_slope = fit_loglog_slope(eps, l2)
-        tol = 0.1 if regime == "power" else 0.05
-        summary["l2"] = {"regime": regime, "slope": l2_slope, "target": l2_target,
-                         "tol": tol, "passed": bool(abs(l2_slope - l2_target) <= tol)}
-    diffs = np.abs(energy - e_base)
-    energy_slope = fit_loglog_slope(eps, diffs)
-    e_target = p.n - 2.0 * p.s
-    summary["energy"] = {"slope": energy_slope, "target": e_target, "tol_rel": 0.15,
-                         "passed": bool(abs(energy_slope - e_target) <= 0.15 * e_target)}
     write_json(args.out + ".summary.json", summary)
     write_manifest(args.out, "bubble-asymptotics", vars_of(args), args.started_at)
     if not all(block["passed"] for block in summary.values()):
@@ -256,32 +204,9 @@ def cmd_gap_scan(args) -> int:
 
 
 def cmd_kernel_decay(args) -> int:
-    p = Params(args.n, args.s)
-    kind = _KINDS[args.kind]
-    radii = _parse_floats(args.r_spec)
-    if any(r < 0.5 for r in radii):
-        raise ParameterError("kernel radii must satisfy r >= 0.5")
-    if not args.eps_reg > 0:
-        raise ParameterError("eps-reg must be > 0")
-    table = {}   # (r, eps) -> k^eps(r): each kernel value is computed once
-
-    def kernel(r, eps):
-        key = (float(r), eps)
-        if key not in table:
-            table[key] = regularized_kernel(kind, p, r, eps)
-        return table[key]
-
-    values = [kernel(r, args.eps_reg) for r in radii]
-    rows = [(float(r), float(v), float(np.log(abs(v)))) for r, v in zip(radii, values)]
+    rows, summary = kernel_decay(_KINDS[args.kind], Params(args.n, args.s),
+                                 _parse_floats(args.r_spec), args.eps_reg)
     write_csv(args.out, ["r", "k_eps", "log_abs_k"], rows)
-    fit_radii = decay_fit_radii(radii)
-    summary = {"target_slope": -p.rho, "eps_reg": args.eps_reg}
-    if len(fit_radii) >= 4:
-        for name, eps in (("slope", args.eps_reg), ("slope_half_eps", args.eps_reg / 2.0)):
-            summary[name] = decay_slope(fit_radii, [kernel(r, eps) for r in fit_radii])
-    scan = {eps: kernel(max(radii), eps) for eps in KERNEL_SCAN_EPS}
-    summary["kernel_scan_at_rmax"] = {repr(k): v for k, v in scan.items()}
-    summary["kernel_extrapolated_at_rmax"] = eps_extrapolation(scan)
     write_json(args.out + ".summary.json", summary)
     write_manifest(args.out, "kernel-decay", vars_of(args), args.started_at)
     return 0

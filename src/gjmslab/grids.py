@@ -84,14 +84,19 @@ class RadialGrid:
     def integrate(self, values) -> float:
         return float(np.dot(self.weights, np.asarray(values, dtype=float)))
 
+    @property
+    def tail_mask(self) -> np.ndarray:
+        """The last decade of the grid: True at the nodes in [0.9 * r_max, r_max]."""
+        return self.nodes >= 0.9 * self.r_max
+
     def tail_fraction(self, values) -> float:
-        """Fraction of the integral of |values| carried by the last decade of
-        the grid (the nodes in [0.9 * r_max, r_max]); 0 when that integral is 0."""
+        """Fraction of the integral of |values| carried by the tail_mask nodes;
+        0 when that integral is 0."""
         magnitude = np.abs(values)
         total = float(np.dot(self.weights, magnitude))
         if total <= 0.0:
             return 0.0
-        tail = self.nodes >= 0.9 * self.r_max
+        tail = self.tail_mask
         return float(np.dot(self.weights[tail], magnitude[tail])) / total
 
     def fingerprint(self) -> bytes:

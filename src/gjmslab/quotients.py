@@ -367,8 +367,8 @@ def _spline_forms(kind, p, family, b_max):
     beta_grid, dens, symbols = _spectral_weights(kinds, p, family.radius, b_max)
     transforms = phi_matrix(p.n, beta_grid, grid) @ (measure[:, None] * basis)
     weighted = transforms.T * (beta_grid.weights * dens)
-    # tol * total - tail of |m| |f_hat|^2 |c|^{-2}, the tail being beta >= 0.9 b_max
-    guard_weight = DEFAULT_TAIL_TOL - (beta_grid.nodes >= 0.9 * beta_grid.r_max)
+    # tol * total - tail of |m| |f_hat|^2 |c|^{-2}, the tail as in tail_fraction
+    guard_weight = DEFAULT_TAIL_TOL - beta_grid.tail_mask
     guards = np.array([(weighted * guard_weight * np.abs(m)) @ transforms for m in symbols])
     energy = (weighted * sum(symbols)) @ transforms
     return basis, measure, energy, basis.T @ (measure[:, None] * basis), guards

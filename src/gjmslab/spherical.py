@@ -2,9 +2,9 @@
 
 Plancherel density, spherical functions, forward/inverse transforms,
 spectral quadratic forms, and the regularized radial kernel with its decay
-fit. The spherical function Phi_beta(r) is the Legendre function of degree
--1/2 + i*beta. Pointwise (spherical_function) it is evaluated through the
-Mehler-Dirichlet integral
+experiment (kernel_decay). The spherical function Phi_beta(r) is the
+Legendre function of degree -1/2 + i*beta. Pointwise (spherical_function)
+it is evaluated through the Mehler-Dirichlet integral
 
     Phi_beta(r) = C_n (sinh r)^{2-n} int_0^sqrt(r) cos(beta (r - u^2)) h_r(u) du,
     h_r(u) = 2 u (2 sinh(r - u^2/2) sinh(u^2/2))^{(n-3)/2},
@@ -407,14 +407,6 @@ def eps_extrapolation(values: dict) -> float:
     return (e1 * values[e0] - e0 * values[e1]) / (e1 - e0)
 
 
-def regularized_kernel_scan(kind, p: Params, r: float) -> dict:
-    """Raw kernel values over a regularization ladder plus the linear-in-eps
-    Richardson extrapolation of the two smallest entries."""
-    values = {eps: regularized_kernel(kind, p, r, eps)
-              for eps in sorted(KERNEL_SCAN_EPS, reverse=True)}
-    return {"values": values, "extrapolated": eps_extrapolation(values)}
-
-
 def decay_fit_radii(r_values) -> np.ndarray:
     """The radii of r_values inside the decay-fit window [2, 8]."""
     r_values = np.asarray(r_values, dtype=float)
@@ -433,8 +425,27 @@ def decay_slope(radii, values) -> float:
     return float(np.polyfit(radii, np.log(np.abs(values)), 1)[0])
 
 
-def decay_rate_fit(kind, p: Params, r_values, eps_reg: float) -> float:
-    """Least-squares slope of log|k^eps(r)| against r over the radii of
-    r_values in [2, 8] (at least four); expected ~ -(n-1)/2."""
-    radii = decay_fit_radii(r_values)
-    return decay_slope(radii, [regularized_kernel(kind, p, float(r), eps_reg) for r in radii])
+def kernel_decay(kind, p: Params, radii, eps_reg: float):
+    """The off-diagonal decay of k^eps (expected slope -(n-1)/2).
+
+    rows holds (r, k^eps(r), log|k^eps(r)|) at each radius. summary holds the
+    target slope, eps_reg, and with at least four radii in the fit window
+    [2, 8] the decay slopes at eps_reg ("slope") and eps_reg / 2
+    ("slope_half_eps"); also k^eps at the largest radius over
+    KERNEL_SCAN_EPS and its eps_extrapolation. Each (r, eps) kernel value is
+    computed once.
+    """
+    if any(r < 0.5 for r in radii) or not eps_reg > 0.0:
+        raise DomainError("kernel_decay needs radii r >= 0.5 and eps_reg > 0")
+    kernel = functools.cache(lambda r, eps: regularized_kernel(kind, p, r, eps))
+    values = [kernel(r, eps_reg) for r in radii]
+    rows = [(float(r), float(v), float(np.log(abs(v)))) for r, v in zip(radii, values)]
+    fit_radii = decay_fit_radii(radii)
+    summary = {"target_slope": -p.rho, "eps_reg": eps_reg}
+    if len(fit_radii) >= 4:
+        for name, eps in (("slope", eps_reg), ("slope_half_eps", eps_reg / 2.0)):
+            summary[name] = decay_slope(fit_radii, [kernel(r, eps) for r in fit_radii])
+    scan = {eps: kernel(max(radii), eps) for eps in KERNEL_SCAN_EPS}
+    summary["kernel_scan_at_rmax"] = {repr(k): v for k, v in scan.items()}
+    summary["kernel_extrapolated_at_rmax"] = eps_extrapolation(scan)
+    return rows, summary

@@ -9,13 +9,14 @@ from oracles import quadrature_mass_limit, windowed_bubble_energy
 from gjmslab.bubbles import (
     BubbleParams,
     bubble,
+    bubble_asymptotics,
     bubble_energy_limit,
     bubble_grid,
     bubble_mass_limit,
     crit_mass,
     cutoff,
     derivative_bound_check,
-    energy_asymptotics_experiment,
+    fit_leading_exponent,
     fit_loglog_slope,
     fractional_cross_energy,
     fractional_energy,
@@ -24,7 +25,7 @@ from gjmslab.bubbles import (
     sampled_bubble,
     smooth_window,
 )
-from gjmslab.errors import ParameterError
+from gjmslab.errors import DegenerateData, ParameterError
 from gjmslab.geometry import sphere_area
 from gjmslab.grids import RadialFunction, Space, geometric_grid, uniform_grid
 from gjmslab.params import Params
@@ -136,6 +137,25 @@ class TestHyperbolicL2Mass:
         assert fit_loglog_slope(ladder, masses) == pytest.approx(1.0, abs=0.05)
 
 
+class TestLeadingExponent:
+    def test_exact_two_term_ladder(self):
+        # A eps^a + B eps^b with the correction a factor eps smaller, as for
+        # the L2 mass at (5, 1): the raw log-log slope misses a
+        ladder = np.array([0.05, 0.025, 0.0125, 0.00625])
+        a, b, A, B = 2.0, 3.0, 62.5, -330.0
+        values = A * ladder ** a + B * ladder ** b
+        exponent, correction = fit_leading_exponent(ladder, values, b)
+        assert exponent == pytest.approx(a, abs=1e-6)
+        assert correction == pytest.approx(B * ladder[-1] ** b / values[-1], rel=1e-5)
+        assert abs(fit_loglog_slope(ladder, values) - a) > 0.05
+
+    def test_needs_three_positive_points(self):
+        with pytest.raises(DegenerateData):
+            fit_leading_exponent([0.05, 0.025], [1.0, 0.5], 3.0)
+        with pytest.raises(DegenerateData):
+            fit_leading_exponent([0.05, 0.025, 0.0125], [1.0, 0.0, 0.5], 3.0)
+
+
 class TestRadialFourier:
     def test_zero(self):
         grid = uniform_grid(1.0, panel_width=0.05)
@@ -228,7 +248,7 @@ class TestEnergyAsymptotics:
     @pytest.mark.parametrize("n,s,tol_rel", [(5, 1.0, 0.10), (3, 0.75, 0.15), (4, 1.0, 0.10)])
     def test_rate(self, n, s, tol_rel):
         p = Params(n, s)
-        slope = energy_asymptotics_experiment(p, 0.2, [0.05, 0.025, 0.0125, 0.00625])
+        slope = bubble_asymptotics(p, 0.2, [0.05, 0.025, 0.0125, 0.00625])[1]["energy"]["slope"]
         target = n - 2.0 * s
         assert abs(slope - target) <= tol_rel * target
 

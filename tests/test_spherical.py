@@ -13,16 +13,15 @@ from gjmslab.grids import RadialFunction, RadialGrid, Space, SpectralProfile, un
 from gjmslab.params import MultiplierKind, Params
 from gjmslab.special import legendre_p
 from gjmslab.spherical import (
-    decay_rate_fit,
     decay_slope,
     default_beta_grid,
     inverse_spherical_transform,
+    kernel_decay,
     l2_mass,
     phi_matrix,
     plancherel_density,
     quadratic_form,
     regularized_kernel,
-    regularized_kernel_scan,
     spherical_function,
     spherical_transform,
 )
@@ -410,15 +409,28 @@ class TestKernel:
 
     def test_scan_reports_ladder(self):
         p = Params(3, 0.6)
-        scan = regularized_kernel_scan(INT, p, 2.0)
-        assert set(scan["values"]) == {0.02, 0.01, 0.005}
-        assert np.isfinite(scan["extrapolated"])
+        summary = kernel_decay(INT, p, [2.0], 0.01)[1]
+        assert set(summary["kernel_scan_at_rmax"]) == {"0.02", "0.01", "0.005"}
+        assert np.isfinite(summary["kernel_extrapolated_at_rmax"])
+
+    def test_each_kernel_value_once(self, monkeypatch):
+        # 5 radii at eps, 5 at eps / 2 for the second slope, and the one new
+        # regularization 0.02 of the ladder at the largest radius
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return regularized_kernel(*args)
+
+        monkeypatch.setattr(spherical, "regularized_kernel", counted)
+        kernel_decay(INT, Params(3, 0.6), [2, 3, 4, 5, 6], 0.01)
+        assert len(calls) == 11
 
 
 class TestDecayFit:
     def test_slopes(self):
-        assert decay_rate_fit(INT, Params(3, 0.6), [2, 3, 4, 5, 6], 0.01) <= -0.8
-        assert decay_rate_fit(INT, Params(5, 0.7), [2, 3, 4, 5, 6], 0.01) <= -1.6
+        assert kernel_decay(INT, Params(3, 0.6), [2, 3, 4, 5, 6], 0.01)[1]["slope"] <= -0.8
+        assert kernel_decay(INT, Params(5, 0.7), [2, 3, 4, 5, 6], 0.01)[1]["slope"] <= -1.6
 
     def test_scaling_invariance_of_slope(self):
         # doubling all kernel values shifts the log but not the slope
@@ -431,11 +443,13 @@ class TestDecayFit:
 
     def test_fit_ignores_radii_outside_window(self):
         p = Params(3, 0.6)
-        assert decay_rate_fit(INT, p, [2, 3, 4, 5, 9.5], 0.01) == \
-            decay_rate_fit(INT, p, [2, 3, 4, 5], 0.01)
+        assert kernel_decay(INT, p, [2, 3, 4, 5, 9.5], 0.01)[1]["slope"] == \
+            kernel_decay(INT, p, [2, 3, 4, 5], 0.01)[1]["slope"]
         with pytest.raises(DegenerateData):
             decay_slope([2.0, 3.0, 4.0, 5.0, 9.5], np.ones(5))
 
     def test_needs_enough_radii(self):
+        summary = kernel_decay(INT, Params(3, 0.6), [2.0, 3.0, 9.5], 0.01)[1]
+        assert "slope" not in summary and "slope_half_eps" not in summary
         with pytest.raises(DegenerateData):
-            decay_rate_fit(INT, Params(3, 0.6), [2.0, 3.0, 9.5], 0.01)
+            decay_slope([2.0, 3.0], [1.0, 0.5])
