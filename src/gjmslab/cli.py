@@ -80,9 +80,17 @@ def _tolerances():
     }
 
 
+def _scipy_modules():
+    """The public scipy subpackages (scipy.special, ...) loaded so far."""
+    return sorted(name for name, module in list(sys.modules.items())
+                  if name.startswith("scipy.") and name.count(".") == 1
+                  and not name.startswith("scipy._") and hasattr(module, "__path__"))
+
+
 def write_manifest(out_path, command, params, started_at):
     """The run's sidecar: flags, source tree, start and finish times (UTC,
-    ISO 8601; finished when the manifest is written) and tolerances."""
+    ISO 8601; finished when the manifest is written), tolerances and the
+    scipy subpackages the run loaded."""
     manifest = {
         "command": command,
         "params": {k: (v if not isinstance(v, (list, tuple)) else list(v))
@@ -91,6 +99,7 @@ def write_manifest(out_path, command, params, started_at):
         "started_at": started_at,
         "finished_at": _now(),
         "tolerances": _tolerances(),
+        "scipy_modules": _scipy_modules(),
     }
     with open(out_path + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

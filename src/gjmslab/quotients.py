@@ -9,11 +9,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import minimize
 
 from .bubbles import (
     BubbleParams,
+    _golden_section,
     bubble_energy_limit,
     bubble_mass_limit,
     crit_mass,
@@ -170,17 +169,49 @@ def spline_knots(family: SplineFamily) -> np.ndarray:
     return family.radius * np.sinh(a * i) / math.sinh(a)
 
 
+def _clamped_slopes(x, y):
+    """Knot slopes of the C2 cubic spline through (x, y) with zero slope at
+    both ends, one column per column of y: one k x k solve of the
+    second-derivative continuity conditions."""
+    h = np.diff(x)
+    secant = np.diff(y, axis=0) / h[:, None]
+    inner = np.arange(1, x.size - 1)
+    system = np.eye(x.size)
+    system[inner, inner - 1] = h[1:]
+    system[inner, inner] = 2.0 * (h[:-1] + h[1:])
+    system[inner, inner + 1] = h[:-1]
+    rhs = np.zeros_like(y)
+    rhs[1:-1] = 3.0 * (h[1:, None] * secant[:-1] + h[:-1, None] * secant[1:])
+    return np.linalg.solve(system, rhs)
+
+
 def _windowed_spline(family: SplineFamily, values):
-    """r -> the clamped cubic spline through (knots, values) times the smooth
-    window vanishing at the radius; one column per column of a 2-d values."""
-    clamped = (1, np.zeros(values.shape[1:]))
-    spline = CubicSpline(spline_knots(family), values, bc_type=(clamped, clamped))
-    return lambda r: (spline(r).T * smooth_window(r, 0.8 * family.radius, family.radius)).T
+    """r -> the clamped cubic spline through (knots, values), in cubic Hermite
+    form, times the smooth window vanishing at the radius; one column per
+    column of a 2-d values."""
+    x = spline_knots(family)
+    y = values.reshape(x.size, -1)
+    slopes = _clamped_slopes(x, y)
+
+    def windowed(r):
+        i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, x.size - 2)
+        h = x[i + 1] - x[i]
+        t = (r - x[i]) / h
+        u = 1.0 - t
+        spline = (((1.0 + 2.0 * t) * u * u)[:, None] * y[i]
+                  + (t * t * (3.0 - 2.0 * t))[:, None] * y[i + 1]
+                  + (h * t * u * u)[:, None] * slopes[i]
+                  - (h * t * t * u)[:, None] * slopes[i + 1])
+        spline *= smooth_window(r, 0.8 * family.radius, family.radius)[:, None]
+        return spline.reshape(r.shape + values.shape[1:])
+
+    return windowed
 
 
 def spline_trial(family: SplineFamily, theta, p: Params) -> RadialFunction:
-    """Radial trial from knot values: natural-in-slope spline times a smooth
-    window vanishing at the support radius (keeps the transform tail closed)."""
+    """Radial trial from knot values: the clamped cubic spline (zero slope at
+    both ends) times a smooth window vanishing at the support radius (keeps
+    the transform tail closed)."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (family.knots - 1,):
         raise ParameterError(f"expected {family.knots - 1} free knot values")
@@ -204,25 +235,6 @@ def spline_trial(family: SplineFamily, theta, p: Params) -> RadialFunction:
 
     grid = standard_hyperbolic_grid(R)
     return RadialFunction.from_profile(profile, grid, min(support, R), Space.HYPERBOLIC)
-
-
-def _golden_section(f, lo, hi, *, steps):
-    """Deterministic bounded golden-section minimization; returns argmin x."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(steps):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return c if fc <= fd else d
 
 
 class _Budget:
@@ -407,6 +419,8 @@ def _minimize_spline(kind, p, lam, family, budget, b_max):
         pull = basis.T @ (measure * np.abs(u) ** (p.two_star - 2.0) * u) / crit_integral
         return (2.0 * (shifted @ theta - (theta @ shifted @ theta) * pull)
                 / crit_integral ** (2.0 / p.two_star))
+
+    from scipy.optimize import minimize
 
     candidates = _spline_start_candidates(family, p)
     theta0 = candidates[int(np.argmin([quotient(cand) for cand in candidates]))]

@@ -4,14 +4,14 @@ functions of complex degree, and Bessel J on the half-integer lattice.
 Everything downstream (spectral symbols, Plancherel densities, radial Fourier
 transforms) is built on these four entry points. Their tolerances are the
 module constants below. Bessel J comes from scipy: ``jv`` for integer orders
-and ``spherical_jn`` for half-odd ones; only ``bessel_j_scaled`` keeps its own
-ascending series near the origin.
+and ``spherical_jn`` for half-odd ones, imported on the first call so that
+only the Hankel paths load ``scipy.special``; only ``bessel_j_scaled`` keeps
+its own ascending series near the origin.
 """
 
 import math
 
 import numpy as np
-from scipy.special import jv, spherical_jn
 
 from .errors import DomainError, NonConvergence, ParameterPole, PoleError, UnsupportedOrder
 
@@ -243,6 +243,8 @@ def bessel_j(order: float, x):
     xa = np.atleast_1d(xa).astype(float)
     if np.any(xa < 0.0) or not np.all(np.isfinite(xa)):
         raise DomainError("bessel_j requires finite x >= 0")
+    from scipy.special import jv, spherical_jn
+
     if round(2 * nu) % 2 == 0:
         out = jv(nu, xa)
     else:

@@ -149,6 +149,26 @@ class TestLeadingExponent:
         assert correction == pytest.approx(B * ladder[-1] ** b / values[-1], rel=1e-5)
         assert abs(fit_loglog_slope(ladder, values) - a) > 0.05
 
+    @pytest.mark.parametrize("n,s", [(5, 1.0), (3, 1.0), (3, 0.6), (5, 0.8)])
+    def test_matches_bounded_brent(self, n, s):
+        # the README ladder's L2 masses, fitted as _l2_verdict fits them;
+        # scipy's bounded Brent search on the same residual is the oracle
+        from scipy.optimize import minimize_scalar
+
+        ladder = np.array([0.05, 0.025, 0.0125, 0.00625])
+        masses = np.array([hyperbolic_l2_mass(Params(n, s), BubbleParams(e, 0.2))
+                           for e in ladder])
+        b = max(2.0 * s, n - 2.0 * s)
+
+        def residual(a):
+            columns = np.column_stack([ladder ** a, ladder ** b]) / masses[:, None]
+            coeffs = np.linalg.lstsq(columns, np.ones_like(masses), rcond=None)[0]
+            return float(np.sum((columns @ coeffs - 1.0) ** 2))
+
+        brent = minimize_scalar(residual, bounds=(0.0, b), method="bounded",
+                                options={"xatol": 1e-10}).x
+        assert fit_leading_exponent(ladder, masses, b)[0] == pytest.approx(brent, abs=1e-7)
+
     def test_needs_three_positive_points(self):
         with pytest.raises(DegenerateData):
             fit_leading_exponent([0.05, 0.025], [1.0, 0.5], 3.0)

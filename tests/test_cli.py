@@ -5,6 +5,7 @@ import math
 import os
 import re
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -266,6 +267,19 @@ class TestManifest:
         assert tolerances["pole_tol"] == 1e-12
         assert tolerances["series_tol"] == 1e-14
         assert tolerances["series_cap"] == 10_000
+
+    def test_records_the_loaded_scipy_subpackages(self, tmp_path):
+        import scipy.special  # noqa: F401
+
+        write_manifest(str(tmp_path / "x.csv"), "constants", {"n": 3},
+                       "2026-01-01T00:00:00+00:00")
+        recorded = json.loads((tmp_path / "x.csv.manifest.json").read_text())["scipy_modules"]
+        assert "scipy.special" in recorded
+        assert recorded == sorted(recorded)
+        for name in recorded:
+            assert name.startswith("scipy.") and name.count(".") == 1
+            assert not name.startswith("scipy._")
+            assert hasattr(sys.modules[name], "__path__")
 
     def test_describes_the_package_tree_from_any_cwd(self, tmp_path, monkeypatch):
         package = os.path.dirname(os.path.abspath(cli.__file__))

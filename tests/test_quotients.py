@@ -5,7 +5,7 @@ import pytest
 
 from conftest import hyperbolic_bump
 from oracles import windowed_bubble_energy
-from gjmslab.bubbles import BubbleParams, bubble_energy_limit
+from gjmslab.bubbles import BubbleParams, bubble_energy_limit, smooth_window
 from gjmslab.errors import BudgetExceeded, ParameterError, ZeroTrial
 from gjmslab.grids import RadialFunction, Space
 from gjmslab.multipliers import b_constant, multiplier, spectral_bottom
@@ -13,6 +13,7 @@ from gjmslab.params import MultiplierKind, Params
 from gjmslab.quotients import (
     BubbleFamily,
     SplineFamily,
+    _windowed_spline,
     bubble_quotient,
     gap_scan,
     minimize_quotient,
@@ -123,6 +124,26 @@ class TestSplineTrial:
         u = spline_trial(fam, theta, Params(3, 1.0))
         knots = spline_knots(fam)
         assert u.support_radius == pytest.approx(knots[2])
+
+
+class TestWindowedSpline:
+    @pytest.mark.parametrize("family", [SplineFamily(knots=51, radius=40.0, grading=0.0),
+                                        SplineFamily(knots=12, radius=3.5)],
+                             ids=["uniform", "graded"])
+    @pytest.mark.parametrize("columns", [None, 5])
+    def test_matches_scipy_clamped_cubic_spline(self, rng, family, columns):
+        from scipy.interpolate import CubicSpline
+
+        shape = (family.knots,) if columns is None else (family.knots, columns)
+        values = rng.uniform(-1.0, 1.0, shape)
+        knots = spline_knots(family)
+        r = np.concatenate([np.linspace(0.0, family.radius, 2001), knots])
+        clamped = (1, np.zeros(shape[1:]))
+        spline = CubicSpline(knots, values, bc_type=(clamped, clamped))
+        expected = (spline(r).T * smooth_window(r, 0.8 * family.radius, family.radius)).T
+        got = _windowed_spline(family, values)(r)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-13
 
 
 class TestMinimize:
