@@ -24,9 +24,8 @@ from .grids import RadialFunction, RadialGrid, Space, SpectralProfile
 from .multipliers import b_constant, gap_constant, integer_multiplier, multiplier, \
     spectral_bottom, verify_decomposition
 from .params import MultiplierKind, Params
-from .quotients import BubbleFamily, QuotientReport, SplineFamily, bubble_quotient, \
-    gap_scan, minimize_quotient, multibump_blowdown, sharp_constant_estimate, \
-    sobolev_quotient
+from .quotients import BubbleFamily, QuotientReport, SplineFamily, blowdown, \
+    bubble_quotient, gap_scan, multibump_blowdown, sharp_constant_estimate, sobolev_quotient
 from .special import abs_gamma_sq, bessel_j, hyp2f1, legendre_p, log_gamma
 from .spherical import inverse_spherical_transform, kernel_decay, plancherel_density, \
     quadratic_form, regularized_kernel, spherical_function, spherical_transform

@@ -24,10 +24,9 @@ from .errors import BudgetExceeded, DegenerateData, GjmsLabError, NonConvergence
     ParameterError, TailError
 from .multipliers import b_constant, gap_constant, multiplier, spectral_bottom
 from .params import MultiplierKind, Params
-from .quotients import DEFAULT_EVAL_CAP, QUOTIENT_TOL, BubbleFamily, SplineFamily, gap_scan, \
-    multibump_blowdown, sharp_constant_estimate, sobolev_quotient, spline_knots, spline_trial
-from .spherical import DEFAULT_B_MAX, DEFAULT_TAIL_TOL, decay_slope, kernel_decay, lp_mass, \
-    regularized_kernel
+from .quotients import DEFAULT_EVAL_CAP, QUOTIENT_TOL, BubbleFamily, SplineFamily, blowdown, \
+    gap_scan, sharp_constant_estimate
+from .spherical import DEFAULT_B_MAX, DEFAULT_TAIL_TOL, kernel_decay
 from .special import POLE_TOL, SERIES_CAP, SERIES_TOL
 
 _KINDS = {
@@ -120,6 +119,14 @@ def write_json(path, payload):
         fh.write("\n")
 
 
+def _write_outputs(args, header, rows, summary=None):
+    """The command's CSV, its summary JSON when it has one, and the manifest."""
+    write_csv(args.out, header, rows)
+    if summary is not None:
+        write_json(args.out + ".summary.json", summary)
+    write_manifest(args.out, args.subcommand, vars_of(args), args.started_at)
+
+
 def _parse_floats(spec):
     try:
         values = [float(tok) for tok in spec.split(",") if tok.strip() != ""]
@@ -127,6 +134,8 @@ def _parse_floats(spec):
         raise ParameterError(f"could not parse float list {spec!r}")
     if not values:
         raise ParameterError("empty value list")
+    if not all(map(math.isfinite, values)):
+        raise ParameterError(f"non-finite value in {spec!r}")
     return values
 
 
@@ -141,6 +150,8 @@ def _parse_lambda_spec(spec):
             raise ParameterError(f"bad lambda spec {spec!r}")
         if count < 1:
             raise ParameterError("lambda count must be >= 1")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ParameterError(f"non-finite value in {spec!r}")
         return list(np.linspace(start, stop, count))
     return _parse_floats(spec)
 
@@ -172,18 +183,15 @@ def cmd_multiplier(args) -> int:
         raise ParameterError("need count >= 2 and beta-max > 0")
     betas = np.linspace(0.0, args.beta_max, args.count)
     values = multiplier(kind, p, betas)
-    write_csv(args.out, ["beta", "value"],
-              [(float(b), float(v)) for b, v in zip(betas, values)])
-    write_manifest(args.out, "multiplier", vars_of(args), args.started_at)
+    _write_outputs(args, ["beta", "value"],
+                   [(float(b), float(v)) for b, v in zip(betas, values)])
     return 0
 
 
 def cmd_bubble_asymptotics(args) -> int:
     rows, summary = bubble_asymptotics(Params(args.n, args.s), args.delta,
                                        _parse_floats(args.eps_ladder))
-    write_csv(args.out, ["eps", "crit_mass", "l2_mass", "energy"], rows)
-    write_json(args.out + ".summary.json", summary)
-    write_manifest(args.out, "bubble-asymptotics", vars_of(args), args.started_at)
+    _write_outputs(args, ["eps", "crit_mass", "l2_mass", "energy"], rows, summary)
     if not all(block["passed"] for block in summary.values()):
         return 4
     return 0
@@ -207,76 +215,20 @@ def cmd_gap_scan(args) -> int:
     reports = gap_scan(kind, p, lambdas, family, eval_cap=args.budget, b_max=args.b_max)
     rows = [(float(lam), rep.quotient, rep.quotient / s_est - 1.0, rep.trial_descriptor)
             for lam, rep in zip(lambdas, reports)]
-    write_csv(args.out, ["lambda", "quotient", "margin_vs_Sest", "trial_descriptor"], rows)
-    write_manifest(args.out, "gap-scan", vars_of(args), args.started_at)
+    _write_outputs(args, ["lambda", "quotient", "margin_vs_Sest", "trial_descriptor"], rows)
     return 0
 
 
 def cmd_kernel_decay(args) -> int:
     rows, summary = kernel_decay(_KINDS[args.kind], Params(args.n, args.s),
                                  _parse_floats(args.r_spec), args.eps_reg)
-    write_csv(args.out, ["r", "k_eps", "log_abs_k"], rows)
-    write_json(args.out + ".summary.json", summary)
-    write_manifest(args.out, "kernel-decay", vars_of(args), args.started_at)
+    _write_outputs(args, ["r", "k_eps", "log_abs_k"], rows, summary)
     return 0
 
 
-def _wide_negative_trial(p: Params, lam: float):
-    """A wide spline arch with negative numerator at lam > the spectral bottom."""
-    bottom = spectral_bottom(MultiplierKind.INTERTWINED, p)
-    margin = (lam - bottom) / bottom
-    h = 1e-3
-    c2 = (math.log(multiplier(MultiplierKind.INTERTWINED, p, h)) - math.log(bottom)) / h ** 2
-    arch = min(38.0, 1.35 * math.pi * math.sqrt(max(c2, 0.5) / margin))
-    family = SplineFamily(knots=51, radius=40.0, grading=0.0)
-    kx = spline_knots(family)[:-1]
-    with np.errstate(all="ignore"):
-        theta = np.where(kx <= arch,
-                         np.sin(np.pi * kx / arch) / np.sinh(np.maximum(kx, 1e-9)), 0.0)
-    theta[0] = math.pi / arch
-    u = spline_trial(family, theta, p)
-    rep = sobolev_quotient(MultiplierKind.INTERTWINED, p, lam, u, b_max=8.0)
-    return rep, u
-
-
 def cmd_blowdown(args) -> int:
-    p = Params(args.n, args.s)
-    bottom = spectral_bottom(MultiplierKind.INTERTWINED, p)
-    if not args.lam > bottom:
-        raise ParameterError(
-            "the quadratic form of the intertwined operator is nonnegative "
-            f"for every trial if and only if lambda <= its spectral bottom ({bottom!r}); "
-            "blow-down requires lambda above the bottom"
-        )
-    n_values = [int(v) for v in _parse_floats(args.n_spec)]
-    if any(v < 1 for v in n_values):
-        raise ParameterError("N values must be positive integers")
-    rep, u = _wide_negative_trial(p, args.lam)
-    numerator = rep.energy - args.lam * rep.l2_mass
-    if numerator >= 0.0:
-        print("error: calibration trial failed to reach a negative numerator",
-              file=sys.stderr)
-        return 4
-    q = -numerator
-    fit_radii = [2.0, 3.0, 4.0, 5.0]
-    ks = [regularized_kernel(MultiplierKind.INTERTWINED, p, r, 0.01) for r in fit_radii]
-    slope = decay_slope(fit_radii, ks)
-    alpha = min(0.8 * p.rho, 0.9 * abs(slope))
-    l1_norm = lp_mass(u, p.n, 1.0)
-    C = max(abs(k) * math.exp(alpha * r) for k, r in zip(ks, fit_radii)) * l1_norm ** 2
-    R0 = max(1.0, math.log(8.0 * C / q) / alpha)
-    rows = multibump_blowdown(p, args.lam, q, C, alpha, R0, n_values,
-                              crit_norm_phi=rep.crit_norm)
-    write_csv(args.out, ["N", "R_N", "bound", "scaled_bound"],
-              [(r["N"], r["R_N"], r["bound"], r["scaled_bound"]) for r in rows])
-    scaled = np.array([-r["scaled_bound"] for r in rows])
-    ns = np.array([r["N"] for r in rows], dtype=float)
-    summary = {"target_slope": 2.0 * p.s / p.n,
-               "q": q, "C": C, "alpha": alpha, "R0": R0}
-    if len(rows) >= 2 and np.all(scaled > 0):
-        summary["slope"] = float(np.polyfit(np.log(ns), np.log(scaled), 1)[0])
-    write_json(args.out + ".summary.json", summary)
-    write_manifest(args.out, "blowdown", vars_of(args), args.started_at)
+    rows, summary = blowdown(Params(args.n, args.s), args.lam, _parse_floats(args.n_spec))
+    _write_outputs(args, ["N", "R_N", "bound", "scaled_bound"], rows, summary)
     return 0
 
 

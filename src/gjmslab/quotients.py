@@ -1,7 +1,8 @@
 """Poincare-Sobolev quotients on hyperbolic space and their minimization over
-bubble and spline trial families, the strict-gap scans, the explicit
-multi-bump blow-down bound, and the internal sharp-constant estimate. The
-spline search is one SLSQP solve (Kraft 1988) on the family's quadratic forms."""
+bubble and spline trial families (gap_scan, the one search), the explicit
+multi-bump blow-down bound and its experiment, and the internal
+sharp-constant estimate. The spline search is one SLSQP solve (Kraft 1988)
+on the family's quadratic forms."""
 
 import functools
 import logging
@@ -21,12 +22,13 @@ from .bubbles import (
     sampled_bubble,
     smooth_window,
 )
-from .errors import BudgetExceeded, ParameterError, ZeroTrial
+from .errors import BudgetExceeded, DegenerateData, ParameterError, ZeroTrial
 from .geometry import ball_to_geodesic, conformal_lift, sphere_area
 from .grids import RadialFunction, Space, uniform_grid
+from .multipliers import multiplier, spectral_bottom
 from .params import MultiplierKind, Params
 from .spherical import DEFAULT_B_MAX, DEFAULT_TAIL_TOL, _quadratic_forms, _spectral_weights, \
-    l2_mass, lp_mass, phi_matrix, quadratic_form
+    decay_slope, l2_mass, lp_mass, phi_matrix, quadratic_form, regularized_kernel
 
 log = logging.getLogger(__name__)
 
@@ -271,49 +273,6 @@ DEFAULT_EVAL_CAP = 500
 QUOTIENT_TOL = 1e-5
 
 
-def minimize_quotient(kind: MultiplierKind, p: Params, lam: float, family,
-                      eval_cap: int = DEFAULT_EVAL_CAP,
-                      b_max: float = DEFAULT_B_MAX,
-                      on_budget: str = "raise") -> QuotientReport:
-    """Best quotient report found over the trial family.
-
-    BubbleFamily: coordinate descent in (log eps, delta) with golden-section
-    line searches; an evaluation is one bubble_quotient (or a gap scan's
-    read-back of one). SplineFamily: SLSQP over knot values under the tail
-    guards; an evaluation is one _spline_report from the family's matrices,
-    and only guard-passing trials are returned. Deterministic; at most
-    eval_cap trials are priced. Raises BudgetExceeded when no trial could be
-    priced, or when the cap is spent before the stopping tolerance (pass
-    on_budget="return" to take the best report found instead).
-    """
-    return _search(kind, p, lam, family, eval_cap, b_max, on_budget, {})
-
-
-def _search(kind, p, lam, family, eval_cap, b_max, on_budget, bubble_reports):
-    """minimize_quotient with a bubble-report memo that gap_scan shares across lambda."""
-    if on_budget not in ("raise", "return"):
-        raise ParameterError('on_budget must be "raise" or "return"')
-    if isinstance(family, BubbleFamily):
-        name, search = "bubble", functools.partial(_minimize_bubble, reports=bubble_reports)
-    elif isinstance(family, SplineFamily):
-        name, search = "spline", _minimize_spline
-    else:
-        raise ParameterError(f"unknown trial family {family!r}")
-    budget = _Budget(eval_cap)
-    try:
-        converged = search(kind, p, lam, family, budget, b_max)
-    except BudgetExceeded:
-        converged = False
-    if budget.best is None:
-        raise BudgetExceeded(
-            f"{name} search priced no trial in {budget.used} of {budget.cap} evaluations")
-    if not converged and budget.spent and on_budget == "raise":
-        raise BudgetExceeded(
-            f"{name} search used {budget.used} of {budget.cap} evaluations"
-            " without converging")
-    return budget.best
-
-
 def _minimize_bubble(kind, p, lam, family, budget, b_max, reports):
     """Coordinate descent over (log eps, delta); returns whether it converged.
 
@@ -434,21 +393,45 @@ def _minimize_spline(kind, p, lam, family, budget, b_max):
 
 def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
              eval_cap: int = DEFAULT_EVAL_CAP, b_max: float = DEFAULT_B_MAX):
-    """One minimized report per lambda, with best-trial carryover.
+    """Best quotient report found over the trial family at each lambda.
 
-    For a fixed trial the numerator is affine and decreasing in lambda, so
-    re-pricing earlier winners is free; the returned minimized quotients are
-    therefore non-increasing along increasing lambda.
+    BubbleFamily: coordinate descent in (log eps, delta) with golden-section
+    line searches; an evaluation is one bubble_quotient or the read-back of
+    one priced at an earlier lambda. SplineFamily: SLSQP over knot values
+    under the tail guards; an evaluation is one _spline_report from the
+    family's matrices, and only guard-passing trials are returned.
+    Deterministic; each lambda's search prices at most eval_cap trials and
+    raises BudgetExceeded when it priced none, or spent the cap before the
+    stopping tolerance.
+    Earlier winners are re-priced at each lambda (free: the numerator is
+    affine in lambda), so the quotients do not increase with lambda.
     """
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.size == 0:
         raise ParameterError("gap_scan needs a nonempty lambda grid")
+    if isinstance(family, BubbleFamily):
+        name, search = "bubble", functools.partial(_minimize_bubble, reports={})
+    elif isinstance(family, SplineFamily):
+        name, search = "spline", _minimize_spline
+    else:
+        raise ParameterError(f"unknown trial family {family!r}")
     order = np.argsort(lambda_grid, kind="stable")
     reports = {}        # in increasing lambda: the carried-over winners
-    bubble_reports = {}
     for idx in order:
         lam = float(lambda_grid[idx])
-        rep = _search(kind, p, lam, family, eval_cap, b_max, "raise", bubble_reports)
+        budget = _Budget(eval_cap)
+        try:
+            converged = search(kind, p, lam, family, budget, b_max)
+        except BudgetExceeded:
+            converged = False
+        if budget.best is None:
+            raise BudgetExceeded(
+                f"{name} search priced no trial in {budget.used} of {budget.cap} evaluations")
+        if not converged and budget.spent:
+            raise BudgetExceeded(
+                f"{name} search used {budget.used} of {budget.cap} evaluations"
+                " without converging")
+        rep = budget.best
         for earlier in reports.values():
             candidate = earlier.at_lambda(lam)
             if candidate.quotient < rep.quotient:
@@ -457,7 +440,14 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
     return [reports[i] for i in range(lambda_grid.size)]
 
 
-def multibump_blowdown(p: Params, lam: float, q: float, C: float, alpha: float,
+def _counts(N_values):
+    """N_values as ints; ParameterError unless each is a positive integer."""
+    if not all(float(N).is_integer() and N >= 1 for N in N_values):
+        raise ParameterError("N values must be positive integers")
+    return [int(N) for N in N_values]
+
+
+def multibump_blowdown(p: Params, q: float, C: float, alpha: float,
                        R0: float, N_values, crit_norm_phi: float = 1.0):
     """The explicit far-apart-copies bound table.
 
@@ -470,15 +460,72 @@ def multibump_blowdown(p: Params, lam: float, q: float, C: float, alpha: float,
     if not (C >= 0.0 and alpha > 0.0 and R0 > 0.0 and crit_norm_phi > 0.0):
         raise ParameterError("C >= 0, alpha > 0, R0 > 0, crit_norm > 0 required")
     rows = []
-    for N in N_values:
-        N = int(N)
-        if N < 1:
-            raise ParameterError("N values must be positive integers")
+    for N in _counts(N_values):
         R_N = (2.0 / alpha) * math.log(N) + R0
         bound = -N * q + 2.0 * C * N * N * math.exp(-alpha * R_N)
         scaled = bound / (N ** (2.0 / p.two_star) * crit_norm_phi)
         rows.append({"N": N, "R_N": R_N, "bound": bound, "scaled_bound": scaled})
     return rows
+
+
+def _wide_negative_trial(p: Params, lam: float):
+    """A wide spline arch with negative numerator at lam > the spectral bottom."""
+    bottom = spectral_bottom(MultiplierKind.INTERTWINED, p)
+    margin = (lam - bottom) / bottom
+    h = 1e-3
+    c2 = (math.log(multiplier(MultiplierKind.INTERTWINED, p, h)) - math.log(bottom)) / h ** 2
+    arch = min(38.0, 1.35 * math.pi * math.sqrt(max(c2, 0.5) / margin))
+    family = SplineFamily(knots=51, radius=40.0, grading=0.0)
+    kx = spline_knots(family)[:-1]
+    with np.errstate(all="ignore"):
+        theta = np.where(kx <= arch,
+                         np.sin(np.pi * kx / arch) / np.sinh(np.maximum(kx, 1e-9)), 0.0)
+    theta[0] = math.pi / arch
+    u = spline_trial(family, theta, p)
+    rep = sobolev_quotient(MultiplierKind.INTERTWINED, p, lam, u, b_max=8.0)
+    return rep, u
+
+
+def blowdown(p: Params, lam: float, N_values):
+    """The multi-bump blow-down experiment at lam above the intertwined bottom.
+
+    A wide spline arch gives q = -(its numerator); the kernel k^0.01 at
+    r = 2..5 gives alpha = min(0.8 rho, 0.9 |decay slope|), C = max |k|
+    e^{alpha r} times the arch's squared L1 norm, R0 = max(1, log(8 C/q)/alpha).
+    rows holds (N, R_N, bound, scaled bound) of multibump_blowdown; summary
+    holds q, C, alpha, R0, the target slope 2s/n and, when two or more scaled
+    bounds are all negative, the log-log slope of -scaled bound against N.
+    Raises DegenerateData when the arch's numerator is not negative.
+    """
+    bottom = spectral_bottom(MultiplierKind.INTERTWINED, p)
+    if not lam > bottom:
+        raise ParameterError(
+            "the quadratic form of the intertwined operator is nonnegative "
+            f"for every trial if and only if lambda <= its spectral bottom ({bottom!r}); "
+            "blow-down requires lambda above the bottom"
+        )
+    N_values = _counts(N_values)
+    rep, u = _wide_negative_trial(p, lam)
+    numerator = rep.energy - lam * rep.l2_mass
+    if numerator >= 0.0:
+        raise DegenerateData("calibration trial failed to reach a negative numerator")
+    q = -numerator
+    fit_radii = [2.0, 3.0, 4.0, 5.0]
+    ks = [regularized_kernel(MultiplierKind.INTERTWINED, p, r, 0.01) for r in fit_radii]
+    slope = decay_slope(fit_radii, ks)
+    alpha = min(0.8 * p.rho, 0.9 * abs(slope))
+    l1_norm = lp_mass(u, p.n, 1.0)
+    C = max(abs(k) * math.exp(alpha * r) for k, r in zip(ks, fit_radii)) * l1_norm ** 2
+    R0 = max(1.0, math.log(8.0 * C / q) / alpha)
+    table = multibump_blowdown(p, q, C, alpha, R0, N_values, crit_norm_phi=rep.crit_norm)
+    rows = [(r["N"], r["R_N"], r["bound"], r["scaled_bound"]) for r in table]
+    scaled = np.array([-r["scaled_bound"] for r in table])
+    ns = np.array([r["N"] for r in table], dtype=float)
+    summary = {"target_slope": 2.0 * p.s / p.n,
+               "q": q, "C": C, "alpha": alpha, "R0": R0}
+    if len(table) >= 2 and np.all(scaled > 0):
+        summary["slope"] = float(np.polyfit(np.log(ns), np.log(scaled), 1)[0])
+    return rows, summary
 
 
 def sharp_constant_estimate(p: Params) -> float:

@@ -33,13 +33,12 @@ from gjmslab.params import MultiplierKind, Params
 from gjmslab.quotients import (
     BubbleFamily,
     SplineFamily,
+    _wide_negative_trial,
+    blowdown,
     bubble_quotient,
-    minimize_quotient,
-    multibump_blowdown,
+    gap_scan,
     sharp_constant_estimate,
     sobolev_quotient,
-    spline_knots,
-    spline_trial,
 )
 from gjmslab.spherical import (
     default_beta_grid,
@@ -227,15 +226,13 @@ def test_10_strict_gap():
     s_est = sharp_constant_estimate(p)
     lam0 = spectral_bottom(INT, p)
     fam = SplineFamily(knots=16, radius=3.5)
-    rep_int = minimize_quotient(INT, p, 0.5 * lam0, fam, eval_cap=600, b_max=96.0)
+    rep_int = gap_scan(INT, p, [0.5 * lam0], fam, eval_cap=600, b_max=96.0)[0]
     margin_int = rep_int.quotient / s_est - 1.0
     assert margin_int <= -1e-3, margin_int
-    rep_gjms = minimize_quotient(GJMS, p, 1.2 * b_constant(p.s), fam, eval_cap=600,
-                                 b_max=96.0)
+    rep_gjms = gap_scan(GJMS, p, [1.2 * b_constant(p.s)], fam, eval_cap=600, b_max=96.0)[0]
     margin_gjms = rep_gjms.quotient / s_est - 1.0
     assert margin_gjms <= -1e-3, margin_gjms
-    floor = minimize_quotient(INT, p, -1.0, BubbleFamily(), eval_cap=300,
-                              on_budget="return")
+    floor = gap_scan(INT, p, [-1.0], BubbleFamily(), eval_cap=300)[0]
     assert floor.quotient >= s_est * (1.0 - 2e-3)
     report(10, f"strict gap: intertwined margin {margin_int:+.2e}, conformal-operator "
                f"margin {margin_gjms:+.2e} (both <= -1e-3); floor holds at lambda <= 0")
@@ -244,25 +241,15 @@ def test_10_strict_gap():
 def test_11_spectral_bottom_boundary():
     p = Params(3, 1.0)
     bottom = spectral_bottom(INT, p)
-    rep_b = minimize_quotient(INT, p, bottom, BubbleFamily(), eval_cap=250,
-                              on_budget="return")
+    rep_b = gap_scan(INT, p, [bottom], BubbleFamily(), eval_cap=250)[0]
     num_b = rep_b.energy - bottom * rep_b.l2_mass
     assert num_b >= -1e-6 * (1.0 + rep_b.energy)
-    rep_s = minimize_quotient(INT, p, bottom, SplineFamily(knots=12, radius=3.0),
-                              eval_cap=250, on_budget="return")
+    rep_s = gap_scan(INT, p, [bottom], SplineFamily(knots=12, radius=3.0), eval_cap=250)[0]
     num_s = rep_s.energy - bottom * rep_s.l2_mass
     assert num_s >= -1e-6 * (1.0 + rep_s.energy)
 
-    # a wide arch inside the spline family goes negative just above the bottom
-    fam = SplineFamily(knots=51, radius=40.0, grading=0.0)
-    kx = spline_knots(fam)[:-1]
-    arch = 38.0
-    with np.errstate(all="ignore"):
-        theta = np.where(kx <= arch,
-                         np.sin(np.pi * kx / arch) / np.sinh(np.maximum(kx, 1e-9)), 0.0)
-    theta[0] = math.pi / arch
-    u = spline_trial(fam, theta, p)
-    rep_w = sobolev_quotient(INT, p, 1.05 * bottom, u, b_max=8.0)
+    # blowdown's wide spline arch goes negative just above the bottom
+    rep_w = _wide_negative_trial(p, 1.05 * bottom)[0]
     num_w = rep_w.energy - 1.05 * bottom * rep_w.l2_mass
     assert num_w < 0.0
     report(11, f"numerators at the bottom {num_b:+.2e} / {num_s:+.2e} >= -1e-6 scale; "
@@ -284,20 +271,12 @@ def test_12_kernel_decay():
 
 
 def test_13_blowdown_rate():
-    slopes = {}
-    for n, s in ((3, 1.0), (5, 0.8)):
-        p = Params(n, s)
-        q, C, alpha = 1.0, 1.0, 0.8 * p.rho
-        r0 = math.log(8.0 * C / q) / alpha + 1.0
-        rows = multibump_blowdown(p, 1.0, q, C, alpha, r0, [4, 16, 64, 256])
-        ns = np.array([row["N"] for row in rows], dtype=float)
-        scaled = np.array([-row["scaled_bound"] for row in rows])
-        slope = float(np.polyfit(np.log(ns), np.log(scaled), 1)[0])
-        target = 2.0 * s / n
-        assert abs(slope - target) <= 0.1 * target, (n, s, slope)
-        slopes[(n, s)] = slope
-    report(13, "blow-down scaled-bound slopes " + ", ".join(
-        f"({n},{s}): {v:.3f} vs {2 * s / n:.3f}" for (n, s), v in slopes.items()))
+    p = Params(3, 1.0)
+    slope = blowdown(p, 0.3, [4, 16, 64, 256])[1]["slope"]
+    target = 2.0 * p.s / p.n
+    assert abs(slope - target) <= 0.1 * target, slope
+    report(13, f"blow-down scaled-bound slope at (3, 1), lambda 0.3: {slope:.3f} "
+               f"vs {target:.3f}")
 
 
 def test_14_cli_determinism(tmp_path):

@@ -12,6 +12,8 @@ import pytest
 
 from gjmslab import __version__, cli
 from gjmslab.cli import main, write_manifest
+from gjmslab.errors import DegenerateData
+from gjmslab.params import Params
 from gjmslab.quotients import QUOTIENT_TOL
 from gjmslab.spherical import DEFAULT_TAIL_TOL
 
@@ -168,6 +170,21 @@ class TestBlowdown:
         summary = json.load(open(out + ".summary.json"))
         assert summary["slope"] == pytest.approx(2.0 / 3.0, rel=0.1)
 
+    def test_calibration_failure_is_numerical(self, tmp_path, monkeypatch, capsys):
+        # an arch whose numerator stays nonnegative is a numerical-contract failure
+        from gjmslab import quotients
+
+        rep = quotients.QuotientReport(0.3, 1.0, 0.0, 1.0, 1.0, "flat")
+        monkeypatch.setattr(quotients, "_wide_negative_trial", lambda p, lam: (rep, None))
+        with pytest.raises(DegenerateData):
+            quotients.blowdown(Params(3, 1.0), 0.3, [4, 16])
+        out = str(tmp_path / "bd.csv")
+        assert run(["blowdown", "--n", "3", "--s", "1", "--lambda", "0.3",
+                    "--n-spec", "4,16", "--out", out]) == 5
+        assert capsys.readouterr().err == ("numerical error: calibration trial failed "
+                                           "to reach a negative numerator\n")
+        assert not os.path.exists(out)
+
 
 class TestGapScan:
     def test_rows_and_determinism(self, tmp_path):
@@ -247,6 +264,21 @@ class TestConfig:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["gap-scan", "--kind", "intertwined", "--n", "5", "--s", "0.8",
+         "--lambda-spec=nan", "--family", "bubble"],
+        ["gap-scan", "--kind", "intertwined", "--n", "5", "--s", "0.8",
+         "--lambda-spec=0:inf:3", "--family", "bubble"],
+        ["blowdown", "--n", "3", "--s", "1", "--lambda", "0.3", "--n-spec", "2.5,8.9"],
+        ["kernel-decay", "--kind", "intertwined", "--n", "3", "--s", "0.6",
+         "--r-spec", "2,3,nan", "--eps-reg", "0.01"],
+    ], ids=["nan-lambda", "inf-lambda-range", "fractional-N", "nan-radius"])
+    def test_bad_input_exits_2_before_any_work(self, argv, tmp_path, capsys):
+        out = str(tmp_path / "x.csv")
+        assert run(argv + ["--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(out)
+
     def test_numerical_failure_is_not_bad_input(self, tmp_path, capsys):
         out = str(tmp_path / "gs.csv")
         assert run(["gap-scan", "--kind", "gjms", "--n", "3", "--s", "1",

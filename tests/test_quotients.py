@@ -16,7 +16,6 @@ from gjmslab.quotients import (
     _windowed_spline,
     bubble_quotient,
     gap_scan,
-    minimize_quotient,
     multibump_blowdown,
     sharp_constant_estimate,
     sobolev_quotient,
@@ -152,21 +151,14 @@ class TestMinimize:
         for kind, fam in ((INT, BubbleFamily(eps_lo=0.05, eps_hi=0.2, delta_lo=0.1,
                                              delta_hi=0.24)),
                           (GJMS, SplineFamily(knots=8, radius=3.0))):
-            r1 = minimize_quotient(kind, p, 0.05, fam, eval_cap=200)
-            r2 = minimize_quotient(kind, p, 0.05, fam, eval_cap=200)
+            r1 = gap_scan(kind, p, [0.05], fam, eval_cap=200)[0]
+            r2 = gap_scan(kind, p, [0.05], fam, eval_cap=200)[0]
             assert r1 == r2
 
     def test_budget_exceeded(self):
         p = Params(5, 0.8)
         with pytest.raises(BudgetExceeded):
-            minimize_quotient(INT, p, 0.05, BubbleFamily(), eval_cap=5)
-
-    def test_on_budget_return(self):
-        p = Params(5, 0.8)
-        for family in (BubbleFamily(), SplineFamily(knots=6, radius=3.0)):
-            rep = minimize_quotient(INT, p, 0.05, family, eval_cap=7,
-                                    on_budget="return")
-            assert np.isfinite(rep.quotient)
+            gap_scan(INT, p, [0.05], BubbleFamily(), eval_cap=5)
 
     def test_cap_prices_exactly_cap_trials(self, monkeypatch):
         import gjmslab.quotients as quotients
@@ -182,7 +174,7 @@ class TestMinimize:
             for cap, message in ((0, "priced no trial in 0 of 0"), (7, "used 7 of 7")):
                 calls.clear()
                 with pytest.raises(BudgetExceeded, match=message):
-                    minimize_quotient(INT, p, 0.05, family, eval_cap=cap)
+                    gap_scan(INT, p, [0.05], family, eval_cap=cap)
                 assert len(calls) == cap
 
     @pytest.mark.parametrize("kind, n, s, lam, family, b_max", [
@@ -210,7 +202,7 @@ class TestMinimize:
 
         monkeypatch.setattr(quotients, "_spline_report", recorded)
         p = Params(n, s)
-        rep = minimize_quotient(kind, p, lam, family, b_max=b_max)
+        rep = gap_scan(kind, p, [lam], family, b_max=b_max)[0]
         theta = next(theta for theta, r in priced if r is rep)
         direct = sobolev_quotient(kind, p, lam, spline_trial(family, theta, p), b_max=b_max)
         for field in ("energy", "l2_mass", "crit_norm", "quotient"):
@@ -220,8 +212,7 @@ class TestMinimize:
         p = Params(5, 0.8)
         s_est = sharp_constant_estimate(p)
         for lam in (-1.0, 0.0):
-            rep = minimize_quotient(INT, p, lam, BubbleFamily(), eval_cap=300,
-                                    on_budget="return")
+            rep = gap_scan(INT, p, [lam], BubbleFamily(), eval_cap=300)[0]
             assert rep.quotient >= s_est * (1.0 - 2e-3)
 
 
@@ -259,7 +250,7 @@ class TestGapScan:
         lambdas = [0.0, 0.25]
         independent = []
         for lam in lambdas:
-            rep = minimize_quotient(INT, p, lam, BubbleFamily())
+            rep = gap_scan(INT, p, [lam], BubbleFamily())[0]
             for earlier in independent:
                 if earlier.at_lambda(lam).quotient < rep.quotient:
                     rep = earlier.at_lambda(lam)
@@ -270,14 +261,20 @@ class TestGapScan:
         assert len(calls) == 86
 
     def test_scan_memo_hits_count_against_the_cap(self):
-        from gjmslab.quotients import _search
+        from gjmslab.quotients import _Budget, _minimize_bubble
 
         p = Params(5, 0.8)
         memo = {}
-        _search(INT, p, 0.0, BubbleFamily(), 7, DEFAULT_B_MAX, "return", memo)
+        first = _Budget(7)
+        with pytest.raises(BudgetExceeded):
+            _minimize_bubble(INT, p, 0.0, BubbleFamily(), first, DEFAULT_B_MAX, memo)
         assert len(memo) == 7
-        with pytest.raises(BudgetExceeded, match="used 7 of 7"):
-            _search(INT, p, 0.25, BubbleFamily(), 7, DEFAULT_B_MAX, "raise", memo)
+        # the second search reads trials of the first back from the memo;
+        # each read-back still counts against its cap
+        second = _Budget(7)
+        with pytest.raises(BudgetExceeded):
+            _minimize_bubble(INT, p, 0.25, BubbleFamily(), second, DEFAULT_B_MAX, memo)
+        assert second.used == 7
         assert len(memo) < 14
 
 
@@ -287,7 +284,7 @@ class TestBlowdown:
         p = Params(3, 1.0)
         q, C, alpha = 2.0, 5.0, 0.8
         r0 = math.log(8.0 * C / q) / alpha
-        rows = multibump_blowdown(p, 0.3, q, C, alpha, r0, [1])
+        rows = multibump_blowdown(p, q, C, alpha, r0, [1])
         assert rows[0]["bound"] <= -q / 2.0
 
     def test_scaled_rate(self):
@@ -295,7 +292,7 @@ class TestBlowdown:
             p = Params(n, s)
             q, C, alpha = 1.0, 1.0, 0.8 * p.rho
             r0 = math.log(8.0 * C / q) / alpha + 1.0
-            rows = multibump_blowdown(p, 1.0, q, C, alpha, r0, [4, 16, 64, 256])
+            rows = multibump_blowdown(p, q, C, alpha, r0, [4, 16, 64, 256])
             ns = np.array([row["N"] for row in rows], dtype=float)
             scaled = np.array([-row["scaled_bound"] for row in rows])
             assert np.all(scaled > 0.0)
@@ -305,17 +302,19 @@ class TestBlowdown:
 
     def test_q_linearity(self):
         p = Params(3, 1.0)
-        rows1 = multibump_blowdown(p, 0.3, 1.0, 2.0, 0.8, 10.0, [2, 8])
-        rows2 = multibump_blowdown(p, 0.3, 2.0, 2.0, 0.8, 10.0, [2, 8])
+        rows1 = multibump_blowdown(p, 1.0, 2.0, 0.8, 10.0, [2, 8])
+        rows2 = multibump_blowdown(p, 2.0, 2.0, 0.8, 10.0, [2, 8])
         for r1, r2 in zip(rows1, rows2):
             assert r2["bound"] - r1["bound"] == pytest.approx(-r1["N"] * 1.0, rel=1e-12)
 
     def test_parameter_errors(self):
         p = Params(3, 1.0)
         with pytest.raises(ParameterError):
-            multibump_blowdown(p, 0.3, -1.0, 1.0, 0.8, 5.0, [4])
+            multibump_blowdown(p, -1.0, 1.0, 0.8, 5.0, [4])
         with pytest.raises(ParameterError):
-            multibump_blowdown(p, 0.3, 1.0, 1.0, 0.8, 5.0, [0])
+            multibump_blowdown(p, 1.0, 1.0, 0.8, 5.0, [0])
+        with pytest.raises(ParameterError):
+            multibump_blowdown(p, 1.0, 1.0, 0.8, 5.0, [2.5])
 
 
 class TestSharpConstant:
