@@ -5,15 +5,21 @@ experiments built on them.
 The energy of wide profiles is computed with octave-banded quadrature: each
 frequency band integrates r only out to where its own oscillation budget
 allows, behind a smooth sub-window, which keeps every Bessel oscillation
-resolved without ever building an r-grid of millions of nodes.
+resolved without ever building an r-grid of millions of nodes. A band's
+kernel (Bessel matrix, r^{n-1}, r weights and sub-window in one read-only
+matrix) depends only on (n, support, band), so it is built once and reused
+by every energy of that support; only the most recent (n, support) is held,
+and an energy evaluates its profile once per distinct r-grid.
 
 The untruncated bubble U = (1+r^2)^{-(n-2s)/2} solves (-Delta)^s U = c U^{2*-1}
 (Lieb 1983; Cotsiolis-Tavoularis 2004), so its energy and critical mass are
 closed forms (bubble_energy_limit, bubble_mass_limit).
 """
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -129,7 +135,11 @@ def sampled_bubble(p: Params, bp: BubbleParams) -> RadialFunction:
 
 def crit_mass(p: Params, bp: BubbleParams) -> float:
     """int |eta U_eps|^{2*_s} dx by radial quadrature; -> M_inf as eps -> 0."""
-    w = sampled_bubble(p, bp)
+    return _crit_mass(p, sampled_bubble(p, bp))
+
+
+def _crit_mass(p: Params, w: RadialFunction) -> float:
+    """crit_mass of the sampled truncated bubble w."""
     r = w.grid.nodes
     return sphere_area(p.n) * w.grid.integrate(np.abs(w.values) ** p.two_star * r ** (p.n - 1))
 
@@ -153,7 +163,11 @@ def hyperbolic_l2_mass(p: Params, bp: BubbleParams) -> float:
     phi = 2/(1-|x|^2); the exponent +2s is what the lift identity requires
     under this convention.
     """
-    w = sampled_bubble(p, bp)
+    return _hyperbolic_l2_mass(p, sampled_bubble(p, bp))
+
+
+def _hyperbolic_l2_mass(p: Params, w: RadialFunction) -> float:
+    """hyperbolic_l2_mass of the sampled truncated bubble w."""
     r = w.grid.nodes
     weight = (2.0 / (1.0 - r * r)) ** (2.0 * p.s)
     return sphere_area(p.n) * w.grid.integrate(w.values ** 2 * weight * r ** (p.n - 1))
@@ -163,11 +177,12 @@ def hyperbolic_l2_mass(p: Params, bp: BubbleParams) -> float:
 # Radial Fourier (Hankel) analysis
 # ---------------------------------------------------------------------------
 
-def _scaled_bessel_matrix(n, r_nodes, rho_nodes):
+def _scaled_bessel_matrix(n, rows, columns):
+    """J_nu(x)/x^nu, nu = (n-2)/2, at x = the outer product rows x columns."""
     from .special import bessel_j_scaled
 
     nu = (n - 2) / 2.0
-    x = np.multiply.outer(r_nodes, rho_nodes)
+    x = np.multiply.outer(rows, columns)
     return bessel_j_scaled(nu, x.ravel()).reshape(x.shape)
 
 
@@ -204,51 +219,71 @@ def _max_panel_width(grid: RadialGrid):
     return float(np.max(np.diff(grid.nodes))) * 16.0 / 2.0
 
 
-def _hankel_banded(profile, support, n, rho_bands):
-    """w_hat on a list of (rho_nodes,) bands; r truncated per band under a
-    smooth sub-window so that r*rho stays within the oscillation budget."""
-    out = []
-    for rho_nodes in rho_bands:
-        rho_lo = float(rho_nodes[0])
-        rho_hi = float(rho_nodes[-1])
-        r_cut = min(support, max(200.0, OSC_BUDGET / max(rho_lo, 1e-300)))
-        grid = geometric_grid(r_cut, 0.02, max_width=max(PHASE_PER_PANEL / rho_hi, 1e-4))
-        vals = np.where(grid.nodes <= support, profile(grid.nodes), 0.0)
-        if r_cut < support:
-            vals = vals * smooth_window(grid.nodes, 0.5 * r_cut, r_cut)
-        mat = _scaled_bessel_matrix(n, grid.nodes, rho_nodes)
-        out.append(mat.T @ (vals * grid.nodes ** (n - 1) * grid.weights))
-    return out
+class _BandKernel(NamedTuple):
+    """One octave band's Hankel kernel: w_hat(rho) = kernel @ profile(r)."""
+
+    rho: np.ndarray          # the band's Gauss nodes (three panels)
+    weights: np.ndarray      # their Gauss weights
+    r: np.ndarray            # the band's r nodes
+    grid_key: bytes          # r.tobytes(), equal for bands on one r-grid
+    kernel: np.ndarray       # (rho x r), read-only
 
 
-def _octave_bands(rho_min, rho_max):
-    """GL node/weight bands covering [rho_min, rho_max] in octaves, three
-    panels each."""
-    bands = []
-    lo = rho_min
-    while lo < rho_max:
-        hi = min(2.0 * lo, rho_max)
-        bands.append(gauss_panels(np.linspace(lo, hi, 4)))
-        lo = hi
-    return bands
+@functools.lru_cache(maxsize=1)
+def _band_kernels(n, support):
+    """{(lo, hi): _BandKernel} of one (n, support), filled by _band_kernel;
+    only the most recent (n, support) is held."""
+    return {}
+
+
+def _band_kernel(n, support, lo, hi):
+    """The kernel of the band [lo, hi] for profiles on [0, support], built
+    once per (n, support, band). r is truncated at r_cut, under a smooth
+    sub-window when r_cut < support, so that r*rho stays within the
+    oscillation budget; the Bessel matrix, r^{n-1}, the r weights and the
+    sub-window are folded into one read-only matrix."""
+    table = _band_kernels(n, support)
+    band = table.get((lo, hi))
+    if band is not None:
+        return band
+    rho, weights = gauss_panels(np.linspace(lo, hi, 4))
+    r_cut = min(support, max(200.0, OSC_BUDGET / max(float(rho[0]), 1e-300)))
+    grid = geometric_grid(r_cut, 0.02, max_width=max(PHASE_PER_PANEL / float(rho[-1]), 1e-4))
+    r = grid.nodes
+    density = r ** (n - 1) * grid.weights
+    if r_cut < support:
+        density *= smooth_window(r, 0.5 * r_cut, r_cut)
+    kernel = _scaled_bessel_matrix(n, rho, r)
+    kernel *= density
+    for array in (rho, weights, r, kernel):
+        array.flags.writeable = False
+    band = table[(lo, hi)] = _BandKernel(rho, weights, r, r.tobytes(), kernel)
+    return band
 
 
 def _banded_energy(profile, support, p: Params, rho_min, rho_max, pair=None):
     """omega int rho^{2s+n-1} w1_hat w2_hat d rho over octave bands, extending
-    rho_max until the running tail undershoots 1e-9 of the accumulated total."""
+    rho_max until the running tail undershoots 1e-9 of the accumulated total.
+
+    Each profile is evaluated once per distinct r-grid of its bands; pair =
+    (profile2, support2) gives w2, else w2 = w1."""
     n, s = p.n, p.s
-    total = 0.0
+    sides = [(profile, support, {})]
+    if pair is not None:
+        sides.append((pair[0], pair[1], {}))
     contributions = []
     lo = rho_min
     cap = max(rho_max, 1.0) * 4096.0
     while True:
         hi = min(2.0 * lo, cap)
-        bands = _octave_bands(lo, hi)
-        nodes = [b[0] for b in bands]
-        w1 = _hankel_banded(profile, support, n, nodes)
-        w2 = w1 if pair is None else _hankel_banded(pair[0], pair[1], n, nodes)
-        for (rho, wts), a, b in zip(bands, w1, w2):
-            contributions.append(float(np.dot(wts, rho ** (2.0 * s + n - 1.0) * a * b)))
+        transforms = []
+        for prof, supp, values in sides:
+            band = _band_kernel(n, supp, lo, hi)
+            if band.grid_key not in values:
+                values[band.grid_key] = prof(band.r)
+            transforms.append(band.kernel @ values[band.grid_key])
+        a, b = transforms[0], transforms[-1]
+        contributions.append(float(np.dot(band.weights, band.rho ** (2.0 * s + n - 1.0) * a * b)))
         total = math.fsum(contributions)
         band_abs = abs(contributions[-1]) + abs(contributions[-2]) if len(contributions) > 1 else abs(contributions[-1])
         if hi >= rho_max and band_abs <= 1e-9 * max(abs(total), 1e-300):
@@ -391,8 +426,10 @@ def bubble_asymptotics(p: Params, delta: float, eps_ladder):
     if len(eps_ladder) < 3:   # every rate is fitted over at least three points
         raise ParameterError("eps ladder must have >= 3 entries")
     trials = [BubbleParams(eps, delta) for eps in eps_ladder]
-    rows = [(bp.eps, crit_mass(p, bp), hyperbolic_l2_mass(p, bp),
-             fractional_energy(sampled_bubble(p, bp), p)) for bp in trials]
+    rows = []
+    for bp in trials:
+        w = sampled_bubble(p, bp)
+        rows.append((bp.eps, _crit_mass(p, w), _hyperbolic_l2_mass(p, w), fractional_energy(w, p)))
     eps, crit, l2, energy = (np.array(column) for column in zip(*rows))
     crit_slope = fit_loglog_slope(eps, np.abs(bubble_mass_limit(p.n) - crit))
     energy_slope = fit_loglog_slope(eps, np.abs(energy - bubble_energy_limit(p)))

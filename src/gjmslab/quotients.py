@@ -13,12 +13,12 @@ import numpy as np
 
 from .bubbles import (
     BubbleParams,
+    _crit_mass,
     _golden_section,
+    _hyperbolic_l2_mass,
     bubble_energy_limit,
     bubble_mass_limit,
-    crit_mass,
     fractional_energy,
-    hyperbolic_l2_mass,
     sampled_bubble,
     smooth_window,
 )
@@ -114,8 +114,8 @@ def bubble_quotient(kind: MultiplierKind, p: Params, lam: float,
         u_std = RadialFunction.from_profile(u.profile, grid, u.support_radius,
                                             Space.HYPERBOLIC)
         energy += quadratic_form(MultiplierKind.REMAINDER, p, 0.0, u_std, b_max=b_max)
-    l2 = hyperbolic_l2_mass(p, bp)
-    crit_integral = crit_mass(p, bp)
+    l2 = _hyperbolic_l2_mass(p, w)
+    crit_integral = _crit_mass(p, w)
     descriptor = f"bubble[eps={bp.eps:.6g},delta={bp.delta:.6g}]"
     return _report(p, lam, energy, l2, crit_integral, descriptor)
 

@@ -3,10 +3,11 @@ functions of complex degree, and Bessel J on the half-integer lattice.
 
 Everything downstream (spectral symbols, Plancherel densities, radial Fourier
 transforms) is built on these four entry points. Their tolerances are the
-module constants below. Bessel J comes from scipy: ``jv`` for integer orders
-and ``spherical_jn`` for half-odd ones, imported on the first call so that
-only the Hankel paths load ``scipy.special``; only ``bessel_j_scaled`` keeps
-its own ascending series near the origin.
+module constants below. Bessel J of half-odd order is numpy: the ascending
+series near the origin and, above a per-order switch, the upward recurrence
+of the spherical Bessel functions from sin x/x and cos x/x (DLMF 10.49,
+10.51), so odd-n Hankel paths load no scipy. Integer orders (even n) take
+``scipy.special.jv``, imported on the first call.
 """
 
 import math
@@ -19,7 +20,7 @@ POLE_TOL = 1e-12        # distance to a Gamma pole that counts as "at" it
 SERIES_TOL = 1e-14      # 2F1 term-ratio stopping tolerance
 SERIES_CAP = 10_000     # 2F1 iteration cap before NonConvergence
 
-_BESSEL_SMALL_X = 0.5   # bessel_j_scaled: ascending series below this x
+_BESSEL_SMALL_X = 0.5   # bessel_j_scaled, integer orders: ascending series below this x
 
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -218,7 +219,8 @@ def _validate_order(order):
 
 
 def _series_scaled(nu, x):
-    """J_nu(x)/x^nu by 24 terms of the ascending series; stable for x < ~1."""
+    """J_nu(x)/x^nu by 24 terms of the ascending series; stable for x < ~1,
+    and for half-odd orders below _half_odd_switch."""
     x = np.asarray(x, dtype=float)
     pref = math.exp(-math.lgamma(nu + 1.0)) * 0.5 ** nu
     q = -0.25 * x * x
@@ -230,25 +232,55 @@ def _series_scaled(nu, x):
     return pref * total
 
 
+def _half_odd_switch(nu):
+    """x below which J_nu of half-odd order nu = m + 1/2 comes from the
+    ascending series and above which from the upward recurrence. At 0.8 m + 1
+    both routes stay within 2e-14 of mpmath (relative, absolute below 1e-2)
+    for m <= 20; for larger m the series' cancellation grows."""
+    return 0.8 * (nu - 0.5) + 1.0
+
+
+def _spherical_jn_upward(m, x):
+    """Spherical Bessel j_m(x) for x > 0: j_0 = sin x/x, j_1 = (j_0 - cos x)/x
+    and j_{k+1} = (2k+1)/x j_k - j_{k-1}, stable for x above about m."""
+    j_prev = np.sin(x) / x
+    if m == 0:
+        return j_prev
+    j = (j_prev - np.cos(x)) / x
+    for k in range(1, m):
+        j_prev, j = j, (2 * k + 1) * j / x - j_prev
+    return j
+
+
+def _bessel_argument(x, name):
+    """(x as a 1-d float array, whether x was a scalar); x must be finite, >= 0."""
+    xa = np.asarray(x, dtype=float)
+    if np.any(xa < 0.0) or not np.all(np.isfinite(xa)):
+        raise DomainError(f"{name} requires finite x >= 0")
+    return np.atleast_1d(xa), xa.ndim == 0
+
+
 def bessel_j(order: float, x):
     """Bessel J_order(x) for half-integer orders >= 0 and x >= 0.
 
-    Scalar or ndarray x. Integer orders use ``scipy.special.jv``; half-odd
-    orders use J_{m+1/2}(x) = sqrt(2x/pi) j_m(x) with the spherical Bessel
-    function ``scipy.special.spherical_jn``.
+    Scalar or ndarray x. Integer orders use ``scipy.special.jv``. Half-odd
+    orders m + 1/2 are numpy: the ascending series below _half_odd_switch and
+    J_{m+1/2}(x) = sqrt(2x/pi) j_m(x) above it, with j_m from the upward
+    recurrence; within 1e-13 of mpmath from x = 0 to 1e4 for orders <= 4.5
+    (n <= 11).
     """
     nu = _validate_order(order)
-    xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    xa = np.atleast_1d(xa).astype(float)
-    if np.any(xa < 0.0) or not np.all(np.isfinite(xa)):
-        raise DomainError("bessel_j requires finite x >= 0")
-    from scipy.special import jv, spherical_jn
-
+    xa, scalar = _bessel_argument(x, "bessel_j")
     if round(2 * nu) % 2 == 0:
+        from scipy.special import jv
+
         out = jv(nu, xa)
     else:
-        out = np.sqrt(2.0 * xa / np.pi) * spherical_jn(round(nu - 0.5), xa)
+        out = np.empty_like(xa)
+        lo = xa < _half_odd_switch(nu)
+        out[lo] = _series_scaled(nu, xa[lo]) * xa[lo] ** nu
+        xs = xa[~lo]
+        out[~lo] = np.sqrt(2.0 * xs / np.pi) * _spherical_jn_upward(round(nu - 0.5), xs)
     return float(out[0]) if scalar else out
 
 
@@ -256,19 +288,23 @@ def bessel_j_scaled(order: float, x):
     """J_order(x) / x^order, finite and stable down to x = 0.
 
     This is the kernel the radial Fourier transform actually needs: its
-    x -> 0 limit is 2^-order / Gamma(order+1).
+    x -> 0 limit is 2^-order / Gamma(order+1). The ascending series holds
+    below x = 0.5 for integer orders (jv(order, x) / x^order above) and below
+    bessel_j's series switch for half-odd orders m + 1/2
+    (sqrt(2/pi) j_m(x) / x^m above).
     """
     nu = _validate_order(order)
-    xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    xa = np.atleast_1d(xa).astype(float)
-    if np.any(xa < 0.0) or not np.all(np.isfinite(xa)):
-        raise DomainError("bessel_j_scaled requires finite x >= 0")
+    xa, scalar = _bessel_argument(x, "bessel_j_scaled")
+    half_odd = round(2 * nu) % 2 == 1
     out = np.empty_like(xa)
-    lo = xa < _BESSEL_SMALL_X
-    if np.any(lo):
-        out[lo] = _series_scaled(nu, xa[lo])
-    if np.any(~lo):
-        xs = xa[~lo]
-        out[~lo] = bessel_j(nu, xs) / xs ** nu
+    lo = xa < (_half_odd_switch(nu) if half_odd else _BESSEL_SMALL_X)
+    out[lo] = _series_scaled(nu, xa[lo])
+    xs = xa[~lo]
+    if half_odd:
+        m = round(nu - 0.5)
+        out[~lo] = math.sqrt(2.0 / math.pi) * _spherical_jn_upward(m, xs) / xs ** m
+    elif xs.size:
+        from scipy.special import jv
+
+        out[~lo] = jv(nu, xs) / xs ** nu
     return float(out[0]) if scalar else out

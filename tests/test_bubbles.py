@@ -8,6 +8,7 @@ from conftest import windowed_gaussian
 from oracles import quadrature_mass_limit, windowed_bubble_energy
 from gjmslab.bubbles import (
     BubbleParams,
+    _band_kernels,
     bubble,
     bubble_asymptotics,
     bubble_energy_limit,
@@ -28,7 +29,8 @@ from gjmslab.bubbles import (
 from gjmslab.errors import DegenerateData, ParameterError
 from gjmslab.geometry import sphere_area
 from gjmslab.grids import RadialFunction, Space, geometric_grid, uniform_grid
-from gjmslab.params import Params
+from gjmslab.params import MultiplierKind, Params
+from gjmslab.quotients import BubbleFamily, gap_scan
 
 mp.mp.dps = 30
 
@@ -262,6 +264,67 @@ class TestFractionalEnergy:
         p = Params(n, s)
         assert bubble_energy_limit(p) == pytest.approx(
             windowed_bubble_energy(p)["energy"], rel=5e-9)
+
+
+class TestBandKernels:
+    """Each octave band's Hankel kernel is built once per (n, support, band)
+    and held for the most recent (n, support) only."""
+
+    def test_cold_and_warm_energy_bit_equal(self):
+        p = Params(5, 0.8)
+        w = sampled_bubble(p, BubbleParams(0.03, 0.2))
+        _band_kernels.cache_clear()
+        cold = fractional_energy(w, p)
+        assert fractional_energy(w, p) == cold
+
+    def test_windowed_route_bit_equal(self):
+        # on support 400, bands above rho = 10 cut r at r_cut < support
+        p = Params(3, 0.75)
+        support = 400.0
+        w = RadialFunction.from_profile(windowed_gaussian(1.0, support),
+                                        geometric_grid(support, 0.02), support, Space.EUCLIDEAN)
+        _band_kernels.cache_clear()
+        cold = fractional_energy(w, p)
+        assert min(band.r[-1] for band in _band_kernels(3, support).values()) <= 200.0
+        assert fractional_energy(w, p) == cold
+
+    def test_kernels_read_only(self):
+        p = Params(5, 0.8)
+        fractional_energy(sampled_bubble(p, BubbleParams(0.05, 0.2)), p)
+        bands = _band_kernels(5, 2.0 * 0.2).values()
+        assert bands
+        for band in bands:
+            for array in (band.rho, band.weights, band.r, band.kernel):
+                assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            band.kernel[0, 0] = 0.0
+
+    def test_store_holds_one_support(self):
+        p = Params(5, 0.8)
+        _band_kernels.cache_clear()
+        for delta in (0.1, 0.2):
+            fractional_energy(sampled_bubble(p, BubbleParams(0.05, delta)), p)
+        info = _band_kernels.cache_info()
+        assert info.currsize == 1
+        assert _band_kernels(5, 2.0 * 0.2)          # the latest support is held
+        assert _band_kernels.cache_info().hits == info.hits + 1
+        assert _band_kernels(5, 2.0 * 0.1) == {}    # the earlier one is gone
+
+    def test_benchmark_scan_reuses_kernels(self, monkeypatch):
+        # the benchmark's 2-lambda bubble scan builds 2142 Bessel matrices when
+        # every band is built afresh; 425 of them are distinct
+        import gjmslab.bubbles as bubbles
+
+        calls = []
+
+        def counted(*args, _fn=bubbles._scaled_bessel_matrix):
+            calls.append(1)
+            return _fn(*args)
+
+        monkeypatch.setattr(bubbles, "_scaled_bessel_matrix", counted)
+        _band_kernels.cache_clear()
+        gap_scan(MultiplierKind.INTERTWINED, Params(5, 0.8), [0.0, 0.25], BubbleFamily())
+        assert len(calls) <= 800
 
 
 class TestEnergyAsymptotics:

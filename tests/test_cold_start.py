@@ -1,7 +1,8 @@
 """Which scipy modules each gjms-lab command loads, in a fresh interpreter.
 
-scipy is imported where it computes: scipy.special inside bessel_j (the
-Hankel paths) and scipy.optimize inside the spline search's SLSQP solve.
+scipy is imported where it computes: scipy.special for the integer-order
+Bessel J of even-n Hankel paths, and scipy.optimize inside the spline
+search's SLSQP solve. Half-odd Bessel J (odd n) is numpy.
 """
 
 import json
@@ -24,6 +25,8 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "sci
 
 README_ASYMPTOTICS = ["bubble-asymptotics", "--n", "5", "--s", "1", "--delta", "0.2",
                       "--eps-ladder", "0.05,0.025,0.0125,0.00625"]
+EVEN_ASYMPTOTICS = ["bubble-asymptotics", "--n", "4", "--s", "1", "--delta", "0.2",
+                    "--eps-ladder", "0.02,0.01,0.005"]
 BUBBLE_SCAN = ["gap-scan", "--kind", "intertwined", "--n", "5", "--s", "0.8",
                "--lambda-spec=0:0.25:2", "--family", "bubble"]
 SPLINE_SCAN = ["gap-scan", "--kind", "gjms", "--n", "3", "--s", "1", "--lambda-spec=0",
@@ -66,10 +69,14 @@ def test_spectral_commands_load_no_scipy(argv, tmp_path):
 
 @pytest.mark.parametrize("argv", [README_ASYMPTOTICS, BUBBLE_SCAN],
                          ids=["bubble-asymptotics", "bubble-gap-scan"])
-def test_bubble_paths_load_only_scipy_special(argv, tmp_path):
-    code, modules, recorded = run_cold(argv, tmp_path)
+def test_odd_n_bubble_paths_load_no_scipy(argv, tmp_path):
+    assert run_cold(argv, tmp_path) == (0, set(), [])
+
+
+def test_even_n_bubble_path_loads_only_scipy_special(tmp_path):
+    code, modules, recorded = run_cold(EVEN_ASYMPTOTICS, tmp_path)
     assert code == 0
-    assert "scipy.special" in recorded
+    assert recorded == ["scipy.special"]
     assert not {"scipy.optimize", "scipy.interpolate"} & modules
 
 

@@ -12,6 +12,7 @@ from gjmslab.special import (
     hyp2f1,
     legendre_p,
     log_gamma,
+    _half_odd_switch,
     _hyp2f1_series,
 )
 
@@ -202,13 +203,31 @@ class TestBesselJ:
             bessel_j(1.0, -0.5)
 
     def test_mpmath_sweep(self):
-        xs = np.array([1e-8, 0.2, 0.49, 0.51, 0.9, 1.1, 3.0, 7.0, 11.9, 12.1, 25.0, 120.0])
-        for nu in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0):
+        xs = np.array([1e-8, 0.2, 0.49, 0.51, 0.9, 1.1, 3.0, 7.0, 11.9, 12.1, 25.0, 120.0,
+                       1e3, 1e4])
+        for nu in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5):
             ours = bessel_j(nu, xs)
             ref = np.array([float(mp.besselj(nu, x)) for x in xs])
             # relative where the value is not near a zero, absolute otherwise
             err = np.abs(ours - ref) / np.maximum(np.abs(ref), 1e-2)
             assert np.max(err) <= 1e-13
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5, 4.5])
+    def test_half_odd_against_spherical_jn(self, nu):
+        # numpy series below the switch, upward recurrence above: both sides
+        # against J_{m+1/2}(x) = sqrt(2x/pi) j_m(x) from scipy
+        from scipy.special import spherical_jn
+
+        m = round(nu - 0.5)
+        switch = _half_odd_switch(nu)
+        xs = np.concatenate([np.linspace(0.05, switch, 40, endpoint=False),
+                             switch * (1.0 + np.array([-1e-12, 0.0, 1e-12])),
+                             np.linspace(switch, 60.0, 200)])
+        ref = np.sqrt(2.0 * xs / np.pi) * spherical_jn(m, xs)
+        err = np.abs(bessel_j(nu, xs) - ref) / np.maximum(np.abs(ref), 1e-2)
+        assert np.max(err) <= 1e-13
+        scaled = bessel_j_scaled(nu, xs)
+        assert np.allclose(scaled, ref / xs ** nu, rtol=1e-13, atol=1e-13 * np.max(np.abs(scaled)))
 
     def test_product_series_oracle(self, rng):
         # J_nu(x) J_{nu+1}(x) cross-checked at 20 points
