@@ -3,11 +3,13 @@ functions of complex degree, and Bessel J on the half-integer lattice.
 
 Everything downstream (spectral symbols, Plancherel densities, radial Fourier
 transforms) is built on these four entry points. Their tolerances are the
-module constants below. Bessel J of half-odd order is numpy: the ascending
-series near the origin and, above a per-order switch, the upward recurrence
-of the spherical Bessel functions from sin x/x and cos x/x (DLMF 10.49,
-10.51), so odd-n Hankel paths load no scipy. Integer orders (even n) take
-``scipy.special.jv``, imported on the first call.
+module constants below. Bessel J of half-odd order m + 1/2 with
+m <= _HALF_ODD_NUMPY_MAX is numpy: the ascending series near the origin and,
+above a per-order switch, the upward recurrence of the spherical Bessel
+functions from sin x/x and cos x/x (DLMF 10.49, 10.51), so Hankel paths at
+odd n <= 43 load no scipy. Higher half-odd orders take
+``scipy.special.spherical_jn`` and integer orders (even n)
+``scipy.special.jv``, each imported on the first call.
 """
 
 import math
@@ -20,7 +22,10 @@ POLE_TOL = 1e-12        # distance to a Gamma pole that counts as "at" it
 SERIES_TOL = 1e-14      # 2F1 term-ratio stopping tolerance
 SERIES_CAP = 10_000     # 2F1 iteration cap before NonConvergence
 
-_BESSEL_SMALL_X = 0.5   # bessel_j_scaled, integer orders: ascending series below this x
+_BESSEL_SMALL_X = 0.5   # bessel_j_scaled, scipy orders: ascending series below this x
+# largest m whose half-odd order m + 1/2 is numpy; above it neither the series
+# nor the upward recurrence holds 1e-13 just below _half_odd_switch
+_HALF_ODD_NUMPY_MAX = 20
 
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -232,11 +237,17 @@ def _series_scaled(nu, x):
     return pref * total
 
 
+def _numpy_half_odd(nu):
+    """Whether J_nu is computed in numpy: nu = m + 1/2, m <= _HALF_ODD_NUMPY_MAX."""
+    return round(2 * nu) % 2 == 1 and round(nu - 0.5) <= _HALF_ODD_NUMPY_MAX
+
+
 def _half_odd_switch(nu):
     """x below which J_nu of half-odd order nu = m + 1/2 comes from the
     ascending series and above which from the upward recurrence. At 0.8 m + 1
     both routes stay within 2e-14 of mpmath (relative, absolute below 1e-2)
-    for m <= 20; for larger m the series' cancellation grows."""
+    for m <= 20; for larger m the error grows (2e-12 at m = 25, 1e-5 at
+    m = 40), so those orders take scipy."""
     return 0.8 * (nu - 0.5) + 1.0
 
 
@@ -263,24 +274,30 @@ def _bessel_argument(x, name):
 def bessel_j(order: float, x):
     """Bessel J_order(x) for half-integer orders >= 0 and x >= 0.
 
-    Scalar or ndarray x. Integer orders use ``scipy.special.jv``. Half-odd
-    orders m + 1/2 are numpy: the ascending series below _half_odd_switch and
-    J_{m+1/2}(x) = sqrt(2x/pi) j_m(x) above it, with j_m from the upward
-    recurrence; within 1e-13 of mpmath from x = 0 to 1e4 for orders <= 4.5
-    (n <= 11).
+    Scalar or ndarray x. Half-odd orders m + 1/2 use
+    J_{m+1/2}(x) = sqrt(2x/pi) j_m(x). For m <= _HALF_ODD_NUMPY_MAX they are
+    numpy: the ascending series below _half_odd_switch and j_m from the
+    upward recurrence above it; above that order j_m is
+    ``scipy.special.spherical_jn``. Integer orders use ``scipy.special.jv``.
+    Within 1e-13 of mpmath (relative, absolute below 1e-2) from x = 0 to 1e4
+    for orders <= 4.5 and at orders 25.5, 30.5 and 40.5.
     """
     nu = _validate_order(order)
     xa, scalar = _bessel_argument(x, "bessel_j")
-    if round(2 * nu) % 2 == 0:
-        from scipy.special import jv
-
-        out = jv(nu, xa)
-    else:
+    if _numpy_half_odd(nu):
         out = np.empty_like(xa)
         lo = xa < _half_odd_switch(nu)
         out[lo] = _series_scaled(nu, xa[lo]) * xa[lo] ** nu
         xs = xa[~lo]
         out[~lo] = np.sqrt(2.0 * xs / np.pi) * _spherical_jn_upward(round(nu - 0.5), xs)
+    elif round(2 * nu) % 2 == 1:
+        from scipy.special import spherical_jn
+
+        out = np.sqrt(2.0 * xa / np.pi) * spherical_jn(round(nu - 0.5), xa)
+    else:
+        from scipy.special import jv
+
+        out = jv(nu, xa)
     return float(out[0]) if scalar else out
 
 
@@ -288,23 +305,22 @@ def bessel_j_scaled(order: float, x):
     """J_order(x) / x^order, finite and stable down to x = 0.
 
     This is the kernel the radial Fourier transform actually needs: its
-    x -> 0 limit is 2^-order / Gamma(order+1). The ascending series holds
-    below x = 0.5 for integer orders (jv(order, x) / x^order above) and below
-    bessel_j's series switch for half-odd orders m + 1/2
-    (sqrt(2/pi) j_m(x) / x^m above).
+    x -> 0 limit is 2^-order / Gamma(order+1). For the numpy half-odd orders
+    m + 1/2 (m <= _HALF_ODD_NUMPY_MAX) the ascending series holds below
+    bessel_j's series switch (sqrt(2/pi) j_m(x) / x^m above); for every
+    other order it holds below x = 0.5 (bessel_j(order, x) / x^order above,
+    from scipy).
     """
     nu = _validate_order(order)
     xa, scalar = _bessel_argument(x, "bessel_j_scaled")
-    half_odd = round(2 * nu) % 2 == 1
+    numpy_route = _numpy_half_odd(nu)
     out = np.empty_like(xa)
-    lo = xa < (_half_odd_switch(nu) if half_odd else _BESSEL_SMALL_X)
+    lo = xa < (_half_odd_switch(nu) if numpy_route else _BESSEL_SMALL_X)
     out[lo] = _series_scaled(nu, xa[lo])
     xs = xa[~lo]
-    if half_odd:
+    if numpy_route:
         m = round(nu - 0.5)
         out[~lo] = math.sqrt(2.0 / math.pi) * _spherical_jn_upward(m, xs) / xs ** m
     elif xs.size:
-        from scipy.special import jv
-
-        out[~lo] = jv(nu, xs) / xs ** nu
+        out[~lo] = bessel_j(nu, xs) / xs ** nu
     return float(out[0]) if scalar else out

@@ -32,8 +32,11 @@ where g <= JACOBI_GROWTH_MAX for the largest beta of the grid; that moves
 the switch above R_MIN_JACOBI once beta_max > 4 JACOBI_GROWTH_MAX cosh^2(1)
 (~67). Columns below the switch stay on Taylor/Mehler. spherical_function, and with it
 regularized_kernel, stays on Mehler everywhere: at (n, s) = (3, 1) the
-kernel values that cli blowdown reduces to its constants are quadrature
-roundoff, so any route change would move them.
+kernel values that quotients.blowdown reduces to its constants are
+quadrature roundoff, so any route change would move them. Both share one
+Mehler routine, _phi_mehler, which also takes a 2-d block of frequency rows;
+regularized_kernel passes spherical_function a batch of its adaptive panels
+at a time.
 """
 
 import functools
@@ -45,6 +48,7 @@ import numpy as np
 from .errors import DegenerateData, DomainError, NonConvergence, SupportError, TailError
 from .geometry import sphere_area
 from .grids import (
+    GAUSS_NODES,
     GAUSS_WEIGHTS,
     PHASE_PER_PANEL,
     RadialFunction,
@@ -122,15 +126,15 @@ def _phi_taylor(n, beta_arr, r):
     return out
 
 
-def _mehler_u_quadrature(r, beta_max):
-    """Nodes/weights in u on [0, sqrt(r)] resolving cos(beta(r - u^2))."""
+def _mehler_u_panels(r, beta_max):
+    """Number of u-panels on [0, sqrt(r)] resolving cos(beta (r - u^2)) for
+    |beta| <= beta_max."""
     umax = math.sqrt(r)
-    n_panels = max(
+    return max(
         4,
-        int(math.ceil(2.0 * abs(beta_max) * umax * umax / PHASE_PER_PANEL)),
+        int(math.ceil(2.0 * beta_max * umax * umax / PHASE_PER_PANEL)),
         int(math.ceil(umax / 0.5)),
     )
-    return gauss_panels(np.linspace(0.0, umax, n_panels + 1))
 
 
 def _mehler_constant(n):
@@ -139,13 +143,26 @@ def _mehler_constant(n):
     )
 
 
-def _phi_mehler(n, beta_arr, r):
-    u, w = _mehler_u_quadrature(r, float(np.max(np.abs(beta_arr))) if beta_arr.size else 1.0)
-    uu = u * u
-    h = 2.0 * u * (2.0 * np.sinh(r - 0.5 * uu) * np.sinh(0.5 * uu)) ** ((n - 3) / 2.0)
-    kernel = np.cos(np.outer(beta_arr, r - uu))
-    integral = kernel @ (h * w)
-    return _mehler_constant(n) * math.sinh(r) ** (2 - n) * integral
+def _phi_mehler(n, beta, r):
+    """Phi_beta(r) by the Mehler-Dirichlet integral, for a 1-d beta (one row)
+    or a 2-d block of rows. Each row takes the u-quadrature that its own
+    max |beta| selects, and rows with the same u-panel count share one cos
+    block; every row's integral is one matrix-vector product of its own, so
+    a row's values do not depend on the rows beside it."""
+    rows = np.atleast_2d(beta)
+    groups = {}   # u-panel count -> indices of its rows
+    for i, b_max in enumerate(np.max(np.abs(rows), axis=1, initial=0.0)):
+        groups.setdefault(_mehler_u_panels(r, b_max), []).append(i)
+    integral = np.empty(rows.shape)
+    umax = math.sqrt(r)
+    for count, same in groups.items():
+        u, w = gauss_panels(np.linspace(0.0, umax, count + 1))
+        uu = u * u
+        h = 2.0 * u * (2.0 * np.sinh(r - 0.5 * uu) * np.sinh(0.5 * uu)) ** ((n - 3) / 2.0)
+        kernel = rows[same][:, :, None] * (r - uu)
+        np.cos(kernel, out=kernel)
+        integral[same] = kernel @ (h * w)
+    return _mehler_constant(n) * math.sinh(r) ** (2 - n) * integral.reshape(np.shape(beta))
 
 
 def _phi_jacobi(n, beta, radii, out):
@@ -183,7 +200,9 @@ def _jacobi_switch_radius(beta_max):
 def spherical_function(n: int, beta, r: float):
     """Phi_beta(r): the radial eigenfunction normalized to Phi_beta(0) = 1.
 
-    beta may be a scalar or ndarray; r is a scalar radius >= 0.
+    beta may be a scalar, a 1-d array or a 2-d block of rows, each row on
+    the Mehler u-quadrature its own max |beta| selects (_phi_mehler); r is
+    a scalar radius >= 0.
     """
     if n < 2:
         raise DomainError(f"spherical_function requires n >= 2, got {n}")
@@ -351,7 +370,16 @@ def regularized_kernel(kind, p: Params, r: float, eps_reg: float,
     """k^eps(r) = 2 int_0^inf m(beta) e^{-eps beta^2} Phi_beta(r) |c|^{-2} d beta.
 
     Adaptive panel-splitting Gauss-Legendre quadrature; the Gaussian factor
-    caps the integration at the point where it falls below 1e-16.
+    caps the integration at the point where it falls below 1e-16. A LIFO
+    stack of panels is split until each panel's halves agree with it within
+    rel_tol of the running scale. The integrand is evaluated in batches:
+    first on every initial panel, then, whenever the panel popped has no
+    halves yet, on the halves of every queued panel that lacks them (each
+    queued panel is popped and split in turn, so nothing is evaluated
+    speculatively). A batch is one symbol, Plancherel-density and Gaussian
+    pass on its flattened nodes and one spherical_function call on its
+    (panels x 16) block, and each panel's value is the same one-panel rule
+    as panel by panel, so the kernel values are bit-identical to it.
     """
     r = float(r)
     if r < 0.5:
@@ -360,29 +388,42 @@ def regularized_kernel(kind, p: Params, r: float, eps_reg: float,
         raise DomainError(f"eps_reg must be > 0, got {eps_reg}")
     beta_cut = math.sqrt(16.0 * math.log(10.0) / eps_reg)
 
-    def panel_value(a, b):
+    def panel_values(panels):
+        """{(a, b): the one-panel rule on [a, b]} for a list of panels."""
+        a, b = np.array(panels).T
+        # gauss_panels((a, b)) for each panel, as one (panels x 16) block
+        nodes = (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * GAUSS_NODES[None, :]
+        flat = nodes.ravel()
+        m = _symbol_values(kind, p, flat)
+        phi = spherical_function(p.n, nodes, r).ravel()
+        dens = plancherel_density(p.n, flat)
+        g = (m * np.exp(-eps_reg * flat * flat) * phi * dens).reshape(nodes.shape)
         # the one-panel rule scales the reference weights after the dot
         # product; composite weights would move the last bits of k^eps
-        nodes, _ = gauss_panels((a, b))
-        m = _symbol_values(kind, p, nodes)
-        phi = spherical_function(p.n, nodes, r)
-        dens = plancherel_density(p.n, nodes)
-        g = m * np.exp(-eps_reg * nodes * nodes) * phi * dens
-        return 0.5 * (b - a) * float(np.dot(GAUSS_WEIGHTS, g))
+        return {panel: 0.5 * (panel[1] - panel[0]) * float(np.dot(GAUSS_WEIGHTS, row))
+                for panel, row in zip(panels, g)}
 
     width = min(1.5, PHASE_PER_PANEL / max(r, 1.0))
     n0 = max(8, int(math.ceil(beta_cut / width)))
     edges = np.linspace(0.0, beta_cut, n0 + 1)
-    queue = [(float(a), float(b), panel_value(float(a), float(b)))
-             for a, b in zip(edges[:-1], edges[1:])]
+    panels = [(float(a), float(b)) for a, b in zip(edges[:-1], edges[1:])]
+    queue = [(a, b, v) for (a, b), v in panel_values(panels).items()]
+    values = {}   # the halves of queued panels, once their batch has run
     scale = sum(abs(v) for _, _, v in queue) + 1e-300
     total_panels = len(queue)
     result = []
     while queue:
         a, b, coarse = queue.pop()
         mid = 0.5 * (a + b)
-        left = panel_value(a, mid)
-        right = panel_value(mid, b)
+        if (a, mid) not in values:
+            halves = []
+            for qa, qb, _ in queue + [(a, b, coarse)]:
+                qmid = 0.5 * (qa + qb)
+                if (qa, qmid) not in values:
+                    halves += [(qa, qmid), (qmid, qb)]
+            values.update(panel_values(halves))
+        left = values.pop((a, mid))
+        right = values.pop((mid, b))
         if abs(left + right - coarse) <= rel_tol * scale:
             result.append(left + right)
             continue

@@ -1,18 +1,24 @@
-"""Numerical routes that the closed forms of gjmslab are checked against.
+"""Numerical routes that the closed forms and fast paths of gjmslab are
+checked against.
 
 windowed_bubble_energy prices the untruncated bubble with the package's own
 octave-banded Hankel energies, so a test comparing it with
 bubble_energy_limit checks the Hankel machinery and the closed form against
-each other.
+each other. panelwise_regularized_kernel is the adaptive kernel quadrature
+evaluated one panel at a time, the route that the batched
+spherical.regularized_kernel must reproduce bit for bit.
 """
 
 import functools
+import math
 
 import numpy as np
 
 from gjmslab.bubbles import _banded_energy, smooth_window
+from gjmslab.errors import DomainError, NonConvergence
 from gjmslab.geometry import sphere_area
-from gjmslab.grids import geometric_grid
+from gjmslab.grids import GAUSS_WEIGHTS, PHASE_PER_PANEL, gauss_panels, geometric_grid
+from gjmslab.spherical import _symbol_values, plancherel_density, spherical_function
 
 WINDOW_RADII = (2000.0, 4000.0)
 
@@ -46,3 +52,52 @@ def quadrature_mass_limit(n: int) -> float:
     grid = geometric_grid(1e5, first_width=0.05)
     r = grid.nodes
     return sphere_area(n) * grid.integrate((1.0 + r * r) ** (-n) * r ** (n - 1))
+
+
+def panelwise_regularized_kernel(kind, p, r, eps_reg, rel_tol=1e-10, max_panels=4096):
+    """regularized_kernel with its integrand evaluated one 16-node panel at a
+    time: one symbol, spherical_function and Plancherel-density call per
+    panel, and the same adaptive control (LIFO stack, running scale,
+    acceptance test, panel cap, fsum)."""
+    r = float(r)
+    if r < 0.5:
+        raise DomainError(f"regularized_kernel requires r >= 0.5, got {r}")
+    if not eps_reg > 0.0:
+        raise DomainError(f"eps_reg must be > 0, got {eps_reg}")
+    beta_cut = math.sqrt(16.0 * math.log(10.0) / eps_reg)
+
+    def panel_value(a, b):
+        # the one-panel rule scales the reference weights after the dot
+        # product; composite weights would move the last bits of k^eps
+        nodes, _ = gauss_panels((a, b))
+        m = _symbol_values(kind, p, nodes)
+        phi = spherical_function(p.n, nodes, r)
+        dens = plancherel_density(p.n, nodes)
+        g = m * np.exp(-eps_reg * nodes * nodes) * phi * dens
+        return 0.5 * (b - a) * float(np.dot(GAUSS_WEIGHTS, g))
+
+    width = min(1.5, PHASE_PER_PANEL / max(r, 1.0))
+    n0 = max(8, int(math.ceil(beta_cut / width)))
+    edges = np.linspace(0.0, beta_cut, n0 + 1)
+    queue = [(float(a), float(b), panel_value(float(a), float(b)))
+             for a, b in zip(edges[:-1], edges[1:])]
+    scale = sum(abs(v) for _, _, v in queue) + 1e-300
+    total_panels = len(queue)
+    result = []
+    while queue:
+        a, b, coarse = queue.pop()
+        mid = 0.5 * (a + b)
+        left = panel_value(a, mid)
+        right = panel_value(mid, b)
+        if abs(left + right - coarse) <= rel_tol * scale:
+            result.append(left + right)
+            continue
+        total_panels += 2
+        if total_panels > max_panels:
+            raise NonConvergence(
+                f"regularized_kernel exceeded the {max_panels}-panel refinement cap"
+            )
+        queue.append((a, mid, left))
+        queue.append((mid, b, right))
+        scale = max(scale, sum(abs(v) for _, _, v in queue) + sum(map(abs, result)))
+    return 2.0 * math.fsum(result)

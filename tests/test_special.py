@@ -212,6 +212,21 @@ class TestBesselJ:
             err = np.abs(ours - ref) / np.maximum(np.abs(ref), 1e-2)
             assert np.max(err) <= 1e-13
 
+    @pytest.mark.parametrize("nu", [25.5, 30.5, 40.5])
+    def test_high_half_odd_orders_mpmath(self, nu):
+        # above m = 20 neither numpy route holds 1e-13 just below the switch
+        xs = np.array([1e-8, 0.2, 0.49, 0.51, 0.9, 3.0, 12.0, 18.0, 20.0, 22.0, 24.0, 26.0,
+                       28.0, 30.0, 32.0, 34.0, 36.0, 40.0, 45.0, 60.0, 120.0, 1e3, 1e4])
+        ref = np.array([float(mp.besselj(nu, x)) for x in xs])
+        err = np.abs(bessel_j(nu, xs) - ref) / np.maximum(np.abs(ref), 1e-2)
+        assert np.max(err) <= 1e-13
+        # J/x^nu: relative below x = nu, where J has no zero; above, relative
+        # where |J| >= 1e-2 and absolute (in J) below
+        ref_scaled = np.array([float(mp.besselj(nu, x) / mp.mpf(x) ** nu) for x in xs])
+        floor = np.array([float(mp.mpf("1e-2") / mp.mpf(x) ** nu) for x in xs])
+        scale = np.where(xs < nu, np.abs(ref_scaled), np.maximum(np.abs(ref_scaled), floor))
+        assert np.max(np.abs(bessel_j_scaled(nu, xs) - ref_scaled) / scale) <= 1e-13
+
     @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5, 4.5])
     def test_half_odd_against_spherical_jn(self, nu):
         # numpy series below the switch, upward recurrence above: both sides

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 from conftest import hyperbolic_bump, windowed_gaussian
+from oracles import panelwise_regularized_kernel
 from gjmslab import special, spherical
 from gjmslab.bubbles import fractional_energy
 from gjmslab.errors import DegenerateData, DomainError, NonConvergence, SupportError, TailError
@@ -31,6 +33,11 @@ INT = MultiplierKind.INTERTWINED
 
 def _identity_symbol(b):
     return np.ones_like(np.asarray(b, dtype=float))
+
+
+def _quadratic_symbol(b):
+    # the integer-order symbol b^2 + 1/4 (s = 1) as a test hook
+    return 0.25 + b * b
 
 
 class TestPlancherelDensity:
@@ -406,6 +413,68 @@ class TestKernel:
         with pytest.raises(NonConvergence):
             regularized_kernel(INT, Params(3, 0.6), 2.0, 0.01, rel_tol=0.0,
                                max_panels=50)
+
+    @pytest.mark.parametrize("kind", [INT, MultiplierKind.GJMS, MultiplierKind.REMAINDER,
+                                      _quadratic_symbol], ids=["int", "gjms", "rem", "hook"])
+    @pytest.mark.parametrize("n, s", [(3, 0.6), (5, 0.7), (3, 1.0), (4, 0.75)])
+    def test_bit_equal_to_panelwise_oracle(self, kind, n, s):
+        p = Params(n, s)
+        for r in (0.5, 2.0, 3.5, 6.0, 8.0):
+            for eps in (0.02, 0.01, 0.005):
+                batched = regularized_kernel(kind, p, r, eps)
+                assert batched.hex() == panelwise_regularized_kernel(kind, p, r, eps).hex(), (r, eps)
+
+    def test_refinement_cap_matches_oracle(self):
+        # the same accept/reject decisions: at rel_tol 1e-16 the kernel needs
+        # more than 136 and at most 144 panels, and each cap either stops both
+        # routes or lets both return the same bits
+        p = Params(3, 0.6)
+        seen = set()
+        for cap in range(100, 180, 8):
+            outcomes = []
+            for route in (regularized_kernel, panelwise_regularized_kernel):
+                try:
+                    outcomes.append(route(INT, p, 2.0, 0.01, rel_tol=1e-16, max_panels=cap).hex())
+                except NonConvergence:
+                    outcomes.append("cap")
+            assert outcomes[0] == outcomes[1], cap
+            seen.add(outcomes[0] == "cap")
+        assert seen == {True, False}
+
+    def test_integrand_batches(self, monkeypatch):
+        # one Plancherel-density pass per batch; panel by panel it was one
+        # per panel (123 to 174 on these cases)
+        calls = []
+
+        def counted(n, beta):
+            calls.append(n)
+            return plancherel_density(n, beta)
+
+        monkeypatch.setattr(spherical, "plancherel_density", counted)
+        for p, r, eps in ((Params(3, 0.6), 2.0, 0.01), (Params(5, 0.7), 8.0, 0.005),
+                          (Params(3, 1.0), 5.0, 0.01)):
+            calls.clear()
+            regularized_kernel(INT, p, r, eps)
+            assert 1 <= len(calls) <= 8
+
+    def test_batch_memory(self):
+        tracemalloc.start()
+        try:
+            regularized_kernel(INT, Params(3, 0.6), 8.0, 3e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+    def test_mehler_rows_are_independent(self):
+        # a (rows x nodes) block gives each row the values of its own 1-d
+        # call, also where rows share a u-quadrature
+        rows = np.array([[0.5, 1.0, 2.0], [10.0, 30.0, 60.0], [0.1, 0.2, 0.3], [40.0, 45.0, 50.0]])
+        for n, r in ((3, 0.7), (4, 2.5), (5, 6.0)):
+            block = spherical_function(n, rows, r)
+            assert block.shape == rows.shape
+            for row, values in zip(rows, block):
+                assert np.array_equal(values, spherical_function(n, row, r))
 
     def test_scan_reports_ladder(self):
         p = Params(3, 0.6)
