@@ -4,7 +4,7 @@ spherical-transform calculus, conformal bubble asymptotics, and
 Poincare-Sobolev quotient minimization."""
 
 from .bubbles import BubbleParams, bubble, bubble_asymptotics, cutoff, crit_mass, \
-    derivative_bound_check, fractional_energy, hyperbolic_l2_mass, radial_fourier
+    fractional_energy, hyperbolic_l2_mass
 from .errors import (
     BudgetExceeded,
     DegenerateData,
@@ -12,8 +12,6 @@ from .errors import (
     GjmsLabError,
     NonConvergence,
     ParameterError,
-    ParameterPole,
-    PoleError,
     SupportError,
     TailError,
     UnsupportedOrder,
@@ -26,7 +24,7 @@ from .multipliers import b_constant, gap_constant, integer_multiplier, multiplie
 from .params import MultiplierKind, Params
 from .quotients import BubbleFamily, QuotientReport, SplineFamily, blowdown, \
     bubble_quotient, gap_scan, multibump_blowdown, sharp_constant_estimate, sobolev_quotient
-from .special import abs_gamma_sq, bessel_j, hyp2f1, legendre_p, log_gamma
+from .special import bessel_j
 from .spherical import inverse_spherical_transform, kernel_decay, plancherel_density, \
     quadratic_form, regularized_kernel, spherical_function, spherical_transform
 

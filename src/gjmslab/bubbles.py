@@ -31,7 +31,6 @@ from .grids import (
     RadialFunction,
     RadialGrid,
     Space,
-    SpectralProfile,
     gauss_panels,
     geometric_edges,
     geometric_grid,
@@ -186,39 +185,6 @@ def _scaled_bessel_matrix(n, rows, columns):
     return bessel_j_scaled(nu, x.ravel()).reshape(x.shape)
 
 
-def radial_fourier(w: RadialFunction, n: int, rho_grid: RadialGrid) -> SpectralProfile:
-    """Unitary radial Fourier transform
-    w_hat(rho) = rho^{-(n-2)/2} int_0^inf w(r) J_{(n-2)/2}(r rho) r^{n/2} dr.
-
-    Equals int w(r) [J_nu(r rho)/(r rho)^nu] r^{n-1} dr, which is how it is
-    computed (no 0/0 at small rho). The grid is refined against the Bessel
-    oscillation at rho_max when the profile formula is known.
-    """
-    if w.space is not Space.EUCLIDEAN:
-        raise SupportError("radial_fourier expects a Euclidean profile")
-    w.require_compact_support()
-    if w.support_radius > w.grid.r_max * (1.0 + 1e-12):
-        raise SupportError("grid does not cover the support of w")
-    rho_max = rho_grid.r_max
-    grid, values = w.grid, w.values
-    max_panel = PHASE_PER_PANEL / max(rho_max, 1.0)
-    if w.profile is not None and _max_panel_width(grid) > max_panel:
-        grid = geometric_grid(grid.r_max, 0.02, max_width=max_panel)
-        values = np.where(grid.nodes <= w.support_radius, w.profile(grid.nodes), 0.0)
-    mat = _scaled_bessel_matrix(n, grid.nodes, rho_grid.nodes)
-    density = values * grid.nodes ** (n - 1) * grid.weights
-    what = mat.T @ density
-    tail = rho_grid.tail_fraction(what ** 2 * rho_grid.nodes ** (n - 1))
-    if tail > 1e-6:
-        raise TailError(f"radial_fourier high-rho tail fraction {tail:.3e} > 1e-6")
-    return SpectralProfile(rho_grid, what)
-
-
-def _max_panel_width(grid: RadialGrid):
-    # panel edges are not stored; node gaps across panel boundaries bound widths
-    return float(np.max(np.diff(grid.nodes))) * 16.0 / 2.0
-
-
 class _BandKernel(NamedTuple):
     """One octave band's Hankel kernel: w_hat(rho) = kernel @ profile(r)."""
 
@@ -261,29 +227,23 @@ def _band_kernel(n, support, lo, hi):
     return band
 
 
-def _banded_energy(profile, support, p: Params, rho_min, rho_max, pair=None):
-    """omega int rho^{2s+n-1} w1_hat w2_hat d rho over octave bands, extending
+def _banded_energy(profile, support, p: Params, rho_min, rho_max):
+    """omega int rho^{2s+n-1} w_hat^2 d rho over octave bands, extending
     rho_max until the running tail undershoots 1e-9 of the accumulated total.
 
-    Each profile is evaluated once per distinct r-grid of its bands; pair =
-    (profile2, support2) gives w2, else w2 = w1."""
+    The profile is evaluated once per distinct r-grid of its bands."""
     n, s = p.n, p.s
-    sides = [(profile, support, {})]
-    if pair is not None:
-        sides.append((pair[0], pair[1], {}))
+    values = {}
     contributions = []
     lo = rho_min
     cap = max(rho_max, 1.0) * 4096.0
     while True:
         hi = min(2.0 * lo, cap)
-        transforms = []
-        for prof, supp, values in sides:
-            band = _band_kernel(n, supp, lo, hi)
-            if band.grid_key not in values:
-                values[band.grid_key] = prof(band.r)
-            transforms.append(band.kernel @ values[band.grid_key])
-        a, b = transforms[0], transforms[-1]
-        contributions.append(float(np.dot(band.weights, band.rho ** (2.0 * s + n - 1.0) * a * b)))
+        band = _band_kernel(n, support, lo, hi)
+        if band.grid_key not in values:
+            values[band.grid_key] = profile(band.r)
+        what = band.kernel @ values[band.grid_key]
+        contributions.append(float(np.dot(band.weights, band.rho ** (2.0 * s + n - 1.0) * what * what)))
         total = math.fsum(contributions)
         band_abs = abs(contributions[-1]) + abs(contributions[-2]) if len(contributions) > 1 else abs(contributions[-1])
         if hi >= rho_max and band_abs <= 1e-9 * max(abs(total), 1e-300):
@@ -314,22 +274,6 @@ def fractional_energy(w: RadialFunction, p: Params) -> float:
 
     support = min(w.support_radius, w.grid.r_max)
     return _banded_energy(profile, support, p, min(1e-4, 0.05 / support), 64.0)
-
-
-def fractional_cross_energy(w1: RadialFunction, w2: RadialFunction, p: Params) -> float:
-    """omega int rho^{2s+n-1} w1_hat(rho) w2_hat(rho) d rho (shared bands)."""
-    for w in (w1, w2):
-        if w.space is not Space.EUCLIDEAN:
-            raise SupportError("fractional_cross_energy expects Euclidean profiles")
-        w.require_compact_support()
-        if w.profile is None:
-            raise SupportError("cross energies need profile formulas")
-    support = max(min(w1.support_radius, w1.grid.r_max), min(w2.support_radius, w2.grid.r_max))
-    rho_min = min(1e-4, 0.05 / support)
-    return _banded_energy(
-        w1.profile, min(w1.support_radius, w1.grid.r_max), p, rho_min, 64.0,
-        pair=(w2.profile, min(w2.support_radius, w2.grid.r_max)),
-    )
 
 
 def fit_loglog_slope(x, y) -> float:
@@ -443,32 +387,3 @@ def bubble_asymptotics(p: Params, delta: float, eps_ladder):
     }
     return rows, summary
 
-
-def _bubble_radial_derivative(p: Params, order: int):
-    q = (p.n - 2.0 * p.s) / 2.0
-    if order == 0:
-        return lambda r: (1.0 + r * r) ** (-q)
-    if order == 1:
-        return lambda r: -2.0 * q * r * (1.0 + r * r) ** (-q - 1.0)
-    if order == 2:
-        return lambda r: (-2.0 * q * (1.0 + r * r) ** (-q - 1.0)
-                          + 4.0 * q * (q + 1.0) * r * r * (1.0 + r * r) ** (-q - 2.0))
-    raise ParameterError("derivative order must be 0, 1 or 2")
-
-
-def derivative_bound_check(p: Params, delta: float, eps_ladder, order: int):
-    """sup_{r >= delta} |d^order U_eps| / eps^{(n-2s)/2} for each eps.
-
-    The returned ratios must stay bounded uniformly in eps (the constant in
-    the derivative estimate is eps-free).
-    """
-    if order not in (0, 1, 2):
-        raise ParameterError("order must be <= 2")
-    deriv = _bubble_radial_derivative(p, order)
-    q = (p.n - 2.0 * p.s) / 2.0
-    ratios = []
-    for eps in np.asarray(eps_ladder, dtype=float):
-        grid = np.geomspace(delta, 50.0 * delta, 4000)
-        sup = float(np.max(np.abs(deriv(grid / eps)))) * eps ** (-q - order)
-        ratios.append(sup / eps ** q)
-    return np.asarray(ratios)

@@ -27,7 +27,7 @@ from .params import MultiplierKind, Params
 from .quotients import DEFAULT_EVAL_CAP, QUOTIENT_TOL, BubbleFamily, SplineFamily, blowdown, \
     gap_scan, sharp_constant_estimate
 from .spherical import DEFAULT_B_MAX, DEFAULT_TAIL_TOL, kernel_decay
-from .special import POLE_TOL, SERIES_CAP, SERIES_TOL
+from .special import SERIES_CAP, SERIES_TOL
 
 _KINDS = {
     "gjms": MultiplierKind.GJMS,
@@ -73,7 +73,6 @@ def _tolerances():
     return {
         "series_tol": SERIES_TOL,
         "series_cap": SERIES_CAP,
-        "pole_tol": POLE_TOL,
         "quotient_tol": QUOTIENT_TOL,
         "tail_tol": DEFAULT_TAIL_TOL,
     }

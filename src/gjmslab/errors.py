@@ -14,14 +14,6 @@ class DomainError(GjmsLabError):
     """Argument outside the mathematical domain of the operation."""
 
 
-class PoleError(DomainError):
-    """Evaluation requested at (or within tolerance of) a Gamma pole."""
-
-
-class ParameterPole(DomainError):
-    """Lower hypergeometric parameter at a non-positive integer."""
-
-
 class UnsupportedOrder(DomainError):
     """Bessel order outside the half-integer lattice."""
 

@@ -178,7 +178,3 @@ class SpectralProfile:
         if not np.all(np.isfinite(values)):
             raise ParameterError("spectral values must be finite")
         object.__setattr__(self, "values", values)
-
-    @property
-    def beta_max(self) -> float:
-        return self.beta_grid.r_max

@@ -1,13 +1,13 @@
-"""Special functions: complex log-Gamma, Gauss 2F1, associated Legendre
-functions of complex degree, and Bessel J on the half-integer lattice.
+"""Special functions: complex log-Gamma, the Gauss 2F1 series, and Bessel J
+on the half-integer lattice.
 
-Everything downstream (spectral symbols, Plancherel densities, radial Fourier
-transforms) is built on these four entry points. Their tolerances are the
-module constants below. Bessel J of half-odd order m + 1/2 with
-m <= _HALF_ODD_NUMPY_MAX is numpy: the ascending series near the origin and,
-above a per-order switch, the upward recurrence of the spherical Bessel
-functions from sin x/x and cos x/x (DLMF 10.49, 10.51), so Hankel paths at
-odd n <= 43 load no scipy. Higher half-odd orders take
+Everything downstream (spectral symbols, Plancherel densities, the Jacobi
+block of phi_matrix, radial Fourier transforms) is built on these. Their
+tolerances are the module constants below. Bessel J of half-odd order
+m + 1/2 with m <= _HALF_ODD_NUMPY_MAX is numpy: the ascending series near
+the origin and, above a per-order switch, the upward recurrence of the
+spherical Bessel functions from sin x/x and cos x/x (DLMF 10.49, 10.51), so
+Hankel paths at odd n <= 43 load no scipy. Higher half-odd orders take
 ``scipy.special.spherical_jn`` and integer orders (even n)
 ``scipy.special.jv``, each imported on the first call.
 """
@@ -16,9 +16,8 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, ParameterPole, PoleError, UnsupportedOrder
+from .errors import DomainError, NonConvergence, UnsupportedOrder
 
-POLE_TOL = 1e-12        # distance to a Gamma pole that counts as "at" it
 SERIES_TOL = 1e-14      # 2F1 term-ratio stopping tolerance
 SERIES_CAP = 10_000     # 2F1 iteration cap before NonConvergence
 
@@ -42,16 +41,6 @@ _LANCZOS = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
-
-
-def _nearest_nonpositive_int(re, im, tol):
-    """Index of the Gamma pole within tol of re+i*im, or None."""
-    if abs(im) > tol:
-        return None
-    k = round(re)
-    if k <= 0 and abs(re - k) <= tol:
-        return int(k)
-    return None
 
 
 def _lanczos_log_gamma(z):
@@ -103,19 +92,6 @@ def _log_gamma_array(z):
     return out[0] if scalar else out
 
 
-def log_gamma(z) -> complex:
-    """Principal-branch log Gamma(z) for complex z off the pole set.
-
-    Raises PoleError when z is within POLE_TOL of 0, -1, -2, ...
-    """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"log_gamma requires finite z, got {z}")
-    if _nearest_nonpositive_int(z.real, z.imag, POLE_TOL) is not None:
-        raise PoleError(f"Gamma pole at z = {z}")
-    return complex(_log_gamma_array(z))
-
-
 def log_abs_gamma_sq(a, b):
     """2 * Re log Gamma(a + i b), vectorized over b (and a).
 
@@ -126,17 +102,6 @@ def log_abs_gamma_sq(a, b):
     b = np.asarray(b, dtype=float)
     z = a + 1j * b
     return 2.0 * np.real(_log_gamma_array(z))
-
-
-def abs_gamma_sq(a: float, b: float) -> float:
-    """|Gamma(a + i b)|^2 > 0."""
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"abs_gamma_sq requires finite (a, b), got ({a}, {b})")
-    if _nearest_nonpositive_int(a, b, POLE_TOL) is not None:
-        raise PoleError(f"Gamma pole at z = {a}+{b}j")
-    return float(np.exp(log_abs_gamma_sq(a, b)))
 
 
 def _hyp2f1_series(a, b, c, y):
@@ -162,54 +127,6 @@ def _hyp2f1_series(a, b, c, y):
     raise NonConvergence(
         f"2F1 series did not converge in {SERIES_CAP} terms (largest y = {np.max(y):.17g})"
     )
-
-
-def hyp2f1(a: float, b: float, c: float, x: float) -> float:
-    """Gauss 2F1(a, b; c; x) for real parameters and x <= 0.
-
-    The argument is mapped into [0, 1) by the Pfaff transformation
-    2F1(a,b;c;x) = (1-x)^(-a) 2F1(a, c-b; c; x/(x-1)) and the defining
-    series is summed there.
-    """
-    for name, v in (("a", a), ("b", b), ("c", c), ("x", x)):
-        if not math.isfinite(float(v)):
-            raise DomainError(f"hyp2f1 requires finite {name}, got {v}")
-    if _nearest_nonpositive_int(c, 0.0, POLE_TOL) is not None:
-        raise ParameterPole(f"2F1 lower parameter c = {c} is a non-positive integer")
-    if x > 0.0:
-        raise DomainError(f"hyp2f1 is restricted to x <= 0, got x = {x}")
-    if x == 0.0:
-        return 1.0
-    y = x / (x - 1.0)
-    f = _hyp2f1_series(a, c - b, c, y)
-    return float(np.real((1.0 - x) ** (-a) * f))
-
-
-def legendre_p(nu, mu: float, z: float) -> complex:
-    """Associated Legendre function P_nu^mu(z) of the first kind, z > 1.
-
-    P_nu^mu(z) = ((z+1)/(z-1))^(mu/2) / Gamma(1-mu)
-                 * 2F1(-nu, nu+1; 1-mu; (1-z)/2),
-    with the hypergeometric factor evaluated by the Pfaff-transformed
-    series, which supports the complex degrees nu = -1/2 + i*beta used by
-    the spherical functions.
-    """
-    nu = complex(nu)
-    mu = float(mu)
-    z = float(z)
-    if not z > 1.0:
-        raise DomainError(f"legendre_p requires z > 1, got z = {z}")
-    c = 1.0 - mu
-    if _nearest_nonpositive_int(c, 0.0, POLE_TOL) is not None:
-        raise ParameterPole(f"legendre_p parameter 1 - mu = {c} is a non-positive integer")
-    x = (1.0 - z) / 2.0
-    y = x / (x - 1.0)  # = (z-1)/(z+1) in [0, 1)
-    a = -nu
-    f = _hyp2f1_series(a, c - nu - 1.0, c, y)
-    pfaff = np.exp(nu * math.log((z + 1.0) / 2.0)) * f
-    pref = math.exp(0.5 * mu * (math.log(z + 1.0) - math.log(z - 1.0)))
-    inv_gamma = np.exp(-_log_gamma_array(complex(c)))
-    return complex(pref * inv_gamma * pfaff)
 
 
 # ----------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from conftest import windowed_gaussian
 from oracles import quadrature_mass_limit, windowed_bubble_energy
 from gjmslab.bubbles import (
     BubbleParams,
+    _band_kernel,
     _band_kernels,
     bubble,
     bubble_asymptotics,
@@ -16,13 +17,10 @@ from gjmslab.bubbles import (
     bubble_mass_limit,
     crit_mass,
     cutoff,
-    derivative_bound_check,
     fit_leading_exponent,
     fit_loglog_slope,
-    fractional_cross_energy,
     fractional_energy,
     hyperbolic_l2_mass,
-    radial_fourier,
     sampled_bubble,
     smooth_window,
 )
@@ -65,6 +63,15 @@ class TestBubble:
             BubbleParams(0.0, 0.2)
         with pytest.raises(ParameterError):
             BubbleParams(0.5, 0.25)
+
+    def test_sup_at_inner_edge(self):
+        # the radial profile decreases beyond delta, so the sup sits at delta
+        p = Params(5, 1.0)
+        bp = BubbleParams(0.05, 0.2)
+        delta = 0.25
+        r = np.linspace(delta, 5.0, 2000)
+        vals = bubble(p, bp, r)
+        assert np.argmax(vals) == 0
 
 
 class TestCutoff:
@@ -179,42 +186,16 @@ class TestLeadingExponent:
 
 
 class TestRadialFourier:
-    def test_zero(self):
-        grid = uniform_grid(1.0, panel_width=0.05)
-        w = RadialFunction(grid, np.zeros_like(grid.nodes), 1.0, Space.EUCLIDEAN)
-        rho = uniform_grid(20.0, panel_width=0.5)
-        assert np.all(radial_fourier(w, 3, rho).values == 0.0)
-
     def test_gaussian_self_transform(self):
-        grid = uniform_grid(12.0, panel_width=0.1)
-        w = RadialFunction.from_profile(lambda r: np.exp(-r * r / 2.0), grid, 12.0,
-                                        Space.EUCLIDEAN)
-        rho = uniform_grid(10.0, panel_width=0.1)
-        what = radial_fourier(w, 3, rho).values
-        target = np.exp(-rho.nodes ** 2 / 2.0)
-        err = math.sqrt(float(np.dot(rho.weights, (what - target) ** 2))
-                        / float(np.dot(rho.weights, target ** 2)))
-        assert err <= 1e-6
-
-    def test_tail_error_on_short_grid(self):
-        from gjmslab.errors import TailError
-        grid = uniform_grid(12.0, panel_width=0.1)
-        w = RadialFunction.from_profile(lambda r: np.exp(-r * r / 2.0), grid, 12.0,
-                                        Space.EUCLIDEAN)
-        rho = uniform_grid(1.5, panel_width=0.1)
-        with pytest.raises(TailError):
-            radial_fourier(w, 3, rho)
-
-    def test_plancherel(self):
-        grid = uniform_grid(2.5, panel_width=0.02)
-        w = RadialFunction.from_profile(windowed_gaussian(0.4, 2.5), grid, 2.5,
-                                        Space.EUCLIDEAN)
-        n = 4
-        rho = uniform_grid(40.0, panel_width=0.25)
-        what = radial_fourier(w, n, rho).values
-        spectral = sphere_area(n) * rho.integrate(what ** 2 * rho.nodes ** (n - 1))
-        direct = sphere_area(n) * grid.integrate(w.values ** 2 * grid.nodes ** (n - 1))
-        assert spectral == pytest.approx(direct, rel=1e-5)
+        # the octave-band kernels are the unitary radial Fourier transform,
+        # under which exp(-r^2/2) is its own transform in every dimension
+        for n in (3, 4, 5):
+            lo = 1e-3
+            while lo < 10.0:
+                band = _band_kernel(n, 12.0, lo, 2.0 * lo)
+                what = band.kernel @ np.exp(-band.r ** 2 / 2.0)
+                assert np.max(np.abs(what - np.exp(-band.rho ** 2 / 2.0))) <= 1e-13
+                lo *= 2.0
 
 
 class TestFractionalEnergy:
@@ -358,7 +339,12 @@ class TestEnergyAsymptotics:
                                              Space.EUCLIDEAN)
             wz = RadialFunction.from_profile(z_part, bubble_grid(eps, 2000.0), 2000.0,
                                              Space.EUCLIDEAN)
-            cross = fractional_cross_energy(wU, wz, p)
+            w_sum = RadialFunction.from_profile(lambda r, _u=u_full, _z=z_part: _u(r) + _z(r),
+                                                bubble_grid(eps, 2000.0), 2000.0,
+                                                Space.EUCLIDEAN)
+            # <U, z>_s by polarization
+            cross = 0.5 * (fractional_energy(w_sum, p) - fractional_energy(wU, p)
+                           - fractional_energy(wz, p))
             grid = geometric_grid(3e3, first_width=eps / 3.0)
             r = grid.nodes
             integrand = ((cutoff(delta, r) - 1.0) * bubble(p, bp, r) ** p.two_star
@@ -389,27 +375,3 @@ class TestEnergyAsymptotics:
             values.append(abs(e_w - e_u - e_z))
         slope = fit_loglog_slope(ladder, values)
         assert slope >= 0.8 * min(p.n, p.n - 2.0 * p.s)
-
-
-class TestDerivativeBounds:
-    def test_uniform_ratios_order0(self):
-        ratios = derivative_bound_check(Params(5, 1.0), 0.25, [0.05, 0.025, 0.0125], 0)
-        assert np.max(ratios) / np.min(ratios) < 1.2
-
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_uniform_ratios_higher(self, order):
-        ratios = derivative_bound_check(Params(5, 1.0), 0.25, [0.05, 0.025, 0.0125], order)
-        assert np.max(ratios) / np.min(ratios) < 2.0
-
-    def test_sup_at_inner_edge(self):
-        # the radial profile decreases beyond delta, so the sup sits at delta
-        p = Params(5, 1.0)
-        bp = BubbleParams(0.05, 0.2)
-        delta = 0.25
-        r = np.linspace(delta, 5.0, 2000)
-        vals = bubble(p, bp, r)
-        assert np.argmax(vals) == 0
-
-    def test_order_validation(self):
-        with pytest.raises(ParameterError):
-            derivative_bound_check(Params(3, 1.0), 0.2, [0.1], 3)

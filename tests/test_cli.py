@@ -15,6 +15,7 @@ from gjmslab.cli import main, write_manifest
 from gjmslab.errors import DegenerateData
 from gjmslab.params import Params
 from gjmslab.quotients import QUOTIENT_TOL
+from gjmslab.special import SERIES_CAP, SERIES_TOL
 from gjmslab.spherical import DEFAULT_TAIL_TOL
 
 
@@ -296,9 +297,8 @@ class TestManifest:
         tolerances = manifest["tolerances"]
         assert tolerances["quotient_tol"] == QUOTIENT_TOL
         assert tolerances["tail_tol"] == DEFAULT_TAIL_TOL
-        assert tolerances["pole_tol"] == 1e-12
-        assert tolerances["series_tol"] == 1e-14
-        assert tolerances["series_cap"] == 10_000
+        assert tolerances["series_tol"] == SERIES_TOL
+        assert tolerances["series_cap"] == SERIES_CAP
 
     def test_records_the_loaded_scipy_subpackages(self, tmp_path):
         import scipy.special  # noqa: F401

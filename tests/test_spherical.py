@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from collections import OrderedDict
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -13,7 +14,6 @@ from gjmslab.errors import DegenerateData, DomainError, NonConvergence, SupportE
 from gjmslab.geometry import conformal_lift
 from gjmslab.grids import RadialFunction, RadialGrid, Space, SpectralProfile, uniform_grid
 from gjmslab.params import MultiplierKind, Params
-from gjmslab.special import legendre_p
 from gjmslab.spherical import (
     decay_slope,
     default_beta_grid,
@@ -52,10 +52,10 @@ class TestPlancherelDensity:
             assert plancherel_density(n, 1e-6) < 1e-10
 
     def test_two_dim_value(self):
-        from gjmslab.special import abs_gamma_sq
-        target = 0.5 / math.pi * abs_gamma_sq(0.5, 1.0) / abs_gamma_sq(0.0 + 1.0, 1.0) * 1.0
-        # |Gamma(i)|^2 = |Gamma(1+i)|^2 since |i|^2 = 1
-        assert plancherel_density(2, 1.0) == pytest.approx(target, rel=1e-12)
+        # |c(beta)|^-2 = beta tanh(pi beta) / (2 pi) in two dimensions
+        for beta in (0.05, 0.5, 1.0, 3.7, 12.0):
+            target = beta * math.tanh(math.pi * beta) / (2.0 * math.pi)
+            assert plancherel_density(2, beta) == pytest.approx(target, rel=1e-12)
 
 
 class TestSphericalFunction:
@@ -79,8 +79,8 @@ class TestSphericalFunction:
             r = float(rng.uniform(0.2, 3.0))
             mu = (2.0 - n) / 2.0
             const = 2.0 ** ((n - 2) / 2.0) * math.gamma(n / 2.0) * math.sinh(r) ** ((2.0 - n) / 2.0)
-            plus = const * legendre_p(complex(-0.5, beta), mu, math.cosh(r)).real
-            minus = const * legendre_p(complex(-0.5, -beta), mu, math.cosh(r)).real
+            plus = const * float(mp.re(mp.legenp(mp.mpc(-0.5, beta), mu, math.cosh(r), type=3)))
+            minus = const * float(mp.re(mp.legenp(mp.mpc(-0.5, -beta), mu, math.cosh(r), type=3)))
             assert abs(plus - minus) <= 1e-10 * (1.0 + abs(plus))
             assert spherical_function(n, beta, r) == pytest.approx(plus, rel=1e-9, abs=1e-12)
 
