@@ -24,7 +24,7 @@ from .errors import BudgetExceeded, DegenerateData, GjmsLabError, NonConvergence
     ParameterError, TailError
 from .multipliers import b_constant, gap_constant, multiplier, spectral_bottom
 from .params import MultiplierKind, Params
-from .quotients import DEFAULT_EVAL_CAP, QUOTIENT_TOL, BubbleFamily, SplineFamily, blowdown, \
+from .quotients import DEFAULT_EVAL_CAP, BubbleFamily, SplineFamily, blowdown, \
     gap_scan, sharp_constant_estimate
 from .spherical import DEFAULT_B_MAX, DEFAULT_TAIL_TOL, kernel_decay
 from .special import SERIES_CAP, SERIES_TOL
@@ -69,15 +69,6 @@ def _now():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _tolerances():
-    return {
-        "series_tol": SERIES_TOL,
-        "series_cap": SERIES_CAP,
-        "quotient_tol": QUOTIENT_TOL,
-        "tail_tol": DEFAULT_TAIL_TOL,
-    }
-
-
 def _scipy_modules():
     """The public scipy subpackages (scipy.special, ...) loaded so far."""
     return sorted(name for name, module in list(sys.modules.items())
@@ -96,7 +87,8 @@ def write_manifest(out_path, command, params, started_at):
         "git_describe": _git_describe(),
         "started_at": started_at,
         "finished_at": _now(),
-        "tolerances": _tolerances(),
+        "tolerances": {"series_tol": SERIES_TOL, "series_cap": SERIES_CAP,
+                       "tail_tol": DEFAULT_TAIL_TOL},
         "scipy_modules": _scipy_modules(),
     }
     with open(out_path + ".manifest.json", "w") as fh:
@@ -126,15 +118,22 @@ def _write_outputs(args, header, rows, summary=None):
     write_manifest(args.out, args.subcommand, vars_of(args), args.started_at)
 
 
+def finite_float(text):
+    """float(text), or ValueError when it is nan or infinite; the argparse
+    type of every float flag."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def _parse_floats(spec):
     try:
-        values = [float(tok) for tok in spec.split(",") if tok.strip() != ""]
+        values = [finite_float(tok) for tok in spec.split(",") if tok.strip() != ""]
     except ValueError:
-        raise ParameterError(f"could not parse float list {spec!r}")
+        raise ParameterError(f"could not parse a finite float list from {spec!r}")
     if not values:
         raise ParameterError("empty value list")
-    if not all(map(math.isfinite, values)):
-        raise ParameterError(f"non-finite value in {spec!r}")
     return values
 
 
@@ -144,13 +143,11 @@ def _parse_lambda_spec(spec):
         if len(parts) != 3:
             raise ParameterError("lambda spec must be start:stop:count or a comma list")
         try:
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+            start, stop, count = finite_float(parts[0]), finite_float(parts[1]), int(parts[2])
         except ValueError:
             raise ParameterError(f"bad lambda spec {spec!r}")
         if count < 1:
             raise ParameterError("lambda count must be >= 1")
-        if not (math.isfinite(start) and math.isfinite(stop)):
-            raise ParameterError(f"non-finite value in {spec!r}")
         return list(np.linspace(start, stop, count))
     return _parse_floats(spec)
 
@@ -208,6 +205,8 @@ def cmd_gap_scan(args) -> int:
     kind = _KINDS[args.kind]
     if kind is MultiplierKind.REMAINDER:
         raise ParameterError("gap-scan works with gjms or intertwined")
+    if args.budget < 1:
+        raise ParameterError("--budget must be >= 1")
     lambdas = _parse_lambda_spec(args.lambda_spec)
     family = _family_from_args(args)
     s_est = sharp_constant_estimate(p)
@@ -272,7 +271,7 @@ def build_parser():
 
     def add_common(sp):
         sp.add_argument("--n", type=int, required=True)
-        sp.add_argument("--s", type=float, required=True)
+        sp.add_argument("--s", type=finite_float, required=True)
         sp.add_argument("--config", type=str, default=None)
 
     sp = sub.add_parser("constants", help="closed-form spectral constants as JSON")
@@ -282,14 +281,14 @@ def build_parser():
     sp = sub.add_parser("multiplier", help="spectral symbol samples as CSV")
     add_common(sp)
     sp.add_argument("--kind", choices=sorted(_KINDS), required=True)
-    sp.add_argument("--beta-max", type=float, required=True)
+    sp.add_argument("--beta-max", type=finite_float, required=True)
     sp.add_argument("--count", type=int, required=True)
     sp.add_argument("--out", type=str, required=True)
     sp.set_defaults(func=cmd_multiplier)
 
     sp = sub.add_parser("bubble-asymptotics", help="cut-off bubble mass/energy ladders")
     add_common(sp)
-    sp.add_argument("--delta", type=float, required=True)
+    sp.add_argument("--delta", type=finite_float, required=True)
     sp.add_argument("--eps-ladder", type=str, required=True)
     sp.add_argument("--out", type=str, required=True)
     sp.set_defaults(func=cmd_bubble_asymptotics)
@@ -300,10 +299,10 @@ def build_parser():
     sp.add_argument("--lambda-spec", type=str, required=True)
     sp.add_argument("--family", choices=["bubble", "spline"], required=True)
     sp.add_argument("--budget", type=int, default=DEFAULT_EVAL_CAP)
-    sp.add_argument("--b-max", type=float, default=DEFAULT_B_MAX)
+    sp.add_argument("--b-max", type=finite_float, default=DEFAULT_B_MAX)
     sp.add_argument("--spline-knots", type=int, default=12)
-    sp.add_argument("--spline-radius", type=float, default=8.0)
-    sp.add_argument("--spline-grading", type=float, default=3.3)
+    sp.add_argument("--spline-radius", type=finite_float, default=8.0)
+    sp.add_argument("--spline-grading", type=finite_float, default=3.3)
     sp.add_argument("--out", type=str, required=True)
     sp.set_defaults(func=cmd_gap_scan)
 
@@ -311,13 +310,13 @@ def build_parser():
     add_common(sp)
     sp.add_argument("--kind", choices=sorted(_KINDS), required=True)
     sp.add_argument("--r-spec", type=str, required=True)
-    sp.add_argument("--eps-reg", type=float, required=True)
+    sp.add_argument("--eps-reg", type=finite_float, required=True)
     sp.add_argument("--out", type=str, required=True)
     sp.set_defaults(func=cmd_kernel_decay)
 
     sp = sub.add_parser("blowdown", help="explicit multi-bump blow-down bound table")
     add_common(sp)
-    sp.add_argument("--lambda", dest="lam", type=float, required=True)
+    sp.add_argument("--lambda", dest="lam", type=finite_float, required=True)
     sp.add_argument("--n-spec", type=str, required=True)
     sp.add_argument("--out", type=str, required=True)
     sp.set_defaults(func=cmd_blowdown)

@@ -126,7 +126,7 @@ def bubble_quotient(kind: MultiplierKind, p: Params, lam: float,
 
 @dataclass(frozen=True)
 class BubbleFamily:
-    """Box of (eps, delta) bubble parameters searched by coordinate descent."""
+    """Box of (eps, delta) bubble parameters, searched along t = eps/delta."""
 
     eps_lo: float = 0.02
     eps_hi: float = 0.3
@@ -158,7 +158,7 @@ class SplineFamily:
     def __post_init__(self):
         if self.knots < 4 or not self.radius > 0.0:
             raise ParameterError("spline family needs >= 4 knots and radius > 0")
-        if self.grading < 0.0:
+        if not self.grading >= 0.0:
             raise ParameterError("grading must be >= 0")
 
 
@@ -270,41 +270,35 @@ class _Budget:
 
 
 DEFAULT_EVAL_CAP = 500
-QUOTIENT_TOL = 1e-5
 
 
 def _minimize_bubble(kind, p, lam, family, budget, b_max, reports):
-    """Coordinate descent over (log eps, delta); returns whether it converged.
+    """Golden section (30 steps) over log t, t = eps/delta; returns True.
 
+    The energy and critical mass depend on t alone and the L2 mass grows
+    with delta at fixed t, so each t is priced at the box point the sign of
+    lam prefers: the largest delta for lam >= 0, the smallest for lam < 0.
     reports maps rounded (log eps, delta) keys to reports at any lambda,
     read back through at_lambda; the budget still counts each trial priced.
     """
-    quotients = {}
-
     def trial(key, bp):
         if key not in reports:
             reports[key] = bubble_quotient(kind, p, lam, bp, b_max)
         return reports[key].at_lambda(lam)
 
-    def evaluate(log_eps, delta):
-        key = (round(log_eps, 12), round(delta, 12))
-        if key not in quotients:
-            quotients[key] = budget.price(trial, key, BubbleParams(math.exp(log_eps), delta))
-        return quotients[key]
+    def evaluate(log_t):
+        t = math.exp(log_t)
+        if lam >= 0.0:
+            delta = min(family.delta_hi, family.eps_hi / t)
+        else:
+            delta = max(family.delta_lo, family.eps_lo / t)
+        eps = min(max(t * delta, family.eps_lo), family.eps_hi)
+        key = (round(math.log(eps), 12), round(delta, 12))
+        return budget.price(trial, key, BubbleParams(eps, delta))
 
-    le_lo, le_hi = math.log(family.eps_lo), math.log(family.eps_hi)
-    le = 0.5 * (le_lo + le_hi)
-    de = 0.5 * (family.delta_lo + family.delta_hi)
-    evaluate(le, de)
-    for _ in range(4):
-        previous = budget.best.quotient
-        le = _golden_section(lambda x: evaluate(x, de), le_lo, le_hi, steps=18)
-        de = _golden_section(lambda x: evaluate(le, x),
-                             family.delta_lo, family.delta_hi, steps=14)
-        best = budget.best.quotient
-        if abs(previous - best) <= QUOTIENT_TOL * (1.0 + abs(best)):
-            return True
-    return False
+    _golden_section(evaluate, math.log(family.eps_lo / family.delta_hi),
+                    math.log(family.eps_hi / family.delta_lo), steps=30)
+    return True
 
 
 def _spline_start_candidates(family, p):
@@ -395,14 +389,15 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
              eval_cap: int = DEFAULT_EVAL_CAP, b_max: float = DEFAULT_B_MAX):
     """Best quotient report found over the trial family at each lambda.
 
-    BubbleFamily: coordinate descent in (log eps, delta) with golden-section
-    line searches; an evaluation is one bubble_quotient or the read-back of
-    one priced at an earlier lambda. SplineFamily: SLSQP over knot values
-    under the tail guards; an evaluation is one _spline_report from the
-    family's matrices, and only guard-passing trials are returned.
+    BubbleFamily: one golden section over log(eps/delta), each ratio priced
+    on the box edge the sign of lambda selects; an evaluation is one
+    bubble_quotient or the read-back of one priced at an earlier lambda.
+    SplineFamily: SLSQP over knot values under the tail guards; an
+    evaluation is one _spline_report from the family's matrices, and only
+    guard-passing trials are returned.
     Deterministic; each lambda's search prices at most eval_cap trials and
-    raises BudgetExceeded when it priced none, or spent the cap before the
-    stopping tolerance.
+    raises BudgetExceeded when it priced none, or spent the cap before it
+    finished (the bubble search needs 32).
     Earlier winners are re-priced at each lambda (free: the numerator is
     affine in lambda), so the quotients do not increase with lambda.
     """

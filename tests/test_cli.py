@@ -14,7 +14,6 @@ from gjmslab import __version__, cli
 from gjmslab.cli import main, write_manifest
 from gjmslab.errors import DegenerateData
 from gjmslab.params import Params
-from gjmslab.quotients import QUOTIENT_TOL
 from gjmslab.special import SERIES_CAP, SERIES_TOL
 from gjmslab.spherical import DEFAULT_TAIL_TOL
 
@@ -280,6 +279,28 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("argv", [
+        ["gap-scan", "--kind", "intertwined", "--n", "5", "--s", "0.8",
+         "--lambda-spec=0", "--family", "bubble", "--b-max", "nan"],
+        ["gap-scan", "--kind", "intertwined", "--n", "5", "--s", "0.8",
+         "--lambda-spec=0", "--family", "bubble", "--b-max", "inf"],
+        ["kernel-decay", "--kind", "intertwined", "--n", "3", "--s", "0.6",
+         "--r-spec", "2,3", "--eps-reg", "inf"],
+        ["blowdown", "--n", "3", "--s", "1", "--lambda", "inf", "--n-spec", "4,16"],
+        ["gap-scan", "--kind", "intertwined", "--n", "5", "--s", "0.8",
+         "--lambda-spec=0", "--family", "bubble", "--budget", "0"],
+        ["gap-scan", "--kind", "intertwined", "--n", "5", "--s", "0.8",
+         "--lambda-spec=0", "--family", "bubble", "--budget", "-3"],
+        ["gap-scan", "--kind", "gjms", "--n", "3", "--s", "1", "--lambda-spec=0",
+         "--family", "spline", "--spline-grading", "nan"],
+    ], ids=["nan-b-max", "inf-b-max", "inf-eps-reg", "inf-lambda", "zero-budget",
+            "negative-budget", "nan-grading"])
+    def test_bad_flag_value_exits_2(self, argv, tmp_path, capsys):
+        out = str(tmp_path / "x.csv")
+        assert run(argv + ["--out", out]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_numerical_failure_is_not_bad_input(self, tmp_path, capsys):
         out = str(tmp_path / "gs.csv")
         assert run(["gap-scan", "--kind", "gjms", "--n", "3", "--s", "1",
@@ -295,7 +316,6 @@ class TestManifest:
                        "2026-01-01T00:00:00+00:00")
         manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
         tolerances = manifest["tolerances"]
-        assert tolerances["quotient_tol"] == QUOTIENT_TOL
         assert tolerances["tail_tol"] == DEFAULT_TAIL_TOL
         assert tolerances["series_tol"] == SERIES_TOL
         assert tolerances["series_cap"] == SERIES_CAP

@@ -112,6 +112,11 @@ class TestSplineTrial:
         with pytest.raises(ParameterError):
             spline_trial(fam, np.ones(8), Params(3, 1.0))
 
+    def test_grading_validation(self):
+        for grading in (-1.0, float("nan")):
+            with pytest.raises(ParameterError):
+                SplineFamily(grading=grading)
+
     def test_zero_knots_give_zero_trial(self):
         fam = SplineFamily(knots=8, radius=3.0)
         u = spline_trial(fam, np.zeros(7), Params(3, 1.0))
@@ -255,10 +260,24 @@ class TestGapScan:
                 if earlier.at_lambda(lam).quotient < rep.quotient:
                     rep = earlier.at_lambda(lam)
             independent.append(rep)
-        assert len(calls) == 128
+        assert len(calls) == 64
         calls.clear()
         assert gap_scan(INT, p, lambdas, BubbleFamily()) == independent
-        assert len(calls) == 86
+        assert len(calls) == 58
+
+    @pytest.mark.parametrize("n, s, lambdas", [(5, 0.8, (-1.0, 0.0, 0.25)),
+                                               (3, 1.0, "bottom")])
+    def test_no_box_grid_point_beats_the_search(self, n, s, lambdas):
+        p = Params(n, s)
+        if lambdas == "bottom":
+            lambdas = (spectral_bottom(INT, p),)
+        family = BubbleFamily()
+        grid = [bubble_quotient(INT, p, 0.0, BubbleParams(eps, delta))
+                for eps in np.geomspace(family.eps_lo, family.eps_hi, 5)
+                for delta in np.linspace(family.delta_lo, family.delta_hi, 5)]
+        for lam, rep in zip(lambdas, gap_scan(INT, p, lambdas, family)):
+            best = min(trial.at_lambda(lam).quotient for trial in grid)
+            assert rep.quotient <= (1.0 + 1e-6) * best
 
     def test_scan_memo_hits_count_against_the_cap(self):
         from gjmslab.quotients import _Budget, _minimize_bubble
