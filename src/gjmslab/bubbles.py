@@ -67,24 +67,23 @@ def bubble(p: Params, bp: BubbleParams, r):
 
 
 def _mollifier_mass(t):
-    """int_0^t exp(-1/(u(1-u))) du for t in [0, 1], vectorized (48-node GL)."""
+    """int_0^t exp(-1/(u(1-u))) du for t in (0, 1], vectorized (48-node GL)."""
     t = np.asarray(t, dtype=float)
-    u = 0.5 * (_GL48_X + 1.0)                       # nodes on (0, 1)
-    uu = np.multiply.outer(t, u)                    # scaled to (0, t)
-    g = np.zeros_like(uu)
-    inside = (uu > 0.0) & (uu < 1.0)
-    g[inside] = np.exp(-1.0 / (uu[inside] * (1.0 - uu[inside])))
-    return 0.5 * t * (g @ _GL48_W)
+    uu = np.multiply.outer(t, 0.5 * (_GL48_X + 1.0))    # nodes scaled to (0, t)
+    return 0.5 * t * (np.exp(-1.0 / (uu * (1.0 - uu))) @ _GL48_W)
 
 
 _MOLLIFIER_TOTAL = float(_mollifier_mass(np.asarray(1.0)))
 
 
 def smooth_step(t):
-    """C-infinity step: 0 for t <= 0, 1 for t >= 1, value 1/2 at t = 1/2."""
+    """C-infinity step: exactly 0 for t <= 0 and 1 for t >= 1, value 1/2 at
+    t = 1/2; the quadrature runs on the ramp 0 < t < 1 (and NaN) only."""
     t = np.asarray(t, dtype=float)
-    clipped = np.clip(t, 0.0, 1.0)
-    return _mollifier_mass(clipped) / _MOLLIFIER_TOTAL
+    out = np.where(t >= 1.0, 1.0, 0.0)
+    ramp = ~((t <= 0.0) | (t >= 1.0))
+    out[ramp] = _mollifier_mass(t[ramp]) / _MOLLIFIER_TOTAL
+    return out
 
 
 def smooth_window(r, r_on: float, r_off: float):

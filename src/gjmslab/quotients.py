@@ -1,10 +1,11 @@
 """Poincare-Sobolev quotients on hyperbolic space and their minimization over
 bubble and spline trial families (gap_scan, the one search), the explicit
 multi-bump blow-down bound and its experiment, and the internal
-sharp-constant estimate. The spline search is one SLSQP solve (Kraft 1988)
-on the family's quadratic forms."""
+sharp-constant estimate. The spline search is a Newton SQP (Nocedal-Wright,
+ch. 18) in numpy on the family's quadratic forms."""
 
 import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -350,39 +351,115 @@ def _spline_report(family, p, lam, forms, theta):
                    crit_integral, f"spline[m={family.knots},R={family.radius:.6g},theta={values}]")
 
 
+def _guarded_newton_step(grad, vals, vecs, jac, values, margins):
+    """Minimizer y of grad.y + y^T H y / 2, H = vecs diag(vals) vecs^T positive
+    definite, under values + jac @ y >= margins, and its multipliers: the
+    KKT point of the first active set, fewest rows first, whose multipliers
+    are nonnegative and whose inactive rows reach half their margin; None
+    when no active set gives one."""
+    inverse = (vecs / vals) @ vecs.T
+    newton = -inverse @ grad
+    for size in range(len(values) + 1):
+        for active in map(list, itertools.combinations(range(len(values)), size)):
+            mu = np.zeros(len(values))
+            if active:
+                rows = jac[active]
+                try:    # singular for a vanishing guard (GJMS at integer s)
+                    mu[active] = np.linalg.solve(
+                        rows @ inverse @ rows.T, (margins - values)[active] - rows @ newton)
+                except np.linalg.LinAlgError:
+                    continue
+            y = newton + inverse @ (jac.T @ mu)
+            if np.all(mu >= 0.0) and np.all(values + jac @ y >= 0.5 * margins):
+                return y, mu
+    return None
+
+
 def _minimize_spline(kind, p, lam, family, budget, b_max):
-    """SLSQP on theta^T (A - lam M) theta / crit^{2/2*} under the tail guards,
-    from the best start candidate scaled to unit critical integral; returns
-    whether it converged (at SLSQP's default accuracy, 1e-6 on Q)."""
+    """Newton SQP (Nocedal-Wright, ch. 18) on Q = theta^T (A - lam M) theta /
+    crit^{2/2*} under the tail guards theta^T G_k theta >= 0, from the best
+    start candidate scaled to unit critical integral.
+
+    Q is 0-homogeneous and the guards 2-homogeneous, so each step d is
+    tangent (theta^T d = 0) and each trial is rescaled to unit critical
+    integral. The step minimizes the quadratic model of Q with the exact
+    Lagrangian Hessian on the tangent space, its eigenvalues clamped to
+    positive, under the linearized guards held 1e-12 |theta|^T |G_k| |theta|
+    inside; it is halved until an l1 merit decreases. Every trial is
+    priced, line-search trials included.
+    Returns True once an admissible trial moves Q by <= 1e-14 relative or a
+    step is <= 1e-12 |theta|, and False when the linearized guards admit no
+    step.
+    """
     forms = _spline_forms(kind, p, family, b_max)
     basis, measure, energy, l2, guards = forms
     shifted = energy - lam * l2
+    power = p.two_star
+    magnitudes = np.abs(guards)
 
-    def guard_values(theta):
-        return np.einsum("i,kij,j->k", theta, guards, theta)
+    def unit(theta):
+        return theta / (measure @ np.abs(basis @ theta) ** power) ** (1.0 / power)
+
+    def guard_values(theta, matrices=guards):
+        return np.einsum("i,kij,j->k", theta, matrices, theta)
 
     def quotient(theta):
         # a trial outside a guard steers the search but is never returned
+        g = guard_values(theta)
         return budget.price(_spline_report, family, p, lam, forms, theta,
-                            admissible=bool(np.all(guard_values(theta) >= 0.0)))
+                            admissible=bool(np.all(g >= 0.0))), g
 
-    def gradient(theta):
+    def gradient_hessian(theta):
+        # of Q at unit critical integral: N = measure @ |u|^{2*}, u = basis
+        # @ theta, has gradient 2* pull and Hessian 2* (2* - 1) B^T w B
         u = basis @ theta
-        crit_integral = measure @ np.abs(u) ** p.two_star
-        pull = basis.T @ (measure * np.abs(u) ** (p.two_star - 2.0) * u) / crit_integral
-        return (2.0 * (shifted @ theta - (theta @ shifted @ theta) * pull)
-                / crit_integral ** (2.0 / p.two_star))
-
-    from scipy.optimize import minimize
+        w = measure * np.abs(u) ** (power - 2.0)
+        pull = basis.T @ (w * u)
+        s_theta = shifted @ theta
+        q = theta @ s_theta
+        cross = np.outer(s_theta, pull)
+        hessian = (2.0 * shifted - 4.0 * (cross + cross.T)
+                   + 2.0 * q * ((power + 2.0) * np.outer(pull, pull)
+                                - (power - 1.0) * (basis.T * w) @ basis))
+        return 2.0 * (s_theta - q * pull), hessian
 
     candidates = _spline_start_candidates(family, p)
-    theta0 = candidates[int(np.argmin([quotient(cand) for cand in candidates]))]
-    theta0 = theta0 / (measure @ np.abs(basis @ theta0) ** p.two_star) ** (1.0 / p.two_star)
-    result = minimize(quotient, theta0, jac=gradient, method="SLSQP",
-                      constraints={"type": "ineq", "fun": guard_values,
-                                   "jac": lambda theta: 2.0 * guards @ theta},
-                      options={"maxiter": budget.cap})
-    return bool(result.success)
+    start = [quotient(cand)[0] for cand in candidates]
+    best = int(np.argmin(start))
+    theta, q = unit(candidates[best]), start[best]
+    g = guard_values(theta)
+    mu, nu = np.zeros(len(guards)), 0.0
+    while True:
+        gradient, hessian = gradient_hessian(theta)
+        hessian -= 2.0 * np.tensordot(mu, guards, axes=1)
+        tangent = np.linalg.qr(theta[:, None], mode="complete")[0][:, 1:]
+        vals, vecs = np.linalg.eigh(tangent.T @ hessian @ tangent)
+        vals = np.maximum(np.abs(vals), 1e-15 * np.max(np.abs(vals)))
+        step = _guarded_newton_step(tangent.T @ gradient, vals, vecs,
+                                    2.0 * (guards @ theta) @ tangent, g,
+                                    1e-12 * guard_values(np.abs(theta), magnitudes))
+        if step is None:
+            return False
+        d, mu = tangent @ step[0], step[1]
+        if np.linalg.norm(d) <= 1e-12 * np.linalg.norm(theta):
+            return True
+        nu = max(nu, 1.5 * float(np.max(mu)))
+        violation = np.sum(np.maximum(-g, 0.0))
+        merit = q + nu * violation
+        slope = min(gradient @ d - nu * violation, 0.0)
+        alpha = 1.0
+        while True:
+            trial = unit(theta + alpha * d)
+            q_trial, g_trial = quotient(trial)
+            if q_trial + nu * np.sum(np.maximum(-g_trial, 0.0)) <= merit + 1e-4 * alpha * slope:
+                break
+            alpha *= 0.5
+            if alpha * np.linalg.norm(d) <= 1e-12 * np.linalg.norm(theta):
+                return True
+        done = bool(np.all(g_trial >= 0.0)) and abs(q_trial - q) <= 1e-14 * abs(q)
+        theta, q, g = trial, q_trial, g_trial
+        if done:
+            return True
 
 
 def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
@@ -392,9 +469,11 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
     BubbleFamily: one golden section over log(eps/delta), each ratio priced
     on the box edge the sign of lambda selects; an evaluation is one
     bubble_quotient or the read-back of one priced at an earlier lambda.
-    SplineFamily: SLSQP over knot values under the tail guards; an
-    evaluation is one _spline_report from the family's matrices, and only
-    guard-passing trials are returned.
+    SplineFamily: a Newton SQP over knot values under the tail guards,
+    stopped once a guard-passing trial moves the quotient by <= 1e-14
+    relative or a step is <= 1e-12 |theta|; an evaluation is one
+    _spline_report from the family's matrices (line-search trials
+    included), and only guard-passing trials are returned.
     Deterministic; each lambda's search prices at most eval_cap trials and
     raises BudgetExceeded when it priced none, or spent the cap before it
     finished (the bubble search needs 32).

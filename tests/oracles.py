@@ -7,6 +7,9 @@ bubble_energy_limit checks the Hankel machinery and the closed form against
 each other. panelwise_regularized_kernel is the adaptive kernel quadrature
 evaluated one panel at a time, the route that the batched
 spherical.regularized_kernel must reproduce bit for bit.
+slsqp_spline_search is the spline search as one scipy SLSQP solve, the
+route that quotients._minimize_spline replaced; its quotients bound the
+Newton search's from above.
 """
 
 import functools
@@ -18,6 +21,7 @@ from gjmslab.bubbles import _banded_energy, smooth_window
 from gjmslab.errors import DomainError, NonConvergence
 from gjmslab.geometry import sphere_area
 from gjmslab.grids import GAUSS_WEIGHTS, PHASE_PER_PANEL, gauss_panels, geometric_grid
+from gjmslab.quotients import _spline_forms, _spline_report, _spline_start_candidates
 from gjmslab.spherical import _symbol_values, plancherel_density, spherical_function
 
 WINDOW_RADII = (2000.0, 4000.0)
@@ -101,3 +105,39 @@ def panelwise_regularized_kernel(kind, p, r, eps_reg, rel_tol=1e-10, max_panels=
         queue.append((mid, b, right))
         scale = max(scale, sum(abs(v) for _, _, v in queue) + sum(map(abs, result)))
     return 2.0 * math.fsum(result)
+
+
+def slsqp_spline_search(kind, p, lam, family, budget, b_max):
+    """SLSQP on theta^T (A - lam M) theta / crit^{2/2*} under the tail guards,
+    from the best start candidate scaled to unit critical integral; returns
+    whether it converged (at SLSQP's default accuracy, 1e-6 on Q). Takes
+    the place of quotients._minimize_spline in gap_scan."""
+    forms = _spline_forms(kind, p, family, b_max)
+    basis, measure, energy, l2, guards = forms
+    shifted = energy - lam * l2
+
+    def guard_values(theta):
+        return np.einsum("i,kij,j->k", theta, guards, theta)
+
+    def quotient(theta):
+        # a trial outside a guard steers the search but is never returned
+        return budget.price(_spline_report, family, p, lam, forms, theta,
+                            admissible=bool(np.all(guard_values(theta) >= 0.0)))
+
+    def gradient(theta):
+        u = basis @ theta
+        crit_integral = measure @ np.abs(u) ** p.two_star
+        pull = basis.T @ (measure * np.abs(u) ** (p.two_star - 2.0) * u) / crit_integral
+        return (2.0 * (shifted @ theta - (theta @ shifted @ theta) * pull)
+                / crit_integral ** (2.0 / p.two_star))
+
+    from scipy.optimize import minimize
+
+    candidates = _spline_start_candidates(family, p)
+    theta0 = candidates[int(np.argmin([quotient(cand) for cand in candidates]))]
+    theta0 = theta0 / (measure @ np.abs(basis @ theta0) ** p.two_star) ** (1.0 / p.two_star)
+    result = minimize(quotient, theta0, jac=gradient, method="SLSQP",
+                      constraints={"type": "ineq", "fun": guard_values,
+                                   "jac": lambda theta: 2.0 * guards @ theta},
+                      options={"maxiter": budget.cap})
+    return bool(result.success)

@@ -8,6 +8,8 @@ from conftest import windowed_gaussian
 from oracles import quadrature_mass_limit, windowed_bubble_energy
 from gjmslab.bubbles import (
     BubbleParams,
+    _GL48_W,
+    _GL48_X,
     _band_kernel,
     _band_kernels,
     bubble,
@@ -22,6 +24,7 @@ from gjmslab.bubbles import (
     fractional_energy,
     hyperbolic_l2_mass,
     sampled_bubble,
+    smooth_step,
     smooth_window,
 )
 from gjmslab.errors import DegenerateData, ParameterError
@@ -92,6 +95,31 @@ class TestCutoff:
     def test_validation(self):
         with pytest.raises(ParameterError):
             cutoff(0.3, 0.1)
+
+    def test_step_flat_parts_exact_and_ramp_bit_equal(self):
+        # the 48-node quadrature of the mollifier mass on every node, as
+        # smooth_step computed it before it skipped the flat parts
+        u = 0.5 * (_GL48_X + 1.0)
+
+        def full_quadrature(t):
+            uu = np.multiply.outer(np.clip(t, 0.0, 1.0), u)
+            g = np.zeros_like(uu)
+            inside = (uu > 0.0) & (uu < 1.0)
+            g[inside] = np.exp(-1.0 / (uu[inside] * (1.0 - uu[inside])))
+            return 0.5 * np.clip(t, 0.0, 1.0) * (g @ _GL48_W)
+
+        t = np.linspace(-0.5, 1.5, 2001)
+        ramp = (t > 0.0) & (t < 1.0)
+        step = smooth_step(t)
+        assert np.all(step[t <= 0.0] == 0.0)
+        assert np.all(step[t >= 1.0] == 1.0)
+        expected = full_quadrature(t[ramp]) / full_quadrature(np.asarray(1.0))
+        assert np.array_equal(step[ramp], expected)
+        # beyond r_off the window is exactly 0, on [0, r_on] exactly 1
+        r = np.linspace(0.0, 6.0, 601)
+        window = smooth_window(r, 2.8, 3.5)
+        assert np.all(window[r >= 3.5] == 0.0)
+        assert np.all(window[r <= 2.8] == 1.0)
 
 
 class TestCritMass:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import hyperbolic_bump
-from oracles import windowed_bubble_energy
+from oracles import slsqp_spline_search, windowed_bubble_energy
 from gjmslab.bubbles import BubbleParams, bubble_energy_limit, smooth_window
 from gjmslab.errors import BudgetExceeded, ParameterError, ZeroTrial
 from gjmslab.grids import RadialFunction, Space
@@ -26,6 +26,31 @@ from gjmslab.spherical import DEFAULT_B_MAX, quadratic_form
 
 GJMS = MultiplierKind.GJMS
 INT = MultiplierKind.INTERTWINED
+
+BENCHMARK_SPLINE_SCAN = (GJMS, 3, 1.0, 0.0, SplineFamily(knots=12, radius=3.5), DEFAULT_B_MAX)
+SPLINE_SEARCHES = [
+    BENCHMARK_SPLINE_SCAN,
+    # the strict-gap searches of the acceptance suite
+    (INT, 5, 0.8, 0.5 * spectral_bottom(INT, Params(5, 0.8)),
+     SplineFamily(knots=16, radius=3.5), 96.0),
+    (GJMS, 5, 0.8, 1.2 * b_constant(0.8), SplineFamily(knots=16, radius=3.5), 96.0),
+]
+SPLINE_SEARCH_IDS = ["benchmark-scan", "strict-gap-intertwined", "strict-gap-gjms"]
+
+
+def priced_spline_trials(monkeypatch):
+    """(theta, report) of every _spline_report the search prices, in order."""
+    import gjmslab.quotients as quotients
+
+    priced = []
+
+    def recorded(*args, _fn=quotients._spline_report):
+        rep = _fn(*args)
+        priced.append((np.array(args[-1]), rep))
+        return rep
+
+    monkeypatch.setattr(quotients, "_spline_report", recorded)
+    return priced
 
 
 class TestSobolevQuotient:
@@ -182,36 +207,90 @@ class TestMinimize:
                     gap_scan(INT, p, [0.05], family, eval_cap=cap)
                 assert len(calls) == cap
 
-    @pytest.mark.parametrize("kind, n, s, lam, family, b_max", [
-        # the benchmark's spline gap-scan
-        (GJMS, 3, 1.0, 0.0, SplineFamily(knots=12, radius=3.5), DEFAULT_B_MAX),
-        # the strict-gap searches of the acceptance suite
-        (INT, 5, 0.8, 0.5 * spectral_bottom(INT, Params(5, 0.8)),
-         SplineFamily(knots=16, radius=3.5), 96.0),
-        (GJMS, 5, 0.8, 1.2 * b_constant(0.8), SplineFamily(knots=16, radius=3.5), 96.0),
-    ], ids=["benchmark-scan", "strict-gap-intertwined", "strict-gap-gjms"])
+    @pytest.mark.parametrize("kind, n, s, lam, family, b_max", SPLINE_SEARCHES,
+                             ids=SPLINE_SEARCH_IDS)
     def test_spline_search_matches_sobolev_quotient(self, monkeypatch, kind, n, s, lam,
                                                     family, b_max):
         # the search prices knot values through the family's matrices; the
         # trial it returns, rebuilt by spline_trial and priced through one
         # spherical transform, gives the same report and passes the tail
         # guard (sobolev_quotient raises TailError otherwise)
-        import gjmslab.quotients as quotients
-
-        priced = []
-
-        def recorded(*args, _fn=quotients._spline_report):
-            rep = _fn(*args)
-            priced.append((np.array(args[-1]), rep))
-            return rep
-
-        monkeypatch.setattr(quotients, "_spline_report", recorded)
+        priced = priced_spline_trials(monkeypatch)
         p = Params(n, s)
         rep = gap_scan(kind, p, [lam], family, b_max=b_max)[0]
         theta = next(theta for theta, r in priced if r is rep)
         direct = sobolev_quotient(kind, p, lam, spline_trial(family, theta, p), b_max=b_max)
         for field in ("energy", "l2_mass", "crit_norm", "quotient"):
             assert getattr(rep, field) == pytest.approx(getattr(direct, field), rel=1e-10)
+
+    @pytest.mark.parametrize("kind, n, s, lambdas, family, b_max", [
+        (kind, n, s, [lam], family, b_max) for kind, n, s, lam, family, b_max in SPLINE_SEARCHES
+    ] + [
+        # the spectral-bottom search of the acceptance suite
+        (INT, 3, 1.0, [spectral_bottom(INT, Params(3, 1.0))], SplineFamily(knots=12, radius=3.0),
+         DEFAULT_B_MAX),
+        (INT, 5, 0.8, [0.0, 0.5, 1.0, 2.0], SplineFamily(knots=12, radius=3.5), DEFAULT_B_MAX),
+        # an active guard with a large |theta|^T |G| |theta|: the inner margin
+        # the search keeps from the guard must cost less than 1e-9 in Q
+        (INT, 3, 1.0, [spectral_bottom(INT, Params(3, 1.0))], SplineFamily(knots=16, radius=3.5),
+         DEFAULT_B_MAX),
+    ], ids=SPLINE_SEARCH_IDS + ["spectral-bottom", "intertwined-scan", "guard-margin"])
+    def test_newton_search_not_worse_than_slsqp(self, monkeypatch, kind, n, s, lambdas,
+                                                family, b_max):
+        import gjmslab.quotients as quotients
+
+        p = Params(n, s)
+        newton = gap_scan(kind, p, lambdas, family, b_max=b_max)
+        monkeypatch.setattr(quotients, "_minimize_spline", slsqp_spline_search)
+        oracle = gap_scan(kind, p, lambdas, family, b_max=b_max)
+        for new, old in zip(newton, oracle):
+            assert new.quotient <= old.quotient * (1.0 + 1e-9)
+
+    def test_kkt_at_benchmark_winner(self, monkeypatch):
+        # first-order optimality of the returned knot values: the guards
+        # hold, and on the tangent space theta^T d = 0 (Q is 0-homogeneous)
+        # the gradient of Q is a nonnegative combination of the gradients of
+        # the active guards; gradients by central differences of Q
+        from gjmslab.quotients import _spline_forms, _spline_report
+
+        kind, n, s, lam, family, b_max = BENCHMARK_SPLINE_SCAN
+        p = Params(n, s)
+        priced = priced_spline_trials(monkeypatch)
+        rep = gap_scan(kind, p, [lam], family, b_max=b_max)[0]
+        theta = next(theta for theta, r in priced if r is rep)
+        forms = _spline_forms(kind, p, family, b_max)
+        guards = forms[-1]
+        values = np.einsum("i,kij,j->k", theta, guards, theta)
+        scales = np.einsum("i,kij,j->k", np.abs(theta), np.abs(guards), np.abs(theta))
+        assert np.all(values >= 0.0)
+        active = values <= 1e-8 * scales
+        assert np.any(active)
+
+        def q(x):
+            return _spline_report(family, p, lam, forms, x).quotient
+
+        h = 1e-6 * np.linalg.norm(theta)
+        gradient = np.array([(q(theta + h * e) - q(theta - h * e)) / (2.0 * h)
+                             for e in np.eye(theta.size)])
+        tangent = np.eye(theta.size) - np.outer(theta, theta) / (theta @ theta)
+        guard_gradients = (2.0 * guards[active] @ theta) @ tangent
+        mu = np.linalg.lstsq(guard_gradients.T, tangent @ gradient, rcond=None)[0]
+        assert np.all(mu >= 0.0)
+        residual = tangent @ gradient - guard_gradients.T @ mu
+        assert np.linalg.norm(residual) <= 1e-6 * np.linalg.norm(gradient)
+
+    @pytest.mark.parametrize("search, cap", [
+        # 10 trials, five of them start candidates; SLSQP priced 46
+        (BENCHMARK_SPLINE_SCAN, 20),
+        # the CLI's default family: sinh^4 weights out to R = 8 spread the
+        # Hessian's eigenvalues over 12 decades; 93 trials
+        ((INT, 5, 0.8, 0.0, SplineFamily(), DEFAULT_B_MAX), 150),
+    ], ids=["benchmark-scan", "default-family"])
+    def test_search_cost(self, monkeypatch, search, cap):
+        kind, n, s, lam, family, b_max = search
+        priced = priced_spline_trials(monkeypatch)
+        gap_scan(kind, Params(n, s), [lam], family, b_max=b_max)
+        assert len(priced) <= cap
 
     def test_floor_at_nonpositive_lambda(self):
         p = Params(5, 0.8)
