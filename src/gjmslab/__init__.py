@@ -24,7 +24,6 @@ from .multipliers import b_constant, gap_constant, integer_multiplier, multiplie
 from .params import MultiplierKind, Params
 from .quotients import BubbleFamily, QuotientReport, SplineFamily, blowdown, \
     bubble_quotient, gap_scan, multibump_blowdown, sharp_constant_estimate, sobolev_quotient
-from .special import bessel_j
 from .spherical import inverse_spherical_transform, kernel_decay, plancherel_density, \
     quadratic_form, regularized_kernel, spherical_function, spherical_transform
 

@@ -479,10 +479,20 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
     finished (the bubble search needs 32).
     Earlier winners are re-priced at each lambda (free: the numerator is
     affine in lambda), so the quotients do not increase with lambda.
+    Raises ParameterError for a lambda above the spectral bottom of kind
+    (beyond 1e-12 relative roundoff), where the level is -infinity.
     """
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.size == 0:
         raise ParameterError("gap_scan needs a nonempty lambda grid")
+    bottom = spectral_bottom(kind, p)
+    top = float(np.max(lambda_grid))
+    if not (top <= bottom or math.isclose(top, bottom, rel_tol=1e-12)):
+        raise ParameterError(
+            f"lambda {top!r} is above the spectral bottom ({bottom!r}) of the {kind.value} "
+            "operator: far-apart copies of a trial with a negative numerator drive the "
+            "quotient to -infinity there"
+        )
     if isinstance(family, BubbleFamily):
         name, search = "bubble", functools.partial(_minimize_bubble, reports={})
     elif isinstance(family, SplineFamily):

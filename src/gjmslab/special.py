@@ -2,14 +2,15 @@
 on the half-integer lattice.
 
 Everything downstream (spectral symbols, Plancherel densities, the Jacobi
-block of phi_matrix, radial Fourier transforms) is built on these. Their
-tolerances are the module constants below. Bessel J of half-odd order
-m + 1/2 with m <= _HALF_ODD_NUMPY_MAX is numpy: the ascending series near
-the origin and, above a per-order switch, the upward recurrence of the
-spherical Bessel functions from sin x/x and cos x/x (DLMF 10.49, 10.51), so
-Hankel paths at odd n <= 43 load no scipy. Higher half-odd orders take
+block of phi_matrix, the Hankel transforms) is built on these. Their
+tolerances are the module constants below. Bessel J has one entry point,
+bessel_j_scaled, which returns J_nu(x)/x^nu. Half-odd orders m + 1/2 with
+m <= _HALF_ODD_NUMPY_MAX are numpy: the ascending series near the origin
+and, above a per-order switch, the upward recurrence of the spherical
+Bessel functions from sin x/x and cos x/x (DLMF 10.49, 10.51), so Hankel
+paths at odd n <= 43 load no scipy. Higher half-odd orders take
 ``scipy.special.spherical_jn`` and integer orders (even n)
-``scipy.special.jv``, each imported on the first call.
+``scipy.special.jv`` above x = 0.5, imported on the first call that needs them.
 """
 
 import math
@@ -180,56 +181,31 @@ def _spherical_jn_upward(m, x):
     return j
 
 
-def _bessel_argument(x, name):
+def _bessel_argument(x):
     """(x as a 1-d float array, whether x was a scalar); x must be finite, >= 0."""
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0.0) or not np.all(np.isfinite(xa)):
-        raise DomainError(f"{name} requires finite x >= 0")
+        raise DomainError("bessel_j_scaled requires finite x >= 0")
     return np.atleast_1d(xa), xa.ndim == 0
 
 
-def bessel_j(order: float, x):
-    """Bessel J_order(x) for half-integer orders >= 0 and x >= 0.
-
-    Scalar or ndarray x. Half-odd orders m + 1/2 use
-    J_{m+1/2}(x) = sqrt(2x/pi) j_m(x). For m <= _HALF_ODD_NUMPY_MAX they are
-    numpy: the ascending series below _half_odd_switch and j_m from the
-    upward recurrence above it; above that order j_m is
-    ``scipy.special.spherical_jn``. Integer orders use ``scipy.special.jv``.
-    Within 1e-13 of mpmath (relative, absolute below 1e-2) from x = 0 to 1e4
-    for orders <= 4.5 and at orders 25.5, 30.5 and 40.5.
-    """
-    nu = _validate_order(order)
-    xa, scalar = _bessel_argument(x, "bessel_j")
-    if _numpy_half_odd(nu):
-        out = np.empty_like(xa)
-        lo = xa < _half_odd_switch(nu)
-        out[lo] = _series_scaled(nu, xa[lo]) * xa[lo] ** nu
-        xs = xa[~lo]
-        out[~lo] = np.sqrt(2.0 * xs / np.pi) * _spherical_jn_upward(round(nu - 0.5), xs)
-    elif round(2 * nu) % 2 == 1:
-        from scipy.special import spherical_jn
-
-        out = np.sqrt(2.0 * xa / np.pi) * spherical_jn(round(nu - 0.5), xa)
-    else:
-        from scipy.special import jv
-
-        out = jv(nu, xa)
-    return float(out[0]) if scalar else out
-
-
 def bessel_j_scaled(order: float, x):
-    """J_order(x) / x^order, finite and stable down to x = 0.
+    """J_order(x) / x^order for half-integer orders >= 0 and finite x >= 0,
+    finite and stable down to x = 0.
 
     This is the kernel the radial Fourier transform actually needs: its
-    x -> 0 limit is 2^-order / Gamma(order+1). For the numpy half-odd orders
-    m + 1/2 (m <= _HALF_ODD_NUMPY_MAX) the ascending series holds below
-    bessel_j's series switch (sqrt(2/pi) j_m(x) / x^m above); for every
-    other order it holds below x = 0.5 (bessel_j(order, x) / x^order above,
-    from scipy).
+    x -> 0 limit is 2^-order / Gamma(order+1). Scalar or ndarray x. Half-odd
+    orders m + 1/2 use J_{m+1/2}(x) = sqrt(2x/pi) j_m(x). For
+    m <= _HALF_ODD_NUMPY_MAX they are numpy: the ascending series below
+    _half_odd_switch and above it sqrt(2/pi) j_m(x) / x^m, with j_m from the
+    upward recurrence. Every other order takes the ascending series below
+    x = 0.5 and scipy above: sqrt(2x/pi) ``scipy.special.spherical_jn`` / x^order
+    for half-odd orders, ``scipy.special.jv`` / x^order for integer orders.
+    Times x^order, within 1e-13 of mpmath's J (relative, absolute below 1e-2)
+    from x = 0 to 1e4 for orders <= 4.5 and at orders 25.5, 30.5 and 40.5.
     """
     nu = _validate_order(order)
-    xa, scalar = _bessel_argument(x, "bessel_j_scaled")
+    xa, scalar = _bessel_argument(x)
     numpy_route = _numpy_half_odd(nu)
     out = np.empty_like(xa)
     lo = xa < (_half_odd_switch(nu) if numpy_route else _BESSEL_SMALL_X)
@@ -239,5 +215,10 @@ def bessel_j_scaled(order: float, x):
         m = round(nu - 0.5)
         out[~lo] = math.sqrt(2.0 / math.pi) * _spherical_jn_upward(m, xs) / xs ** m
     elif xs.size:
-        out[~lo] = bessel_j(nu, xs) / xs ** nu
+        from scipy.special import jv, spherical_jn
+
+        if round(2 * nu) % 2 == 1:
+            out[~lo] = np.sqrt(2.0 * xs / np.pi) * spherical_jn(round(nu - 0.5), xs) / xs ** nu
+        else:
+            out[~lo] = jv(nu, xs) / xs ** nu
     return float(out[0]) if scalar else out

@@ -10,8 +10,8 @@ it is evaluated through the Mehler-Dirichlet integral
     h_r(u) = 2 u (2 sinh(r - u^2/2) sinh(u^2/2))^{(n-3)/2},
 
 which is uniformly stable in (beta, r) where the raw hypergeometric series
-loses ~ 2 beta arctan(1/sinh(r/2)) digits to cancellation. Below r_min the
-even Taylor expansion generated by the radial eigen-equation takes over.
+loses ~ 2 beta arctan(1/sinh(r/2)) digits to cancellation. It serves every
+r > 0; Phi_beta(0) = 1 exactly.
 
 phi_matrix builds its columns with r >= R_MIN_JACOBI in one vectorized
 block from the Harish-Chandra expansion of the Jacobi function with
@@ -30,13 +30,13 @@ cancels: its terms turn by ~90 degrees per step and grow to about
 e^{g} times the sum, g = beta cosh^-2(r) / 4, so the expansion is used only
 where g <= JACOBI_GROWTH_MAX for the largest beta of the grid; that moves
 the switch above R_MIN_JACOBI once beta_max > 4 JACOBI_GROWTH_MAX cosh^2(1)
-(~67). Columns below the switch stay on Taylor/Mehler. spherical_function, and with it
-regularized_kernel, stays on Mehler everywhere: at (n, s) = (3, 1) the
-kernel values that quotients.blowdown reduces to its constants are
-quadrature roundoff, so any route change would move them. Both share one
-Mehler routine, _phi_mehler, which also takes a 2-d block of frequency rows;
-regularized_kernel passes spherical_function a batch of its adaptive panels
-at a time.
+(~67). Columns below the switch come from spherical_function.
+spherical_function, and with it regularized_kernel, stays on Mehler at
+every r > 0: at (n, s) = (3, 1) the kernel values that quotients.blowdown
+reduces to its constants are quadrature roundoff, so any route change
+would move them. Both share one Mehler routine, _phi_mehler, which also
+takes a 2-d block of frequency rows; regularized_kernel passes
+spherical_function a batch of its adaptive panels at a time.
 """
 
 import functools
@@ -61,8 +61,6 @@ from .multipliers import multiplier
 from .params import MultiplierKind, Params
 from .special import _hyp2f1_series, _log_gamma_array, log_abs_gamma_sq
 
-R_MIN_TAYLOR = 0.05        # below this radius, use the eigen-equation Taylor series
-TAYLOR_TERMS = 6
 R_MIN_JACOBI = 1.0         # phi_matrix columns from this radius on: Jacobi expansion
 # bound on g = beta cosh^-2(r) / 4 for a Jacobi cell; against Mehler at r = 1,
 # n = 3 the error is 6e-15 at g = 6.3, 8e-13 at g = 15.8, 2e-6 at g = 31.5
@@ -71,9 +69,6 @@ DEFAULT_B_MAX = 60.0
 DEFAULT_TAIL_TOL = 1e-4    # runtime guard on inverse/quadratic-form truncation
 
 _JACOBI_BLOCK_CELLS = 1 << 14   # cells per Jacobi block: 256 KB per complex temporary
-
-# coth r = 1/r + sum_j COTH_COEFFS[j] r^(2j+1)
-_COTH_COEFFS = (1.0 / 3.0, -1.0 / 45.0, 2.0 / 945.0, -1.0 / 4725.0, 2.0 / 93555.0)
 
 
 def plancherel_density(n: int, beta):
@@ -98,32 +93,6 @@ def plancherel_density(n: int, beta):
             log_abs_gamma_sq(rho, b) - log_abs_gamma_sq(1.0, b)
         )
     return float(out[0]) if scalar else out
-
-
-def _taylor_coeffs(n: int, lam):
-    """Even Taylor coefficients a_k of Phi about r = 0 (vectorized in lam).
-
-    From Phi'' + (n-1) coth(r) Phi' + lam Phi = 0:
-    2k(2k-2+n) a_k = -lam a_{k-1} - (n-1) sum_j c_j 2(k-j) a_{k-j}.
-    """
-    lam = np.asarray(lam, dtype=float)
-    coeffs = [np.ones_like(lam)]
-    for k in range(1, TAYLOR_TERMS):
-        acc = -lam * coeffs[k - 1]
-        for j in range(1, k):
-            acc = acc - (n - 1) * _COTH_COEFFS[j - 1] * 2.0 * (k - j) * coeffs[k - j]
-        coeffs.append(acc / (2.0 * k * (2.0 * k - 2.0 + n)))
-    return coeffs
-
-
-def _phi_taylor(n, beta_arr, r):
-    rho2 = ((n - 1) / 2.0) ** 2
-    lam = beta_arr * beta_arr + rho2
-    coeffs = _taylor_coeffs(n, lam)
-    out = np.zeros_like(beta_arr)
-    for a in reversed(coeffs):
-        out = out * (r * r) + a
-    return out
 
 
 def _mehler_u_panels(r, beta_max):
@@ -200,9 +169,10 @@ def _jacobi_switch_radius(beta_max):
 def spherical_function(n: int, beta, r: float):
     """Phi_beta(r): the radial eigenfunction normalized to Phi_beta(0) = 1.
 
-    beta may be a scalar, a 1-d array or a 2-d block of rows, each row on
-    the Mehler u-quadrature its own max |beta| selects (_phi_mehler); r is
-    a scalar radius >= 0.
+    beta may be a scalar, a 1-d array or a 2-d block of rows; r is a scalar
+    radius >= 0. Phi is exactly 1 at r = 0 and the Mehler-Dirichlet integral
+    at every r > 0, each row on the u-quadrature its own max |beta| selects
+    (_phi_mehler).
     """
     if n < 2:
         raise DomainError(f"spherical_function requires n >= 2, got {n}")
@@ -214,8 +184,6 @@ def spherical_function(n: int, beta, r: float):
     beta_arr = np.atleast_1d(beta_arr).astype(float)
     if r == 0.0:
         out = np.ones_like(beta_arr)
-    elif r < R_MIN_TAYLOR:
-        out = _phi_taylor(n, beta_arr, r)
     else:
         out = _phi_mehler(n, beta_arr, r)
     return float(out[0]) if scalar else out

@@ -208,6 +208,15 @@ class TestGapScan:
         assert len(lines) == 2
         assert lines[1].count("theta=[") == 1 and lines[1].endswith("]]")
 
+    @pytest.mark.parametrize("family", ["bubble", "spline"])
+    def test_lambda_above_bottom_exits_2(self, family, tmp_path, capsys):
+        # the intertwined bottom at (5, 0.8) is 0.2564; above it the level is -infinity
+        out = str(tmp_path / "gs.csv")
+        assert run(["gap-scan", "--kind", "intertwined", "--n", "5", "--s", "0.8",
+                    "--lambda-spec=1", "--family", family, "--out", out]) == 2
+        assert "above the spectral bottom" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 def _readme_commands():
     """The gjms-lab commands of the README's sh blocks, continuation lines

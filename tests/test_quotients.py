@@ -229,7 +229,8 @@ class TestMinimize:
         # the spectral-bottom search of the acceptance suite
         (INT, 3, 1.0, [spectral_bottom(INT, Params(3, 1.0))], SplineFamily(knots=12, radius=3.0),
          DEFAULT_B_MAX),
-        (INT, 5, 0.8, [0.0, 0.5, 1.0, 2.0], SplineFamily(knots=12, radius=3.5), DEFAULT_B_MAX),
+        (INT, 5, 0.8, [-1.0, 0.0, 0.125, 0.25], SplineFamily(knots=12, radius=3.5),
+         DEFAULT_B_MAX),
         # an active guard with a large |theta|^T |G| |theta|: the inner margin
         # the search keeps from the guard must cost less than 1e-9 in Q
         (INT, 3, 1.0, [spectral_bottom(INT, Params(3, 1.0))], SplineFamily(knots=16, radius=3.5),
@@ -316,6 +317,34 @@ class TestGapScan:
     def test_empty_grid_rejected(self):
         with pytest.raises(ParameterError):
             gap_scan(INT, Params(3, 1.0), [], BubbleFamily())
+
+    @pytest.mark.parametrize("family", [BubbleFamily(), SplineFamily(knots=6, radius=3.0)],
+                             ids=["bubble", "spline"])
+    def test_lambda_above_bottom_rejected(self, monkeypatch, family):
+        # above the bottom the level is -infinity: no search runs
+        import gjmslab.quotients as quotients
+
+        monkeypatch.setattr(quotients, "_Budget", None)   # a search would raise TypeError
+        for kind in (INT, GJMS):
+            bottom = spectral_bottom(kind, Params(5, 0.8))
+            with pytest.raises(ParameterError, match="above the spectral bottom"):
+                gap_scan(kind, Params(5, 0.8), [0.0, bottom * (1.0 + 1e-9)], family)
+
+    def test_bottom_up_to_roundoff_runs(self):
+        # the computed intertwined bottom at s = 1 is 0.2499999999999997
+        p = Params(3, 1.0)
+        assert spectral_bottom(INT, p) < 0.25
+        rep = gap_scan(INT, p, [0.25], SplineFamily(knots=6, radius=3.0))[0]
+        assert rep.lam == 0.25 and math.isfinite(rep.quotient)
+
+    def test_spline_level_does_not_rise_with_b_max(self):
+        # a finer frequency grid resolves the same trials better; the level
+        # it finds must not rise (it rose 8% when the r < 0.05 columns of
+        # phi_matrix lost accuracy at large beta)
+        p, family = Params(3, 0.6), SplineFamily(knots=12, radius=3.5)
+        coarse = gap_scan(INT, p, [0.0], family, b_max=60.0)[0].quotient
+        fine = gap_scan(INT, p, [0.0], family, b_max=120.0)[0].quotient
+        assert fine <= coarse * (1.0 + 1e-3)
 
     def test_scan_prices_each_bubble_once(self, monkeypatch):
         # energy and masses do not depend on lambda: the scan reads trials

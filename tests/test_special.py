@@ -6,7 +6,6 @@ import pytest
 
 from gjmslab.errors import DomainError, NonConvergence, UnsupportedOrder
 from gjmslab.special import (
-    bessel_j,
     bessel_j_scaled,
     log_abs_gamma_sq,
     _half_odd_switch,
@@ -15,6 +14,11 @@ from gjmslab.special import (
 )
 
 mp.mp.dps = 50
+
+
+def _bessel_j(nu, x):
+    """J_nu(x) through the one Bessel entry point: bessel_j_scaled(nu, x) x^nu."""
+    return bessel_j_scaled(nu, x) * np.asarray(x, dtype=float) ** nu
 
 
 def _gamma_modulus_sq(a, b):
@@ -132,28 +136,28 @@ class TestHyp2f1:
 class TestBesselJ:
     def test_half_order_closed_form(self):
         x = 1.0
-        assert bessel_j(0.5, x) == pytest.approx(math.sqrt(2.0 / (math.pi * x)) * math.sin(x),
-                                                 rel=1e-12)
+        assert _bessel_j(0.5, x) == pytest.approx(math.sqrt(2.0 / (math.pi * x)) * math.sin(x),
+                                                  rel=1e-12)
 
     def test_at_origin(self):
-        assert bessel_j(0.0, 0.0) == 1.0
-        assert bessel_j(1.0, 0.0) == 0.0
-        assert bessel_j(2.5, 0.0) == 0.0
+        assert _bessel_j(0.0, 0.0) == 1.0
+        assert _bessel_j(1.0, 0.0) == 0.0
+        assert _bessel_j(2.5, 0.0) == 0.0
 
     def test_unsupported_order(self):
         for order in (0.3, -0.5, 1.01):
             with pytest.raises(UnsupportedOrder):
-                bessel_j(order, 1.0)
+                _bessel_j(order, 1.0)
 
     def test_negative_x(self):
         with pytest.raises(DomainError):
-            bessel_j(1.0, -0.5)
+            _bessel_j(1.0, -0.5)
 
     def test_mpmath_sweep(self):
         xs = np.array([1e-8, 0.2, 0.49, 0.51, 0.9, 1.1, 3.0, 7.0, 11.9, 12.1, 25.0, 120.0,
                        1e3, 1e4])
         for nu in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5):
-            ours = bessel_j(nu, xs)
+            ours = _bessel_j(nu, xs)
             ref = np.array([float(mp.besselj(nu, x)) for x in xs])
             # relative where the value is not near a zero, absolute otherwise
             err = np.abs(ours - ref) / np.maximum(np.abs(ref), 1e-2)
@@ -165,7 +169,7 @@ class TestBesselJ:
         xs = np.array([1e-8, 0.2, 0.49, 0.51, 0.9, 3.0, 12.0, 18.0, 20.0, 22.0, 24.0, 26.0,
                        28.0, 30.0, 32.0, 34.0, 36.0, 40.0, 45.0, 60.0, 120.0, 1e3, 1e4])
         ref = np.array([float(mp.besselj(nu, x)) for x in xs])
-        err = np.abs(bessel_j(nu, xs) - ref) / np.maximum(np.abs(ref), 1e-2)
+        err = np.abs(_bessel_j(nu, xs) - ref) / np.maximum(np.abs(ref), 1e-2)
         assert np.max(err) <= 1e-13
         # J/x^nu: relative below x = nu, where J has no zero; above, relative
         # where |J| >= 1e-2 and absolute (in J) below
@@ -186,7 +190,7 @@ class TestBesselJ:
                              switch * (1.0 + np.array([-1e-12, 0.0, 1e-12])),
                              np.linspace(switch, 60.0, 200)])
         ref = np.sqrt(2.0 * xs / np.pi) * spherical_jn(m, xs)
-        err = np.abs(bessel_j(nu, xs) - ref) / np.maximum(np.abs(ref), 1e-2)
+        err = np.abs(_bessel_j(nu, xs) - ref) / np.maximum(np.abs(ref), 1e-2)
         assert np.max(err) <= 1e-13
         scaled = bessel_j_scaled(nu, xs)
         assert np.allclose(scaled, ref / xs ** nu, rtol=1e-13, atol=1e-13 * np.max(np.abs(scaled)))
@@ -196,7 +200,7 @@ class TestBesselJ:
         for _ in range(20):
             nu = float(rng.integers(0, 6)) / 2.0
             x = float(rng.uniform(0.05, 15.0))
-            ours = bessel_j(nu, x) * bessel_j(nu + 1.0, x)
+            ours = _bessel_j(nu, x) * _bessel_j(nu + 1.0, x)
             ref = float(mp.besselj(nu, x) * mp.besselj(nu + 1, x))
             assert abs(ours - ref) <= 1e-8 * (1.0 + abs(ref))
 
@@ -205,9 +209,3 @@ class TestBesselJ:
             lim = 2.0 ** (-nu) / math.gamma(nu + 1.0)
             assert bessel_j_scaled(nu, 0.0) == pytest.approx(lim, rel=1e-13)
             assert bessel_j_scaled(nu, 1e-6) == pytest.approx(lim, rel=1e-9)
-
-    def test_scaled_consistency(self):
-        x = np.array([0.3, 0.7, 2.0, 15.0])
-        for nu in (0.5, 1.0, 2.5):
-            assert np.allclose(bessel_j_scaled(nu, x), bessel_j(nu, x) / x ** nu,
-                               rtol=1e-12, atol=0.0)

@@ -14,6 +14,7 @@ from gjmslab.errors import DegenerateData, DomainError, NonConvergence, SupportE
 from gjmslab.geometry import conformal_lift
 from gjmslab.grids import RadialFunction, RadialGrid, Space, SpectralProfile, uniform_grid
 from gjmslab.params import MultiplierKind, Params
+from gjmslab.quotients import standard_hyperbolic_grid
 from gjmslab.spherical import (
     decay_slope,
     default_beta_grid,
@@ -84,13 +85,17 @@ class TestSphericalFunction:
             assert abs(plus - minus) <= 1e-10 * (1.0 + abs(plus))
             assert spherical_function(n, beta, r) == pytest.approx(plus, rel=1e-9, abs=1e-12)
 
-    def test_taylor_seam_continuity(self):
-        # Taylor side and integral side agree across the switch radius
-        for n in (3, 4, 5):
-            for beta in (0.5, 3.0):
-                below = spherical_function(n, beta, 0.05 - 1e-12)
-                above = spherical_function(n, beta, 0.05 + 1e-12)
-                assert abs(below - above) < 1e-7
+    @pytest.mark.parametrize("n", [2, 3, 6, 10])
+    def test_small_radii_against_legendre_form(self, n):
+        # Mehler down to r = 1e-8, at the frequencies of a b_max = 120 grid
+        mu = (2.0 - n) / 2.0
+        with mp.workdps(30):
+            for r in (1e-8, 1e-3, 0.049):
+                const = mp.mpf(2) ** -mu * mp.gamma(n / 2.0) * mp.sinh(r) ** mu
+                for beta in (0.5, 30.0, 120.0):
+                    legendre = mp.legenp(mp.mpc(-0.5, beta), mu, mp.cosh(r), type=3)
+                    ref = float(const * mp.re(legendre))
+                    assert abs(spherical_function(n, beta, r) - ref) <= 1e-13
 
     def test_eigen_ode_residual(self):
         # central-difference residual of Phi'' + (n-1) coth(r) Phi' + (b^2+rho^2) Phi
@@ -267,6 +272,15 @@ class TestPhiMatrixJacobi:
         bg = default_beta_grid(12.0, 60.0)
         mat = phi_matrix(3, bg, _radii_grid(_SWITCH_RADII))
         b, r = bg.nodes[:, None], _SWITCH_RADII[None, :]
+        assert np.max(np.abs(mat - np.sin(b * r) / (b * np.sinh(r)))) <= 1e-12
+
+    def test_three_dim_closed_form_at_high_frequency(self):
+        # b_max = 120 raises the switch to r ~ 1.36; every column below it,
+        # the r < 0.05 ones included, is Mehler
+        bg = default_beta_grid(3.5, 120.0)
+        grid = standard_hyperbolic_grid(3.5)
+        mat = phi_matrix(3, bg, grid)
+        b, r = bg.nodes[:, None], grid.nodes[None, :]
         assert np.max(np.abs(mat - np.sin(b * r) / (b * np.sinh(r)))) <= 1e-12
 
     def test_near_columns_are_spherical_function(self):
