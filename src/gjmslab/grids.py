@@ -30,12 +30,14 @@ class Space(enum.Enum):
 
 def gauss_panels(edges):
     """Composite 16-node Gauss-Legendre nodes and weights, panel by panel,
-    on the panels [edges[i], edges[i+1]] (plain arrays, no validation)."""
+    on the panels [edges[..., i], edges[..., i+1]] (plain arrays, no
+    validation); leading axes of edges are separate edge lists."""
     edges = np.asarray(edges, dtype=float)
     half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half[:, None] * GAUSS_NODES[None, :]).ravel()
-    weights = (half[:, None] * GAUSS_WEIGHTS[None, :]).ravel()
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    shape = edges.shape[:-1] + (-1,)
+    nodes = (mid[..., None] + half[..., None] * GAUSS_NODES).reshape(shape)
+    weights = (half[..., None] * GAUSS_WEIGHTS).reshape(shape)
     return nodes, weights
 
 
@@ -98,6 +100,22 @@ class RadialGrid:
             return 0.0
         tail = self.tail_mask
         return float(np.dot(self.weights[tail], magnitude[tail])) / total
+
+    def panel_factors(self):
+        """(shifts, offsets) with nodes[16 k + i] = shifts[k] + offsets[i] to
+        within 4 ulp of the largest node: for the 16-node panels of one width
+        that from_edges builds on equally spaced edges, offsets are the first
+        panel's nodes and shifts[0] = 0, so the first panel's nodes are exact.
+        Any other grid gets one-node panels, (nodes, [0.0])."""
+        size = GAUSS_NODES.size
+        if self.nodes.size % size == 0:
+            panels = self.nodes.reshape(-1, size)
+            offsets = panels[0]
+            shifts = np.mean(panels - offsets, axis=1)
+            error = np.max(np.abs(shifts[:, None] + offsets - panels))
+            if error <= 4.0 * np.spacing(self.nodes[-1]):
+                return shifts, offsets
+        return self.nodes, np.zeros(1)
 
     def fingerprint(self) -> bytes:
         """The exact node bytes: the identity of the grid in the

@@ -579,7 +579,11 @@ def blowdown(p: Params, lam: float, N_values):
     rows holds (N, R_N, bound, scaled bound) of multibump_blowdown; summary
     holds q, C, alpha, R0, the target slope 2s/n and, when two or more scaled
     bounds are all negative, the log-log slope of -scaled bound against N.
-    Raises DegenerateData when the arch's numerator is not negative.
+    Raises DegenerateData when the arch's numerator is not negative. At
+    n >= 4 the arch (R = 40, b_max 8) fails the quadratic form's tail guard,
+    so blowdown raises TailError there (CLI exit 5): the tail fraction is
+    8.7e-4 at (5, 0.8), lambda 0.9, and 5.5e-4 at (4, 1), lambda 0.9, against
+    DEFAULT_TAIL_TOL = 1e-4.
     """
     bottom = spectral_bottom(MultiplierKind.INTERTWINED, p)
     if not lam > bottom:

@@ -3,7 +3,10 @@ on the half-integer lattice.
 
 Everything downstream (spectral symbols, Plancherel densities, the Jacobi
 block of phi_matrix, the Hankel transforms) is built on these. Their
-tolerances are the module constants below. Bessel J has one entry point,
+tolerances are the module constants below. The Gauss series has one
+routine, _GaussSeries: the coefficients of each parameter row once, by the
+term-ratio recurrence, then sums at many y as two real matrix products;
+_hyp2f1_series is its broadcasting front end. Bessel J has one entry point,
 bessel_j_scaled, which returns J_nu(x)/x^nu. Half-odd orders m + 1/2 with
 m <= _HALF_ODD_NUMPY_MAX are numpy: the ascending series near the origin
 and, above a per-order switch, the upward recurrence of the spherical
@@ -105,29 +108,84 @@ def log_abs_gamma_sq(a, b):
     return 2.0 * np.real(_log_gamma_array(z))
 
 
+class _GaussSeries:
+    """The Gauss series t_0 2F1(a, b; c; y) = sum_k t_k y^k with
+    t_k = t_0 (a)_k (b)_k / ((c)_k k!), for 1-d complex parameter rows and
+    t_0 = scale: coefficients, then contraction.
+
+    The coefficients are kept as one matrix T, extended by the term-ratio
+    recurrence when a call needs more of them. A call sums the first K terms
+    at a 1-d y as T @ Y, Y[k, j] = y_j^k, by two real matrix products. K
+    starts where every row's kept coefficients, relative to t_0, times
+    max(y)^k fall below SERIES_TOL, and grows until every cell's last term is
+    within SERIES_TOL of its sum; past SERIES_CAP terms it raises
+    NonConvergence.
+    """
+
+    def __init__(self, a, b, c, scale=1.0):
+        self.params = tuple(np.asarray(v, dtype=complex) for v in (a, b, c))
+        shape = np.broadcast_shapes(*(v.shape for v in self.params))
+        first = np.broadcast_to(np.asarray(scale, dtype=complex), (1,) + shape)
+        self._keep(first.real.copy(), first.imag.copy())
+
+    def _keep(self, re, im):
+        # order x row: the first K orders are one contiguous block
+        self.re, self.im = re, im
+        modulus = np.hypot(re, im)
+        modulus /= modulus[0]
+        self.envelope = np.max(modulus, axis=1)
+
+    def _extend(self, count):
+        a, b, c = self.params
+        terms = [self.re[-1] + 1j * self.im[-1]]
+        for k in range(len(self.re) - 1, count - 1):
+            terms.append(terms[-1] * ((a + k) * (b + k) / ((c + k) * (k + 1.0))))
+        new = np.array(terms[1:])
+        self._keep(np.concatenate([self.re, new.real]), np.concatenate([self.im, new.imag]))
+
+    def __call__(self, y):
+        """(real part, imaginary part) of the sums at the 1-d y, each rows x y.size."""
+        y = np.asarray(y, dtype=float)
+        y_max = float(np.max(y, initial=0.0))
+        small = self.envelope * y_max ** np.arange(self.envelope.size) <= SERIES_TOL
+        count = int(np.argmax(small)) + 1 if small.any() else self.envelope.size
+        while True:
+            if count > self.envelope.size:
+                self._extend(count)
+            powers = y ** np.arange(count)[:, None]
+            re, im = self.re[:count].T @ powers, self.im[:count].T @ powers
+            # |last term|^2 <= SERIES_TOL^2 |sum|^2, squared to spare a hypot per cell
+            size = re * re
+            size += im * im
+            size *= SERIES_TOL ** 2
+            last = self.re[count - 1] ** 2 + self.im[count - 1] ** 2
+            if np.all(np.multiply.outer(last, powers[-1] ** 2) <= size):
+                return re, im
+            if count > SERIES_CAP:
+                raise NonConvergence(f"2F1 series did not converge in {SERIES_CAP} terms "
+                                     f"(largest y = {y_max:.17g})")
+            count = min(count + max(8, count // 2), SERIES_CAP + 1)
+
+
 def _hyp2f1_series(a, b, c, y):
     """Raw Gauss series sum_k (a)_k (b)_k / ((c)_k k!) y^k.
 
     a, b and c may be complex scalars or ndarrays and y a real scalar or
     ndarray with values in [0, 1); all four broadcast together, and the sum
-    has their broadcast shape. It stops once every term is within SERIES_TOL
-    of its partial sum and raises NonConvergence after SERIES_CAP terms.
+    has their broadcast shape. Every cell's last term is within SERIES_TOL
+    of its sum; NonConvergence after SERIES_CAP terms. The sums come from one
+    _GaussSeries over the parameter cells, taken at every y cell.
     """
-    a, b, c = (np.asarray(v, dtype=complex) for v in (a, b, c))
+    params = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in (a, b, c)))
     y = np.asarray(y, dtype=float)
-    shape = np.broadcast_shapes(a.shape, b.shape, c.shape, y.shape)
-    term = np.ones(shape, dtype=complex)
-    total = term.copy()
-    for k in range(SERIES_CAP):
-        # the term ratio on the parameters' (smaller) shape, then y
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0))
-        term *= y
-        total += term
-        if np.all(np.abs(term) <= SERIES_TOL * (np.abs(total) + 1e-300)):
-            return total
-    raise NonConvergence(
-        f"2F1 series did not converge in {SERIES_CAP} terms (largest y = {np.max(y):.17g})"
-    )
+    shape = np.broadcast_shapes(params[0].shape, y.shape)
+    re, im = _GaussSeries(*(v.ravel() for v in params))(y.ravel())
+    sums = re + 1j * im   # parameter cells x y cells
+    head = params[0].shape[:params[0].ndim - y.ndim]
+    if sums.size == math.prod(shape) and head + y.shape == shape:
+        return sums.reshape(shape)
+    rows = np.broadcast_to(np.arange(sums.shape[0]).reshape(params[0].shape), shape)
+    return sums[rows, np.broadcast_to(np.arange(y.size).reshape(y.shape), shape)]
 
 
 # ----------------------------------------------------------------------------

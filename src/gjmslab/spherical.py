@@ -30,12 +30,30 @@ cancels: its terms turn by ~90 degrees per step and grow to about
 e^{g} times the sum, g = beta cosh^-2(r) / 4, so the expansion is used only
 where g <= JACOBI_GROWTH_MAX for the largest beta of the grid; that moves
 the switch above R_MIN_JACOBI once beta_max > 4 JACOBI_GROWTH_MAX cosh^2(1)
-(~67). Columns below the switch come from spherical_function.
-spherical_function, and with it regularized_kernel, stays on Mehler at
-every r > 0: at (n, s) = (3, 1) the kernel values that quotients.blowdown
-reduces to its constants are quadrature roundoff, so any route change
-would move them. Both share one Mehler routine, _phi_mehler, which also
-takes a 2-d block of frequency rows; regularized_kernel passes
+(~67).
+
+phi_matrix computes both of its column blocks as matrix products, in
+column chunks of at most _BLOCK_CELLS cells in the chunk's largest array.
+Every frequency grid of the package (default_beta_grid) is made of 16-node
+Gauss panels of one width, so each node is beta = m + o, one of K panel
+shifts plus one of 16 in-panel offsets (RadialGrid.panel_factors; the first
+panel's nodes are the offsets themselves, so the smallest frequencies are
+exact). Below the switch, cos(beta phi) = cos(m phi) cos(o phi)
+- sin(m phi) sin(o phi) with phi = r - u^2 turns each column's Mehler
+u-sum into two (K x N_u)(N_u x 16) products: 2 (K + 16) sines and cosines
+per (column, u-node) instead of 16 K cosines. Above it, the 2F1 terms
+t_k(beta) y^k, y = cosh^-2 r, are t_k computed once per frequency row by
+the term-ratio recurrence (special._GaussSeries), summed per chunk as
+T @ Y with Y[k, j] = y_j^k, and the phase e^{i beta log 2 cosh r} comes from
+the same panel factors. A grid not made of such panels gets one-node
+panels (shifts = nodes, offsets = [0]) and runs the same code.
+
+spherical_function, and with it regularized_kernel, stays on the
+per-radius Mehler integral at every r > 0: at (n, s) = (3, 1) the kernel
+values that quotients.blowdown reduces to its constants are quadrature
+roundoff, so any route change would move them. It and the near block of
+phi_matrix take their u-nodes, weights and h_r from one rule, _mehler_rule.
+_phi_mehler takes a 2-d block of frequency rows; regularized_kernel passes
 spherical_function a batch of its adaptive panels at a time.
 """
 
@@ -59,7 +77,7 @@ from .grids import (
 )
 from .multipliers import multiplier
 from .params import MultiplierKind, Params
-from .special import _hyp2f1_series, _log_gamma_array, log_abs_gamma_sq
+from .special import _GaussSeries, _log_gamma_array, log_abs_gamma_sq
 
 R_MIN_JACOBI = 1.0         # phi_matrix columns from this radius on: Jacobi expansion
 # bound on g = beta cosh^-2(r) / 4 for a Jacobi cell; against Mehler at r = 1,
@@ -68,7 +86,8 @@ JACOBI_GROWTH_MAX = 7.0
 DEFAULT_B_MAX = 60.0
 DEFAULT_TAIL_TOL = 1e-4    # runtime guard on inverse/quadratic-form truncation
 
-_JACOBI_BLOCK_CELLS = 1 << 14   # cells per Jacobi block: 256 KB per complex temporary
+# cells in the largest array of one phi_matrix column chunk: 128 KB per temporary
+_BLOCK_CELLS = 1 << 14
 
 
 def plancherel_density(n: int, beta):
@@ -112,6 +131,17 @@ def _mehler_constant(n):
     )
 
 
+def _mehler_rule(n, radii, count):
+    """The Mehler u-quadrature of count panels on [0, sqrt(r)] for each radius
+    of the 1-d radii: the phases r - u^2 and the weights h_r(u) du, each
+    radii.size x (16 count)."""
+    r = radii[:, None]
+    u, w = gauss_panels(np.linspace(0.0, np.sqrt(radii), count + 1, axis=-1))
+    uu = u * u
+    h = 2.0 * u * (2.0 * np.sinh(r - 0.5 * uu) * np.sinh(0.5 * uu)) ** ((n - 3) / 2.0)
+    return r - uu, h * w
+
+
 def _phi_mehler(n, beta, r):
     """Phi_beta(r) by the Mehler-Dirichlet integral, for a 1-d beta (one row)
     or a 2-d block of rows. Each row takes the u-quadrature that its own
@@ -123,39 +153,82 @@ def _phi_mehler(n, beta, r):
     for i, b_max in enumerate(np.max(np.abs(rows), axis=1, initial=0.0)):
         groups.setdefault(_mehler_u_panels(r, b_max), []).append(i)
     integral = np.empty(rows.shape)
-    umax = math.sqrt(r)
     for count, same in groups.items():
-        u, w = gauss_panels(np.linspace(0.0, umax, count + 1))
-        uu = u * u
-        h = 2.0 * u * (2.0 * np.sinh(r - 0.5 * uu) * np.sinh(0.5 * uu)) ** ((n - 3) / 2.0)
-        kernel = rows[same][:, :, None] * (r - uu)
+        phase, hw = _mehler_rule(n, np.array([r]), count)
+        kernel = rows[same][:, :, None] * phase[0]
         np.cos(kernel, out=kernel)
-        integral[same] = kernel @ (h * w)
+        integral[same] = kernel @ hw[0]
     return _mehler_constant(n) * math.sinh(r) ** (2 - n) * integral.reshape(np.shape(beta))
 
 
-def _phi_jacobi(n, beta, radii, out):
+def _phi_near(n, shifts, offsets, beta_max, radii, out):
+    """Write Phi_beta(r) on the (beta, r) block into out by the Mehler integral,
+    for beta = shifts[k] + offsets[i] (RadialGrid.panel_factors). With
+    cos(beta phi) = cos(m phi) cos(o phi) - sin(m phi) sin(o phi), m a shift,
+    o an offset and phi = r - u^2, each column's u-sum is two
+    (K x N_u)(N_u x 16) products, batched over column chunks that share a
+    u-panel count: the one spherical_function takes at beta_max, the grid's
+    largest |beta|."""
+    counts = [_mehler_u_panels(r, beta_max) for r in radii]
+    scale = _mehler_constant(n) * np.sinh(radii) ** (2 - n)
+    for count in sorted(set(counts)):
+        same = np.flatnonzero(np.equal(counts, count))
+        step = max(1, _BLOCK_CELLS // (shifts.size * 16 * count))   # K x N_u per column
+        for j in range(0, same.size, step):
+            cols = same[j:j + step]
+            phase, hw = _mehler_rule(n, radii[cols], count)
+            arg = shifts[:, None] * phase[:, None, :]              # cols x K x N_u
+            cos_m = np.cos(arg)
+            cos_m *= hw[:, None, :]
+            sin_m = np.sin(arg, out=arg)
+            sin_m *= hw[:, None, :]
+            arg = phase[:, :, None] * offsets                      # cols x N_u x 16
+            integral = cos_m @ np.cos(arg) - sin_m @ np.sin(arg)   # cols x K x 16
+            out[:, cols] = (scale[cols, None] * integral.reshape(cols.size, -1)).T
+
+
+def _phi_jacobi(n, beta, shifts, offsets, radii, out):
     """Write Phi_beta(r) on the (beta, r) block, r >= R_MIN_JACOBI, beta > 0,
     beta cosh^-2(r) / 4 <= JACOBI_GROWTH_MAX, into out by the Harish-Chandra
-    expansion of the module docstring, in column blocks of at most
-    _JACOBI_BLOCK_CELLS cells."""
+    expansion of the module docstring. The 2F1 coefficients, times
+    (2 / beta) c(beta) i beta, are computed once per beta row
+    (special._GaussSeries); each column chunk sums them against the powers of
+    cosh^-2 r and multiplies by (2 cosh r)^{i beta - rho}, whose phase comes
+    from the panel factors beta = shifts[k] + offsets[i]."""
     rho = (n - 1) / 2.0
-    b = beta[:, None]
-    ib = 1j * b
+    ib = 1j * beta
     # c(beta) * (i beta): Gamma(i beta) = Gamma(1 + i beta) / (i beta), and
     # 2 Re[z / (i beta)] = 2 Im[z] / beta below
     log_c = ((rho - ib) * math.log(2.0) + math.lgamma(n / 2.0)
              + _log_gamma_array(1.0 + ib)
              - _log_gamma_array(0.5 * (ib + rho))
              - _log_gamma_array(0.5 * (ib + 0.5 * (n + 1))))
-    a1, a2, c1 = 0.5 * (rho - ib), 0.25 * (n + 1) - 0.5 * ib, 1.0 - ib
-    step = max(1, _JACOBI_BLOCK_CELLS // beta.size)
+    log_2cosh = np.logaddexp(radii, -radii)
+    y = np.exp(2.0 * (math.log(2.0) - log_2cosh))
+    series = _GaussSeries(0.5 * (rho - ib), 0.25 * (n + 1) - 0.5 * ib, 1.0 - ib,
+                          scale=2.0 / beta * np.exp(log_c))
+    step = max(1, _BLOCK_CELLS // beta.size)
     for j in range(0, radii.size, step):
-        r = radii[j:j + step]
-        log_2cosh = np.logaddexp(r, -r)
-        series = _hyp2f1_series(a1, a2, c1, np.exp(2.0 * (math.log(2.0) - log_2cosh)))
-        series *= np.exp(log_c + (ib - rho) * log_2cosh)
-        np.multiply(2.0 / b, series.imag, out=out[:, j:j + step])
+        cols = slice(j, j + step)
+        re, im = series(y[cols])
+        # Im[(2 cosh r)^{i beta - rho} sum] with e^{i beta L} = e^{i m L} e^{i o L},
+        # L = log 2 cosh r: (K x 1 x cols) factors times (16 x cols) ones
+        arg = shifts[:, None, None] * log_2cosh[cols]
+        cos_m, sin_m = np.cos(arg), np.sin(arg, out=arg)
+        arg = offsets[:, None] * log_2cosh[cols]
+        amplitude = np.exp(-rho * log_2cosh[cols])
+        cos_o, sin_o = np.cos(arg) * amplitude, np.sin(arg) * amplitude
+        shape = (shifts.size, offsets.size, -1)
+        re, im = re.reshape(shape), im.reshape(shape)
+        first = cos_o * im
+        first += sin_o * re
+        first *= cos_m
+        re *= cos_o
+        im *= sin_o
+        re -= im
+        re *= sin_m
+        first += re
+        out[:, cols] = first.reshape(beta.size, -1)
 
 
 def _jacobi_switch_radius(beta_max):
@@ -202,9 +275,10 @@ def phi_matrix(n: int, beta_grid: RadialGrid, r_grid: RadialGrid) -> np.ndarray:
     """Phi_beta(r) on beta_grid x r_grid, cached by (n, exact nodes).
 
     Columns below the Jacobi switch (R_MIN_JACOBI, raised for large
-    frequencies by _jacobi_switch_radius) come from spherical_function one
-    radius at a time; the rest from the vectorized Jacobi expansion
-    (_phi_jacobi).
+    frequencies by _jacobi_switch_radius) come from the panel-factored
+    Mehler integral (_phi_near), the rest from the Jacobi expansion
+    (_phi_jacobi); both as matrix products in column chunks (module
+    docstring). Agrees with spherical_function column by column to ~1e-14.
     """
     if n < 2:
         raise DomainError(f"phi_matrix requires n >= 2, got {n}")
@@ -214,12 +288,12 @@ def phi_matrix(n: int, beta_grid: RadialGrid, r_grid: RadialGrid) -> np.ndarray:
         _PHI_CACHE.move_to_end(key)
         return hit
     beta, radii = beta_grid.nodes, r_grid.nodes
+    shifts, offsets = beta_grid.panel_factors()
     mat = np.empty((beta.size, radii.size))
-    switch = _jacobi_switch_radius(float(np.max(np.abs(beta))))
-    near = int(np.searchsorted(radii, switch))   # nodes increase
-    for j in range(near):
-        mat[:, j] = spherical_function(n, beta, float(radii[j]))
-    _phi_jacobi(n, beta, radii[near:], mat[:, near:])
+    beta_max = float(np.max(np.abs(beta)))
+    near = int(np.searchsorted(radii, _jacobi_switch_radius(beta_max)))   # nodes increase
+    _phi_near(n, shifts, offsets, beta_max, radii[:near], mat[:, :near])
+    _phi_jacobi(n, beta, shifts, offsets, radii[near:], mat[:, near:])
     _PHI_CACHE[key] = mat
     # least recently used first; the matrix just built always stays
     held = sum(m.nbytes for m in _PHI_CACHE.values())
@@ -337,6 +411,15 @@ def regularized_kernel(kind, p: Params, r: float, eps_reg: float,
                        rel_tol: float = 1e-10, max_panels: int = 4096) -> float:
     """k^eps(r) = 2 int_0^inf m(beta) e^{-eps beta^2} Phi_beta(r) |c|^{-2} d beta.
 
+    This is twice the half-line inversion integral of
+    inverse_spherical_transform (of the profile m(beta) e^{-eps beta^2}), so
+    its eps -> 0 limit is twice the operator's radial kernel: for the
+    intertwined kind the linear-in-eps Richardson limit (eps_extrapolation)
+    measured 1.9992 to 2.0001 times the closed form
+    -C_{n,s} (2 sinh(r/2))^{-(n+2s)}, C_{n,s} the constant of the Euclidean
+    (-Delta)^s, at (n, s) in {(3, 0.6), (5, 0.7), (4, 0.5), (3, 0.3)} and
+    r = 2, 4, 6.
+
     Adaptive panel-splitting Gauss-Legendre quadrature; the Gaussian factor
     caps the integration at the point where it falls below 1e-16. A LIFO
     stack of panels is split until each panel's halves agree with it within
@@ -435,7 +518,13 @@ def decay_slope(radii, values) -> float:
 
 
 def kernel_decay(kind, p: Params, radii, eps_reg: float):
-    """The off-diagonal decay of k^eps (expected slope -(n-1)/2).
+    """The off-diagonal decay of k^eps.
+
+    summary's target_slope is -rho = -(n-1)/2, the decay rate of Phi_beta(r)
+    at fixed beta, not the kernel's: the closed-form kernels decay like
+    e^{-(n+2s) r / 2} (intertwined) and e^{-((n+2s)/2 + 1) r} (GJMS), and no
+    verdict compares the fitted slopes with target_slope (at (3, 0.6) the
+    slope is -2.24 against -1.0).
 
     rows holds (r, k^eps(r), log|k^eps(r)|) at each radius. summary holds the
     target slope, eps_reg, and with at least four radii in the fit window

@@ -283,14 +283,68 @@ class TestPhiMatrixJacobi:
         b, r = bg.nodes[:, None], grid.nodes[None, :]
         assert np.max(np.abs(mat - np.sin(b * r) / (b * np.sinh(r)))) <= 1e-12
 
-    def test_near_columns_are_spherical_function(self):
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("b_max", [60.0, 120.0])
+    def test_near_columns_match_spherical_function(self, n, b_max):
+        # the panel-factored Mehler block against the per-radius integral; at
+        # b_max = 120 the switch is raised to r ~ 1.36
+        bg = default_beta_grid(3.5, b_max)
+        grid = standard_hyperbolic_grid(3.5)
+        mat = phi_matrix(n, bg, grid)
+        switch = spherical._jacobi_switch_radius(float(bg.nodes[-1]))
+        near = np.flatnonzero(grid.nodes < switch)
+        assert near.size > 0 and (switch > 1.3) == (b_max > 100.0)
+        mehler = np.column_stack([spherical_function(n, bg.nodes, float(grid.nodes[j]))
+                                  for j in near])
+        assert np.max(np.abs(mat[:, near] - mehler)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_near_columns_match_legendre(self, n):
+        # the panel-factored near block at a few (beta, r) of a b_max = 60 grid
         bg = default_beta_grid(3.0, 60.0)
-        grid = uniform_grid(1.25)
-        mat = phi_matrix(4, bg, grid)
-        near = grid.nodes < spherical.R_MIN_JACOBI
-        assert 0 < near.sum() < near.size
-        for j in np.flatnonzero(near):
-            assert np.array_equal(mat[:, j], spherical_function(4, bg.nodes, float(grid.nodes[j])))
+        radii = np.array([0.05, 0.4, 0.97])
+        mat = phi_matrix(n, bg, _radii_grid(radii))
+        mu = (2.0 - n) / 2.0
+        with mp.workdps(30):
+            for j, r in enumerate(radii):
+                const = mp.mpf(2) ** -mu * mp.gamma(n / 2.0) * mp.sinh(r) ** mu
+                for i in (0, 17, 200, 479):
+                    legendre = mp.legenp(mp.mpc(-0.5, bg.nodes[i]), mu, mp.cosh(r), type=3)
+                    assert abs(mat[i, j] - float(const * mp.re(legendre))) <= 1e-13
+
+    def test_default_beta_grids_factor_into_panels(self):
+        for support, b_max in ((3.5, 60.0), (40.0, 8.0), (1.25, 300.0)):
+            bg = default_beta_grid(support, b_max)
+            shifts, offsets = bg.panel_factors()
+            assert offsets.size == 16 and shifts.size * 16 == bg.nodes.size
+            assert shifts[0] == 0.0 and np.array_equal(offsets, bg.nodes[:16])
+            error = np.abs((shifts[:, None] + offsets).ravel() - bg.nodes)
+            assert np.max(error) <= 4.0 * np.spacing(bg.nodes[-1])
+
+    def test_hand_made_grid_takes_one_node_panels(self):
+        beta = np.array([0.004, 0.3, 1.1, 2.9, 7.4, 19.0, 33.3])
+        bg = _radii_grid(beta)
+        shifts, offsets = bg.panel_factors()
+        assert np.array_equal(shifts, beta) and np.array_equal(offsets, [0.0])
+        radii = np.array([0.02, 0.3, 0.9, 1.5, 4.0, 9.0])
+        for n in (3, 4):
+            mat = phi_matrix(n, bg, _radii_grid(radii))
+            mehler = np.column_stack([spherical_function(n, beta, float(r)) for r in radii])
+            assert np.max(np.abs(mat - mehler)) <= 1e-12
+
+    def test_build_memory(self):
+        # the column chunks keep a build's temporaries to a few hundred KB
+        for support, b_max in ((40.0, 8.0), (5.0, 60.0)):
+            bg = default_beta_grid(support, b_max)
+            grid = standard_hyperbolic_grid(support)
+            spherical._PHI_CACHE.clear()
+            tracemalloc.start()
+            try:
+                mat = phi_matrix(3, bg, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= mat.nbytes + 2 * 2 ** 20
 
     def test_rebuild_is_byte_identical(self):
         bg = default_beta_grid(5.0, 60.0)
@@ -306,7 +360,7 @@ class TestPhiMatrixJacobi:
         whole = phi_matrix(3, bg, grid)
         spherical._PHI_CACHE.clear()
         # one column per block; the series stops per block, so only the last bits move
-        monkeypatch.setattr(spherical, "_JACOBI_BLOCK_CELLS", 3 * bg.nodes.size // 2)
+        monkeypatch.setattr(spherical, "_BLOCK_CELLS", 3 * bg.nodes.size // 2)
         assert np.max(np.abs(phi_matrix(3, bg, grid) - whole)) <= 1e-14
 
     def test_series_cap_reaches_nonconvergence(self, monkeypatch):
