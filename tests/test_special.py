@@ -119,6 +119,8 @@ class TestHyp2f1:
             for j in range(3):
                 ref = complex(mp.hyp2f1(complex(a[i, 0]), complex(b[i, 0]), complex(c[i, 0]), y[j]))
                 assert abs(ours[i, j] - ref) <= 1e-13 * abs(ref)
+        # parameters and y on one shared axis: the diagonal of the table above
+        assert np.array_equal(_hyp2f1_series(a[:, 0], b[:, 0], c[:, 0], y), np.diag(ours))
 
     def test_contiguity(self, rng):
         # c F(a,b;c;y) - c F(a-1,b;c;y) - b y F(a,b+1;c+1;y) = 0
