@@ -24,12 +24,12 @@ from .bubbles import (
     smooth_window,
 )
 from .errors import BudgetExceeded, DegenerateData, ParameterError, ZeroTrial
-from .geometry import ball_to_geodesic, conformal_lift, sphere_area
+from .geometry import ball_to_geodesic, conformal_lift
 from .grids import RadialFunction, Space, uniform_grid
-from .multipliers import multiplier, spectral_bottom
+from .multipliers import multiplier, sin_pi, spectral_bottom
 from .params import MultiplierKind, Params
-from .spherical import DEFAULT_B_MAX, DEFAULT_TAIL_TOL, _quadratic_forms, _spectral_weights, \
-    decay_slope, l2_mass, lp_mass, phi_matrix, quadratic_form, regularized_kernel
+from .spherical import DEFAULT_B_MAX, _polar_measure, _quadratic_form, _spectral_forms, \
+    decay_slope, l2_mass, lp_mass, quadratic_form, regularized_kernel
 
 log = logging.getLogger(__name__)
 
@@ -73,26 +73,28 @@ def _report(p, lam, energy, l2, crit_integral, descriptor):
     return QuotientReport(lam, energy, l2, crit, quotient, descriptor)
 
 
-def _energy_kinds(kind):
-    """The symbols whose spectral forms add up to kind's energy."""
+def _energy_kinds(kind, p):
+    """The symbols whose forms add up to kind's energy: INTERTWINED, plus for
+    GJMS the REMAINDER unless sin(pi s) is 0 (integer s), where it vanishes."""
     if kind not in (MultiplierKind.GJMS, MultiplierKind.INTERTWINED):
         raise ParameterError("a quotient needs the GJMS or INTERTWINED kind")
-    remainder = (MultiplierKind.REMAINDER,) if kind is MultiplierKind.GJMS else ()
-    return (MultiplierKind.INTERTWINED,) + remainder
+    if kind is MultiplierKind.GJMS and sin_pi(p.s) != 0.0:
+        return (MultiplierKind.INTERTWINED, MultiplierKind.REMAINDER)
+    return (MultiplierKind.INTERTWINED,)
 
 
 def sobolev_quotient(kind: MultiplierKind, p: Params, lam: float,
                      u: RadialFunction, b_max: float = DEFAULT_B_MAX) -> QuotientReport:
     """Quotient of an arbitrary radial hyperbolic trial.
 
-    The energy goes through the spectral quadratic form; for GJMS it is
-    assembled as the intertwined energy plus the remainder-symbol form, both
-    read from one spherical transform of u.
+    The energy goes through the spectral quadratic form; for GJMS at
+    non-integer s it is assembled as the intertwined energy plus the
+    remainder-symbol form, both read from one spherical transform of u.
     """
-    kinds = _energy_kinds(kind)
+    kinds = _energy_kinds(kind, p)
     if u.is_zero():
         raise ZeroTrial("sobolev_quotient needs a nonzero trial")
-    energy = sum(_quadratic_forms(kinds, p, 0.0, u, b_max))
+    energy = _quadratic_form(kinds, p, u, b_max)
     l2 = l2_mass(u, p.n)
     crit_integral = lp_mass(u, p.n, p.two_star)
     return _report(p, lam, energy, l2, crit_integral, f"radial[{kind.value}]")
@@ -103,18 +105,18 @@ def bubble_quotient(kind: MultiplierKind, p: Params, lam: float,
     """Quotient of the lifted truncated bubble.
 
     The intertwined energy is taken as the Euclidean fractional energy of
-    the truncated bubble (the exact conformal reduction); the GJMS case adds
-    the remainder form of the lifted trial through the spherical transform.
+    the truncated bubble (the exact conformal reduction); GJMS at non-integer
+    s adds the remainder form of the lifted trial (spherical transform).
     """
-    _energy_kinds(kind)
+    kinds = _energy_kinds(kind, p)
     w = sampled_bubble(p, bp)
     energy = fractional_energy(w, p)
-    if kind is MultiplierKind.GJMS:
+    if MultiplierKind.REMAINDER in kinds:
         u = conformal_lift(w, p)
         grid = standard_hyperbolic_grid(float(ball_to_geodesic(2.0 * bp.delta)))
         u_std = RadialFunction.from_profile(u.profile, grid, u.support_radius,
                                             Space.HYPERBOLIC)
-        energy += quadratic_form(MultiplierKind.REMAINDER, p, 0.0, u_std, b_max=b_max)
+        energy += quadratic_form(MultiplierKind.REMAINDER, p, u_std, b_max=b_max)
     l2 = _hyperbolic_l2_mass(p, w)
     crit_integral = _crit_mass(p, w)
     descriptor = f"bubble[eps={bp.eps:.6g},delta={bp.delta:.6g}]"
@@ -321,22 +323,15 @@ def _spline_forms(kind, p, family, b_max):
     """(basis, measure, energy, l2, guards) of the family on its full support:
     knot values theta give the trial basis @ theta, critical integral
     measure @ |basis @ theta|^{2*}, energy theta^T energy theta, L2 mass
-    theta^T l2 theta, and pass kind k's tail guard iff theta^T guards[k] theta
-    >= 0."""
-    kinds = _energy_kinds(kind)
+    theta^T l2 theta, and pass the tail guard of quadratic_form for the
+    energy's k-th symbol iff theta^T guards[k] theta >= 0 (_spectral_forms)."""
     grid = standard_hyperbolic_grid(family.radius)
     r = grid.nodes
     inside = r <= family.radius
     basis = np.zeros((r.size, family.knots - 1))
     basis[inside] = _windowed_spline(family, np.eye(family.knots, family.knots - 1))(r[inside])
-    measure = sphere_area(p.n) * np.sinh(r) ** (p.n - 1) * grid.weights
-    beta_grid, dens, symbols = _spectral_weights(kinds, p, family.radius, b_max)
-    transforms = phi_matrix(p.n, beta_grid, grid) @ (measure[:, None] * basis)
-    weighted = transforms.T * (beta_grid.weights * dens)
-    # tol * total - tail of |m| |f_hat|^2 |c|^{-2}, the tail as in tail_fraction
-    guard_weight = DEFAULT_TAIL_TOL - beta_grid.tail_mask
-    guards = np.array([(weighted * guard_weight * np.abs(m)) @ transforms for m in symbols])
-    energy = (weighted * sum(symbols)) @ transforms
+    measure = _polar_measure(p.n, grid)
+    energy, guards = _spectral_forms(_energy_kinds(kind, p), p, grid, basis, family.radius, b_max)
     return basis, measure, energy, basis.T @ (measure[:, None] * basis), guards
 
 
@@ -364,7 +359,7 @@ def _guarded_newton_step(grad, vals, vecs, jac, values, margins):
             mu = np.zeros(len(values))
             if active:
                 rows = jac[active]
-                try:    # singular for a vanishing guard (GJMS at integer s)
+                try:    # singular when the active rows are linearly dependent
                     mu[active] = np.linalg.solve(
                         rows @ inverse @ rows.T, (margins - values)[active] - rows @ newton)
                 except np.linalg.LinAlgError:
@@ -375,10 +370,10 @@ def _guarded_newton_step(grad, vals, vecs, jac, values, margins):
     return None
 
 
-def _minimize_spline(kind, p, lam, family, budget, b_max):
+def _minimize_spline(p, lam, family, budget, forms):
     """Newton SQP (Nocedal-Wright, ch. 18) on Q = theta^T (A - lam M) theta /
     crit^{2/2*} under the tail guards theta^T G_k theta >= 0, from the best
-    start candidate scaled to unit critical integral.
+    start candidate scaled to unit critical integral; forms: _spline_forms.
 
     Q is 0-homogeneous and the guards 2-homogeneous, so each step d is
     tangent (theta^T d = 0) and each trial is rescaled to unit critical
@@ -391,7 +386,6 @@ def _minimize_spline(kind, p, lam, family, budget, b_max):
     step is <= 1e-12 |theta|, and False when the linearized guards admit no
     step.
     """
-    forms = _spline_forms(kind, p, family, b_max)
     basis, measure, energy, l2, guards = forms
     shifted = energy - lam * l2
     power = p.two_star
@@ -469,11 +463,12 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
     BubbleFamily: one golden section over log(eps/delta), each ratio priced
     on the box edge the sign of lambda selects; an evaluation is one
     bubble_quotient or the read-back of one priced at an earlier lambda.
-    SplineFamily: a Newton SQP over knot values under the tail guards,
-    stopped once a guard-passing trial moves the quotient by <= 1e-14
-    relative or a step is <= 1e-12 |theta|; an evaluation is one
-    _spline_report from the family's matrices (line-search trials
-    included), and only guard-passing trials are returned.
+    SplineFamily: a Newton SQP over knot values under quadratic_form's tail
+    guard for each symbol of the energy, stopped once a guard-passing trial
+    moves the quotient by <= 1e-14 relative or a step is <= 1e-12 |theta|;
+    an evaluation is one _spline_report from the family's matrices, built
+    once per scan (line-search trials included), and only guard-passing
+    trials are returned.
     Deterministic; each lambda's search prices at most eval_cap trials and
     raises BudgetExceeded when it priced none, or spent the cap before it
     finished (the bubble search needs 32).
@@ -494,9 +489,11 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
             "quotient to -infinity there"
         )
     if isinstance(family, BubbleFamily):
-        name, search = "bubble", functools.partial(_minimize_bubble, reports={})
+        name, search = "bubble", functools.partial(_minimize_bubble, kind, p, family=family,
+                                                   b_max=b_max, reports={})
     elif isinstance(family, SplineFamily):
-        name, search = "spline", _minimize_spline
+        name, search = "spline", functools.partial(_minimize_spline, p, family=family,
+                                                   forms=_spline_forms(kind, p, family, b_max))
     else:
         raise ParameterError(f"unknown trial family {family!r}")
     order = np.argsort(lambda_grid, kind="stable")
@@ -505,7 +502,7 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
         lam = float(lambda_grid[idx])
         budget = _Budget(eval_cap)
         try:
-            converged = search(kind, p, lam, family, budget, b_max)
+            converged = search(lam=lam, budget=budget)
         except BudgetExceeded:
             converged = False
         if budget.best is None:
@@ -583,7 +580,7 @@ def blowdown(p: Params, lam: float, N_values):
     n >= 4 the arch (R = 40, b_max 8) fails the quadratic form's tail guard,
     so blowdown raises TailError there (CLI exit 5): the tail fraction is
     8.7e-4 at (5, 0.8), lambda 0.9, and 5.5e-4 at (4, 1), lambda 0.9, against
-    DEFAULT_TAIL_TOL = 1e-4.
+    the tolerance 1e-4.
     """
     bottom = spectral_bottom(MultiplierKind.INTERTWINED, p)
     if not lam > bottom:

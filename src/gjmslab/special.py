@@ -5,15 +5,15 @@ Everything downstream (spectral symbols, Plancherel densities, the Jacobi
 block of phi_matrix, the Hankel transforms) is built on these. Their
 tolerances are the module constants below. The Gauss series has one
 routine, _GaussSeries: the coefficients of each parameter row once, by the
-term-ratio recurrence, then sums at many y as two real matrix products;
-_hyp2f1_series is its broadcasting front end. Bessel J has one entry point,
-bessel_j_scaled, which returns J_nu(x)/x^nu. Half-odd orders m + 1/2 with
-m <= _HALF_ODD_NUMPY_MAX are numpy: the ascending series near the origin
-and, above a per-order switch, the upward recurrence of the spherical
-Bessel functions from sin x/x and cos x/x (DLMF 10.49, 10.51), so Hankel
-paths at odd n <= 43 load no scipy. Higher half-odd orders take
-``scipy.special.spherical_jn`` and integer orders (even n)
-``scipy.special.jv`` above x = 0.5, imported on the first call that needs them.
+term-ratio recurrence, then sums at many y as two real matrix products.
+Bessel J has one entry point, bessel_j_scaled, which returns J_nu(x)/x^nu.
+Half-odd orders m + 1/2 with m <= _HALF_ODD_NUMPY_MAX are numpy: the
+ascending series near the origin and, above a per-order switch, the upward
+recurrence of the spherical Bessel functions from sin x/x and cos x/x
+(DLMF 10.49, 10.51), so Hankel paths at odd n <= 43 load no scipy. Higher
+half-odd orders take ``scipy.special.spherical_jn`` and integer orders
+(even n) ``scipy.special.jv`` above x = 0.5, imported on the first call
+that needs them.
 """
 
 import math
@@ -165,27 +165,6 @@ class _GaussSeries:
                 raise NonConvergence(f"2F1 series did not converge in {SERIES_CAP} terms "
                                      f"(largest y = {y_max:.17g})")
             count = min(count + max(8, count // 2), SERIES_CAP + 1)
-
-
-def _hyp2f1_series(a, b, c, y):
-    """Raw Gauss series sum_k (a)_k (b)_k / ((c)_k k!) y^k.
-
-    a, b and c may be complex scalars or ndarrays and y a real scalar or
-    ndarray with values in [0, 1); all four broadcast together, and the sum
-    has their broadcast shape. Every cell's last term is within SERIES_TOL
-    of its sum; NonConvergence after SERIES_CAP terms. The sums come from one
-    _GaussSeries over the parameter cells, taken at every y cell.
-    """
-    params = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in (a, b, c)))
-    y = np.asarray(y, dtype=float)
-    shape = np.broadcast_shapes(params[0].shape, y.shape)
-    re, im = _GaussSeries(*(v.ravel() for v in params))(y.ravel())
-    sums = re + 1j * im   # parameter cells x y cells
-    head = params[0].shape[:params[0].ndim - y.ndim]
-    if sums.size == math.prod(shape) and head + y.shape == shape:
-        return sums.reshape(shape)
-    rows = np.broadcast_to(np.arange(sums.shape[0]).reshape(params[0].shape), shape)
-    return sums[rows, np.broadcast_to(np.arange(y.size).reshape(y.shape), shape)]
 
 
 # ----------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Radial spherical-transform calculus on hyperbolic space.
 
 Plancherel density, spherical functions, forward/inverse transforms,
-spectral quadratic forms, and the regularized radial kernel with its decay
-experiment (kernel_decay). The spherical function Phi_beta(r) is the
-Legendre function of degree -1/2 + i*beta. Pointwise (spherical_function)
-it is evaluated through the Mehler-Dirichlet integral
+spectral quadratic forms (every energy and tail guard from _spectral_forms),
+and the regularized radial kernel with its decay experiment (kernel_decay).
+The spherical function Phi_beta(r) is the Legendre function of degree
+-1/2 + i*beta. Pointwise (spherical_function) it is evaluated through the
+Mehler-Dirichlet integral
 
     Phi_beta(r) = C_n (sinh r)^{2-n} int_0^sqrt(r) cos(beta (r - u^2)) h_r(u) du,
     h_r(u) = 2 u (2 sinh(r - u^2/2) sinh(u^2/2))^{(n-3)/2},
@@ -312,16 +313,27 @@ def default_beta_grid(support_radius: float, b_max: float = DEFAULT_B_MAX) -> Ra
 
 def spherical_transform(f: RadialFunction, n: int, beta_grid: RadialGrid) -> SpectralProfile:
     """f_hat(beta) = omega_{n-1} int_0^inf f(r) Phi_beta(r) sinh^{n-1}(r) dr."""
+    return SpectralProfile(beta_grid, _transforms(n, beta_grid, f.grid, _profile_column(f))[:, 0])
+
+
+def _profile_column(f: RadialFunction):
+    """f's values as one profile column, once f is known to have a transform."""
     if f.space is not Space.HYPERBOLIC:
         raise DomainError("spherical_transform expects a hyperbolic radial profile")
     f.require_compact_support()
     if f.support_radius > f.grid.r_max * (1.0 + 1e-12):
         raise SupportError("radial grid does not cover the support of f")
-    r = f.grid.nodes
-    density = f.values * np.sinh(r) ** (n - 1) * f.grid.weights
-    mat = phi_matrix(n, beta_grid, f.grid)
-    values = sphere_area(n) * (mat @ density)
-    return SpectralProfile(beta_grid, values)
+    return f.values[:, None]
+
+
+def _polar_measure(n, grid):
+    """omega_{n-1} sinh^{n-1}(r) dr on the nodes of grid (hyperbolic volume)."""
+    return sphere_area(n) * np.sinh(grid.nodes) ** (n - 1) * grid.weights
+
+
+def _transforms(n, beta_grid, grid, columns):
+    """Spherical transforms on beta_grid of the profile columns on grid."""
+    return phi_matrix(n, beta_grid, grid) @ (_polar_measure(n, grid)[:, None] * columns)
 
 
 def inverse_spherical_transform(F: SpectralProfile, n: int, r_grid: RadialGrid,
@@ -356,69 +368,80 @@ def lp_mass(f: RadialFunction, n: int, p_exp: float) -> float:
     return sphere_area(n) * f.grid.integrate(np.abs(f.values) ** p_exp * np.sinh(r) ** (n - 1))
 
 
-def _symbol_values(kind, p: Params, beta):
-    """Multiplier values for a MultiplierKind or a raw callable test hook."""
-    if isinstance(kind, MultiplierKind):
-        return multiplier(kind, p, beta)
-    return np.asarray(kind(beta), dtype=float)
-
-
 @functools.lru_cache(maxsize=32)
 def _spectral_weights(kinds, p: Params, support_radius: float, b_max: float):
-    """default_beta_grid(support_radius, b_max), |c|^{-2} and each kind's symbol
-    on its nodes, read-only; test-hook kinds skip the cache via __wrapped__."""
+    """default_beta_grid(support_radius, b_max), |c|^{-2} and each kind's
+    multiplier on its nodes, read-only."""
     beta_grid = default_beta_grid(support_radius, b_max)
     dens = plancherel_density(p.n, beta_grid.nodes)
-    symbols = tuple(_symbol_values(kind, p, beta_grid.nodes) for kind in kinds)
+    symbols = tuple(multiplier(kind, p, beta_grid.nodes) for kind in kinds)
     for array in (beta_grid.nodes, beta_grid.weights, dens, *symbols):
         array.flags.writeable = False
     return beta_grid, dens, symbols
 
 
-def quadratic_form(kind, p: Params, lam: float, f: RadialFunction,
+def _spectral_forms(kinds, p, grid, columns, support_radius, b_max):
+    """(energy, guards) of the profile columns on grid, supported in
+    [0, support_radius]. With f_hat_i column i's transform on
+    default_beta_grid(support_radius, b_max), energy[i, j] is
+    int f_hat_i f_hat_j (sum of the kinds' symbols) |c|^{-2} d beta, and
+    columns @ theta passes kind k's tail guard, theta^T guards[k] theta >= 0,
+    iff the last decade of that grid carries at most DEFAULT_TAIL_TOL of
+    int |m_k| |f_hat|^2 |c|^{-2} d beta."""
+    beta_grid, dens, symbols = _spectral_weights(kinds, p, support_radius, b_max)
+    transforms = _transforms(p.n, beta_grid, grid, columns)
+    weighted = transforms.T * (beta_grid.weights * dens)
+    # tol * total - tail of |m| |f_hat|^2 |c|^{-2}, the tail as in tail_fraction
+    guard_weight = DEFAULT_TAIL_TOL - beta_grid.tail_mask
+    guards = np.array([(weighted * guard_weight * np.abs(m)) @ transforms for m in symbols])
+    energy = (weighted * sum(symbols)) @ transforms
+    return energy, guards
+
+
+def quadratic_form(kind: MultiplierKind, p: Params, f: RadialFunction,
                    b_max: float = DEFAULT_B_MAX) -> float:
-    """int_0^{b_max} (m(beta) - lam) |f_hat|^2 |c|^{-2} d beta.
+    """int_0^{b_max} m(beta) |f_hat|^2 |c|^{-2} d beta, m the multiplier of
+    kind (half-line normalization, as in the radial Plancherel identity).
 
-    kind may be a MultiplierKind or a callable beta -> m(beta) (test hook);
-    at kind = INTERTWINED, lam = 0 this is the intertwined-operator energy.
-    Half-line normalization, matching the radial Plancherel identity.
+    The one-column case of _spectral_forms: raises TailError when f fails
+    its tail guard.
     """
-    return _quadratic_forms((kind,), p, lam, f, b_max)[0]
+    return _quadratic_form((kind,), p, f, b_max)
 
 
-def _quadratic_forms(kinds, p: Params, lam: float, f: RadialFunction, b_max: float):
-    """quadratic_form of each kind from one transform and one |f_hat|^2 |c|^{-2}."""
-    hooks = not all(isinstance(kind, MultiplierKind) for kind in kinds)
-    weights = _spectral_weights.__wrapped__ if hooks else _spectral_weights
-    beta_grid, dens, symbols = weights(kinds, p, f.support_radius, b_max)
-    weight = spherical_transform(f, p.n, beta_grid).values ** 2 * dens
-    forms = []
-    for m in symbols:
-        tail = beta_grid.tail_fraction((np.abs(m) + abs(lam)) * weight)
-        if tail > DEFAULT_TAIL_TOL:
-            raise TailError(
-                f"quadratic form tail fraction {tail:.3e} exceeds tolerance {DEFAULT_TAIL_TOL:.1e}"
-            )
-        forms.append(float(np.dot(beta_grid.weights, (m - lam) * weight)))
-    return forms
+def _quadratic_form(kinds, p: Params, f: RadialFunction, b_max: float) -> float:
+    """The sum of the kinds' quadratic forms of f, from one transform; raises
+    TailError when f fails a kind's tail guard."""
+    energy, guards = _spectral_forms(kinds, p, f.grid, _profile_column(f), f.support_radius, b_max)
+    failed = np.flatnonzero(guards[:, 0, 0] < 0.0)
+    if failed.size:
+        # the tail fraction the first failed guard bounds, on the same cached arrays
+        beta_grid, dens, symbols = _spectral_weights(kinds, p, f.support_radius, b_max)
+        f_hat = spherical_transform(f, p.n, beta_grid).values
+        tail = beta_grid.tail_fraction(np.abs(symbols[failed[0]]) * f_hat ** 2 * dens)
+        raise TailError(
+            f"quadratic form tail fraction {tail:.3e} exceeds tolerance {DEFAULT_TAIL_TOL:.1e}"
+        )
+    return float(energy[0, 0])
 
 
 # ---------------------------------------------------------------------------
 # Regularized radial kernel and its off-diagonal decay rate
 # ---------------------------------------------------------------------------
 
-def regularized_kernel(kind, p: Params, r: float, eps_reg: float,
+def regularized_kernel(kind: MultiplierKind, p: Params, r: float, eps_reg: float,
                        rel_tol: float = 1e-10, max_panels: int = 4096) -> float:
     """k^eps(r) = 2 int_0^inf m(beta) e^{-eps beta^2} Phi_beta(r) |c|^{-2} d beta.
 
     This is twice the half-line inversion integral of
     inverse_spherical_transform (of the profile m(beta) e^{-eps beta^2}), so
-    its eps -> 0 limit is twice the operator's radial kernel: for the
-    intertwined kind the linear-in-eps Richardson limit (eps_extrapolation)
-    measured 1.9992 to 2.0001 times the closed form
-    -C_{n,s} (2 sinh(r/2))^{-(n+2s)}, C_{n,s} the constant of the Euclidean
-    (-Delta)^s, at (n, s) in {(3, 0.6), (5, 0.7), (4, 0.5), (3, 0.3)} and
-    r = 2, 4, 6.
+    its eps -> 0 limit is twice the operator's radial kernel. With C_{n,s}
+    the constant of the Euclidean (-Delta)^s, the linear-in-eps Richardson
+    limit (eps_extrapolation) over eps = 0.01, 0.005 at (n, s) in
+    {(3, 0.6), (5, 0.7), (4, 0.5), (3, 1.3)} and r = 2, 4, 6 measured 1.9942
+    to 1.9999 times -C_{n,s} (2 sinh(r/2))^{-(n+2s)} for the intertwined
+    kind (at least 1.9991 at r >= 4), and GJMS minus intertwined within
+    2.5e-4 of 2 C_{n,s} (2 cosh(r/2))^{-(n+2s)}.
 
     Adaptive panel-splitting Gauss-Legendre quadrature; the Gaussian factor
     caps the integration at the point where it falls below 1e-16. A LIFO
@@ -445,7 +468,7 @@ def regularized_kernel(kind, p: Params, r: float, eps_reg: float,
         # gauss_panels((a, b)) for each panel, as one (panels x 16) block
         nodes = (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * GAUSS_NODES[None, :]
         flat = nodes.ravel()
-        m = _symbol_values(kind, p, flat)
+        m = multiplier(kind, p, flat)
         phi = spherical_function(p.n, nodes, r).ravel()
         dens = plancherel_density(p.n, flat)
         g = (m * np.exp(-eps_reg * flat * flat) * phi * dens).reshape(nodes.shape)
@@ -517,8 +540,8 @@ def decay_slope(radii, values) -> float:
     return float(np.polyfit(radii, np.log(np.abs(values)), 1)[0])
 
 
-def kernel_decay(kind, p: Params, radii, eps_reg: float):
-    """The off-diagonal decay of k^eps.
+def kernel_decay(kind: MultiplierKind, p: Params, radii, eps_reg: float):
+    """The off-diagonal decay of k^eps (regularized_kernel of kind).
 
     summary's target_slope is -rho = -(n-1)/2, the decay rate of Phi_beta(r)
     at fixed beta, not the kernel's: the closed-form kernels decay like

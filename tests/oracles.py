@@ -21,8 +21,9 @@ from gjmslab.bubbles import _banded_energy, smooth_window
 from gjmslab.errors import DomainError, NonConvergence
 from gjmslab.geometry import sphere_area
 from gjmslab.grids import GAUSS_WEIGHTS, PHASE_PER_PANEL, gauss_panels, geometric_grid
-from gjmslab.quotients import _spline_forms, _spline_report, _spline_start_candidates
-from gjmslab.spherical import _symbol_values, plancherel_density, spherical_function
+from gjmslab.multipliers import multiplier
+from gjmslab.quotients import _spline_report, _spline_start_candidates
+from gjmslab.spherical import plancherel_density, spherical_function
 
 WINDOW_RADII = (2000.0, 4000.0)
 
@@ -74,7 +75,7 @@ def panelwise_regularized_kernel(kind, p, r, eps_reg, rel_tol=1e-10, max_panels=
         # the one-panel rule scales the reference weights after the dot
         # product; composite weights would move the last bits of k^eps
         nodes, _ = gauss_panels((a, b))
-        m = _symbol_values(kind, p, nodes)
+        m = multiplier(kind, p, nodes)
         phi = spherical_function(p.n, nodes, r)
         dens = plancherel_density(p.n, nodes)
         g = m * np.exp(-eps_reg * nodes * nodes) * phi * dens
@@ -107,12 +108,12 @@ def panelwise_regularized_kernel(kind, p, r, eps_reg, rel_tol=1e-10, max_panels=
     return 2.0 * math.fsum(result)
 
 
-def slsqp_spline_search(kind, p, lam, family, budget, b_max):
-    """SLSQP on theta^T (A - lam M) theta / crit^{2/2*} under the tail guards,
-    from the best start candidate scaled to unit critical integral; returns
-    whether it converged (at SLSQP's default accuracy, 1e-6 on Q). Takes
-    the place of quotients._minimize_spline in gap_scan."""
-    forms = _spline_forms(kind, p, family, b_max)
+def slsqp_spline_search(p, lam, family, budget, forms):
+    """SLSQP on theta^T (A - lam M) theta / crit^{2/2*} under the tail guards
+    of the family's _spline_forms, from the best start candidate scaled to
+    unit critical integral; returns whether it converged (at SLSQP's default
+    accuracy, 1e-6 on Q). Takes the place of quotients._minimize_spline in
+    gap_scan."""
     basis, measure, energy, l2, guards = forms
     shifted = energy - lam * l2
 

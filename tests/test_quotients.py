@@ -8,7 +8,7 @@ from oracles import slsqp_spline_search, windowed_bubble_energy
 from gjmslab.bubbles import BubbleParams, bubble_energy_limit, smooth_window
 from gjmslab.errors import BudgetExceeded, ParameterError, ZeroTrial
 from gjmslab.grids import RadialFunction, Space
-from gjmslab.multipliers import b_constant, multiplier, spectral_bottom
+from gjmslab.multipliers import b_constant, spectral_bottom
 from gjmslab.params import MultiplierKind, Params
 from gjmslab.quotients import (
     BubbleFamily,
@@ -91,7 +91,7 @@ class TestSobolevQuotient:
         p = Params(5, 0.8)
         u = hyperbolic_bump(0.8, 3.0)
         rep = sobolev_quotient(GJMS, p, 0.0, u)
-        direct = quadratic_form(lambda b: multiplier(GJMS, p, b), p, 0.0, u)
+        direct = quadratic_form(GJMS, p, u)
         assert rep.energy == pytest.approx(direct, rel=1e-8)
 
     def test_floor_above_sharp_constant(self):
@@ -386,6 +386,49 @@ class TestGapScan:
         for lam, rep in zip(lambdas, gap_scan(INT, p, lambdas, family)):
             best = min(trial.at_lambda(lam).quotient for trial in grid)
             assert rep.quotient <= (1.0 + 1e-6) * best
+
+    def test_gjms_at_integer_s_is_the_intertwined_scan(self, monkeypatch):
+        # at integer s the remainder symbol is exactly 0: the GJMS bubble
+        # scan lifts and transforms no trial, and both families return the
+        # intertwined scan's reports bit for bit
+        import gjmslab.spherical as spherical
+
+        p, lambdas = Params(3, 1.0), [0.0, 0.2]
+        intertwined = gap_scan(INT, p, lambdas, BubbleFamily())
+        calls = []
+
+        def counted(*args, _fn=spherical.phi_matrix):
+            calls.append(1)
+            return _fn(*args)
+
+        monkeypatch.setattr(spherical, "phi_matrix", counted)
+        assert gap_scan(GJMS, p, lambdas, BubbleFamily()) == intertwined
+        assert calls == []
+        family = SplineFamily(knots=6, radius=3.0)
+        assert gap_scan(GJMS, p, lambdas, family) == gap_scan(INT, p, lambdas, family)
+
+    def test_spline_scan_builds_the_forms_once(self, monkeypatch):
+        # one build of the family's matrices serves every lambda; a search
+        # that rebuilds them at each lambda returns the same reports
+        import gjmslab.quotients as quotients
+
+        p, family, lambdas = Params(5, 0.8), SplineFamily(knots=12, radius=3.5), [-1.0, 0.0, 0.25]
+        built = []
+
+        def counted(*args, _fn=quotients._spline_forms):
+            built.append(1)
+            return _fn(*args)
+
+        def rebuilding(p, lam, family, budget, forms, _fn=quotients._minimize_spline):
+            return _fn(p, lam, family, budget, quotients._spline_forms(INT, p, family,
+                                                                      DEFAULT_B_MAX))
+
+        monkeypatch.setattr(quotients, "_spline_forms", counted)
+        shared = gap_scan(INT, p, lambdas, family)
+        assert len(built) == 1
+        monkeypatch.setattr(quotients, "_minimize_spline", rebuilding)
+        assert gap_scan(INT, p, lambdas, family) == shared
+        assert len(built) == 1 + 1 + len(lambdas)
 
     def test_scan_memo_hits_count_against_the_cap(self):
         from gjmslab.quotients import _Budget, _minimize_bubble

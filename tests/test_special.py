@@ -8,8 +8,8 @@ from gjmslab.errors import DomainError, NonConvergence, UnsupportedOrder
 from gjmslab.special import (
     bessel_j_scaled,
     log_abs_gamma_sq,
+    _GaussSeries,
     _half_odd_switch,
-    _hyp2f1_series,
     _log_gamma_array,
 )
 
@@ -84,55 +84,50 @@ class TestAbsGammaSq:
             assert np.all(np.diff(_gamma_modulus_sq(a, grid)) <= 1e-15)
 
 
+def _gauss(a, b, c, y):
+    """2F1(a, b; c; y) for each row of the 1-d parameter rows a, b, c at each
+    y of the 1-d y (rows x y.size), by one _GaussSeries."""
+    re, im = _GaussSeries(a, b, c)(y)
+    return re + 1j * im
+
+
 class TestHyp2f1:
     # the Gauss series that the Jacobi block of phi_matrix sums, on y in [0, 0.8]
     def test_at_zero(self):
-        assert _hyp2f1_series(0.3, 1.7, 2.2, 0.0) == 1.0
+        assert _gauss([0.3], [1.7], [2.2], [0.0])[0, 0] == 1.0
 
     def test_log_closed_form(self):
         # 2F1(1, 1; 2; y) = -log(1 - y) / y
         y = np.linspace(0.05, 0.8, 16)
-        ours = _hyp2f1_series(1.0, 1.0, 2.0, y)
+        ours = _gauss([1.0], [1.0], [2.0], y)[0]
         assert np.allclose(ours, -np.log1p(-y) / y, rtol=1e-12, atol=0.0)
 
     def test_series_oracle(self):
+        # real and complex parameter rows summed by one series
         y = np.linspace(0.0, 0.8, 41)
-        for a, b, c in ((0.5, 1.5, 2.0), (-1.2, 0.7, 2.9), (0.3 + 1j, 0.8 - 2j, 1.0 - 2j)):
-            ours = _hyp2f1_series(a, b, c, y)
-            ref = np.array([complex(mp.hyp2f1(a, b, c, v)) for v in y])
-            assert np.max(np.abs(ours - ref) / np.abs(ref)) <= 1e-12
+        a, b, c = np.array([(0.5, 1.5, 2.0), (-1.2, 0.7, 2.9), (0.3 + 1j, 0.8 - 2j, 1.0 - 2j)]).T
+        ours = _gauss(a, b, c, y)
+        for row, params in zip(ours, zip(a, b, c)):
+            ref = np.array([complex(mp.hyp2f1(*map(complex, params), v)) for v in y])
+            assert np.max(np.abs(row - ref) / np.abs(ref)) <= 1e-12
 
     def test_nonconvergence_cap(self):
         # at y = 1 - 1e-8 the terms decay like k^-2, so the cap runs out long
         # before the series tolerance is met
         with pytest.raises(NonConvergence):
-            _hyp2f1_series(0.5, 0.5, 2.0, 1.0 - 1e-8)
-
-    def test_series_broadcasts_complex_parameters(self):
-        # complex a, b, c on one axis and y on the other, as the Jacobi block uses them
-        beta = np.array([0.01, 1.0, 7.5])[:, None]
-        y = np.array([0.0, 0.1, 0.42])
-        a, b, c = 0.5 * (1.0 - 1j * beta), 1.0 - 0.5j * beta, 1.0 - 1j * beta
-        ours = _hyp2f1_series(a, b, c, y)
-        assert ours.shape == (3, 3)
-        for i in range(3):
-            for j in range(3):
-                ref = complex(mp.hyp2f1(complex(a[i, 0]), complex(b[i, 0]), complex(c[i, 0]), y[j]))
-                assert abs(ours[i, j] - ref) <= 1e-13 * abs(ref)
-        # parameters and y on one shared axis: the diagonal of the table above
-        assert np.array_equal(_hyp2f1_series(a[:, 0], b[:, 0], c[:, 0], y), np.diag(ours))
+            _gauss([0.5], [0.5], [2.0], [1.0 - 1e-8])
 
     def test_contiguity(self, rng):
-        # c F(a,b;c;y) - c F(a-1,b;c;y) - b y F(a,b+1;c+1;y) = 0
-        for _ in range(50):
-            a = rng.uniform(-1.5, 2.5)
-            b = rng.uniform(0.1, 2.5)
-            c = rng.uniform(0.4, 3.5)
-            y = rng.uniform(0.05, 0.8)
-            lhs = c * _hyp2f1_series(a, b, c, y) - c * _hyp2f1_series(a - 1.0, b, c, y)
-            rhs = b * y * _hyp2f1_series(a, b + 1.0, c + 1.0, y)
-            scale = max(abs(lhs), abs(rhs), 1e-6)
-            assert abs(lhs - rhs) / scale <= 1e-8
+        # c F(a,b;c;y) - c F(a-1,b;c;y) - b y F(a,b+1;c+1;y) = 0, one
+        # parameter row per sample, each at its own y
+        a = rng.uniform(-1.5, 2.5, 50)
+        b = rng.uniform(0.1, 2.5, 50)
+        c = rng.uniform(0.4, 3.5, 50)
+        y = rng.uniform(0.05, 0.8, 50)
+        lhs = c * np.diag(_gauss(a, b, c, y)) - c * np.diag(_gauss(a - 1.0, b, c, y))
+        rhs = b * y * np.diag(_gauss(a, b + 1.0, c + 1.0, y))
+        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-6)
+        assert np.max(np.abs(lhs - rhs) / scale) <= 1e-8
 
 
 class TestBesselJ:

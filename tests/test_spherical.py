@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import oracles
 from conftest import hyperbolic_bump, windowed_gaussian
 from oracles import panelwise_regularized_kernel
 from gjmslab import special, spherical
@@ -13,11 +14,13 @@ from gjmslab.bubbles import fractional_energy
 from gjmslab.errors import DegenerateData, DomainError, NonConvergence, SupportError, TailError
 from gjmslab.geometry import conformal_lift
 from gjmslab.grids import RadialFunction, RadialGrid, Space, SpectralProfile, uniform_grid
+from gjmslab.multipliers import multiplier, spectral_bottom
 from gjmslab.params import MultiplierKind, Params
 from gjmslab.quotients import standard_hyperbolic_grid
 from gjmslab.spherical import (
     decay_slope,
     default_beta_grid,
+    eps_extrapolation,
     inverse_spherical_transform,
     kernel_decay,
     l2_mass,
@@ -32,13 +35,27 @@ from gjmslab.spherical import (
 INT = MultiplierKind.INTERTWINED
 
 
-def _identity_symbol(b):
+def _identity_symbol(kind, p, b):
     return np.ones_like(np.asarray(b, dtype=float))
 
 
-def _quadratic_symbol(b):
+def _quadratic_symbol(kind, p, b):
     # the integer-order symbol b^2 + 1/4 (s = 1) as a test hook
     return 0.25 + b * b
+
+
+@pytest.fixture
+def symbol_hook(monkeypatch):
+    """install(fn): fn(kind, p, beta) takes the place of multiplier in
+    spherical and in the kernel oracle; the spectral-weight cache is cleared
+    at install and at teardown, so no hook symbol outlives its test."""
+    def install(fn):
+        for module in (spherical, oracles):
+            monkeypatch.setattr(module, "multiplier", fn)
+        spherical._spectral_weights.cache_clear()
+
+    yield install
+    spherical._spectral_weights.cache_clear()
 
 
 class TestPlancherelDensity:
@@ -374,22 +391,22 @@ class TestPhiMatrixJacobi:
 
 
 class TestQuadraticForm:
-    def test_identity_hook_is_l2(self):
+    def test_identity_hook_is_l2(self, symbol_hook):
         p = Params(3, 1.0)
         f = hyperbolic_bump(0.5, 3.0)
-        assert quadratic_form(_identity_symbol, p, 0.0, f) == pytest.approx(
-            l2_mass(f, 3), rel=1e-4)
+        symbol_hook(_identity_symbol)
+        assert quadratic_form(INT, p, f) == pytest.approx(l2_mass(f, 3), rel=1e-4)
 
-    def test_nonnegative_at_bottom(self):
-        from gjmslab.multipliers import spectral_bottom
-        for n, s in ((3, 1.0), (5, 0.8)):
-            p = Params(n, s)
-            bottom = spectral_bottom(INT, p)
-            for width in (0.4, 1.0, 2.5):
-                f = hyperbolic_bump(width, 3.0)
-                energy = quadratic_form(INT, p, bottom, f)
-                scale = quadratic_form(INT, p, 0.0, f)
-                assert energy >= -1e-9 * scale
+    def test_nonnegative_at_bottom(self, symbol_hook):
+        # int (m - bottom) |f_hat|^2 |c|^{-2} >= 0: the form minus bottom
+        # times the identity-symbol form of the same transform
+        trials = [(Params(n, s), hyperbolic_bump(width, 3.0))
+                  for n, s in ((3, 1.0), (5, 0.8)) for width in (0.4, 1.0, 2.5)]
+        energies = [quadratic_form(INT, p, f) for p, f in trials]
+        symbol_hook(_identity_symbol)
+        for (p, f), energy in zip(trials, energies):
+            shifted = energy - spectral_bottom(INT, p) * quadratic_form(INT, p, f)
+            assert shifted >= -1e-9 * energy
 
     @pytest.mark.parametrize("n,s", [(3, 1.0), (4, 0.75), (5, 0.8)])
     def test_conformal_energy_identity(self, n, s):
@@ -399,36 +416,42 @@ class TestQuadraticForm:
         w = RadialFunction.from_profile(windowed_gaussian(0.05, 0.6), grid, 0.6,
                                         Space.EUCLIDEAN)
         u = conformal_lift(w, p)
-        hyperbolic = quadratic_form(INT, p, 0.0, u)
+        hyperbolic = quadratic_form(INT, p, u)
         euclidean = fractional_energy(w, p)
         assert hyperbolic == pytest.approx(euclidean, rel=1e-3)
 
 
 class TestSpectralWeightCache:
     def test_gjms_quotient_transforms_once(self, monkeypatch):
+        # the intertwined and remainder forms of a GJMS energy (non-integer
+        # s) come from one transform
         from gjmslab.quotients import sobolev_quotient
 
         calls = []
 
-        def counted(*args, _fn=spherical.spherical_transform, **kwargs):
+        def counted(*args, _fn=spherical._transforms):
             calls.append(1)
-            return _fn(*args, **kwargs)
+            return _fn(*args)
 
-        monkeypatch.setattr(spherical, "spherical_transform", counted)
-        sobolev_quotient(MultiplierKind.GJMS, Params(3, 1.0), 0.0, hyperbolic_bump(0.5, 3.0))
+        monkeypatch.setattr(spherical, "_transforms", counted)
+        sobolev_quotient(MultiplierKind.GJMS, Params(4, 0.75), 0.0, hyperbolic_bump(0.8, 3.0))
         assert len(calls) == 1
 
-    def test_cold_and_warm_values_bit_equal(self):
+    def test_cold_and_warm_values_bit_equal(self, symbol_hook):
+        # cached symbols give the values of fresh ones: multiplier behind a
+        # hook that recomputes them
         p = Params(4, 0.75)
         f = hyperbolic_bump(0.8, 3.0)
         kinds = (INT, MultiplierKind.REMAINDER, MultiplierKind.GJMS)
         spherical._spectral_weights.cache_clear()
-        cold = [quadratic_form(kind, p, 0.3, f) for kind in kinds]
-        warm = [quadratic_form(kind, p, 0.3, f) for kind in kinds]
-        hooks = [quadratic_form(lambda b, _k=kind: spherical.multiplier(_k, p, b), p, 0.3, f)
-                 for kind in kinds]
-        assert cold == warm == hooks
+        cold = [quadratic_form(kind, p, f) for kind in kinds]
+        warm = [quadratic_form(kind, p, f) for kind in kinds]
         assert spherical._spectral_weights.cache_info().hits >= len(kinds)
+        hooks = []
+        for kind in kinds:
+            symbol_hook(lambda k, q, b: multiplier(k, q, b))
+            hooks.append(quadratic_form(kind, p, f))
+        assert cold == warm == hooks
 
     def test_cached_arrays_are_read_only(self):
         beta_grid, dens, symbols = spherical._spectral_weights(
@@ -453,16 +476,37 @@ class TestKernel:
         with pytest.raises(DomainError):
             regularized_kernel(INT, p, 2.0, 0.0)
 
-    def test_identity_hook_oracle(self):
+    def test_identity_hook_oracle(self, symbol_hook):
         # closed-form regularized inverse transform at n = 3:
         # k(r) = sqrt(pi) r exp(-r^2/(4 eps)) / (4 pi^2 eps^(3/2) sinh r)
         p = Params(3, 1.0)
         eps = 0.01
+        symbol_hook(_identity_symbol)
         for r in (0.5, 0.6, 0.7):
-            k = regularized_kernel(_identity_symbol, p, r, eps)
+            k = regularized_kernel(INT, p, r, eps)
             oracle = (math.sqrt(math.pi) * r * math.exp(-r * r / (4 * eps))
                       / (4 * math.pi ** 2 * eps ** 1.5 * math.sinh(r)))
             assert k == pytest.approx(oracle, rel=1e-6)
+
+    @pytest.mark.parametrize("n, s", [(3, 0.6), (5, 0.7), (4, 0.5), (3, 1.3)])
+    def test_closed_form_kernels(self, n, s):
+        # the eps -> 0 Richardson limit of k^eps is twice the operator kernel:
+        # -C (2 sinh(r/2))^{-(n+2s)} for the intertwined operator, and GJMS
+        # adds C (2 cosh(r/2))^{-(n+2s)}, C = C_{n,s} the constant of the
+        # Euclidean (-Delta)^s (measured worst: 2.9e-3 and 4.2e-4 off the
+        # factor 2 at r = 2 and r >= 4, 2.5e-4 on the cosh term)
+        p = Params(n, s)
+        c = (2.0 ** (2.0 * s) * s * math.gamma((n + 2.0 * s) / 2.0)
+             / (math.pi ** (n / 2.0) * math.gamma(1.0 - s)))
+        for r in (2.0, 4.0, 6.0):
+            limit = {kind: eps_extrapolation({eps: regularized_kernel(kind, p, r, eps)
+                                              for eps in (0.01, 0.005)})
+                     for kind in (INT, MultiplierKind.GJMS)}
+            intertwined = limit[INT] / (-c * (2.0 * math.sinh(r / 2.0)) ** (-(n + 2.0 * s)))
+            assert intertwined == pytest.approx(2.0, rel=5e-3 if r == 2.0 else 1e-3)
+            remainder = ((limit[MultiplierKind.GJMS] - limit[INT])
+                         / (2.0 * c * (2.0 * math.cosh(r / 2.0)) ** (-(n + 2.0 * s))))
+            assert remainder == pytest.approx(1.0, rel=5e-4)
 
     def test_monotone_decay(self):
         p = Params(3, 0.6)
@@ -485,7 +529,10 @@ class TestKernel:
     @pytest.mark.parametrize("kind", [INT, MultiplierKind.GJMS, MultiplierKind.REMAINDER,
                                       _quadratic_symbol], ids=["int", "gjms", "rem", "hook"])
     @pytest.mark.parametrize("n, s", [(3, 0.6), (5, 0.7), (3, 1.0), (4, 0.75)])
-    def test_bit_equal_to_panelwise_oracle(self, kind, n, s):
+    def test_bit_equal_to_panelwise_oracle(self, symbol_hook, kind, n, s):
+        if callable(kind):
+            symbol_hook(kind)
+            kind = INT
         p = Params(n, s)
         for r in (0.5, 2.0, 3.5, 6.0, 8.0):
             for eps in (0.02, 0.01, 0.005):
