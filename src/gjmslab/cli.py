@@ -5,6 +5,13 @@ Exit codes: 0 success, 2 input validation, 3 I/O failure, 4 acceptance-fit
 failure, 5 numerical-contract failure (TailError, NonConvergence,
 BudgetExceeded, DegenerateData). Re-running with identical flags gives
 byte-identical data files; the timestamps live only in the manifest sidecar.
+
+BLAS threads: a command run as `gjms-lab` (the console script,
+gjmslab.entry.main) or as `python -m gjmslab.cli` uses one BLAS thread,
+unless the user has set OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS (gjmslab.entry). The manifest records the three as the run
+saw them. `import gjmslab.cli` and a main() called from Python leave the
+environment, and so the thread count, as they are.
 """
 
 import argparse
@@ -15,6 +22,11 @@ import math
 import os
 import subprocess
 import sys
+
+from .entry import BLAS_THREAD_VARS, one_blas_thread
+
+if __name__ == "__main__":
+    one_blas_thread()   # python -m gjmslab.cli: before numpy loads
 
 import numpy as np
 
@@ -78,8 +90,9 @@ def _scipy_modules():
 
 def write_manifest(out_path, command, params, started_at):
     """The run's sidecar: flags, source tree, start and finish times (UTC,
-    ISO 8601; finished when the manifest is written), tolerances and the
-    scipy subpackages the run loaded."""
+    ISO 8601; finished when the manifest is written), tolerances, the scipy
+    subpackages the run loaded and the BLAS thread variables as the run saw
+    them (null when unset)."""
     manifest = {
         "command": command,
         "params": {k: (v if not isinstance(v, (list, tuple)) else list(v))
@@ -90,6 +103,7 @@ def write_manifest(out_path, command, params, started_at):
         "tolerances": {"series_tol": SERIES_TOL, "series_cap": SERIES_CAP,
                        "tail_tol": DEFAULT_TAIL_TOL},
         "scipy_modules": _scipy_modules(),
+        "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
     }
     with open(out_path + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -53,9 +53,11 @@ spherical_function, and with it regularized_kernel, stays on the
 per-radius Mehler integral at every r > 0: at (n, s) = (3, 1) the kernel
 values that quotients.blowdown reduces to its constants are quadrature
 roundoff, so any route change would move them. It and the near block of
-phi_matrix take their u-nodes, weights and h_r from one rule, _mehler_rule.
-_phi_mehler takes a 2-d block of frequency rows; regularized_kernel passes
-spherical_function a batch of its adaptive panels at a time.
+phi_matrix take their u-nodes, weights and h_r from one rule, _mehler_rule;
+spherical_function holds the rules of its recent (n, r, panel count) in a
+bounded cache (_mehler_rule_at). _phi_mehler takes a 2-d block of frequency
+rows; regularized_kernel passes spherical_function a batch of its adaptive
+panels at a time.
 """
 
 import functools
@@ -143,6 +145,18 @@ def _mehler_rule(n, radii, count):
     return r - uu, h * w
 
 
+# holds the rules of one regularized_kernel call: in the benchmark's
+# kernel-decay commands, at most 54 distinct u-panel counts of at most 58
+# panels each; 64 such rules take < 1 MB
+@functools.lru_cache(maxsize=64)
+def _mehler_rule_at(n, r, count):
+    """_mehler_rule at the one radius r, as 1-d read-only arrays."""
+    phase, hw = _mehler_rule(n, np.array([r]), count)
+    for array in (phase, hw):
+        array.flags.writeable = False
+    return phase[0], hw[0]
+
+
 def _phi_mehler(n, beta, r):
     """Phi_beta(r) by the Mehler-Dirichlet integral, for a 1-d beta (one row)
     or a 2-d block of rows. Each row takes the u-quadrature that its own
@@ -155,10 +169,10 @@ def _phi_mehler(n, beta, r):
         groups.setdefault(_mehler_u_panels(r, b_max), []).append(i)
     integral = np.empty(rows.shape)
     for count, same in groups.items():
-        phase, hw = _mehler_rule(n, np.array([r]), count)
-        kernel = rows[same][:, :, None] * phase[0]
+        phase, hw = _mehler_rule_at(n, r, count)
+        kernel = rows[same][:, :, None] * phase
         np.cos(kernel, out=kernel)
-        integral[same] = kernel @ hw[0]
+        integral[same] = kernel @ hw
     return _mehler_constant(n) * math.sinh(r) ** (2 - n) * integral.reshape(np.shape(beta))
 
 

@@ -1,18 +1,25 @@
-"""Which scipy modules each gjms-lab command loads, in a fresh interpreter.
+"""What a cold gjms-lab process loads and how many BLAS threads it runs,
+each in a fresh interpreter.
 
 scipy is imported where it computes: scipy.special for the integer-order
 Bessel J of even-n Hankel paths. Half-odd Bessel J (odd n) and the spline
-search's Newton solve are numpy.
+search's Newton solve are numpy. `import gjmslab` loads no numpy. The two
+program entries, python -m gjmslab.cli and the gjms-lab console script, run
+a command with one BLAS thread unless the user set a thread count; a library
+import leaves os.environ alone.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 # Runs gjmslab.cli.main on argv (none: import only) and prints the exit code
 # and every scipy module in sys.modules afterwards.
@@ -36,14 +43,26 @@ KERNEL_DECAY = ["kernel-decay", "--kind", "intertwined", "--n", "3", "--s", "0.6
 BLOWDOWN = ["blowdown", "--n", "3", "--s", "1", "--lambda", "0.3", "--n-spec", "4,16,64,256"]
 
 
+def child_env(**blas):
+    """os.environ with src on PYTHONPATH, the BLAS thread variables removed
+    and then the given ones set."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    env.update(blas)
+    return env
+
+
+def probe(code, *args, env=None):
+    """The JSON of the last line a fresh interpreter running code prints."""
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env or child_env(),
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
 def loaded_scipy(argv=()):
     """(exit code, scipy modules loaded) of one cold run."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    out = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env, capture_output=True,
-                         text=True, timeout=300)
-    assert out.returncode == 0, out.stderr
-    code, modules = json.loads(out.stdout.splitlines()[-1])
+    code, modules = probe(PROBE, *argv)
     return code, set(modules)
 
 
@@ -82,3 +101,79 @@ def test_even_n_bubble_path_loads_only_scipy_special(tmp_path):
 
 def test_spline_search_loads_no_scipy(tmp_path):
     assert run_cold(SPLINE_SCAN, tmp_path) == (0, set(), [])
+
+
+def console_script():
+    """The "module:function" the gjms-lab console script of pyproject.toml runs."""
+    with open(os.path.join(ROOT, "pyproject.toml")) as fh:
+        return re.search(r'^gjms-lab\s*=\s*"([\w.]+:\w+)"', fh.read(), re.M).group(1)
+
+
+# Imports the console script's function, then gjmslab.cli, then calls
+# gjmslab.cli.main from Python; prints, after each step, whether numpy is
+# loaded and whether os.environ is unchanged.
+LIBRARY_IMPORTS = """
+import importlib, json, os, sys
+before = dict(os.environ)
+module, function = sys.argv[1].split(":")
+getattr(importlib.import_module(module), function)
+steps = [["numpy" in sys.modules, dict(os.environ) == before]]
+import gjmslab.cli
+steps.append(["numpy" in sys.modules, dict(os.environ) == before])
+gjmslab.cli.main(["constants", "--n", "3", "--s", "0.5"])
+steps.append(["numpy" in sys.modules, dict(os.environ) == before])
+print(json.dumps(steps))
+"""
+
+# Runs a gjms-lab command through one program entry ("-m": gjmslab.cli as
+# python -m runs it; else the console script's "module:function", as its
+# wrapper calls it) and prints the exit code and the process's thread count
+# (None without /proc).
+ENTRY_RUN = """
+import importlib, json, os, runpy, sys
+entry = sys.argv[1]
+sys.argv = ["gjms-lab", *sys.argv[2:]]
+try:
+    if entry == "-m":
+        runpy.run_module("gjmslab.cli", run_name="__main__", alter_sys=True)
+    else:
+        module, function = entry.split(":")
+        sys.exit(getattr(importlib.import_module(module), function)())
+except SystemExit as exc:
+    code = exc.code
+task = "/proc/self/task"
+print(json.dumps([code, len(os.listdir(task)) if os.path.isdir(task) else None]))
+"""
+
+MULTIPLIER = ["multiplier", "--kind", "gjms", "--n", "3", "--s", "0.5", "--beta-max", "2",
+              "--count", "3"]
+
+
+def test_import_loads_no_numpy():
+    assert probe("import json, sys, gjmslab; print(json.dumps('numpy' in sys.modules))") is False
+
+
+def test_library_import_leaves_environ():
+    # importing the console script's function loads no numpy; neither it nor
+    # gjmslab.cli nor a main() called from Python touches os.environ
+    assert probe(LIBRARY_IMPORTS, console_script()) == [[False, True], [True, True], [True, True]]
+
+
+@pytest.mark.parametrize("entry", ["-m", "console"])
+@pytest.mark.parametrize("user", [{}, {"OPENBLAS_NUM_THREADS": "2"}, {"GOTO_NUM_THREADS": "2"},
+                                  {"OMP_NUM_THREADS": "2"}],
+                         ids=["unset", "openblas-2", "goto-2", "omp-2"])
+def test_entry_blas_threads(entry, user, tmp_path):
+    # one BLAS thread unless the user set a count, which then stands; the
+    # manifest records the three variables as the run saw them
+    out = str(tmp_path / "m.csv")
+    code, threads = probe(ENTRY_RUN, console_script() if entry == "console" else entry,
+                          *MULTIPLIER, "--out", out, env=child_env(**user))
+    assert code == 0
+    with open(out + ".manifest.json") as fh:
+        recorded = json.load(fh)["blas_threads"]
+    expected = dict.fromkeys(BLAS_THREAD_VARS, None)
+    expected.update(user or {"OPENBLAS_NUM_THREADS": "1"})
+    assert recorded == expected
+    if threads is not None:
+        assert threads == (1 if not user else min(2, len(os.sched_getaffinity(0))))

@@ -468,6 +468,48 @@ class TestSpectralWeightCache:
         assert cache.cache_info().currsize == cache.cache_parameters()["maxsize"]
 
 
+class TestMehlerRuleCache:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The (n, radii, count) of every Mehler rule built, from a cold cache."""
+        calls = []
+
+        def counted(n, radii, count, _fn=spherical._mehler_rule):
+            calls.append((n, tuple(radii), count))
+            return _fn(n, radii, count)
+
+        monkeypatch.setattr(spherical, "_mehler_rule", counted)
+        cache = spherical._mehler_rule_at
+        cache.cache_clear()
+        yield calls
+        cache.cache_clear()
+
+    def test_cold_and_warm_kernel_bit_equal(self, builds, monkeypatch):
+        # the kernel-decay case with the most u-panel counts in one call (54):
+        # each distinct rule is built once, a second call builds none, and
+        # both give the value of rules rebuilt at every use
+        p = Params(3, 0.6)
+        cold = regularized_kernel(INT, p, 6.0, 0.005)
+        assert len(builds) == len(set(builds)) == 54
+        warm = regularized_kernel(INT, p, 6.0, 0.005)
+        assert len(builds) == 54
+        monkeypatch.setattr(spherical, "_mehler_rule_at", spherical._mehler_rule_at.__wrapped__)
+        rebuilt = regularized_kernel(INT, p, 6.0, 0.005)
+        assert cold.hex() == warm.hex() == rebuilt.hex()
+
+    def test_rules_read_only(self):
+        for array in spherical._mehler_rule_at(3, 2.0, 5):
+            assert array.shape == (80,)
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_bounded(self, builds):
+        cache = spherical._mehler_rule_at
+        for count in range(4, cache.cache_parameters()["maxsize"] + 9):
+            spherical_function(3, [1.0], 2.0 + 0.01 * count)
+        assert cache.cache_info().currsize == cache.cache_parameters()["maxsize"]
+
+
 class TestKernel:
     def test_preconditions(self):
         p = Params(3, 0.6)
