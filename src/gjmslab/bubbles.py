@@ -106,15 +106,6 @@ def cutoff(delta: float, r):
     return float(out) if out.ndim == 0 else out
 
 
-def truncated_bubble_profile(p: Params, bp: BubbleParams):
-    """r -> cutoff(delta, r) * U_eps(r), the standard compactly supported trial."""
-
-    def fn(r):
-        return cutoff(bp.delta, r) * bubble(p, bp, r)
-
-    return fn
-
-
 def bubble_grid(eps: float, r_max: float) -> RadialGrid:
     """Graded grid resolving the bubble core scale eps on [0, r_max]: uniform
     eps/2 panels out to 6 eps, then panels growing by 1.25 from eps."""
@@ -125,19 +116,18 @@ def bubble_grid(eps: float, r_max: float) -> RadialGrid:
 
 
 def sampled_bubble(p: Params, bp: BubbleParams) -> RadialFunction:
+    """The standard trial cutoff(delta, r) U_eps(r) on bubble_grid(eps, 2 delta)."""
+
+    def profile(r):
+        return cutoff(bp.delta, r) * bubble(p, bp, r)
+
     grid = bubble_grid(bp.eps, 2.0 * bp.delta)
-    return RadialFunction.from_profile(
-        truncated_bubble_profile(p, bp), grid, 2.0 * bp.delta, Space.EUCLIDEAN
-    )
+    return RadialFunction.from_profile(profile, grid, 2.0 * bp.delta, Space.EUCLIDEAN)
 
 
-def crit_mass(p: Params, bp: BubbleParams) -> float:
-    """int |eta U_eps|^{2*_s} dx by radial quadrature; -> M_inf as eps -> 0."""
-    return _crit_mass(p, sampled_bubble(p, bp))
-
-
-def _crit_mass(p: Params, w: RadialFunction) -> float:
-    """crit_mass of the sampled truncated bubble w."""
+def crit_mass(p: Params, w: RadialFunction) -> float:
+    """int |w|^{2*_s} dx of the Euclidean radial trial w by radial quadrature;
+    -> M_inf as eps -> 0 for the truncated bubble sampled_bubble(p, bp)."""
     r = w.grid.nodes
     return sphere_area(p.n) * w.grid.integrate(np.abs(w.values) ** p.two_star * r ** (p.n - 1))
 
@@ -155,17 +145,10 @@ def bubble_energy_limit(p: Params) -> float:
     return c * bubble_mass_limit(p.n)
 
 
-def hyperbolic_l2_mass(p: Params, bp: BubbleParams) -> float:
-    """int |w_eps|^2 phi^{2s} dx over the ball = int |u_eps|^2 dV for the lift.
-
-    phi = 2/(1-|x|^2); the exponent +2s is what the lift identity requires
-    under this convention.
-    """
-    return _hyperbolic_l2_mass(p, sampled_bubble(p, bp))
-
-
-def _hyperbolic_l2_mass(p: Params, w: RadialFunction) -> float:
-    """hyperbolic_l2_mass of the sampled truncated bubble w."""
+def hyperbolic_l2_mass(p: Params, w: RadialFunction) -> float:
+    """int |w|^2 phi^{2s} dx over the ball = int |u|^2 dV for the lift u of
+    the Euclidean radial trial w; phi = 2/(1-|x|^2), and the exponent +2s is
+    what the lift identity requires under this convention."""
     r = w.grid.nodes
     weight = (2.0 / (1.0 - r * r)) ** (2.0 * p.s)
     return sphere_area(p.n) * w.grid.integrate(w.values ** 2 * weight * r ** (p.n - 1))
@@ -257,22 +240,18 @@ def fractional_energy(w: RadialFunction, p: Params) -> float:
     """The 2s-weighted Plancherel integral omega int rho^{2s} |w_hat|^2 rho^{n-1} d rho.
 
     For s = 1 this is the Dirichlet integral. The frequency range extends
-    adaptively until the spectral tail closes.
+    adaptively until the spectral tail closes. The bands evaluate w.profile,
+    not the samples: a nonzero w without one raises SupportError.
     """
     if w.space is not Space.EUCLIDEAN:
         raise SupportError("fractional_energy expects a Euclidean profile")
     w.require_compact_support()
     if w.is_zero():
         return 0.0
-    profile = w.profile
-    if profile is None:
-        samples = (w.grid, w.values)
-
-        def profile(r, _g=samples):
-            return np.interp(r, _g[0].nodes, _g[1], left=_g[1][0], right=0.0)
-
+    if w.profile is None:
+        raise SupportError("fractional_energy needs a trial built by RadialFunction.from_profile")
     support = min(w.support_radius, w.grid.r_max)
-    return _banded_energy(profile, support, p, min(1e-4, 0.05 / support), 64.0)
+    return _banded_energy(w.profile, support, p, min(1e-4, 0.05 / support), 64.0)
 
 
 def fit_loglog_slope(x, y) -> float:
@@ -372,7 +351,7 @@ def bubble_asymptotics(p: Params, delta: float, eps_ladder):
     rows = []
     for bp in trials:
         w = sampled_bubble(p, bp)
-        rows.append((bp.eps, _crit_mass(p, w), _hyperbolic_l2_mass(p, w), fractional_energy(w, p)))
+        rows.append((bp.eps, crit_mass(p, w), hyperbolic_l2_mass(p, w), fractional_energy(w, p)))
     eps, crit, l2, energy = (np.array(column) for column in zip(*rows))
     crit_slope = fit_loglog_slope(eps, np.abs(bubble_mass_limit(p.n) - crit))
     energy_slope = fit_loglog_slope(eps, np.abs(energy - bubble_energy_limit(p)))

@@ -105,9 +105,7 @@ def write_manifest(out_path, command, params, started_at):
         "scipy_modules": _scipy_modules(),
         "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
     }
-    with open(out_path + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_path + ".manifest.json", manifest)
 
 
 def write_csv(out_path, header, rows):
@@ -217,10 +215,6 @@ def _family_from_args(args):
 def cmd_gap_scan(args) -> int:
     p = Params(args.n, args.s)
     kind = _KINDS[args.kind]
-    if kind is MultiplierKind.REMAINDER:
-        raise ParameterError("gap-scan works with gjms or intertwined")
-    if args.budget < 1:
-        raise ParameterError("--budget must be >= 1")
     lambdas = _parse_lambda_spec(args.lambda_spec)
     family = _family_from_args(args)
     s_est = sharp_constant_estimate(p)

@@ -147,8 +147,9 @@ class RadialFunction:
     """A radial profile sampled on a quadrature grid.
 
     values must vanish at nodes beyond support_radius. The optional profile
-    callable remembers the analytic formula the samples came from, which
-    lets pushforwards (conformal lift, regridding) stay exact.
+    callable (set by from_profile) remembers the analytic formula the samples
+    came from, which lets pushforwards (conformal lift, regridding) and
+    fractional_energy's Hankel bands stay exact.
     """
 
     grid: RadialGrid

@@ -26,10 +26,10 @@ def sin_pi(s: float) -> float:
     return (-1.0) ** (k % 2) * math.sin(math.pi * (s - k))
 
 
-def is_exceptional_order(s: float, tol: float = _EXCEPTIONAL_TOL) -> bool:
-    """True when (3 - 2s)/4 sits on the Gamma pole lattice (s = 3/2 + 2k)."""
+def is_exceptional_order(s: float) -> bool:
+    """True when (3 - 2s)/4 is within _EXCEPTIONAL_TOL of a Gamma pole (s = 3/2 + 2k)."""
     a = (3.0 - 2.0 * float(s)) / 4.0
-    return a <= tol and abs(a - round(a)) <= tol
+    return a <= _EXCEPTIONAL_TOL and abs(a - round(a)) <= _EXCEPTIONAL_TOL
 
 
 def _gamma_sq(a: float) -> float:

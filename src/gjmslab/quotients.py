@@ -14,12 +14,12 @@ import numpy as np
 
 from .bubbles import (
     BubbleParams,
-    _crit_mass,
     _golden_section,
-    _hyperbolic_l2_mass,
     bubble_energy_limit,
     bubble_mass_limit,
+    crit_mass,
     fractional_energy,
+    hyperbolic_l2_mass,
     sampled_bubble,
     smooth_window,
 )
@@ -29,7 +29,7 @@ from .grids import RadialFunction, Space, uniform_grid
 from .multipliers import multiplier, sin_pi, spectral_bottom
 from .params import MultiplierKind, Params
 from .spherical import DEFAULT_B_MAX, _polar_measure, _quadratic_form, _spectral_forms, \
-    decay_slope, l2_mass, lp_mass, quadratic_form, regularized_kernel
+    decay_slope, lp_mass, quadratic_form, regularized_kernel
 
 log = logging.getLogger(__name__)
 
@@ -95,7 +95,7 @@ def sobolev_quotient(kind: MultiplierKind, p: Params, lam: float,
     if u.is_zero():
         raise ZeroTrial("sobolev_quotient needs a nonzero trial")
     energy = _quadratic_form(kinds, p, u, b_max)
-    l2 = l2_mass(u, p.n)
+    l2 = lp_mass(u, p.n, 2.0)
     crit_integral = lp_mass(u, p.n, p.two_star)
     return _report(p, lam, energy, l2, crit_integral, f"radial[{kind.value}]")
 
@@ -117,8 +117,8 @@ def bubble_quotient(kind: MultiplierKind, p: Params, lam: float,
         u_std = RadialFunction.from_profile(u.profile, grid, u.support_radius,
                                             Space.HYPERBOLIC)
         energy += quadratic_form(MultiplierKind.REMAINDER, p, u_std, b_max=b_max)
-    l2 = _hyperbolic_l2_mass(p, w)
-    crit_integral = _crit_mass(p, w)
+    l2 = hyperbolic_l2_mass(p, w)
+    crit_integral = crit_mass(p, w)
     descriptor = f"bubble[eps={bp.eps:.6g},delta={bp.delta:.6g}]"
     return _report(p, lam, energy, l2, crit_integral, descriptor)
 
@@ -480,6 +480,8 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.size == 0:
         raise ParameterError("gap_scan needs a nonempty lambda grid")
+    if eval_cap < 1:
+        raise ParameterError(f"eval_cap must be >= 1, got {eval_cap}")
     bottom = spectral_bottom(kind, p)
     top = float(np.max(lambda_grid))
     if not (top <= bottom or math.isclose(top, bottom, rel_tol=1e-12)):
@@ -540,8 +542,13 @@ def multibump_blowdown(p: Params, q: float, C: float, alpha: float,
         raise ParameterError("multibump_blowdown needs q > 0 (a measured negative numerator)")
     if not (C >= 0.0 and alpha > 0.0 and R0 > 0.0 and crit_norm_phi > 0.0):
         raise ParameterError("C >= 0, alpha > 0, R0 > 0, crit_norm > 0 required")
+    return _bound_table(p, q, C, alpha, R0, _counts(N_values), crit_norm_phi)
+
+
+def _bound_table(p, q, C, alpha, R0, counts, crit_norm_phi):
+    """multibump_blowdown's rows for validated arguments and integer counts."""
     rows = []
-    for N in _counts(N_values):
+    for N in counts:
         R_N = (2.0 / alpha) * math.log(N) + R0
         bound = -N * q + 2.0 * C * N * N * math.exp(-alpha * R_N)
         scaled = bound / (N ** (2.0 / p.two_star) * crit_norm_phi)
@@ -589,7 +596,7 @@ def blowdown(p: Params, lam: float, N_values):
             f"for every trial if and only if lambda <= its spectral bottom ({bottom!r}); "
             "blow-down requires lambda above the bottom"
         )
-    N_values = _counts(N_values)
+    counts = _counts(N_values)   # bad input fails before the calibration
     rep, u = _wide_negative_trial(p, lam)
     numerator = rep.energy - lam * rep.l2_mass
     if numerator >= 0.0:
@@ -602,7 +609,7 @@ def blowdown(p: Params, lam: float, N_values):
     l1_norm = lp_mass(u, p.n, 1.0)
     C = max(abs(k) * math.exp(alpha * r) for k, r in zip(ks, fit_radii)) * l1_norm ** 2
     R0 = max(1.0, math.log(8.0 * C / q) / alpha)
-    table = multibump_blowdown(p, q, C, alpha, R0, N_values, crit_norm_phi=rep.crit_norm)
+    table = _bound_table(p, q, C, alpha, R0, counts, rep.crit_norm)
     rows = [(r["N"], r["R_N"], r["bound"], r["scaled_bound"]) for r in table]
     scaled = np.array([-r["scaled_bound"] for r in table])
     ns = np.array([r["N"] for r in table], dtype=float)

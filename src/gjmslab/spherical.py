@@ -88,6 +88,8 @@ R_MIN_JACOBI = 1.0         # phi_matrix columns from this radius on: Jacobi expa
 JACOBI_GROWTH_MAX = 7.0
 DEFAULT_B_MAX = 60.0
 DEFAULT_TAIL_TOL = 1e-4    # runtime guard on inverse/quadratic-form truncation
+KERNEL_REL_TOL = 1e-10     # regularized_kernel: panel acceptance, relative to its scale
+KERNEL_MAX_PANELS = 4096   # regularized_kernel: refinement cap (NonConvergence beyond)
 
 # cells in the largest array of one phi_matrix column chunk: 128 KB per temporary
 _BLOCK_CELLS = 1 << 14
@@ -370,12 +372,6 @@ def inverse_spherical_transform(F: SpectralProfile, n: int, r_grid: RadialGrid,
                           space=Space.HYPERBOLIC)
 
 
-def l2_mass(f: RadialFunction, n: int) -> float:
-    """int |f|^2 dV by geodesic-polar quadrature."""
-    r = f.grid.nodes
-    return sphere_area(n) * f.grid.integrate(f.values ** 2 * np.sinh(r) ** (n - 1))
-
-
 def lp_mass(f: RadialFunction, n: int, p_exp: float) -> float:
     """int |f|^p dV by geodesic-polar quadrature."""
     r = f.grid.nodes
@@ -443,8 +439,7 @@ def _quadratic_form(kinds, p: Params, f: RadialFunction, b_max: float) -> float:
 # Regularized radial kernel and its off-diagonal decay rate
 # ---------------------------------------------------------------------------
 
-def regularized_kernel(kind: MultiplierKind, p: Params, r: float, eps_reg: float,
-                       rel_tol: float = 1e-10, max_panels: int = 4096) -> float:
+def regularized_kernel(kind: MultiplierKind, p: Params, r: float, eps_reg: float) -> float:
     """k^eps(r) = 2 int_0^inf m(beta) e^{-eps beta^2} Phi_beta(r) |c|^{-2} d beta.
 
     This is twice the half-line inversion integral of
@@ -460,8 +455,9 @@ def regularized_kernel(kind: MultiplierKind, p: Params, r: float, eps_reg: float
     Adaptive panel-splitting Gauss-Legendre quadrature; the Gaussian factor
     caps the integration at the point where it falls below 1e-16. A LIFO
     stack of panels is split until each panel's halves agree with it within
-    rel_tol of the running scale. The integrand is evaluated in batches:
-    first on every initial panel, then, whenever the panel popped has no
+    KERNEL_REL_TOL of the running scale; more than KERNEL_MAX_PANELS panels
+    raise NonConvergence. The integrand is evaluated in batches: first on
+    every initial panel, then, whenever the panel popped has no
     halves yet, on the halves of every queued panel that lacks them (each
     queued panel is popped and split in turn, so nothing is evaluated
     speculatively). A batch is one symbol, Plancherel-density and Gaussian
@@ -512,13 +508,13 @@ def regularized_kernel(kind: MultiplierKind, p: Params, r: float, eps_reg: float
             values.update(panel_values(halves))
         left = values.pop((a, mid))
         right = values.pop((mid, b))
-        if abs(left + right - coarse) <= rel_tol * scale:
+        if abs(left + right - coarse) <= KERNEL_REL_TOL * scale:
             result.append(left + right)
             continue
         total_panels += 2
-        if total_panels > max_panels:
+        if total_panels > KERNEL_MAX_PANELS:
             raise NonConvergence(
-                f"regularized_kernel exceeded the {max_panels}-panel refinement cap"
+                f"regularized_kernel exceeded the {KERNEL_MAX_PANELS}-panel refinement cap"
             )
         queue.append((a, mid, left))
         queue.append((mid, b, right))

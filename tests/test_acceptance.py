@@ -17,6 +17,7 @@ from gjmslab.bubbles import (
     fit_leading_exponent,
     fit_loglog_slope,
     hyperbolic_l2_mass,
+    sampled_bubble,
 )
 from gjmslab.cli import main as cli_main
 from gjmslab.grids import RadialFunction, Space, uniform_grid
@@ -44,7 +45,7 @@ from gjmslab.spherical import (
     default_beta_grid,
     inverse_spherical_transform,
     kernel_decay,
-    l2_mass,
+    lp_mass,
     plancherel_density,
     spherical_function,
     spherical_transform,
@@ -106,7 +107,7 @@ def test_04_plancherel_roundtrip():
             F = spherical_transform(f, n, bg)
             spectral = float(np.dot(bg.weights, F.values ** 2
                                     * plancherel_density(n, bg.nodes)))
-            norm_err = abs(spectral - l2_mass(f, n)) / l2_mass(f, n)
+            norm_err = abs(spectral - lp_mass(f, n, 2.0)) / lp_mass(f, n, 2.0)
             # the mollifier window carries ~1e-4 of genuine spectral tail
             back = inverse_spherical_transform(F, n, grid, tail_tol=1e-3)
             w = grid.weights * np.sinh(grid.nodes) ** (n - 1)
@@ -153,7 +154,7 @@ def test_06_cutoff_critical_mass():
     assert abs(m_inf - oracle) <= 1e-6 * oracle
     p = Params(3, 1.0)
     ladder = [0.1, 0.05, 0.025, 0.0125]
-    diffs = [m_inf - crit_mass(p, BubbleParams(e, 0.24)) for e in ladder]
+    diffs = [m_inf - crit_mass(p, sampled_bubble(p, BubbleParams(e, 0.24))) for e in ladder]
     slope = fit_loglog_slope(ladder, diffs)
     assert abs(slope - 3.0) <= 0.3
     report(6, f"critical-mass limit within {abs(m_inf - oracle) / oracle:.2e} of the "
@@ -161,19 +162,22 @@ def test_06_cutoff_critical_mass():
 
 
 def test_07_l2_three_regimes():
+    def l2(n, s, eps):
+        p = Params(n, s)
+        return hyperbolic_l2_mass(p, sampled_bubble(p, BubbleParams(eps, 0.2)))
+
     ladder = [0.025, 0.0125, 0.00625, 0.003125]
-    m51 = [hyperbolic_l2_mass(Params(5, 1.0), BubbleParams(e, 0.2)) for e in ladder]
+    m51 = [l2(5, 1.0, e) for e in ladder]
     s51 = fit_leading_exponent(ladder, m51, 3.0)[0]
     assert abs(s51 - 2.0) <= 0.1
 
     lad4 = [0.0125, 0.00625, 0.003125]
-    ratios = [hyperbolic_l2_mass(Params(4, 1.0), BubbleParams(e, 0.2))
-              / (e ** 2 * abs(math.log(e))) for e in lad4]
+    ratios = [l2(4, 1.0, e) / (e ** 2 * abs(math.log(e))) for e in lad4]
     drift = abs(ratios[-1] / ratios[-2] - 1.0)
     assert all(r > 0 for r in ratios) and drift <= 0.10
 
     lad3 = [0.00625, 0.003125, 0.0015625, 0.00078125]
-    m31 = [hyperbolic_l2_mass(Params(3, 1.0), BubbleParams(e, 0.2)) for e in lad3]
+    m31 = [l2(3, 1.0, e) for e in lad3]
     s31 = fit_leading_exponent(lad3, m31, 2.0)[0]
     assert abs(s31 - 1.0) <= 0.05
     report(7, f"L2 regimes: (5,1) leading exponent {s51:.4f} = 2 +- 0.1; (4,1) log-ratio "

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import windowed_gaussian
+from conftest import euclidean_bump, windowed_gaussian
 from oracles import quadrature_mass_limit, windowed_bubble_energy
 from gjmslab.bubbles import (
     BubbleParams,
@@ -27,7 +27,7 @@ from gjmslab.bubbles import (
     smooth_step,
     smooth_window,
 )
-from gjmslab.errors import DegenerateData, ParameterError
+from gjmslab.errors import DegenerateData, ParameterError, SupportError
 from gjmslab.geometry import sphere_area
 from gjmslab.grids import RadialFunction, Space, geometric_grid, uniform_grid
 from gjmslab.params import MultiplierKind, Params
@@ -149,7 +149,7 @@ class TestCritMass:
         p = Params(3, 1.0)
         m_inf = bubble_mass_limit(3)
         ladder = [0.1, 0.05, 0.025, 0.0125]
-        diffs = [m_inf - crit_mass(p, BubbleParams(e, 0.24)) for e in ladder]
+        diffs = [m_inf - crit_mass(p, sampled_bubble(p, BubbleParams(e, 0.24))) for e in ladder]
         assert np.all(np.asarray(diffs) > 0.0)
         slope = fit_loglog_slope(ladder, diffs)
         assert slope == pytest.approx(3.0, abs=0.3)
@@ -158,19 +158,24 @@ class TestCritMass:
 class TestHyperbolicL2Mass:
     def test_power_regime(self):
         ladder = [0.025, 0.0125, 0.00625, 0.003125]
-        masses = [hyperbolic_l2_mass(Params(5, 1.0), BubbleParams(e, 0.2)) for e in ladder]
+        p = Params(5, 1.0)
+        masses = [hyperbolic_l2_mass(p, sampled_bubble(p, BubbleParams(e, 0.2)))
+                  for e in ladder]
         assert fit_loglog_slope(ladder, masses) == pytest.approx(2.0, abs=0.1)
 
     def test_log_regime(self):
         ladder = [0.0125, 0.00625, 0.003125]
-        ratios = [hyperbolic_l2_mass(Params(4, 1.0), BubbleParams(e, 0.2))
+        p = Params(4, 1.0)
+        ratios = [hyperbolic_l2_mass(p, sampled_bubble(p, BubbleParams(e, 0.2)))
                   / (e ** 2 * abs(math.log(e))) for e in ladder]
         assert all(r > 0 for r in ratios)
         assert abs(ratios[-1] / ratios[-2] - 1.0) <= 0.10
 
     def test_low_regime(self):
         ladder = [0.00625, 0.003125, 0.0015625, 0.00078125]
-        masses = [hyperbolic_l2_mass(Params(3, 1.0), BubbleParams(e, 0.2)) for e in ladder]
+        p = Params(3, 1.0)
+        masses = [hyperbolic_l2_mass(p, sampled_bubble(p, BubbleParams(e, 0.2)))
+                  for e in ladder]
         assert fit_loglog_slope(ladder, masses) == pytest.approx(1.0, abs=0.05)
 
 
@@ -193,7 +198,8 @@ class TestLeadingExponent:
         from scipy.optimize import minimize_scalar
 
         ladder = np.array([0.05, 0.025, 0.0125, 0.00625])
-        masses = np.array([hyperbolic_l2_mass(Params(n, s), BubbleParams(e, 0.2))
+        p = Params(n, s)
+        masses = np.array([hyperbolic_l2_mass(p, sampled_bubble(p, BubbleParams(e, 0.2)))
                            for e in ladder])
         b = max(2.0 * s, n - 2.0 * s)
 
@@ -231,6 +237,14 @@ class TestFractionalEnergy:
         grid = uniform_grid(1.0, panel_width=0.05)
         w = RadialFunction(grid, np.zeros_like(grid.nodes), 1.0, Space.EUCLIDEAN)
         assert fractional_energy(w, Params(3, 0.75)) == 0.0
+
+    def test_nonzero_samples_without_profile_rejected(self):
+        # the Hankel bands evaluate the trial's formula, never its samples
+        w = euclidean_bump()
+        bare = RadialFunction(w.grid, w.values, w.support_radius, Space.EUCLIDEAN)
+        assert fractional_energy(w, Params(3, 0.75)) > 0.0
+        with pytest.raises(SupportError, match="from_profile"):
+            fractional_energy(bare, Params(3, 0.75))
 
     def test_scale_invariance(self):
         p = Params(3, 0.75)
@@ -288,14 +302,15 @@ class TestRatioInvariance:
         p = Params(5, 0.8)
         bps = [BubbleParams(t * delta, delta) for delta in self.DELTAS]
         energies = [fractional_energy(sampled_bubble(p, bp), p) for bp in bps]
-        masses = [crit_mass(p, bp) for bp in bps]
+        masses = [crit_mass(p, sampled_bubble(p, bp)) for bp in bps]
         assert max(energies) - min(energies) <= 1e-9 * min(energies)
         assert max(masses) - min(masses) <= 1e-12 * min(masses)
 
     @pytest.mark.parametrize("t", [0.1, 0.2])
     def test_l2_mass_grows_with_delta(self, t):
         p = Params(5, 0.8)
-        l2 = [hyperbolic_l2_mass(p, BubbleParams(t * delta, delta)) for delta in self.DELTAS]
+        l2 = [hyperbolic_l2_mass(p, sampled_bubble(p, BubbleParams(t * delta, delta)))
+              for delta in self.DELTAS]
         assert all(a < b for a, b in zip(l2, l2[1:]))
 
 

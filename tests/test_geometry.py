@@ -1,98 +1,11 @@
-import math
-
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
 
 from conftest import windowed_gaussian
-from gjmslab.errors import DomainError, SupportError
-from gjmslab.geometry import (
-    ball_to_geodesic,
-    conformal_factor,
-    conformal_lift,
-    distance,
-    mobius,
-    sphere_area,
-)
+from gjmslab.errors import SupportError
+from gjmslab.geometry import ball_to_geodesic, conformal_lift, sphere_area
 from gjmslab.grids import RadialFunction, Space, gauss_panels, geometric_grid, uniform_grid
 from gjmslab.params import Params
-
-
-def _rand_ball(rng, n, rmax=0.85):
-    v = rng.normal(size=n)
-    v /= np.linalg.norm(v)
-    return v * rng.uniform(0.0, rmax)
-
-
-class TestConformalFactor:
-    def test_origin(self):
-        assert conformal_factor(np.zeros(3)) == 2.0
-
-    def test_half_radius(self):
-        x = np.array([0.5, 0.0, 0.0])
-        assert conformal_factor(x) == pytest.approx(8.0 / 3.0, rel=1e-15)
-
-    def test_boundary_blowup(self):
-        assert conformal_factor(np.array([0.999, 0.0, 0.0])) > 1000.0
-
-    def test_outside_rejected(self):
-        with pytest.raises(DomainError):
-            conformal_factor(np.array([1.0, 0.0]))
-
-
-class TestMobius:
-    def test_maps_center_to_origin(self, rng):
-        for _ in range(20):
-            y = _rand_ball(rng, 3)
-            assert np.linalg.norm(mobius(y, y)) < 1e-14
-
-    def test_origin_is_negation(self, rng):
-        x = _rand_ball(rng, 4)
-        assert np.allclose(mobius(np.zeros(4), x), -x, atol=1e-15)
-
-    def test_norm_identity(self, rng):
-        for _ in range(50):
-            y = _rand_ball(rng, 3)
-            x = _rand_ball(rng, 3)
-            t = mobius(y, x)
-            lhs = float(np.sum(t * t))
-            d2 = float(np.sum((x - y) ** 2))
-            rhs = d2 / (1.0 - 2.0 * float(np.dot(x, y)) + float(np.sum(x * x) * np.sum(y * y)))
-            assert lhs == pytest.approx(rhs, abs=1e-14)
-
-    def test_stays_in_ball(self, rng):
-        for _ in range(50):
-            assert np.linalg.norm(mobius(_rand_ball(rng, 2, 0.95), _rand_ball(rng, 2, 0.95))) < 1.0
-
-
-class TestDistance:
-    def test_known_value(self):
-        x = np.zeros(3)
-        y = np.array([0.5, 0.0, 0.0])
-        assert distance(x, y) == pytest.approx(math.log(3.0), rel=1e-14)
-
-    def test_metric_axioms(self, rng):
-        for _ in range(100):
-            x, y, z = (_rand_ball(rng, 3) for _ in range(3))
-            assert distance(x, x) == 0.0
-            dxy = distance(x, y)
-            assert dxy == pytest.approx(distance(y, x), rel=1e-13, abs=1e-15)
-            assert dxy <= distance(x, z) + distance(z, y) + 1e-13
-
-    def test_cosh_form_agrees(self, rng):
-        for _ in range(50):
-            x, y = _rand_ball(rng, 3), _rand_ball(rng, 3)
-            d = distance(x, y)
-            cosh_d = 1.0 + 2.0 * float(np.sum((x - y) ** 2)) / (
-                (1.0 - float(np.sum(x * x))) * (1.0 - float(np.sum(y * y))))
-            assert math.cosh(d) == pytest.approx(cosh_d, rel=1e-12)
-
-    def test_isometry_invariance(self, rng):
-        for _ in range(100):
-            x, y, z = (_rand_ball(rng, 3) for _ in range(3))
-            d0 = distance(x, y)
-            d1 = distance(mobius(z, x), mobius(z, y))
-            assert abs(d0 - d1) <= 1e-12 * (1.0 + d0)
 
 
 class TestGrids:
@@ -131,34 +44,6 @@ class TestGrids:
         fraction = g.tail_fraction(signed)
         assert fraction == g.tail_fraction(np.abs(signed))
         assert 0.0 < fraction < 1.0
-
-
-def _ball_integral(fn, n, z=None):
-    """Tensor quadrature of int fn(|T_z(x)|) dV(x) over the ball."""
-    nodes, weights = leggauss(220 if n == 2 else 130)
-    grids = np.meshgrid(*([nodes] * n), indexing="ij")
-    w = weights
-    for _ in range(n - 1):
-        w = np.multiply.outer(w, weights)
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    r2 = np.sum(pts * pts, axis=-1)
-    mask = r2 < 0.9799
-    pts = pts[mask]
-    phi_n = (2.0 / (1.0 - np.sum(pts * pts, axis=-1))) ** n   # measure at x
-    args = mobius(z, pts) if z is not None else pts
-    vals = fn(np.linalg.norm(args, axis=-1))
-    return float(np.sum(w.ravel()[mask] * vals * phi_n))
-
-
-class TestMeasureInvariance:
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_integral_invariance(self, n, rng):
-        fn = windowed_gaussian(0.05, 0.55)
-        base = _ball_integral(fn, n)
-        for _ in range(3):
-            z = _rand_ball(rng, n, 0.3)
-            moved = _ball_integral(fn, n, z=z)
-            assert moved == pytest.approx(base, rel=1e-6)
 
 
 class TestConformalLift:

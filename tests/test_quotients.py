@@ -201,11 +201,10 @@ class TestMinimize:
             monkeypatch.setattr(quotients, name, counted)
         p = Params(5, 0.8)
         for family in (BubbleFamily(), SplineFamily(knots=6, radius=3.0)):
-            for cap, message in ((0, "priced no trial in 0 of 0"), (7, "used 7 of 7")):
-                calls.clear()
-                with pytest.raises(BudgetExceeded, match=message):
-                    gap_scan(INT, p, [0.05], family, eval_cap=cap)
-                assert len(calls) == cap
+            calls.clear()
+            with pytest.raises(BudgetExceeded, match="used 7 of 7"):
+                gap_scan(INT, p, [0.05], family, eval_cap=7)
+            assert len(calls) == 7
 
     @pytest.mark.parametrize("kind, n, s, lam, family, b_max", SPLINE_SEARCHES,
                              ids=SPLINE_SEARCH_IDS)
@@ -317,6 +316,17 @@ class TestGapScan:
     def test_empty_grid_rejected(self):
         with pytest.raises(ParameterError):
             gap_scan(INT, Params(3, 1.0), [], BubbleFamily())
+
+    @pytest.mark.parametrize("family", [BubbleFamily(), SplineFamily(knots=6, radius=3.0)],
+                             ids=["bubble", "spline"])
+    def test_cap_below_one_is_bad_input(self, monkeypatch, family):
+        # a cap that admits no trial is bad input, not a numerical-contract failure
+        import gjmslab.quotients as quotients
+
+        monkeypatch.setattr(quotients, "_Budget", None)   # a search would raise TypeError
+        for cap in (0, -3):
+            with pytest.raises(ParameterError, match="eval_cap must be >= 1"):
+                gap_scan(INT, Params(5, 0.8), [0.05], family, eval_cap=cap)
 
     @pytest.mark.parametrize("family", [BubbleFamily(), SplineFamily(knots=6, radius=3.0)],
                              ids=["bubble", "spline"])

@@ -23,7 +23,7 @@ from gjmslab.spherical import (
     eps_extrapolation,
     inverse_spherical_transform,
     kernel_decay,
-    l2_mass,
+    lp_mass,
     phi_matrix,
     plancherel_density,
     quadratic_form,
@@ -182,7 +182,7 @@ class TestTransforms:
             F = spherical_transform(f, n, bg)
             spectral = float(np.dot(bg.weights,
                                     F.values ** 2 * plancherel_density(n, bg.nodes)))
-            assert spectral == pytest.approx(l2_mass(f, n), rel=1e-4)
+            assert spectral == pytest.approx(lp_mass(f, n, 2.0), rel=1e-4)
             # the narrowest bump carries ~1e-4 genuine window-tail content
             back = inverse_spherical_transform(F, n, grid, tail_tol=1e-3)
             w = grid.weights * np.sinh(grid.nodes) ** (n - 1)
@@ -395,7 +395,7 @@ class TestQuadraticForm:
         p = Params(3, 1.0)
         f = hyperbolic_bump(0.5, 3.0)
         symbol_hook(_identity_symbol)
-        assert quadratic_form(INT, p, f) == pytest.approx(l2_mass(f, 3), rel=1e-4)
+        assert quadratic_form(INT, p, f) == pytest.approx(lp_mass(f, 3, 2.0), rel=1e-4)
 
     def test_nonnegative_at_bottom(self, symbol_hook):
         # int (m - bottom) |f_hat|^2 |c|^{-2} >= 0: the form minus bottom
@@ -562,11 +562,11 @@ class TestKernel:
         k2 = regularized_kernel(INT, p, 4.0, 0.01)
         assert abs(math.log(abs(k2)) - math.log(abs(k1))) < 0.1 * abs(math.log(abs(k1)))
 
-    def test_refinement_cap(self):
-        from gjmslab.errors import NonConvergence
-        with pytest.raises(NonConvergence):
-            regularized_kernel(INT, Params(3, 0.6), 2.0, 0.01, rel_tol=0.0,
-                               max_panels=50)
+    def test_refinement_cap(self, monkeypatch):
+        monkeypatch.setattr(spherical, "KERNEL_REL_TOL", 0.0)
+        monkeypatch.setattr(spherical, "KERNEL_MAX_PANELS", 50)
+        with pytest.raises(NonConvergence, match="50-panel"):
+            regularized_kernel(INT, Params(3, 0.6), 2.0, 0.01)
 
     @pytest.mark.parametrize("kind", [INT, MultiplierKind.GJMS, MultiplierKind.REMAINDER,
                                       _quadratic_symbol], ids=["int", "gjms", "rem", "hook"])
@@ -581,17 +581,21 @@ class TestKernel:
                 batched = regularized_kernel(kind, p, r, eps)
                 assert batched.hex() == panelwise_regularized_kernel(kind, p, r, eps).hex(), (r, eps)
 
-    def test_refinement_cap_matches_oracle(self):
+    def test_refinement_cap_matches_oracle(self, monkeypatch):
         # the same accept/reject decisions: at rel_tol 1e-16 the kernel needs
         # more than 136 and at most 144 panels, and each cap either stops both
         # routes or lets both return the same bits
         p = Params(3, 0.6)
+        monkeypatch.setattr(spherical, "KERNEL_REL_TOL", 1e-16)
         seen = set()
         for cap in range(100, 180, 8):
+            monkeypatch.setattr(spherical, "KERNEL_MAX_PANELS", cap)
             outcomes = []
-            for route in (regularized_kernel, panelwise_regularized_kernel):
+            for kernel in (lambda: regularized_kernel(INT, p, 2.0, 0.01),
+                           lambda: panelwise_regularized_kernel(INT, p, 2.0, 0.01,
+                                                                rel_tol=1e-16, max_panels=cap)):
                 try:
-                    outcomes.append(route(INT, p, 2.0, 0.01, rel_tol=1e-16, max_panels=cap).hex())
+                    outcomes.append(kernel().hex())
                 except NonConvergence:
                     outcomes.append("cap")
             assert outcomes[0] == outcomes[1], cap
