@@ -9,7 +9,10 @@ resolved without ever building an r-grid of millions of nodes. A band's
 kernel (Bessel matrix, r^{n-1}, r weights and sub-window in one read-only
 matrix) depends only on (n, support, band), so it is built once and reused
 by every energy of that support; only the most recent (n, support) is held,
-and an energy evaluates its profile once per distinct r-grid.
+and an energy evaluates its profile once per distinct r-grid. A kernel is
+filled in row blocks of at most grids.BLOCK_CELLS cells, so the Bessel
+temporaries of a build stay within a few block budgets whatever the band's
+size.
 
 The untruncated bubble U = (1+r^2)^{-(n-2s)/2} solves (-Delta)^s U = c U^{2*-1}
 (Lieb 1983; Cotsiolis-Tavoularis 2004), so its energy and critical mass are
@@ -27,6 +30,7 @@ from numpy.polynomial.legendre import leggauss
 from .errors import DegenerateData, ParameterError, SupportError, TailError
 from .geometry import sphere_area
 from .grids import (
+    BLOCK_CELLS,
     PHASE_PER_PANEL,
     RadialFunction,
     RadialGrid,
@@ -159,12 +163,18 @@ def hyperbolic_l2_mass(p: Params, w: RadialFunction) -> float:
 # ---------------------------------------------------------------------------
 
 def _scaled_bessel_matrix(n, rows, columns):
-    """J_nu(x)/x^nu, nu = (n-2)/2, at x = the outer product rows x columns."""
+    """J_nu(x)/x^nu, nu = (n-2)/2, at x = the outer product rows x columns,
+    filled in row blocks of at most BLOCK_CELLS cells; bessel_j_scaled is
+    elementwise, so the matrix is the one-shot outer product's bit for bit."""
     from .special import bessel_j_scaled
 
     nu = (n - 2) / 2.0
-    x = np.multiply.outer(rows, columns)
-    return bessel_j_scaled(nu, x.ravel()).reshape(x.shape)
+    out = np.empty((rows.size, columns.size))
+    step = max(1, BLOCK_CELLS // columns.size)
+    for i in range(0, rows.size, step):
+        x = np.multiply.outer(rows[i:i + step], columns)
+        out[i:i + step] = bessel_j_scaled(nu, x.ravel()).reshape(x.shape)
+    return out
 
 
 class _BandKernel(NamedTuple):

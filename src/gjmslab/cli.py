@@ -16,10 +16,10 @@ environment, and so the thread count, as they are.
 
 import argparse
 import datetime
-import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -52,7 +52,11 @@ _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
 def _source_digest():
-    """sha256 over the package's module sources, file names included."""
+    """sha256 over the package's module sources, file names included.
+    hashlib is imported here, the one place that needs it: importing it
+    loads OpenSSL (about 3.5 MB of resident memory)."""
+    import hashlib
+
     digest = hashlib.sha256()
     for name in sorted(os.listdir(_PACKAGE_DIR)):
         if name.endswith(".py"):
@@ -88,11 +92,19 @@ def _scipy_modules():
                   and not name.startswith("scipy._") and hasattr(module, "__path__"))
 
 
+def _max_rss_mb():
+    """The process's peak resident memory so far, in MiB (getrusage reports
+    kilobytes on Linux and bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
+
+
 def write_manifest(out_path, command, params, started_at):
     """The run's sidecar: flags, source tree, start and finish times (UTC,
     ISO 8601; finished when the manifest is written), tolerances, the scipy
-    subpackages the run loaded and the BLAS thread variables as the run saw
-    them (null when unset)."""
+    subpackages the run loaded, the BLAS thread variables as the run saw
+    them (null when unset) and the peak resident memory up to the manifest
+    (max_rss_mb)."""
     manifest = {
         "command": command,
         "params": {k: (v if not isinstance(v, (list, tuple)) else list(v))
@@ -104,6 +116,7 @@ def write_manifest(out_path, command, params, started_at):
                        "tail_tol": DEFAULT_TAIL_TOL},
         "scipy_modules": _scipy_modules(),
         "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
+        "max_rss_mb": _max_rss_mb(),
     }
     write_json(out_path + ".manifest.json", manifest)
 

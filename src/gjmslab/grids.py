@@ -18,6 +18,9 @@ from numpy.polynomial.legendre import leggauss
 from .errors import ParameterError, SupportError
 
 PHASE_PER_PANEL = 18.0     # radians of oscillation a 16-node panel resolves cleanly
+# cells in the largest array of one block of a blocked matrix build (a
+# phi_matrix column chunk, a Hankel band kernel's row block): 128 KB per temporary
+BLOCK_CELLS = 1 << 14
 
 # the 16-node Gauss-Legendre rule on [-1, 1]
 GAUSS_NODES, GAUSS_WEIGHTS = leggauss(16)

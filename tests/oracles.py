@@ -9,7 +9,9 @@ evaluated one panel at a time, the route that the batched
 spherical.regularized_kernel must reproduce bit for bit.
 slsqp_spline_search is the spline search as one scipy SLSQP solve, the
 route that quotients._minimize_spline replaced; its quotients bound the
-Newton search's from above.
+Newton search's from above. outer_scaled_bessel_matrix is a Hankel band's
+Bessel matrix as one outer product, the route that the row blocks of
+bubbles._scaled_bessel_matrix must reproduce bit for bit.
 """
 
 import functools
@@ -23,6 +25,7 @@ from gjmslab.geometry import sphere_area
 from gjmslab.grids import GAUSS_WEIGHTS, PHASE_PER_PANEL, gauss_panels, geometric_grid
 from gjmslab.multipliers import multiplier
 from gjmslab.quotients import _spline_report, _spline_start_candidates
+from gjmslab.special import bessel_j_scaled
 from gjmslab.spherical import plancherel_density, spherical_function
 
 WINDOW_RADII = (2000.0, 4000.0)
@@ -48,6 +51,13 @@ def windowed_bubble_energy(p) -> dict:
     ratio = (r2 / r1) ** (p.n - 2.0 * p.s)
     energy = (ratio * raw[r2] - raw[r1]) / (ratio - 1.0)
     return {"energy": energy, "tail_bound": abs(raw[r2] - raw[r1])}
+
+
+def outer_scaled_bessel_matrix(n, rows, columns):
+    """J_nu(x)/x^nu, nu = (n-2)/2, at x = the outer product rows x columns,
+    evaluated in one call."""
+    x = np.multiply.outer(rows, columns)
+    return bessel_j_scaled((n - 2) / 2.0, x.ravel()).reshape(x.shape)
 
 
 def quadrature_mass_limit(n: int) -> float:

@@ -1,17 +1,19 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from conftest import euclidean_bump, windowed_gaussian
-from oracles import quadrature_mass_limit, windowed_bubble_energy
+from oracles import outer_scaled_bessel_matrix, quadrature_mass_limit, windowed_bubble_energy
 from gjmslab.bubbles import (
     BubbleParams,
     _GL48_W,
     _GL48_X,
     _band_kernel,
     _band_kernels,
+    _scaled_bessel_matrix,
     bubble,
     bubble_asymptotics,
     bubble_energy_limit,
@@ -315,8 +317,41 @@ class TestRatioInvariance:
 
 
 class TestBandKernels:
-    """Each octave band's Hankel kernel is built once per (n, support, band)
-    and held for the most recent (n, support) only."""
+    """Each octave band's Hankel kernel is built once per (n, support, band),
+    in row blocks, and held for the most recent (n, support) only."""
+
+    # the largest band of the README bubble-asymptotics (n = 5, delta = 0.2):
+    # 48 x 4768 cells, 1.75 MB
+    README_SUPPORT = 2.0 * 0.2
+    README_BAND = (1e-4 * 2.0 ** 26, 1e-4 * 2.0 ** 27)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_blocked_bessel_matrix_bit_equal(self, n, monkeypatch):
+        # row blocks of the default budget, and of one row each, give the
+        # one-shot outer product bit for bit (n = 4 takes scipy's jv)
+        import gjmslab.bubbles as bubbles
+
+        band = _band_kernel(n, self.README_SUPPORT, *self.README_BAND)
+        whole = outer_scaled_bessel_matrix(n, band.rho, band.r)
+        assert whole.size > 2 * bubbles.BLOCK_CELLS
+        assert _scaled_bessel_matrix(n, band.rho, band.r).tobytes() == whole.tobytes()
+        monkeypatch.setattr(bubbles, "BLOCK_CELLS", 3 * band.r.size // 2)
+        assert _scaled_bessel_matrix(n, band.rho, band.r).tobytes() == whole.tobytes()
+
+    def test_build_memory(self):
+        # a build holds the kernel and a few block budgets of temporaries
+        # (6.3 budgets measured; the one-shot product held 5.2 kernels more)
+        import gjmslab.bubbles as bubbles
+
+        _band_kernels.cache_clear()
+        tracemalloc.start()
+        try:
+            band = _band_kernel(5, self.README_SUPPORT, *self.README_BAND)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert band.kernel.shape == (48, 4768)
+        assert peak <= band.kernel.nbytes + 8 * 8 * bubbles.BLOCK_CELLS
 
     def test_cold_and_warm_energy_bit_equal(self):
         p = Params(5, 0.8)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 
@@ -341,6 +342,15 @@ class TestManifest:
             assert name.startswith("scipy.") and name.count(".") == 1
             assert not name.startswith("scipy._")
             assert hasattr(sys.modules[name], "__path__")
+
+    def test_records_peak_memory(self, tmp_path):
+        # the sidecar's max_rss_mb is this process's getrusage peak; the data
+        # files never carry it
+        write_manifest(str(tmp_path / "x.csv"), "constants", {"n": 3},
+                       "2026-01-01T00:00:00+00:00")
+        recorded = json.loads((tmp_path / "x.csv.manifest.json").read_text())["max_rss_mb"]
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        assert 0.0 < recorded <= peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
 
     def test_describes_the_package_tree_from_any_cwd(self, tmp_path, monkeypatch):
         package = os.path.dirname(os.path.abspath(cli.__file__))

@@ -3,7 +3,9 @@ each in a fresh interpreter.
 
 scipy is imported where it computes: scipy.special for the integer-order
 Bessel J of even-n Hankel paths. Half-odd Bessel J (odd n) and the spline
-search's Newton solve are numpy. `import gjmslab` loads no numpy. The two
+search's Newton solve are numpy. `import gjmslab` loads no numpy, and
+`import gjmslab.cli` no OpenSSL (hashlib serves only the manifest's
+fallback digest outside git). The two
 program entries, python -m gjmslab.cli and the gjms-lab console script, run
 a command with one BLAS thread unless the user set a thread count; a library
 import leaves os.environ alone.
@@ -147,6 +149,26 @@ print(json.dumps([code, len(os.listdir(task)) if os.path.isdir(task) else None])
 
 MULTIPLIER = ["multiplier", "--kind", "gjms", "--n", "3", "--s", "0.5", "--beta-max", "2",
               "--count", "3"]
+
+
+def test_cli_import_loads_no_openssl():
+    assert probe("import json, sys, gjmslab.cli; "
+                 "print(json.dumps([m for m in ('_hashlib', 'hashlib') if m in sys.modules]))") == []
+
+
+def test_manifest_peak_is_the_process_peak(tmp_path):
+    # the README bubble-asymptotics, run in a child: the manifest's max_rss_mb
+    # is the child's own peak so far, at most its peak at exit
+    path = str(tmp_path / "a.csv")
+    proc = subprocess.Popen([sys.executable, "-c", PROBE, *README_ASYMPTOTICS, "--out", path],
+                            env=child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    proc.stderr.close()
+    assert proc.returncode == 0
+    with open(path + ".manifest.json") as fh:
+        recorded = json.load(fh)["max_rss_mb"]
+    assert 0.0 < recorded <= usage.ru_maxrss / 1024.0
 
 
 def test_import_loads_no_numpy():
