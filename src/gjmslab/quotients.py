@@ -331,8 +331,7 @@ def _spline_forms(kind, p, family, b_max):
     basis = np.zeros((r.size, family.knots - 1))
     basis[inside] = _windowed_spline(family, np.eye(family.knots, family.knots - 1))(r[inside])
     measure = _polar_measure(p.n, grid)
-    energy, guards, _ = _spectral_forms(_energy_kinds(kind, p), p, grid, basis, family.radius,
-                                        b_max)
+    energy, guards = _spectral_forms(_energy_kinds(kind, p), p, grid, basis, family.radius, b_max)
     return basis, measure, energy, basis.T @ (measure[:, None] * basis), guards
 
 
@@ -371,14 +370,6 @@ def _guarded_newton_step(grad, vals, vecs, jac, values, margins):
     return None
 
 
-def _guard_terms(matrices, theta):
-    """(G_k theta, theta^T G_k theta) for each guard matrix G_k, as two
-    arrays; each guard is contracted on its own, so its value does not
-    depend on the guards stacked beside it."""
-    pulls = [g @ theta for g in matrices]
-    return np.array(pulls), np.array([theta @ pull for pull in pulls])
-
-
 def _minimize_spline(p, lam, family, budget, forms):
     """Newton SQP (Nocedal-Wright, ch. 18) on Q = theta^T (A - lam M) theta /
     crit^{2/2*} under the tail guards theta^T G_k theta >= 0, from the best
@@ -404,7 +395,7 @@ def _minimize_spline(p, lam, family, budget, forms):
         return theta / (measure @ np.abs(basis @ theta) ** power) ** (1.0 / power)
 
     def guard_values(theta, matrices=guards):
-        return _guard_terms(matrices, theta)[1]
+        return np.einsum("i,kij,j->k", theta, matrices, theta)
 
     def quotient(theta):
         # a trial outside a guard steers the search but is never returned
@@ -439,7 +430,7 @@ def _minimize_spline(p, lam, family, budget, forms):
         vals, vecs = np.linalg.eigh(tangent.T @ hessian @ tangent)
         vals = np.maximum(np.abs(vals), 1e-15 * np.max(np.abs(vals)))
         step = _guarded_newton_step(tangent.T @ gradient, vals, vecs,
-                                    2.0 * _guard_terms(guards, theta)[0] @ tangent, g,
+                                    2.0 * (guards @ theta) @ tangent, g,
                                     1e-12 * guard_values(np.abs(theta), magnitudes))
         if step is None:
             return False

@@ -35,7 +35,7 @@ the switch above R_MIN_JACOBI once beta_max > 4 JACOBI_GROWTH_MAX cosh^2(1)
 
 phi_matrix computes both of its column blocks as matrix products, in
 column chunks of at most grids.BLOCK_CELLS cells in the chunk's largest
-array (_phi_chunks yields them one at a time).
+array.
 Every frequency grid of the package (default_beta_grid) is made of 16-node
 Gauss panels of one width, so each node is beta = m + o, one of K panel
 shifts plus one of 16 in-panel offsets (RadialGrid.panel_factors; the first
@@ -50,13 +50,6 @@ T @ Y with Y[k, j] = y_j^k, and the phase e^{i beta log 2 cosh r} comes from
 the same panel factors. A grid not made of such panels gets one-node
 panels (shifts = nodes, offsets = [0]) and runs the same code.
 
-A transform (_transforms) multiplies each chunk into its result as it is
-built and drops it, so a matrix read once (the spline scan's, blowdown's)
-is never held whole. A matrix requested a second time for the same
-(n, exact nodes) is collected and held in the bounded _PHI_CACHE, and
-later transforms read it in the same chunks, so a transform has the same
-bits cold and warm (_phi_held).
-
 spherical_function, and with it regularized_kernel, stays on the
 per-radius Mehler integral at every r > 0: at (n, s) = (3, 1) the kernel
 values that quotients.blowdown reduces to its constants are quadrature
@@ -69,7 +62,6 @@ panels at a time.
 """
 
 import functools
-import itertools
 import math
 from collections import OrderedDict
 
@@ -185,24 +177,21 @@ def _phi_mehler(n, beta, r):
     return _mehler_constant(n) * math.sinh(r) ** (2 - n) * integral.reshape(np.shape(beta))
 
 
-def _phi_near(n, shifts, offsets, beta_max, radii):
-    """Phi_beta(r) on the (beta, r) block by the Mehler integral, for
-    beta = shifts[k] + offsets[i] (RadialGrid.panel_factors), yielded as
-    (column slice, beta x columns piece) pairs. With
+def _phi_near(n, shifts, offsets, beta_max, radii, out):
+    """Write Phi_beta(r) on the (beta, r) block into out by the Mehler integral,
+    for beta = shifts[k] + offsets[i] (RadialGrid.panel_factors). With
     cos(beta phi) = cos(m phi) cos(o phi) - sin(m phi) sin(o phi), m a shift,
     o an offset and phi = r - u^2, each column's u-sum is two
     (K x N_u)(N_u x 16) products, batched over column chunks that share a
     u-panel count: the one spherical_function takes at beta_max, the grid's
-    largest |beta|. The count never decreases with r, so the columns of one
-    count are a run of the increasing radii."""
-    counts = np.array([_mehler_u_panels(r, beta_max) for r in radii], dtype=int)
+    largest |beta|."""
+    counts = [_mehler_u_panels(r, beta_max) for r in radii]
     scale = _mehler_constant(n) * np.sinh(radii) ** (2 - n)
-    starts = np.flatnonzero(np.diff(counts, prepend=-1))
-    for start, stop in zip(starts, [*starts[1:], radii.size]):
-        count = int(counts[start])
+    for count in sorted(set(counts)):
+        same = np.flatnonzero(np.equal(counts, count))
         step = max(1, BLOCK_CELLS // (shifts.size * 16 * count))   # K x N_u per column
-        for j in range(start, stop, step):
-            cols = slice(j, min(j + step, stop))
+        for j in range(0, same.size, step):
+            cols = same[j:j + step]
             phase, hw = _mehler_rule(n, radii[cols], count)
             arg = shifts[:, None] * phase[:, None, :]              # cols x K x N_u
             cos_m = np.cos(arg)
@@ -211,20 +200,17 @@ def _phi_near(n, shifts, offsets, beta_max, radii):
             sin_m *= hw[:, None, :]
             arg = phase[:, :, None] * offsets                      # cols x N_u x 16
             integral = cos_m @ np.cos(arg) - sin_m @ np.sin(arg)   # cols x K x 16
-            yield cols, (scale[cols, None] * integral.reshape(phase.shape[0], -1)).T
+            out[:, cols] = (scale[cols, None] * integral.reshape(cols.size, -1)).T
 
 
-def _phi_jacobi(n, beta, shifts, offsets, radii, start):
-    """Phi_beta(r) on the (beta, r) block of the columns start, start + 1, ...
-    of radii, all r >= R_MIN_JACOBI, beta > 0, beta cosh^-2(r) / 4 <=
-    JACOBI_GROWTH_MAX, by the Harish-Chandra expansion of the module
-    docstring, yielded as (column slice of radii, beta x columns piece) pairs.
-    The 2F1 coefficients, times (2 / beta) c(beta) i beta, are computed once
-    per beta row (special._GaussSeries), before the first piece; each piece
-    sums them against the powers of cosh^-2 r and multiplies by
-    (2 cosh r)^{i beta - rho}, whose phase comes from the panel factors
-    beta = shifts[k] + offsets[i]."""
-    radii = radii[start:]
+def _phi_jacobi(n, beta, shifts, offsets, radii, out):
+    """Write Phi_beta(r) on the (beta, r) block, r >= R_MIN_JACOBI, beta > 0,
+    beta cosh^-2(r) / 4 <= JACOBI_GROWTH_MAX, into out by the Harish-Chandra
+    expansion of the module docstring. The 2F1 coefficients, times
+    (2 / beta) c(beta) i beta, are computed once per beta row
+    (special._GaussSeries); each column chunk sums them against the powers of
+    cosh^-2 r and multiplies by (2 cosh r)^{i beta - rho}, whose phase comes
+    from the panel factors beta = shifts[k] + offsets[i]."""
     rho = (n - 1) / 2.0
     ib = 1j * beta
     # c(beta) * (i beta): Gamma(i beta) = Gamma(1 + i beta) / (i beta), and
@@ -239,7 +225,7 @@ def _phi_jacobi(n, beta, shifts, offsets, radii, start):
                           scale=2.0 / beta * np.exp(log_c))
     step = max(1, BLOCK_CELLS // beta.size)
     for j in range(0, radii.size, step):
-        cols = slice(j, min(j + step, radii.size))
+        cols = slice(j, j + step)
         re, im = series(y[cols])
         # Im[(2 cosh r)^{i beta - rho} sum] with e^{i beta L} = e^{i m L} e^{i o L},
         # L = log 2 cosh r: (K x 1 x cols) factors times (16 x cols) ones
@@ -258,7 +244,7 @@ def _phi_jacobi(n, beta, shifts, offsets, radii, start):
         re -= im
         re *= sin_m
         first += re
-        yield slice(start + cols.start, start + cols.stop), first.reshape(beta.size, -1)
+        out[:, cols] = first.reshape(beta.size, -1)
 
 
 def _jacobi_switch_radius(beta_max):
@@ -293,99 +279,44 @@ def spherical_function(n: int, beta, r: float):
 
 
 # ---------------------------------------------------------------------------
-# Phi matrices (beta grid x radial grid). A transform contracts Phi chunk by
-# chunk as the chunks are built, so a matrix read once is never held whole.
-# A matrix requested a second time is collected and held in _PHI_CACHE, and
-# later transforms read it in the same chunks: the GJMS bubble scan prices
-# every trial's remainder form by one transform on one grid pair.
+# Phi matrices (beta grid x radial grid), cached: the GJMS bubble scan at
+# non-integer s prices every trial's remainder form by one matrix-vector
+# product on one cached matrix; the spline scan and blowdown read theirs once.
 # ---------------------------------------------------------------------------
 
-# (n, beta nodes, r nodes) -> (matrix, its column slices), least recent first
-_PHI_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
+_PHI_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
 _PHI_CACHE_MAX_BYTES = 256 * 2 ** 20
-# hash() of the keys requested once and not held, least recent first
-_PHI_REQUESTS: "OrderedDict[int, None]" = OrderedDict()
-_PHI_REQUESTS_MAX = 64
-
-
-def _phi_chunks(n, beta_grid, r_grid):
-    """Phi_beta(r) on beta_grid x r_grid as (column slice, C-contiguous chunk)
-    pairs in increasing columns, each chunk built when it is asked for:
-    below the Jacobi switch (R_MIN_JACOBI, raised for large frequencies by
-    _jacobi_switch_radius) from the panel-factored Mehler integral
-    (_phi_near), from it on from the Jacobi expansion (_phi_jacobi).
-    Consecutive pieces of those builders are joined into chunks of at most
-    BLOCK_CELLS cells (a piece larger than that is a chunk of its own), so
-    a transform multiplies a few wide chunks rather than many narrow ones
-    (26 instead of 106 on the GJMS bubble scan's 480 x 800 remainder grid)."""
-    beta, radii = beta_grid.nodes, r_grid.nodes
-    shifts, offsets = beta_grid.panel_factors()
-    beta_max = float(np.max(np.abs(beta)))
-    near = int(np.searchsorted(radii, _jacobi_switch_radius(beta_max)))   # nodes increase
-    pieces = itertools.chain(_phi_near(n, shifts, offsets, beta_max, radii[:near]),
-                             _phi_jacobi(n, beta, shifts, offsets, radii, near))
-
-    def chunk(start, stop):
-        # C order whatever the pieces' order: a held matrix is read in C-order views
-        return slice(start, stop), np.concatenate(joined, axis=1,
-                                                  out=np.empty((beta.size, stop - start)))
-
-    joined, start = [], 0
-    for cols, piece in pieces:
-        if joined and (cols.stop - start) * beta.size > BLOCK_CELLS:
-            yield chunk(start, cols.start)
-            joined, start = [], cols.start
-        joined.append(piece)
-    if joined:
-        yield chunk(start, radii.size)
-
-
-def _collect(n, beta_grid, r_grid):
-    """(matrix, column slices): the chunks of _phi_chunks in one matrix."""
-    mat = np.empty((beta_grid.nodes.size, r_grid.nodes.size))
-    slices = []
-    for cols, chunk in _phi_chunks(n, beta_grid, r_grid):
-        mat[:, cols] = chunk
-        slices.append(cols)
-    return mat, tuple(slices)
-
-
-def _phi_held(n, beta_grid, r_grid):
-    """The (matrix, column slices) of _collect held for (n, exact nodes), or
-    None. A request of a key not held returns None the first time; the
-    second time the matrix is collected and held, and the least recently
-    used matrices beyond _PHI_CACHE_MAX_BYTES are dropped (the newest always
-    stays). The first requests are remembered by hash for the
-    _PHI_REQUESTS_MAX most recent keys; a collision only admits a matrix."""
-    if n < 2:
-        raise DomainError(f"phi_matrix requires n >= 2, got {n}")
-    key = (n, beta_grid.fingerprint(), r_grid.fingerprint())
-    held = _PHI_CACHE.get(key)
-    if held is not None:
-        _PHI_CACHE.move_to_end(key)
-        return held
-    token = hash(key)
-    if token not in _PHI_REQUESTS:
-        _PHI_REQUESTS[token] = None
-        if len(_PHI_REQUESTS) > _PHI_REQUESTS_MAX:
-            _PHI_REQUESTS.popitem(last=False)
-        return None
-    del _PHI_REQUESTS[token]
-    held = _PHI_CACHE[key] = _collect(n, beta_grid, r_grid)
-    size = sum(mat.nbytes for mat, _ in _PHI_CACHE.values())
-    while size > _PHI_CACHE_MAX_BYTES and len(_PHI_CACHE) > 1:
-        size -= _PHI_CACHE.popitem(last=False)[1][0].nbytes
-    return held
 
 
 def phi_matrix(n: int, beta_grid: RadialGrid, r_grid: RadialGrid) -> np.ndarray:
-    """Phi_beta(r) on beta_grid x r_grid: the chunks of _phi_chunks (module
-    docstring) in one matrix, held in _PHI_CACHE from the second request of
-    (n, exact nodes) on (_phi_held). Agrees with spherical_function column
-    by column to ~1e-14.
+    """Phi_beta(r) on beta_grid x r_grid, cached by (n, exact nodes).
+
+    Columns below the Jacobi switch (R_MIN_JACOBI, raised for large
+    frequencies by _jacobi_switch_radius) come from the panel-factored
+    Mehler integral (_phi_near), the rest from the Jacobi expansion
+    (_phi_jacobi); both as matrix products in column chunks (module
+    docstring). Agrees with spherical_function column by column to ~1e-14.
     """
-    held = _phi_held(n, beta_grid, r_grid)
-    return (_collect(n, beta_grid, r_grid) if held is None else held)[0]
+    if n < 2:
+        raise DomainError(f"phi_matrix requires n >= 2, got {n}")
+    key = (n, beta_grid.fingerprint(), r_grid.fingerprint())
+    hit = _PHI_CACHE.get(key)
+    if hit is not None:
+        _PHI_CACHE.move_to_end(key)
+        return hit
+    beta, radii = beta_grid.nodes, r_grid.nodes
+    shifts, offsets = beta_grid.panel_factors()
+    mat = np.empty((beta.size, radii.size))
+    beta_max = float(np.max(np.abs(beta)))
+    near = int(np.searchsorted(radii, _jacobi_switch_radius(beta_max)))   # nodes increase
+    _phi_near(n, shifts, offsets, beta_max, radii[:near], mat[:, :near])
+    _phi_jacobi(n, beta, shifts, offsets, radii[near:], mat[:, near:])
+    _PHI_CACHE[key] = mat
+    # least recently used first; the matrix just built always stays
+    held = sum(m.nbytes for m in _PHI_CACHE.values())
+    while held > _PHI_CACHE_MAX_BYTES and len(_PHI_CACHE) > 1:
+        held -= _PHI_CACHE.popitem(last=False)[1].nbytes
+    return mat
 
 
 def default_beta_grid(support_radius: float, b_max: float = DEFAULT_B_MAX) -> RadialGrid:
@@ -417,21 +348,8 @@ def _polar_measure(n, grid):
 
 
 def _transforms(n, beta_grid, grid, columns):
-    """Spherical transforms on beta_grid of the profile columns on grid, one
-    Phi chunk at a time: a held Phi (_phi_held) is read in the chunks that
-    built it, any other Phi chunk is contracted as it is built and then
-    dropped. Both add the same products in the same order, so a transform
-    has the same bits cold and warm."""
-    weighted = _polar_measure(n, grid)[:, None] * columns
-    held = _phi_held(n, beta_grid, grid)
-    if held is None:
-        chunks = _phi_chunks(n, beta_grid, grid)
-    else:
-        chunks = ((cols, held[0][:, cols]) for cols in held[1])
-    out = np.zeros((beta_grid.nodes.size, columns.shape[1]))
-    for cols, chunk in chunks:
-        out += chunk @ weighted[cols]
-    return out
+    """Spherical transforms on beta_grid of the profile columns on grid."""
+    return phi_matrix(n, beta_grid, grid) @ (_polar_measure(n, grid)[:, None] * columns)
 
 
 def inverse_spherical_transform(F: SpectralProfile, n: int, r_grid: RadialGrid,
@@ -473,9 +391,9 @@ def _spectral_weights(kinds, p: Params, support_radius: float, b_max: float):
 
 
 def _spectral_forms(kinds, p, grid, columns, support_radius, b_max):
-    """(energy, guards, transforms) of the profile columns on grid, supported
-    in [0, support_radius]. With f_hat_i = transforms[:, i], column i's
-    transform on default_beta_grid(support_radius, b_max), energy[i, j] is
+    """(energy, guards) of the profile columns on grid, supported in
+    [0, support_radius]. With f_hat_i column i's transform on
+    default_beta_grid(support_radius, b_max), energy[i, j] is
     int f_hat_i f_hat_j (sum of the kinds' symbols) |c|^{-2} d beta, and
     columns @ theta passes kind k's tail guard, theta^T guards[k] theta >= 0,
     iff the last decade of that grid carries at most DEFAULT_TAIL_TOL of
@@ -487,7 +405,7 @@ def _spectral_forms(kinds, p, grid, columns, support_radius, b_max):
     guard_weight = DEFAULT_TAIL_TOL - beta_grid.tail_mask
     guards = np.array([(weighted * guard_weight * np.abs(m)) @ transforms for m in symbols])
     energy = (weighted * sum(symbols)) @ transforms
-    return energy, guards, transforms
+    return energy, guards
 
 
 def quadratic_form(kind: MultiplierKind, p: Params, f: RadialFunction,
@@ -504,13 +422,13 @@ def quadratic_form(kind: MultiplierKind, p: Params, f: RadialFunction,
 def _quadratic_form(kinds, p: Params, f: RadialFunction, b_max: float) -> float:
     """The sum of the kinds' quadratic forms of f, from one transform; raises
     TailError when f fails a kind's tail guard."""
-    energy, guards, transforms = _spectral_forms(kinds, p, f.grid, _profile_column(f),
-                                                 f.support_radius, b_max)
+    energy, guards = _spectral_forms(kinds, p, f.grid, _profile_column(f), f.support_radius, b_max)
     failed = np.flatnonzero(guards[:, 0, 0] < 0.0)
     if failed.size:
-        # the tail fraction the first failed guard bounds, from the same transform
+        # the tail fraction the first failed guard bounds, on the same cached arrays
         beta_grid, dens, symbols = _spectral_weights(kinds, p, f.support_radius, b_max)
-        tail = beta_grid.tail_fraction(np.abs(symbols[failed[0]]) * transforms[:, 0] ** 2 * dens)
+        f_hat = spherical_transform(f, p.n, beta_grid).values
+        tail = beta_grid.tail_fraction(np.abs(symbols[failed[0]]) * f_hat ** 2 * dens)
         raise TailError(
             f"quadratic form tail fraction {tail:.3e} exceeds tolerance {DEFAULT_TAIL_TOL:.1e}"
         )

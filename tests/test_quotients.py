@@ -13,9 +13,6 @@ from gjmslab.params import MultiplierKind, Params
 from gjmslab.quotients import (
     BubbleFamily,
     SplineFamily,
-    _guard_terms,
-    _spline_forms,
-    _spline_start_candidates,
     _windowed_spline,
     bubble_quotient,
     gap_scan,
@@ -179,20 +176,6 @@ class TestWindowedSpline:
 
 
 class TestMinimize:
-    def test_guard_value_independent_of_stack(self):
-        # G theta and theta^T G theta of a guard are the same bits whether it
-        # is contracted alone, in a (1, m, m) stack, or beside another guard
-        p, family = Params(5, 0.8), SplineFamily(knots=12, radius=3.5)
-        guards = _spline_forms(GJMS, p, family, DEFAULT_B_MAX)[-1]
-        assert guards.shape[0] == 2
-        rng = np.random.default_rng(3)
-        for theta in _spline_start_candidates(family, p) + list(rng.standard_normal((8, 11))):
-            pulls, values = _guard_terms(guards, theta)
-            for k in range(2):
-                pull, value = _guard_terms(guards[k:k + 1], theta)
-                assert pull[0].tobytes() == pulls[k].tobytes() and value[0] == values[k]
-                assert value[0] == theta @ (guards[k] @ theta)
-
     def test_determinism(self):
         p = Params(5, 0.8)
         for kind, fam in ((INT, BubbleFamily(eps_lo=0.05, eps_hi=0.2, delta_lo=0.1,
@@ -424,35 +407,15 @@ class TestGapScan:
         intertwined = gap_scan(INT, p, lambdas, BubbleFamily())
         calls = []
 
-        def counted(*args, _fn=spherical._phi_chunks):
+        def counted(*args, _fn=spherical.phi_matrix):
             calls.append(1)
             return _fn(*args)
 
-        monkeypatch.setattr(spherical, "_phi_chunks", counted)
+        monkeypatch.setattr(spherical, "phi_matrix", counted)
         assert gap_scan(GJMS, p, lambdas, BubbleFamily()) == intertwined
         assert calls == []
         family = SplineFamily(knots=6, radius=3.0)
         assert gap_scan(GJMS, p, lambdas, family) == gap_scan(INT, p, lambdas, family)
-
-    def test_gjms_bubble_scan_builds_each_remainder_grid_twice(self, monkeypatch):
-        # every trial's remainder form is one transform on one grid pair: the
-        # first is streamed, the second admits the matrix and the rest read
-        # it (a scan streaming every transform ran 14x slower)
-        import gjmslab.spherical as spherical
-        from collections import Counter, OrderedDict
-
-        monkeypatch.setattr(spherical, "_PHI_CACHE", OrderedDict())
-        monkeypatch.setattr(spherical, "_PHI_REQUESTS", OrderedDict())
-        builds = Counter()
-
-        def counted(n, beta_grid, r_grid, _fn=spherical._phi_chunks):
-            builds[n, beta_grid.fingerprint(), r_grid.fingerprint()] += 1
-            return _fn(n, beta_grid, r_grid)
-
-        monkeypatch.setattr(spherical, "_phi_chunks", counted)
-        gap_scan(GJMS, Params(5, 0.8), [0.0, 0.25], BubbleFamily())
-        assert builds and max(builds.values()) <= 2
-        assert len(spherical._PHI_CACHE) == len(builds)
 
     def test_spline_scan_builds_the_forms_once(self, monkeypatch):
         # one build of the family's matrices serves every lambda; a search

@@ -205,117 +205,27 @@ class TestTransforms:
 
 
 class TestPhiCache:
-    """A Phi matrix is held from the second request of its (n, grids) on; a
-    transform contracts a matrix it does not hold chunk by chunk."""
-
-    @pytest.fixture(autouse=True)
-    def fresh(self, monkeypatch):
-        monkeypatch.setattr(spherical, "_PHI_CACHE", OrderedDict())
-        monkeypatch.setattr(spherical, "_PHI_REQUESTS", OrderedDict())
-
-    @staticmethod
-    def held(bg, grid):
-        """phi_matrix of a key requested twice: the second request admits it."""
-        phi_matrix(3, bg, grid)
-        return phi_matrix(3, bg, grid)
-
     def test_bounded_by_bytes_lru(self, monkeypatch):
+        monkeypatch.setattr(spherical, "_PHI_CACHE", OrderedDict())
         bg = default_beta_grid(1.0, 8.0)
         a, b, c, d = (RadialGrid.from_edges(np.linspace(0.0, top, panels + 1))
                       for top, panels in ((0.5, 1), (0.25, 1), (1.0, 2), (1.5, 3)))
         size = bg.nodes.size * 16 * 8       # bytes of a one-panel matrix
         monkeypatch.setattr(spherical, "_PHI_CACHE_MAX_BYTES", 3 * size)
-        mat_a = self.held(bg, a)
-        mat_b = self.held(bg, b)
+        mat_a = phi_matrix(3, bg, a)
+        mat_b = phi_matrix(3, bg, b)
         assert mat_a.nbytes == mat_b.nbytes == size
         assert phi_matrix(3, bg, a) is mat_a      # the hit makes b least recent
-        self.held(bg, c)                          # 4 sizes held: b goes
-        held = [mat for mat, _ in spherical._PHI_CACHE.values()]
+        phi_matrix(3, bg, c)                      # 4 sizes held: b goes
+        held = list(spherical._PHI_CACHE.values())
         assert len(held) == 2 and not any(m is mat_b for m in held)
         assert phi_matrix(3, bg, a) is mat_a
         # a matrix larger than the cap is still kept, alone
         monkeypatch.setattr(spherical, "_PHI_CACHE_MAX_BYTES", size)
-        mat_d = self.held(bg, d)
-        held = [mat for mat, _ in spherical._PHI_CACHE.values()]
+        mat_d = phi_matrix(3, bg, d)
+        held = list(spherical._PHI_CACHE.values())
         assert len(held) == 1 and held[0] is mat_d
         assert phi_matrix(3, bg, d) is mat_d
-
-    def test_admitted_on_second_request(self):
-        bg, grid = default_beta_grid(1.0, 8.0), uniform_grid(1.0)
-        first = phi_matrix(3, bg, grid)
-        assert not spherical._PHI_CACHE
-        second = phi_matrix(3, bg, grid)
-        assert second is not first and second.tobytes() == first.tobytes()
-        assert phi_matrix(3, bg, grid) is second
-        assert not spherical._PHI_REQUESTS        # a held key needs no record
-
-    def test_request_record_bounded(self):
-        bg = default_beta_grid(1.0, 8.0)
-        grids = [uniform_grid(0.5 + 0.01 * k, panel_width=0.5)
-                 for k in range(spherical._PHI_REQUESTS_MAX + 1)]
-        for grid in grids:
-            phi_matrix(3, bg, grid)
-        assert len(spherical._PHI_REQUESTS) == spherical._PHI_REQUESTS_MAX
-        phi_matrix(3, bg, grids[0])               # forgotten: a first request again
-        assert not spherical._PHI_CACHE
-        phi_matrix(3, bg, grids[-1])              # remembered: admitted
-        assert len(spherical._PHI_CACHE) == 1
-
-    @pytest.mark.parametrize("n,support,b_max,width", [(3, 3.5, 60.0, 12), (3, 40.0, 8.0, 1),
-                                                       (5, 1.25, 60.0, 1)])
-    def test_streamed_admitted_and_hit_bit_equal(self, n, support, b_max, width):
-        # the spline scan's, blowdown's and the GJMS bubble scan's grid pairs
-        bg = default_beta_grid(support, b_max)
-        grid = standard_hyperbolic_grid(support)
-        columns = np.cos(np.outer(grid.nodes, np.arange(1, width + 1)) / support)
-        columns[grid.nodes > support] = 0.0
-        streamed = spherical._transforms(n, bg, grid, columns)
-        assert not spherical._PHI_CACHE
-        admitted = spherical._transforms(n, bg, grid, columns)
-        assert len(spherical._PHI_CACHE) == 1
-        hit = spherical._transforms(n, bg, grid, columns)
-        assert streamed.tobytes() == admitted.tobytes() == hit.tobytes()
-        mat = phi_matrix(n, bg, grid)
-        whole = mat @ (spherical._polar_measure(n, grid)[:, None] * columns)
-        assert np.max(np.abs(streamed - whole)) <= 1e-13 * np.max(np.abs(whole))
-
-    def test_single_use_forms_hold_nothing(self):
-        p = Params(3, 1.0)
-        f = hyperbolic_bump(0.8, 3.0)
-        args = ((INT,), p, f.grid, f.values[:, None], f.support_radius, 60.0)
-        first = spherical._spectral_forms(*args)
-        assert not spherical._PHI_CACHE
-        second = spherical._spectral_forms(*args)
-        assert len(spherical._PHI_CACHE) == 1
-        for a, b in zip(first, second):
-            assert a.tobytes() == b.tobytes()
-
-    def test_failed_guard_holds_nothing(self):
-        # the TailError message takes its tail fraction from the transform the
-        # guard read, so no second request admits the single-use matrix
-        p, f = Params(3, 1.0), hyperbolic_bump(0.2, 3.0)
-        with pytest.raises(TailError) as failure:
-            quadratic_form(INT, p, f, b_max=8.0)
-        assert not spherical._PHI_CACHE
-        beta_grid = default_beta_grid(f.support_radius, 8.0)
-        f_hat = spherical_transform(f, 3, beta_grid).values
-        weight = np.abs(multiplier(INT, p, beta_grid.nodes)) * plancherel_density(3, beta_grid.nodes)
-        tail = beta_grid.tail_fraction(weight * f_hat ** 2)
-        assert f"tail fraction {tail:.3e} exceeds" in str(failure.value)
-
-    def test_streamed_transform_memory(self):
-        # Phi on the R = 40 grid at b_max 8 is 288 x 5120 (11.3 MB); a
-        # single-use transform holds one chunk of it at a time (1.5 MB measured)
-        bg = default_beta_grid(40.0, 8.0)
-        grid = standard_hyperbolic_grid(40.0)
-        column = np.exp(-grid.nodes)[:, None]
-        tracemalloc.start()
-        try:
-            spherical._transforms(3, bg, grid, column)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * 2 ** 20 < bg.nodes.size * grid.nodes.size * 8
 
 
 # radii on both sides of the Jacobi switch, out to where Phi is ~ e^{-rho r}
