@@ -12,7 +12,13 @@ by every energy of that support; only the most recent (n, support) is held,
 and an energy evaluates its profile once per distinct r-grid. A kernel is
 filled in row blocks of at most grids.BLOCK_CELLS cells, so the Bessel
 temporaries of a build stay within a few block budgets whatever the band's
-size.
+size. A bubble trial's cut-off window is computed once per (delta, r-grid)
+and read by every trial of that delta (_cutoff_values).
+
+The truncated bubble's energy (bubble_energy) takes that route at every
+s except s = 1, where it is the Dirichlet integral of (cutoff U_eps)' in
+closed form on a graded plateau and a panelled cut-off ramp, and no band
+is built.
 
 The untruncated bubble U = (1+r^2)^{-(n-2s)/2} solves (-Delta)^s U = c U^{2*-1}
 (Lieb 1983; Cotsiolis-Tavoularis 2004), so its energy and critical mass are
@@ -70,11 +76,16 @@ def bubble(p: Params, bp: BubbleParams, r):
     return float(out) if out.ndim == 0 else out
 
 
+def _mollifier_density(t):
+    """exp(-1/(t(1-t))) on (0, 1): the cut-off's ramp is its normalized integral."""
+    return np.exp(-1.0 / (t * (1.0 - t)))
+
+
 def _mollifier_mass(t):
     """int_0^t exp(-1/(u(1-u))) du for t in (0, 1], vectorized (48-node GL)."""
     t = np.asarray(t, dtype=float)
     uu = np.multiply.outer(t, 0.5 * (_GL48_X + 1.0))    # nodes scaled to (0, t)
-    return 0.5 * t * (np.exp(-1.0 / (uu * (1.0 - uu))) @ _GL48_W)
+    return 0.5 * t * (_mollifier_density(uu) @ _GL48_W)
 
 
 _MOLLIFIER_TOTAL = float(_mollifier_mass(np.asarray(1.0)))
@@ -110,20 +121,37 @@ def cutoff(delta: float, r):
     return float(out) if out.ndim == 0 else out
 
 
-def bubble_grid(eps: float, r_max: float) -> RadialGrid:
-    """Graded grid resolving the bubble core scale eps on [0, r_max]: uniform
-    eps/2 panels out to 6 eps, then panels growing by 1.25 from eps."""
+def _bubble_edges(eps: float, r_max: float):
+    """The panel edges of bubble_grid(eps, r_max)."""
     core = min(6.0 * eps, r_max)
     core_edges = np.linspace(0.0, core, max(2, int(np.ceil(core / (eps / 2.0))) + 1))
     tail_edges = geometric_edges(r_max, eps, growth=1.25, start=core)
-    return RadialGrid.from_edges(np.concatenate([core_edges[:-1], tail_edges]))
+    return np.concatenate([core_edges[:-1], tail_edges])
+
+
+def bubble_grid(eps: float, r_max: float) -> RadialGrid:
+    """Graded grid resolving the bubble core scale eps on [0, r_max]: uniform
+    eps/2 panels out to 6 eps, then panels growing by 1.25 from eps."""
+    return RadialGrid.from_edges(_bubble_edges(eps, r_max))
+
+
+@functools.lru_cache(maxsize=32)
+def _cutoff_values(delta, key):
+    """cutoff(delta, r) at the float64 array r with r.tobytes() == key, as a
+    read-only array: the bubble trials of one delta read the same r-grids
+    (their band grids), so each window is computed once; cutoff is
+    elementwise on an unchanged array, so the values are bit for bit its."""
+    values = cutoff(delta, np.frombuffer(key))
+    values.flags.writeable = False
+    return values
 
 
 def sampled_bubble(p: Params, bp: BubbleParams) -> RadialFunction:
     """The standard trial cutoff(delta, r) U_eps(r) on bubble_grid(eps, 2 delta)."""
 
     def profile(r):
-        return cutoff(bp.delta, r) * bubble(p, bp, r)
+        r = np.asarray(r, dtype=float)
+        return _cutoff_values(bp.delta, r.tobytes()).reshape(r.shape) * bubble(p, bp, r)
 
     grid = bubble_grid(bp.eps, 2.0 * bp.delta)
     return RadialFunction.from_profile(profile, grid, 2.0 * bp.delta, Space.EUCLIDEAN)
@@ -264,6 +292,46 @@ def fractional_energy(w: RadialFunction, p: Params) -> float:
     return _banded_energy(w.profile, support, p, min(1e-4, 0.05 / support), 64.0)
 
 
+# panels of the cut-off ramp [delta, 2 delta] in the s = 1 energy: 8 move it
+# by at most 3e-15 when each is split in 2 or 4, where the trial's own
+# bubble_grid panels, which straddle delta, leave it 2.4e-8 off at t = 0.8
+RAMP_PANELS = 8
+
+
+def _dirichlet_edges(eps: float, delta: float):
+    """Panel edges for the s = 1 energy of the bubble (eps, delta): the
+    bubble_grid panels of the plateau [0, delta], where the cut-off is 1,
+    then RAMP_PANELS equal panels on the ramp."""
+    return np.concatenate([_bubble_edges(eps, delta)[:-1],
+                           np.linspace(delta, 2.0 * delta, RAMP_PANELS + 1)])
+
+
+def _dirichlet_energy(p: Params, bp: BubbleParams, grid: RadialGrid) -> float:
+    """omega int (w')^2 r^{n-1} dr of w = cutoff(delta, r) U_eps(r) on grid,
+    with w' = chi' U + chi U' in closed form: chi' is minus
+    _mollifier_density(t) / (_MOLLIFIER_TOTAL delta), t = (r - delta)/delta,
+    and U' = -(n-2s) r U / (eps^2 + r^2)."""
+    r = grid.nodes
+    u = bubble(p, bp, r)
+    t = (r - bp.delta) / bp.delta
+    ramp = (t > 0.0) & (t < 1.0)
+    d_chi = np.zeros_like(r)
+    d_chi[ramp] = -_mollifier_density(t[ramp]) / (_MOLLIFIER_TOTAL * bp.delta)
+    d_u = -(p.n - 2.0 * p.s) * r / (bp.eps ** 2 + r * r) * u
+    d_w = d_chi * u + cutoff(bp.delta, r) * d_u
+    return sphere_area(p.n) * grid.integrate(d_w * d_w * r ** (p.n - 1))
+
+
+def bubble_energy(p: Params, bp: BubbleParams, w: RadialFunction) -> float:
+    """E(w) of the truncated bubble w = sampled_bubble(p, bp). At s = 1 it is
+    the Dirichlet integral omega int_0^{2 delta} (w')^2 r^{n-1} dr on the
+    _dirichlet_edges panels, and no Hankel band is built; every other s takes
+    fractional_energy, which at s = 1 is its oracle."""
+    if p.s == 1.0:
+        return _dirichlet_energy(p, bp, RadialGrid.from_edges(_dirichlet_edges(bp.eps, bp.delta)))
+    return fractional_energy(w, p)
+
+
 def fit_loglog_slope(x, y) -> float:
     """OLS slope of log y against log x; the largest-x point is dropped when
     its residual exceeds twice the residual spread (leading-constant
@@ -361,7 +429,7 @@ def bubble_asymptotics(p: Params, delta: float, eps_ladder):
     rows = []
     for bp in trials:
         w = sampled_bubble(p, bp)
-        rows.append((bp.eps, crit_mass(p, w), hyperbolic_l2_mass(p, w), fractional_energy(w, p)))
+        rows.append((bp.eps, crit_mass(p, w), hyperbolic_l2_mass(p, w), bubble_energy(p, bp, w)))
     eps, crit, l2, energy = (np.array(column) for column in zip(*rows))
     crit_slope = fit_loglog_slope(eps, np.abs(bubble_mass_limit(p.n) - crit))
     energy_slope = fit_loglog_slope(eps, np.abs(energy - bubble_energy_limit(p)))

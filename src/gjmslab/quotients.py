@@ -15,10 +15,10 @@ import numpy as np
 from .bubbles import (
     BubbleParams,
     _golden_section,
+    bubble_energy,
     bubble_energy_limit,
     bubble_mass_limit,
     crit_mass,
-    fractional_energy,
     hyperbolic_l2_mass,
     sampled_bubble,
     smooth_window,
@@ -105,12 +105,13 @@ def bubble_quotient(kind: MultiplierKind, p: Params, lam: float,
     """Quotient of the lifted truncated bubble.
 
     The intertwined energy is taken as the Euclidean fractional energy of
-    the truncated bubble (the exact conformal reduction); GJMS at non-integer
+    the truncated bubble (the exact conformal reduction; bubble_energy, a
+    Dirichlet integral at s = 1); GJMS at non-integer
     s adds the remainder form of the lifted trial (spherical transform).
     """
     kinds = _energy_kinds(kind, p)
     w = sampled_bubble(p, bp)
-    energy = fractional_energy(w, p)
+    energy = bubble_energy(p, bp, w)
     if MultiplierKind.REMAINDER in kinds:
         u = conformal_lift(w, p)
         grid = standard_hyperbolic_grid(float(ball_to_geodesic(2.0 * bp.delta)))

@@ -146,10 +146,10 @@ def _mehler_rule(n, radii, count):
     return r - uu, h * w
 
 
-# holds the rules of one regularized_kernel call: in the benchmark's
-# kernel-decay commands, at most 54 distinct u-panel counts of at most 58
-# panels each; 64 such rules take < 1 MB
-@functools.lru_cache(maxsize=64)
+# holds the rules of one kernel_decay call: the benchmark's kernel-decay
+# commands read 177-185 distinct (n, r, count) rules, 1.1-1.2 MB in all, and
+# a smaller cache evicts and rebuilds them (297-311 builds at 64)
+@functools.lru_cache(maxsize=256)
 def _mehler_rule_at(n, r, count):
     """_mehler_rule at the one radius r, as 1-d read-only arrays."""
     phase, hw = _mehler_rule(n, np.array([r]), count)

@@ -13,9 +13,13 @@ from gjmslab.bubbles import (
     _GL48_X,
     _band_kernel,
     _band_kernels,
+    _cutoff_values,
+    _dirichlet_edges,
+    _dirichlet_energy,
     _scaled_bessel_matrix,
     bubble,
     bubble_asymptotics,
+    bubble_energy,
     bubble_energy_limit,
     bubble_grid,
     bubble_mass_limit,
@@ -31,9 +35,9 @@ from gjmslab.bubbles import (
 )
 from gjmslab.errors import DegenerateData, ParameterError, SupportError
 from gjmslab.geometry import sphere_area
-from gjmslab.grids import RadialFunction, Space, geometric_grid, uniform_grid
+from gjmslab.grids import RadialFunction, RadialGrid, Space, geometric_grid, uniform_grid
 from gjmslab.params import MultiplierKind, Params
-from gjmslab.quotients import BubbleFamily, gap_scan
+from gjmslab.quotients import BubbleFamily, bubble_quotient, gap_scan
 
 mp.mp.dps = 30
 
@@ -291,6 +295,64 @@ class TestFractionalEnergy:
             windowed_bubble_energy(p)["energy"], rel=5e-9)
 
 
+def count_calls(monkeypatch, module, name):
+    """A list that grows by one at every call of module.name."""
+    calls = []
+
+    def counted(*args, _fn=getattr(module, name)):
+        calls.append(1)
+        return _fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestDirichletRoute:
+    """At s = 1 bubble_energy is the Dirichlet integral of the truncated
+    bubble, with fractional_energy (the Hankel route) as its oracle."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_matches_hankel_route(self, n):
+        # worst measured: 1.4e-9, near the Hankel route's 1e-9 tail stop
+        p = Params(n, 1.0)
+        for t in (0.06, 0.12, 0.25, 0.5, 0.8, 1.22):
+            bp = BubbleParams(t * 0.2, 0.2)
+            w = sampled_bubble(p, bp)
+            assert bubble_energy(p, bp, w) == pytest.approx(fractional_energy(w, p), rel=1e-8)
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_stable_under_panel_splitting(self, n):
+        # measured: at most 3e-15
+        p = Params(n, 1.0)
+        for t in (0.03, 0.1, 0.4, 0.8, 1.22):
+            bp = BubbleParams(t * 0.2, 0.2)
+            edges = _dirichlet_edges(bp.eps, bp.delta)
+            energy = _dirichlet_energy(p, bp, RadialGrid.from_edges(edges))
+            assert energy == bubble_energy(p, bp, sampled_bubble(p, bp))
+            for k in (2, 4):
+                split = np.concatenate([edges[:1], (edges[:-1, None] + np.diff(edges)[:, None]
+                                                    * np.arange(1, k + 1) / k).ravel()])
+                refined = _dirichlet_energy(p, bp, RadialGrid.from_edges(split))
+                assert refined == pytest.approx(energy, rel=1e-13, abs=0.0)
+
+    def test_builds_no_band(self, monkeypatch):
+        # the README bubble-asymptotics built 27 Bessel matrices at s = 1
+        import gjmslab.bubbles as bubbles
+
+        calls = count_calls(monkeypatch, bubbles, "_scaled_bessel_matrix")
+        _band_kernels.cache_clear()
+        bubble_asymptotics(Params(5, 1.0), 0.2, [0.05, 0.025, 0.0125, 0.00625])
+        bubble_quotient(MultiplierKind.GJMS, Params(4, 1.0), 0.1, BubbleParams(0.05, 0.2))
+        assert calls == []
+        assert _band_kernels.cache_info().currsize == 0
+
+    def test_other_s_keeps_hankel_route(self):
+        p = Params(5, 0.8)
+        bp = BubbleParams(0.05, 0.2)
+        w = sampled_bubble(p, bp)
+        assert bubble_energy(p, bp, w) == fractional_energy(w, p)
+
+
 class TestRatioInvariance:
     """eta(r/delta) U_eps(r) is a rescaling of eta(r) U_{eps/delta}(r): its
     Euclidean energy and critical mass depend on t = eps/delta alone, while
@@ -399,16 +461,53 @@ class TestBandKernels:
         # so all its trials share one support and one set of band kernels
         import gjmslab.bubbles as bubbles
 
-        calls = []
-
-        def counted(*args, _fn=bubbles._scaled_bessel_matrix):
-            calls.append(1)
-            return _fn(*args)
-
-        monkeypatch.setattr(bubbles, "_scaled_bessel_matrix", counted)
+        calls = count_calls(monkeypatch, bubbles, "_scaled_bessel_matrix")
         _band_kernels.cache_clear()
         gap_scan(MultiplierKind.INTERTWINED, Params(5, 0.8), [0.0, 0.25], BubbleFamily())
         assert len(calls) <= 25
+
+
+class TestCutoffMemo:
+    """A bubble trial's cut-off window is computed once per (delta, r-grid)
+    and shared by the trials that read that grid."""
+
+    def test_cold_and_warm_quotient_bit_equal(self, monkeypatch):
+        import gjmslab.bubbles as bubbles
+
+        p = Params(5, 0.8)
+        bp = BubbleParams(0.03, 0.2)
+        _cutoff_values.cache_clear()
+        cold = bubble_quotient(MultiplierKind.GJMS, p, 0.1, bp)
+        misses = _cutoff_values.cache_info().misses
+        warm = bubble_quotient(MultiplierKind.GJMS, p, 0.1, bp)
+        assert _cutoff_values.cache_info().misses == misses
+        monkeypatch.setattr(bubbles, "_cutoff_values", _cutoff_values.__wrapped__)
+        unmemoized = bubble_quotient(MultiplierKind.GJMS, p, 0.1, bp)
+        assert cold == warm == unmemoized
+
+    def test_values_read_only_and_equal_to_cutoff(self):
+        r = np.linspace(0.0, 0.5, 101)
+        values = _cutoff_values(0.2, r.tobytes())
+        assert values.tobytes() == cutoff(0.2, r).tobytes()
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+
+    def test_bounded(self):
+        cache = _cutoff_values
+        r = np.linspace(0.0, 0.5, 11)
+        for k in range(cache.cache_parameters()["maxsize"] + 5):
+            _cutoff_values(0.2, (r + 1e-3 * k).tobytes())
+        assert cache.cache_info().currsize == cache.cache_parameters()["maxsize"]
+
+    def test_benchmark_scan_computes_each_window_once(self, monkeypatch):
+        # the benchmark's 2-lambda bubble scan evaluates the window 401 times
+        # on 64 distinct (delta, r-grid) pairs
+        import gjmslab.bubbles as bubbles
+
+        calls = count_calls(monkeypatch, bubbles, "_mollifier_mass")
+        _cutoff_values.cache_clear()
+        gap_scan(MultiplierKind.INTERTWINED, Params(5, 0.8), [0.0, 0.25], BubbleFamily())
+        assert len(calls) <= 64
 
 
 class TestEnergyAsymptotics:

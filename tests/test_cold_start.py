@@ -2,7 +2,8 @@
 each in a fresh interpreter.
 
 scipy is imported where it computes: scipy.special for the integer-order
-Bessel J of even-n Hankel paths. Half-odd Bessel J (odd n) and the spline
+Bessel J of even-n Hankel paths. Half-odd Bessel J (odd n), the s = 1
+bubble energies (a Dirichlet integral, no Hankel band) and the spline
 search's Newton solve are numpy. `import gjmslab` loads no numpy, and
 `import gjmslab.cli` no OpenSSL (hashlib serves only the manifest's
 fallback digest outside git). The two
@@ -34,8 +35,12 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "sci
 
 README_ASYMPTOTICS = ["bubble-asymptotics", "--n", "5", "--s", "1", "--delta", "0.2",
                       "--eps-ladder", "0.05,0.025,0.0125,0.00625"]
-EVEN_ASYMPTOTICS = ["bubble-asymptotics", "--n", "4", "--s", "1", "--delta", "0.2",
+EVEN_ASYMPTOTICS = ["bubble-asymptotics", "--n", "4", "--s", "0.75", "--delta", "0.2",
                     "--eps-ladder", "0.02,0.01,0.005"]
+EVEN_S1_ASYMPTOTICS = ["bubble-asymptotics", "--n", "4", "--s", "1", "--delta", "0.2",
+                       "--eps-ladder", "0.02,0.01,0.005"]
+EVEN_S1_SCAN = ["gap-scan", "--kind", "gjms", "--n", "4", "--s", "1",
+                "--lambda-spec=0:0.25:2", "--family", "bubble"]
 BUBBLE_SCAN = ["gap-scan", "--kind", "intertwined", "--n", "5", "--s", "0.8",
                "--lambda-spec=0:0.25:2", "--family", "bubble"]
 SPLINE_SCAN = ["gap-scan", "--kind", "gjms", "--n", "3", "--s", "1", "--lambda-spec=0",
@@ -91,6 +96,12 @@ def test_spectral_commands_load_no_scipy(argv, tmp_path):
 @pytest.mark.parametrize("argv", [README_ASYMPTOTICS, BUBBLE_SCAN],
                          ids=["bubble-asymptotics", "bubble-gap-scan"])
 def test_odd_n_bubble_paths_load_no_scipy(argv, tmp_path):
+    assert run_cold(argv, tmp_path) == (0, set(), [])
+
+
+@pytest.mark.parametrize("argv", [EVEN_S1_ASYMPTOTICS, EVEN_S1_SCAN],
+                         ids=["bubble-asymptotics", "bubble-gap-scan"])
+def test_s1_bubble_paths_load_no_scipy_at_even_n(argv, tmp_path):
     assert run_cold(argv, tmp_path) == (0, set(), [])
 
 

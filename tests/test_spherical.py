@@ -497,6 +497,12 @@ class TestMehlerRuleCache:
         rebuilt = regularized_kernel(INT, p, 6.0, 0.005)
         assert cold.hex() == warm.hex() == rebuilt.hex()
 
+    def test_kernel_decay_builds_each_rule_once(self, builds):
+        # the benchmark's kernel-decay reads 177 distinct rules over its
+        # kernels at eps_reg, eps_reg / 2 and the scan eps; all stay held
+        kernel_decay(INT, Params(3, 0.6), [2.0, 3.0, 4.0, 5.0, 6.0], 0.01)
+        assert len(builds) == len(set(builds)) == 177
+
     def test_rules_read_only(self):
         for array in spherical._mehler_rule_at(3, 2.0, 5):
             assert array.shape == (80,)
