@@ -19,7 +19,8 @@ from .errors import ParameterError, SupportError
 
 PHASE_PER_PANEL = 18.0     # radians of oscillation a 16-node panel resolves cleanly
 # cells in the largest array of one block of a blocked matrix build (a
-# phi_matrix column chunk, a Hankel band kernel's row block): 128 KB per temporary
+# Phi column block (spherical._phi_blocks), a Hankel band kernel's row block):
+# 128 KB per temporary
 BLOCK_CELLS = 1 << 14
 
 # the 16-node Gauss-Legendre rule on [-1, 1]

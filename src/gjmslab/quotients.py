@@ -34,6 +34,12 @@ from .spherical import DEFAULT_B_MAX, _polar_measure, _quadratic_form, _spectral
 log = logging.getLogger(__name__)
 
 _GRID_BUCKETS = (1.25, 2.0, 3.0, 5.0, 8.0, 12.0, 16.0, 40.0)
+# frequency cut of a bubble trial's remainder-only form: the remainder symbol
+# over the intertwined one is sin(pi s) |Gamma(1/2 + i beta)|^2 / pi
+# = sin(pi s) / cosh(pi beta), below 2^-53 from beta = 12 on, so the
+# frequencies beyond 16 add nothing to the GJMS energy at double precision
+# (the form moves by <= 2e-15 of itself against b_max 60)
+REMAINDER_B_MAX = 16.0
 
 
 @dataclass(frozen=True)
@@ -107,7 +113,8 @@ def bubble_quotient(kind: MultiplierKind, p: Params, lam: float,
     The intertwined energy is taken as the Euclidean fractional energy of
     the truncated bubble (the exact conformal reduction; bubble_energy, a
     Dirichlet integral at s = 1); GJMS at non-integer
-    s adds the remainder form of the lifted trial (spherical transform).
+    s adds the remainder form of the lifted trial (spherical transform), on
+    frequencies up to min(b_max, REMAINDER_B_MAX).
     """
     kinds = _energy_kinds(kind, p)
     w = sampled_bubble(p, bp)
@@ -117,7 +124,8 @@ def bubble_quotient(kind: MultiplierKind, p: Params, lam: float,
         grid = standard_hyperbolic_grid(float(ball_to_geodesic(2.0 * bp.delta)))
         u_std = RadialFunction.from_profile(u.profile, grid, u.support_radius,
                                             Space.HYPERBOLIC)
-        energy += quadratic_form(MultiplierKind.REMAINDER, p, u_std, b_max=b_max)
+        energy += quadratic_form(MultiplierKind.REMAINDER, p, u_std,
+                                 b_max=min(b_max, REMAINDER_B_MAX))
     l2 = hyperbolic_l2_mass(p, w)
     crit_integral = crit_mass(p, w)
     descriptor = f"bubble[eps={bp.eps:.6g},delta={bp.delta:.6g}]"
@@ -332,7 +340,8 @@ def _spline_forms(kind, p, family, b_max):
     basis = np.zeros((r.size, family.knots - 1))
     basis[inside] = _windowed_spline(family, np.eye(family.knots, family.knots - 1))(r[inside])
     measure = _polar_measure(p.n, grid)
-    energy, guards = _spectral_forms(_energy_kinds(kind, p), p, grid, basis, family.radius, b_max)
+    energy, guards, _ = _spectral_forms(_energy_kinds(kind, p), p, grid, basis, family.radius,
+                                        b_max)
     return basis, measure, energy, basis.T @ (measure[:, None] * basis), guards
 
 

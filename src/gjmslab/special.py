@@ -2,7 +2,7 @@
 on the half-integer lattice.
 
 Everything downstream (spectral symbols, Plancherel densities, the Jacobi
-block of phi_matrix, the Hankel transforms) is built on these. Their
+columns of the Phi matrix, the Hankel transforms) is built on these. Their
 tolerances are the module constants below. The Gauss series has one
 routine, _GaussSeries: the coefficients of each parameter row once, by the
 term-ratio recurrence, then sums at many y as two real matrix products.
@@ -137,11 +137,15 @@ class _GaussSeries:
 
     def _extend(self, count):
         a, b, c = self.params
-        terms = [self.re[-1] + 1j * self.im[-1]]
-        for k in range(len(self.re) - 1, count - 1):
-            terms.append(terms[-1] * ((a + k) * (b + k) / ((c + k) * (k + 1.0))))
-        new = np.array(terms[1:])
-        self._keep(np.concatenate([self.re, new.real]), np.concatenate([self.im, new.imag]))
+        kept = len(self.re)
+        re = np.empty((count,) + self.re.shape[1:])
+        im = np.empty_like(re)
+        re[:kept], im[:kept] = self.re, self.im
+        term = self.re[-1] + 1j * self.im[-1]
+        for k in range(kept - 1, count - 1):
+            term = term * ((a + k) * (b + k) / ((c + k) * (k + 1.0)))
+            re[k + 1], im[k + 1] = term.real, term.imag
+        self._keep(re, im)
 
     def __call__(self, y):
         """(real part, imaginary part) of the sums at the 1-d y, each rows x y.size."""

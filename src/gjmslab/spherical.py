@@ -14,8 +14,8 @@ which is uniformly stable in (beta, r) where the raw hypergeometric series
 loses ~ 2 beta arctan(1/sinh(r/2)) digits to cancellation. It serves every
 r > 0; Phi_beta(0) = 1 exactly.
 
-phi_matrix builds its columns with r >= R_MIN_JACOBI in one vectorized
-block from the Harish-Chandra expansion of the Jacobi function with
+The Phi matrix on a (beta grid, radial grid) pair builds its columns with
+r >= R_MIN_JACOBI from the Harish-Chandra expansion of the Jacobi function with
 (alpha, beta) = ((n-2)/2, -1/2) (Koornwinder 1984):
 
     Phi_beta(r) = 2 Re[c(beta) Psi_beta(r)],
@@ -33,9 +33,16 @@ where g <= JACOBI_GROWTH_MAX for the largest beta of the grid; that moves
 the switch above R_MIN_JACOBI once beta_max > 4 JACOBI_GROWTH_MAX cosh^2(1)
 (~67).
 
-phi_matrix computes both of its column blocks as matrix products, in
-column chunks of at most grids.BLOCK_CELLS cells in the chunk's largest
-array.
+One generator, _phi_blocks, computes Phi as matrix products and yields it
+in column blocks of at most grids.BLOCK_CELLS cells, after doing its
+per-row work once (panel factors, series coefficients, Jacobi switch, u-panel
+counts). phi_matrix fills a matrix from the blocks. A transform
+(_transforms, inverse_spherical_transform) multiplies each block into its
+result as it arrives, so a Phi it reads once is never held whole; the second
+transform request of the same (n, exact nodes) holds the matrix in
+_PHI_CACHE, and later requests read it in the same blocks (_phi_source).
+The GJMS bubble scan is the reader that reuses one: it prices every trial's
+remainder form on the short grid quotients.REMAINDER_B_MAX.
 Every frequency grid of the package (default_beta_grid) is made of 16-node
 Gauss panels of one width, so each node is beta = m + o, one of K panel
 shifts plus one of 16 in-panel offsets (RadialGrid.panel_factors; the first
@@ -53,8 +60,8 @@ panels (shifts = nodes, offsets = [0]) and runs the same code.
 spherical_function, and with it regularized_kernel, stays on the
 per-radius Mehler integral at every r > 0: at (n, s) = (3, 1) the kernel
 values that quotients.blowdown reduces to its constants are quadrature
-roundoff, so any route change would move them. It and the near block of
-phi_matrix take their u-nodes, weights and h_r from one rule, _mehler_rule;
+roundoff, so any route change would move them. It and the Mehler columns of
+_phi_blocks take their u-nodes, weights and h_r from one rule, _mehler_rule;
 spherical_function holds the rules of its recent (n, r, panel count) in a
 bounded cache (_mehler_rule_at). _phi_mehler takes a 2-d block of frequency
 rows; regularized_kernel passes spherical_function a batch of its adaptive
@@ -84,7 +91,7 @@ from .multipliers import multiplier
 from .params import MultiplierKind, Params
 from .special import _GaussSeries, _log_gamma_array, log_abs_gamma_sq
 
-R_MIN_JACOBI = 1.0         # phi_matrix columns from this radius on: Jacobi expansion
+R_MIN_JACOBI = 1.0         # Phi columns from this radius on: Jacobi expansion
 # bound on g = beta cosh^-2(r) / 4 for a Jacobi cell; against Mehler at r = 1,
 # n = 3 the error is 6e-15 at g = 6.3, 8e-13 at g = 15.8, 2e-6 at g = 31.5
 JACOBI_GROWTH_MAX = 7.0
@@ -177,55 +184,68 @@ def _phi_mehler(n, beta, r):
     return _mehler_constant(n) * math.sinh(r) ** (2 - n) * integral.reshape(np.shape(beta))
 
 
-def _phi_near(n, shifts, offsets, beta_max, radii, out):
-    """Write Phi_beta(r) on the (beta, r) block into out by the Mehler integral,
-    for beta = shifts[k] + offsets[i] (RadialGrid.panel_factors). With
+def _column_chunks(rows, columns):
+    """The column slices, in order, in which a rows x columns Phi matrix is
+    built (_phi_blocks) and read (_phi_source): BLOCK_CELLS // rows columns
+    each (at least one), the last one narrower."""
+    step = max(1, BLOCK_CELLS // rows)
+    return [slice(j, min(j + step, columns)) for j in range(0, columns, step)]
+
+
+def _phi_blocks(n, beta_grid, r_grid):
+    """Phi_beta(r) on beta_grid x r_grid as (column slice, C-ordered block)
+    pairs over _column_chunks, each block built when it is asked for.
+
+    The per-row work is done once, before the first block: the panel
+    factors beta = shifts[k] + offsets[i] (RadialGrid.panel_factors), the
+    Jacobi switch (R_MIN_JACOBI, raised for large frequencies by
+    _jacobi_switch_radius), the u-panel count of each column below it (the
+    one spherical_function takes at the grid's largest |beta|) and, when a
+    column lies above it, the 2F1 coefficients times (2 / beta) c(beta) i beta
+    (special._GaussSeries).
+
+    Below the switch a column is the Mehler integral: with
     cos(beta phi) = cos(m phi) cos(o phi) - sin(m phi) sin(o phi), m a shift,
-    o an offset and phi = r - u^2, each column's u-sum is two
-    (K x N_u)(N_u x 16) products, batched over column chunks that share a
-    u-panel count: the one spherical_function takes at beta_max, the grid's
-    largest |beta|."""
-    counts = [_mehler_u_panels(r, beta_max) for r in radii]
-    scale = _mehler_constant(n) * np.sinh(radii) ** (2 - n)
-    for count in sorted(set(counts)):
-        same = np.flatnonzero(np.equal(counts, count))
-        step = max(1, BLOCK_CELLS // (shifts.size * 16 * count))   # K x N_u per column
-        for j in range(0, same.size, step):
-            cols = same[j:j + step]
-            phase, hw = _mehler_rule(n, radii[cols], count)
-            arg = shifts[:, None] * phase[:, None, :]              # cols x K x N_u
-            cos_m = np.cos(arg)
-            cos_m *= hw[:, None, :]
-            sin_m = np.sin(arg, out=arg)
-            sin_m *= hw[:, None, :]
-            arg = phase[:, :, None] * offsets                      # cols x N_u x 16
-            integral = cos_m @ np.cos(arg) - sin_m @ np.sin(arg)   # cols x K x 16
-            out[:, cols] = (scale[cols, None] * integral.reshape(cols.size, -1)).T
-
-
-def _phi_jacobi(n, beta, shifts, offsets, radii, out):
-    """Write Phi_beta(r) on the (beta, r) block, r >= R_MIN_JACOBI, beta > 0,
-    beta cosh^-2(r) / 4 <= JACOBI_GROWTH_MAX, into out by the Harish-Chandra
-    expansion of the module docstring. The 2F1 coefficients, times
-    (2 / beta) c(beta) i beta, are computed once per beta row
-    (special._GaussSeries); each column chunk sums them against the powers of
-    cosh^-2 r and multiplies by (2 cosh r)^{i beta - rho}, whose phase comes
-    from the panel factors beta = shifts[k] + offsets[i]."""
+    o an offset and phi = r - u^2, its u-sum is two (K x N_u)(N_u x 16)
+    products, batched over columns of one u-panel count whose K x N_u arrays
+    stay under BLOCK_CELLS cells. From the switch on, a block's columns sum
+    the coefficients against the powers of cosh^-2 r and multiply by
+    (2 cosh r)^{i beta - rho}, whose phase comes from the same panel factors.
+    """
+    if n < 2:
+        raise DomainError(f"phi_matrix requires n >= 2, got {n}")
+    beta, radii = beta_grid.nodes, r_grid.nodes
+    shifts, offsets = beta_grid.panel_factors()
+    beta_max = float(np.max(np.abs(beta)))
+    near = int(np.searchsorted(radii, _jacobi_switch_radius(beta_max)))   # nodes increase
+    counts = np.array([_mehler_u_panels(r, beta_max) for r in radii[:near]], dtype=int)
+    scale = _mehler_constant(n) * np.sinh(radii[:near]) ** (2 - n)
     rho = (n - 1) / 2.0
-    ib = 1j * beta
-    # c(beta) * (i beta): Gamma(i beta) = Gamma(1 + i beta) / (i beta), and
-    # 2 Re[z / (i beta)] = 2 Im[z] / beta below
-    log_c = ((rho - ib) * math.log(2.0) + math.lgamma(n / 2.0)
-             + _log_gamma_array(1.0 + ib)
-             - _log_gamma_array(0.5 * (ib + rho))
-             - _log_gamma_array(0.5 * (ib + 0.5 * (n + 1))))
-    log_2cosh = np.logaddexp(radii, -radii)
-    y = np.exp(2.0 * (math.log(2.0) - log_2cosh))
-    series = _GaussSeries(0.5 * (rho - ib), 0.25 * (n + 1) - 0.5 * ib, 1.0 - ib,
-                          scale=2.0 / beta * np.exp(log_c))
-    step = max(1, BLOCK_CELLS // beta.size)
-    for j in range(0, radii.size, step):
-        cols = slice(j, j + step)
+    if near < radii.size:
+        ib = 1j * beta
+        # c(beta) * (i beta): Gamma(i beta) = Gamma(1 + i beta) / (i beta), and
+        # 2 Re[z / (i beta)] = 2 Im[z] / beta below
+        log_c = ((rho - ib) * math.log(2.0) + math.lgamma(n / 2.0)
+                 + _log_gamma_array(1.0 + ib)
+                 - _log_gamma_array(0.5 * (ib + rho))
+                 - _log_gamma_array(0.5 * (ib + 0.5 * (n + 1))))
+        log_2cosh = np.logaddexp(radii, -radii)
+        y = np.exp(2.0 * (math.log(2.0) - log_2cosh))
+        series = _GaussSeries(0.5 * (rho - ib), 0.25 * (n + 1) - 0.5 * ib, 1.0 - ib,
+                              scale=2.0 / beta * np.exp(log_c))
+
+    def mehler(cols, count):
+        phase, hw = _mehler_rule(n, radii[cols], count)
+        arg = shifts[:, None] * phase[:, None, :]              # cols x K x N_u
+        cos_m = np.cos(arg)
+        cos_m *= hw[:, None, :]
+        sin_m = np.sin(arg, out=arg)
+        sin_m *= hw[:, None, :]
+        arg = phase[:, :, None] * offsets                      # cols x N_u x 16
+        integral = cos_m @ np.cos(arg) - sin_m @ np.sin(arg)   # cols x K x 16
+        return (scale[cols, None] * integral.reshape(phase.shape[0], -1)).T
+
+    def jacobi(cols):
         re, im = series(y[cols])
         # Im[(2 cosh r)^{i beta - rho} sum] with e^{i beta L} = e^{i m L} e^{i o L},
         # L = log 2 cosh r: (K x 1 x cols) factors times (16 x cols) ones
@@ -244,7 +264,21 @@ def _phi_jacobi(n, beta, shifts, offsets, radii, out):
         re -= im
         re *= sin_m
         first += re
-        out[:, cols] = first.reshape(beta.size, -1)
+        return first.reshape(beta.size, -1)
+
+    for cols in _column_chunks(beta.size, radii.size):
+        block = np.empty((beta.size, cols.stop - cols.start))
+        j, split = cols.start, min(max(cols.start, near), cols.stop)
+        while j < split:
+            count = counts[j]
+            limit = min(split, j + max(1, BLOCK_CELLS // (shifts.size * 16 * count)))
+            other = np.flatnonzero(counts[j:limit] != count)
+            stop = j + int(other[0]) if other.size else limit
+            block[:, j - cols.start:stop - cols.start] = mehler(slice(j, stop), int(count))
+            j = stop
+        if split < cols.stop:
+            block[:, split - cols.start:] = jacobi(slice(split, cols.stop))
+        yield cols, block
 
 
 def _jacobi_switch_radius(beta_max):
@@ -279,44 +313,69 @@ def spherical_function(n: int, beta, r: float):
 
 
 # ---------------------------------------------------------------------------
-# Phi matrices (beta grid x radial grid), cached: the GJMS bubble scan at
-# non-integer s prices every trial's remainder form by one matrix-vector
-# product on one cached matrix; the spline scan and blowdown read theirs once.
+# Phi matrices (beta grid x radial grid). A transform contracts each block of
+# _phi_blocks as it is built, so a matrix it reads once (the spline scan's,
+# blowdown's) is never held whole. The second transform request of the same
+# (n, exact nodes) builds the matrix and holds it in _PHI_CACHE, and every
+# later request reads it: the GJMS bubble scan at non-integer s prices each
+# trial's remainder form on one held matrix, of its short remainder grid
+# (quotients.REMAINDER_B_MAX). Held or streamed, a transform reads the same
+# blocks in the same order, so its bits do not depend on which.
 # ---------------------------------------------------------------------------
 
 _PHI_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
 _PHI_CACHE_MAX_BYTES = 256 * 2 ** 20
+# hash() of the keys a transform has requested once and that are not held,
+# least recent first; a collision only admits a matrix one request early
+_PHI_REQUESTS: "OrderedDict[int, None]" = OrderedDict()
+_PHI_REQUESTS_MAX = 64
+
+
+def _phi_key(n, beta_grid, r_grid):
+    return (n, beta_grid.fingerprint(), r_grid.fingerprint())
 
 
 def phi_matrix(n: int, beta_grid: RadialGrid, r_grid: RadialGrid) -> np.ndarray:
-    """Phi_beta(r) on beta_grid x r_grid, cached by (n, exact nodes).
+    """Phi_beta(r) on beta_grid x r_grid, filled from the blocks of
+    _phi_blocks and held in _PHI_CACHE by (n, exact nodes).
 
     Columns below the Jacobi switch (R_MIN_JACOBI, raised for large
     frequencies by _jacobi_switch_radius) come from the panel-factored
-    Mehler integral (_phi_near), the rest from the Jacobi expansion
-    (_phi_jacobi); both as matrix products in column chunks (module
-    docstring). Agrees with spherical_function column by column to ~1e-14.
+    Mehler integral, the rest from the Jacobi expansion; both as matrix
+    products in column chunks (module docstring). Agrees with
+    spherical_function column by column to ~1e-14. The least recently used
+    matrices beyond _PHI_CACHE_MAX_BYTES are dropped; the newest stays.
     """
-    if n < 2:
-        raise DomainError(f"phi_matrix requires n >= 2, got {n}")
-    key = (n, beta_grid.fingerprint(), r_grid.fingerprint())
+    key = _phi_key(n, beta_grid, r_grid)
     hit = _PHI_CACHE.get(key)
     if hit is not None:
         _PHI_CACHE.move_to_end(key)
         return hit
-    beta, radii = beta_grid.nodes, r_grid.nodes
-    shifts, offsets = beta_grid.panel_factors()
-    mat = np.empty((beta.size, radii.size))
-    beta_max = float(np.max(np.abs(beta)))
-    near = int(np.searchsorted(radii, _jacobi_switch_radius(beta_max)))   # nodes increase
-    _phi_near(n, shifts, offsets, beta_max, radii[:near], mat[:, :near])
-    _phi_jacobi(n, beta, shifts, offsets, radii[near:], mat[:, near:])
+    mat = np.empty((beta_grid.nodes.size, r_grid.nodes.size))
+    for cols, block in _phi_blocks(n, beta_grid, r_grid):
+        mat[:, cols] = block
     _PHI_CACHE[key] = mat
-    # least recently used first; the matrix just built always stays
     held = sum(m.nbytes for m in _PHI_CACHE.values())
     while held > _PHI_CACHE_MAX_BYTES and len(_PHI_CACHE) > 1:
         held -= _PHI_CACHE.popitem(last=False)[1].nbytes
     return mat
+
+
+def _phi_source(n, beta_grid, r_grid):
+    """The (column slice, block) pairs of Phi on beta_grid x r_grid for one
+    transform: views of the held matrix when _PHI_CACHE holds it or this is
+    the second request of its key (phi_matrix then builds and holds it),
+    else the blocks of _phi_blocks, streamed."""
+    key = _phi_key(n, beta_grid, r_grid)
+    token = hash(key)
+    if key in _PHI_CACHE or token in _PHI_REQUESTS:
+        _PHI_REQUESTS.pop(token, None)
+        mat = phi_matrix(n, beta_grid, r_grid)
+        return ((cols, mat[:, cols]) for cols in _column_chunks(*mat.shape))
+    _PHI_REQUESTS[token] = None
+    if len(_PHI_REQUESTS) > _PHI_REQUESTS_MAX:
+        _PHI_REQUESTS.popitem(last=False)
+    return _phi_blocks(n, beta_grid, r_grid)
 
 
 def default_beta_grid(support_radius: float, b_max: float = DEFAULT_B_MAX) -> RadialGrid:
@@ -348,8 +407,15 @@ def _polar_measure(n, grid):
 
 
 def _transforms(n, beta_grid, grid, columns):
-    """Spherical transforms on beta_grid of the profile columns on grid."""
-    return phi_matrix(n, beta_grid, grid) @ (_polar_measure(n, grid)[:, None] * columns)
+    """Spherical transforms on beta_grid of the profile columns on grid: the
+    sum, in column order, of each Phi block (_phi_source) times its rows of
+    the measure-weighted columns. A streamed block is dropped once it is
+    multiplied, so a single-use transform holds one block, not the matrix."""
+    weighted = _polar_measure(n, grid)[:, None] * columns
+    out = np.zeros((beta_grid.nodes.size, columns.shape[1]))
+    for cols, block in _phi_source(n, beta_grid, grid):
+        out += block @ weighted[cols]
+    return out
 
 
 def inverse_spherical_transform(F: SpectralProfile, n: int, r_grid: RadialGrid,
@@ -366,8 +432,10 @@ def inverse_spherical_transform(F: SpectralProfile, n: int, r_grid: RadialGrid,
         raise TailError(
             f"inverse transform tail fraction {tail:.3e} exceeds tolerance {tail_tol:.1e}"
         )
-    mat = phi_matrix(n, F.beta_grid, r_grid)
-    values = mat.T @ (F.values * dens * F.beta_grid.weights)
+    weighted = F.values * dens * F.beta_grid.weights
+    values = np.empty(r_grid.nodes.size)
+    for cols, block in _phi_source(n, F.beta_grid, r_grid):
+        values[cols] = block.T @ weighted
     return RadialFunction(values=values, grid=r_grid, support_radius=r_grid.r_max,
                           space=Space.HYPERBOLIC)
 
@@ -391,9 +459,9 @@ def _spectral_weights(kinds, p: Params, support_radius: float, b_max: float):
 
 
 def _spectral_forms(kinds, p, grid, columns, support_radius, b_max):
-    """(energy, guards) of the profile columns on grid, supported in
-    [0, support_radius]. With f_hat_i column i's transform on
-    default_beta_grid(support_radius, b_max), energy[i, j] is
+    """(energy, guards, transforms) of the profile columns on grid, supported
+    in [0, support_radius]. With f_hat_i = transforms[:, i], column i's
+    transform on default_beta_grid(support_radius, b_max), energy[i, j] is
     int f_hat_i f_hat_j (sum of the kinds' symbols) |c|^{-2} d beta, and
     columns @ theta passes kind k's tail guard, theta^T guards[k] theta >= 0,
     iff the last decade of that grid carries at most DEFAULT_TAIL_TOL of
@@ -405,7 +473,7 @@ def _spectral_forms(kinds, p, grid, columns, support_radius, b_max):
     guard_weight = DEFAULT_TAIL_TOL - beta_grid.tail_mask
     guards = np.array([(weighted * guard_weight * np.abs(m)) @ transforms for m in symbols])
     energy = (weighted * sum(symbols)) @ transforms
-    return energy, guards
+    return energy, guards, transforms
 
 
 def quadratic_form(kind: MultiplierKind, p: Params, f: RadialFunction,
@@ -422,13 +490,14 @@ def quadratic_form(kind: MultiplierKind, p: Params, f: RadialFunction,
 def _quadratic_form(kinds, p: Params, f: RadialFunction, b_max: float) -> float:
     """The sum of the kinds' quadratic forms of f, from one transform; raises
     TailError when f fails a kind's tail guard."""
-    energy, guards = _spectral_forms(kinds, p, f.grid, _profile_column(f), f.support_radius, b_max)
+    energy, guards, transforms = _spectral_forms(kinds, p, f.grid, _profile_column(f),
+                                                 f.support_radius, b_max)
     failed = np.flatnonzero(guards[:, 0, 0] < 0.0)
     if failed.size:
-        # the tail fraction the first failed guard bounds, on the same cached arrays
+        # the tail fraction the first failed guard bounds, from the same
+        # transform and cached arrays
         beta_grid, dens, symbols = _spectral_weights(kinds, p, f.support_radius, b_max)
-        f_hat = spherical_transform(f, p.n, beta_grid).values
-        tail = beta_grid.tail_fraction(np.abs(symbols[failed[0]]) * f_hat ** 2 * dens)
+        tail = beta_grid.tail_fraction(np.abs(symbols[failed[0]]) * transforms[:, 0] ** 2 * dens)
         raise TailError(
             f"quadratic form tail fraction {tail:.3e} exceeds tolerance {DEFAULT_TAIL_TOL:.1e}"
         )

@@ -1,6 +1,9 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
+from gjmslab import spherical
 from gjmslab.bubbles import smooth_window
 from gjmslab.grids import RadialFunction, Space, uniform_grid
 
@@ -30,3 +33,20 @@ def euclidean_bump(width=0.1, support=0.8, panel_width=0.01):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def phi_passes(monkeypatch):
+    """The (n, rows, columns) of every Phi pass (spherical._phi_blocks call)
+    of the test, which starts with no matrix held and no transform request
+    remembered."""
+    monkeypatch.setattr(spherical, "_PHI_CACHE", OrderedDict())
+    monkeypatch.setattr(spherical, "_PHI_REQUESTS", OrderedDict())
+    passes = []
+
+    def counted(n, beta_grid, r_grid, _fn=spherical._phi_blocks):
+        passes.append((n, beta_grid.nodes.size, r_grid.nodes.size))
+        return _fn(n, beta_grid, r_grid)
+
+    monkeypatch.setattr(spherical, "_phi_blocks", counted)
+    return passes

@@ -171,6 +171,16 @@ class TestBlowdown:
         summary = json.load(open(out + ".summary.json"))
         assert summary["slope"] == pytest.approx(2.0 / 3.0, rel=0.1)
 
+    def test_tail_guard_failure_reports_its_fraction(self, tmp_path, capsys, phi_passes):
+        # at n = 5 the R = 40 arch fails its tail guard; the fraction comes
+        # from the one transform the guard was computed from
+        out = str(tmp_path / "bd.csv")
+        assert run(["blowdown", "--n", "5", "--s", "0.8", "--lambda", "0.9",
+                    "--n-spec", "4,16,64", "--out", out]) == 5
+        assert capsys.readouterr().err == ("numerical error: quadratic form tail fraction "
+                                           "8.701e-04 exceeds tolerance 1.0e-04\n")
+        assert len(phi_passes) == 1 and not os.path.exists(out)
+
     def test_calibration_failure_is_numerical(self, tmp_path, monkeypatch, capsys):
         # an arch whose numerator stays nonnegative is a numerical-contract failure
         from gjmslab import quotients

@@ -131,6 +131,36 @@ class TestBubbleQuotient:
         assert abs(slope - target) <= 0.15 * target
 
 
+    @pytest.mark.parametrize("n, s", [(5, 0.8), (3, 0.6), (4, 0.75), (6, 1.3), (7, 2.5)])
+    def test_short_remainder_grid(self, n, s, monkeypatch):
+        # sin(pi s) / cosh(pi beta), the remainder symbol over the intertwined
+        # one, is below 2^-53 beyond beta = 12: cutting the remainder form at
+        # REMAINDER_B_MAX leaves it within 1e-14 of the b_max 60 form on the
+        # box edge delta = 0.245, and the GJMS energy within 1e-14 of itself
+        # on the box corners, where a tiny remainder form moves more
+        import gjmslab.quotients as quotients
+        from gjmslab.bubbles import sampled_bubble
+        from gjmslab.geometry import ball_to_geodesic, conformal_lift
+
+        assert 12.0 <= quotients.REMAINDER_B_MAX <= 16.0
+        assert math.sin(math.pi * s) / math.cosh(12.0 * math.pi) < 2.0 ** -53
+        p = Params(n, s)
+        for eps in (0.02, 0.1, 0.3):
+            bp = BubbleParams(eps, 0.245)
+            u = conformal_lift(sampled_bubble(p, bp), p)
+            grid = quotients.standard_hyperbolic_grid(float(ball_to_geodesic(2.0 * bp.delta)))
+            u = RadialFunction.from_profile(u.profile, grid, u.support_radius, Space.HYPERBOLIC)
+            short, full = (quadratic_form(MultiplierKind.REMAINDER, p, u, b_max=b_max)
+                           for b_max in (quotients.REMAINDER_B_MAX, DEFAULT_B_MAX))
+            assert abs(short - full) <= 1e-14 * abs(full)
+        corners = [BubbleParams(eps, delta) for eps in (0.02, 0.3) for delta in (0.05, 0.245)]
+        short = [bubble_quotient(GJMS, p, 0.0, bp).energy for bp in corners]
+        monkeypatch.setattr(quotients, "REMAINDER_B_MAX", DEFAULT_B_MAX)
+        for bp, energy in zip(corners, short):
+            full = bubble_quotient(GJMS, p, 0.0, bp).energy
+            assert abs(energy - full) <= 1e-14 * abs(full)
+
+
 class TestSplineTrial:
     def test_knot_count_validation(self):
         fam = SplineFamily(knots=8, radius=3.0)
@@ -397,25 +427,30 @@ class TestGapScan:
             best = min(trial.at_lambda(lam).quotient for trial in grid)
             assert rep.quotient <= (1.0 + 1e-6) * best
 
-    def test_gjms_at_integer_s_is_the_intertwined_scan(self, monkeypatch):
+    def test_gjms_at_integer_s_is_the_intertwined_scan(self, phi_passes):
         # at integer s the remainder symbol is exactly 0: the GJMS bubble
         # scan lifts and transforms no trial, and both families return the
         # intertwined scan's reports bit for bit
-        import gjmslab.spherical as spherical
-
         p, lambdas = Params(3, 1.0), [0.0, 0.2]
         intertwined = gap_scan(INT, p, lambdas, BubbleFamily())
-        calls = []
-
-        def counted(*args, _fn=spherical.phi_matrix):
-            calls.append(1)
-            return _fn(*args)
-
-        monkeypatch.setattr(spherical, "phi_matrix", counted)
+        # phi_passes starts with no matrix held, so a transform would build one
         assert gap_scan(GJMS, p, lambdas, BubbleFamily()) == intertwined
-        assert calls == []
+        assert phi_passes == []
         family = SplineFamily(knots=6, radius=3.0)
         assert gap_scan(GJMS, p, lambdas, family) == gap_scan(INT, p, lambdas, family)
+
+    def test_gjms_bubble_scan_holds_one_short_matrix(self, phi_passes):
+        # every trial's remainder form reads one Phi of the short remainder
+        # grid: streamed at the first request, held from the second on
+        import gjmslab.quotients as quotients
+        import gjmslab.spherical as spherical
+
+        reports = gap_scan(GJMS, Params(5, 0.8), [0.0, 0.25], BubbleFamily())
+        assert len(reports) == 2
+        rows = spherical.default_beta_grid(1.0, quotients.REMAINDER_B_MAX).nodes.size
+        assert rows == 128 and 1 <= len(phi_passes) <= 2
+        assert all(n == 5 and beta == rows for n, beta, _ in phi_passes)
+        assert [m.shape[0] for m in spherical._PHI_CACHE.values()] == [rows]
 
     def test_spline_scan_builds_the_forms_once(self, monkeypatch):
         # one build of the family's matrices serves every lambda; a search

@@ -41,7 +41,7 @@ class TestLogGamma:
         assert 2 * val.real == pytest.approx(math.log(math.pi / math.cosh(math.pi)), abs=1e-12)
 
     def test_against_mpmath_grid(self, rng):
-        # Re z < 1/2 takes the reflection branch (as _phi_jacobi does at n = 2
+        # Re z < 1/2 takes the reflection branch (as the Jacobi columns of _phi_blocks do at n = 2
         # and _gjms for s > 1/2), and |Im z| > 20 there the large-|Im z| branch
         # of _log_sin_pi
         z = rng.uniform(-4.7, 6.0, 60) + 1j * rng.uniform(-25.0, 25.0, 60)

@@ -390,6 +390,102 @@ class TestPhiMatrixJacobi:
             phi_matrix(1, default_beta_grid(3.0, 8.0), _radii_grid([2.0]))
 
 
+def _weighted_columns(n, grid):
+    """Three profile columns on grid times the polar measure, as a transform
+    contracts them."""
+    r = grid.nodes
+    columns = np.column_stack([np.exp(-r * r / w) * (r <= grid.r_max) for w in (0.3, 1.0, 4.0)])
+    return spherical._polar_measure(n, grid)[:, None] * columns
+
+
+class TestStreamedTransforms:
+    """A transform contracts each Phi block as it is built; the second request
+    of a (n, grids) key holds the matrix and later ones read it."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("b_max", [60.0, 120.0])
+    def test_streamed_matches_the_matrix_product(self, n, b_max, phi_passes):
+        # the grid crosses the Jacobi switch (raised to r ~ 1.36 at b_max = 120)
+        bg, grid = default_beta_grid(3.5, b_max), standard_hyperbolic_grid(3.5)
+        switch = spherical._jacobi_switch_radius(float(bg.nodes[-1]))
+        assert grid.nodes[0] < switch < grid.nodes[-1]
+        columns = _weighted_columns(n, grid) / spherical._polar_measure(n, grid)[:, None]
+        streamed = spherical._transforms(n, bg, grid, columns)
+        assert len(phi_passes) == 1 and not spherical._PHI_CACHE
+        whole = phi_matrix(n, bg, grid) @ _weighted_columns(n, grid)
+        assert np.max(np.abs(streamed - whole)) <= 1e-14 * np.max(np.abs(whole))
+
+    def test_blocks_are_the_column_chunks(self, phi_passes):
+        bg, grid = default_beta_grid(3.5, 60.0), standard_hyperbolic_grid(3.5)
+        chunks = spherical._column_chunks(bg.nodes.size, grid.nodes.size)
+        assert chunks[0].start == 0 and chunks[-1].stop == grid.nodes.size
+        assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+        whole = phi_matrix(3, bg, grid)
+        for cols, (got, block) in zip(chunks, spherical._phi_blocks(3, bg, grid)):
+            assert got == cols and block.flags.c_contiguous
+            assert bg.nodes.size * block.shape[1] <= spherical.BLOCK_CELLS
+            assert np.array_equal(block, whole[:, cols])
+
+    def test_single_use_forms_hold_no_matrix(self, phi_passes):
+        f = hyperbolic_bump(0.8, 3.0)
+        spherical._spectral_forms((INT, MultiplierKind.REMAINDER), Params(4, 0.75), f.grid,
+                                  f.values[:, None], f.support_radius, 60.0)
+        assert len(phi_passes) == 1 and not spherical._PHI_CACHE
+
+    def test_second_request_admits_and_hits_read_it(self, phi_passes):
+        bg, grid = default_beta_grid(3.5, 60.0), standard_hyperbolic_grid(3.5)
+        columns = _weighted_columns(5, grid)
+        streamed = spherical._transforms(5, bg, grid, columns)
+        assert not spherical._PHI_CACHE
+        admitted = spherical._transforms(5, bg, grid, columns)
+        assert len(phi_passes) == 2 and len(spherical._PHI_CACHE) == 1
+        held = next(iter(spherical._PHI_CACHE.values()))
+        hits = [spherical._transforms(5, bg, grid, columns) for _ in range(3)]
+        assert len(phi_passes) == 2 and phi_matrix(5, bg, grid) is held
+        # held or streamed, the same blocks are contracted in the same order
+        for result in [streamed] + hits:
+            assert result.tobytes() == admitted.tobytes()
+
+    def test_requests_are_remembered_per_key(self, phi_passes):
+        bg = default_beta_grid(3.0, 8.0)
+        a, b = uniform_grid(2.0), uniform_grid(3.0)
+        for grid in (a, b, a):
+            spherical._transforms(3, bg, grid, np.ones((grid.nodes.size, 1)))
+        assert [cols for _, _, cols in phi_passes] == [a.nodes.size, b.nodes.size,
+                                                        a.nodes.size]
+        assert [m.shape[1] for m in spherical._PHI_CACHE.values()] == [a.nodes.size]
+
+    def test_inverse_transform_streams_and_hits(self, phi_passes):
+        f = hyperbolic_bump(0.8, 3.0)
+        F = spherical_transform(f, 3, default_beta_grid(3.0, 60.0))
+        grid = uniform_grid(3.0, panel_width=0.1)   # a key of its own
+        streamed = inverse_spherical_transform(F, 3, grid, tail_tol=1e-3)
+        assert len(phi_passes) == 2 and not spherical._PHI_CACHE
+        admitted = inverse_spherical_transform(F, 3, grid, tail_tol=1e-3)
+        hit = inverse_spherical_transform(F, 3, grid, tail_tol=1e-3)
+        assert len(phi_passes) == 3 and hit.values.tobytes() == admitted.values.tobytes()
+        scale = np.max(np.abs(admitted.values))
+        assert np.max(np.abs(streamed.values - admitted.values)) <= 1e-14 * scale
+
+    def test_single_use_spline_forms_memory(self, phi_passes):
+        # the (3, 1) R = 3.5 spline forms at b_max 240 read a 1920 x 1600 Phi
+        # (24.6 MB) once; streamed, they hold under a quarter of it
+        from gjmslab.quotients import SplineFamily, _spline_forms
+
+        family = SplineFamily(knots=12, radius=3.5)
+        phi_bytes = 8 * default_beta_grid(3.5, 240.0).nodes.size * \
+            standard_hyperbolic_grid(3.5).nodes.size
+        assert phi_bytes == pytest.approx(24.6e6, rel=1e-3)
+        tracemalloc.start()
+        try:
+            _spline_forms(MultiplierKind.GJMS, Params(3, 1.0), family, 240.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(phi_passes) == 1 and not spherical._PHI_CACHE
+        assert peak < phi_bytes / 4
+
+
 class TestQuadraticForm:
     def test_identity_hook_is_l2(self, symbol_hook):
         p = Params(3, 1.0)
