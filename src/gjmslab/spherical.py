@@ -319,8 +319,9 @@ def spherical_function(n: int, beta, r: float):
 # (n, exact nodes) builds the matrix and holds it in _PHI_CACHE, and every
 # later request reads it: the GJMS bubble scan at non-integer s prices each
 # trial's remainder form on one held matrix, of its short remainder grid
-# (quotients.REMAINDER_B_MAX). Held or streamed, a transform reads the same
-# blocks in the same order, so its bits do not depend on which.
+# (quotients.REMAINDER_B_MAX). Held or streamed, _transforms multiplies the
+# same blocks in the same order, and its bits do not depend on which (the
+# BLAS product of a block does not depend on its row stride).
 # ---------------------------------------------------------------------------
 
 _PHI_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()

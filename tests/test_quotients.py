@@ -130,7 +130,6 @@ class TestBubbleQuotient:
         target = p.n - 2.0 * p.s
         assert abs(slope - target) <= 0.15 * target
 
-
     @pytest.mark.parametrize("n, s", [(5, 0.8), (3, 0.6), (4, 0.75), (6, 1.3), (7, 2.5)])
     def test_short_remainder_grid(self, n, s, monkeypatch):
         # sin(pi s) / cosh(pi beta), the remainder symbol over the intertwined

@@ -390,12 +390,10 @@ class TestPhiMatrixJacobi:
             phi_matrix(1, default_beta_grid(3.0, 8.0), _radii_grid([2.0]))
 
 
-def _weighted_columns(n, grid):
-    """Three profile columns on grid times the polar measure, as a transform
-    contracts them."""
+def _profile_columns(grid):
+    """Three Gaussian profile columns on grid."""
     r = grid.nodes
-    columns = np.column_stack([np.exp(-r * r / w) * (r <= grid.r_max) for w in (0.3, 1.0, 4.0)])
-    return spherical._polar_measure(n, grid)[:, None] * columns
+    return np.column_stack([np.exp(-r * r / w) for w in (0.3, 1.0, 4.0)])
 
 
 class TestStreamedTransforms:
@@ -409,10 +407,10 @@ class TestStreamedTransforms:
         bg, grid = default_beta_grid(3.5, b_max), standard_hyperbolic_grid(3.5)
         switch = spherical._jacobi_switch_radius(float(bg.nodes[-1]))
         assert grid.nodes[0] < switch < grid.nodes[-1]
-        columns = _weighted_columns(n, grid) / spherical._polar_measure(n, grid)[:, None]
+        columns = _profile_columns(grid)
         streamed = spherical._transforms(n, bg, grid, columns)
         assert len(phi_passes) == 1 and not spherical._PHI_CACHE
-        whole = phi_matrix(n, bg, grid) @ _weighted_columns(n, grid)
+        whole = phi_matrix(n, bg, grid) @ (spherical._polar_measure(n, grid)[:, None] * columns)
         assert np.max(np.abs(streamed - whole)) <= 1e-14 * np.max(np.abs(whole))
 
     def test_blocks_are_the_column_chunks(self, phi_passes):
@@ -434,7 +432,7 @@ class TestStreamedTransforms:
 
     def test_second_request_admits_and_hits_read_it(self, phi_passes):
         bg, grid = default_beta_grid(3.5, 60.0), standard_hyperbolic_grid(3.5)
-        columns = _weighted_columns(5, grid)
+        columns = _profile_columns(grid)
         streamed = spherical._transforms(5, bg, grid, columns)
         assert not spherical._PHI_CACHE
         admitted = spherical._transforms(5, bg, grid, columns)
