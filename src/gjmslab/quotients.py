@@ -5,7 +5,6 @@ sharp-constant estimate. The spline search is a Newton SQP (Nocedal-Wright,
 ch. 18) in numpy on the family's quadratic forms."""
 
 import functools
-import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -28,8 +27,8 @@ from .geometry import ball_to_geodesic, conformal_lift
 from .grids import RadialFunction, Space, uniform_grid
 from .multipliers import multiplier, sin_pi, spectral_bottom
 from .params import MultiplierKind, Params
-from .spherical import DEFAULT_B_MAX, _polar_measure, _quadratic_form, _spectral_forms, \
-    decay_slope, lp_mass, quadratic_form, regularized_kernel
+from .spherical import DEFAULT_B_MAX, _polar_measure, _spectral_forms, decay_slope, lp_mass, \
+    quadratic_form, regularized_kernel
 
 log = logging.getLogger(__name__)
 
@@ -81,28 +80,28 @@ def _report(p, lam, energy, l2, crit_integral, descriptor):
     return QuotientReport(lam, energy, l2, crit, quotient, descriptor)
 
 
-def _energy_kinds(kind, p):
-    """The symbols whose forms add up to kind's energy: INTERTWINED, plus for
-    GJMS the REMAINDER unless sin(pi s) is 0 (integer s), where it vanishes."""
+def _energy_kind(kind, p):
+    """The symbol that prices kind's energy: kind itself, except INTERTWINED
+    for GJMS at integer s, where sin(pi s) = 0, the remainder vanishes and
+    the two symbols agree."""
     if kind not in (MultiplierKind.GJMS, MultiplierKind.INTERTWINED):
         raise ParameterError("a quotient needs the GJMS or INTERTWINED kind")
-    if kind is MultiplierKind.GJMS and sin_pi(p.s) != 0.0:
-        return (MultiplierKind.INTERTWINED, MultiplierKind.REMAINDER)
-    return (MultiplierKind.INTERTWINED,)
+    if kind is MultiplierKind.GJMS and sin_pi(p.s) == 0.0:
+        return MultiplierKind.INTERTWINED
+    return kind
 
 
 def sobolev_quotient(kind: MultiplierKind, p: Params, lam: float,
                      u: RadialFunction, b_max: float = DEFAULT_B_MAX) -> QuotientReport:
     """Quotient of an arbitrary radial hyperbolic trial.
 
-    The energy goes through the spectral quadratic form; for GJMS at
-    non-integer s it is assembled as the intertwined energy plus the
-    remainder-symbol form, both read from one spherical transform of u.
+    The energy is the spectral quadratic form of the symbol of kind
+    (_energy_kind), from one spherical transform of u.
     """
-    kinds = _energy_kinds(kind, p)
+    energy_kind = _energy_kind(kind, p)
     if u.is_zero():
         raise ZeroTrial("sobolev_quotient needs a nonzero trial")
-    energy = _quadratic_form(kinds, p, u, b_max)
+    energy = quadratic_form(energy_kind, p, u, b_max)
     l2 = lp_mass(u, p.n, 2.0)
     crit_integral = lp_mass(u, p.n, p.two_star)
     return _report(p, lam, energy, l2, crit_integral, f"radial[{kind.value}]")
@@ -114,14 +113,15 @@ def bubble_quotient(kind: MultiplierKind, p: Params, lam: float,
 
     The intertwined energy is taken as the Euclidean fractional energy of
     the truncated bubble (the exact conformal reduction; bubble_energy, a
-    Dirichlet integral at s = 1); GJMS at non-integer
-    s adds the remainder form of the lifted trial (spherical transform), on
-    frequencies up to min(b_max, REMAINDER_B_MAX).
+    Dirichlet integral at s = 1). This is the one energy that uses the
+    split P_s = P~_s + B_s: GJMS at non-integer s adds the remainder form of
+    the lifted trial (spherical transform), on frequencies up to
+    min(b_max, REMAINDER_B_MAX).
     """
-    kinds = _energy_kinds(kind, p)
+    add_remainder = _energy_kind(kind, p) is MultiplierKind.GJMS
     w = sampled_bubble(p, bp)
     energy = bubble_energy(p, bp, w)
-    if MultiplierKind.REMAINDER in kinds:
+    if add_remainder:
         u = conformal_lift(w, p)
         grid = standard_hyperbolic_grid(float(ball_to_geodesic(2.0 * bp.delta)))
         u_std = RadialFunction.from_profile(u.profile, grid, u.support_radius,
@@ -331,20 +331,21 @@ def _spline_start_candidates(family, p):
 
 
 def _spline_forms(kind, p, family, b_max):
-    """(basis, measure, energy, l2, guards) of the family on its full support:
+    """(basis, measure, energy, l2, guard) of the family on its full support:
     knot values theta give the trial basis @ theta, critical integral
     measure @ |basis @ theta|^{2*}, energy theta^T energy theta, L2 mass
     theta^T l2 theta, and pass the tail guard of quadratic_form for the
-    energy's k-th symbol iff theta^T guards[k] theta >= 0 (_spectral_forms)."""
+    energy's symbol (_energy_kind) iff theta^T guard theta >= 0
+    (_spectral_forms)."""
     grid = standard_hyperbolic_grid(family.radius)
     r = grid.nodes
     inside = r <= family.radius
     basis = np.zeros((r.size, family.knots - 1))
     basis[inside] = _windowed_spline(family, np.eye(family.knots, family.knots - 1))(r[inside])
     measure = _polar_measure(p.n, grid)
-    energy, guards, _ = _spectral_forms(_energy_kinds(kind, p), p, grid, basis, family.radius,
-                                        b_max)
-    return basis, measure, energy, basis.T @ (measure[:, None] * basis), guards
+    energy, guard, _ = _spectral_forms(_energy_kind(kind, p), p, grid, basis, family.radius,
+                                       b_max)
+    return basis, measure, energy, basis.T @ (measure[:, None] * basis), guard
 
 
 def _spline_report(family, p, lam, forms, theta):
@@ -358,62 +359,61 @@ def _spline_report(family, p, lam, forms, theta):
                    crit_integral, f"spline[m={family.knots},R={family.radius:.6g},theta={values}]")
 
 
-def _guarded_newton_step(grad, vals, vecs, jac, values, margins):
+def _guarded_newton_step(grad, vals, vecs, jac, value, margin):
     """Minimizer y of grad.y + y^T H y / 2, H = vecs diag(vals) vecs^T positive
-    definite, under values + jac @ y >= margins, and its multipliers: the
-    KKT point of the first active set, fewest rows first, whose multipliers
-    are nonnegative and whose inactive rows reach half their margin; None
-    when no active set gives one."""
+    definite, under value + jac.y >= margin, and its multiplier mu: the free
+    Newton step (mu = 0) when it reaches half the margin, else the step with
+    the guard active, value + jac.y = margin; None when jac is a zero row or
+    the active step has a negative multiplier or falls short of half the
+    margin."""
     inverse = (vecs / vals) @ vecs.T
     newton = -inverse @ grad
-    for size in range(len(values) + 1):
-        for active in map(list, itertools.combinations(range(len(values)), size)):
-            mu = np.zeros(len(values))
-            if active:
-                rows = jac[active]
-                try:    # singular when the active rows are linearly dependent
-                    mu[active] = np.linalg.solve(
-                        rows @ inverse @ rows.T, (margins - values)[active] - rows @ newton)
-                except np.linalg.LinAlgError:
-                    continue
-            y = newton + inverse @ (jac.T @ mu)
-            if np.all(mu >= 0.0) and np.all(values + jac @ y >= 0.5 * margins):
-                return y, mu
+    mu = 0.0
+    if value + jac @ newton < 0.5 * margin:
+        curvature = jac @ inverse @ jac
+        if curvature == 0.0:
+            return None
+        mu = (margin - value - jac @ newton) / curvature
+    y = newton + inverse @ (jac * mu)
+    if mu >= 0.0 and value + jac @ y >= 0.5 * margin:
+        return y, mu
     return None
 
 
 def _minimize_spline(p, lam, family, budget, forms):
     """Newton SQP (Nocedal-Wright, ch. 18) on Q = theta^T (A - lam M) theta /
-    crit^{2/2*} under the tail guards theta^T G_k theta >= 0, from the best
+    crit^{2/2*} under the tail guard theta^T G theta >= 0, from the best
     start candidate scaled to unit critical integral; forms: _spline_forms.
 
-    Q is 0-homogeneous and the guards 2-homogeneous, so each step d is
+    Q is 0-homogeneous and the guard 2-homogeneous, so each step d is
     tangent (theta^T d = 0) and each trial is rescaled to unit critical
     integral. The step minimizes the quadratic model of Q with the exact
     Lagrangian Hessian on the tangent space, its eigenvalues clamped to
-    positive, under the linearized guards held 1e-12 |theta|^T |G_k| |theta|
+    positive, under the linearized guard held 1e-12 |theta|^T |G| |theta|
     inside; it is halved until an l1 merit decreases. Every trial is
     priced, line-search trials included.
     Returns True once an admissible trial moves Q by <= 1e-14 relative or a
-    step is <= 1e-12 |theta|, and False when the linearized guards admit no
+    step is <= 1e-12 |theta|, and False when the linearized guard admits no
     step.
     """
-    basis, measure, energy, l2, guards = forms
+    basis, measure, energy, l2, guard = forms
     shifted = energy - lam * l2
     power = p.two_star
-    magnitudes = np.abs(guards)
+    magnitude = np.abs(guard)
 
     def unit(theta):
         return theta / (measure @ np.abs(basis @ theta) ** power) ** (1.0 / power)
 
-    def guard_values(theta, matrices=guards):
-        return np.einsum("i,kij,j->k", theta, matrices, theta)
+    def guard_value(theta, matrix=guard):
+        # einsum's summation order, not BLAS's: theta @ G @ theta rounds
+        # differently and moves the (3, 1) spline winner in its last bits
+        return float(np.einsum("i,ij,j->", theta, matrix, theta))
 
     def quotient(theta):
-        # a trial outside a guard steers the search but is never returned
-        g = guard_values(theta)
+        # a trial outside the guard steers the search but is never returned
+        g = guard_value(theta)
         return budget.price(_spline_report, family, p, lam, forms, theta,
-                            admissible=bool(np.all(g >= 0.0))), g
+                            admissible=g >= 0.0), g
 
     def gradient_hessian(theta):
         # of Q at unit critical integral: N = measure @ |u|^{2*}, u = basis
@@ -433,36 +433,36 @@ def _minimize_spline(p, lam, family, budget, forms):
     start = [quotient(cand)[0] for cand in candidates]
     best = int(np.argmin(start))
     theta, q = unit(candidates[best]), start[best]
-    g = guard_values(theta)
-    mu, nu = np.zeros(len(guards)), 0.0
+    g = guard_value(theta)
+    mu, nu = 0.0, 0.0
     while True:
         gradient, hessian = gradient_hessian(theta)
-        hessian -= 2.0 * np.tensordot(mu, guards, axes=1)
+        hessian -= 2.0 * mu * guard
         tangent = np.linalg.qr(theta[:, None], mode="complete")[0][:, 1:]
         vals, vecs = np.linalg.eigh(tangent.T @ hessian @ tangent)
         vals = np.maximum(np.abs(vals), 1e-15 * np.max(np.abs(vals)))
         step = _guarded_newton_step(tangent.T @ gradient, vals, vecs,
-                                    2.0 * (guards @ theta) @ tangent, g,
-                                    1e-12 * guard_values(np.abs(theta), magnitudes))
+                                    2.0 * (guard @ theta) @ tangent, g,
+                                    1e-12 * guard_value(np.abs(theta), magnitude))
         if step is None:
             return False
         d, mu = tangent @ step[0], step[1]
         if np.linalg.norm(d) <= 1e-12 * np.linalg.norm(theta):
             return True
-        nu = max(nu, 1.5 * float(np.max(mu)))
-        violation = np.sum(np.maximum(-g, 0.0))
+        nu = max(nu, 1.5 * mu)
+        violation = max(-g, 0.0)
         merit = q + nu * violation
         slope = min(gradient @ d - nu * violation, 0.0)
         alpha = 1.0
         while True:
             trial = unit(theta + alpha * d)
             q_trial, g_trial = quotient(trial)
-            if q_trial + nu * np.sum(np.maximum(-g_trial, 0.0)) <= merit + 1e-4 * alpha * slope:
+            if q_trial + nu * max(-g_trial, 0.0) <= merit + 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
             if alpha * np.linalg.norm(d) <= 1e-12 * np.linalg.norm(theta):
                 return True
-        done = bool(np.all(g_trial >= 0.0)) and abs(q_trial - q) <= 1e-14 * abs(q)
+        done = g_trial >= 0.0 and abs(q_trial - q) <= 1e-14 * abs(q)
         theta, q, g = trial, q_trial, g_trial
         if done:
             return True
@@ -476,7 +476,7 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
     on the box edge the sign of lambda selects; an evaluation is one
     bubble_quotient or the read-back of one priced at an earlier lambda.
     SplineFamily: a Newton SQP over knot values under quadratic_form's tail
-    guard for each symbol of the energy, stopped once a guard-passing trial
+    guard for the symbol of the energy, stopped once a guard-passing trial
     moves the quotient by <= 1e-14 relative or a step is <= 1e-12 |theta|;
     an evaluation is one _spline_report from the family's matrices, built
     once per scan (line-search trials included), and only guard-passing
@@ -554,13 +554,8 @@ def multibump_blowdown(p: Params, q: float, C: float, alpha: float,
         raise ParameterError("multibump_blowdown needs q > 0 (a measured negative numerator)")
     if not (C >= 0.0 and alpha > 0.0 and R0 > 0.0 and crit_norm_phi > 0.0):
         raise ParameterError("C >= 0, alpha > 0, R0 > 0, crit_norm > 0 required")
-    return _bound_table(p, q, C, alpha, R0, _counts(N_values), crit_norm_phi)
-
-
-def _bound_table(p, q, C, alpha, R0, counts, crit_norm_phi):
-    """multibump_blowdown's rows for validated arguments and integer counts."""
     rows = []
-    for N in counts:
+    for N in _counts(N_values):
         R_N = (2.0 / alpha) * math.log(N) + R0
         bound = -N * q + 2.0 * C * N * N * math.exp(-alpha * R_N)
         scaled = bound / (N ** (2.0 / p.two_star) * crit_norm_phi)
@@ -621,7 +616,7 @@ def blowdown(p: Params, lam: float, N_values):
     l1_norm = lp_mass(u, p.n, 1.0)
     C = max(abs(k) * math.exp(alpha * r) for k, r in zip(ks, fit_radii)) * l1_norm ** 2
     R0 = max(1.0, math.log(8.0 * C / q) / alpha)
-    table = _bound_table(p, q, C, alpha, R0, counts, rep.crit_norm)
+    table = multibump_blowdown(p, q, C, alpha, R0, counts, rep.crit_norm)
     rows = [(r["N"], r["R_N"], r["bound"], r["scaled_bound"]) for r in table]
     scaled = np.array([-r["scaled_bound"] for r in table])
     ns = np.array([r["N"] for r in table], dtype=float)

@@ -1,7 +1,7 @@
 """Radial spherical-transform calculus on hyperbolic space.
 
 Plancherel density, spherical functions, forward/inverse transforms,
-spectral quadratic forms (every energy and tail guard from _spectral_forms),
+spectral quadratic forms (each energy and its one tail guard from _spectral_forms),
 and the regularized radial kernel with its decay experiment (kernel_decay).
 The spherical function Phi_beta(r) is the Legendre function of degree
 -1/2 + i*beta. Pointwise (spherical_function) it is evaluated through the
@@ -448,33 +448,32 @@ def lp_mass(f: RadialFunction, n: int, p_exp: float) -> float:
 
 
 @functools.lru_cache(maxsize=32)
-def _spectral_weights(kinds, p: Params, support_radius: float, b_max: float):
-    """default_beta_grid(support_radius, b_max), |c|^{-2} and each kind's
-    multiplier on its nodes, read-only."""
+def _spectral_weights(kind, p: Params, support_radius: float, b_max: float):
+    """default_beta_grid(support_radius, b_max), |c|^{-2} and the multiplier
+    of kind on its nodes, read-only."""
     beta_grid = default_beta_grid(support_radius, b_max)
     dens = plancherel_density(p.n, beta_grid.nodes)
-    symbols = tuple(multiplier(kind, p, beta_grid.nodes) for kind in kinds)
-    for array in (beta_grid.nodes, beta_grid.weights, dens, *symbols):
+    symbol = multiplier(kind, p, beta_grid.nodes)
+    for array in (beta_grid.nodes, beta_grid.weights, dens, symbol):
         array.flags.writeable = False
-    return beta_grid, dens, symbols
+    return beta_grid, dens, symbol
 
 
-def _spectral_forms(kinds, p, grid, columns, support_radius, b_max):
-    """(energy, guards, transforms) of the profile columns on grid, supported
+def _spectral_forms(kind, p, grid, columns, support_radius, b_max):
+    """(energy, guard, transforms) of the profile columns on grid, supported
     in [0, support_radius]. With f_hat_i = transforms[:, i], column i's
     transform on default_beta_grid(support_radius, b_max), energy[i, j] is
-    int f_hat_i f_hat_j (sum of the kinds' symbols) |c|^{-2} d beta, and
-    columns @ theta passes kind k's tail guard, theta^T guards[k] theta >= 0,
-    iff the last decade of that grid carries at most DEFAULT_TAIL_TOL of
-    int |m_k| |f_hat|^2 |c|^{-2} d beta."""
-    beta_grid, dens, symbols = _spectral_weights(kinds, p, support_radius, b_max)
+    int f_hat_i f_hat_j m |c|^{-2} d beta, m the multiplier of kind, and
+    columns @ theta passes the tail guard, theta^T guard theta >= 0, iff the
+    last decade of that grid carries at most DEFAULT_TAIL_TOL of
+    int |m| |f_hat|^2 |c|^{-2} d beta."""
+    beta_grid, dens, symbol = _spectral_weights(kind, p, support_radius, b_max)
     transforms = _transforms(p.n, beta_grid, grid, columns)
     weighted = transforms.T * (beta_grid.weights * dens)
     # tol * total - tail of |m| |f_hat|^2 |c|^{-2}, the tail as in tail_fraction
-    guard_weight = DEFAULT_TAIL_TOL - beta_grid.tail_mask
-    guards = np.array([(weighted * guard_weight * np.abs(m)) @ transforms for m in symbols])
-    energy = (weighted * sum(symbols)) @ transforms
-    return energy, guards, transforms
+    guard = (weighted * (DEFAULT_TAIL_TOL - beta_grid.tail_mask) * np.abs(symbol)) @ transforms
+    energy = (weighted * symbol) @ transforms
+    return energy, guard, transforms
 
 
 def quadratic_form(kind: MultiplierKind, p: Params, f: RadialFunction,
@@ -483,22 +482,13 @@ def quadratic_form(kind: MultiplierKind, p: Params, f: RadialFunction,
     kind (half-line normalization, as in the radial Plancherel identity).
 
     The one-column case of _spectral_forms: raises TailError when f fails
-    its tail guard.
+    its tail guard, with the tail fraction read from the same transform.
     """
-    return _quadratic_form((kind,), p, f, b_max)
-
-
-def _quadratic_form(kinds, p: Params, f: RadialFunction, b_max: float) -> float:
-    """The sum of the kinds' quadratic forms of f, from one transform; raises
-    TailError when f fails a kind's tail guard."""
-    energy, guards, transforms = _spectral_forms(kinds, p, f.grid, _profile_column(f),
-                                                 f.support_radius, b_max)
-    failed = np.flatnonzero(guards[:, 0, 0] < 0.0)
-    if failed.size:
-        # the tail fraction the first failed guard bounds, from the same
-        # transform and cached arrays
-        beta_grid, dens, symbols = _spectral_weights(kinds, p, f.support_radius, b_max)
-        tail = beta_grid.tail_fraction(np.abs(symbols[failed[0]]) * transforms[:, 0] ** 2 * dens)
+    energy, guard, transforms = _spectral_forms(kind, p, f.grid, _profile_column(f),
+                                                f.support_radius, b_max)
+    if guard[0, 0] < 0.0:
+        beta_grid, dens, symbol = _spectral_weights(kind, p, f.support_radius, b_max)
+        tail = beta_grid.tail_fraction(np.abs(symbol) * transforms[:, 0] ** 2 * dens)
         raise TailError(
             f"quadratic form tail fraction {tail:.3e} exceeds tolerance {DEFAULT_TAIL_TOL:.1e}"
         )

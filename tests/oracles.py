@@ -119,21 +119,21 @@ def panelwise_regularized_kernel(kind, p, r, eps_reg, rel_tol=1e-10, max_panels=
 
 
 def slsqp_spline_search(p, lam, family, budget, forms):
-    """SLSQP on theta^T (A - lam M) theta / crit^{2/2*} under the tail guards
+    """SLSQP on theta^T (A - lam M) theta / crit^{2/2*} under the tail guard
     of the family's _spline_forms, from the best start candidate scaled to
     unit critical integral; returns whether it converged (at SLSQP's default
     accuracy, 1e-6 on Q). Takes the place of quotients._minimize_spline in
     gap_scan."""
-    basis, measure, energy, l2, guards = forms
+    basis, measure, energy, l2, guard = forms
     shifted = energy - lam * l2
 
-    def guard_values(theta):
-        return np.einsum("i,kij,j->k", theta, guards, theta)
+    def guard_value(theta):
+        return theta @ guard @ theta
 
     def quotient(theta):
-        # a trial outside a guard steers the search but is never returned
+        # a trial outside the guard steers the search but is never returned
         return budget.price(_spline_report, family, p, lam, forms, theta,
-                            admissible=bool(np.all(guard_values(theta) >= 0.0)))
+                            admissible=bool(guard_value(theta) >= 0.0))
 
     def gradient(theta):
         u = basis @ theta
@@ -148,7 +148,7 @@ def slsqp_spline_search(p, lam, family, budget, forms):
     theta0 = candidates[int(np.argmin([quotient(cand) for cand in candidates]))]
     theta0 = theta0 / (measure @ np.abs(basis @ theta0) ** p.two_star) ** (1.0 / p.two_star)
     result = minimize(quotient, theta0, jac=gradient, method="SLSQP",
-                      constraints={"type": "ineq", "fun": guard_values,
-                                   "jac": lambda theta: 2.0 * guards @ theta},
+                      constraints={"type": "ineq", "fun": guard_value,
+                                   "jac": lambda theta: 2.0 * guard @ theta},
                       options={"maxiter": budget.cap})
     return bool(result.success)

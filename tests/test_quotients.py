@@ -26,6 +26,7 @@ from gjmslab.spherical import DEFAULT_B_MAX, quadratic_form
 
 GJMS = MultiplierKind.GJMS
 INT = MultiplierKind.INTERTWINED
+REMAINDER = MultiplierKind.REMAINDER
 
 BENCHMARK_SPLINE_SCAN = (GJMS, 3, 1.0, 0.0, SplineFamily(knots=12, radius=3.5), DEFAULT_B_MAX)
 SPLINE_SEARCHES = [
@@ -87,12 +88,13 @@ class TestSobolevQuotient:
         assert r0.at_lambda(0.2).quotient == pytest.approx(r1.quotient, rel=1e-12)
 
     def test_gjms_decomposition_consistency(self):
-        # assembled GJMS energy against the direct Gamma-ratio symbol route
+        # the GJMS energy (the Gamma-ratio symbol) against the sum of the
+        # intertwined and remainder forms, P_s = P~_s + B_s
         p = Params(5, 0.8)
         u = hyperbolic_bump(0.8, 3.0)
         rep = sobolev_quotient(GJMS, p, 0.0, u)
-        direct = quadratic_form(GJMS, p, u)
-        assert rep.energy == pytest.approx(direct, rel=1e-8)
+        split = quadratic_form(INT, p, u) + quadratic_form(REMAINDER, p, u)
+        assert rep.energy == pytest.approx(split, rel=1e-8)
 
     def test_floor_above_sharp_constant(self):
         for n, s in ((3, 1.0), (5, 0.8)):
@@ -184,6 +186,22 @@ class TestSplineTrial:
         assert u.support_radius == pytest.approx(knots[2])
 
 
+    @pytest.mark.parametrize("n, s", [(4, 0.75), (5, 0.8), (6, 1.3), (5, 1.5)])
+    def test_gjms_form_is_the_split_sum(self, n, s):
+        # one GJMS symbol prices what the split P_s = P~_s + B_s prices as
+        # two forms, at s with sin(pi s) > 0, < 0 and the exceptional order
+        # s = 3/2; trials: the wide bump and the (0.15, 0.45) bubble profile,
+        # which pass all three tail guards (quadratic_form raises otherwise)
+        from gjmslab.quotients import _spline_start_candidates
+
+        p, family = Params(n, s), SplineFamily(knots=12, radius=3.5)
+        candidates = _spline_start_candidates(family, p)
+        for theta in (candidates[0], candidates[2]):
+            u = spline_trial(family, theta, p)
+            split = quadratic_form(INT, p, u) + quadratic_form(REMAINDER, p, u)
+            assert quadratic_form(GJMS, p, u) == pytest.approx(split, rel=1e-13)
+
+
 class TestWindowedSpline:
     @pytest.mark.parametrize("family", [SplineFamily(knots=51, radius=40.0, grading=0.0),
                                         SplineFamily(knots=12, radius=3.5)],
@@ -202,6 +220,52 @@ class TestWindowedSpline:
         got = _windowed_spline(family, values)(r)
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-13
+
+
+class TestGuardedNewtonStep:
+    """_guarded_newton_step on a random positive definite model in R^4."""
+
+    @pytest.fixture
+    def model(self, rng):
+        vecs = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        vals = np.array([0.5, 1.0, 2.0, 4.0])
+        grad, jac = rng.standard_normal(4), rng.standard_normal(4)
+        newton = -((vecs / vals) @ vecs.T) @ grad
+        return grad, vals, vecs, jac, newton
+
+    def test_free_step_keeps_half_the_margin(self, model):
+        from gjmslab.quotients import _guarded_newton_step
+
+        grad, vals, vecs, jac, newton = model
+        margin = 1e-3
+        value = 0.5 * margin - jac @ newton + 1e-6
+        y, mu = _guarded_newton_step(grad, vals, vecs, jac, value, margin)
+        assert mu == 0.0
+        assert np.array_equal(y, newton)
+
+    def test_active_step_lands_on_the_margin(self, model):
+        from gjmslab.quotients import _guarded_newton_step
+
+        grad, vals, vecs, jac, newton = model
+        margin = 1e-3
+        value = -1.0 - jac @ newton
+        y, mu = _guarded_newton_step(grad, vals, vecs, jac, value, margin)
+        assert mu >= 0.0
+        assert value + jac @ y == pytest.approx(margin, rel=1e-9)
+        # stationarity: H y + grad = mu jac
+        hessian = (vecs * vals) @ vecs.T
+        assert np.allclose(hessian @ y + grad, mu * jac, rtol=0.0, atol=1e-12)
+
+    def test_zero_row_or_negative_multiplier(self, model):
+        from gjmslab.quotients import _guarded_newton_step
+
+        grad, vals, vecs, jac, newton = model
+        assert _guarded_newton_step(grad, vals, vecs, np.zeros(4), 0.0, 1e-3) is None
+        # a negative margin the free step misses by less than half of it:
+        # landing on it takes a negative multiplier
+        margin = -2.0
+        value = -1.5 - jac @ newton
+        assert _guarded_newton_step(grad, vals, vecs, jac, value, margin) is None
 
 
 class TestMinimize:
@@ -276,10 +340,10 @@ class TestMinimize:
             assert new.quotient <= old.quotient * (1.0 + 1e-9)
 
     def test_kkt_at_benchmark_winner(self, monkeypatch):
-        # first-order optimality of the returned knot values: the guards
-        # hold, and on the tangent space theta^T d = 0 (Q is 0-homogeneous)
-        # the gradient of Q is a nonnegative combination of the gradients of
-        # the active guards; gradients by central differences of Q
+        # first-order optimality of the returned knot values: the guard
+        # holds and is active, and on the tangent space theta^T d = 0 (Q is
+        # 0-homogeneous) the gradient of Q is a nonnegative multiple of the
+        # guard's gradient; gradients by central differences of Q
         from gjmslab.quotients import _spline_forms, _spline_report
 
         kind, n, s, lam, family, b_max = BENCHMARK_SPLINE_SCAN
@@ -288,12 +352,10 @@ class TestMinimize:
         rep = gap_scan(kind, p, [lam], family, b_max=b_max)[0]
         theta = next(theta for theta, r in priced if r is rep)
         forms = _spline_forms(kind, p, family, b_max)
-        guards = forms[-1]
-        values = np.einsum("i,kij,j->k", theta, guards, theta)
-        scales = np.einsum("i,kij,j->k", np.abs(theta), np.abs(guards), np.abs(theta))
-        assert np.all(values >= 0.0)
-        active = values <= 1e-8 * scales
-        assert np.any(active)
+        guard = forms[-1]
+        value = theta @ guard @ theta
+        scale = np.abs(theta) @ np.abs(guard) @ np.abs(theta)
+        assert 0.0 <= value <= 1e-8 * scale
 
         def q(x):
             return _spline_report(family, p, lam, forms, x).quotient
@@ -302,10 +364,10 @@ class TestMinimize:
         gradient = np.array([(q(theta + h * e) - q(theta - h * e)) / (2.0 * h)
                              for e in np.eye(theta.size)])
         tangent = np.eye(theta.size) - np.outer(theta, theta) / (theta @ theta)
-        guard_gradients = (2.0 * guards[active] @ theta) @ tangent
-        mu = np.linalg.lstsq(guard_gradients.T, tangent @ gradient, rcond=None)[0]
-        assert np.all(mu >= 0.0)
-        residual = tangent @ gradient - guard_gradients.T @ mu
+        guard_gradient = (2.0 * guard @ theta) @ tangent
+        mu = (guard_gradient @ (tangent @ gradient)) / (guard_gradient @ guard_gradient)
+        assert mu >= 0.0
+        residual = tangent @ gradient - mu * guard_gradient
         assert np.linalg.norm(residual) <= 1e-6 * np.linalg.norm(gradient)
 
     @pytest.mark.parametrize("search, cap", [

@@ -426,7 +426,7 @@ class TestStreamedTransforms:
 
     def test_single_use_forms_hold_no_matrix(self, phi_passes):
         f = hyperbolic_bump(0.8, 3.0)
-        spherical._spectral_forms((INT, MultiplierKind.REMAINDER), Params(4, 0.75), f.grid,
+        spherical._spectral_forms(MultiplierKind.GJMS, Params(4, 0.75), f.grid,
                                   f.values[:, None], f.support_radius, 60.0)
         assert len(phi_passes) == 1 and not spherical._PHI_CACHE
 
@@ -548,9 +548,9 @@ class TestSpectralWeightCache:
         assert cold == warm == hooks
 
     def test_cached_arrays_are_read_only(self):
-        beta_grid, dens, symbols = spherical._spectral_weights(
-            (INT, MultiplierKind.REMAINDER), Params(3, 1.0), 3.0, 60.0)
-        for array in (beta_grid.nodes, beta_grid.weights, dens, *symbols):
+        beta_grid, dens, symbol = spherical._spectral_weights(
+            MultiplierKind.GJMS, Params(3, 1.0), 3.0, 60.0)
+        for array in (beta_grid.nodes, beta_grid.weights, dens, symbol):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0
@@ -558,7 +558,7 @@ class TestSpectralWeightCache:
     def test_bounded(self):
         cache = spherical._spectral_weights
         for k in range(cache.cache_parameters()["maxsize"] + 5):
-            spherical._spectral_weights((INT,), Params(3, 1.0), 1.0 + 0.5 * k, 8.0)
+            spherical._spectral_weights(INT, Params(3, 1.0), 1.0 + 0.5 * k, 8.0)
         assert cache.cache_info().currsize == cache.cache_parameters()["maxsize"]
 
 
