@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DegenerateData, ParameterError, SupportError, TailError
 from .geometry import sphere_area
@@ -41,6 +40,7 @@ from .grids import (
     RadialFunction,
     RadialGrid,
     Space,
+    _mirrored_rule,
     gauss_panels,
     geometric_edges,
     geometric_grid,
@@ -49,7 +49,23 @@ from .params import Params
 
 OSC_BUDGET = 4000.0          # max r*rho phase per frequency band (with sub-window)
 
-_GL48_X, _GL48_W = leggauss(48)
+# the 48-node Gauss-Legendre rule on [-1, 1] of _mollifier_mass: the positive
+# half of numpy.polynomial.legendre.leggauss(48), mirrored (grids.GAUSS_NODES
+# says why it is written out); tests/test_gauss_rules.py pins it
+_GL48_X, _GL48_W = _mirrored_rule(
+    [0.03238017096286937, 0.0970046992094627, 0.1612223560688917, 0.22476379039468905,
+     0.28736248735545555, 0.3487558862921607, 0.4086864819907167, 0.4669029047509584,
+     0.523160974722233, 0.5772247260839727, 0.6288673967765136, 0.6778723796326639,
+     0.7240341309238146, 0.7671590325157404, 0.8070662040294426, 0.8435882616243935,
+     0.8765720202742479, 0.9058791367155696, 0.9313866907065543, 0.9529877031604308,
+     0.9705915925462473, 0.9841245837228269, 0.9935301722663508, 0.9987710072524261],
+    [0.06473769681268365, 0.06446616443594982, 0.06392423858464787, 0.06311419228625373,
+     0.06203942315989242, 0.0607044391658936, 0.059114839698395344, 0.057277292100402916,
+     0.05519950369998403, 0.05289018948519344, 0.0503590355538542, 0.04761665849249024,
+     0.04467456085669423, 0.04154508294346455, 0.0382413510658305, 0.034777222564770394,
+     0.031167227832798097, 0.027426509708357034, 0.023570760839324047, 0.019616160457356056,
+     0.015579315722943226, 0.011477234579234614, 0.007327553901276135, 0.0031533460523098414],
+)
 
 
 @dataclass(frozen=True)
@@ -421,10 +437,13 @@ def bubble_asymptotics(p: Params, delta: float, eps_ladder):
     the truncated bubble at each eps. summary holds one verdict block each,
     with its target, tolerance and "passed": crit, the log-log slope of
     M_inf minus the critical mass (target n); energy, the log-log slope of
-    |E - E(U)| (target n - 2s, within 15%); l2, see _l2_verdict.
+    |E - E(U)| (target n - 2s, within 15%); l2, see _l2_verdict. A ladder of
+    fewer than three or of repeated eps raises ParameterError before any work.
     """
     if len(eps_ladder) < 3:   # every rate is fitted over at least three points
         raise ParameterError("eps ladder must have >= 3 entries")
+    if len(set(eps_ladder)) != len(eps_ladder):
+        raise ParameterError("eps ladder entries must be distinct")
     trials = [BubbleParams(eps, delta) for eps in eps_ladder]
     rows = []
     for bp in trials:

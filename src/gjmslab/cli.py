@@ -20,7 +20,6 @@ import json
 import math
 import os
 import resource
-import subprocess
 import sys
 
 from .entry import BLAS_THREAD_VARS, one_blas_thread
@@ -68,7 +67,11 @@ def _source_digest():
 def _git_describe():
     """Describe the source tree this package was loaded from, wherever the
     command runs; outside git, the package version and a digest of its
-    module sources."""
+    module sources. subprocess is imported here, when the manifest is
+    written after the command's compute, so its 0.3-0.4 MB of resident
+    memory are not added to the compute's peak."""
+    import subprocess
+
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],

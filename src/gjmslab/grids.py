@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ParameterError, SupportError
 
@@ -23,8 +22,27 @@ PHASE_PER_PANEL = 18.0     # radians of oscillation a 16-node panel resolves cle
 # 128 KB per temporary
 BLOCK_CELLS = 1 << 14
 
-# the 16-node Gauss-Legendre rule on [-1, 1]
-GAUSS_NODES, GAUSS_WEIGHTS = leggauss(16)
+
+def _mirrored_rule(nodes, weights):
+    """A Gauss-Legendre rule on [-1, 1] from its positive nodes (ascending)
+    and their weights: the nodes mirrored to -x, each weight to its mirror."""
+    nodes = np.array(nodes)
+    weights = np.array(weights)
+    return np.concatenate([-nodes[::-1], nodes]), np.concatenate([weights[::-1], weights])
+
+
+# the 16-node Gauss-Legendre rule on [-1, 1]: the literals are the positive
+# half of numpy.polynomial.legendre.leggauss(16), whose nodes and weights are
+# exactly symmetric, so the mirrored rule has its bytes (written out to keep
+# numpy.polynomial and a LAPACK eigensolve off the package import);
+# tests/test_gauss_rules.py pins them to leggauss and to mpmath's Legendre
+# roots and weights
+GAUSS_NODES, GAUSS_WEIGHTS = _mirrored_rule(
+    [0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+     0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499],
+    [0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+     0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176],
+)
 
 
 class Space(enum.Enum):

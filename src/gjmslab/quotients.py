@@ -536,9 +536,12 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
 
 
 def _counts(N_values):
-    """N_values as ints; ParameterError unless each is a positive integer."""
+    """N_values as ints; ParameterError unless they are distinct positive
+    integers."""
     if not all(float(N).is_integer() and N >= 1 for N in N_values):
         raise ParameterError("N values must be positive integers")
+    if len(set(N_values)) != len(N_values):
+        raise ParameterError("N values must be distinct")
     return [int(N) for N in N_values]
 
 

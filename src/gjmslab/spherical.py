@@ -74,7 +74,8 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .errors import DegenerateData, DomainError, NonConvergence, SupportError, TailError
+from .errors import DegenerateData, DomainError, NonConvergence, ParameterError, SupportError, \
+    TailError
 from .geometry import sphere_area
 from .grids import (
     BLOCK_CELLS,
@@ -600,11 +601,13 @@ def decay_fit_radii(r_values) -> np.ndarray:
 
 def decay_slope(radii, values) -> float:
     """Least-squares slope of log|values| against radii, over at least four
-    radii of the window [2, 8] (see decay_fit_radii)."""
+    distinct radii of the window [2, 8] (see decay_fit_radii)."""
     radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=float)
     if radii.size < 4 or decay_fit_radii(radii).size != radii.size:
         raise DegenerateData("decay fit needs >= 4 radii, all in [2, 8]")
+    if np.unique(radii).size != radii.size:
+        raise DegenerateData("decay fit needs distinct radii")
     if np.any(values == 0.0) or not np.all(np.isfinite(values)):
         raise DegenerateData("kernel values underflowed; cannot fit a decay rate")
     return float(np.polyfit(radii, np.log(np.abs(values)), 1)[0])
@@ -624,10 +627,13 @@ def kernel_decay(kind: MultiplierKind, p: Params, radii, eps_reg: float):
     [2, 8] the decay slopes at eps_reg ("slope") and eps_reg / 2
     ("slope_half_eps"); also k^eps at the largest radius over
     KERNEL_SCAN_EPS and its eps_extrapolation. Each (r, eps) kernel value is
-    computed once.
+    computed once. A repeated radius raises ParameterError before any kernel
+    is computed.
     """
     if any(r < 0.5 for r in radii) or not eps_reg > 0.0:
         raise DomainError("kernel_decay needs radii r >= 0.5 and eps_reg > 0")
+    if len(set(radii)) != len(radii):
+        raise ParameterError("kernel_decay radii must be distinct")
     kernel = functools.cache(lambda r, eps: regularized_kernel(kind, p, r, eps))
     values = [kernel(r, eps_reg) for r in radii]
     rows = [(float(r), float(v), float(np.log(abs(v)))) for r, v in zip(radii, values)]

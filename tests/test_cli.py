@@ -7,6 +7,7 @@ import re
 import resource
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -292,12 +293,22 @@ class TestExitCodes:
         ["blowdown", "--n", "3", "--s", "1", "--lambda", "0.3", "--n-spec", "2.5,8.9"],
         ["kernel-decay", "--kind", "intertwined", "--n", "3", "--s", "0.6",
          "--r-spec", "2,3,nan", "--eps-reg", "0.01"],
-    ], ids=["nan-lambda", "inf-lambda-range", "fractional-N", "nan-radius"])
+        # a rate fitted through a repeated value is rank-deficient
+        ["kernel-decay", "--kind", "gjms", "--n", "3", "--s", "0.6", "--r-spec", "2,2,2,2",
+         "--eps-reg", "0.01"],
+        ["blowdown", "--n", "3", "--s", "1", "--lambda", "0.3", "--n-spec", "4,4,4"],
+        ["bubble-asymptotics", "--n", "5", "--s", "1", "--delta", "0.2",
+         "--eps-ladder", "0.05,0.05,0.05"],
+    ], ids=["nan-lambda", "inf-lambda-range", "fractional-N", "nan-radius",
+            "repeated-radius", "repeated-N", "repeated-eps"])
     def test_bad_input_exits_2_before_any_work(self, argv, tmp_path, capsys):
+        # no file is written and no fit is reached (nor numpy's RankWarning)
         out = str(tmp_path / "x.csv")
-        assert run(argv + ["--out", out]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv + ["--out", out]) == 2
         assert capsys.readouterr().err.startswith("error: ")
-        assert not os.path.exists(out)
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("argv", [
         ["gap-scan", "--kind", "intertwined", "--n", "5", "--s", "0.8",
@@ -394,7 +405,7 @@ class TestManifest:
                 raise OSError("git not found")
             return subprocess.CompletedProcess(args, 128, "", "fatal: not a git repository")
 
-        monkeypatch.setattr(cli.subprocess, "run", fake_run)
+        monkeypatch.setattr(subprocess, "run", fake_run)
         package = os.path.dirname(os.path.abspath(cli.__file__))
         digest = hashlib.sha256()
         for name in sorted(os.listdir(package)):

@@ -6,8 +6,10 @@ Bessel J of even-n Hankel paths. Half-odd Bessel J (odd n), the s = 1
 bubble energies (a Dirichlet integral, no Hankel band) and the spline
 search's Newton solve are numpy. `import gjmslab` loads no numpy, and
 `import gjmslab.cli` no OpenSSL (hashlib serves only the manifest's
-fallback digest outside git). The two
-program entries, python -m gjmslab.cli and the gjms-lab console script, run
+fallback digest outside git), no numpy.polynomial (the Gauss-Legendre rules
+are literals), no subprocess (the manifest's git describe imports it) and
+makes no LAPACK call, while it still loads every layer module that
+perfbench/tracer.py wraps. The two program entries, python -m gjmslab.cli and the gjms-lab console script, run
 a command with one BLAS thread unless the user set a thread count; a library
 import leaves os.environ alone.
 """
@@ -160,6 +162,46 @@ print(json.dumps([code, len(os.listdir(task)) if os.path.isdir(task) else None])
 
 MULTIPLIER = ["multiplier", "--kind", "gjms", "--n", "3", "--s", "0.5", "--beta-max", "2",
               "--count", "3"]
+
+
+# the layer modules perfbench/tracer.py reads from sys.modules straight after
+# `import gjmslab.cli`
+TRACED_LAYERS = ("special", "multipliers", "geometry", "grids", "spherical", "bubbles",
+                 "quotients")
+
+# Records every LAPACK gufunc numpy.linalg calls, then imports gjmslab.cli;
+# prints the calls and the loaded module names.
+LAPACK_PROBE = """
+import json, sys
+from numpy.linalg import _umath_linalg
+calls = []
+def recorder(name, fn):
+    def record(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return record
+for name in dir(_umath_linalg):
+    if not name.startswith("_") and callable(getattr(_umath_linalg, name)):
+        setattr(_umath_linalg, name, recorder(name, getattr(_umath_linalg, name)))
+import gjmslab.cli
+print(json.dumps([calls, sorted(sys.modules)]))
+"""
+
+
+def test_cli_import_is_lean_and_loads_every_traced_layer():
+    calls, modules = probe(LAPACK_PROBE)
+    assert calls == []
+    assert not [m for m in modules if m.split(".")[:2] == ["numpy", "polynomial"]]
+    assert "subprocess" not in modules
+    assert {f"gjmslab.{layer}" for layer in TRACED_LAYERS} <= set(modules)
+
+
+def test_lapack_probe_sees_an_eigensolve():
+    # the probe's recorder is live: leggauss, which the rules replaced, makes
+    # one LAPACK eigensolve
+    code = LAPACK_PROBE.replace("import gjmslab.cli",
+                                "from numpy.polynomial.legendre import leggauss; leggauss(16)")
+    assert probe(code)[0] == ["eigvalsh_lo"]
 
 
 def test_cli_import_loads_no_openssl():

@@ -783,3 +783,11 @@ class TestDecayFit:
         assert "slope" not in summary and "slope_half_eps" not in summary
         with pytest.raises(DegenerateData):
             decay_slope([2.0, 3.0], [1.0, 0.5])
+
+    def test_repeated_radii_rejected(self):
+        # a fit through one radius has no slope; polyfit would return one
+        # with a RankWarning
+        with pytest.raises(DegenerateData, match="distinct"):
+            decay_slope([2.0, 2.0, 2.0, 2.0], [1.0, 0.9, 0.8, 0.7])
+        with pytest.raises(DegenerateData, match="distinct"):
+            decay_slope([2.0, 3.0, 3.0, 4.0], [1.0, 0.5, 0.5, 0.25])
