@@ -51,17 +51,17 @@ _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
 def _source_digest():
-    """sha256 over the package's module sources, file names included.
-    hashlib is imported here, the one place that needs it: importing it
-    loads OpenSSL (about 3.5 MB of resident memory)."""
-    import hashlib
+    """CRC-32 over the package's module sources, file names included, as 8
+    hex digits. numpy has loaded zlib already; hashlib would load OpenSSL
+    (about 3.5 MB of resident memory)."""
+    import zlib
 
-    digest = hashlib.sha256()
+    digest = 0
     for name in sorted(os.listdir(_PACKAGE_DIR)):
         if name.endswith(".py"):
             with open(os.path.join(_PACKAGE_DIR, name), "rb") as fh:
-                digest.update(name.encode() + b"\0" + fh.read())
-    return digest.hexdigest()
+                digest = zlib.crc32(name.encode() + b"\0" + fh.read(), digest)
+    return f"{digest:08x}"
 
 
 def _git_describe():
@@ -81,7 +81,7 @@ def _git_describe():
             return out.stdout.strip()
     except OSError:
         pass
-    return f"{__version__}+sha256.{_source_digest()}"
+    return f"{__version__}+crc32.{_source_digest()}"
 
 
 def _now():

@@ -23,7 +23,7 @@ from .bubbles import (
     smooth_window,
 )
 from .errors import BudgetExceeded, DegenerateData, ParameterError, ZeroTrial
-from .geometry import ball_to_geodesic, conformal_lift
+from .geometry import conformal_lift
 from .grids import RadialFunction, Space, uniform_grid
 from .multipliers import multiplier, sin_pi, spectral_bottom
 from .params import MultiplierKind, Params
@@ -32,14 +32,19 @@ from .spherical import DEFAULT_B_MAX, _polar_measure, _spectral_forms, decay_slo
 
 log = logging.getLogger(__name__)
 
-_GRID_BUCKETS = (1.25, 2.0, 3.0, 5.0, 8.0, 12.0, 16.0, 40.0)
+MAX_GRID_RADIUS = 40.0   # the widest trial support, the blow-down arch's
+
+# the geodesic radius inside which every lifted bubble lives: its cut-off
+# support 2 delta < 1/2 lifts to r < log((1 + 1/2) / (1 - 1/2)) = log 3
+LIFTED_BUBBLE_RADIUS = math.log(3.0)
+
 # frequency cut of a bubble trial's remainder-only form: the remainder symbol
 # over the intertwined one is sin(pi s) |Gamma(1/2 + i beta)|^2 / pi
 # = sin(pi s) / cosh(pi beta), below 2^-53 from beta = 12 on, so the
 # frequencies beyond 16 add nothing to the GJMS energy at double precision.
 # Against b_max 60 the form moves by <= 2e-15 of itself at delta = 0.245;
 # at delta = 0.05 and s >= 1.3, where it is below 1e-10 of the energy, by up
-# to 5e-12 of itself, and the energy not at all.
+# to 5.3e-12 of itself, and the energy not at all.
 REMAINDER_B_MAX = 16.0
 
 
@@ -61,15 +66,14 @@ class QuotientReport:
 
 
 def standard_hyperbolic_grid(r_max: float):
-    """Bucketed geodesic grids so the spherical-function matrices get reused.
-
-    Fine panels where bubble cores live, coarser ones for the wide trials.
-    """
-    for bucket in _GRID_BUCKETS:
-        if r_max <= bucket:
-            width = 0.025 if bucket <= 2.0 else (0.05 if bucket <= 16.0 else 0.125)
-            return uniform_grid(bucket, panel_width=width)
-    raise ParameterError(f"trial support {r_max} exceeds the largest grid bucket")
+    """The uniform geodesic grid on exactly [0, r_max]: panels of width 0.025
+    up to r_max = 2, where bubble cores live, 0.05 up to 16 and 0.125 up to
+    MAX_GRID_RADIUS for the wide trials; ParameterError beyond it."""
+    if r_max > MAX_GRID_RADIUS:
+        raise ParameterError(
+            f"trial support {r_max} exceeds the largest grid radius {MAX_GRID_RADIUS}")
+    width = 0.025 if r_max <= 2.0 else (0.05 if r_max <= 16.0 else 0.125)
+    return uniform_grid(r_max, panel_width=width)
 
 
 def _report(p, lam, energy, l2, crit_integral, descriptor):
@@ -116,16 +120,18 @@ def bubble_quotient(kind: MultiplierKind, p: Params, lam: float,
     Dirichlet integral at s = 1). This is the one energy that uses the
     split P_s = P~_s + B_s: GJMS at non-integer s adds the remainder form of
     the lifted trial (spherical transform), on frequencies up to
-    min(b_max, REMAINDER_B_MAX).
+    min(b_max, REMAINDER_B_MAX). Every trial's remainder form takes one
+    domain, grid and declared support [0, LIFTED_BUBBLE_RADIUS], so a scan
+    reads one Phi matrix and one set of spectral weights.
     """
     add_remainder = _energy_kind(kind, p) is MultiplierKind.GJMS
     w = sampled_bubble(p, bp)
     energy = bubble_energy(p, bp, w)
     if add_remainder:
         u = conformal_lift(w, p)
-        grid = standard_hyperbolic_grid(float(ball_to_geodesic(2.0 * bp.delta)))
-        u_std = RadialFunction.from_profile(u.profile, grid, u.support_radius,
-                                            Space.HYPERBOLIC)
+        u_std = RadialFunction.from_profile(u.profile,
+                                            standard_hyperbolic_grid(LIFTED_BUBBLE_RADIUS),
+                                            LIFTED_BUBBLE_RADIUS, Space.HYPERBOLIC)
         energy += quadratic_form(MultiplierKind.REMAINDER, p, u_std,
                                  b_max=min(b_max, REMAINDER_B_MAX))
     l2 = hyperbolic_l2_mass(p, w)
@@ -338,10 +344,7 @@ def _spline_forms(kind, p, family, b_max):
     energy's symbol (_energy_kind) iff theta^T guard theta >= 0
     (_spectral_forms)."""
     grid = standard_hyperbolic_grid(family.radius)
-    r = grid.nodes
-    inside = r <= family.radius
-    basis = np.zeros((r.size, family.knots - 1))
-    basis[inside] = _windowed_spline(family, np.eye(family.knots, family.knots - 1))(r[inside])
+    basis = _windowed_spline(family, np.eye(family.knots, family.knots - 1))(grid.nodes)
     measure = _polar_measure(p.n, grid)
     energy, guard, _ = _spectral_forms(_energy_kind(kind, p), p, grid, basis, family.radius,
                                        b_max)

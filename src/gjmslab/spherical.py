@@ -36,13 +36,14 @@ the switch above R_MIN_JACOBI once beta_max > 4 JACOBI_GROWTH_MAX cosh^2(1)
 One generator, _phi_blocks, computes Phi as matrix products and yields it
 in column blocks of at most grids.BLOCK_CELLS cells, after doing its
 per-row work once (panel factors, series coefficients, Jacobi switch, u-panel
-counts). phi_matrix fills a matrix from the blocks. A transform
+counts). phi_matrix fills a new matrix from the blocks. A transform
 (_transforms, inverse_spherical_transform) multiplies each block into its
-result as it arrives, so a Phi it reads once is never held whole; the second
-transform request of the same (n, exact nodes) holds the matrix in
-_PHI_CACHE, and later requests read it in the same blocks (_phi_source).
-The GJMS bubble scan is the reader that reuses one: it prices every trial's
-remainder form on the short grid quotients.REMAINDER_B_MAX.
+result as it arrives, so a Phi it reads once is never held whole. One Phi
+is held at a time (_phi_source): a request with the same (n, exact nodes)
+as the one before it builds the matrix and holds it in place of any other,
+and later requests of that key read it in the same blocks. The GJMS bubble
+scan is the reader that reuses one: it prices every trial's remainder form
+on one lifted-bubble domain and the short grid quotients.REMAINDER_B_MAX.
 Every frequency grid of the package (default_beta_grid) is made of 16-node
 Gauss panels of one width, so each node is beta = m + o, one of K panel
 shifts plus one of 16 in-panel offsets (RadialGrid.panel_factors; the first
@@ -70,7 +71,6 @@ panels at a time.
 
 import functools
 import math
-from collections import OrderedDict
 
 import numpy as np
 
@@ -316,68 +316,53 @@ def spherical_function(n: int, beta, r: float):
 # ---------------------------------------------------------------------------
 # Phi matrices (beta grid x radial grid). A transform contracts each block of
 # _phi_blocks as it is built, so a matrix it reads once (the spline scan's,
-# blowdown's) is never held whole. The second transform request of the same
-# (n, exact nodes) builds the matrix and holds it in _PHI_CACHE, and every
-# later request reads it: the GJMS bubble scan at non-integer s prices each
-# trial's remainder form on one held matrix, of its short remainder grid
-# (quotients.REMAINDER_B_MAX). Held or streamed, _transforms multiplies the
-# same blocks in the same order, and its bits do not depend on which (the
-# BLAS product of a block does not depend on its row stride).
+# blowdown's) is never held whole. One matrix is held at a time: a transform
+# request with the same (n, exact nodes) as the request before it builds the
+# matrix and holds it in place of any other, and every later request of that
+# key reads it. The GJMS bubble scan at non-integer s is the reader that
+# reuses one: it prices each trial's remainder form on one held matrix, of
+# its short remainder grid (quotients.REMAINDER_B_MAX) on one lifted-bubble
+# domain. Held or streamed, _transforms multiplies the same blocks in the
+# same order, and its bits do not depend on which (the BLAS product of a
+# block does not depend on its row stride).
 # ---------------------------------------------------------------------------
 
-_PHI_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-_PHI_CACHE_MAX_BYTES = 256 * 2 ** 20
-# hash() of the keys a transform has requested once and that are not held,
-# least recent first; a collision only admits a matrix one request early
-_PHI_REQUESTS: "OrderedDict[int, None]" = OrderedDict()
-_PHI_REQUESTS_MAX = 64
-
-
-def _phi_key(n, beta_grid, r_grid):
-    return (n, beta_grid.fingerprint(), r_grid.fingerprint())
+_PHI_HELD = (None, None)   # (key, matrix) of the one held Phi
+_PHI_LAST = None           # key of the latest request
 
 
 def phi_matrix(n: int, beta_grid: RadialGrid, r_grid: RadialGrid) -> np.ndarray:
-    """Phi_beta(r) on beta_grid x r_grid, filled from the blocks of
-    _phi_blocks and held in _PHI_CACHE by (n, exact nodes).
+    """Phi_beta(r) on beta_grid x r_grid, a new matrix filled from the blocks
+    of _phi_blocks (nothing is cached here; _phi_source holds one).
 
     Columns below the Jacobi switch (R_MIN_JACOBI, raised for large
     frequencies by _jacobi_switch_radius) come from the panel-factored
     Mehler integral, the rest from the Jacobi expansion; both as matrix
     products in column chunks (module docstring). Agrees with
-    spherical_function column by column to ~1e-14. The least recently used
-    matrices beyond _PHI_CACHE_MAX_BYTES are dropped; the newest stays.
+    spherical_function column by column to ~1e-14.
     """
-    key = _phi_key(n, beta_grid, r_grid)
-    hit = _PHI_CACHE.get(key)
-    if hit is not None:
-        _PHI_CACHE.move_to_end(key)
-        return hit
     mat = np.empty((beta_grid.nodes.size, r_grid.nodes.size))
     for cols, block in _phi_blocks(n, beta_grid, r_grid):
         mat[:, cols] = block
-    _PHI_CACHE[key] = mat
-    held = sum(m.nbytes for m in _PHI_CACHE.values())
-    while held > _PHI_CACHE_MAX_BYTES and len(_PHI_CACHE) > 1:
-        held -= _PHI_CACHE.popitem(last=False)[1].nbytes
     return mat
 
 
 def _phi_source(n, beta_grid, r_grid):
     """The (column slice, block) pairs of Phi on beta_grid x r_grid for one
-    transform: views of the held matrix when _PHI_CACHE holds it or this is
-    the second request of its key (phi_matrix then builds and holds it),
-    else the blocks of _phi_blocks, streamed."""
-    key = _phi_key(n, beta_grid, r_grid)
-    token = hash(key)
-    if key in _PHI_CACHE or token in _PHI_REQUESTS:
-        _PHI_REQUESTS.pop(token, None)
-        mat = phi_matrix(n, beta_grid, r_grid)
-        return ((cols, mat[:, cols]) for cols in _column_chunks(*mat.shape))
-    _PHI_REQUESTS[token] = None
-    if len(_PHI_REQUESTS) > _PHI_REQUESTS_MAX:
-        _PHI_REQUESTS.popitem(last=False)
-    return _phi_blocks(n, beta_grid, r_grid)
+    transform, by the key (n, exact node bytes of both grids): views of the
+    held matrix when it has this key; else, when the request before this one
+    had this key, views of a matrix that phi_matrix builds and that replaces
+    the held one; else the blocks of _phi_blocks, streamed."""
+    global _PHI_HELD, _PHI_LAST
+    key = (n, beta_grid.fingerprint(), r_grid.fingerprint())
+    previous, _PHI_LAST = _PHI_LAST, key
+    if key != _PHI_HELD[0]:
+        if key != previous:
+            return _phi_blocks(n, beta_grid, r_grid)
+        _PHI_HELD = (None, None)   # the old matrix goes before the new one is built
+        _PHI_HELD = (key, phi_matrix(n, beta_grid, r_grid))
+    mat = _PHI_HELD[1]
+    return ((cols, mat[:, cols]) for cols in _column_chunks(*mat.shape))
 
 
 def default_beta_grid(support_radius: float, b_max: float = DEFAULT_B_MAX) -> RadialGrid:

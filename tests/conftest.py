@@ -1,5 +1,3 @@
-from collections import OrderedDict
-
 import numpy as np
 import pytest
 
@@ -40,8 +38,8 @@ def phi_passes(monkeypatch):
     """The (n, rows, columns) of every Phi pass (spherical._phi_blocks call)
     of the test, which starts with no matrix held and no transform request
     remembered."""
-    monkeypatch.setattr(spherical, "_PHI_CACHE", OrderedDict())
-    monkeypatch.setattr(spherical, "_PHI_REQUESTS", OrderedDict())
+    monkeypatch.setattr(spherical, "_PHI_HELD", (None, None))
+    monkeypatch.setattr(spherical, "_PHI_LAST", None)
     passes = []
 
     def counted(n, beta_grid, r_grid, _fn=spherical._phi_blocks):

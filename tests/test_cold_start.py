@@ -5,9 +5,9 @@ scipy is imported where it computes: scipy.special for the integer-order
 Bessel J of even-n Hankel paths. Half-odd Bessel J (odd n), the s = 1
 bubble energies (a Dirichlet integral, no Hankel band) and the spline
 search's Newton solve are numpy. `import gjmslab` loads no numpy, and
-`import gjmslab.cli` no OpenSSL (hashlib serves only the manifest's
-fallback digest outside git), no numpy.polynomial (the Gauss-Legendre rules
-are literals), no subprocess (the manifest's git describe imports it) and
+`import gjmslab.cli` no OpenSSL (nothing imports hashlib: the manifest's
+source digest outside git is zlib's CRC-32), no numpy.polynomial (the
+Gauss-Legendre rules are literals), no subprocess (the manifest's git describe imports it) and
 makes no LAPACK call, while it still loads every layer module that
 perfbench/tracer.py wraps. The two program entries, python -m gjmslab.cli and the gjms-lab console script, run
 a command with one BLAS thread unless the user set a thread count; a library
@@ -207,6 +207,21 @@ def test_lapack_probe_sees_an_eigensolve():
 def test_cli_import_loads_no_openssl():
     assert probe("import json, sys, gjmslab.cli; "
                  "print(json.dumps([m for m in ('_hashlib', 'hashlib') if m in sys.modules]))") == []
+
+
+def test_manifest_outside_git_loads_no_openssl(tmp_path):
+    # with git missing, the manifest records the package's source digest
+    path = str(tmp_path / "m.csv")
+    code = ("import json, subprocess, sys, gjmslab.cli\n"
+            "def no_git(*args, **kwargs):\n"
+            "    raise OSError('git not found')\n"
+            "subprocess.run = no_git\n"
+            "code = gjmslab.cli.main(sys.argv[1:])\n"
+            "print(json.dumps([code] + [m for m in ('_hashlib', 'hashlib') if m in sys.modules]))")
+    assert probe(code, "multiplier", "--kind", "gjms", "--n", "3", "--s", "1", "--beta-max", "2",
+                 "--count", "3", "--out", path) == [0]
+    with open(path + ".manifest.json") as fh:
+        assert "+crc32." in json.load(fh)["git_describe"]
 
 
 def test_manifest_peak_is_the_process_peak(tmp_path):

@@ -7,7 +7,7 @@ from conftest import hyperbolic_bump
 from oracles import slsqp_spline_search, windowed_bubble_energy
 from gjmslab.bubbles import BubbleParams, bubble_energy_limit, smooth_window
 from gjmslab.errors import BudgetExceeded, ParameterError, ZeroTrial
-from gjmslab.grids import RadialFunction, Space
+from gjmslab.grids import RadialFunction, Space, uniform_grid
 from gjmslab.multipliers import b_constant, spectral_bottom
 from gjmslab.params import MultiplierKind, Params
 from gjmslab.quotients import (
@@ -21,6 +21,7 @@ from gjmslab.quotients import (
     sobolev_quotient,
     spline_knots,
     spline_trial,
+    standard_hyperbolic_grid,
 )
 from gjmslab.spherical import DEFAULT_B_MAX, quadratic_form
 
@@ -141,7 +142,7 @@ class TestBubbleQuotient:
         # on the box corners, where a tiny remainder form moves more
         import gjmslab.quotients as quotients
         from gjmslab.bubbles import sampled_bubble
-        from gjmslab.geometry import ball_to_geodesic, conformal_lift
+        from gjmslab.geometry import conformal_lift
 
         assert 12.0 <= quotients.REMAINDER_B_MAX <= 16.0
         assert math.sin(math.pi * s) / math.cosh(12.0 * math.pi) < 2.0 ** -53
@@ -149,8 +150,9 @@ class TestBubbleQuotient:
         for eps in (0.02, 0.1, 0.3):
             bp = BubbleParams(eps, 0.245)
             u = conformal_lift(sampled_bubble(p, bp), p)
-            grid = quotients.standard_hyperbolic_grid(float(ball_to_geodesic(2.0 * bp.delta)))
-            u = RadialFunction.from_profile(u.profile, grid, u.support_radius, Space.HYPERBOLIC)
+            radius = quotients.LIFTED_BUBBLE_RADIUS
+            u = RadialFunction.from_profile(u.profile, quotients.standard_hyperbolic_grid(radius),
+                                            radius, Space.HYPERBOLIC)
             short, full = (quadratic_form(MultiplierKind.REMAINDER, p, u, b_max=b_max)
                            for b_max in (quotients.REMAINDER_B_MAX, DEFAULT_B_MAX))
             assert abs(short - full) <= 1e-14 * abs(full)
@@ -160,6 +162,34 @@ class TestBubbleQuotient:
         for bp, energy in zip(corners, short):
             full = bubble_quotient(GJMS, p, 0.0, bp).energy
             assert abs(energy - full) <= 1e-14 * abs(full)
+
+
+class TestStandardGrid:
+    @pytest.mark.parametrize("radius", [0.5, math.log(3.0), 3.5, 8.0, 40.0])
+    def test_covers_exactly_the_support(self, radius):
+        assert standard_hyperbolic_grid(radius).r_max == radius
+
+    def test_support_beyond_the_largest_radius_rejected(self):
+        with pytest.raises(ParameterError):
+            standard_hyperbolic_grid(41.0)
+
+    @pytest.mark.parametrize("kind, n, s", [(GJMS, 5, 0.8), (INT, 3, 1.0)])
+    def test_spline_forms_match_a_wider_grid(self, kind, n, s, monkeypatch):
+        # on a grid past the R = 3.5 support, uniform to r = 5, the basis
+        # rows beyond R are exact zeros and every matrix has the same bits
+        import gjmslab.quotients as quotients
+
+        family, p = SplineFamily(knots=12, radius=3.5), Params(n, s)
+        exact = quotients._spline_forms(kind, p, family, DEFAULT_B_MAX)
+        monkeypatch.setattr(quotients, "standard_hyperbolic_grid",
+                            lambda r_max: uniform_grid(5.0, 0.05))
+        wide = quotients._spline_forms(kind, p, family, DEFAULT_B_MAX)
+        rows = exact[0].shape[0]
+        assert rows < wide[0].shape[0] and not np.any(wide[0][rows:])
+        assert exact[0].tobytes() == wide[0][:rows].tobytes()
+        assert exact[1].tobytes() == wide[1][:rows].tobytes()
+        for got, want in zip(exact[2:], wide[2:]):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSplineTrial:
@@ -511,7 +541,29 @@ class TestGapScan:
         rows = spherical.default_beta_grid(1.0, quotients.REMAINDER_B_MAX).nodes.size
         assert rows == 128 and 1 <= len(phi_passes) <= 2
         assert all(n == 5 and beta == rows for n, beta, _ in phi_passes)
-        assert [m.shape[0] for m in spherical._PHI_CACHE.values()] == [rows]
+        assert spherical._PHI_HELD[1].shape[0] == rows
+
+    def test_one_phi_across_many_deltas(self, phi_passes, monkeypatch):
+        # the lambda < 0 searches price each ratio at its smallest delta, so
+        # the trials' supports differ; their remainder forms share one domain,
+        # so one Phi key (streamed, then built and held) and one set of
+        # spectral weights serve the whole scan
+        import gjmslab.quotients as quotients
+        import gjmslab.spherical as spherical
+
+        deltas = set()
+
+        def recorded(kind, p, lam, bp, *args, _fn=quotients.bubble_quotient):
+            deltas.add(bp.delta)
+            return _fn(kind, p, lam, bp, *args)
+
+        monkeypatch.setattr(quotients, "bubble_quotient", recorded)
+        spherical._spectral_weights.cache_clear()
+        gap_scan(GJMS, Params(5, 0.8), np.linspace(-1.0, 0.25, 6), BubbleFamily())
+        assert len(deltas) > 20
+        columns = quotients.standard_hyperbolic_grid(quotients.LIFTED_BUBBLE_RADIUS).nodes.size
+        assert phi_passes == [(5, 128, columns)] * 2
+        assert spherical._spectral_weights.cache_info().misses == 1
 
     def test_spline_scan_builds_the_forms_once(self, monkeypatch):
         # one build of the family's matrices serves every lambda; a search

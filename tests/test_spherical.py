@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from collections import OrderedDict
 
 import mpmath as mp
 import numpy as np
@@ -204,30 +203,6 @@ class TestTransforms:
             inverse_spherical_transform(F, 3, uniform_grid(1.0))
 
 
-class TestPhiCache:
-    def test_bounded_by_bytes_lru(self, monkeypatch):
-        monkeypatch.setattr(spherical, "_PHI_CACHE", OrderedDict())
-        bg = default_beta_grid(1.0, 8.0)
-        a, b, c, d = (RadialGrid.from_edges(np.linspace(0.0, top, panels + 1))
-                      for top, panels in ((0.5, 1), (0.25, 1), (1.0, 2), (1.5, 3)))
-        size = bg.nodes.size * 16 * 8       # bytes of a one-panel matrix
-        monkeypatch.setattr(spherical, "_PHI_CACHE_MAX_BYTES", 3 * size)
-        mat_a = phi_matrix(3, bg, a)
-        mat_b = phi_matrix(3, bg, b)
-        assert mat_a.nbytes == mat_b.nbytes == size
-        assert phi_matrix(3, bg, a) is mat_a      # the hit makes b least recent
-        phi_matrix(3, bg, c)                      # 4 sizes held: b goes
-        held = list(spherical._PHI_CACHE.values())
-        assert len(held) == 2 and not any(m is mat_b for m in held)
-        assert phi_matrix(3, bg, a) is mat_a
-        # a matrix larger than the cap is still kept, alone
-        monkeypatch.setattr(spherical, "_PHI_CACHE_MAX_BYTES", size)
-        mat_d = phi_matrix(3, bg, d)
-        held = list(spherical._PHI_CACHE.values())
-        assert len(held) == 1 and held[0] is mat_d
-        assert phi_matrix(3, bg, d) is mat_d
-
-
 # radii on both sides of the Jacobi switch, out to where Phi is ~ e^{-rho r}
 _SWITCH_RADII = np.array([0.3, 0.7, 0.99, 1.0, 1.01, 1.7, 3.0, 5.5, 12.0])
 
@@ -239,10 +214,6 @@ def _radii_grid(radii):
 class TestPhiMatrixJacobi:
     """The r >= R_MIN_JACOBI columns come from the Jacobi expansion; Mehler
     (spherical_function) is the oracle."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh_cache(self, monkeypatch):
-        monkeypatch.setattr(spherical, "_PHI_CACHE", OrderedDict())
 
     @pytest.mark.parametrize("n", [3, 4, 5, 7])
     @pytest.mark.parametrize("support,b_max", [(6.0, 60.0), (40.0, 8.0)])
@@ -354,7 +325,6 @@ class TestPhiMatrixJacobi:
         for support, b_max in ((40.0, 8.0), (5.0, 60.0)):
             bg = default_beta_grid(support, b_max)
             grid = standard_hyperbolic_grid(support)
-            spherical._PHI_CACHE.clear()
             tracemalloc.start()
             try:
                 mat = phi_matrix(3, bg, grid)
@@ -367,7 +337,6 @@ class TestPhiMatrixJacobi:
         bg = default_beta_grid(5.0, 60.0)
         grid = uniform_grid(5.0)
         first = phi_matrix(5, bg, grid)
-        spherical._PHI_CACHE.clear()
         second = phi_matrix(5, bg, grid)
         assert second is not first and second.tobytes() == first.tobytes()
 
@@ -375,7 +344,6 @@ class TestPhiMatrixJacobi:
         bg = default_beta_grid(3.0, 8.0)
         grid = uniform_grid(3.0)
         whole = phi_matrix(3, bg, grid)
-        spherical._PHI_CACHE.clear()
         # one column per block; the series stops per block, so only the last bits move
         monkeypatch.setattr(spherical, "BLOCK_CELLS", 3 * bg.nodes.size // 2)
         assert np.max(np.abs(phi_matrix(3, bg, grid) - whole)) <= 1e-14
@@ -396,9 +364,15 @@ def _profile_columns(grid):
     return np.column_stack([np.exp(-r * r / w) for w in (0.3, 1.0, 4.0)])
 
 
+def _held():
+    """The one Phi matrix the transforms hold, or None."""
+    return spherical._PHI_HELD[1]
+
+
 class TestStreamedTransforms:
-    """A transform contracts each Phi block as it is built; the second request
-    of a (n, grids) key holds the matrix and later ones read it."""
+    """A transform contracts each Phi block as it is built; a request with
+    the key of the request before it holds the matrix, in place of any
+    other, and later requests of that key read it."""
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("b_max", [60.0, 120.0])
@@ -409,7 +383,7 @@ class TestStreamedTransforms:
         assert grid.nodes[0] < switch < grid.nodes[-1]
         columns = _profile_columns(grid)
         streamed = spherical._transforms(n, bg, grid, columns)
-        assert len(phi_passes) == 1 and not spherical._PHI_CACHE
+        assert len(phi_passes) == 1 and _held() is None
         whole = phi_matrix(n, bg, grid) @ (spherical._polar_measure(n, grid)[:, None] * columns)
         assert np.max(np.abs(streamed - whole)) <= 1e-14 * np.max(np.abs(whole))
 
@@ -428,37 +402,46 @@ class TestStreamedTransforms:
         f = hyperbolic_bump(0.8, 3.0)
         spherical._spectral_forms(MultiplierKind.GJMS, Params(4, 0.75), f.grid,
                                   f.values[:, None], f.support_radius, 60.0)
-        assert len(phi_passes) == 1 and not spherical._PHI_CACHE
+        assert len(phi_passes) == 1 and _held() is None
 
     def test_second_request_admits_and_hits_read_it(self, phi_passes):
         bg, grid = default_beta_grid(3.5, 60.0), standard_hyperbolic_grid(3.5)
         columns = _profile_columns(grid)
         streamed = spherical._transforms(5, bg, grid, columns)
-        assert not spherical._PHI_CACHE
+        assert _held() is None
         admitted = spherical._transforms(5, bg, grid, columns)
-        assert len(phi_passes) == 2 and len(spherical._PHI_CACHE) == 1
-        held = next(iter(spherical._PHI_CACHE.values()))
+        held = _held()
+        assert len(phi_passes) == 2 and held.shape == (bg.nodes.size, grid.nodes.size)
         hits = [spherical._transforms(5, bg, grid, columns) for _ in range(3)]
-        assert len(phi_passes) == 2 and phi_matrix(5, bg, grid) is held
+        assert len(phi_passes) == 2 and _held() is held
+        assert held.tobytes() == phi_matrix(5, bg, grid).tobytes()
         # held or streamed, the same blocks are contracted in the same order
         for result in [streamed] + hits:
             assert result.tobytes() == admitted.tobytes()
 
-    def test_requests_are_remembered_per_key(self, phi_passes):
+    def test_one_matrix_held_from_a_repeated_request(self, phi_passes):
+        # A, A, B, B, A: stream, build and hold, stream, build and replace,
+        # stream; held or streamed, a transform has the same bits
         bg = default_beta_grid(3.0, 8.0)
         a, b = uniform_grid(2.0), uniform_grid(3.0)
-        for grid in (a, b, a):
-            spherical._transforms(3, bg, grid, np.ones((grid.nodes.size, 1)))
-        assert [cols for _, _, cols in phi_passes] == [a.nodes.size, b.nodes.size,
-                                                        a.nodes.size]
-        assert [m.shape[1] for m in spherical._PHI_CACHE.values()] == [a.nodes.size]
+        results, held = [], []
+        for grid in (a, a, b, b, a):
+            results.append(spherical._transforms(3, bg, grid, _profile_columns(grid)))
+            held.append(_held())
+        assert [cols for _, _, cols in phi_passes] == [a.nodes.size] * 2 + [b.nodes.size] * 2 \
+            + [a.nodes.size]
+        assert held[0] is None and held[1].shape == (bg.nodes.size, a.nodes.size)
+        assert held[2] is held[1]
+        assert held[3].shape == (bg.nodes.size, b.nodes.size) and held[4] is held[3]
+        assert results[0].tobytes() == results[1].tobytes() == results[4].tobytes()
+        assert results[2].tobytes() == results[3].tobytes()
 
     def test_inverse_transform_streams_and_hits(self, phi_passes):
         f = hyperbolic_bump(0.8, 3.0)
         F = spherical_transform(f, 3, default_beta_grid(3.0, 60.0))
         grid = uniform_grid(3.0, panel_width=0.1)   # a key of its own
         streamed = inverse_spherical_transform(F, 3, grid, tail_tol=1e-3)
-        assert len(phi_passes) == 2 and not spherical._PHI_CACHE
+        assert len(phi_passes) == 2 and _held() is None
         admitted = inverse_spherical_transform(F, 3, grid, tail_tol=1e-3)
         hit = inverse_spherical_transform(F, 3, grid, tail_tol=1e-3)
         assert len(phi_passes) == 3 and hit.values.tobytes() == admitted.values.tobytes()
@@ -466,13 +449,13 @@ class TestStreamedTransforms:
         assert np.max(np.abs(streamed.values - admitted.values)) <= 1e-14 * scale
 
     def test_single_use_spline_forms_memory(self, phi_passes):
-        # the (3, 1) R = 3.5 spline forms at b_max 240 read a 1920 x 1600 Phi
+        # the (3, 1) R = 5 spline forms at b_max 240 read a 1920 x 1600 Phi
         # (24.6 MB) once; streamed, they hold under a quarter of it
         from gjmslab.quotients import SplineFamily, _spline_forms
 
-        family = SplineFamily(knots=12, radius=3.5)
-        phi_bytes = 8 * default_beta_grid(3.5, 240.0).nodes.size * \
-            standard_hyperbolic_grid(3.5).nodes.size
+        family = SplineFamily(knots=12, radius=5.0)
+        phi_bytes = 8 * default_beta_grid(5.0, 240.0).nodes.size * \
+            standard_hyperbolic_grid(5.0).nodes.size
         assert phi_bytes == pytest.approx(24.6e6, rel=1e-3)
         tracemalloc.start()
         try:
@@ -480,7 +463,7 @@ class TestStreamedTransforms:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(phi_passes) == 1 and not spherical._PHI_CACHE
+        assert len(phi_passes) == 1 and _held() is None
         assert peak < phi_bytes / 4
 
 
