@@ -139,11 +139,6 @@ class RadialGrid:
                 return shifts, offsets
         return self.nodes, np.zeros(1)
 
-    def fingerprint(self) -> bytes:
-        """The exact node bytes: the identity of the grid in the
-        spherical-function matrix cache."""
-        return self.nodes.tobytes()
-
 
 def uniform_grid(r_max: float, panel_width: float = 0.05) -> RadialGrid:
     """Composite Gauss-Legendre grid with (near-)uniform panels on [0, r_max]."""

@@ -27,8 +27,8 @@ from .geometry import conformal_lift
 from .grids import RadialFunction, Space, uniform_grid
 from .multipliers import multiplier, sin_pi, spectral_bottom
 from .params import MultiplierKind, Params
-from .spherical import DEFAULT_B_MAX, _polar_measure, _spectral_forms, decay_slope, lp_mass, \
-    quadratic_form, regularized_kernel
+from .spherical import DEFAULT_B_MAX, _polar_measure, _spectral_forms, decay_slope, \
+    default_beta_grid, lp_mass, phi_matrix, quadratic_form, regularized_kernel
 
 log = logging.getLogger(__name__)
 
@@ -112,7 +112,7 @@ def sobolev_quotient(kind: MultiplierKind, p: Params, lam: float,
 
 
 def bubble_quotient(kind: MultiplierKind, p: Params, lam: float,
-                    bp: BubbleParams, b_max: float = DEFAULT_B_MAX) -> QuotientReport:
+                    bp: BubbleParams, b_max: float = DEFAULT_B_MAX, phi=None) -> QuotientReport:
     """Quotient of the lifted truncated bubble.
 
     The intertwined energy is taken as the Euclidean fractional energy of
@@ -121,8 +121,9 @@ def bubble_quotient(kind: MultiplierKind, p: Params, lam: float,
     split P_s = P~_s + B_s: GJMS at non-integer s adds the remainder form of
     the lifted trial (spherical transform), on frequencies up to
     min(b_max, REMAINDER_B_MAX). Every trial's remainder form takes one
-    domain, grid and declared support [0, LIFTED_BUBBLE_RADIUS], so a scan
-    reads one Phi matrix and one set of spectral weights.
+    domain, grid and declared support [0, LIFTED_BUBBLE_RADIUS], so every
+    trial reads one Phi, _remainder_phi(kind, p, b_max), which gap_scan
+    builds once and passes as phi; a call without it streams its own.
     """
     add_remainder = _energy_kind(kind, p) is MultiplierKind.GJMS
     w = sampled_bubble(p, bp)
@@ -133,11 +134,20 @@ def bubble_quotient(kind: MultiplierKind, p: Params, lam: float,
                                             standard_hyperbolic_grid(LIFTED_BUBBLE_RADIUS),
                                             LIFTED_BUBBLE_RADIUS, Space.HYPERBOLIC)
         energy += quadratic_form(MultiplierKind.REMAINDER, p, u_std,
-                                 b_max=min(b_max, REMAINDER_B_MAX))
+                                 b_max=min(b_max, REMAINDER_B_MAX), phi=phi)
     l2 = hyperbolic_l2_mass(p, w)
     crit_integral = crit_mass(p, w)
     descriptor = f"bubble[eps={bp.eps:.6g},delta={bp.delta:.6g}]"
     return _report(p, lam, energy, l2, crit_integral, descriptor)
+
+
+def _remainder_phi(kind, p, b_max):
+    """The Phi that every bubble trial's remainder form reads (bubble_quotient),
+    or None where the energy of kind has no remainder (_energy_kind)."""
+    if _energy_kind(kind, p) is not MultiplierKind.GJMS:
+        return None
+    return phi_matrix(p.n, default_beta_grid(LIFTED_BUBBLE_RADIUS, min(b_max, REMAINDER_B_MAX)),
+                      standard_hyperbolic_grid(LIFTED_BUBBLE_RADIUS))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +302,7 @@ class _Budget:
 DEFAULT_EVAL_CAP = 500
 
 
-def _minimize_bubble(kind, p, lam, family, budget, b_max, reports):
+def _minimize_bubble(kind, p, lam, family, budget, b_max, reports, phi):
     """Golden section (30 steps) over log t, t = eps/delta; returns True.
 
     The energy and critical mass depend on t alone and the L2 mass grows
@@ -300,10 +310,11 @@ def _minimize_bubble(kind, p, lam, family, budget, b_max, reports):
     lam prefers: the largest delta for lam >= 0, the smallest for lam < 0.
     reports maps rounded (log eps, delta) keys to reports at any lambda,
     read back through at_lambda; the budget still counts each trial priced.
+    phi is the scan's _remainder_phi, passed to every trial's bubble_quotient.
     """
     def trial(key, bp):
         if key not in reports:
-            reports[key] = bubble_quotient(kind, p, lam, bp, b_max)
+            reports[key] = bubble_quotient(kind, p, lam, bp, b_max, phi=phi)
         return reports[key].at_lambda(lam)
 
     def evaluate(log_t):
@@ -478,6 +489,8 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
     BubbleFamily: one golden section over log(eps/delta), each ratio priced
     on the box edge the sign of lambda selects; an evaluation is one
     bubble_quotient or the read-back of one priced at an earlier lambda.
+    At non-integer s a GJMS scan builds the Phi of the remainder forms
+    (_remainder_phi) once, for every trial of every lambda.
     SplineFamily: a Newton SQP over knot values under quadratic_form's tail
     guard for the symbol of the energy, stopped once a guard-passing trial
     moves the quotient by <= 1e-14 relative or a step is <= 1e-12 |theta|;
@@ -489,14 +502,18 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
     finished (the bubble search needs 32).
     Earlier winners are re-priced at each lambda (free: the numerator is
     affine in lambda), so the quotients do not increase with lambda.
-    Raises ParameterError for a lambda above the spectral bottom of kind
-    (beyond 1e-12 relative roundoff), where the level is -infinity.
+    Raises ParameterError, before any work, for eval_cap < 1, b_max <= 0 (for
+    every kind and family, also those that do not read it) or a lambda above
+    the spectral bottom of kind (beyond 1e-12 relative roundoff), where the
+    level is -infinity.
     """
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.size == 0:
         raise ParameterError("gap_scan needs a nonempty lambda grid")
     if eval_cap < 1:
         raise ParameterError(f"eval_cap must be >= 1, got {eval_cap}")
+    if not b_max > 0.0:
+        raise ParameterError(f"b_max must be > 0, got {b_max}")
     bottom = spectral_bottom(kind, p)
     top = float(np.max(lambda_grid))
     if not (top <= bottom or math.isclose(top, bottom, rel_tol=1e-12)):
@@ -507,7 +524,8 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
         )
     if isinstance(family, BubbleFamily):
         name, search = "bubble", functools.partial(_minimize_bubble, kind, p, family=family,
-                                                   b_max=b_max, reports={})
+                                                   b_max=b_max, reports={},
+                                                   phi=_remainder_phi(kind, p, b_max))
     elif isinstance(family, SplineFamily):
         name, search = "spline", functools.partial(_minimize_spline, p, family=family,
                                                    forms=_spline_forms(kind, p, family, b_max))

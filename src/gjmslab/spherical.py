@@ -38,12 +38,13 @@ in column blocks of at most grids.BLOCK_CELLS cells, after doing its
 per-row work once (panel factors, series coefficients, Jacobi switch, u-panel
 counts). phi_matrix fills a new matrix from the blocks. A transform
 (_transforms, inverse_spherical_transform) multiplies each block into its
-result as it arrives, so a Phi it reads once is never held whole. One Phi
-is held at a time (_phi_source): a request with the same (n, exact nodes)
-as the one before it builds the matrix and holds it in place of any other,
-and later requests of that key read it in the same blocks. The GJMS bubble
-scan is the reader that reuses one: it prices every trial's remainder form
-on one lifted-bubble domain and the short grid quotients.REMAINDER_B_MAX.
+result as it arrives, so a Phi it reads once is never held whole. The
+module keeps no Phi between calls: a forward transform reads a matrix only
+when its caller built it (phi_matrix) and passed it in, and then reads its
+column blocks in the streamed order, with the streamed bits. The one caller
+that does is the GJMS bubble scan at non-integer s (quotients.gap_scan): it
+builds the Phi of the lifted-bubble domain and the short grid
+quotients.REMAINDER_B_MAX once per scan, for every trial's remainder form.
 Every frequency grid of the package (default_beta_grid) is made of 16-node
 Gauss panels of one width, so each node is beta = m + o, one of K panel
 shifts plus one of 16 in-panel offsets (RadialGrid.panel_factors; the first
@@ -187,8 +188,8 @@ def _phi_mehler(n, beta, r):
 
 def _column_chunks(rows, columns):
     """The column slices, in order, in which a rows x columns Phi matrix is
-    built (_phi_blocks) and read (_phi_source): BLOCK_CELLS // rows columns
-    each (at least one), the last one narrower."""
+    built (_phi_blocks) and a caller-built one is read (_transforms):
+    BLOCK_CELLS // rows columns each (at least one), the last one narrower."""
     step = max(1, BLOCK_CELLS // rows)
     return [slice(j, min(j + step, columns)) for j in range(0, columns, step)]
 
@@ -316,24 +317,19 @@ def spherical_function(n: int, beta, r: float):
 # ---------------------------------------------------------------------------
 # Phi matrices (beta grid x radial grid). A transform contracts each block of
 # _phi_blocks as it is built, so a matrix it reads once (the spline scan's,
-# blowdown's) is never held whole. One matrix is held at a time: a transform
-# request with the same (n, exact nodes) as the request before it builds the
-# matrix and holds it in place of any other, and every later request of that
-# key reads it. The GJMS bubble scan at non-integer s is the reader that
-# reuses one: it prices each trial's remainder form on one held matrix, of
-# its short remainder grid (quotients.REMAINDER_B_MAX) on one lifted-bubble
-# domain. Held or streamed, _transforms multiplies the same blocks in the
-# same order, and its bits do not depend on which (the BLAS product of a
-# block does not depend on its row stride).
+# blowdown's) is never held whole, and nothing is kept between calls. A
+# caller that reads one Phi many times builds it with phi_matrix and passes
+# it to quadratic_form: the GJMS bubble scan at non-integer s, whose trials'
+# remainder forms all take one lifted-bubble domain and the short remainder
+# grid (quotients.REMAINDER_B_MAX). Passed or streamed, _transforms
+# multiplies the same blocks in the same order, and its bits do not depend
+# on which (the BLAS product of a block does not depend on its row stride).
 # ---------------------------------------------------------------------------
-
-_PHI_HELD = (None, None)   # (key, matrix) of the one held Phi
-_PHI_LAST = None           # key of the latest request
-
 
 def phi_matrix(n: int, beta_grid: RadialGrid, r_grid: RadialGrid) -> np.ndarray:
     """Phi_beta(r) on beta_grid x r_grid, a new matrix filled from the blocks
-    of _phi_blocks (nothing is cached here; _phi_source holds one).
+    of _phi_blocks; built for a caller that reads it more than once
+    (quadratic_form's phi), and cached nowhere.
 
     Columns below the Jacobi switch (R_MIN_JACOBI, raised for large
     frequencies by _jacobi_switch_radius) come from the panel-factored
@@ -345,24 +341,6 @@ def phi_matrix(n: int, beta_grid: RadialGrid, r_grid: RadialGrid) -> np.ndarray:
     for cols, block in _phi_blocks(n, beta_grid, r_grid):
         mat[:, cols] = block
     return mat
-
-
-def _phi_source(n, beta_grid, r_grid):
-    """The (column slice, block) pairs of Phi on beta_grid x r_grid for one
-    transform, by the key (n, exact node bytes of both grids): views of the
-    held matrix when it has this key; else, when the request before this one
-    had this key, views of a matrix that phi_matrix builds and that replaces
-    the held one; else the blocks of _phi_blocks, streamed."""
-    global _PHI_HELD, _PHI_LAST
-    key = (n, beta_grid.fingerprint(), r_grid.fingerprint())
-    previous, _PHI_LAST = _PHI_LAST, key
-    if key != _PHI_HELD[0]:
-        if key != previous:
-            return _phi_blocks(n, beta_grid, r_grid)
-        _PHI_HELD = (None, None)   # the old matrix goes before the new one is built
-        _PHI_HELD = (key, phi_matrix(n, beta_grid, r_grid))
-    mat = _PHI_HELD[1]
-    return ((cols, mat[:, cols]) for cols in _column_chunks(*mat.shape))
 
 
 def default_beta_grid(support_radius: float, b_max: float = DEFAULT_B_MAX) -> RadialGrid:
@@ -393,14 +371,20 @@ def _polar_measure(n, grid):
     return sphere_area(n) * np.sinh(grid.nodes) ** (n - 1) * grid.weights
 
 
-def _transforms(n, beta_grid, grid, columns):
+def _transforms(n, beta_grid, grid, columns, phi=None):
     """Spherical transforms on beta_grid of the profile columns on grid: the
-    sum, in column order, of each Phi block (_phi_source) times its rows of
-    the measure-weighted columns. A streamed block is dropped once it is
-    multiplied, so a single-use transform holds one block, not the matrix."""
+    sum, in column order, of each Phi block times its rows of the
+    measure-weighted columns. The blocks are those of _phi_blocks, each
+    dropped once it is multiplied, so the transform holds one block, not the
+    matrix; or, when the caller passes phi = phi_matrix(n, beta_grid, grid),
+    the same column chunks of phi, with the same bits."""
     weighted = _polar_measure(n, grid)[:, None] * columns
     out = np.zeros((beta_grid.nodes.size, columns.shape[1]))
-    for cols, block in _phi_source(n, beta_grid, grid):
+    if phi is None:
+        blocks = _phi_blocks(n, beta_grid, grid)
+    else:
+        blocks = ((cols, phi[:, cols]) for cols in _column_chunks(*phi.shape))
+    for cols, block in blocks:
         out += block @ weighted[cols]
     return out
 
@@ -421,7 +405,7 @@ def inverse_spherical_transform(F: SpectralProfile, n: int, r_grid: RadialGrid,
         )
     weighted = F.values * dens * F.beta_grid.weights
     values = np.empty(r_grid.nodes.size)
-    for cols, block in _phi_source(n, F.beta_grid, r_grid):
+    for cols, block in _phi_blocks(n, F.beta_grid, r_grid):
         values[cols] = block.T @ weighted
     return RadialFunction(values=values, grid=r_grid, support_radius=r_grid.r_max,
                           space=Space.HYPERBOLIC)
@@ -433,50 +417,49 @@ def lp_mass(f: RadialFunction, n: int, p_exp: float) -> float:
     return sphere_area(n) * f.grid.integrate(np.abs(f.values) ** p_exp * np.sinh(r) ** (n - 1))
 
 
-@functools.lru_cache(maxsize=32)
 def _spectral_weights(kind, p: Params, support_radius: float, b_max: float):
     """default_beta_grid(support_radius, b_max), |c|^{-2} and the multiplier
-    of kind on its nodes, read-only."""
-    beta_grid = default_beta_grid(support_radius, b_max)
-    dens = plancherel_density(p.n, beta_grid.nodes)
-    symbol = multiplier(kind, p, beta_grid.nodes)
-    for array in (beta_grid.nodes, beta_grid.weights, dens, symbol):
-        array.flags.writeable = False
-    return beta_grid, dens, symbol
+    of kind on its nodes."""
+    beta = default_beta_grid(support_radius, b_max)
+    return beta, plancherel_density(p.n, beta.nodes), multiplier(kind, p, beta.nodes)
 
 
-def _spectral_forms(kind, p, grid, columns, support_radius, b_max):
-    """(energy, guard, transforms) of the profile columns on grid, supported
-    in [0, support_radius]. With f_hat_i = transforms[:, i], column i's
-    transform on default_beta_grid(support_radius, b_max), energy[i, j] is
-    int f_hat_i f_hat_j m |c|^{-2} d beta, m the multiplier of kind, and
-    columns @ theta passes the tail guard, theta^T guard theta >= 0, iff the
-    last decade of that grid carries at most DEFAULT_TAIL_TOL of
-    int |m| |f_hat|^2 |c|^{-2} d beta."""
+def _spectral_forms(kind, p, grid, columns, support_radius, b_max, phi=None):
+    """(energy, guard, tails) of the profile columns on grid, supported in
+    [0, support_radius]. With f_hat_i = column i's transform on
+    default_beta_grid(support_radius, b_max) (through phi when the caller
+    built it, _transforms), energy[i, j] is
+    int f_hat_i f_hat_j m |c|^{-2} d beta, m the multiplier of kind,
+    tails[i] is the fraction of int |m| |f_hat_i|^2 |c|^{-2} d beta carried
+    by the last decade of that grid (tail_fraction), and columns @ theta
+    passes the tail guard, theta^T guard theta >= 0, iff that fraction of
+    its transform is at most DEFAULT_TAIL_TOL."""
     beta_grid, dens, symbol = _spectral_weights(kind, p, support_radius, b_max)
-    transforms = _transforms(p.n, beta_grid, grid, columns)
+    transforms = _transforms(p.n, beta_grid, grid, columns, phi)
     weighted = transforms.T * (beta_grid.weights * dens)
     # tol * total - tail of |m| |f_hat|^2 |c|^{-2}, the tail as in tail_fraction
     guard = (weighted * (DEFAULT_TAIL_TOL - beta_grid.tail_mask) * np.abs(symbol)) @ transforms
     energy = (weighted * symbol) @ transforms
-    return energy, guard, transforms
+    tails = [beta_grid.tail_fraction(row) for row in np.abs(symbol) * transforms.T ** 2 * dens]
+    return energy, guard, tails
 
 
 def quadratic_form(kind: MultiplierKind, p: Params, f: RadialFunction,
-                   b_max: float = DEFAULT_B_MAX) -> float:
+                   b_max: float = DEFAULT_B_MAX, phi=None) -> float:
     """int_0^{b_max} m(beta) |f_hat|^2 |c|^{-2} d beta, m the multiplier of
     kind (half-line normalization, as in the radial Plancherel identity).
 
     The one-column case of _spectral_forms: raises TailError when f fails
-    its tail guard, with the tail fraction read from the same transform.
+    its tail guard, with the tail fraction of the same transform. A caller
+    that prices many profiles on one grid may pass
+    phi = phi_matrix(p.n, default_beta_grid(f.support_radius, b_max), f.grid),
+    which gives the bits of the streamed transform.
     """
-    energy, guard, transforms = _spectral_forms(kind, p, f.grid, _profile_column(f),
-                                                f.support_radius, b_max)
+    energy, guard, tails = _spectral_forms(kind, p, f.grid, _profile_column(f),
+                                           f.support_radius, b_max, phi)
     if guard[0, 0] < 0.0:
-        beta_grid, dens, symbol = _spectral_weights(kind, p, f.support_radius, b_max)
-        tail = beta_grid.tail_fraction(np.abs(symbol) * transforms[:, 0] ** 2 * dens)
         raise TailError(
-            f"quadratic form tail fraction {tail:.3e} exceeds tolerance {DEFAULT_TAIL_TOL:.1e}"
+            f"quadratic form tail fraction {tails[0]:.3e} exceeds tolerance {DEFAULT_TAIL_TOL:.1e}"
         )
     return float(energy[0, 0])
 

@@ -36,10 +36,7 @@ def rng():
 @pytest.fixture
 def phi_passes(monkeypatch):
     """The (n, rows, columns) of every Phi pass (spherical._phi_blocks call)
-    of the test, which starts with no matrix held and no transform request
-    remembered."""
-    monkeypatch.setattr(spherical, "_PHI_HELD", (None, None))
-    monkeypatch.setattr(spherical, "_PHI_LAST", None)
+    of the test."""
     passes = []
 
     def counted(n, beta_grid, r_grid, _fn=spherical._phi_blocks):

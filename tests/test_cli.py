@@ -299,8 +299,19 @@ class TestExitCodes:
         ["blowdown", "--n", "3", "--s", "1", "--lambda", "0.3", "--n-spec", "4,4,4"],
         ["bubble-asymptotics", "--n", "5", "--s", "1", "--delta", "0.2",
          "--eps-ladder", "0.05,0.05,0.05"],
+        # a frequency cut-off at or below 0, also for a family that never reads it
+        ["gap-scan", "--kind", "intertwined", "--n", "5", "--s", "0.8",
+         "--lambda-spec=0:0.25:2", "--family", "bubble", "--b-max", "0"],
+        ["gap-scan", "--kind", "intertwined", "--n", "5", "--s", "0.8",
+         "--lambda-spec=0:0.25:2", "--family", "bubble", "--b-max=-5"],
+        ["gap-scan", "--kind", "gjms", "--n", "5", "--s", "0.8", "--lambda-spec=0:0.25:2",
+         "--family", "bubble", "--b-max", "0"],
+        ["gap-scan", "--kind", "gjms", "--n", "3", "--s", "1", "--lambda-spec=0",
+         "--family", "spline", "--spline-radius", "3.5", "--b-max=-5"],
     ], ids=["nan-lambda", "inf-lambda-range", "fractional-N", "nan-radius",
-            "repeated-radius", "repeated-N", "repeated-eps"])
+            "repeated-radius", "repeated-N", "repeated-eps", "zero-b-max-intertwined-bubble",
+            "negative-b-max-intertwined-bubble", "zero-b-max-gjms-bubble",
+            "negative-b-max-spline"])
     def test_bad_input_exits_2_before_any_work(self, argv, tmp_path, capsys):
         # no file is written and no fit is reached (nor numpy's RankWarning)
         out = str(tmp_path / "x.csv")

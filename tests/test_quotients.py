@@ -449,6 +449,23 @@ class TestGapScan:
             with pytest.raises(ParameterError, match="eval_cap must be >= 1"):
                 gap_scan(INT, Params(5, 0.8), [0.05], family, eval_cap=cap)
 
+    @pytest.mark.parametrize("kind, family", [(INT, BubbleFamily()), (GJMS, BubbleFamily()),
+                                              (GJMS, SplineFamily(knots=6, radius=3.0))],
+                             ids=["intertwined-bubble", "gjms-bubble", "spline"])
+    def test_nonpositive_b_max_is_bad_input(self, monkeypatch, kind, family):
+        # rejected before any work, also by the intertwined bubble search,
+        # which never reads b_max
+        import gjmslab.quotients as quotients
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work before validation")
+
+        for name in ("_Budget", "bubble_energy", "phi_matrix", "_spectral_forms"):
+            monkeypatch.setattr(quotients, name, no_work)
+        for b_max in (0.0, -5.0):
+            with pytest.raises(ParameterError, match="b_max must be > 0"):
+                gap_scan(kind, Params(5, 0.8), [0.0], family, b_max=b_max)
+
     @pytest.mark.parametrize("family", [BubbleFamily(), SplineFamily(knots=6, radius=3.0)],
                              ids=["bubble", "spline"])
     def test_lambda_above_bottom_rejected(self, monkeypatch, family):
@@ -524,46 +541,59 @@ class TestGapScan:
         # intertwined scan's reports bit for bit
         p, lambdas = Params(3, 1.0), [0.0, 0.2]
         intertwined = gap_scan(INT, p, lambdas, BubbleFamily())
-        # phi_passes starts with no matrix held, so a transform would build one
         assert gap_scan(GJMS, p, lambdas, BubbleFamily()) == intertwined
         assert phi_passes == []
         family = SplineFamily(knots=6, radius=3.0)
         assert gap_scan(GJMS, p, lambdas, family) == gap_scan(INT, p, lambdas, family)
 
     def test_gjms_bubble_scan_holds_one_short_matrix(self, phi_passes):
-        # every trial's remainder form reads one Phi of the short remainder
-        # grid: streamed at the first request, held from the second on
+        # the scan builds the one Phi of every trial's remainder form, the
+        # 128 frequencies of the short remainder grid by the lifted-bubble
+        # grid, in one pass; a second scan builds its own and returns the
+        # same reports
         import gjmslab.quotients as quotients
-        import gjmslab.spherical as spherical
 
-        reports = gap_scan(GJMS, Params(5, 0.8), [0.0, 0.25], BubbleFamily())
-        assert len(reports) == 2
-        rows = spherical.default_beta_grid(1.0, quotients.REMAINDER_B_MAX).nodes.size
-        assert rows == 128 and 1 <= len(phi_passes) <= 2
-        assert all(n == 5 and beta == rows for n, beta, _ in phi_passes)
-        assert spherical._PHI_HELD[1].shape[0] == rows
+        p, lambdas = Params(5, 0.8), [0.0, 0.25]
+        columns = standard_hyperbolic_grid(quotients.LIFTED_BUBBLE_RADIUS).nodes.size
+        first = gap_scan(GJMS, p, lambdas, BubbleFamily())
+        assert phi_passes == [(5, 128, columns)]
+        assert gap_scan(GJMS, p, lambdas, BubbleFamily()) == first
+        assert phi_passes == [(5, 128, columns)] * 2
 
     def test_one_phi_across_many_deltas(self, phi_passes, monkeypatch):
         # the lambda < 0 searches price each ratio at its smallest delta, so
-        # the trials' supports differ; their remainder forms share one domain,
-        # so one Phi key (streamed, then built and held) and one set of
-        # spectral weights serve the whole scan
+        # the trials' supports differ; their remainder forms share one
+        # domain, so one Phi pass serves the whole scan
         import gjmslab.quotients as quotients
-        import gjmslab.spherical as spherical
 
         deltas = set()
 
-        def recorded(kind, p, lam, bp, *args, _fn=quotients.bubble_quotient):
+        def recorded(kind, p, lam, bp, *args, _fn=quotients.bubble_quotient, **kwargs):
             deltas.add(bp.delta)
-            return _fn(kind, p, lam, bp, *args)
+            return _fn(kind, p, lam, bp, *args, **kwargs)
 
         monkeypatch.setattr(quotients, "bubble_quotient", recorded)
-        spherical._spectral_weights.cache_clear()
         gap_scan(GJMS, Params(5, 0.8), np.linspace(-1.0, 0.25, 6), BubbleFamily())
         assert len(deltas) > 20
-        columns = quotients.standard_hyperbolic_grid(quotients.LIFTED_BUBBLE_RADIUS).nodes.size
-        assert phi_passes == [(5, 128, columns)] * 2
-        assert spherical._spectral_weights.cache_info().misses == 1
+        columns = standard_hyperbolic_grid(quotients.LIFTED_BUBBLE_RADIUS).nodes.size
+        assert phi_passes == [(5, 128, columns)]
+
+    def test_lone_bubble_quotient_matches_the_search(self, monkeypatch):
+        # a trial priced on its own streams its remainder Phi; inside the
+        # search it reads the scan's matrix, and the reports are byte-equal
+        import gjmslab.quotients as quotients
+
+        original, priced = quotients.bubble_quotient, []
+
+        def recorded(*args, **kwargs):
+            priced.append((args, original(*args, **kwargs)))
+            return priced[-1][1]
+
+        monkeypatch.setattr(quotients, "bubble_quotient", recorded)
+        gap_scan(GJMS, Params(5, 0.8), [-0.5, 0.25], BubbleFamily())
+        assert len(priced) > 40
+        for args, inside in priced[::8]:
+            assert repr(original(*args)) == repr(inside)
 
     def test_spline_scan_builds_the_forms_once(self, monkeypatch):
         # one build of the family's matrices serves every lambda; a search
@@ -595,13 +625,13 @@ class TestGapScan:
         memo = {}
         first = _Budget(7)
         with pytest.raises(BudgetExceeded):
-            _minimize_bubble(INT, p, 0.0, BubbleFamily(), first, DEFAULT_B_MAX, memo)
+            _minimize_bubble(INT, p, 0.0, BubbleFamily(), first, DEFAULT_B_MAX, memo, None)
         assert len(memo) == 7
         # the second search reads trials of the first back from the memo;
         # each read-back still counts against its cap
         second = _Budget(7)
         with pytest.raises(BudgetExceeded):
-            _minimize_bubble(INT, p, 0.25, BubbleFamily(), second, DEFAULT_B_MAX, memo)
+            _minimize_bubble(INT, p, 0.25, BubbleFamily(), second, DEFAULT_B_MAX, memo, None)
         assert second.used == 7
         assert len(memo) < 14
 

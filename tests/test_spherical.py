@@ -13,7 +13,7 @@ from gjmslab.bubbles import fractional_energy
 from gjmslab.errors import DegenerateData, DomainError, NonConvergence, SupportError, TailError
 from gjmslab.geometry import conformal_lift
 from gjmslab.grids import RadialFunction, RadialGrid, Space, SpectralProfile, uniform_grid
-from gjmslab.multipliers import multiplier, spectral_bottom
+from gjmslab.multipliers import spectral_bottom
 from gjmslab.params import MultiplierKind, Params
 from gjmslab.quotients import standard_hyperbolic_grid
 from gjmslab.spherical import (
@@ -46,15 +46,12 @@ def _quadratic_symbol(kind, p, b):
 @pytest.fixture
 def symbol_hook(monkeypatch):
     """install(fn): fn(kind, p, beta) takes the place of multiplier in
-    spherical and in the kernel oracle; the spectral-weight cache is cleared
-    at install and at teardown, so no hook symbol outlives its test."""
+    spherical and in the kernel oracle."""
     def install(fn):
         for module in (spherical, oracles):
             monkeypatch.setattr(module, "multiplier", fn)
-        spherical._spectral_weights.cache_clear()
 
-    yield install
-    spherical._spectral_weights.cache_clear()
+    return install
 
 
 class TestPlancherelDensity:
@@ -364,15 +361,10 @@ def _profile_columns(grid):
     return np.column_stack([np.exp(-r * r / w) for w in (0.3, 1.0, 4.0)])
 
 
-def _held():
-    """The one Phi matrix the transforms hold, or None."""
-    return spherical._PHI_HELD[1]
-
-
 class TestStreamedTransforms:
-    """A transform contracts each Phi block as it is built; a request with
-    the key of the request before it holds the matrix, in place of any
-    other, and later requests of that key read it."""
+    """A transform contracts each Phi block as it is built and keeps nothing
+    between calls; a forward transform given a caller-built Phi reads its
+    column chunks in the same order, with the same bits."""
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("b_max", [60.0, 120.0])
@@ -383,7 +375,7 @@ class TestStreamedTransforms:
         assert grid.nodes[0] < switch < grid.nodes[-1]
         columns = _profile_columns(grid)
         streamed = spherical._transforms(n, bg, grid, columns)
-        assert len(phi_passes) == 1 and _held() is None
+        assert len(phi_passes) == 1
         whole = phi_matrix(n, bg, grid) @ (spherical._polar_measure(n, grid)[:, None] * columns)
         assert np.max(np.abs(streamed - whole)) <= 1e-14 * np.max(np.abs(whole))
 
@@ -402,51 +394,42 @@ class TestStreamedTransforms:
         f = hyperbolic_bump(0.8, 3.0)
         spherical._spectral_forms(MultiplierKind.GJMS, Params(4, 0.75), f.grid,
                                   f.values[:, None], f.support_radius, 60.0)
-        assert len(phi_passes) == 1 and _held() is None
+        assert len(phi_passes) == 1
 
-    def test_second_request_admits_and_hits_read_it(self, phi_passes):
-        bg, grid = default_beta_grid(3.5, 60.0), standard_hyperbolic_grid(3.5)
+    def test_caller_built_phi_gives_the_streamed_bits(self, phi_passes):
+        # 33 column chunks of a 480 x 1120 Phi: read from the caller's
+        # matrix, the transforms and the form make no pass of their own
+        p, f = Params(5, 0.8), hyperbolic_bump(0.8, 3.5, panel_width=0.05)
+        bg, grid = default_beta_grid(3.5, 60.0), f.grid
+        assert len(spherical._column_chunks(bg.nodes.size, grid.nodes.size)) == 33
         columns = _profile_columns(grid)
         streamed = spherical._transforms(5, bg, grid, columns)
-        assert _held() is None
-        admitted = spherical._transforms(5, bg, grid, columns)
-        held = _held()
-        assert len(phi_passes) == 2 and held.shape == (bg.nodes.size, grid.nodes.size)
-        hits = [spherical._transforms(5, bg, grid, columns) for _ in range(3)]
-        assert len(phi_passes) == 2 and _held() is held
-        assert held.tobytes() == phi_matrix(5, bg, grid).tobytes()
-        # held or streamed, the same blocks are contracted in the same order
-        for result in [streamed] + hits:
-            assert result.tobytes() == admitted.tobytes()
+        energy = quadratic_form(MultiplierKind.REMAINDER, p, f)
+        phi = phi_matrix(5, bg, grid)
+        assert len(phi_passes) == 3
+        assert spherical._transforms(5, bg, grid, columns, phi).tobytes() == streamed.tobytes()
+        assert quadratic_form(MultiplierKind.REMAINDER, p, f, phi=phi).hex() == energy.hex()
+        assert len(phi_passes) == 3
 
-    def test_one_matrix_held_from_a_repeated_request(self, phi_passes):
-        # A, A, B, B, A: stream, build and hold, stream, build and replace,
-        # stream; held or streamed, a transform has the same bits
-        bg = default_beta_grid(3.0, 8.0)
-        a, b = uniform_grid(2.0), uniform_grid(3.0)
-        results, held = [], []
-        for grid in (a, a, b, b, a):
-            results.append(spherical._transforms(3, bg, grid, _profile_columns(grid)))
-            held.append(_held())
-        assert [cols for _, _, cols in phi_passes] == [a.nodes.size] * 2 + [b.nodes.size] * 2 \
-            + [a.nodes.size]
-        assert held[0] is None and held[1].shape == (bg.nodes.size, a.nodes.size)
-        assert held[2] is held[1]
-        assert held[3].shape == (bg.nodes.size, b.nodes.size) and held[4] is held[3]
-        assert results[0].tobytes() == results[1].tobytes() == results[4].tobytes()
-        assert results[2].tobytes() == results[3].tobytes()
+    def test_repeated_requests_stream_each_time(self, phi_passes):
+        # nothing is kept between calls: each transform makes its own pass,
+        # with the same bits
+        bg, grid = default_beta_grid(3.0, 8.0), uniform_grid(2.0)
+        results = [spherical._transforms(3, bg, grid, _profile_columns(grid)) for _ in range(3)]
+        assert phi_passes == [(3, bg.nodes.size, grid.nodes.size)] * 3
+        assert results[0].tobytes() == results[1].tobytes() == results[2].tobytes()
 
-    def test_inverse_transform_streams_and_hits(self, phi_passes):
+    def test_inverse_transform_streams(self, phi_passes):
         f = hyperbolic_bump(0.8, 3.0)
         F = spherical_transform(f, 3, default_beta_grid(3.0, 60.0))
-        grid = uniform_grid(3.0, panel_width=0.1)   # a key of its own
-        streamed = inverse_spherical_transform(F, 3, grid, tail_tol=1e-3)
-        assert len(phi_passes) == 2 and _held() is None
-        admitted = inverse_spherical_transform(F, 3, grid, tail_tol=1e-3)
-        hit = inverse_spherical_transform(F, 3, grid, tail_tol=1e-3)
-        assert len(phi_passes) == 3 and hit.values.tobytes() == admitted.values.tobytes()
-        scale = np.max(np.abs(admitted.values))
-        assert np.max(np.abs(streamed.values - admitted.values)) <= 1e-14 * scale
+        grid = uniform_grid(3.0, panel_width=0.1)
+        first = inverse_spherical_transform(F, 3, grid, tail_tol=1e-3)
+        second = inverse_spherical_transform(F, 3, grid, tail_tol=1e-3)
+        assert len(phi_passes) == 3 and second.values.tobytes() == first.values.tobytes()
+        bg = F.beta_grid
+        whole = phi_matrix(3, bg, grid).T @ (F.values * plancherel_density(3, bg.nodes)
+                                             * bg.weights)
+        assert np.max(np.abs(first.values - whole)) <= 1e-14 * np.max(np.abs(whole))
 
     def test_single_use_spline_forms_memory(self, phi_passes):
         # the (3, 1) R = 5 spline forms at b_max 240 read a 1920 x 1600 Phi
@@ -463,7 +446,7 @@ class TestStreamedTransforms:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(phi_passes) == 1 and _held() is None
+        assert len(phi_passes) == 1
         assert peak < phi_bytes / 4
 
 
@@ -497,8 +480,6 @@ class TestQuadraticForm:
         euclidean = fractional_energy(w, p)
         assert hyperbolic == pytest.approx(euclidean, rel=1e-3)
 
-
-class TestSpectralWeightCache:
     def test_gjms_quotient_transforms_once(self, monkeypatch):
         # the intertwined and remainder forms of a GJMS energy (non-integer
         # s) come from one transform
@@ -514,35 +495,26 @@ class TestSpectralWeightCache:
         sobolev_quotient(MultiplierKind.GJMS, Params(4, 0.75), 0.0, hyperbolic_bump(0.8, 3.0))
         assert len(calls) == 1
 
-    def test_cold_and_warm_values_bit_equal(self, symbol_hook):
-        # cached symbols give the values of fresh ones: multiplier behind a
-        # hook that recomputes them
-        p = Params(4, 0.75)
-        f = hyperbolic_bump(0.8, 3.0)
-        kinds = (INT, MultiplierKind.REMAINDER, MultiplierKind.GJMS)
-        spherical._spectral_weights.cache_clear()
-        cold = [quadratic_form(kind, p, f) for kind in kinds]
-        warm = [quadratic_form(kind, p, f) for kind in kinds]
-        assert spherical._spectral_weights.cache_info().hits >= len(kinds)
-        hooks = []
-        for kind in kinds:
-            symbol_hook(lambda k, q, b: multiplier(k, q, b))
-            hooks.append(quadratic_form(kind, p, f))
-        assert cold == warm == hooks
+    def test_tail_error_prices_one_set_of_weights(self, monkeypatch):
+        # the reported fraction comes from the transform and the weights the
+        # guard was computed from: one frequency grid, density and symbol
+        # (tail fraction 2.3e-3 at b_max 8)
+        p, f = Params(3, 0.6), hyperbolic_bump(0.3, 3.0)
+        weights = []
 
-    def test_cached_arrays_are_read_only(self):
-        beta_grid, dens, symbol = spherical._spectral_weights(
-            MultiplierKind.GJMS, Params(3, 1.0), 3.0, 60.0)
-        for array in (beta_grid.nodes, beta_grid.weights, dens, symbol):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 1.0
+        def counted(*args, _fn=spherical._spectral_weights):
+            weights.append(_fn(*args))
+            return weights[-1]
 
-    def test_bounded(self):
-        cache = spherical._spectral_weights
-        for k in range(cache.cache_parameters()["maxsize"] + 5):
-            spherical._spectral_weights(INT, Params(3, 1.0), 1.0 + 0.5 * k, 8.0)
-        assert cache.cache_info().currsize == cache.cache_parameters()["maxsize"]
+        monkeypatch.setattr(spherical, "_spectral_weights", counted)
+        with pytest.raises(TailError) as failure:
+            quadratic_form(INT, p, f, b_max=8.0)
+        assert len(weights) == 1
+        beta_grid, dens, symbol = weights[0]
+        f_hat = spherical_transform(f, 3, beta_grid).values
+        tail = beta_grid.tail_fraction(np.abs(symbol) * f_hat ** 2 * dens)
+        assert tail > spherical.DEFAULT_TAIL_TOL
+        assert f"tail fraction {tail:.3e} exceeds" in str(failure.value)
 
 
 class TestMehlerRuleCache:
