@@ -59,18 +59,23 @@ T @ Y with Y[k, j] = y_j^k, and the phase e^{i beta log 2 cosh r} comes from
 the same panel factors. A grid not made of such panels gets one-node
 panels (shifts = nodes, offsets = [0]) and runs the same code.
 
-spherical_function, and with it regularized_kernel, stays on the
-per-radius Mehler integral at every r > 0: at (n, s) = (3, 1) the kernel
-values that quotients.blowdown reduces to its constants are quadrature
-roundoff, so any route change would move them. It and the Mehler columns of
-_phi_blocks take their u-nodes, weights and h_r from one rule, _mehler_rule;
-spherical_function holds the rules of its recent (n, r, panel count) in a
-bounded cache (_mehler_rule_at). _phi_mehler takes a 2-d block of frequency
+Two routes price the regularized kernel
+k^eps(r) = 2 int m(beta) e^{-eps beta^2} Phi_beta(r) |c(beta)|^{-2} d beta.
+kernel_decay reads every value it reports from one Phi product
+(_kernel_table): one fixed composite Gauss rule in beta, all its radii as
+the columns and one (beta x eps) weight matrix for all its eps, one
+_phi_blocks call per block of frequency rows. regularized_kernel is an adaptive panel-splitting quadrature on the
+pointwise spherical_function, which stays on the per-radius Mehler integral
+at every r > 0. quotients.blowdown calls it: at (n, s) = (3, 1) the kernel
+values it reduces to its constants are quadrature roundoff, so any change of
+route or summation order would move them. kernel_decay calls it once, as a
+runtime witness of its product. spherical_function and the Mehler columns
+of _phi_blocks take their u-nodes, weights and h_r from one rule,
+_mehler_rule, built at each use. _phi_mehler takes a 2-d block of frequency
 rows; regularized_kernel passes spherical_function a batch of its adaptive
 panels at a time.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -101,6 +106,12 @@ DEFAULT_B_MAX = 60.0
 DEFAULT_TAIL_TOL = 1e-4    # runtime guard on inverse/quadratic-form truncation
 KERNEL_REL_TOL = 1e-10     # regularized_kernel: panel acceptance, relative to its scale
 KERNEL_MAX_PANELS = 4096   # regularized_kernel: refinement cap (NonConvergence beyond)
+KERNEL_PANEL_WIDTH = 0.25  # kernel_decay: frequency panel width (at most PHASE_PER_PANEL / r_max)
+# kernel_decay: frequency panels per row block of its Phi pass (1024 rows);
+# the whole ~5500-row pass of the benchmark's (5, 0.7) kernel-decay peaks at
+# 5.6 MB of temporaries (tracemalloc), blocks of 64 panels at 1.3 MB
+KERNEL_ROW_PANELS = 64
+KERNEL_WITNESS_TOL = 1e-4  # kernel_decay: product against the adaptive kernel, relative
 
 
 def plancherel_density(n: int, beta):
@@ -155,18 +166,6 @@ def _mehler_rule(n, radii, count):
     return r - uu, h * w
 
 
-# holds the rules of one kernel_decay call: the benchmark's kernel-decay
-# commands read 177-185 distinct (n, r, count) rules, 1.1-1.2 MB in all, and
-# a smaller cache evicts and rebuilds them (297-311 builds at 64)
-@functools.lru_cache(maxsize=256)
-def _mehler_rule_at(n, r, count):
-    """_mehler_rule at the one radius r, as 1-d read-only arrays."""
-    phase, hw = _mehler_rule(n, np.array([r]), count)
-    for array in (phase, hw):
-        array.flags.writeable = False
-    return phase[0], hw[0]
-
-
 def _phi_mehler(n, beta, r):
     """Phi_beta(r) by the Mehler-Dirichlet integral, for a 1-d beta (one row)
     or a 2-d block of rows. Each row takes the u-quadrature that its own
@@ -179,10 +178,10 @@ def _phi_mehler(n, beta, r):
         groups.setdefault(_mehler_u_panels(r, b_max), []).append(i)
     integral = np.empty(rows.shape)
     for count, same in groups.items():
-        phase, hw = _mehler_rule_at(n, r, count)
-        kernel = rows[same][:, :, None] * phase
+        phase, hw = _mehler_rule(n, np.array([r]), count)
+        kernel = rows[same][:, :, None] * phase[0]
         np.cos(kernel, out=kernel)
-        integral[same] = kernel @ hw
+        integral[same] = kernel @ hw[0]
     return _mehler_constant(n) * math.sinh(r) ** (2 - n) * integral.reshape(np.shape(beta))
 
 
@@ -468,6 +467,12 @@ def quadratic_form(kind: MultiplierKind, p: Params, f: RadialFunction,
 # Regularized radial kernel and its off-diagonal decay rate
 # ---------------------------------------------------------------------------
 
+def _kernel_beta_cut(eps_reg):
+    """Where the Gaussian factor e^{-eps_reg beta^2} falls to 1e-16: both
+    kernel routes integrate up to this frequency."""
+    return math.sqrt(16.0 * math.log(10.0) / eps_reg)
+
+
 def regularized_kernel(kind: MultiplierKind, p: Params, r: float, eps_reg: float) -> float:
     """k^eps(r) = 2 int_0^inf m(beta) e^{-eps beta^2} Phi_beta(r) |c|^{-2} d beta.
 
@@ -499,7 +504,7 @@ def regularized_kernel(kind: MultiplierKind, p: Params, r: float, eps_reg: float
         raise DomainError(f"regularized_kernel requires r >= 0.5, got {r}")
     if not eps_reg > 0.0:
         raise DomainError(f"eps_reg must be > 0, got {eps_reg}")
-    beta_cut = math.sqrt(16.0 * math.log(10.0) / eps_reg)
+    beta_cut = _kernel_beta_cut(eps_reg)
 
     def panel_values(panels):
         """{(a, b): the one-panel rule on [a, b]} for a list of panels."""
@@ -574,11 +579,41 @@ def decay_slope(radii, values) -> float:
     values = np.asarray(values, dtype=float)
     if radii.size < 4 or decay_fit_radii(radii).size != radii.size:
         raise DegenerateData("decay fit needs >= 4 radii, all in [2, 8]")
-    if np.unique(radii).size != radii.size:
+    # a set, not np.unique, which would load numpy.ma
+    if len(set(radii.tolist())) != radii.size:
         raise DegenerateData("decay fit needs distinct radii")
     if np.any(values == 0.0) or not np.all(np.isfinite(values)):
         raise DegenerateData("kernel values underflowed; cannot fit a decay rate")
     return float(np.polyfit(radii, np.log(np.abs(values)), 1)[0])
+
+
+def _kernel_table(kind, p, radii, eps_values):
+    """k^eps(r), the integral of regularized_kernel, for each eps of
+    eps_values (rows) at each radius of the increasing 1-d radii (columns),
+    from one pass over the frequency rows.
+
+    One fixed composite 16-node rule on [0, beta_cut] (_kernel_beta_cut of
+    the smallest eps), in panels KERNEL_PANEL_WIDTH wide or, for a larger
+    r_max, PHASE_PER_PANEL / r_max. The table is W^T Phi with
+    W[beta, eps] = 2 w m(beta) e^{-eps beta^2} |c(beta)|^{-2}, summed over
+    row blocks of KERNEL_ROW_PANELS panels: each block is a grid of its own
+    for _phi_blocks, so the 2F1 coefficients and the Phi block of one row
+    block are held at a time."""
+    eps = np.asarray(eps_values, dtype=float)
+    beta_cut = _kernel_beta_cut(float(np.min(eps)))
+    width = min(KERNEL_PANEL_WIDTH, PHASE_PER_PANEL / radii[-1])
+    beta = RadialGrid.from_edges(np.linspace(0.0, beta_cut, int(math.ceil(beta_cut / width)) + 1))
+    r_grid = RadialGrid(radii, np.ones(radii.size))
+    table = np.zeros((eps.size, radii.size))
+    rows = GAUSS_NODES.size * KERNEL_ROW_PANELS
+    for start in range(0, beta.nodes.size, rows):
+        block = RadialGrid(beta.nodes[start:start + rows], beta.weights[start:start + rows])
+        b = block.nodes
+        w = 2.0 * block.weights * multiplier(kind, p, b) * plancherel_density(p.n, b)
+        weights = w[:, None] * np.exp(-np.multiply.outer(b * b, eps))
+        for cols, phi in _phi_blocks(p.n, block, r_grid):
+            table[:, cols] += weights.T @ phi
+    return table
 
 
 def kernel_decay(kind: MultiplierKind, p: Params, radii, eps_reg: float):
@@ -594,15 +629,38 @@ def kernel_decay(kind: MultiplierKind, p: Params, radii, eps_reg: float):
     target slope, eps_reg, and with at least four radii in the fit window
     [2, 8] the decay slopes at eps_reg ("slope") and eps_reg / 2
     ("slope_half_eps"); also k^eps at the largest radius over
-    KERNEL_SCAN_EPS and its eps_extrapolation. Each (r, eps) kernel value is
-    computed once. A repeated radius raises ParameterError before any kernel
-    is computed.
+    KERNEL_SCAN_EPS and its eps_extrapolation. A repeated radius raises
+    ParameterError before any kernel is computed.
+
+    Every reported value comes from one Phi product (_kernel_table) over
+    all radii and every eps of eps_reg, eps_reg / 2 and KERNEL_SCAN_EPS.
+    One adaptive kernel is its runtime witness: regularized_kernel at the
+    smallest radius and eps_reg, where the kernel is largest. When the
+    product's value there is more than KERNEL_WITNESS_TOL off it, relative,
+    kernel_decay raises NonConvergence: then one route or both are at
+    roundoff (the intertwined kernel at integer s, whose symbol is a
+    polynomial, is analytically about e^{-r^2 / (4 eps)}).
     """
     if any(r < 0.5 for r in radii) or not eps_reg > 0.0:
         raise DomainError("kernel_decay needs radii r >= 0.5 and eps_reg > 0")
     if len(set(radii)) != len(radii):
         raise ParameterError("kernel_decay radii must be distinct")
-    kernel = functools.cache(lambda r, eps: regularized_kernel(kind, p, r, eps))
+    increasing = sorted(map(float, radii))
+    eps_values = list(dict.fromkeys((eps_reg, eps_reg / 2.0) + KERNEL_SCAN_EPS))
+    table = dict(zip(eps_values, _kernel_table(kind, p, np.array(increasing), eps_values)))
+
+    def kernel(r, eps):
+        return float(table[eps][increasing.index(r)])
+
+    r_min = increasing[0]
+    witness = regularized_kernel(kind, p, r_min, eps_reg)
+    product = kernel(r_min, eps_reg)
+    if not abs(product - witness) <= KERNEL_WITNESS_TOL * abs(witness):
+        raise NonConvergence(
+            f"kernel_decay: the Phi product gives k^{eps_reg!r}({r_min!r}) = {product:.6e} "
+            f"against {witness:.6e} from the adaptive kernel, more than "
+            f"{KERNEL_WITNESS_TOL:.0e} apart (relative)"
+        )
     values = [kernel(r, eps_reg) for r in radii]
     rows = [(float(r), float(v), float(np.log(abs(v)))) for r, v in zip(radii, values)]
     fit_radii = decay_fit_radii(radii)

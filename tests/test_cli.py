@@ -153,6 +153,16 @@ class TestKernelDecay:
         assert shuffled["kernel_extrapolated_at_rmax"] == ordered["kernel_extrapolated_at_rmax"]
         assert shuffled["slope"] == pytest.approx(ordered["slope"], rel=1e-12)
 
+    def test_roundoff_kernel_exits_5(self, tmp_path, capsys):
+        # at integer s the intertwined kernel is analytically ~ e^{-r^2 / (4 eps)}:
+        # the Phi product and its adaptive witness are roundoff that disagree
+        out = str(tmp_path / "kd.csv")
+        assert run(["kernel-decay", "--kind", "intertwined", "--n", "3", "--s", "1",
+                    "--r-spec", "2,3,4,5,6", "--eps-reg", "0.01", "--out", out]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: kernel_decay: ") and "adaptive kernel" in err
+        assert not os.path.exists(out)
+
 
 class TestBlowdown:
     def test_below_bottom_rejected(self, tmp_path, capsys):

@@ -9,7 +9,8 @@ search's Newton solve are numpy. `import gjmslab` loads no numpy, and
 source digest outside git is zlib's CRC-32), no numpy.polynomial (the
 Gauss-Legendre rules are literals), no subprocess (the manifest's git describe imports it) and
 makes no LAPACK call, while it still loads every layer module that
-perfbench/tracer.py wraps. The two program entries, python -m gjmslab.cli and the gjms-lab console script, run
+perfbench/tracer.py wraps. kernel-decay and blowdown load no numpy.ma.
+The two program entries, python -m gjmslab.cli and the gjms-lab console script, run
 a command with one BLAS thread unless the user set a thread count; a library
 import leaves os.environ alone.
 """
@@ -93,6 +94,23 @@ def test_import_loads_no_scipy():
 @pytest.mark.parametrize("argv", [KERNEL_DECAY, BLOWDOWN], ids=["kernel-decay", "blowdown"])
 def test_spectral_commands_load_no_scipy(argv, tmp_path):
     assert run_cold(argv, tmp_path) == (0, set(), [])
+
+
+# Runs gjmslab.cli.main on argv and prints the exit code and whether
+# numpy.ma is loaded afterwards.
+MA_PROBE = """
+import json, sys
+import gjmslab.cli
+code = gjmslab.cli.main(sys.argv[1:])
+print(json.dumps([code, "numpy.ma" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("argv", [KERNEL_DECAY, BLOWDOWN], ids=["kernel-decay", "blowdown"])
+def test_spectral_commands_load_no_numpy_ma(argv, tmp_path):
+    # numpy.unique imports numpy.ma on first use (numpy 2.4), 1.35 MB of peak
+    # RSS in a cold blowdown; decay_slope checks distinct radii with a set
+    assert probe(MA_PROBE, *argv, "--out", str(tmp_path / "out.csv")) == [0, False]
 
 
 @pytest.mark.parametrize("argv", [README_ASYMPTOTICS, BUBBLE_SCAN],

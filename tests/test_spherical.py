@@ -517,54 +517,6 @@ class TestQuadraticForm:
         assert f"tail fraction {tail:.3e} exceeds" in str(failure.value)
 
 
-class TestMehlerRuleCache:
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        """The (n, radii, count) of every Mehler rule built, from a cold cache."""
-        calls = []
-
-        def counted(n, radii, count, _fn=spherical._mehler_rule):
-            calls.append((n, tuple(radii), count))
-            return _fn(n, radii, count)
-
-        monkeypatch.setattr(spherical, "_mehler_rule", counted)
-        cache = spherical._mehler_rule_at
-        cache.cache_clear()
-        yield calls
-        cache.cache_clear()
-
-    def test_cold_and_warm_kernel_bit_equal(self, builds, monkeypatch):
-        # the kernel-decay case with the most u-panel counts in one call (54):
-        # each distinct rule is built once, a second call builds none, and
-        # both give the value of rules rebuilt at every use
-        p = Params(3, 0.6)
-        cold = regularized_kernel(INT, p, 6.0, 0.005)
-        assert len(builds) == len(set(builds)) == 54
-        warm = regularized_kernel(INT, p, 6.0, 0.005)
-        assert len(builds) == 54
-        monkeypatch.setattr(spherical, "_mehler_rule_at", spherical._mehler_rule_at.__wrapped__)
-        rebuilt = regularized_kernel(INT, p, 6.0, 0.005)
-        assert cold.hex() == warm.hex() == rebuilt.hex()
-
-    def test_kernel_decay_builds_each_rule_once(self, builds):
-        # the benchmark's kernel-decay reads 177 distinct rules over its
-        # kernels at eps_reg, eps_reg / 2 and the scan eps; all stay held
-        kernel_decay(INT, Params(3, 0.6), [2.0, 3.0, 4.0, 5.0, 6.0], 0.01)
-        assert len(builds) == len(set(builds)) == 177
-
-    def test_rules_read_only(self):
-        for array in spherical._mehler_rule_at(3, 2.0, 5):
-            assert array.shape == (80,)
-            with pytest.raises(ValueError):
-                array[0] = 1.0
-
-    def test_bounded(self, builds):
-        cache = spherical._mehler_rule_at
-        for count in range(4, cache.cache_parameters()["maxsize"] + 9):
-            spherical_function(3, [1.0], 2.0 + 0.01 * count)
-        assert cache.cache_info().currsize == cache.cache_parameters()["maxsize"]
-
-
 class TestKernel:
     def test_preconditions(self):
         p = Params(3, 0.6)
@@ -590,20 +542,27 @@ class TestKernel:
         # the eps -> 0 Richardson limit of k^eps is twice the operator kernel:
         # -C (2 sinh(r/2))^{-(n+2s)} for the intertwined operator, and GJMS
         # adds C (2 cosh(r/2))^{-(n+2s)}, C = C_{n,s} the constant of the
-        # Euclidean (-Delta)^s (measured worst: 2.9e-3 and 4.2e-4 off the
-        # factor 2 at r = 2 and r >= 4, 2.5e-4 on the cosh term)
+        # Euclidean (-Delta)^s; measured worst, for the adaptive kernel and for
+        # kernel_decay's Phi product alike: 2.9e-3 and 4.2e-4 off the factor 2
+        # at r = 2 and r >= 4, 2.5e-4 on the cosh term
         p = Params(n, s)
         c = (2.0 ** (2.0 * s) * s * math.gamma((n + 2.0 * s) / 2.0)
              / (math.pi ** (n / 2.0) * math.gamma(1.0 - s)))
-        for r in (2.0, 4.0, 6.0):
-            limit = {kind: eps_extrapolation({eps: regularized_kernel(kind, p, r, eps)
-                                              for eps in (0.01, 0.005)})
-                     for kind in (INT, MultiplierKind.GJMS)}
-            intertwined = limit[INT] / (-c * (2.0 * math.sinh(r / 2.0)) ** (-(n + 2.0 * s)))
-            assert intertwined == pytest.approx(2.0, rel=5e-3 if r == 2.0 else 1e-3)
-            remainder = ((limit[MultiplierKind.GJMS] - limit[INT])
-                         / (2.0 * c * (2.0 * math.cosh(r / 2.0)) ** (-(n + 2.0 * s))))
-            assert remainder == pytest.approx(1.0, rel=5e-4)
+        radii = np.array([2.0, 4.0, 6.0])
+        routes = {"adaptive": {kind: [[regularized_kernel(kind, p, r, eps) for r in radii]
+                                      for eps in (0.01, 0.005)]
+                               for kind in (INT, MultiplierKind.GJMS)},
+                  "product": {kind: spherical._kernel_table(kind, p, radii, [0.01, 0.005])
+                              for kind in (INT, MultiplierKind.GJMS)}}
+        for route, kernels in routes.items():
+            for j, r in enumerate(radii):
+                limit = {kind: eps_extrapolation({0.01: k[0][j], 0.005: k[1][j]})
+                         for kind, k in kernels.items()}
+                intertwined = limit[INT] / (-c * (2.0 * math.sinh(r / 2.0)) ** (-(n + 2.0 * s)))
+                assert intertwined == pytest.approx(2.0, rel=5e-3 if r == 2.0 else 1e-3), route
+                remainder = ((limit[MultiplierKind.GJMS] - limit[INT])
+                             / (2.0 * c * (2.0 * math.cosh(r / 2.0)) ** (-(n + 2.0 * s))))
+                assert remainder == pytest.approx(1.0, rel=5e-4), route
 
     def test_monotone_decay(self):
         p = Params(3, 0.6)
@@ -698,9 +657,11 @@ class TestKernel:
         assert set(summary["kernel_scan_at_rmax"]) == {"0.02", "0.01", "0.005"}
         assert np.isfinite(summary["kernel_extrapolated_at_rmax"])
 
-    def test_each_kernel_value_once(self, monkeypatch):
-        # 5 radii at eps, 5 at eps / 2 for the second slope, and the one new
-        # regularization 0.02 of the ladder at the largest radius
+    def test_each_kernel_value_once(self, monkeypatch, phi_passes):
+        # every value comes from one Phi product that reads each frequency row
+        # once (344 panels of 0.25 up to beta_cut(0.005), in row blocks of 64
+        # panels), and the one adaptive kernel is the witness at the smallest
+        # radius and eps_reg
         calls = []
 
         def counted(*args):
@@ -708,8 +669,78 @@ class TestKernel:
             return regularized_kernel(*args)
 
         monkeypatch.setattr(spherical, "regularized_kernel", counted)
-        kernel_decay(INT, Params(3, 0.6), [2, 3, 4, 5, 6], 0.01)
-        assert len(calls) == 11
+        p = Params(3, 0.6)
+        kernel_decay(INT, p, [3, 2, 6, 4, 5], 0.01)
+        assert calls == [(INT, p, 2.0, 0.01)]
+        assert phi_passes == [(3, 1024, 5)] * 5 + [(3, 384, 5)]
+
+
+class TestKernelProduct:
+    """kernel_decay's Phi product (spherical._kernel_table) and its witness."""
+
+    @pytest.mark.parametrize("n, s, tol", [(3, 0.6, 1e-9), (5, 0.7, 1e-7)])
+    def test_converges_in_the_panel_width(self, monkeypatch, n, s, tol):
+        # widths 0.5, 0.25, 0.125 against 0.0625 (measured: 5.6e-10 at
+        # (3, 0.6), 3.8e-8 at (5, 0.7))
+        p, radii, eps = Params(n, s), np.arange(2.0, 7.0), [0.005, 0.01, 0.02]
+        tables = {}
+        for width in (0.0625, 0.125, 0.25, 0.5):
+            monkeypatch.setattr(spherical, "KERNEL_PANEL_WIDTH", width)
+            tables[width] = spherical._kernel_table(INT, p, radii, eps)
+        for width in (0.125, 0.25, 0.5):
+            assert np.max(np.abs(tables[width] / tables[0.0625] - 1.0)) < tol, width
+
+    @pytest.mark.parametrize("kind", [INT, MultiplierKind.GJMS], ids=["int", "gjms"])
+    @pytest.mark.parametrize("n, s", [(3, 0.6), (5, 0.7), (4, 0.75), (3, 1.3)])
+    def test_matches_the_adaptive_kernel_up_to_r4(self, kind, n, s):
+        # r = 0.5, 1 are Mehler columns (measured within 2.6e-10), r = 2..4
+        # Jacobi ones (within 2.8e-6, at GJMS (5, 0.7), r = 4)
+        p, eps = Params(n, s), [0.01, 0.005]
+        radii = np.array([0.5, 1.0, 2.0, 3.0, 4.0])
+        table = spherical._kernel_table(kind, p, radii, eps)
+        for j, r in enumerate(radii):
+            for i, e in enumerate(eps):
+                assert table[i, j] == pytest.approx(regularized_kernel(kind, p, r, e),
+                                                    rel=1e-9 if r < 2.0 else 5e-6), (r, e)
+
+    def test_row_blocks_only_regroup_the_sum(self, monkeypatch):
+        # each block sums its own number of 2F1 terms, which moves the
+        # cancelling r = 6 value (8e-10 against 27 at r = 0.5) by up to 7.1e-9
+        p, radii, eps = Params(5, 0.7), np.array([0.5, 2.0, 6.0]), [0.005, 0.01]
+        tables = {}
+        for panels in (7, 64, 10 ** 6):
+            monkeypatch.setattr(spherical, "KERNEL_ROW_PANELS", panels)
+            tables[panels] = spherical._kernel_table(INT, p, radii, eps)
+        for panels in (7, 64):
+            assert np.max(np.abs(tables[panels] / tables[10 ** 6] - 1.0)) < 1e-7, panels
+
+    def test_row_blocks_bound_the_memory(self):
+        # the benchmark's (5, 0.7) product peaks at 1.3 MB of temporaries in
+        # blocks of 64 panels, 5.6 MB as one block
+        tracemalloc.start()
+        try:
+            spherical._kernel_table(INT, Params(5, 0.7), np.arange(2.0, 7.0), [0.01, 0.005, 0.02])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
+
+    @pytest.mark.parametrize("factor, fails", [(1.0 + 5e-5, False), (1.0 - 5e-5, False),
+                                               (1.0 + 2e-4, True), (1.0 - 2e-4, True)])
+    def test_witness_checks_the_product(self, monkeypatch, factor, fails):
+        # a product more than KERNEL_WITNESS_TOL off the adaptive kernel at
+        # (r_min, eps_reg) is a numerical-contract failure
+        def perturbed(*args, _fn=spherical._kernel_table):
+            return _fn(*args) * factor
+
+        monkeypatch.setattr(spherical, "_kernel_table", perturbed)
+        p, radii = Params(3, 0.6), [2.0, 3.0, 4.0, 5.0]
+        if fails:
+            with pytest.raises(NonConvergence, match="adaptive kernel"):
+                kernel_decay(INT, p, radii, 0.01)
+        else:
+            rows = kernel_decay(INT, p, radii, 0.01)[0]
+            assert rows[0][1] == pytest.approx(regularized_kernel(INT, p, 2.0, 0.01), rel=1e-4)
 
 
 class TestDecayFit:
