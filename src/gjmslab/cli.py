@@ -6,6 +6,10 @@ failure, 5 numerical-contract failure (TailError, NonConvergence,
 BudgetExceeded, DegenerateData). Re-running with identical flags gives
 byte-identical data files; the timestamps live only in the manifest sidecar.
 
+Provenance: the manifest's "source" names the package by its version and the
+CRC-32 of its module sources (_source_digest), read from the package's own
+files. No command starts a child process or reads a git repository.
+
 BLAS threads: a command run as `gjms-lab` (the console script,
 gjmslab.entry.main) or as `python -m gjmslab.cli` uses one BLAS thread,
 unless the user has set OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
@@ -51,9 +55,12 @@ _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
 def _source_digest():
-    """CRC-32 over the package's module sources, file names included, as 8
-    hex digits. numpy has loaded zlib already; hashlib would load OpenSSL
-    (about 3.5 MB of resident memory)."""
+    """The source tree this package was loaded from: the package version and
+    the CRC-32 over its module sources, file names included, as 8 hex digits
+    ("0.1.0+crc32.89abcdef"). It reads only the package's own files, so it
+    is the same inside or outside a git work tree and from any working
+    directory, and any edit to a module changes it. numpy has loaded zlib
+    already; hashlib would load OpenSSL (about 3.5 MB of resident memory)."""
     import zlib
 
     digest = 0
@@ -61,27 +68,7 @@ def _source_digest():
         if name.endswith(".py"):
             with open(os.path.join(_PACKAGE_DIR, name), "rb") as fh:
                 digest = zlib.crc32(name.encode() + b"\0" + fh.read(), digest)
-    return f"{digest:08x}"
-
-
-def _git_describe():
-    """Describe the source tree this package was loaded from, wherever the
-    command runs; outside git, the package version and a digest of its
-    module sources. subprocess is imported here, when the manifest is
-    written after the command's compute, so its 0.3-0.4 MB of resident
-    memory are not added to the compute's peak."""
-    import subprocess
-
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            capture_output=True, text=True, timeout=10, cwd=_PACKAGE_DIR,
-        )
-        if out.returncode == 0:
-            return out.stdout.strip()
-    except OSError:
-        pass
-    return f"{__version__}+crc32.{_source_digest()}"
+    return f"{__version__}+crc32.{digest:08x}"
 
 
 def _now():
@@ -103,7 +90,7 @@ def _max_rss_mb():
 
 
 def write_manifest(out_path, command, params, started_at):
-    """The run's sidecar: flags, source tree, start and finish times (UTC,
+    """The run's sidecar: flags, source digest, start and finish times (UTC,
     ISO 8601; finished when the manifest is written), tolerances, the scipy
     subpackages the run loaded, the BLAS thread variables as the run saw
     them (null when unset) and the peak resident memory up to the manifest
@@ -112,7 +99,7 @@ def write_manifest(out_path, command, params, started_at):
         "command": command,
         "params": {k: (v if not isinstance(v, (list, tuple)) else list(v))
                    for k, v in sorted(params.items())},
-        "git_describe": _git_describe(),
+        "source": _source_digest(),
         "started_at": started_at,
         "finished_at": _now(),
         "tolerances": {"series_tol": SERIES_TOL, "series_cap": SERIES_CAP,

@@ -1,8 +1,10 @@
 """Poincare-Sobolev quotients on hyperbolic space and their minimization over
 bubble and spline trial families (gap_scan, the one search), the explicit
 multi-bump blow-down bound and its experiment, and the internal
-sharp-constant estimate. The spline search is a Newton SQP (Nocedal-Wright,
-ch. 18) in numpy on the family's quadratic forms."""
+sharp-constant estimate with the closed-form floor of each level it gives
+(level_floor), which every gap_scan row is checked against. The spline
+search is a Newton SQP (Nocedal-Wright, ch. 18) in numpy on the family's
+quadratic forms."""
 
 import functools
 import logging
@@ -22,7 +24,7 @@ from .bubbles import (
     sampled_bubble,
     smooth_window,
 )
-from .errors import BudgetExceeded, DegenerateData, ParameterError, ZeroTrial
+from .errors import BudgetExceeded, DegenerateData, ParameterError, TailError, ZeroTrial
 from .geometry import conformal_lift
 from .grids import RadialFunction, Space, uniform_grid
 from .multipliers import multiplier, sin_pi, spectral_bottom
@@ -301,6 +303,30 @@ class _Budget:
 
 DEFAULT_EVAL_CAP = 500
 
+# gap_scan: a row may lie this far below its level_floor, relative; legitimate
+# spectral trials reach 2e-3 below the sharp constant (acceptance test 9),
+# and a truncated spectrum priced at b_max is the known cause beyond it
+FLOOR_REL_TOL = 1e-2
+
+
+def level_floor(kind: MultiplierKind, p: Params, lam: float):
+    """A closed-form lower bound on the Poincare-Sobolev level at lambda, or
+    None where none is known (GJMS with sin(pi s) < 0, where B_s < 0).
+
+    S = sharp_constant_estimate(p), the sharp Euclidean constant (Lieb 1983;
+    Cotsiolis-Tavoularis 2004): the conformal reduction gives
+    <P~_s u, u> >= S ||u||^2_{2*}, and so does P_s = P~_s + B_s where
+    B_s >= 0 (sin(pi s) >= 0). Both symbols increase in beta, so with
+    lambda0 = spectral_bottom(kind, p), P - lambda >= (1 - lambda/lambda0) P
+    for 0 <= lambda <= lambda0: the floor is S (1 - max(lambda, 0)/lambda0),
+    and S at lambda <= 0."""
+    if kind is MultiplierKind.GJMS and sin_pi(p.s) < 0.0:
+        return None
+    s_est = sharp_constant_estimate(p)
+    if lam <= 0.0:
+        return s_est
+    return s_est * (1.0 - lam / spectral_bottom(kind, p))
+
 
 def _minimize_bubble(kind, p, lam, family, budget, b_max, reports, phi):
     """Golden section (30 steps) over log t, t = eps/delta; returns True.
@@ -502,10 +528,14 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
     finished (the bubble search needs 32).
     Earlier winners are re-priced at each lambda (free: the numerator is
     affine in lambda), so the quotients do not increase with lambda.
+    A row more than FLOOR_REL_TOL below its level_floor raises TailError:
+    no trial lies below it, so the search found a trial whose spectrum the
+    b_max cut-off truncates (a spline family of fine knots).
     Raises ParameterError, before any work, for eval_cap < 1, b_max <= 0 (for
-    every kind and family, also those that do not read it) or a lambda above
+    every kind and family, also those that do not read it), a lambda above
     the spectral bottom of kind (beyond 1e-12 relative roundoff), where the
-    level is -infinity.
+    level is -infinity, or an n outside [2, 10], where
+    sharp_constant_estimate, and so level_floor, is not defined.
     """
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.size == 0:
@@ -522,6 +552,7 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
             "operator: far-apart copies of a trial with a negative numerator drive the "
             "quotient to -infinity there"
         )
+    floors = [level_floor(kind, p, lam) for lam in lambda_grid.tolist()]
     if isinstance(family, BubbleFamily):
         name, search = "bubble", functools.partial(_minimize_bubble, kind, p, family=family,
                                                    b_max=b_max, reports={},
@@ -552,6 +583,13 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
             candidate = earlier.at_lambda(lam)
             if candidate.quotient < rep.quotient:
                 rep = candidate
+        floor = floors[idx]
+        if floor is not None and rep.quotient < floor * (1.0 - FLOOR_REL_TOL):
+            raise TailError(
+                f"{name} search at lambda {lam!r} found the quotient {rep.quotient!r}, below "
+                f"the closed-form floor {floor!r} of the level: the b_max {b_max!r} "
+                "cut-off truncates the trial's spectrum"
+            )
         reports[idx] = rep
     return [reports[i] for i in range(lambda_grid.size)]
 

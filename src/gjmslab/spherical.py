@@ -2,7 +2,8 @@
 
 Plancherel density, spherical functions, forward/inverse transforms,
 spectral quadratic forms (each energy and its one tail guard from _spectral_forms),
-and the regularized radial kernel with its decay experiment (kernel_decay).
+the closed-form operator kernels (operator_kernel), and the regularized
+radial kernel with its decay experiment (kernel_decay), checked against them.
 The spherical function Phi_beta(r) is the Legendre function of degree
 -1/2 + i*beta. Pointwise (spherical_function) it is evaluated through the
 Mehler-Dirichlet integral
@@ -94,7 +95,7 @@ from .grids import (
     SpectralProfile,
     gauss_panels,
 )
-from .multipliers import multiplier
+from .multipliers import multiplier, sin_pi
 from .params import MultiplierKind, Params
 from .special import _GaussSeries, _log_gamma_array, log_abs_gamma_sq
 
@@ -112,6 +113,10 @@ KERNEL_PANEL_WIDTH = 0.25  # kernel_decay: frequency panel width (at most PHASE_
 # 5.6 MB of temporaries (tracemalloc), blocks of 64 panels at 1.3 MB
 KERNEL_ROW_PANELS = 64
 KERNEL_WITNESS_TOL = 1e-4  # kernel_decay: product against the adaptive kernel, relative
+# kernel_decay: eps-Richardson limit against twice operator_kernel, relative,
+# at each radius of the fit window; measured at most 7.3e-3 at r = 2..6 and
+# 1.2e-2 at r = 8 (GJMS (3, 1.3), intertwined (6, 1.3): a kernel near roundoff)
+KERNEL_CLOSED_FORM_TOL = 2e-2
 
 
 def plancherel_density(n: int, beta):
@@ -473,6 +478,29 @@ def _kernel_beta_cut(eps_reg):
     return math.sqrt(16.0 * math.log(10.0) / eps_reg)
 
 
+def operator_kernel(kind: MultiplierKind, p: Params, r: float) -> float:
+    """The radial kernel of the operator of kind at geodesic distance r > 0,
+    with C_{n,s} = 2^{2s} s Gamma((n+2s)/2) / (pi^{n/2} Gamma(1-s)), the
+    constant of the Euclidean (-Delta)^s (Di Nezza-Palatucci-Valdinoci 2012):
+
+        intertwined  -C_{n,s} (2 sinh(r/2))^{-(n+2s)},
+        remainder     C_{n,s} (2 cosh(r/2))^{-(n+2s)},
+        GJMS          their sum.
+
+    At integer s it is 0.0: the operator is a differential one, local, and
+    Gamma(1 - s) has a pole there. regularized_kernel tends to twice this
+    value as eps -> 0."""
+    if sin_pi(p.s) == 0.0:
+        return 0.0
+    exponent = -(p.n + 2.0 * p.s)
+    c = (2.0 ** (2.0 * p.s) * p.s * math.gamma((p.n + 2.0 * p.s) / 2.0)
+         / (math.pi ** (p.n / 2.0) * math.gamma(1.0 - p.s)))
+    intertwined = -c * (2.0 * math.sinh(r / 2.0)) ** exponent
+    remainder = c * (2.0 * math.cosh(r / 2.0)) ** exponent
+    return {MultiplierKind.INTERTWINED: intertwined, MultiplierKind.REMAINDER: remainder,
+            MultiplierKind.GJMS: intertwined + remainder}[kind]
+
+
 def regularized_kernel(kind: MultiplierKind, p: Params, r: float, eps_reg: float) -> float:
     """k^eps(r) = 2 int_0^inf m(beta) e^{-eps beta^2} Phi_beta(r) |c|^{-2} d beta.
 
@@ -640,6 +668,14 @@ def kernel_decay(kind: MultiplierKind, p: Params, radii, eps_reg: float):
     kernel_decay raises NonConvergence: then one route or both are at
     roundoff (the intertwined kernel at integer s, whose symbol is a
     polynomial, is analytically about e^{-r^2 / (4 eps)}).
+
+    At non-integer s every radius of the fit window [2, 8] is also checked
+    against the closed form: the eps_extrapolation of the product's eps_reg
+    and eps_reg / 2 values must lie within KERNEL_CLOSED_FORM_TOL, relative,
+    of 2 operator_kernel(kind, p, r), else NonConvergence (at large n + 2s
+    the product is cancellation there: intertwined (7, 2.5) is 1.9 off at
+    r = 4). Below r = 2 the eps = 0.01 kernel is still far from its limit,
+    so those radii go unchecked.
     """
     if any(r < 0.5 for r in radii) or not eps_reg > 0.0:
         raise DomainError("kernel_decay needs radii r >= 0.5 and eps_reg > 0")
@@ -661,9 +697,19 @@ def kernel_decay(kind: MultiplierKind, p: Params, radii, eps_reg: float):
             f"against {witness:.6e} from the adaptive kernel, more than "
             f"{KERNEL_WITNESS_TOL:.0e} apart (relative)"
         )
+    fit_radii = decay_fit_radii(radii)
+    if sin_pi(p.s) != 0.0:
+        for r in fit_radii.tolist():
+            limit = eps_extrapolation({eps: kernel(r, eps) for eps in (eps_reg, eps_reg / 2.0)})
+            closed = 2.0 * operator_kernel(kind, p, r)
+            if not abs(limit - closed) <= KERNEL_CLOSED_FORM_TOL * abs(closed):
+                raise NonConvergence(
+                    f"kernel_decay: the eps-Richardson limit at r = {r!r} is {limit:.6e} "
+                    f"against {closed:.6e}, twice the closed-form {kind.value} kernel, "
+                    f"more than {KERNEL_CLOSED_FORM_TOL:.0e} apart (relative)"
+                )
     values = [kernel(r, eps_reg) for r in radii]
     rows = [(float(r), float(v), float(np.log(abs(v)))) for r, v in zip(radii, values)]
-    fit_radii = decay_fit_radii(radii)
     summary = {"target_slope": -p.rho, "eps_reg": eps_reg}
     if len(fit_radii) >= 4:
         for name, eps in (("slope", eps_reg), ("slope_half_eps", eps_reg / 2.0)):

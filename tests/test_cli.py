@@ -4,6 +4,7 @@ import math
 import os
 import re
 import resource
+import shutil
 import subprocess
 import sys
 import warnings
@@ -22,6 +23,17 @@ from gjmslab.spherical import DEFAULT_TAIL_TOL
 
 def run(argv):
     return main(argv)
+
+
+def package_crc32(package):
+    """The CRC-32 of the package's module sources, each file name, a NUL and
+    the file's bytes in sorted name order, as 8 hex digits."""
+    digest = 0
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                digest = zlib.crc32(name.encode() + b"\0" + fh.read(), digest)
+    return f"{digest:08x}"
 
 
 class TestConstants:
@@ -163,6 +175,18 @@ class TestKernelDecay:
         assert err.startswith("numerical error: kernel_decay: ") and "adaptive kernel" in err
         assert not os.path.exists(out)
 
+    def test_closed_form_miss_exits_5(self, tmp_path, capsys):
+        # at (7, 2.5) the product is cancellation in the fit window: its
+        # eps-Richardson limit is 2.5e-2 off twice the closed-form kernel at
+        # r = 2, 0.12 at r = 3 and 1.9 at r = 4, while the witness at r = 2
+        # agrees
+        out = str(tmp_path / "kd.csv")
+        assert run(["kernel-decay", "--kind", "intertwined", "--n", "7", "--s", "2.5",
+                    "--r-spec", "2,3,4,5,6", "--eps-reg", "0.01", "--out", out]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: kernel_decay: ") and "closed-form" in err
+        assert not os.path.exists(out)
+
 
 class TestBlowdown:
     def test_below_bottom_rejected(self, tmp_path, capsys):
@@ -237,6 +261,24 @@ class TestGapScan:
         assert run(["gap-scan", "--kind", "intertwined", "--n", "5", "--s", "0.8",
                     "--lambda-spec=1", "--family", family, "--out", out]) == 2
         assert "above the spectral bottom" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("kind, n, s, grading", [
+        ("gjms", 5, 0.8, 5), ("gjms", 3, 1, 5), ("intertwined", 4, 1, 5), ("gjms", 7, 2.5, 5),
+        ("gjms", 5, 0.8, 6), ("intertwined", 5, 0.8, 4.5),
+    ])
+    def test_spline_row_below_the_level_floor_exits_5(self, kind, n, s, grading, tmp_path,
+                                                       capsys):
+        # finely graded knots let the search shape a trial whose energy lies
+        # beyond b_max 60: quotients far below the sharp constant (0.00417
+        # against 8.86 at GJMS (5, 0.8), grading 5)
+        out = str(tmp_path / "s.csv")
+        assert run(["gap-scan", "--kind", kind, "--n", str(n), "--s", str(s),
+                    "--lambda-spec=0", "--family", "spline", "--spline-radius", "3.5",
+                    "--spline-knots", "12", "--spline-grading", str(grading), "--out", out]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: spline search at lambda 0.0 ")
+        assert "closed-form floor" in err
         assert not os.path.exists(out)
 
 
@@ -395,19 +437,45 @@ class TestManifest:
         assert 0.0 < recorded <= peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
 
     def test_describes_the_package_tree_from_any_cwd(self, tmp_path, monkeypatch):
-        package = os.path.dirname(os.path.abspath(cli.__file__))
-        try:
-            inside = subprocess.run(["git", "rev-parse", "--is-inside-work-tree"],
-                                    cwd=package, capture_output=True, text=True, timeout=10)
-        except OSError:
-            pytest.skip("git is not available")
-        if inside.returncode != 0:
-            pytest.skip("the package is not in a git work tree")
+        # the version and the CRC-32 of the package's module sources, file
+        # names included, from any working directory and with no child process
+        def no_child(*args, **kwargs):
+            raise AssertionError("the manifest started a child process")
+
+        monkeypatch.setattr(subprocess, "run", no_child)
+        monkeypatch.setattr(subprocess, "Popen", no_child)
         monkeypatch.chdir(tmp_path)
         assert run(["multiplier", "--kind", "gjms", "--n", "3", "--s", "1",
                     "--beta-max", "2", "--count", "3", "--out", "m.csv"]) == 0
         manifest = json.loads((tmp_path / "m.csv.manifest.json").read_text())
-        assert manifest["git_describe"] != "unknown"
+        package = os.path.dirname(os.path.abspath(cli.__file__))
+        assert manifest["source"] == f"{__version__}+crc32.{package_crc32(package)}"
+        assert "git_describe" not in manifest
+
+    def test_source_inside_an_unrelated_git_tree(self, tmp_path):
+        # a copy of the package in a gitignored directory of another git work
+        # tree, run from that tree, still records the copy's own digest
+        git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(tmp_path)]
+        try:
+            subprocess.run(git + ["init", "-q"], check=True, capture_output=True, timeout=30)
+        except (OSError, subprocess.CalledProcessError):
+            pytest.skip("git is not available")
+        (tmp_path / ".gitignore").write_text(".venv/\n")
+        subprocess.run(git + ["add", ".gitignore"], check=True, capture_output=True, timeout=30)
+        subprocess.run(git + ["commit", "-q", "-m", "init"], check=True, capture_output=True,
+                       timeout=30)
+        lib = tmp_path / ".venv" / "lib"
+        package = os.path.dirname(os.path.abspath(cli.__file__))
+        shutil.copytree(package, lib / "gjmslab",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=str(lib))
+        out = subprocess.run([sys.executable, "-m", "gjmslab.cli", "multiplier", "--kind",
+                              "gjms", "--n", "3", "--s", "1", "--beta-max", "2", "--count", "3",
+                              "--out", "m.csv"], cwd=tmp_path, env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        manifest = json.loads((tmp_path / "m.csv.manifest.json").read_text())
+        assert manifest["source"] == f"{__version__}+crc32.{package_crc32(package)}"
 
     def test_started_before_finished(self, tmp_path):
         out = str(tmp_path / "kd.csv")
@@ -421,6 +489,8 @@ class TestManifest:
 
     @pytest.mark.parametrize("failure", ["no git", "not a work tree"])
     def test_provenance_outside_git(self, tmp_path, monkeypatch, failure):
+        # a missing git binary or a tree outside git leaves the source digest
+        # as it is: the manifest never asks git
         def fake_run(*args, **kwargs):
             if failure == "no git":
                 raise OSError("git not found")
@@ -428,12 +498,7 @@ class TestManifest:
 
         monkeypatch.setattr(subprocess, "run", fake_run)
         package = os.path.dirname(os.path.abspath(cli.__file__))
-        digest = 0
-        for name in sorted(os.listdir(package)):
-            if name.endswith(".py"):
-                with open(os.path.join(package, name), "rb") as fh:
-                    digest = zlib.crc32(name.encode() + b"\0" + fh.read(), digest)
         assert run(["multiplier", "--kind", "gjms", "--n", "3", "--s", "1",
                     "--beta-max", "2", "--count", "3", "--out", str(tmp_path / "m.csv")]) == 0
         manifest = json.loads((tmp_path / "m.csv.manifest.json").read_text())
-        assert manifest["git_describe"] == f"{__version__}+crc32.{digest:08x}"
+        assert manifest["source"] == f"{__version__}+crc32.{package_crc32(package)}"

@@ -6,10 +6,11 @@ Bessel J of even-n Hankel paths. Half-odd Bessel J (odd n), the s = 1
 bubble energies (a Dirichlet integral, no Hankel band) and the spline
 search's Newton solve are numpy. `import gjmslab` loads no numpy, and
 `import gjmslab.cli` no OpenSSL (nothing imports hashlib: the manifest's
-source digest outside git is zlib's CRC-32), no numpy.polynomial (the
-Gauss-Legendre rules are literals), no subprocess (the manifest's git describe imports it) and
-makes no LAPACK call, while it still loads every layer module that
-perfbench/tracer.py wraps. kernel-decay and blowdown load no numpy.ma.
+source digest is zlib's CRC-32), no numpy.polynomial (the Gauss-Legendre
+rules are literals), no subprocess and makes no LAPACK call, while it still
+loads every layer module that perfbench/tracer.py wraps. No benchmark
+command loads subprocess either: the manifest starts no child process.
+kernel-decay and blowdown load no numpy.ma.
 The two program entries, python -m gjmslab.cli and the gjms-lab console script, run
 a command with one BLAS thread unless the user set a thread count; a library
 import leaves os.environ alone.
@@ -228,18 +229,35 @@ def test_cli_import_loads_no_openssl():
 
 
 def test_manifest_outside_git_loads_no_openssl(tmp_path):
-    # with git missing, the manifest records the package's source digest
+    # the manifest records the package's CRC-32 source digest, with no hashlib
     path = str(tmp_path / "m.csv")
-    code = ("import json, subprocess, sys, gjmslab.cli\n"
-            "def no_git(*args, **kwargs):\n"
-            "    raise OSError('git not found')\n"
-            "subprocess.run = no_git\n"
+    code = ("import json, sys, gjmslab.cli\n"
             "code = gjmslab.cli.main(sys.argv[1:])\n"
             "print(json.dumps([code] + [m for m in ('_hashlib', 'hashlib') if m in sys.modules]))")
     assert probe(code, "multiplier", "--kind", "gjms", "--n", "3", "--s", "1", "--beta-max", "2",
                  "--count", "3", "--out", path) == [0]
     with open(path + ".manifest.json") as fh:
-        assert "+crc32." in json.load(fh)["git_describe"]
+        assert re.fullmatch(r"\d+\.\d+\.\d+\+crc32\.[0-9a-f]{8}", json.load(fh)["source"])
+
+
+# Runs gjmslab.cli.main on argv and prints the exit code and whether
+# subprocess is loaded afterwards.
+SUBPROCESS_PROBE = """
+import json, sys
+import gjmslab.cli
+code = gjmslab.cli.main(sys.argv[1:])
+print(json.dumps([code, "subprocess" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("argv", [README_ASYMPTOTICS, BUBBLE_SCAN, SPLINE_SCAN, KERNEL_DECAY,
+                                  BLOWDOWN],
+                         ids=["bubble-asymptotics", "bubble-gap-scan", "spline-gap-scan",
+                              "kernel-decay", "blowdown"])
+def test_benchmark_commands_load_no_subprocess(argv, tmp_path):
+    # the manifest forks no git; odd n only, since scipy.special (even-n
+    # Hankel paths) imports subprocess itself
+    assert probe(SUBPROCESS_PROBE, *argv, "--out", str(tmp_path / "out.csv")) == [0, False]
 
 
 def test_manifest_peak_is_the_process_peak(tmp_path):

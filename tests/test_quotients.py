@@ -6,7 +6,7 @@ import pytest
 from conftest import hyperbolic_bump
 from oracles import slsqp_spline_search, windowed_bubble_energy
 from gjmslab.bubbles import BubbleParams, bubble_energy_limit, smooth_window
-from gjmslab.errors import BudgetExceeded, ParameterError, ZeroTrial
+from gjmslab.errors import BudgetExceeded, ParameterError, TailError, ZeroTrial
 from gjmslab.grids import RadialFunction, Space, uniform_grid
 from gjmslab.multipliers import b_constant, spectral_bottom
 from gjmslab.params import MultiplierKind, Params
@@ -16,6 +16,7 @@ from gjmslab.quotients import (
     _windowed_spline,
     bubble_quotient,
     gap_scan,
+    level_floor,
     multibump_blowdown,
     sharp_constant_estimate,
     sobolev_quotient,
@@ -634,6 +635,54 @@ class TestGapScan:
             _minimize_bubble(INT, p, 0.25, BubbleFamily(), second, DEFAULT_B_MAX, memo, None)
         assert second.used == 7
         assert len(memo) < 14
+
+
+class TestLevelFloor:
+    def test_closed_form(self):
+        p = Params(5, 0.8)
+        s_est = sharp_constant_estimate(p)
+        for kind in (INT, GJMS):
+            bottom = spectral_bottom(kind, p)
+            assert level_floor(kind, p, -1.0) == s_est
+            assert level_floor(kind, p, 0.0) == s_est
+            assert level_floor(kind, p, 0.5 * bottom) == pytest.approx(0.5 * s_est, rel=1e-14)
+            assert level_floor(kind, p, bottom) == pytest.approx(0.0, abs=1e-14)
+        # the 24-knot grading-5 spline row at lambda 0.25 (5.117) clears it
+        assert level_floor(GJMS, p, 0.25) == pytest.approx(3.42, abs=5e-3)
+
+    def test_no_floor_where_the_remainder_is_negative(self):
+        # B_s < 0 when sin(pi s) < 0, so the conformal reduction bounds only
+        # the intertwined operator there
+        for s in (1.3, 1.5, 1.7):
+            p = Params(5, s)
+            assert level_floor(GJMS, p, 0.0) is None
+            assert level_floor(INT, p, 0.0) == sharp_constant_estimate(p)
+        assert level_floor(GJMS, Params(7, 2.5), 0.0) == sharp_constant_estimate(Params(7, 2.5))
+
+    def test_scan_without_a_floor_is_bad_input(self, monkeypatch):
+        # sharp_constant_estimate, and so the floor, covers n <= 10: a scan
+        # beyond is rejected before any search runs
+        import gjmslab.quotients as quotients
+
+        monkeypatch.setattr(quotients, "_Budget", None)   # a search would raise TypeError
+        with pytest.raises(ParameterError, match=r"n in \[2, 10\]"):
+            gap_scan(INT, Params(11, 0.8), [0.0], BubbleFamily())
+
+    @pytest.mark.parametrize("factor, fails", [(1.005, False), (1.02, True)])
+    def test_scan_row_below_its_floor_raises(self, monkeypatch, factor, fails):
+        # the lambda = 0 bubble row lies 2.3e-4 above S; against a floor
+        # raised by factor it is 0.5% or 2% below: only a row more than
+        # FLOOR_REL_TOL below its floor is a numerical-contract failure
+        import gjmslab.quotients as quotients
+
+        p = Params(5, 0.8)
+        s_est = sharp_constant_estimate(p)
+        monkeypatch.setattr(quotients, "sharp_constant_estimate", lambda p: factor * s_est)
+        if fails:
+            with pytest.raises(TailError, match=r"lambda 0\.0 found the quotient 8\.86"):
+                gap_scan(INT, p, [0.0], BubbleFamily())
+        else:
+            assert gap_scan(INT, p, [0.0], BubbleFamily())[0].quotient > s_est
 
 
 class TestBlowdown:

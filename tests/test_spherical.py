@@ -23,6 +23,7 @@ from gjmslab.spherical import (
     inverse_spherical_transform,
     kernel_decay,
     lp_mass,
+    operator_kernel,
     phi_matrix,
     plancherel_density,
     quadratic_form,
@@ -539,16 +540,25 @@ class TestKernel:
 
     @pytest.mark.parametrize("n, s", [(3, 0.6), (5, 0.7), (4, 0.5), (3, 1.3)])
     def test_closed_form_kernels(self, n, s):
-        # the eps -> 0 Richardson limit of k^eps is twice the operator kernel:
-        # -C (2 sinh(r/2))^{-(n+2s)} for the intertwined operator, and GJMS
-        # adds C (2 cosh(r/2))^{-(n+2s)}, C = C_{n,s} the constant of the
-        # Euclidean (-Delta)^s; measured worst, for the adaptive kernel and for
-        # kernel_decay's Phi product alike: 2.9e-3 and 4.2e-4 off the factor 2
-        # at r = 2 and r >= 4, 2.5e-4 on the cosh term
+        # operator_kernel is -C (2 sinh(r/2))^{-(n+2s)} for the intertwined
+        # operator, C (2 cosh(r/2))^{-(n+2s)} for the remainder and their sum
+        # for GJMS, C = C_{n,s} the constant of the Euclidean (-Delta)^s; the
+        # eps -> 0 Richardson limit of k^eps is twice it, measured worst, for
+        # the adaptive kernel and for kernel_decay's Phi product alike: 2.9e-3
+        # and 4.2e-4 off the factor 2 at r = 2 and r >= 4, 2.5e-4 on the cosh
+        # term
         p = Params(n, s)
         c = (2.0 ** (2.0 * s) * s * math.gamma((n + 2.0 * s) / 2.0)
              / (math.pi ** (n / 2.0) * math.gamma(1.0 - s)))
         radii = np.array([2.0, 4.0, 6.0])
+        for r in (0.5, *radii):
+            sinh_term = -c * (2.0 * math.sinh(r / 2.0)) ** (-(n + 2.0 * s))
+            cosh_term = c * (2.0 * math.cosh(r / 2.0)) ** (-(n + 2.0 * s))
+            assert operator_kernel(INT, p, r) == pytest.approx(sinh_term, rel=1e-14)
+            assert operator_kernel(MultiplierKind.REMAINDER, p, r) == \
+                pytest.approx(cosh_term, rel=1e-14)
+            assert operator_kernel(MultiplierKind.GJMS, p, r) == \
+                pytest.approx(sinh_term + cosh_term, rel=1e-14)
         routes = {"adaptive": {kind: [[regularized_kernel(kind, p, r, eps) for r in radii]
                                       for eps in (0.01, 0.005)]
                                for kind in (INT, MultiplierKind.GJMS)},
@@ -558,11 +568,17 @@ class TestKernel:
             for j, r in enumerate(radii):
                 limit = {kind: eps_extrapolation({0.01: k[0][j], 0.005: k[1][j]})
                          for kind, k in kernels.items()}
-                intertwined = limit[INT] / (-c * (2.0 * math.sinh(r / 2.0)) ** (-(n + 2.0 * s)))
+                intertwined = limit[INT] / operator_kernel(INT, p, r)
                 assert intertwined == pytest.approx(2.0, rel=5e-3 if r == 2.0 else 1e-3), route
                 remainder = ((limit[MultiplierKind.GJMS] - limit[INT])
-                             / (2.0 * c * (2.0 * math.cosh(r / 2.0)) ** (-(n + 2.0 * s))))
+                             / (2.0 * operator_kernel(MultiplierKind.REMAINDER, p, r)))
                 assert remainder == pytest.approx(1.0, rel=5e-4), route
+
+    @pytest.mark.parametrize("kind", list(MultiplierKind))
+    def test_local_operator_has_no_kernel(self, kind):
+        # at integer s the operator is differential and Gamma(1 - s) has a pole
+        for n, s in ((3, 1.0), (5, 2.0)):
+            assert operator_kernel(kind, Params(n, s), 3.0) == 0.0
 
     def test_monotone_decay(self):
         p = Params(3, 0.6)
@@ -741,6 +757,37 @@ class TestKernelProduct:
         else:
             rows = kernel_decay(INT, p, radii, 0.01)[0]
             assert rows[0][1] == pytest.approx(regularized_kernel(INT, p, 2.0, 0.01), rel=1e-4)
+
+    @pytest.mark.parametrize("factor, fails", [(1.01, False), (0.99, False), (1.03, True),
+                                               (0.97, True)])
+    def test_closed_form_checks_the_fit_window(self, monkeypatch, factor, fails):
+        # an eps-Richardson limit more than KERNEL_CLOSED_FORM_TOL off twice
+        # the closed-form kernel at a radius of [2, 8] is a numerical-contract
+        # failure; radii below 2 go unchecked
+        def scaled(kind, p, r, _fn=operator_kernel):
+            return _fn(kind, p, r) * (factor if r >= 2.0 else 100.0)
+
+        monkeypatch.setattr(spherical, "operator_kernel", scaled)
+        p, radii = Params(3, 0.6), [1.0, 2.0, 3.0, 4.0, 5.0]
+        if fails:
+            with pytest.raises(NonConvergence, match="closed-form intertwined kernel"):
+                kernel_decay(INT, p, radii, 0.01)
+        else:
+            assert len(kernel_decay(INT, p, radii, 0.01)[0]) == len(radii)
+
+    @pytest.mark.parametrize("kind", [INT, MultiplierKind.GJMS, MultiplierKind.REMAINDER],
+                             ids=["int", "gjms", "rem"])
+    @pytest.mark.parametrize("n, s", [(3, 0.6), (5, 0.7), (4, 0.75), (3, 1.3), (6, 1.3),
+                                      (4, 0.5), (3, 0.3)])
+    def test_closed_form_tolerance_from_r2_to_r8(self, kind, n, s):
+        # measured at most 7.3e-3 at r = 2..6 and 1.2e-2 at r = 8, against
+        # KERNEL_CLOSED_FORM_TOL = 2e-2; GJMS (6, 1.3) is cancellation at r = 8
+        radii = [2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+        if (kind, n, s) == (MultiplierKind.GJMS, 6, 1.3):
+            with pytest.raises(NonConvergence, match="at r = 8.0 "):
+                kernel_decay(kind, Params(n, s), radii, 0.01)
+        else:
+            kernel_decay(kind, Params(n, s), radii, 0.01)
 
 
 class TestDecayFit:
