@@ -6,19 +6,17 @@ The energy of wide profiles is computed with octave-banded quadrature: each
 frequency band integrates r only out to where its own oscillation budget
 allows, behind a smooth sub-window, which keeps every Bessel oscillation
 resolved without ever building an r-grid of millions of nodes. A band's
-kernel (Bessel matrix, r^{n-1}, r weights and sub-window in one read-only
-matrix) depends only on (n, support, band), so it is built once and reused
-by every energy of that support; only the most recent (n, support) is held,
-and an energy evaluates its profile once per distinct r-grid. A kernel is
-filled in row blocks of at most grids.BLOCK_CELLS cells, so the Bessel
-temporaries of a build stay within a few block budgets whatever the band's
-size. A bubble trial's cut-off window is computed once per (delta, r-grid)
-and read by every trial of that delta (_cutoff_values).
+kernel (Bessel matrix, r^{n-1}, r weights, cut-off window and sub-window in
+one read-only matrix) is held in the module's one memo, an LRU of one
+support's bands, and an energy evaluates its profile once per distinct
+r-grid. A kernel is filled in row blocks of at most grids.BLOCK_CELLS
+cells, so the Bessel temporaries of a build stay within a few block budgets.
 
-The truncated bubble's energy (bubble_energy) takes that route at every
-s except s = 1, where it is the Dirichlet integral of (cutoff U_eps)' in
-closed form on a graded plateau and a panelled cut-off ramp, and no band
-is built.
+The truncated bubble's energy (bubble_energy) depends on t = eps/delta
+alone, so every one is priced on the one support [0, 2 ENERGY_DELTA]: at
+s = 1 as the Dirichlet integral of (cutoff U_eps)' in closed form on a
+graded plateau and a panelled cut-off ramp, with no band built; at every
+other s by the Hankel bands, with the cut-off folded into their kernels.
 
 The untruncated bubble U = (1+r^2)^{-(n-2s)/2} solves (-Delta)^s U = c U^{2*-1}
 (Lieb 1983; Cotsiolis-Tavoularis 2004), so its energy and critical mass are
@@ -48,6 +46,11 @@ from .grids import (
 from .params import Params
 
 OSC_BUDGET = 4000.0          # max r*rho phase per frequency band (with sub-window)
+
+# the cut-off radius of every bubble energy (bubble_energy): BubbleFamily's
+# delta_hi, so the trials of a lambda >= 0 bubble scan keep their support
+ENERGY_DELTA = 0.245
+BAND_KERNELS_HELD = 32       # one support's bands: a bubble energy at t = 0.005 spans 29
 
 # the 48-node Gauss-Legendre rule on [-1, 1] of _mollifier_mass: the positive
 # half of numpy.polynomial.legendre.leggauss(48), mirrored (grids.GAUSS_NODES
@@ -82,13 +85,18 @@ class BubbleParams:
             raise ParameterError(f"delta must lie in (0, 1/4), got {self.delta}")
 
 
+def _bubble_values(p: Params, eps: float, r):
+    """eps^-(n-2s)/2 (1 + (r/eps)^2)^-(n-2s)/2 at the array r, for any eps > 0."""
+    q = (p.n - 2.0 * p.s) / 2.0
+    return eps ** (-q) * (1.0 + (r / eps) ** 2) ** (-q)
+
+
 def bubble(p: Params, bp: BubbleParams, r):
     """U_eps(r) = eps^-(n-2s)/2 (1 + (r/eps)^2)^-(n-2s)/2; decreasing, U(0)=1."""
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0):
         raise ParameterError("bubble requires r >= 0")
-    q = (p.n - 2.0 * p.s) / 2.0
-    out = bp.eps ** (-q) * (1.0 + (r / bp.eps) ** 2) ** (-q)
+    out = _bubble_values(p, bp.eps, r)
     return float(out) if out.ndim == 0 else out
 
 
@@ -98,10 +106,15 @@ def _mollifier_density(t):
 
 
 def _mollifier_mass(t):
-    """int_0^t exp(-1/(u(1-u))) du for t in (0, 1], vectorized (48-node GL)."""
+    """int_0^t exp(-1/(u(1-u))) du for t in (0, 1] (48-node GL), BLOCK_CELLS // 48
+    nodes at a time; a row-wise sum, so a node's value does not depend on its batch."""
     t = np.asarray(t, dtype=float)
-    uu = np.multiply.outer(t, 0.5 * (_GL48_X + 1.0))    # nodes scaled to (0, t)
-    return 0.5 * t * (_mollifier_density(uu) @ _GL48_W)
+    flat, out = t.reshape(-1), np.empty(t.size)
+    step = BLOCK_CELLS // 48
+    for i in range(0, flat.size, step):
+        uu = np.multiply.outer(flat[i:i + step], 0.5 * (_GL48_X + 1.0))    # nodes scaled to (0, t)
+        out[i:i + step] = 0.5 * flat[i:i + step] * (_mollifier_density(uu) * _GL48_W).sum(axis=-1)
+    return out.reshape(t.shape)
 
 
 _MOLLIFIER_TOTAL = float(_mollifier_mass(np.asarray(1.0)))
@@ -151,23 +164,11 @@ def bubble_grid(eps: float, r_max: float) -> RadialGrid:
     return RadialGrid.from_edges(_bubble_edges(eps, r_max))
 
 
-@functools.lru_cache(maxsize=32)
-def _cutoff_values(delta, key):
-    """cutoff(delta, r) at the float64 array r with r.tobytes() == key, as a
-    read-only array: the bubble trials of one delta read the same r-grids
-    (their band grids), so each window is computed once; cutoff is
-    elementwise on an unchanged array, so the values are bit for bit its."""
-    values = cutoff(delta, np.frombuffer(key))
-    values.flags.writeable = False
-    return values
-
-
 def sampled_bubble(p: Params, bp: BubbleParams) -> RadialFunction:
     """The standard trial cutoff(delta, r) U_eps(r) on bubble_grid(eps, 2 delta)."""
 
     def profile(r):
-        r = np.asarray(r, dtype=float)
-        return _cutoff_values(bp.delta, r.tobytes()).reshape(r.shape) * bubble(p, bp, r)
+        return cutoff(bp.delta, r) * bubble(p, bp, r)
 
     grid = bubble_grid(bp.eps, 2.0 * bp.delta)
     return RadialFunction.from_profile(profile, grid, 2.0 * bp.delta, Space.EUCLIDEAN)
@@ -231,51 +232,45 @@ class _BandKernel(NamedTuple):
     kernel: np.ndarray       # (rho x r), read-only
 
 
-@functools.lru_cache(maxsize=1)
-def _band_kernels(n, support):
-    """{(lo, hi): _BandKernel} of one (n, support), filled by _band_kernel;
-    only the most recent (n, support) is held."""
-    return {}
-
-
-def _band_kernel(n, support, lo, hi):
-    """The kernel of the band [lo, hi] for profiles on [0, support], built
-    once per (n, support, band). r is truncated at r_cut, under a smooth
+@functools.lru_cache(maxsize=BAND_KERNELS_HELD)
+def _band_kernel(n, support, window, lo, hi):
+    """The kernel of the band [lo, hi] for profiles on [0, support] times
+    smooth_window(r, *window) (window None: no factor), held while among the
+    BAND_KERNELS_HELD most recent. r is truncated at r_cut, under a smooth
     sub-window when r_cut < support, so that r*rho stays within the
-    oscillation budget; the Bessel matrix, r^{n-1}, the r weights and the
-    sub-window are folded into one read-only matrix."""
-    table = _band_kernels(n, support)
-    band = table.get((lo, hi))
-    if band is not None:
-        return band
+    oscillation budget; the Bessel matrix, r^{n-1}, the r weights, the
+    window and the sub-window are folded into one read-only matrix."""
     rho, weights = gauss_panels(np.linspace(lo, hi, 4))
     r_cut = min(support, max(200.0, OSC_BUDGET / max(float(rho[0]), 1e-300)))
     grid = geometric_grid(r_cut, 0.02, max_width=max(PHASE_PER_PANEL / float(rho[-1]), 1e-4))
     r = grid.nodes
     density = r ** (n - 1) * grid.weights
+    if window is not None:
+        density *= smooth_window(r, *window)
     if r_cut < support:
         density *= smooth_window(r, 0.5 * r_cut, r_cut)
     kernel = _scaled_bessel_matrix(n, rho, r)
     kernel *= density
     for array in (rho, weights, r, kernel):
         array.flags.writeable = False
-    band = table[(lo, hi)] = _BandKernel(rho, weights, r, r.tobytes(), kernel)
-    return band
+    return _BandKernel(rho, weights, r, r.tobytes(), kernel)
 
 
-def _banded_energy(profile, support, p: Params, rho_min, rho_max):
-    """omega int rho^{2s+n-1} w_hat^2 d rho over octave bands, extending
-    rho_max until the running tail undershoots 1e-9 of the accumulated total.
+def _banded_energy(profile, support, window, p: Params):
+    """omega int rho^{2s+n-1} w_hat^2 d rho of w = profile on [0, support]
+    times smooth_window(r, *window) (window None: profile alone), over
+    octave bands from min(1e-4, 0.05/support), extending past rho = 64
+    until the running tail undershoots 1e-9 of the accumulated total.
 
     The profile is evaluated once per distinct r-grid of its bands."""
     n, s = p.n, p.s
     values = {}
     contributions = []
-    lo = rho_min
-    cap = max(rho_max, 1.0) * 4096.0
+    lo, rho_max = min(1e-4, 0.05 / support), 64.0
+    cap = rho_max * 4096.0
     while True:
         hi = min(2.0 * lo, cap)
-        band = _band_kernel(n, support, lo, hi)
+        band = _band_kernel(n, support, window, lo, hi)
         if band.grid_key not in values:
             values[band.grid_key] = profile(band.r)
         what = band.kernel @ values[band.grid_key]
@@ -305,7 +300,7 @@ def fractional_energy(w: RadialFunction, p: Params) -> float:
     if w.profile is None:
         raise SupportError("fractional_energy needs a trial built by RadialFunction.from_profile")
     support = min(w.support_radius, w.grid.r_max)
-    return _banded_energy(w.profile, support, p, min(1e-4, 0.05 / support), 64.0)
+    return _banded_energy(w.profile, support, None, p)
 
 
 # panels of the cut-off ramp [delta, 2 delta] in the s = 1 energy: 8 move it
@@ -314,38 +309,42 @@ def fractional_energy(w: RadialFunction, p: Params) -> float:
 RAMP_PANELS = 8
 
 
-def _dirichlet_edges(eps: float, delta: float):
-    """Panel edges for the s = 1 energy of the bubble (eps, delta): the
-    bubble_grid panels of the plateau [0, delta], where the cut-off is 1,
-    then RAMP_PANELS equal panels on the ramp."""
-    return np.concatenate([_bubble_edges(eps, delta)[:-1],
-                           np.linspace(delta, 2.0 * delta, RAMP_PANELS + 1)])
+def _dirichlet_edges(eps: float):
+    """Panel edges for the s = 1 energy of cutoff(ENERGY_DELTA, r) U_eps(r):
+    the bubble_grid panels of the plateau [0, ENERGY_DELTA], where the
+    cut-off is 1, then RAMP_PANELS equal panels on the ramp."""
+    return np.concatenate([_bubble_edges(eps, ENERGY_DELTA)[:-1],
+                           np.linspace(ENERGY_DELTA, 2.0 * ENERGY_DELTA, RAMP_PANELS + 1)])
 
 
-def _dirichlet_energy(p: Params, bp: BubbleParams, grid: RadialGrid) -> float:
+def _dirichlet_energy(p: Params, eps: float, grid: RadialGrid) -> float:
     """omega int (w')^2 r^{n-1} dr of w = cutoff(delta, r) U_eps(r) on grid,
-    with w' = chi' U + chi U' in closed form: chi' is minus
-    _mollifier_density(t) / (_MOLLIFIER_TOTAL delta), t = (r - delta)/delta,
+    delta = ENERGY_DELTA, with w' = chi' U + chi U' in closed form: chi' is
+    minus _mollifier_density(t) / (_MOLLIFIER_TOTAL delta), t = (r - delta)/delta,
     and U' = -(n-2s) r U / (eps^2 + r^2)."""
-    r = grid.nodes
-    u = bubble(p, bp, r)
-    t = (r - bp.delta) / bp.delta
+    delta, r = ENERGY_DELTA, grid.nodes
+    u = _bubble_values(p, eps, r)
+    t = (r - delta) / delta
     ramp = (t > 0.0) & (t < 1.0)
     d_chi = np.zeros_like(r)
-    d_chi[ramp] = -_mollifier_density(t[ramp]) / (_MOLLIFIER_TOTAL * bp.delta)
-    d_u = -(p.n - 2.0 * p.s) * r / (bp.eps ** 2 + r * r) * u
-    d_w = d_chi * u + cutoff(bp.delta, r) * d_u
+    d_chi[ramp] = -_mollifier_density(t[ramp]) / (_MOLLIFIER_TOTAL * delta)
+    d_u = -(p.n - 2.0 * p.s) * r / (eps ** 2 + r * r) * u
+    d_w = d_chi * u + cutoff(delta, r) * d_u
     return sphere_area(p.n) * grid.integrate(d_w * d_w * r ** (p.n - 1))
 
 
-def bubble_energy(p: Params, bp: BubbleParams, w: RadialFunction) -> float:
-    """E(w) of the truncated bubble w = sampled_bubble(p, bp). At s = 1 it is
-    the Dirichlet integral omega int_0^{2 delta} (w')^2 r^{n-1} dr on the
-    _dirichlet_edges panels, and no Hankel band is built; every other s takes
-    fractional_energy, which at s = 1 is its oracle."""
+def bubble_energy(p: Params, bp: BubbleParams) -> float:
+    """E(w) of the truncated bubble w = sampled_bubble(p, bp). By Euclidean
+    scaling it depends on t = eps/delta alone, so it is priced at
+    (t ENERGY_DELTA, ENERGY_DELTA), and equal float t give equal bits: at
+    s = 1 the Dirichlet integral on the _dirichlet_edges panels, no Hankel
+    band built; at every other s the Hankel bands (the s = 1 route's
+    oracle), the cut-off folded into their kernels."""
+    eps = bp.eps / bp.delta * ENERGY_DELTA
     if p.s == 1.0:
-        return _dirichlet_energy(p, bp, RadialGrid.from_edges(_dirichlet_edges(bp.eps, bp.delta)))
-    return fractional_energy(w, p)
+        return _dirichlet_energy(p, eps, RadialGrid.from_edges(_dirichlet_edges(eps)))
+    return _banded_energy(functools.partial(_bubble_values, p, eps), 2.0 * ENERGY_DELTA,
+                          (ENERGY_DELTA, 2.0 * ENERGY_DELTA), p)
 
 
 def fit_loglog_slope(x, y) -> float:
@@ -448,7 +447,7 @@ def bubble_asymptotics(p: Params, delta: float, eps_ladder):
     rows = []
     for bp in trials:
         w = sampled_bubble(p, bp)
-        rows.append((bp.eps, crit_mass(p, w), hyperbolic_l2_mass(p, w), bubble_energy(p, bp, w)))
+        rows.append((bp.eps, crit_mass(p, w), hyperbolic_l2_mass(p, w), bubble_energy(p, bp)))
     eps, crit, l2, energy = (np.array(column) for column in zip(*rows))
     crit_slope = fit_loglog_slope(eps, np.abs(bubble_mass_limit(p.n) - crit))
     energy_slope = fit_loglog_slope(eps, np.abs(energy - bubble_energy_limit(p)))

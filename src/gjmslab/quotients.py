@@ -129,7 +129,7 @@ def bubble_quotient(kind: MultiplierKind, p: Params, lam: float,
     """
     add_remainder = _energy_kind(kind, p) is MultiplierKind.GJMS
     w = sampled_bubble(p, bp)
-    energy = bubble_energy(p, bp, w)
+    energy = bubble_energy(p, bp)
     if add_remainder:
         u = conformal_lift(w, p)
         u_std = RadialFunction.from_profile(u.profile,
@@ -534,8 +534,7 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
     Raises ParameterError, before any work, for eval_cap < 1, b_max <= 0 (for
     every kind and family, also those that do not read it), a lambda above
     the spectral bottom of kind (beyond 1e-12 relative roundoff), where the
-    level is -infinity, or an n outside [2, 10], where
-    sharp_constant_estimate, and so level_floor, is not defined.
+    level is -infinity.
     """
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.size == 0:
@@ -692,6 +691,4 @@ def blowdown(p: Params, lam: float, N_values):
 def sharp_constant_estimate(p: Params) -> float:
     """S_est = E(U) / M^{2/2*}: the closed-form bubble energy over its
     critical norm, the package's internal reference for every gap margin."""
-    if not (2 <= p.n <= 10):
-        raise ParameterError("sharp_constant_estimate supports n in [2, 10]")
     return bubble_energy_limit(p) / bubble_mass_limit(p.n) ** (2.0 / p.two_star)

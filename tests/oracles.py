@@ -46,7 +46,7 @@ def windowed_bubble_energy(p) -> dict:
             r = np.asarray(r, dtype=float)
             return (1.0 + r * r) ** (-q) * smooth_window(r, 0.5 * _R, _R)
 
-        raw[R] = _banded_energy(prof, R, p, min(1e-4, 0.05 / R), 64.0)
+        raw[R] = _banded_energy(prof, R, None, p)
     r1, r2 = WINDOW_RADII
     ratio = (r2 / r1) ** (p.n - 2.0 * p.s)
     energy = (ratio * raw[r2] - raw[r1]) / (ratio - 1.0)

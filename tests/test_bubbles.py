@@ -8,14 +8,17 @@ import pytest
 from conftest import euclidean_bump, windowed_gaussian
 from oracles import outer_scaled_bessel_matrix, quadrature_mass_limit, windowed_bubble_energy
 from gjmslab.bubbles import (
+    BAND_KERNELS_HELD,
+    ENERGY_DELTA,
     BubbleParams,
     _GL48_W,
     _GL48_X,
     _band_kernel,
-    _band_kernels,
-    _cutoff_values,
     _dirichlet_edges,
+    _banded_energy,
+    _bubble_values,
     _dirichlet_energy,
+    _mollifier_mass,
     _scaled_bessel_matrix,
     bubble,
     bubble_asymptotics,
@@ -104,7 +107,8 @@ class TestCutoff:
 
     def test_step_flat_parts_exact_and_ramp_bit_equal(self):
         # the 48-node quadrature of the mollifier mass on every node, as
-        # smooth_step computed it before it skipped the flat parts
+        # smooth_step computed it before it skipped the flat parts, each
+        # node's terms summed along its row
         u = 0.5 * (_GL48_X + 1.0)
 
         def full_quadrature(t):
@@ -112,7 +116,7 @@ class TestCutoff:
             g = np.zeros_like(uu)
             inside = (uu > 0.0) & (uu < 1.0)
             g[inside] = np.exp(-1.0 / (uu[inside] * (1.0 - uu[inside])))
-            return 0.5 * np.clip(t, 0.0, 1.0) * (g @ _GL48_W)
+            return 0.5 * np.clip(t, 0.0, 1.0) * (g * _GL48_W).sum(axis=-1)
 
         t = np.linspace(-0.5, 1.5, 2001)
         ramp = (t > 0.0) & (t < 1.0)
@@ -127,6 +131,15 @@ class TestCutoff:
         assert np.all(window[r >= 3.5] == 0.0)
         assert np.all(window[r <= 2.8] == 1.0)
 
+    def test_ramp_value_does_not_depend_on_its_batch(self):
+        # a BLAS product over the (nodes x 48) terms rounded one node of a
+        # 2001-node batch 8.7e-19 away from the same node alone
+        t = np.linspace(0.0, 1.0, 1002)[1:-1]
+        batch = _mollifier_mass(t)
+        alone = np.array([_mollifier_mass(t[i:i + 1])[0] for i in range(t.size)])
+        assert np.array_equal(batch, alone)
+        assert np.array_equal(smooth_step(t), [smooth_step(x)[()] for x in t])
+
 
 class TestCritMass:
     def test_limit_against_beta_oracle(self):
@@ -135,7 +148,7 @@ class TestCritMass:
         assert oracle == pytest.approx(math.pi ** 2 / 4.0, rel=1e-12)
         assert bubble_mass_limit(3) == pytest.approx(oracle, rel=1e-6)
 
-    @pytest.mark.parametrize("n", range(3, 11))
+    @pytest.mark.parametrize("n", range(3, 13))
     def test_closed_form_matches_quadrature(self, n):
         assert bubble_mass_limit(n) == pytest.approx(quadrature_mass_limit(n), rel=1e-13)
 
@@ -232,7 +245,7 @@ class TestRadialFourier:
         for n in (3, 4, 5):
             lo = 1e-3
             while lo < 10.0:
-                band = _band_kernel(n, 12.0, lo, 2.0 * lo)
+                band = _band_kernel(n, 12.0, None, lo, 2.0 * lo)
                 what = band.kernel @ np.exp(-band.r ** 2 / 2.0)
                 assert np.max(np.abs(what - np.exp(-band.rho ** 2 / 2.0))) <= 1e-13
                 lo *= 2.0
@@ -288,7 +301,7 @@ class TestFractionalEnergy:
             3.0 * math.pi ** 2 / 4.0, rel=1e-15)
 
     @pytest.mark.parametrize("n,s", [(5, 1.0), (5, 0.8), (3, 1.0), (3, 0.6), (7, 2.3),
-                                     (4, 0.75)])
+                                     (4, 0.75), (11, 0.8), (12, 2.5)])
     def test_energy_limit_matches_windowed_oracle(self, n, s):
         p = Params(n, s)
         assert bubble_energy_limit(p) == pytest.approx(
@@ -309,7 +322,7 @@ def count_calls(monkeypatch, module, name):
 
 class TestDirichletRoute:
     """At s = 1 bubble_energy is the Dirichlet integral of the truncated
-    bubble, with fractional_energy (the Hankel route) as its oracle."""
+    bubble, with the Hankel route as its oracle."""
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_matches_hankel_route(self, n):
@@ -318,7 +331,23 @@ class TestDirichletRoute:
         for t in (0.06, 0.12, 0.25, 0.5, 0.8, 1.22):
             bp = BubbleParams(t * 0.2, 0.2)
             w = sampled_bubble(p, bp)
-            assert bubble_energy(p, bp, w) == pytest.approx(fractional_energy(w, p), rel=1e-8)
+            assert bubble_energy(p, bp) == pytest.approx(fractional_energy(w, p), rel=1e-8)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_hankel_floor_at_the_energy_support(self, n):
+        # bubble_energy's Hankel route (s != 1) against the Dirichlet
+        # integral, both of cutoff(ENERGY_DELTA, r) U_eps(r), over the bubble
+        # box (t up to eps_hi/delta_lo = 6) and below it; measured at n = 3,
+        # 5: -6.2e-6, +1.0e-5 at t = 0.005, at most 6.2e-7 at 0.01, 5.4e-8 at
+        # 0.02 and 1.3e-8 from 0.04 on
+        p = Params(n, 1.0)
+        for t, tol in ((0.005, 1.5e-5), (0.01, 1e-6), (0.02, 1e-7), (0.04, 2e-8),
+                       (0.16, 2e-8), (1.0, 2e-8), (6.0, 2e-8)):
+            eps = t * ENERGY_DELTA
+            dirichlet = _dirichlet_energy(p, eps, RadialGrid.from_edges(_dirichlet_edges(eps)))
+            hankel = _banded_energy(lambda r, _e=eps: _bubble_values(p, _e, r),
+                                    2.0 * ENERGY_DELTA, (ENERGY_DELTA, 2.0 * ENERGY_DELTA), p)
+            assert hankel == pytest.approx(dirichlet, rel=tol)
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_stable_under_panel_splitting(self, n):
@@ -326,13 +355,14 @@ class TestDirichletRoute:
         p = Params(n, 1.0)
         for t in (0.03, 0.1, 0.4, 0.8, 1.22):
             bp = BubbleParams(t * 0.2, 0.2)
-            edges = _dirichlet_edges(bp.eps, bp.delta)
-            energy = _dirichlet_energy(p, bp, RadialGrid.from_edges(edges))
-            assert energy == bubble_energy(p, bp, sampled_bubble(p, bp))
+            eps = bp.eps / bp.delta * ENERGY_DELTA
+            edges = _dirichlet_edges(eps)
+            energy = _dirichlet_energy(p, eps, RadialGrid.from_edges(edges))
+            assert energy == bubble_energy(p, bp)
             for k in (2, 4):
                 split = np.concatenate([edges[:1], (edges[:-1, None] + np.diff(edges)[:, None]
                                                     * np.arange(1, k + 1) / k).ravel()])
-                refined = _dirichlet_energy(p, bp, RadialGrid.from_edges(split))
+                refined = _dirichlet_energy(p, eps, RadialGrid.from_edges(split))
                 assert refined == pytest.approx(energy, rel=1e-13, abs=0.0)
 
     def test_builds_no_band(self, monkeypatch):
@@ -340,17 +370,20 @@ class TestDirichletRoute:
         import gjmslab.bubbles as bubbles
 
         calls = count_calls(monkeypatch, bubbles, "_scaled_bessel_matrix")
-        _band_kernels.cache_clear()
+        _band_kernel.cache_clear()
         bubble_asymptotics(Params(5, 1.0), 0.2, [0.05, 0.025, 0.0125, 0.00625])
         bubble_quotient(MultiplierKind.GJMS, Params(4, 1.0), 0.1, BubbleParams(0.05, 0.2))
         assert calls == []
-        assert _band_kernels.cache_info().currsize == 0
+        assert _band_kernel.cache_info().currsize == 0
 
     def test_other_s_keeps_hankel_route(self):
+        # the trial of the same t at delta = ENERGY_DELTA, priced by the
+        # general route with its cut-off in the profile, not in the kernels
         p = Params(5, 0.8)
         bp = BubbleParams(0.05, 0.2)
-        w = sampled_bubble(p, bp)
-        assert bubble_energy(p, bp, w) == fractional_energy(w, p)
+        same_t = BubbleParams(bp.eps / bp.delta * ENERGY_DELTA, ENERGY_DELTA)
+        assert bubble_energy(p, bp) == pytest.approx(
+            fractional_energy(sampled_bubble(p, same_t), p), rel=1e-13, abs=0.0)
 
 
 class TestRatioInvariance:
@@ -370,6 +403,18 @@ class TestRatioInvariance:
         assert max(energies) - min(energies) <= 1e-9 * min(energies)
         assert max(masses) - min(masses) <= 1e-12 * min(masses)
 
+    @pytest.mark.parametrize("s", [0.8, 1.0])
+    @pytest.mark.parametrize("t", [0.0625, 0.125, 0.25, 0.03 / 0.245])
+    def test_bubble_energy_bit_equal_at_equal_t(self, s, t):
+        # every bubble energy is priced at (t ENERGY_DELTA, ENERGY_DELTA);
+        # each trial's own support left 9.0e-7 between delta = 0.125 and
+        # 0.0625 at t = 1/16 and (5, 0.8)
+        p = Params(5, s)
+        bps = [BubbleParams(t * delta, delta) for delta in (0.0625, 0.125, 0.245)]
+        assert all(bp.eps / bp.delta == t for bp in bps)
+        energies = {bubble_energy(p, bp) for bp in bps}
+        assert len(energies) == 1
+
     @pytest.mark.parametrize("t", [0.1, 0.2])
     def test_l2_mass_grows_with_delta(self, t):
         p = Params(5, 0.8)
@@ -379,13 +424,14 @@ class TestRatioInvariance:
 
 
 class TestBandKernels:
-    """Each octave band's Hankel kernel is built once per (n, support, band),
-    in row blocks, and held for the most recent (n, support) only."""
+    """Each octave band's Hankel kernel is built once per (n, support,
+    window, band), in row blocks, and held in a bounded LRU of one
+    support's bands."""
 
-    # the largest band of the README bubble-asymptotics (n = 5, delta = 0.2):
-    # 48 x 4768 cells, 1.75 MB
-    README_SUPPORT = 2.0 * 0.2
-    README_BAND = (1e-4 * 2.0 ** 26, 1e-4 * 2.0 ** 27)
+    # the largest band of a bubble energy at t = 1/32: 48 x 5856 cells, 2.2 MB
+    SUPPORT = 2.0 * ENERGY_DELTA
+    WINDOW = (ENERGY_DELTA, 2.0 * ENERGY_DELTA)
+    BAND = (1e-4 * 2.0 ** 26, 1e-4 * 2.0 ** 27)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_blocked_bessel_matrix_bit_equal(self, n, monkeypatch):
@@ -393,7 +439,7 @@ class TestBandKernels:
         # one-shot outer product bit for bit (n = 4 takes scipy's jv)
         import gjmslab.bubbles as bubbles
 
-        band = _band_kernel(n, self.README_SUPPORT, *self.README_BAND)
+        band = _band_kernel(n, self.SUPPORT, self.WINDOW, *self.BAND)
         whole = outer_scaled_bessel_matrix(n, band.rho, band.r)
         assert whole.size > 2 * bubbles.BLOCK_CELLS
         assert _scaled_bessel_matrix(n, band.rho, band.r).tobytes() == whole.tobytes()
@@ -405,109 +451,92 @@ class TestBandKernels:
         # (6.3 budgets measured; the one-shot product held 5.2 kernels more)
         import gjmslab.bubbles as bubbles
 
-        _band_kernels.cache_clear()
+        _band_kernel.cache_clear()
         tracemalloc.start()
         try:
-            band = _band_kernel(5, self.README_SUPPORT, *self.README_BAND)
+            band = _band_kernel(5, self.SUPPORT, self.WINDOW, *self.BAND)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert band.kernel.shape == (48, 4768)
+        assert band.kernel.shape == (48, 5856)
         assert peak <= band.kernel.nbytes + 8 * 8 * bubbles.BLOCK_CELLS
 
     def test_cold_and_warm_energy_bit_equal(self):
         p = Params(5, 0.8)
         w = sampled_bubble(p, BubbleParams(0.03, 0.2))
-        _band_kernels.cache_clear()
+        _band_kernel.cache_clear()
         cold = fractional_energy(w, p)
         assert fractional_energy(w, p) == cold
+        _band_kernel.cache_clear()
+        cold = bubble_energy(p, BubbleParams(0.03, 0.2))
+        assert bubble_energy(p, BubbleParams(0.03, 0.2)) == cold
 
-    def test_windowed_route_bit_equal(self):
+    def test_windowed_route_bit_equal(self, monkeypatch):
         # on support 400, bands above rho = 10 cut r at r_cut < support
+        import gjmslab.bubbles as bubbles
+
+        bands = []
+
+        def recorded(*args, _fn=_band_kernel):
+            bands.append(_fn(*args))
+            return bands[-1]
+
         p = Params(3, 0.75)
         support = 400.0
         w = RadialFunction.from_profile(windowed_gaussian(1.0, support),
                                         geometric_grid(support, 0.02), support, Space.EUCLIDEAN)
-        _band_kernels.cache_clear()
+        _band_kernel.cache_clear()
+        monkeypatch.setattr(bubbles, "_band_kernel", recorded)
         cold = fractional_energy(w, p)
-        assert min(band.r[-1] for band in _band_kernels(3, support).values()) <= 200.0
+        assert min(band.r[-1] for band in bands) <= 200.0
         assert fractional_energy(w, p) == cold
 
     def test_kernels_read_only(self):
-        p = Params(5, 0.8)
-        fractional_energy(sampled_bubble(p, BubbleParams(0.05, 0.2)), p)
-        bands = _band_kernels(5, 2.0 * 0.2).values()
-        assert bands
-        for band in bands:
-            for array in (band.rho, band.weights, band.r, band.kernel):
-                assert not array.flags.writeable
+        band = _band_kernel(5, self.SUPPORT, self.WINDOW, 1e-4, 2e-4)
+        for array in (band.rho, band.weights, band.r, band.kernel):
+            assert not array.flags.writeable
         with pytest.raises(ValueError):
             band.kernel[0, 0] = 0.0
 
     def test_store_holds_one_support(self):
+        # a bubble energy at t = 0.005 reads 29 bands, all of which stay held;
+        # energies on other supports evict the oldest, never growing the store
         p = Params(5, 0.8)
-        _band_kernels.cache_clear()
+        _band_kernel.cache_clear()
+        bubble_energy(p, BubbleParams(0.005 * ENERGY_DELTA, ENERGY_DELTA))
+        info = _band_kernel.cache_info()
+        assert info.misses == info.currsize == 29 <= BAND_KERNELS_HELD
         for delta in (0.1, 0.2):
             fractional_energy(sampled_bubble(p, BubbleParams(0.05, delta)), p)
-        info = _band_kernels.cache_info()
-        assert info.currsize == 1
-        assert _band_kernels(5, 2.0 * 0.2)          # the latest support is held
-        assert _band_kernels.cache_info().hits == info.hits + 1
-        assert _band_kernels(5, 2.0 * 0.1) == {}    # the earlier one is gone
+        assert _band_kernel.cache_info().currsize == BAND_KERNELS_HELD
 
     def test_benchmark_scan_reuses_kernels(self, monkeypatch):
         # the benchmark's 2-lambda bubble scan builds 2142 Bessel matrices when
-        # every band is built afresh; its search stays on delta = delta_hi,
-        # so all its trials share one support and one set of band kernels
+        # every band is built afresh; all its trials share the one energy
+        # support, so it builds each of its 25 bands once
         import gjmslab.bubbles as bubbles
 
         calls = count_calls(monkeypatch, bubbles, "_scaled_bessel_matrix")
-        _band_kernels.cache_clear()
+        _band_kernel.cache_clear()
         gap_scan(MultiplierKind.INTERTWINED, Params(5, 0.8), [0.0, 0.25], BubbleFamily())
-        assert len(calls) <= 25
+        assert len(calls) == _band_kernel.cache_info().currsize <= 25
 
-
-class TestCutoffMemo:
-    """A bubble trial's cut-off window is computed once per (delta, r-grid)
-    and shared by the trials that read that grid."""
-
-    def test_cold_and_warm_quotient_bit_equal(self, monkeypatch):
+    def test_negative_lambda_scan_builds_each_band_once(self, monkeypatch):
+        # below lambda = 0 the search prices each t at its own delta: with a
+        # support per delta the scan over lambda = -1..0.25 built 801 Bessel
+        # matrices; on the one energy support it builds the same 25
         import gjmslab.bubbles as bubbles
 
-        p = Params(5, 0.8)
-        bp = BubbleParams(0.03, 0.2)
-        _cutoff_values.cache_clear()
-        cold = bubble_quotient(MultiplierKind.GJMS, p, 0.1, bp)
-        misses = _cutoff_values.cache_info().misses
-        warm = bubble_quotient(MultiplierKind.GJMS, p, 0.1, bp)
-        assert _cutoff_values.cache_info().misses == misses
-        monkeypatch.setattr(bubbles, "_cutoff_values", _cutoff_values.__wrapped__)
-        unmemoized = bubble_quotient(MultiplierKind.GJMS, p, 0.1, bp)
-        assert cold == warm == unmemoized
+        calls = count_calls(monkeypatch, bubbles, "_scaled_bessel_matrix")
+        _band_kernel.cache_clear()
+        gap_scan(MultiplierKind.INTERTWINED, Params(5, 0.8), np.linspace(-1.0, 0.25, 6),
+                 BubbleFamily())
+        assert len(calls) == _band_kernel.cache_info().currsize <= 25
 
-    def test_values_read_only_and_equal_to_cutoff(self):
-        r = np.linspace(0.0, 0.5, 101)
-        values = _cutoff_values(0.2, r.tobytes())
-        assert values.tobytes() == cutoff(0.2, r).tobytes()
-        with pytest.raises(ValueError):
-            values[0] = 0.0
-
-    def test_bounded(self):
-        cache = _cutoff_values
-        r = np.linspace(0.0, 0.5, 11)
-        for k in range(cache.cache_parameters()["maxsize"] + 5):
-            _cutoff_values(0.2, (r + 1e-3 * k).tobytes())
-        assert cache.cache_info().currsize == cache.cache_parameters()["maxsize"]
-
-    def test_benchmark_scan_computes_each_window_once(self, monkeypatch):
-        # the benchmark's 2-lambda bubble scan evaluates the window 401 times
-        # on 64 distinct (delta, r-grid) pairs
-        import gjmslab.bubbles as bubbles
-
-        calls = count_calls(monkeypatch, bubbles, "_mollifier_mass")
-        _cutoff_values.cache_clear()
-        gap_scan(MultiplierKind.INTERTWINED, Params(5, 0.8), [0.0, 0.25], BubbleFamily())
-        assert len(calls) <= 64
+    def test_energy_support_is_the_box_edge(self):
+        # lambda >= 0 scans price their trials at delta_hi, on the support
+        # every bubble energy takes
+        assert ENERGY_DELTA == BubbleFamily().delta_hi
 
 
 class TestEnergyAsymptotics:

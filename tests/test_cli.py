@@ -244,6 +244,16 @@ class TestGapScan:
         assert lines[0] == "lambda,quotient,margin_vs_Sest,trial_descriptor"
         assert len(lines) == 3
 
+    def test_beyond_n_10_exits_0(self, tmp_path):
+        # the closed-form floor holds at every n; the n = 11 row lies 1.3e-10
+        # above the sharp constant
+        out = str(tmp_path / "g11.csv")
+        assert run(["gap-scan", "--kind", "intertwined", "--n", "11", "--s", "0.8",
+                    "--lambda-spec=0", "--family", "bubble", "--out", out]) == 0
+        lines = open(out).read().splitlines()
+        assert len(lines) == 2
+        assert 0.0 < float(lines[1].split(",")[2]) < 1e-8
+
     def test_spline_row_is_one_line(self, tmp_path):
         # the spline descriptor lists every knot value on one CSV line
         out = str(tmp_path / "s.csv")

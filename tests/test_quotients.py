@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import hyperbolic_bump
-from oracles import slsqp_spline_search, windowed_bubble_energy
+from oracles import quadrature_mass_limit, slsqp_spline_search, windowed_bubble_energy
 from gjmslab.bubbles import BubbleParams, bubble_energy_limit, smooth_window
 from gjmslab.errors import BudgetExceeded, ParameterError, TailError, ZeroTrial
 from gjmslab.grids import RadialFunction, Space, uniform_grid
@@ -659,14 +659,14 @@ class TestLevelFloor:
             assert level_floor(INT, p, 0.0) == sharp_constant_estimate(p)
         assert level_floor(GJMS, Params(7, 2.5), 0.0) == sharp_constant_estimate(Params(7, 2.5))
 
-    def test_scan_without_a_floor_is_bad_input(self, monkeypatch):
-        # sharp_constant_estimate, and so the floor, covers n <= 10: a scan
-        # beyond is rejected before any search runs
-        import gjmslab.quotients as quotients
-
-        monkeypatch.setattr(quotients, "_Budget", None)   # a search would raise TypeError
-        with pytest.raises(ParameterError, match=r"n in \[2, 10\]"):
-            gap_scan(INT, Params(11, 0.8), [0.0], BubbleFamily())
+    def test_scan_beyond_n_10_has_a_floor(self):
+        # the closed forms behind sharp_constant_estimate hold at every n, so
+        # every (n, s) has a floor; the n = 11 bubble row lies 1.3e-10 above it
+        p = Params(11, 0.8)
+        floor = level_floor(INT, p, 0.0)
+        assert floor == sharp_constant_estimate(p)
+        assert gap_scan(INT, p, [0.0], BubbleFamily())[0].quotient == pytest.approx(
+            floor, rel=1e-8)
 
     @pytest.mark.parametrize("factor, fails", [(1.005, False), (1.02, True)])
     def test_scan_row_below_its_floor_raises(self, monkeypatch, factor, fails):
@@ -738,8 +738,16 @@ class TestSharpConstant:
         assert raw <= 2e-3 * bubble_energy_limit(p)
 
     def test_range_validation(self):
+        # no bound beyond Params' own: at n = 11 and 12 the estimate is the
+        # Hankel oracle's energy of U over the quadrature critical mass
+        # (measured: 4.4e-16 and 1.6e-15)
+        for n, s in ((11, 0.8), (12, 2.5)):
+            p = Params(n, s)
+            oracle = (windowed_bubble_energy(p)["energy"]
+                      / quadrature_mass_limit(n) ** (2.0 / p.two_star))
+            assert sharp_constant_estimate(p) == pytest.approx(oracle, rel=1e-12)
         with pytest.raises(ParameterError):
-            sharp_constant_estimate(Params(12, 1.0))
+            sharp_constant_estimate(Params(1, 0.25))
 
 
 class TestSobolevInequalityProperty:
