@@ -47,8 +47,8 @@ from .params import Params
 
 OSC_BUDGET = 4000.0          # max r*rho phase per frequency band (with sub-window)
 
-# the cut-off radius of every bubble energy (bubble_energy): BubbleFamily's
-# delta_hi, so the trials of a lambda >= 0 bubble scan keep their support
+# the cut-off radius of every bubble energy (bubble_energy), and the largest
+# delta of the bubble family's box (quotients.BUBBLE_DELTA)
 ENERGY_DELTA = 0.245
 BAND_KERNELS_HELD = 32       # one support's bands: a bubble energy at t = 0.005 spans 29
 
@@ -181,8 +181,16 @@ def crit_mass(p: Params, w: RadialFunction) -> float:
     return sphere_area(p.n) * w.grid.integrate(np.abs(w.values) ** p.two_star * r ** (p.n - 1))
 
 
+# the largest n of bubble_mass_limit: math.gamma(n) overflows a double from n = 172
+MAX_N = 171
+
+
 def bubble_mass_limit(n: int) -> float:
-    """M_inf = int (1+|y|^2)^-n dy = pi^{n/2} Gamma(n/2) / Gamma(n), the eps -> 0 limit."""
+    """M_inf = int (1+|y|^2)^-n dy = pi^{n/2} Gamma(n/2) / Gamma(n), the eps -> 0 limit;
+    ParameterError for n > MAX_N."""
+    if n > MAX_N:
+        raise ParameterError(f"n = {n} is too large: the closed-form bubble mass needs "
+                             f"Gamma(n), a double only up to n = {MAX_N}")
     return math.pi ** (n / 2.0) * math.gamma(n / 2.0) / math.gamma(n)
 
 
@@ -437,20 +445,22 @@ def bubble_asymptotics(p: Params, delta: float, eps_ladder):
     with its target, tolerance and "passed": crit, the log-log slope of
     M_inf minus the critical mass (target n); energy, the log-log slope of
     |E - E(U)| (target n - 2s, within 15%); l2, see _l2_verdict. A ladder of
-    fewer than three or of repeated eps raises ParameterError before any work.
+    fewer than three or of repeated eps, or an n beyond MAX_N, raises
+    ParameterError before any work.
     """
     if len(eps_ladder) < 3:   # every rate is fitted over at least three points
         raise ParameterError("eps ladder must have >= 3 entries")
     if len(set(eps_ladder)) != len(eps_ladder):
         raise ParameterError("eps ladder entries must be distinct")
+    mass_limit, energy_limit = bubble_mass_limit(p.n), bubble_energy_limit(p)
     trials = [BubbleParams(eps, delta) for eps in eps_ladder]
     rows = []
     for bp in trials:
         w = sampled_bubble(p, bp)
         rows.append((bp.eps, crit_mass(p, w), hyperbolic_l2_mass(p, w), bubble_energy(p, bp)))
     eps, crit, l2, energy = (np.array(column) for column in zip(*rows))
-    crit_slope = fit_loglog_slope(eps, np.abs(bubble_mass_limit(p.n) - crit))
-    energy_slope = fit_loglog_slope(eps, np.abs(energy - bubble_energy_limit(p)))
+    crit_slope = fit_loglog_slope(eps, np.abs(mass_limit - crit))
+    energy_slope = fit_loglog_slope(eps, np.abs(energy - energy_limit))
     e_target = p.n - 2.0 * p.s
     summary = {
         "crit": {"slope": crit_slope, "target": float(p.n), "tol": 0.3,

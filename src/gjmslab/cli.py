@@ -39,8 +39,8 @@ from .errors import BudgetExceeded, DegenerateData, GjmsLabError, NonConvergence
     ParameterError, TailError
 from .multipliers import b_constant, gap_constant, multiplier, spectral_bottom
 from .params import MultiplierKind, Params
-from .quotients import DEFAULT_EVAL_CAP, BubbleFamily, SplineFamily, blowdown, \
-    gap_scan, sharp_constant_estimate
+from .quotients import BubbleFamily, SplineFamily, blowdown, gap_scan, \
+    sharp_constant_estimate
 from .spherical import DEFAULT_B_MAX, DEFAULT_TAIL_TOL, kernel_decay
 from .special import SERIES_CAP, SERIES_TOL
 
@@ -221,7 +221,7 @@ def cmd_gap_scan(args) -> int:
     lambdas = _parse_lambda_spec(args.lambda_spec)
     family = _family_from_args(args)
     s_est = sharp_constant_estimate(p)
-    reports = gap_scan(kind, p, lambdas, family, eval_cap=args.budget, b_max=args.b_max)
+    reports = gap_scan(kind, p, lambdas, family, b_max=args.b_max)
     rows = [(float(lam), rep.quotient, rep.quotient / s_est - 1.0, rep.trial_descriptor)
             for lam, rep in zip(lambdas, reports)]
     _write_outputs(args, ["lambda", "quotient", "margin_vs_Sest", "trial_descriptor"], rows)
@@ -246,33 +246,8 @@ def cmd_blowdown(args) -> int:
 # ---------------------------------------------------------------------------
 
 def vars_of(args):
-    skip = {"func", "config", "started_at"}
+    skip = {"func", "started_at"}
     return {k: v for k, v in vars(args).items() if k not in skip}
-
-
-def _config_argv(argv):
-    """Expand --config key=value files into flags; explicit flags, spelled
-    --flag value or --flag=value, win."""
-    argv = list(argv)
-    config = argparse.ArgumentParser(prog="gjms-lab", add_help=False)
-    config.add_argument("--config")
-    path = config.parse_known_args(argv)[0].config
-    if path is None:
-        return argv
-    given = {arg.split("=", 1)[0] for arg in argv}
-    extra = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParameterError(f"bad config line {line!r}")
-            key, value = line.split("=", 1)
-            flag = "--" + key.strip().replace("_", "-")
-            if flag not in given:
-                extra.extend([flag, value.strip()])
-    return argv + extra
 
 
 def build_parser():
@@ -283,7 +258,6 @@ def build_parser():
     def add_common(sp):
         sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--s", type=finite_float, required=True)
-        sp.add_argument("--config", type=str, default=None)
 
     sp = sub.add_parser("constants", help="closed-form spectral constants as JSON")
     add_common(sp)
@@ -309,7 +283,6 @@ def build_parser():
     sp.add_argument("--kind", choices=["gjms", "intertwined"], required=True)
     sp.add_argument("--lambda-spec", type=str, required=True)
     sp.add_argument("--family", choices=["bubble", "spline"], required=True)
-    sp.add_argument("--budget", type=int, default=DEFAULT_EVAL_CAP)
     sp.add_argument("--b-max", type=finite_float, default=DEFAULT_B_MAX)
     sp.add_argument("--spline-knots", type=int, default=12)
     sp.add_argument("--spline-radius", type=finite_float, default=8.0)
@@ -337,17 +310,10 @@ def build_parser():
 
 def main(argv=None) -> int:
     started_at = _now()
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        argv = _config_argv(argv)
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    except (ParameterError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     args.started_at = started_at
     try:
         return args.func(args)

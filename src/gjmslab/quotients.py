@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bubbles import (
+    ENERGY_DELTA,
     BubbleParams,
     _golden_section,
     bubble_energy,
@@ -114,7 +115,7 @@ def sobolev_quotient(kind: MultiplierKind, p: Params, lam: float,
 
 
 def bubble_quotient(kind: MultiplierKind, p: Params, lam: float,
-                    bp: BubbleParams, b_max: float = DEFAULT_B_MAX, phi=None) -> QuotientReport:
+                    bp: BubbleParams, phi=None) -> QuotientReport:
     """Quotient of the lifted truncated bubble.
 
     The intertwined energy is taken as the Euclidean fractional energy of
@@ -122,10 +123,10 @@ def bubble_quotient(kind: MultiplierKind, p: Params, lam: float,
     Dirichlet integral at s = 1). This is the one energy that uses the
     split P_s = P~_s + B_s: GJMS at non-integer s adds the remainder form of
     the lifted trial (spherical transform), on frequencies up to
-    min(b_max, REMAINDER_B_MAX). Every trial's remainder form takes one
-    domain, grid and declared support [0, LIFTED_BUBBLE_RADIUS], so every
-    trial reads one Phi, _remainder_phi(kind, p, b_max), which gap_scan
-    builds once and passes as phi; a call without it streams its own.
+    REMAINDER_B_MAX. Every trial's remainder form takes one domain, grid
+    and declared support [0, LIFTED_BUBBLE_RADIUS], so every trial reads
+    one Phi, _remainder_phi(kind, p), which gap_scan builds once and passes
+    as phi; a call without it streams its own.
     """
     add_remainder = _energy_kind(kind, p) is MultiplierKind.GJMS
     w = sampled_bubble(p, bp)
@@ -136,19 +137,19 @@ def bubble_quotient(kind: MultiplierKind, p: Params, lam: float,
                                             standard_hyperbolic_grid(LIFTED_BUBBLE_RADIUS),
                                             LIFTED_BUBBLE_RADIUS, Space.HYPERBOLIC)
         energy += quadratic_form(MultiplierKind.REMAINDER, p, u_std,
-                                 b_max=min(b_max, REMAINDER_B_MAX), phi=phi)
+                                 b_max=REMAINDER_B_MAX, phi=phi)
     l2 = hyperbolic_l2_mass(p, w)
     crit_integral = crit_mass(p, w)
     descriptor = f"bubble[eps={bp.eps:.6g},delta={bp.delta:.6g}]"
     return _report(p, lam, energy, l2, crit_integral, descriptor)
 
 
-def _remainder_phi(kind, p, b_max):
+def _remainder_phi(kind, p):
     """The Phi that every bubble trial's remainder form reads (bubble_quotient),
     or None where the energy of kind has no remainder (_energy_kind)."""
     if _energy_kind(kind, p) is not MultiplierKind.GJMS:
         return None
-    return phi_matrix(p.n, default_beta_grid(LIFTED_BUBBLE_RADIUS, min(b_max, REMAINDER_B_MAX)),
+    return phi_matrix(p.n, default_beta_grid(LIFTED_BUBBLE_RADIUS, REMAINDER_B_MAX),
                       standard_hyperbolic_grid(LIFTED_BUBBLE_RADIUS))
 
 
@@ -156,20 +157,16 @@ def _remainder_phi(kind, p, b_max):
 # Trial families and their minimization
 # ---------------------------------------------------------------------------
 
+# the (eps, delta) box of the bubble family; its largest delta, where lambda >= 0
+# scans price their trials, is the support of every bubble energy
+BUBBLE_EPS = (0.02, 0.3)
+BUBBLE_DELTA = (0.05, ENERGY_DELTA)
+
+
 @dataclass(frozen=True)
 class BubbleFamily:
-    """Box of (eps, delta) bubble parameters, searched along t = eps/delta."""
-
-    eps_lo: float = 0.02
-    eps_hi: float = 0.3
-    delta_lo: float = 0.05
-    delta_hi: float = 0.245
-
-    def __post_init__(self):
-        if not (0.0 < self.eps_lo < self.eps_hi < 1.0):
-            raise ParameterError("invalid eps box")
-        if not (0.0 < self.delta_lo < self.delta_hi < 0.25):
-            raise ParameterError("invalid delta box")
+    """The truncated bubbles of the box BUBBLE_EPS x BUBBLE_DELTA, searched
+    along t = eps/delta."""
 
 
 @dataclass(frozen=True)
@@ -328,8 +325,9 @@ def level_floor(kind: MultiplierKind, p: Params, lam: float):
     return s_est * (1.0 - lam / spectral_bottom(kind, p))
 
 
-def _minimize_bubble(kind, p, lam, family, budget, b_max, reports, phi):
-    """Golden section (30 steps) over log t, t = eps/delta; returns True.
+def _minimize_bubble(kind, p, lam, budget, reports, phi):
+    """Golden section (30 steps) over log t, t = eps/delta, on the box
+    BUBBLE_EPS x BUBBLE_DELTA; returns True.
 
     The energy and critical mass depend on t alone and the L2 mass grows
     with delta at fixed t, so each t is priced at the box point the sign of
@@ -338,23 +336,24 @@ def _minimize_bubble(kind, p, lam, family, budget, b_max, reports, phi):
     read back through at_lambda; the budget still counts each trial priced.
     phi is the scan's _remainder_phi, passed to every trial's bubble_quotient.
     """
+    (eps_lo, eps_hi), (delta_lo, delta_hi) = BUBBLE_EPS, BUBBLE_DELTA
+
     def trial(key, bp):
         if key not in reports:
-            reports[key] = bubble_quotient(kind, p, lam, bp, b_max, phi=phi)
+            reports[key] = bubble_quotient(kind, p, lam, bp, phi=phi)
         return reports[key].at_lambda(lam)
 
     def evaluate(log_t):
         t = math.exp(log_t)
         if lam >= 0.0:
-            delta = min(family.delta_hi, family.eps_hi / t)
+            delta = min(delta_hi, eps_hi / t)
         else:
-            delta = max(family.delta_lo, family.eps_lo / t)
-        eps = min(max(t * delta, family.eps_lo), family.eps_hi)
+            delta = max(delta_lo, eps_lo / t)
+        eps = min(max(t * delta, eps_lo), eps_hi)
         key = (round(math.log(eps), 12), round(delta, 12))
         return budget.price(trial, key, BubbleParams(eps, delta))
 
-    _golden_section(evaluate, math.log(family.eps_lo / family.delta_hi),
-                    math.log(family.eps_hi / family.delta_lo), steps=30)
+    _golden_section(evaluate, math.log(eps_lo / delta_hi), math.log(eps_hi / delta_lo), steps=30)
     return True
 
 
@@ -509,38 +508,37 @@ def _minimize_spline(p, lam, family, budget, forms):
 
 
 def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
-             eval_cap: int = DEFAULT_EVAL_CAP, b_max: float = DEFAULT_B_MAX):
+             b_max: float = DEFAULT_B_MAX):
     """Best quotient report found over the trial family at each lambda.
 
     BubbleFamily: one golden section over log(eps/delta), each ratio priced
     on the box edge the sign of lambda selects; an evaluation is one
     bubble_quotient or the read-back of one priced at an earlier lambda.
     At non-integer s a GJMS scan builds the Phi of the remainder forms
-    (_remainder_phi) once, for every trial of every lambda.
+    (_remainder_phi, up to REMAINDER_B_MAX whatever b_max) once, for every
+    trial of every lambda.
     SplineFamily: a Newton SQP over knot values under quadratic_form's tail
     guard for the symbol of the energy, stopped once a guard-passing trial
     moves the quotient by <= 1e-14 relative or a step is <= 1e-12 |theta|;
     an evaluation is one _spline_report from the family's matrices, built
     once per scan (line-search trials included), and only guard-passing
     trials are returned.
-    Deterministic; each lambda's search prices at most eval_cap trials and
-    raises BudgetExceeded when it priced none, or spent the cap before it
-    finished (the bubble search needs 32).
+    Deterministic; each lambda's search prices at most DEFAULT_EVAL_CAP
+    trials (read at the call) and raises BudgetExceeded when it priced none,
+    or spent the cap before it finished (the bubble search needs 32).
     Earlier winners are re-priced at each lambda (free: the numerator is
     affine in lambda), so the quotients do not increase with lambda.
     A row more than FLOOR_REL_TOL below its level_floor raises TailError:
     no trial lies below it, so the search found a trial whose spectrum the
     b_max cut-off truncates (a spline family of fine knots).
-    Raises ParameterError, before any work, for eval_cap < 1, b_max <= 0 (for
-    every kind and family, also those that do not read it), a lambda above
-    the spectral bottom of kind (beyond 1e-12 relative roundoff), where the
-    level is -infinity.
+    Raises ParameterError, before any work, for b_max <= 0 (also for the
+    bubble family, which does not read it), a lambda above the
+    spectral bottom of kind (beyond 1e-12 relative roundoff), where the
+    level is -infinity, and n > bubbles.MAX_N where kind has a level_floor.
     """
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.size == 0:
         raise ParameterError("gap_scan needs a nonempty lambda grid")
-    if eval_cap < 1:
-        raise ParameterError(f"eval_cap must be >= 1, got {eval_cap}")
     if not b_max > 0.0:
         raise ParameterError(f"b_max must be > 0, got {b_max}")
     bottom = spectral_bottom(kind, p)
@@ -553,9 +551,8 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
         )
     floors = [level_floor(kind, p, lam) for lam in lambda_grid.tolist()]
     if isinstance(family, BubbleFamily):
-        name, search = "bubble", functools.partial(_minimize_bubble, kind, p, family=family,
-                                                   b_max=b_max, reports={},
-                                                   phi=_remainder_phi(kind, p, b_max))
+        name, search = "bubble", functools.partial(_minimize_bubble, kind, p, reports={},
+                                                   phi=_remainder_phi(kind, p))
     elif isinstance(family, SplineFamily):
         name, search = "spline", functools.partial(_minimize_spline, p, family=family,
                                                    forms=_spline_forms(kind, p, family, b_max))
@@ -565,7 +562,7 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
     reports = {}        # in increasing lambda: the carried-over winners
     for idx in order:
         lam = float(lambda_grid[idx])
-        budget = _Budget(eval_cap)
+        budget = _Budget(DEFAULT_EVAL_CAP)
         try:
             converged = search(lam=lam, budget=budget)
         except BudgetExceeded:
@@ -604,7 +601,7 @@ def _counts(N_values):
 
 
 def multibump_blowdown(p: Params, q: float, C: float, alpha: float,
-                       R0: float, N_values, crit_norm_phi: float = 1.0):
+                       R0: float, N_values, crit_norm_phi: float):
     """The explicit far-apart-copies bound table.
 
     For each N: R_N = (2/alpha) log N + R0, bound = -N q + 2 C N^2 e^{-alpha R_N},

@@ -230,13 +230,13 @@ def test_10_strict_gap():
     s_est = sharp_constant_estimate(p)
     lam0 = spectral_bottom(INT, p)
     fam = SplineFamily(knots=16, radius=3.5)
-    rep_int = gap_scan(INT, p, [0.5 * lam0], fam, eval_cap=600, b_max=96.0)[0]
+    rep_int = gap_scan(INT, p, [0.5 * lam0], fam, b_max=96.0)[0]
     margin_int = rep_int.quotient / s_est - 1.0
     assert margin_int <= -1e-3, margin_int
-    rep_gjms = gap_scan(GJMS, p, [1.2 * b_constant(p.s)], fam, eval_cap=600, b_max=96.0)[0]
+    rep_gjms = gap_scan(GJMS, p, [1.2 * b_constant(p.s)], fam, b_max=96.0)[0]
     margin_gjms = rep_gjms.quotient / s_est - 1.0
     assert margin_gjms <= -1e-3, margin_gjms
-    floor = gap_scan(INT, p, [-1.0], BubbleFamily(), eval_cap=300)[0]
+    floor = gap_scan(INT, p, [-1.0], BubbleFamily())[0]
     assert floor.quotient >= s_est * (1.0 - 2e-3)
     report(10, f"strict gap: intertwined margin {margin_int:+.2e}, conformal-operator "
                f"margin {margin_gjms:+.2e} (both <= -1e-3); floor holds at lambda <= 0")
@@ -245,10 +245,10 @@ def test_10_strict_gap():
 def test_11_spectral_bottom_boundary():
     p = Params(3, 1.0)
     bottom = spectral_bottom(INT, p)
-    rep_b = gap_scan(INT, p, [bottom], BubbleFamily(), eval_cap=250)[0]
+    rep_b = gap_scan(INT, p, [bottom], BubbleFamily())[0]
     num_b = rep_b.energy - bottom * rep_b.l2_mass
     assert num_b >= -1e-6 * (1.0 + rep_b.energy)
-    rep_s = gap_scan(INT, p, [bottom], SplineFamily(knots=12, radius=3.0), eval_cap=250)[0]
+    rep_s = gap_scan(INT, p, [bottom], SplineFamily(knots=12, radius=3.0))[0]
     num_s = rep_s.energy - bottom * rep_s.l2_mass
     assert num_s >= -1e-6 * (1.0 + rep_s.energy)
 
@@ -310,7 +310,7 @@ def test_14_cli_determinism(tmp_path):
            "--r-spec", "2,3,4,5", "--eps-reg", "0.01"], ["", ".summary.json"])
     rerun("gap-scan",
           ["gap-scan", "--kind", "intertwined", "--n", "5", "--s", "0.8",
-           "--lambda-spec=0,0.128", "--family", "bubble", "--budget", "150"], [""])
+           "--lambda-spec=0,0.128", "--family", "bubble"], [""])
     rerun("blowdown",
           ["blowdown", "--n", "3", "--s", "1", "--lambda", "0.3",
            "--n-spec", "4,16,64,256"], ["", ".summary.json"])

@@ -533,10 +533,20 @@ class TestBandKernels:
                  BubbleFamily())
         assert len(calls) == _band_kernel.cache_info().currsize <= 25
 
-    def test_energy_support_is_the_box_edge(self):
-        # lambda >= 0 scans price their trials at delta_hi, on the support
-        # every bubble energy takes
-        assert ENERGY_DELTA == BubbleFamily().delta_hi
+    def test_energy_support_is_the_box_edge(self, monkeypatch):
+        # lambda >= 0 scans price their smallest ratios at the box's largest
+        # delta, the support every bubble energy takes
+        import gjmslab.quotients as quotients
+
+        deltas = []
+
+        def recorded(kind, p, lam, bp, *args, _fn=quotients.bubble_quotient, **kwargs):
+            deltas.append(bp.delta)
+            return _fn(kind, p, lam, bp, *args, **kwargs)
+
+        monkeypatch.setattr(quotients, "bubble_quotient", recorded)
+        gap_scan(MultiplierKind.INTERTWINED, Params(5, 0.8), [0.0], BubbleFamily())
+        assert max(deltas) == ENERGY_DELTA
 
 
 class TestEnergyAsymptotics:

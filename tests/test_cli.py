@@ -236,7 +236,7 @@ class TestGapScan:
     def test_rows_and_determinism(self, tmp_path):
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         args = ["gap-scan", "--kind", "intertwined", "--n", "5", "--s", "0.8",
-                "--lambda-spec=0,0.128", "--family", "bubble", "--budget", "150"]
+                "--lambda-spec=0,0.128", "--family", "bubble"]
         assert run(args + ["--out", a]) == 0
         assert run(args + ["--out", b]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
@@ -321,29 +321,25 @@ class TestReadmeExamples:
         assert run(argv) == 0
 
 
-class TestConfig:
-    def test_config_defaults_and_flag_priority(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("n=3\ns=1\n")
-        assert run(["constants", "--config", str(cfg)]) == 0
-        assert json.loads(capsys.readouterr().out)["n"] == 3
-        # explicit flags win over the config values
-        assert run(["constants", "--config", str(cfg), "--s", "0.5"]) == 0
-        assert json.loads(capsys.readouterr().out)["s"] == 0.5
+def _readme_tuning_flags():
+    """The flags of the README's gap-scan tuning-flag table."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    text = open(path).read()
+    table = text.split("`gap-scan` takes these tuning flags:", 1)[1].split("\n\n")[1]
+    return re.findall(r"^\| `(--[a-z-]+)` \|", table, re.M)
 
-    def test_explicit_equals_flag_wins(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("lambda_spec=0.5\n")
-        argv = cli._config_argv(["gap-scan", "--config", str(cfg), "--lambda-spec=0"])
-        args = cli.build_parser().parse_args(argv + [
-            "--n", "3", "--s", "1", "--kind", "gjms", "--family", "bubble", "--out", "x"])
-        assert args.lambda_spec == "0"
 
-    def test_config_equals_spelling(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("n=3\ns=1\n")
-        assert run(["constants", f"--config={cfg}"]) == 0
-        assert json.loads(capsys.readouterr().out)["n"] == 3
+class TestReadmeTuningFlags:
+    def test_table_lists_every_optional_gap_scan_flag(self):
+        parser = cli.build_parser()
+        gap_scan = next(action for action in parser._actions
+                        if action.dest == "subcommand").choices["gap-scan"]
+        optional = {flag for action in gap_scan._actions
+                    if not action.required and action.dest != "help"
+                    for flag in action.option_strings}
+        rows = _readme_tuning_flags()
+        assert len(rows) == len(set(rows))
+        assert set(rows) == optional
 
 
 class TestExitCodes:
@@ -391,25 +387,39 @@ class TestExitCodes:
         ["kernel-decay", "--kind", "intertwined", "--n", "3", "--s", "0.6",
          "--r-spec", "2,3", "--eps-reg", "inf"],
         ["blowdown", "--n", "3", "--s", "1", "--lambda", "inf", "--n-spec", "4,16"],
-        ["gap-scan", "--kind", "intertwined", "--n", "5", "--s", "0.8",
-         "--lambda-spec=0", "--family", "bubble", "--budget", "0"],
-        ["gap-scan", "--kind", "intertwined", "--n", "5", "--s", "0.8",
-         "--lambda-spec=0", "--family", "bubble", "--budget", "-3"],
         ["gap-scan", "--kind", "gjms", "--n", "3", "--s", "1", "--lambda-spec=0",
          "--family", "spline", "--spline-grading", "nan"],
-    ], ids=["nan-b-max", "inf-b-max", "inf-eps-reg", "inf-lambda", "zero-budget",
-            "negative-budget", "nan-grading"])
+        # the evaluation cap and the key=value config files are no flags
+        ["gap-scan", "--kind", "intertwined", "--n", "5", "--s", "0.8",
+         "--lambda-spec=0", "--family", "bubble", "--budget", "5"],
+        ["gap-scan", "--kind", "intertwined", "--n", "5", "--s", "0.8",
+         "--lambda-spec=0", "--family", "bubble", "--config", "c.txt"],
+    ], ids=["nan-b-max", "inf-b-max", "inf-eps-reg", "inf-lambda", "nan-grading",
+            "budget-flag", "config-flag"])
     def test_bad_flag_value_exits_2(self, argv, tmp_path, capsys):
         out = str(tmp_path / "x.csv")
         assert run(argv + ["--out", out]) == 2
         assert "error: " in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("argv", [
+        ["gap-scan", "--kind", "intertwined", "--lambda-spec=0", "--family", "bubble"],
+        ["bubble-asymptotics", "--delta", "0.2", "--eps-ladder", "0.05,0.025,0.0125"],
+    ], ids=["gap-scan", "bubble-asymptotics"])
+    def test_beyond_the_largest_n_exits_2(self, argv, tmp_path, capsys):
+        # Gamma(n) in the closed-form bubble mass overflows a double from
+        # n = 172: bad input, named before any work, not a traceback
+        out = str(tmp_path / "x.csv")
+        assert run(argv + ["--n", "172", "--s", "1", "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: n = 172 is too large: the closed-form bubble mass needs Gamma(n), "
+            "a double only up to n = 171\n")
+        assert os.listdir(tmp_path) == []
+
     def test_numerical_failure_is_not_bad_input(self, tmp_path, capsys):
-        out = str(tmp_path / "gs.csv")
-        assert run(["gap-scan", "--kind", "gjms", "--n", "3", "--s", "1",
-                    "--lambda-spec=0", "--family", "spline", "--spline-radius", "3.5",
-                    "--budget", "3", "--out", out]) == 5
+        out = str(tmp_path / "ki.csv")
+        assert run(["kernel-decay", "--kind", "intertwined", "--n", "3", "--s", "1",
+                    "--r-spec", "2,3,4,5,6", "--eps-reg", "0.01", "--out", out]) == 5
         assert "numerical error" in capsys.readouterr().err
         assert run(["constants", "--n", "3", "--s", "2"]) == 2
 

@@ -11,6 +11,8 @@ from gjmslab.grids import RadialFunction, Space, uniform_grid
 from gjmslab.multipliers import b_constant, spectral_bottom
 from gjmslab.params import MultiplierKind, Params
 from gjmslab.quotients import (
+    BUBBLE_DELTA,
+    BUBBLE_EPS,
     BubbleFamily,
     SplineFamily,
     _windowed_spline,
@@ -302,21 +304,23 @@ class TestGuardedNewtonStep:
 class TestMinimize:
     def test_determinism(self):
         p = Params(5, 0.8)
-        for kind, fam in ((INT, BubbleFamily(eps_lo=0.05, eps_hi=0.2, delta_lo=0.1,
-                                             delta_hi=0.24)),
-                          (GJMS, SplineFamily(knots=8, radius=3.0))):
-            r1 = gap_scan(kind, p, [0.05], fam, eval_cap=200)[0]
-            r2 = gap_scan(kind, p, [0.05], fam, eval_cap=200)[0]
+        for kind, fam in ((INT, BubbleFamily()), (GJMS, SplineFamily(knots=8, radius=3.0))):
+            r1 = gap_scan(kind, p, [0.05], fam)[0]
+            r2 = gap_scan(kind, p, [0.05], fam)[0]
             assert r1 == r2
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
+        import gjmslab.quotients as quotients
+
+        monkeypatch.setattr(quotients, "DEFAULT_EVAL_CAP", 5)
         p = Params(5, 0.8)
         with pytest.raises(BudgetExceeded):
-            gap_scan(INT, p, [0.05], BubbleFamily(), eval_cap=5)
+            gap_scan(INT, p, [0.05], BubbleFamily())
 
     def test_cap_prices_exactly_cap_trials(self, monkeypatch):
         import gjmslab.quotients as quotients
 
+        monkeypatch.setattr(quotients, "DEFAULT_EVAL_CAP", 7)
         calls = []
         for name in ("bubble_quotient", "_spline_report"):
             def counted(*args, _fn=getattr(quotients, name), **kwargs):
@@ -327,7 +331,7 @@ class TestMinimize:
         for family in (BubbleFamily(), SplineFamily(knots=6, radius=3.0)):
             calls.clear()
             with pytest.raises(BudgetExceeded, match="used 7 of 7"):
-                gap_scan(INT, p, [0.05], family, eval_cap=7)
+                gap_scan(INT, p, [0.05], family)
             assert len(calls) == 7
 
     @pytest.mark.parametrize("kind, n, s, lam, family, b_max", SPLINE_SEARCHES,
@@ -418,7 +422,7 @@ class TestMinimize:
         p = Params(5, 0.8)
         s_est = sharp_constant_estimate(p)
         for lam in (-1.0, 0.0):
-            rep = gap_scan(INT, p, [lam], BubbleFamily(), eval_cap=300)[0]
+            rep = gap_scan(INT, p, [lam], BubbleFamily())[0]
             assert rep.quotient >= s_est * (1.0 - 2e-3)
 
 
@@ -428,7 +432,7 @@ class TestGapScan:
         lam0 = spectral_bottom(INT, p)
         s_est = sharp_constant_estimate(p)
         lambdas = [-1.0, 0.0, 0.1 * lam0, 0.5 * lam0]
-        reports = gap_scan(INT, p, lambdas, BubbleFamily(), eval_cap=150)
+        reports = gap_scan(INT, p, lambdas, BubbleFamily())
         quotients = [r.quotient for r in reports]
         assert all(a >= b - 1e-6 for a, b in zip(quotients, quotients[1:]))
         assert quotients[0] >= s_est * (1.0 - 2e-3)
@@ -438,17 +442,6 @@ class TestGapScan:
     def test_empty_grid_rejected(self):
         with pytest.raises(ParameterError):
             gap_scan(INT, Params(3, 1.0), [], BubbleFamily())
-
-    @pytest.mark.parametrize("family", [BubbleFamily(), SplineFamily(knots=6, radius=3.0)],
-                             ids=["bubble", "spline"])
-    def test_cap_below_one_is_bad_input(self, monkeypatch, family):
-        # a cap that admits no trial is bad input, not a numerical-contract failure
-        import gjmslab.quotients as quotients
-
-        monkeypatch.setattr(quotients, "_Budget", None)   # a search would raise TypeError
-        for cap in (0, -3):
-            with pytest.raises(ParameterError, match="eval_cap must be >= 1"):
-                gap_scan(INT, Params(5, 0.8), [0.05], family, eval_cap=cap)
 
     @pytest.mark.parametrize("kind, family", [(INT, BubbleFamily()), (GJMS, BubbleFamily()),
                                               (GJMS, SplineFamily(knots=6, radius=3.0))],
@@ -528,11 +521,10 @@ class TestGapScan:
         p = Params(n, s)
         if lambdas == "bottom":
             lambdas = (spectral_bottom(INT, p),)
-        family = BubbleFamily()
         grid = [bubble_quotient(INT, p, 0.0, BubbleParams(eps, delta))
-                for eps in np.geomspace(family.eps_lo, family.eps_hi, 5)
-                for delta in np.linspace(family.delta_lo, family.delta_hi, 5)]
-        for lam, rep in zip(lambdas, gap_scan(INT, p, lambdas, family)):
+                for eps in np.geomspace(*BUBBLE_EPS, 5)
+                for delta in np.linspace(*BUBBLE_DELTA, 5)]
+        for lam, rep in zip(lambdas, gap_scan(INT, p, lambdas, BubbleFamily())):
             best = min(trial.at_lambda(lam).quotient for trial in grid)
             assert rep.quotient <= (1.0 + 1e-6) * best
 
@@ -626,13 +618,13 @@ class TestGapScan:
         memo = {}
         first = _Budget(7)
         with pytest.raises(BudgetExceeded):
-            _minimize_bubble(INT, p, 0.0, BubbleFamily(), first, DEFAULT_B_MAX, memo, None)
+            _minimize_bubble(INT, p, 0.0, first, memo, None)
         assert len(memo) == 7
         # the second search reads trials of the first back from the memo;
         # each read-back still counts against its cap
         second = _Budget(7)
         with pytest.raises(BudgetExceeded):
-            _minimize_bubble(INT, p, 0.25, BubbleFamily(), second, DEFAULT_B_MAX, memo, None)
+            _minimize_bubble(INT, p, 0.25, second, memo, None)
         assert second.used == 7
         assert len(memo) < 14
 
@@ -691,7 +683,7 @@ class TestBlowdown:
         p = Params(3, 1.0)
         q, C, alpha = 2.0, 5.0, 0.8
         r0 = math.log(8.0 * C / q) / alpha
-        rows = multibump_blowdown(p, q, C, alpha, r0, [1])
+        rows = multibump_blowdown(p, q, C, alpha, r0, [1], 1.0)
         assert rows[0]["bound"] <= -q / 2.0
 
     def test_scaled_rate(self):
@@ -699,7 +691,7 @@ class TestBlowdown:
             p = Params(n, s)
             q, C, alpha = 1.0, 1.0, 0.8 * p.rho
             r0 = math.log(8.0 * C / q) / alpha + 1.0
-            rows = multibump_blowdown(p, q, C, alpha, r0, [4, 16, 64, 256])
+            rows = multibump_blowdown(p, q, C, alpha, r0, [4, 16, 64, 256], 1.0)
             ns = np.array([row["N"] for row in rows], dtype=float)
             scaled = np.array([-row["scaled_bound"] for row in rows])
             assert np.all(scaled > 0.0)
@@ -709,19 +701,19 @@ class TestBlowdown:
 
     def test_q_linearity(self):
         p = Params(3, 1.0)
-        rows1 = multibump_blowdown(p, 1.0, 2.0, 0.8, 10.0, [2, 8])
-        rows2 = multibump_blowdown(p, 2.0, 2.0, 0.8, 10.0, [2, 8])
+        rows1 = multibump_blowdown(p, 1.0, 2.0, 0.8, 10.0, [2, 8], 1.0)
+        rows2 = multibump_blowdown(p, 2.0, 2.0, 0.8, 10.0, [2, 8], 1.0)
         for r1, r2 in zip(rows1, rows2):
             assert r2["bound"] - r1["bound"] == pytest.approx(-r1["N"] * 1.0, rel=1e-12)
 
     def test_parameter_errors(self):
         p = Params(3, 1.0)
         with pytest.raises(ParameterError):
-            multibump_blowdown(p, -1.0, 1.0, 0.8, 5.0, [4])
+            multibump_blowdown(p, -1.0, 1.0, 0.8, 5.0, [4], 1.0)
         with pytest.raises(ParameterError):
-            multibump_blowdown(p, 1.0, 1.0, 0.8, 5.0, [0])
+            multibump_blowdown(p, 1.0, 1.0, 0.8, 5.0, [0], 1.0)
         with pytest.raises(ParameterError):
-            multibump_blowdown(p, 1.0, 1.0, 0.8, 5.0, [2.5])
+            multibump_blowdown(p, 1.0, 1.0, 0.8, 5.0, [2.5], 1.0)
 
 
 class TestSharpConstant:
@@ -748,6 +740,10 @@ class TestSharpConstant:
             assert sharp_constant_estimate(p) == pytest.approx(oracle, rel=1e-12)
         with pytest.raises(ParameterError):
             sharp_constant_estimate(Params(1, 0.25))
+        # the closed-form mass needs Gamma(n), a double up to n = 171
+        assert sharp_constant_estimate(Params(171, 1.0)) == pytest.approx(724.54, abs=5e-3)
+        with pytest.raises(ParameterError, match="n = 172 .* up to n = 171"):
+            sharp_constant_estimate(Params(172, 1.0))
 
 
 class TestSobolevInequalityProperty:
