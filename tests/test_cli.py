@@ -389,13 +389,18 @@ class TestExitCodes:
         ["blowdown", "--n", "3", "--s", "1", "--lambda", "inf", "--n-spec", "4,16"],
         ["gap-scan", "--kind", "gjms", "--n", "3", "--s", "1", "--lambda-spec=0",
          "--family", "spline", "--spline-grading", "nan"],
-        # the evaluation cap and the key=value config files are no flags
+        # the evaluation cap and the key=value config files are no flags,
+        # so any --budget value, and --config, is refused as bad input
+        ["gap-scan", "--kind", "intertwined", "--n", "5", "--s", "0.8",
+         "--lambda-spec=0", "--family", "bubble", "--budget", "0"],
+        ["gap-scan", "--kind", "intertwined", "--n", "5", "--s", "0.8",
+         "--lambda-spec=0", "--family", "bubble", "--budget", "-3"],
         ["gap-scan", "--kind", "intertwined", "--n", "5", "--s", "0.8",
          "--lambda-spec=0", "--family", "bubble", "--budget", "5"],
         ["gap-scan", "--kind", "intertwined", "--n", "5", "--s", "0.8",
          "--lambda-spec=0", "--family", "bubble", "--config", "c.txt"],
     ], ids=["nan-b-max", "inf-b-max", "inf-eps-reg", "inf-lambda", "nan-grading",
-            "budget-flag", "config-flag"])
+            "zero-budget", "negative-budget", "budget-flag", "config-flag"])
     def test_bad_flag_value_exits_2(self, argv, tmp_path, capsys):
         out = str(tmp_path / "x.csv")
         assert run(argv + ["--out", out]) == 2
