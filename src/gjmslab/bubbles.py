@@ -196,10 +196,16 @@ def bubble_mass_limit(n: int) -> float:
 
 def bubble_energy_limit(p: Params) -> float:
     """E(U) of U = (1+r^2)^{-(n-2s)/2}: its Euler-Lagrange constant
-    2^{2s} Gamma((n+2s)/2) / Gamma((n-2s)/2) times bubble_mass_limit(n)."""
+    2^{2s} Gamma((n+2s)/2) / Gamma((n-2s)/2) times bubble_mass_limit(n);
+    ParameterError where that product is not a finite double (large n + 2s)."""
     c = (2.0 ** (2.0 * p.s) * math.gamma((p.n + 2.0 * p.s) / 2.0)
          / math.gamma((p.n - 2.0 * p.s) / 2.0))
-    return c * bubble_mass_limit(p.n)
+    energy = c * bubble_mass_limit(p.n)
+    if not math.isfinite(energy):
+        raise ParameterError(f"n = {p.n}, s = {p.s!r} is too large: the closed-form bubble "
+                             "energy 2^{2s} Gamma((n+2s)/2) / Gamma((n-2s)/2) M_inf "
+                             "overflows a double")
+    return energy
 
 
 def hyperbolic_l2_mass(p: Params, w: RadialFunction) -> float:

@@ -528,6 +528,8 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
     or spent the cap before it finished (the bubble search needs 32).
     Earlier winners are re-priced at each lambda (free: the numerator is
     affine in lambda), so the quotients do not increase with lambda.
+    A row whose quotient is not finite (an energy that overflows a double,
+    the intertwined bubble scan at (100, 0.8)) raises DegenerateData.
     A row more than FLOOR_REL_TOL below its level_floor raises TailError:
     no trial lies below it, so the search found a trial whose spectrum the
     b_max cut-off truncates (a spline family of fine knots).
@@ -579,6 +581,11 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
             candidate = earlier.at_lambda(lam)
             if candidate.quotient < rep.quotient:
                 rep = candidate
+        if not math.isfinite(rep.quotient):
+            raise DegenerateData(
+                f"{name} search at lambda {lam!r} found the quotient {rep.quotient!r}: a "
+                "trial's energy or mass overflows a double"
+            )
         floor = floors[idx]
         if floor is not None and rep.quotient < floor * (1.0 - FLOOR_REL_TOL):
             raise TailError(

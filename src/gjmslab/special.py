@@ -1,11 +1,15 @@
-"""Special functions: complex log-Gamma, the Gauss 2F1 series, and Bessel J
-on the half-integer lattice.
+"""Special functions: complex log-Gamma, the Gauss 2F1 series, the
+spherical functions of odd dimension in elementary form, and Bessel J on the
+half-integer lattice.
 
 Everything downstream (spectral symbols, Plancherel densities, the Jacobi
-columns of the Phi matrix, the Hankel transforms) is built on these. Their
-tolerances are the module constants below. The Gauss series has one
-routine, _GaussSeries: the coefficients of each parameter row once, by the
-term-ratio recurrence, then sums at many y as two real matrix products.
+and elementary columns of the Phi matrix, the Hankel transforms) is built
+on these. Their tolerances are the module constants below. The Gauss
+series has one routine, _GaussSeries: the coefficients of each parameter
+row once, by the term-ratio recurrence, then sums at many y as two real
+matrix products. At odd n = 2k + 1, _elementary_terms expands the shift
+operator (-(1/sinh r) d/dr)^k cos(beta r) into its terms and
+_elementary_columns evaluates them as blocks of Phi columns.
 Bessel J has one entry point, bessel_j_scaled, which returns J_nu(x)/x^nu.
 Half-odd orders m + 1/2 with m <= _HALF_ODD_NUMPY_MAX are numpy: the
 ascending series near the origin and, above a per-order switch, the upward
@@ -169,6 +173,77 @@ class _GaussSeries:
                 raise NonConvergence(f"2F1 series did not converge in {SERIES_CAP} terms "
                                      f"(largest y = {y_max:.17g})")
             count = min(count + max(8, count // 2), SERIES_CAP + 1)
+
+
+# ----------------------------------------------------------------------------
+# Spherical functions of odd dimension in elementary form
+# ----------------------------------------------------------------------------
+
+def _elementary_terms(k):
+    """(-(1/sinh r) d/dr)^k cos(beta r) as {(p, a, b): integer coefficient}
+    of the terms beta^p T_p(beta r) coth^a(r) csch^b(r), T_p = cos at even p
+    and sin at odd p: 1, 2, 4 and 6 terms at k = 1, 2, 3, 4."""
+    terms = {(0, 0, 0): 1}
+    for _ in range(k):
+        step = {}
+        for (p, a, b), c in terms.items():
+            for key, value in (((p + 1, a, b + 1), c if p % 2 == 0 else -c),
+                               ((p, a - 1, b + 3), a * c),
+                               ((p, a + 1, b + 1), b * c)):
+                step[key] = step.get(key, 0) + value
+        terms = {key: c for key, c in step.items() if c}
+    return terms
+
+
+def _elementary_columns(n, beta, radii, shifts, offsets):
+    """cols -> the spherical functions Phi_beta(r) at odd n = 2k + 1 on the
+    frequencies beta, row i offsets.size + j = shifts[i] + offsets[j]
+    (RadialGrid.panel_factors), and the radii radii[cols], as a C-ordered
+    beta.size x cols block: c_k(beta) (-(1/sinh r) d/dr)^k cos(beta r) with
+    c_k(beta) = prod_{j<k} (2j + 1) / (beta^2 + j^2) (the Jacobi shift
+    operator, Koornwinder 1984), sin(beta r) / (beta sinh r) at n = 3. Each
+    power p of _elementary_terms is c_k(beta) beta^p times its coth/csch sum,
+    times sin(beta r) or cos(beta r) from the panel factors."""
+    k = (n - 1) // 2
+    terms = _elementary_terms(k)
+    c = np.ones_like(beta)
+    for j in range(k):
+        c *= (2 * j + 1) / (beta * beta + j * j)
+    factors = {p: c * beta ** p for p in sorted({p for p, _, _ in terms})}
+    parities = [(parity, [p for p in factors if p % 2 == parity])
+                for parity in sorted({p % 2 for p in factors}, reverse=True)]
+
+    def columns(cols):
+        r = radii[cols]
+        coth, csch = 1.0 / np.tanh(r), 1.0 / np.sinh(r)
+        radial = dict.fromkeys(factors, 0.0)
+        for (p, a, b), coef in terms.items():
+            radial[p] = radial[p] + coef * coth ** a * csch ** b
+        arg = shifts[:, None, None] * r                 # K x 1 x cols
+        cos_m, sin_m = np.cos(arg), np.sin(arg, out=arg)
+        arg = offsets[:, None] * r                      # 16 x cols
+        cos_o, sin_o = np.cos(arg), np.sin(arg, out=arg)
+        block = None
+        for parity, powers in parities:
+            if parity:                                  # sin(beta r)
+                trig = sin_m * cos_o
+                trig += cos_m * sin_o
+            else:                                       # cos(beta r)
+                trig = cos_m * cos_o
+                trig -= sin_m * sin_o
+            amplitude = np.multiply.outer(factors[powers[0]], radial[powers[0]])
+            for p in powers[1:]:
+                amplitude += np.multiply.outer(factors[p], radial[p])
+            trig = trig.reshape(beta.size, -1)
+            trig *= amplitude
+            del amplitude
+            if block is None:
+                block = trig
+            else:
+                block += trig
+        return block
+
+    return columns
 
 
 # ----------------------------------------------------------------------------

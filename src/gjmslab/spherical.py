@@ -15,8 +15,22 @@ which is uniformly stable in (beta, r) where the raw hypergeometric series
 loses ~ 2 beta arctan(1/sinh(r/2)) digits to cancellation. It serves every
 r > 0; Phi_beta(0) = 1 exactly.
 
-The Phi matrix on a (beta grid, radial grid) pair builds its columns with
-r >= R_MIN_JACOBI from the Harish-Chandra expansion of the Jacobi function with
+The Phi matrix on a (beta grid, radial grid) pair takes one route per
+column, by n and r:
+
+    n = 3, 5, 7, 9   r >= R_MIN_ELEMENTARY[n] = 0, 0.25, 0.5, 1: elementary
+    other n          r >= the Jacobi switch: Jacobi expansion
+    every n          below either switch: Mehler integral
+
+At odd n = 2k + 1 the Jacobi shift operator makes Phi elementary
+(Koornwinder 1984), Phi_beta(r) = c_k(beta) (-(1/sinh r) d/dr)^k cos(beta r)
+with c_k(beta) = prod_{j<k} (2j + 1) / (beta^2 + j^2)
+(special._elementary_columns). Its terms cancel as r -> 0, hence
+R_MIN_ELEMENTARY, measured against the Mehler integral for beta up to 480.
+Odd n above 9 takes the Jacobi route.
+
+At other n the columns with r >= R_MIN_JACOBI come from the
+Harish-Chandra expansion of the Jacobi function with
 (alpha, beta) = ((n-2)/2, -1/2) (Koornwinder 1984):
 
     Phi_beta(r) = 2 Re[c(beta) Psi_beta(r)],
@@ -34,10 +48,9 @@ where g <= JACOBI_GROWTH_MAX for the largest beta of the grid; that moves
 the switch above R_MIN_JACOBI once beta_max > 4 JACOBI_GROWTH_MAX cosh^2(1)
 (~67).
 
-One generator, _phi_blocks, computes Phi as matrix products and yields it
-in column blocks of at most grids.BLOCK_CELLS cells, after doing its
-per-row work once (panel factors, series coefficients, Jacobi switch, u-panel
-counts). phi_matrix fills a new matrix from the blocks. A transform
+One generator, _phi_blocks, computes Phi and yields it in column blocks of
+at most grids.BLOCK_CELLS cells, after doing its per-row work once.
+phi_matrix fills a new matrix from the blocks. A transform
 (_transforms, inverse_spherical_transform) multiplies each block into its
 result as it arrives, so a Phi it reads once is never held whole. The
 module keeps no Phi between calls: a forward transform reads a matrix only
@@ -53,12 +66,13 @@ panel's nodes are the offsets themselves, so the smallest frequencies are
 exact). Below the switch, cos(beta phi) = cos(m phi) cos(o phi)
 - sin(m phi) sin(o phi) with phi = r - u^2 turns each column's Mehler
 u-sum into two (K x N_u)(N_u x 16) products: 2 (K + 16) sines and cosines
-per (column, u-node) instead of 16 K cosines. Above it, the 2F1 terms
-t_k(beta) y^k, y = cosh^-2 r, are t_k computed once per frequency row by
-the term-ratio recurrence (special._GaussSeries), summed per chunk as
-T @ Y with Y[k, j] = y_j^k, and the phase e^{i beta log 2 cosh r} comes from
-the same panel factors. A grid not made of such panels gets one-node
-panels (shifts = nodes, offsets = [0]) and runs the same code.
+per (column, u-node) instead of 16 K cosines. An elementary column takes
+sin(beta r) and cos(beta r) from the same factors. A Jacobi column sums the
+2F1 terms t_k(beta) y^k, y = cosh^-2 r, with t_k computed once per
+frequency row by the term-ratio recurrence (special._GaussSeries), per
+chunk as T @ Y with Y[k, j] = y_j^k, and the phase e^{i beta log 2 cosh r}
+comes from the same panel factors. A grid not made of such panels gets
+one-node panels (shifts = nodes, offsets = [0]) and runs the same code.
 
 Two routes price the regularized kernel
 k^eps(r) = 2 int m(beta) e^{-eps beta^2} Phi_beta(r) |c(beta)|^{-2} d beta.
@@ -97,12 +111,17 @@ from .grids import (
 )
 from .multipliers import multiplier, sin_pi
 from .params import MultiplierKind, Params
-from .special import _GaussSeries, _log_gamma_array, log_abs_gamma_sq
+from .special import _GaussSeries, _elementary_columns, _log_gamma_array, log_abs_gamma_sq
 
 R_MIN_JACOBI = 1.0         # Phi columns from this radius on: Jacobi expansion
 # bound on g = beta cosh^-2(r) / 4 for a Jacobi cell; against Mehler at r = 1,
 # n = 3 the error is 6e-15 at g = 6.3, 8e-13 at g = 15.8, 2e-6 at g = 31.5
 JACOBI_GROWTH_MAX = 7.0
+# odd n: Phi columns from this radius on are elementary; against Mehler for
+# beta in (0, 480] the error is at most 2.8e-15 at n = 3 (r >= 0.05),
+# 8.0e-15 at n = 5, 4.9e-14 at n = 7 and 1.1e-14 at n = 9 (3.9e-13,
+# 5.4e-13 and 5.0e-13 one step of the table nearer 0)
+R_MIN_ELEMENTARY = {3: 0.0, 5: 0.25, 7: 0.5, 9: 1.0}
 DEFAULT_B_MAX = 60.0
 DEFAULT_TAIL_TOL = 1e-4    # runtime guard on inverse/quadratic-form truncation
 KERNEL_REL_TOL = 1e-10     # regularized_kernel: panel acceptance, relative to its scale
@@ -110,7 +129,7 @@ KERNEL_MAX_PANELS = 4096   # regularized_kernel: refinement cap (NonConvergence 
 KERNEL_PANEL_WIDTH = 0.25  # kernel_decay: frequency panel width (at most PHASE_PER_PANEL / r_max)
 # kernel_decay: frequency panels per row block of its Phi pass (1024 rows);
 # the whole ~5500-row pass of the benchmark's (5, 0.7) kernel-decay peaks at
-# 5.6 MB of temporaries (tracemalloc), blocks of 64 panels at 1.3 MB
+# 1.06 MB of temporaries (tracemalloc), blocks of 64 panels at 0.42 MB
 KERNEL_ROW_PANELS = 64
 KERNEL_WITNESS_TOL = 1e-4  # kernel_decay: product against the adaptive kernel, relative
 # kernel_decay: eps-Richardson limit against twice operator_kernel, relative,
@@ -202,43 +221,35 @@ def _phi_blocks(n, beta_grid, r_grid):
     """Phi_beta(r) on beta_grid x r_grid as (column slice, C-ordered block)
     pairs over _column_chunks, each block built when it is asked for.
 
+    Columns from the switch on: at n = 3, 5, 7, 9 from
+    R_MIN_ELEMENTARY[n] = 0, 0.25, 0.5, 1 on, the elementary form
+    (special._elementary_columns); at other n from R_MIN_JACOBI on, raised
+    for large frequencies by _jacobi_switch_radius, the Jacobi expansion
+    (_jacobi_columns). Columns below the switch: the Mehler integral.
+
     The per-row work is done once, before the first block: the panel
     factors beta = shifts[k] + offsets[i] (RadialGrid.panel_factors), the
-    Jacobi switch (R_MIN_JACOBI, raised for large frequencies by
-    _jacobi_switch_radius), the u-panel count of each column below it (the
-    one spherical_function takes at the grid's largest |beta|) and, when a
-    column lies above it, the 2F1 coefficients times (2 / beta) c(beta) i beta
-    (special._GaussSeries).
-
-    Below the switch a column is the Mehler integral: with
-    cos(beta phi) = cos(m phi) cos(o phi) - sin(m phi) sin(o phi), m a shift,
-    o an offset and phi = r - u^2, its u-sum is two (K x N_u)(N_u x 16)
-    products, batched over columns of one u-panel count whose K x N_u arrays
-    stay under BLOCK_CELLS cells. From the switch on, a block's columns sum
-    the coefficients against the powers of cosh^-2 r and multiply by
-    (2 cosh r)^{i beta - rho}, whose phase comes from the same panel factors.
+    u-panel count of each Mehler column (the one spherical_function takes at
+    the grid's largest |beta|) and the frequency factors of the far route.
+    With cos(beta phi) = cos(m phi) cos(o phi) - sin(m phi) sin(o phi),
+    m a shift, o an offset and phi = r - u^2, a Mehler column's u-sum is
+    two (K x N_u)(N_u x 16) products, batched over columns of one u-panel
+    count whose K x N_u arrays stay under BLOCK_CELLS cells.
     """
     if n < 2:
         raise DomainError(f"phi_matrix requires n >= 2, got {n}")
     beta, radii = beta_grid.nodes, r_grid.nodes
     shifts, offsets = beta_grid.panel_factors()
     beta_max = float(np.max(np.abs(beta)))
-    near = int(np.searchsorted(radii, _jacobi_switch_radius(beta_max)))   # nodes increase
+    if n in R_MIN_ELEMENTARY:
+        switch, far_columns = R_MIN_ELEMENTARY[n], _elementary_columns
+    else:
+        switch, far_columns = _jacobi_switch_radius(beta_max), _jacobi_columns
+    near = int(np.searchsorted(radii, switch))   # nodes increase
     counts = np.array([_mehler_u_panels(r, beta_max) for r in radii[:near]], dtype=int)
     scale = _mehler_constant(n) * np.sinh(radii[:near]) ** (2 - n)
-    rho = (n - 1) / 2.0
     if near < radii.size:
-        ib = 1j * beta
-        # c(beta) * (i beta): Gamma(i beta) = Gamma(1 + i beta) / (i beta), and
-        # 2 Re[z / (i beta)] = 2 Im[z] / beta below
-        log_c = ((rho - ib) * math.log(2.0) + math.lgamma(n / 2.0)
-                 + _log_gamma_array(1.0 + ib)
-                 - _log_gamma_array(0.5 * (ib + rho))
-                 - _log_gamma_array(0.5 * (ib + 0.5 * (n + 1))))
-        log_2cosh = np.logaddexp(radii, -radii)
-        y = np.exp(2.0 * (math.log(2.0) - log_2cosh))
-        series = _GaussSeries(0.5 * (rho - ib), 0.25 * (n + 1) - 0.5 * ib, 1.0 - ib,
-                              scale=2.0 / beta * np.exp(log_c))
+        far = far_columns(n, beta, radii, shifts, offsets)
 
     def mehler(cols, count):
         phase, hw = _mehler_rule(n, radii[cols], count)
@@ -251,7 +262,42 @@ def _phi_blocks(n, beta_grid, r_grid):
         integral = cos_m @ np.cos(arg) - sin_m @ np.sin(arg)   # cols x K x 16
         return (scale[cols, None] * integral.reshape(phase.shape[0], -1)).T
 
-    def jacobi(cols):
+    for cols in _column_chunks(beta.size, radii.size):
+        j, split = cols.start, min(max(cols.start, near), cols.stop)
+        if split == cols.start:     # no Mehler column: the far route's own block
+            yield cols, far(cols)
+            continue
+        block = np.empty((beta.size, cols.stop - cols.start))
+        while j < split:
+            count = counts[j]
+            limit = min(split, j + max(1, BLOCK_CELLS // (shifts.size * 16 * count)))
+            other = np.flatnonzero(counts[j:limit] != count)
+            stop = j + int(other[0]) if other.size else limit
+            block[:, j - cols.start:stop - cols.start] = mehler(slice(j, stop), int(count))
+            j = stop
+        if split < cols.stop:
+            block[:, split - cols.start:] = far(slice(split, cols.stop))
+        yield cols, block
+
+
+def _jacobi_columns(n, beta, radii, shifts, offsets):
+    """cols -> the Phi columns radii[cols] from the Jacobi expansion: the 2F1
+    coefficients times (2 / beta) c(beta) i beta, summed against the powers
+    of cosh^-2 r, times (2 cosh r)^{i beta - rho} from the panel factors."""
+    rho = (n - 1) / 2.0
+    ib = 1j * beta
+    # c(beta) * (i beta): Gamma(i beta) = Gamma(1 + i beta) / (i beta), and
+    # 2 Re[z / (i beta)] = 2 Im[z] / beta below
+    log_c = ((rho - ib) * math.log(2.0) + math.lgamma(n / 2.0)
+             + _log_gamma_array(1.0 + ib)
+             - _log_gamma_array(0.5 * (ib + rho))
+             - _log_gamma_array(0.5 * (ib + 0.5 * (n + 1))))
+    log_2cosh = np.logaddexp(radii, -radii)
+    y = np.exp(2.0 * (math.log(2.0) - log_2cosh))
+    series = _GaussSeries(0.5 * (rho - ib), 0.25 * (n + 1) - 0.5 * ib, 1.0 - ib,
+                          scale=2.0 / beta * np.exp(log_c))
+
+    def columns(cols):
         re, im = series(y[cols])
         # Im[(2 cosh r)^{i beta - rho} sum] with e^{i beta L} = e^{i m L} e^{i o L},
         # L = log 2 cosh r: (K x 1 x cols) factors times (16 x cols) ones
@@ -272,19 +318,7 @@ def _phi_blocks(n, beta_grid, r_grid):
         first += re
         return first.reshape(beta.size, -1)
 
-    for cols in _column_chunks(beta.size, radii.size):
-        block = np.empty((beta.size, cols.stop - cols.start))
-        j, split = cols.start, min(max(cols.start, near), cols.stop)
-        while j < split:
-            count = counts[j]
-            limit = min(split, j + max(1, BLOCK_CELLS // (shifts.size * 16 * count)))
-            other = np.flatnonzero(counts[j:limit] != count)
-            stop = j + int(other[0]) if other.size else limit
-            block[:, j - cols.start:stop - cols.start] = mehler(slice(j, stop), int(count))
-            j = stop
-        if split < cols.stop:
-            block[:, split - cols.start:] = jacobi(slice(split, cols.stop))
-        yield cols, block
+    return columns
 
 
 def _jacobi_switch_radius(beta_max):
@@ -335,11 +369,13 @@ def phi_matrix(n: int, beta_grid: RadialGrid, r_grid: RadialGrid) -> np.ndarray:
     of _phi_blocks; built for a caller that reads it more than once
     (quadratic_form's phi), and cached nowhere.
 
-    Columns below the Jacobi switch (R_MIN_JACOBI, raised for large
-    frequencies by _jacobi_switch_radius) come from the panel-factored
-    Mehler integral, the rest from the Jacobi expansion; both as matrix
-    products in column chunks (module docstring). Agrees with
-    spherical_function column by column to ~1e-14.
+    Columns from R_MIN_ELEMENTARY[n] on (n = 3, 5, 7, 9) come from the
+    elementary odd-n form; at other n columns from the Jacobi switch
+    (R_MIN_JACOBI, raised for large frequencies by _jacobi_switch_radius) on
+    come from the Jacobi expansion; the columns below either switch come
+    from the panel-factored Mehler integral; all in column chunks (module
+    docstring). Agrees with spherical_function column by column to ~1e-14
+    (5e-14 at n = 7, r = 0.5).
     """
     mat = np.empty((beta_grid.nodes.size, r_grid.nodes.size))
     for cols, block in _phi_blocks(n, beta_grid, r_grid):
@@ -390,6 +426,7 @@ def _transforms(n, beta_grid, grid, columns, phi=None):
         blocks = ((cols, phi[:, cols]) for cols in _column_chunks(*phi.shape))
     for cols, block in blocks:
         out += block @ weighted[cols]
+        del block   # not held while the next block is built
     return out
 
 
@@ -625,8 +662,9 @@ def _kernel_table(kind, p, radii, eps_values):
     r_max, PHASE_PER_PANEL / r_max. The table is W^T Phi with
     W[beta, eps] = 2 w m(beta) e^{-eps beta^2} |c(beta)|^{-2}, summed over
     row blocks of KERNEL_ROW_PANELS panels: each block is a grid of its own
-    for _phi_blocks, so the 2F1 coefficients and the Phi block of one row
-    block are held at a time."""
+    for _phi_blocks, so the frequency factors (at n = 3, 5, 7, 9 elementary,
+    with no c(beta) log-Gamma and no 2F1 coefficients) and the Phi block of
+    one row block are held at a time."""
     eps = np.asarray(eps_values, dtype=float)
     beta_cut = _kernel_beta_cut(float(np.min(eps)))
     width = min(KERNEL_PANEL_WIDTH, PHASE_PER_PANEL / radii[-1])

@@ -12,11 +12,16 @@ route that quotients._minimize_spline replaced; its quotients bound the
 Newton search's from above. outer_scaled_bessel_matrix is a Hankel band's
 Bessel matrix as one outer product, the route that the row blocks of
 bubbles._scaled_bessel_matrix must reproduce bit for bit.
+mehler_phi_matrix is a Phi matrix one spherical_function (Mehler) column at
+a time, and legendre_phi one Phi value from mpmath's Legendre function: the
+routes that the Jacobi and elementary columns of spherical.phi_matrix are
+checked against.
 """
 
 import functools
 import math
 
+import mpmath as mp
 import numpy as np
 
 from gjmslab.bubbles import _banded_energy, smooth_window
@@ -51,6 +56,21 @@ def windowed_bubble_energy(p) -> dict:
     ratio = (r2 / r1) ** (p.n - 2.0 * p.s)
     energy = (ratio * raw[r2] - raw[r1]) / (ratio - 1.0)
     return {"energy": energy, "tail_bound": abs(raw[r2] - raw[r1])}
+
+
+def mehler_phi_matrix(n, beta, radii):
+    """Phi_beta(r) on beta x radii, one spherical_function call (the Mehler
+    integral) per radius."""
+    return np.column_stack([spherical_function(n, beta, float(r)) for r in radii])
+
+
+def legendre_phi(n, beta, r, dps=30):
+    """Phi_beta(r) = 2^{-mu} Gamma(n/2) sinh(r)^mu Re P^mu_{-1/2 + i beta}(cosh r),
+    mu = (2 - n)/2, from mpmath's Legendre function at dps digits."""
+    mu = (2.0 - n) / 2.0
+    with mp.workdps(dps):
+        const = mp.mpf(2) ** -mu * mp.gamma(n / 2.0) * mp.sinh(r) ** mu
+        return float(const * mp.re(mp.legenp(mp.mpc(-0.5, beta), mu, mp.cosh(r), type=3)))
 
 
 def outer_scaled_bessel_matrix(n, rows, columns):

@@ -421,6 +421,32 @@ class TestExitCodes:
             "a double only up to n = 171\n")
         assert os.listdir(tmp_path) == []
 
+    def test_overflowing_bubble_energy_exits_2(self, tmp_path, capsys):
+        # 2^{2s} Gamma((n+2s)/2) in the closed-form bubble energy overflows a
+        # double at (171, 85.4): bad input, named on one error line before
+        # any work (the scan used to print quotient inf and exit 0)
+        out = str(tmp_path / "x.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["gap-scan", "--kind", "intertwined", "--n", "171", "--s", "85.4",
+                        "--lambda-spec=0", "--family", "bubble", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n = 171, s = 85.4 is too large: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
+    def test_non_finite_quotient_exits_5(self, tmp_path, capsys):
+        # at (100, 0.8) the closed forms are finite, but rho^{2s + n - 1} in
+        # the Hankel energy overflows (a RuntimeWarning) and the row's
+        # quotient is inf: a numerical failure, and no file is written
+        out = str(tmp_path / "x.csv")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert run(["gap-scan", "--kind", "intertwined", "--n", "100", "--s", "0.8",
+                        "--lambda-spec=0", "--family", "bubble", "--out", out]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: bubble search at lambda 0.0 found the "
+                              "quotient inf")
+        assert os.listdir(tmp_path) == []
+
     def test_numerical_failure_is_not_bad_input(self, tmp_path, capsys):
         out = str(tmp_path / "ki.csv")
         assert run(["kernel-decay", "--kind", "intertwined", "--n", "3", "--s", "1",

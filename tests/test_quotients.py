@@ -744,6 +744,9 @@ class TestSharpConstant:
         assert sharp_constant_estimate(Params(171, 1.0)) == pytest.approx(724.54, abs=5e-3)
         with pytest.raises(ParameterError, match="n = 172 .* up to n = 171"):
             sharp_constant_estimate(Params(172, 1.0))
+        # 2^{2s} Gamma((n+2s)/2) of the closed-form energy overflows at large s
+        with pytest.raises(ParameterError, match="n = 171, s = 80.0 .* overflows a double"):
+            sharp_constant_estimate(Params(171, 80.0))
 
 
 class TestSobolevInequalityProperty:
