@@ -534,8 +534,10 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
     no trial lies below it, so the search found a trial whose spectrum the
     b_max cut-off truncates (a spline family of fine knots).
     Raises ParameterError, before any work, for b_max <= 0 (also for the
-    bubble family, which does not read it), a lambda above the
-    spectral bottom of kind (beyond 1e-12 relative roundoff), where the
+    bubble family, which does not read it), the spline family at s >= 7/2
+    (a C^2 cubic has jumps in its third derivative, so it lies in H^s only
+    for s < 7/2 and every trial there has infinite energy), a lambda above
+    the spectral bottom of kind (beyond 1e-12 relative roundoff), where the
     level is -infinity, and n > bubbles.MAX_N where kind has a level_floor.
     """
     lambda_grid = np.asarray(lambda_grid, dtype=float)
@@ -543,6 +545,11 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
         raise ParameterError("gap_scan needs a nonempty lambda grid")
     if not b_max > 0.0:
         raise ParameterError(f"b_max must be > 0, got {b_max}")
+    if isinstance(family, SplineFamily) and p.s >= 3.5:
+        raise ParameterError(
+            f"the cubic spline family has no trial of finite energy at s = {p.s!r}: a C^2 "
+            "cubic has jumps in its third derivative, so it lies in H^s only for s < 7/2"
+        )
     bottom = spectral_bottom(kind, p)
     top = float(np.max(lambda_grid))
     if not (top <= bottom or math.isclose(top, bottom, rel_tol=1e-12)):

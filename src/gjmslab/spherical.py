@@ -79,16 +79,19 @@ k^eps(r) = 2 int m(beta) e^{-eps beta^2} Phi_beta(r) |c(beta)|^{-2} d beta.
 kernel_decay reads every value it reports from one Phi product
 (_kernel_table): one fixed composite Gauss rule in beta, all its radii as
 the columns and one (beta x eps) weight matrix for all its eps, one
-_phi_blocks call per block of frequency rows. regularized_kernel is an adaptive panel-splitting quadrature on the
-pointwise spherical_function, which stays on the per-radius Mehler integral
-at every r > 0. quotients.blowdown calls it: at (n, s) = (3, 1) the kernel
-values it reduces to its constants are quadrature roundoff, so any change of
-route or summation order would move them. kernel_decay calls it once, as a
-runtime witness of its product. spherical_function and the Mehler columns
-of _phi_blocks take their u-nodes, weights and h_r from one rule,
+_phi_blocks call per block of frequency rows. regularized_kernel is one
+fixed composite Gauss rule on the pointwise spherical_function, which stays
+on the per-radius Mehler integral at every r > 0, checked against its
+halves: it prices its panels in one batch and their halves in a second, and
+raises NonConvergence when halves miss their panel, never refining.
+quotients.blowdown calls it: at (n, s) = (3, 1) the kernel values it
+reduces to its constants are quadrature roundoff, so any change of route or
+summation order would move them. kernel_decay calls it once, as a runtime
+witness of its product. spherical_function and the Mehler columns of
+_phi_blocks take their u-nodes, weights and h_r from one rule,
 _mehler_rule, built at each use. _phi_mehler takes a 2-d block of frequency
-rows; regularized_kernel passes spherical_function a batch of its adaptive
-panels at a time.
+rows; regularized_kernel passes spherical_function each of its two
+batches as one block.
 """
 
 import math
@@ -124,14 +127,13 @@ JACOBI_GROWTH_MAX = 7.0
 R_MIN_ELEMENTARY = {3: 0.0, 5: 0.25, 7: 0.5, 9: 1.0}
 DEFAULT_B_MAX = 60.0
 DEFAULT_TAIL_TOL = 1e-4    # runtime guard on inverse/quadratic-form truncation
-KERNEL_REL_TOL = 1e-10     # regularized_kernel: panel acceptance, relative to its scale
-KERNEL_MAX_PANELS = 4096   # regularized_kernel: refinement cap (NonConvergence beyond)
+KERNEL_REL_TOL = 1e-10     # regularized_kernel: halves against their panel, relative to its scale
 KERNEL_PANEL_WIDTH = 0.25  # kernel_decay: frequency panel width (at most PHASE_PER_PANEL / r_max)
 # kernel_decay: frequency panels per row block of its Phi pass (1024 rows);
 # the whole ~5500-row pass of the benchmark's (5, 0.7) kernel-decay peaks at
 # 1.06 MB of temporaries (tracemalloc), blocks of 64 panels at 0.42 MB
 KERNEL_ROW_PANELS = 64
-KERNEL_WITNESS_TOL = 1e-4  # kernel_decay: product against the adaptive kernel, relative
+KERNEL_WITNESS_TOL = 1e-4  # kernel_decay: product against regularized_kernel, relative
 # kernel_decay: eps-Richardson limit against twice operator_kernel, relative,
 # at each radius of the fit window; measured at most 7.3e-3 at r = 2..6 and
 # 1.2e-2 at r = 8 (GJMS (3, 1.3), intertwined (6, 1.3): a kernel near roundoff)
@@ -551,18 +553,20 @@ def regularized_kernel(kind: MultiplierKind, p: Params, r: float, eps_reg: float
     kind (at least 1.9991 at r >= 4), and GJMS minus intertwined within
     2.5e-4 of 2 C_{n,s} (2 cosh(r/2))^{-(n+2s)}.
 
-    Adaptive panel-splitting Gauss-Legendre quadrature; the Gaussian factor
-    caps the integration at the point where it falls below 1e-16. A LIFO
-    stack of panels is split until each panel's halves agree with it within
-    KERNEL_REL_TOL of the running scale; more than KERNEL_MAX_PANELS panels
-    raise NonConvergence. The integrand is evaluated in batches: first on
-    every initial panel, then, whenever the panel popped has no
-    halves yet, on the halves of every queued panel that lacks them (each
-    queued panel is popped and split in turn, so nothing is evaluated
-    speculatively). A batch is one symbol, Plancherel-density and Gaussian
-    pass on its flattened nodes and one spherical_function call on its
-    (panels x 16) block, and each panel's value is the same one-panel rule
-    as panel by panel, so the kernel values are bit-identical to it.
+    One fixed composite 16-node Gauss-Legendre rule up to the point where
+    the Gaussian factor falls below 1e-16, checked against its halves: the
+    kernel is 2 fsum of each panel's two halves, and when the halves of a
+    panel miss its one-panel value by more than KERNEL_REL_TOL times the
+    scale (the sum of |panel value|), it raises NonConvergence naming the
+    worst miss. It never refines: where a survey of (kind, n, s, r, eps)
+    saw halves miss, the integral was cancellation, no refined value agreed
+    with kernel_decay's Phi product within 1e-4, and two refinement orders
+    that met the same tolerance disagreed by 3-4%. The integrand is
+    evaluated in two batches, the panels and then their halves: a batch is
+    one symbol, Plancherel-density and Gaussian pass on its flattened nodes
+    and one spherical_function call on its (panels x 16) block, and each
+    panel's value is the one-panel rule, so the kernel values are
+    bit-identical to panel-by-panel evaluation.
     """
     r = float(r)
     if r < 0.5:
@@ -571,10 +575,8 @@ def regularized_kernel(kind: MultiplierKind, p: Params, r: float, eps_reg: float
         raise DomainError(f"eps_reg must be > 0, got {eps_reg}")
     beta_cut = _kernel_beta_cut(eps_reg)
 
-    def panel_values(panels):
-        """{(a, b): the one-panel rule on [a, b]} for a list of panels."""
-        a, b = np.array(panels).T
-        # gauss_panels((a, b)) for each panel, as one (panels x 16) block
+    def panel_values(a, b):
+        """The one-panel rule on each panel [a[i], b[i]], as one batch."""
         nodes = (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * GAUSS_NODES[None, :]
         flat = nodes.ravel()
         m = multiplier(kind, p, flat)
@@ -583,42 +585,27 @@ def regularized_kernel(kind: MultiplierKind, p: Params, r: float, eps_reg: float
         g = (m * np.exp(-eps_reg * flat * flat) * phi * dens).reshape(nodes.shape)
         # the one-panel rule scales the reference weights after the dot
         # product; composite weights would move the last bits of k^eps
-        return {panel: 0.5 * (panel[1] - panel[0]) * float(np.dot(GAUSS_WEIGHTS, row))
-                for panel, row in zip(panels, g)}
+        return np.array([0.5 * (hi - lo) * float(np.dot(GAUSS_WEIGHTS, row))
+                         for lo, hi, row in zip(a, b, g)])
 
     width = min(1.5, PHASE_PER_PANEL / max(r, 1.0))
-    n0 = max(8, int(math.ceil(beta_cut / width)))
-    edges = np.linspace(0.0, beta_cut, n0 + 1)
-    panels = [(float(a), float(b)) for a, b in zip(edges[:-1], edges[1:])]
-    queue = [(a, b, v) for (a, b), v in panel_values(panels).items()]
-    values = {}   # the halves of queued panels, once their batch has run
-    scale = sum(abs(v) for _, _, v in queue) + 1e-300
-    total_panels = len(queue)
-    result = []
-    while queue:
-        a, b, coarse = queue.pop()
-        mid = 0.5 * (a + b)
-        if (a, mid) not in values:
-            halves = []
-            for qa, qb, _ in queue + [(a, b, coarse)]:
-                qmid = 0.5 * (qa + qb)
-                if (qa, qmid) not in values:
-                    halves += [(qa, qmid), (qmid, qb)]
-            values.update(panel_values(halves))
-        left = values.pop((a, mid))
-        right = values.pop((mid, b))
-        if abs(left + right - coarse) <= KERNEL_REL_TOL * scale:
-            result.append(left + right)
-            continue
-        total_panels += 2
-        if total_panels > KERNEL_MAX_PANELS:
-            raise NonConvergence(
-                f"regularized_kernel exceeded the {KERNEL_MAX_PANELS}-panel refinement cap"
-            )
-        queue.append((a, mid, left))
-        queue.append((mid, b, right))
-        scale = max(scale, sum(abs(v) for _, _, v in queue) + sum(map(abs, result)))
-    return 2.0 * math.fsum(result)
+    edges = np.linspace(0.0, beta_cut, max(8, int(math.ceil(beta_cut / width))) + 1)
+    a, b = edges[:-1], edges[1:]
+    mid = 0.5 * (a + b)
+    coarse = panel_values(a, b)
+    # the halves [a, mid] and [mid, b] of each panel, in panel order
+    halves = panel_values(np.column_stack((a, mid)).ravel(), np.column_stack((mid, b)).ravel())
+    fine = halves[0::2] + halves[1::2]
+    scale = sum(map(abs, coarse.tolist())) + 1e-300
+    miss = np.abs(fine - coarse)
+    if not np.all(miss <= KERNEL_REL_TOL * scale):
+        worst = int(np.argmax(miss))   # the first NaN, if any
+        raise NonConvergence(
+            f"regularized_kernel: the halves of the panel [{a[worst]:.6g}, {b[worst]:.6g}] "
+            f"miss its value by {miss[worst]:.3e}, more than {KERNEL_REL_TOL:.0e} of the "
+            f"scale {scale:.3e}"
+        )
+    return 2.0 * math.fsum(fine.tolist())
 
 
 KERNEL_SCAN_EPS = (0.02, 0.01, 0.005)   # regularization ladder
@@ -700,12 +687,13 @@ def kernel_decay(kind: MultiplierKind, p: Params, radii, eps_reg: float):
 
     Every reported value comes from one Phi product (_kernel_table) over
     all radii and every eps of eps_reg, eps_reg / 2 and KERNEL_SCAN_EPS.
-    One adaptive kernel is its runtime witness: regularized_kernel at the
-    smallest radius and eps_reg, where the kernel is largest. When the
-    product's value there is more than KERNEL_WITNESS_TOL off it, relative,
-    kernel_decay raises NonConvergence: then one route or both are at
-    roundoff (the intertwined kernel at integer s, whose symbol is a
-    polynomial, is analytically about e^{-r^2 / (4 eps)}).
+    One regularized_kernel is its runtime witness, at the smallest radius
+    and eps_reg, where the kernel is largest. When the product's value there
+    is more than KERNEL_WITNESS_TOL off it, relative, kernel_decay raises
+    NonConvergence: then one route or both are at roundoff (the intertwined
+    kernel at integer s, whose symbol is a polynomial, is analytically about
+    e^{-r^2 / (4 eps)}). So does the witness itself, when its halves miss
+    their panels (intertwined (6, 1.3) at r = 5, eps = 3e-4).
 
     At non-integer s every radius of the fit window [2, 8] is also checked
     against the closed form: the eps_extrapolation of the product's eps_reg
@@ -732,7 +720,7 @@ def kernel_decay(kind: MultiplierKind, p: Params, radii, eps_reg: float):
     if not abs(product - witness) <= KERNEL_WITNESS_TOL * abs(witness):
         raise NonConvergence(
             f"kernel_decay: the Phi product gives k^{eps_reg!r}({r_min!r}) = {product:.6e} "
-            f"against {witness:.6e} from the adaptive kernel, more than "
+            f"against {witness:.6e} from regularized_kernel, more than "
             f"{KERNEL_WITNESS_TOL:.0e} apart (relative)"
         )
     fit_radii = decay_fit_radii(radii)

@@ -4,8 +4,8 @@ checked against.
 windowed_bubble_energy prices the untruncated bubble with the package's own
 octave-banded Hankel energies, so a test comparing it with
 bubble_energy_limit checks the Hankel machinery and the closed form against
-each other. panelwise_regularized_kernel is the adaptive kernel quadrature
-evaluated one panel at a time, the route that the batched
+each other. panelwise_regularized_kernel is the kernel's fixed composite
+rule evaluated one panel at a time, the route that the batched
 spherical.regularized_kernel must reproduce bit for bit.
 slsqp_spline_search is the spline search as one scipy SLSQP solve, the
 route that quotients._minimize_spline replaced; its quotients bound the
@@ -89,11 +89,11 @@ def quadrature_mass_limit(n: int) -> float:
     return sphere_area(n) * grid.integrate((1.0 + r * r) ** (-n) * r ** (n - 1))
 
 
-def panelwise_regularized_kernel(kind, p, r, eps_reg, rel_tol=1e-10, max_panels=4096):
+def panelwise_regularized_kernel(kind, p, r, eps_reg, rel_tol=1e-10):
     """regularized_kernel with its integrand evaluated one 16-node panel at a
     time: one symbol, spherical_function and Plancherel-density call per
-    panel, and the same adaptive control (LIFO stack, running scale,
-    acceptance test, panel cap, fsum)."""
+    panel and per half, and the same fixed rule (the initial panels, their
+    halves, the scale, the acceptance test, fsum)."""
     r = float(r)
     if r < 0.5:
         raise DomainError(f"regularized_kernel requires r >= 0.5, got {r}")
@@ -114,28 +114,17 @@ def panelwise_regularized_kernel(kind, p, r, eps_reg, rel_tol=1e-10, max_panels=
     width = min(1.5, PHASE_PER_PANEL / max(r, 1.0))
     n0 = max(8, int(math.ceil(beta_cut / width)))
     edges = np.linspace(0.0, beta_cut, n0 + 1)
-    queue = [(float(a), float(b), panel_value(float(a), float(b)))
-             for a, b in zip(edges[:-1], edges[1:])]
-    scale = sum(abs(v) for _, _, v in queue) + 1e-300
-    total_panels = len(queue)
-    result = []
-    while queue:
-        a, b, coarse = queue.pop()
+    panels = [(float(a), float(b)) for a, b in zip(edges[:-1], edges[1:])]
+    coarse = [panel_value(a, b) for a, b in panels]
+    scale = sum(abs(v) for v in coarse) + 1e-300
+    fine = []
+    for (a, b), value in zip(panels, coarse):
         mid = 0.5 * (a + b)
-        left = panel_value(a, mid)
-        right = panel_value(mid, b)
-        if abs(left + right - coarse) <= rel_tol * scale:
-            result.append(left + right)
-            continue
-        total_panels += 2
-        if total_panels > max_panels:
-            raise NonConvergence(
-                f"regularized_kernel exceeded the {max_panels}-panel refinement cap"
-            )
-        queue.append((a, mid, left))
-        queue.append((mid, b, right))
-        scale = max(scale, sum(abs(v) for _, _, v in queue) + sum(map(abs, result)))
-    return 2.0 * math.fsum(result)
+        fine.append(panel_value(a, mid) + panel_value(mid, b))
+        if not abs(fine[-1] - value) <= rel_tol * scale:
+            raise NonConvergence(f"regularized_kernel: the halves of the panel [{a:.6g}, {b:.6g}] "
+                                 "miss its value")
+    return 2.0 * math.fsum(fine)
 
 
 def slsqp_spline_search(p, lam, family, budget, forms):

@@ -13,8 +13,10 @@ from gjmslab.params import MultiplierKind, Params
 from gjmslab.quotients import (
     BUBBLE_DELTA,
     BUBBLE_EPS,
+    FLOOR_REL_TOL,
     BubbleFamily,
     SplineFamily,
+    _spline_report,
     _windowed_spline,
     bubble_quotient,
     gap_scan,
@@ -460,6 +462,15 @@ class TestGapScan:
             with pytest.raises(ParameterError, match="b_max must be > 0"):
                 gap_scan(kind, Params(5, 0.8), [0.0], family, b_max=b_max)
 
+    def test_spline_family_from_s_7_2_is_bad_input(self, monkeypatch):
+        # a C^2 cubic lies in H^s only for s < 7/2: rejected before any work
+        import gjmslab.quotients as quotients
+
+        monkeypatch.setattr(quotients, "_spline_forms", None)   # a build would raise TypeError
+        for s in (3.5, 4.0):
+            with pytest.raises(ParameterError, match="no trial of finite energy"):
+                gap_scan(INT, Params(9, s), [0.0], SplineFamily(knots=6, radius=3.0))
+
     @pytest.mark.parametrize("family", [BubbleFamily(), SplineFamily(knots=6, radius=3.0)],
                              ids=["bubble", "spline"])
     def test_lambda_above_bottom_rejected(self, monkeypatch, family):
@@ -639,7 +650,7 @@ class TestLevelFloor:
             assert level_floor(kind, p, 0.0) == s_est
             assert level_floor(kind, p, 0.5 * bottom) == pytest.approx(0.5 * s_est, rel=1e-14)
             assert level_floor(kind, p, bottom) == pytest.approx(0.0, abs=1e-14)
-        # the 24-knot grading-5 spline row at lambda 0.25 (5.117) clears it
+        # the 24-knot grading-5 spline row at lambda 0.25 (4.8906) clears it
         assert level_floor(GJMS, p, 0.25) == pytest.approx(3.42, abs=5e-3)
 
     def test_no_floor_where_the_remainder_is_negative(self):
@@ -675,6 +686,30 @@ class TestLevelFloor:
                 gap_scan(INT, p, [0.0], BubbleFamily())
         else:
             assert gap_scan(INT, p, [0.0], BubbleFamily())[0].quotient > s_est
+
+    def test_recorded_spline_trial_below_the_floor_raises(self, monkeypatch):
+        # the winner of the 12-knot, grading-6 GJMS (5, 0.8) spline search at
+        # lambda = 0 and b_max 60, to 6 digits: it passes the tail guard, yet
+        # its quotient (4.8e-6) lies far below the floor (8.86), because its
+        # energy lies beyond b_max. Priced here, not searched for, so the
+        # check does not rest on where a search lands
+        import gjmslab.quotients as quotients
+
+        p, family = Params(5, 0.8), SplineFamily(knots=12, radius=3.5, grading=6)
+        theta = np.array([2845.25, 836.963, -35.1199, 0.751592, -0.0103337, -0.00142615,
+                          0.000220099, 0.000125982, -4.89077e-05, 1.68605e-05, -4.88351e-07])
+        forms = quotients._spline_forms(GJMS, p, family, DEFAULT_B_MAX)
+        assert theta @ forms[4] @ theta >= 0.0
+        floor = level_floor(GJMS, p, 0.0)
+        assert _spline_report(family, p, 0.0, forms, theta).quotient < floor * (1.0 - FLOOR_REL_TOL)
+
+        def recorded(p, lam, family, budget, forms):
+            budget.price(_spline_report, family, p, lam, forms, theta)
+            return True
+
+        monkeypatch.setattr(quotients, "_minimize_spline", recorded)
+        with pytest.raises(TailError, match="closed-form floor"):
+            gap_scan(GJMS, p, [0.0], family)
 
 
 class TestBlowdown:

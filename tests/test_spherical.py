@@ -13,7 +13,7 @@ from gjmslab.bubbles import fractional_energy
 from gjmslab.errors import DegenerateData, DomainError, NonConvergence, SupportError, TailError
 from gjmslab.geometry import conformal_lift
 from gjmslab.grids import RadialFunction, RadialGrid, Space, SpectralProfile, uniform_grid
-from gjmslab.multipliers import spectral_bottom
+from gjmslab.multipliers import multiplier, spectral_bottom
 from gjmslab.params import MultiplierKind, Params
 from gjmslab.quotients import standard_hyperbolic_grid
 from gjmslab.spherical import (
@@ -630,6 +630,20 @@ class TestKernel:
         for n, s in ((3, 1.0), (5, 2.0)):
             assert operator_kernel(kind, Params(n, s), 3.0) == 0.0
 
+    @pytest.mark.parametrize("n, s", [(3, 0.6), (4, 0.75), (5, 0.8), (6, 1.3), (7, 2.5)])
+    def test_remainder_kernel_transforms_to_its_symbol(self, n, s):
+        # the remainder kernel is smooth at r = 0 and decays like
+        # e^{-(n+2s) r / 2}, so sampled on [0, 60] its spherical transform is
+        # the remainder symbol: measured within 6e-15 of m(0)
+        p = Params(n, s)
+        grid = uniform_grid(60.0, 0.05)
+        kernel = [operator_kernel(MultiplierKind.REMAINDER, p, r) for r in grid.nodes]
+        f = RadialFunction(grid, np.array(kernel), grid.r_max, Space.HYPERBOLIC)
+        beta_grid = default_beta_grid(60.0, 10.0)
+        symbol = multiplier(MultiplierKind.REMAINDER, p, beta_grid.nodes)
+        transform = spherical_transform(f, n, beta_grid).values
+        assert np.max(np.abs(transform - symbol)) <= 1e-12 * abs(symbol[0])
+
     def test_monotone_decay(self):
         p = Params(3, 0.6)
         radii = [2.0, 3.0, 4.0, 5.0, 6.0]
@@ -642,11 +656,15 @@ class TestKernel:
         k2 = regularized_kernel(INT, p, 4.0, 0.01)
         assert abs(math.log(abs(k2)) - math.log(abs(k1))) < 0.1 * abs(math.log(abs(k1)))
 
-    def test_refinement_cap(self, monkeypatch):
+    def test_a_miss_raises_nonconvergence(self, monkeypatch):
+        # with no tolerance some panel's halves miss its value: the rule is
+        # never refined, and the kernel and its oracle both refuse
         monkeypatch.setattr(spherical, "KERNEL_REL_TOL", 0.0)
-        monkeypatch.setattr(spherical, "KERNEL_MAX_PANELS", 50)
-        with pytest.raises(NonConvergence, match="50-panel"):
-            regularized_kernel(INT, Params(3, 0.6), 2.0, 0.01)
+        p = Params(3, 0.6)
+        with pytest.raises(NonConvergence, match="halves of the panel"):
+            regularized_kernel(INT, p, 2.0, 0.01)
+        with pytest.raises(NonConvergence):
+            panelwise_regularized_kernel(INT, p, 2.0, 0.01, rel_tol=0.0)
 
     @pytest.mark.parametrize("kind", [INT, MultiplierKind.GJMS, MultiplierKind.REMAINDER,
                                       _quadratic_symbol], ids=["int", "gjms", "rem", "hook"])
@@ -661,30 +679,19 @@ class TestKernel:
                 batched = regularized_kernel(kind, p, r, eps)
                 assert batched.hex() == panelwise_regularized_kernel(kind, p, r, eps).hex(), (r, eps)
 
-    def test_refinement_cap_matches_oracle(self, monkeypatch):
-        # the same accept/reject decisions: at rel_tol 1e-16 the kernel needs
-        # more than 136 and at most 144 panels, and each cap either stops both
-        # routes or lets both return the same bits
-        p = Params(3, 0.6)
-        monkeypatch.setattr(spherical, "KERNEL_REL_TOL", 1e-16)
-        seen = set()
-        for cap in range(100, 180, 8):
-            monkeypatch.setattr(spherical, "KERNEL_MAX_PANELS", cap)
-            outcomes = []
-            for kernel in (lambda: regularized_kernel(INT, p, 2.0, 0.01),
-                           lambda: panelwise_regularized_kernel(INT, p, 2.0, 0.01,
-                                                                rel_tol=1e-16, max_panels=cap)):
-                try:
-                    outcomes.append(kernel().hex())
-                except NonConvergence:
-                    outcomes.append("cap")
-            assert outcomes[0] == outcomes[1], cap
-            seen.add(outcomes[0] == "cap")
-        assert seen == {True, False}
+    def test_cancellation_raises_nonconvergence(self):
+        # intertwined (6, 1.3) at r = 5, eps = 3e-4 is cancellation: the
+        # halves miss their panels, where splitting them further gave values
+        # that two refinement orders put 3-4% apart; kernel-decay exits 5
+        p = Params(6, 1.3)
+        with pytest.raises(NonConvergence, match="halves of the panel"):
+            regularized_kernel(INT, p, 5.0, 3e-4)
+        with pytest.raises(NonConvergence):
+            panelwise_regularized_kernel(INT, p, 5.0, 3e-4)
 
     def test_integrand_batches(self, monkeypatch):
-        # one Plancherel-density pass per batch; panel by panel it was one
-        # per panel (123 to 174 on these cases)
+        # two Plancherel-density passes, the panels and their halves; panel
+        # by panel it was one per panel (123 to 174 on these cases)
         calls = []
 
         def counted(n, beta):
@@ -696,7 +703,7 @@ class TestKernel:
                           (Params(3, 1.0), 5.0, 0.01)):
             calls.clear()
             regularized_kernel(INT, p, r, eps)
-            assert 1 <= len(calls) <= 8
+            assert len(calls) == 2
 
     def test_batch_memory(self):
         tracemalloc.start()
@@ -726,7 +733,7 @@ class TestKernel:
     def test_each_kernel_value_once(self, monkeypatch, phi_passes):
         # every value comes from one Phi product that reads each frequency row
         # once (344 panels of 0.25 up to beta_cut(0.005), in row blocks of 64
-        # panels), and the one adaptive kernel is the witness at the smallest
+        # panels), and the one regularized_kernel is the witness at the smallest
         # radius and eps_reg
         calls = []
 
@@ -796,7 +803,7 @@ class TestKernelProduct:
     @pytest.mark.parametrize("factor, fails", [(1.0 + 5e-5, False), (1.0 - 5e-5, False),
                                                (1.0 + 2e-4, True), (1.0 - 2e-4, True)])
     def test_witness_checks_the_product(self, monkeypatch, factor, fails):
-        # a product more than KERNEL_WITNESS_TOL off the adaptive kernel at
+        # a product more than KERNEL_WITNESS_TOL off regularized_kernel at
         # (r_min, eps_reg) is a numerical-contract failure
         def perturbed(*args, _fn=spherical._kernel_table):
             return _fn(*args) * factor
@@ -804,7 +811,7 @@ class TestKernelProduct:
         monkeypatch.setattr(spherical, "_kernel_table", perturbed)
         p, radii = Params(3, 0.6), [2.0, 3.0, 4.0, 5.0]
         if fails:
-            with pytest.raises(NonConvergence, match="adaptive kernel"):
+            with pytest.raises(NonConvergence, match="from regularized_kernel"):
                 kernel_decay(INT, p, radii, 0.01)
         else:
             rows = kernel_decay(INT, p, radii, 0.01)[0]
