@@ -287,8 +287,9 @@ def _banded_energy(profile, support, window, p: Params):
         band = _band_kernel(n, support, window, lo, hi)
         if band.grid_key not in values:
             values[band.grid_key] = profile(band.r)
-        what = band.kernel @ values[band.grid_key]
-        contributions.append(float(np.dot(band.weights, band.rho ** (2.0 * s + n - 1.0) * what * what)))
+        # rho^{s+(n-1)/2} w_hat, squared: rho^{2s+n-1} alone overflows at large n + 2s
+        what = band.rho ** (s + 0.5 * (n - 1.0)) * (band.kernel @ values[band.grid_key])
+        contributions.append(float(np.dot(band.weights, what * what)))
         total = math.fsum(contributions)
         band_abs = abs(contributions[-1]) + abs(contributions[-2]) if len(contributions) > 1 else abs(contributions[-1])
         if hi >= rho_max and band_abs <= 1e-9 * max(abs(total), 1e-300):

@@ -1,5 +1,7 @@
 """Closed-form spectral symbols of the fractional conformal operators and the
-scalar constants attached to them (spectral bottoms, remainder constant, gap).
+scalar constants attached to them. The spectral bottoms lambda0 = m_s(0) and
+lambda0~ = m~_s(0) and the remainder constant b = max{0, B_s(0)} are read off
+the symbols at beta = 0; the explicit gap is the paper's closed form.
 
 All symbols are functions of the frequency beta >= 0 through |Gamma|^2
 factors only, hence even in beta; the implementations work on log-Gamma
@@ -59,9 +61,10 @@ def _gjms(s, beta):
     if np.any(~direct_ok):
         # exceptional orders: the denominator pole at beta = 0 makes the
         # direct quotient 0*inf; the decomposition into the intertwined
-        # symbol plus the remainder is pole-free and exact.
+        # symbol plus the remainder is pole-free, and at beta = 0 itself,
+        # where 1/Gamma((3-2s)/4) vanishes, the symbol is exactly 0.
         b = beta[~direct_ok]
-        out[~direct_ok] = _intertwined(s, b) + _remainder(s, b)
+        out[~direct_ok] = np.where(b == 0.0, 0.0, _intertwined(s, b) + _remainder(s, b))
     return out
 
 
@@ -90,36 +93,20 @@ def multiplier(kind: MultiplierKind, p: Params, beta):
 
 
 def spectral_bottom(kind: MultiplierKind, p: Params) -> float:
-    """Bottom of the L^2 spectrum: the symbol value at beta = 0.
-
-    Closed forms: GJMS -> 2^{2s} G((3+2s)/4)^2 / G((3-2s)/4)^2 (0 at the
-    exceptional orders s = 3/2 + 2k); INTERTWINED -> G(s+1/2)^2 / pi.
-    """
-    s = p.s
-    if kind is MultiplierKind.INTERTWINED:
-        return _gamma_sq(s + 0.5) / math.pi
-    if kind is MultiplierKind.GJMS:
-        if is_exceptional_order(s):
-            return 0.0
-        return float(
-            np.exp(
-                2.0 * s * math.log(2.0)
-                + log_abs_gamma_sq((3.0 + 2.0 * s) / 4.0, 0.0)
-                - log_abs_gamma_sq((3.0 - 2.0 * s) / 4.0, 0.0)
-            )
-        )
-    raise ParameterError(f"spectral_bottom is defined for GJMS/INTERTWINED, not {kind!r}")
+    """Bottom of the L^2 spectrum: the symbol value at beta = 0 (0 for GJMS
+    at the exceptional orders s = 3/2 + 2k)."""
+    if kind not in (MultiplierKind.GJMS, MultiplierKind.INTERTWINED):
+        raise ParameterError(f"spectral_bottom is defined for GJMS/INTERTWINED, not {kind!r}")
+    return multiplier(kind, p, 0.0)
 
 
 def b_constant(s: float) -> float:
-    """max{0, sin(pi s)/pi} * Gamma(s+1/2)^2; exactly 0 when sin(pi s) <= 0."""
+    """max{0, B_s(0)} = max{0, sin(pi s)/pi} * Gamma(s+1/2)^2: the remainder
+    symbol at beta = 0, exactly 0 when sin(pi s) <= 0."""
     s = float(s)
     if not s > 0.0:
         raise ParameterError(f"b_constant requires s > 0, got {s}")
-    sp = sin_pi(s)
-    if sp <= 0.0:
-        return 0.0
-    return sp / math.pi * _gamma_sq(s + 0.5)
+    return float(max(0.0, _remainder(s, 0.0)))
 
 
 def gap_constant(s: float) -> float:
@@ -137,34 +124,3 @@ def gap_constant(s: float) -> float:
     if sp > 0.0:
         return g2 / math.pi
     return (1.0 + sp) / math.pi * g2
-
-
-def integer_multiplier(k: int, beta):
-    """Product form of the integer-order symbol: prod_{j=1..k} (b^2 + (j-1/2)^2)."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ParameterError(f"integer_multiplier requires integer k >= 1, got {k!r}")
-    beta_arr = np.asarray(beta, dtype=float)
-    scalar = beta_arr.ndim == 0
-    beta_arr = np.atleast_1d(beta_arr)
-    out = np.ones_like(beta_arr)
-    b2 = beta_arr * beta_arr
-    for j in range(1, k + 1):
-        out = out * (b2 + (j - 0.5) ** 2)
-    return float(out[0]) if scalar else out
-
-
-def verify_decomposition(p: Params, beta_max: float, count: int) -> float:
-    """Normalized max deviation of m_s - m~_s - B_s over a uniform beta grid.
-
-    Returns max_beta |m(b) - m~(b) - B(b)| / (1 + m(b)); the normalisation
-    keeps the figure meaningful near exceptional orders where m is tiny.
-    """
-    if not beta_max > 0.0:
-        raise ParameterError(f"beta_max must be > 0, got {beta_max}")
-    if not (isinstance(count, int) and count >= 2):
-        raise ParameterError(f"count must be an integer >= 2, got {count!r}")
-    grid = np.linspace(0.0, beta_max, count)
-    m = multiplier(MultiplierKind.GJMS, p, grid)
-    mt = multiplier(MultiplierKind.INTERTWINED, p, grid)
-    rem = multiplier(MultiplierKind.REMAINDER, p, grid)
-    return float(np.max(np.abs(m - mt - rem) / (1.0 + m)))

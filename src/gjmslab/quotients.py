@@ -7,7 +7,6 @@ search is a Newton SQP (Nocedal-Wright, ch. 18) in numpy on the family's
 quadratic forms."""
 
 import functools
-import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -32,8 +31,6 @@ from .multipliers import multiplier, sin_pi, spectral_bottom
 from .params import MultiplierKind, Params
 from .spherical import DEFAULT_B_MAX, _polar_measure, _spectral_forms, decay_slope, \
     default_beta_grid, lp_mass, phi_matrix, quadratic_form, regularized_kernel
-
-log = logging.getLogger(__name__)
 
 MAX_GRID_RADIUS = 40.0   # the widest trial support, the blow-down arch's
 
@@ -292,7 +289,6 @@ class _Budget:
             raise BudgetExceeded(f"evaluation cap {self.cap} exhausted")
         self.used += 1
         rep = trial(*args)
-        log.debug("eval #%d %s -> %.10g", self.used, rep.trial_descriptor, rep.quotient)
         if admissible and (self.best is None or rep.quotient < self.best.quotient):
             self.best = rep
         return rep.quotient

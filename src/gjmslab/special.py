@@ -14,10 +14,10 @@ Bessel J has one entry point, bessel_j_scaled, which returns J_nu(x)/x^nu.
 Half-odd orders m + 1/2 with m <= _HALF_ODD_NUMPY_MAX are numpy: the
 ascending series near the origin and, above a per-order switch, the upward
 recurrence of the spherical Bessel functions from sin x/x and cos x/x
-(DLMF 10.49, 10.51), so Hankel paths at odd n <= 43 load no scipy. Higher
-half-odd orders take ``scipy.special.spherical_jn`` and integer orders
-(even n) ``scipy.special.jv`` above x = 0.5, imported on the first call
-that needs them.
+(DLMF 10.49, 10.51), so Hankel paths at odd n <= 43 load no scipy. Every
+other order (integer orders at even n, half-odd orders above
+_HALF_ODD_NUMPY_MAX) takes ``scipy.special.jv`` above x = 0.5, imported on
+the first call that needs it.
 """
 
 import math
@@ -285,7 +285,7 @@ def _half_odd_switch(nu):
     return 0.8 * (nu - 0.5) + 1.0
 
 
-def _spherical_jn_upward(m, x):
+def _spherical_bessel_upward(m, x):
     """Spherical Bessel j_m(x) for x > 0: j_0 = sin x/x, j_1 = (j_0 - cos x)/x
     and j_{k+1} = (2k+1)/x j_k - j_{k-1}, stable for x above about m."""
     j_prev = np.sin(x) / x
@@ -315,10 +315,11 @@ def bessel_j_scaled(order: float, x):
     m <= _HALF_ODD_NUMPY_MAX they are numpy: the ascending series below
     _half_odd_switch and above it sqrt(2/pi) j_m(x) / x^m, with j_m from the
     upward recurrence. Every other order takes the ascending series below
-    x = 0.5 and scipy above: sqrt(2x/pi) ``scipy.special.spherical_jn`` / x^order
-    for half-odd orders, ``scipy.special.jv`` / x^order for integer orders.
-    Times x^order, within 1e-13 of mpmath's J (relative, absolute below 1e-2)
-    from x = 0 to 1e4 for orders <= 4.5 and at orders 25.5, 30.5 and 40.5.
+    x = 0.5 and ``scipy.special.jv`` / x^order above. Times x^order, within
+    1e-13 of mpmath's J (relative, absolute below 1e-2) from x = 0 to 1e4 for
+    orders <= 4.5; at half-odd orders 21.5 to 60.5, up to x = 2e5, within
+    1e-13 relative below x = order and within 2e-12 of the envelope
+    sqrt(2/(pi x)) above it (jv: 6.4e-13 at worst).
     """
     nu = _validate_order(order)
     xa, scalar = _bessel_argument(x)
@@ -329,12 +330,9 @@ def bessel_j_scaled(order: float, x):
     xs = xa[~lo]
     if numpy_route:
         m = round(nu - 0.5)
-        out[~lo] = math.sqrt(2.0 / math.pi) * _spherical_jn_upward(m, xs) / xs ** m
+        out[~lo] = math.sqrt(2.0 / math.pi) * _spherical_bessel_upward(m, xs) / xs ** m
     elif xs.size:
-        from scipy.special import jv, spherical_jn
+        from scipy.special import jv
 
-        if round(2 * nu) % 2 == 1:
-            out[~lo] = np.sqrt(2.0 * xs / np.pi) * spherical_jn(round(nu - 0.5), xs) / xs ** nu
-        else:
-            out[~lo] = jv(nu, xs) / xs ** nu
+        out[~lo] = jv(nu, xs) / xs ** nu
     return float(out[0]) if scalar else out

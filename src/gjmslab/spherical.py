@@ -419,11 +419,15 @@ def _transforms(n, beta_grid, grid, columns, phi=None):
     measure-weighted columns. The blocks are those of _phi_blocks, each
     dropped once it is multiplied, so the transform holds one block, not the
     matrix; or, when the caller passes phi = phi_matrix(n, beta_grid, grid),
-    the same column chunks of phi, with the same bits."""
+    the same column chunks of phi, with the same bits. A phi of any other
+    shape than beta nodes x grid nodes raises ParameterError."""
     weighted = _polar_measure(n, grid)[:, None] * columns
     out = np.zeros((beta_grid.nodes.size, columns.shape[1]))
     if phi is None:
         blocks = _phi_blocks(n, beta_grid, grid)
+    elif phi.shape != (beta_grid.nodes.size, grid.nodes.size):
+        raise ParameterError(f"phi is {phi.shape[0]} x {phi.shape[1]}, not the "
+                             f"{beta_grid.nodes.size} x {grid.nodes.size} of its beta and r grids")
     else:
         blocks = ((cols, phi[:, cols]) for cols in _column_chunks(*phi.shape))
     for cols, block in blocks:

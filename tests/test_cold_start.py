@@ -223,6 +223,12 @@ def test_lapack_probe_sees_an_eigensolve():
     assert probe(code)[0] == ["eigvalsh_lo"]
 
 
+def test_cli_import_loads_no_logging():
+    # no module keeps a logger: nothing ever turned one on
+    assert probe("import json, sys, gjmslab.cli; "
+                 "print(json.dumps('logging' in sys.modules))") is False
+
+
 def test_cli_import_loads_no_openssl():
     assert probe("import json, sys, gjmslab.cli; "
                  "print(json.dumps([m for m in ('_hashlib', 'hashlib') if m in sys.modules]))") == []

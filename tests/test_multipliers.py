@@ -7,18 +7,30 @@ from gjmslab.errors import ParameterError
 from gjmslab.multipliers import (
     b_constant,
     gap_constant,
-    integer_multiplier,
     is_exceptional_order,
     multiplier,
     sin_pi,
     spectral_bottom,
-    verify_decomposition,
 )
 from gjmslab.params import MultiplierKind, Params
+from gjmslab.special import log_abs_gamma_sq
 
 GJMS = MultiplierKind.GJMS
 INT = MultiplierKind.INTERTWINED
 REM = MultiplierKind.REMAINDER
+
+
+def integer_product(k, beta):
+    """The integer-order symbol in product form: prod_{j=1..k} (beta^2 + (j-1/2)^2)."""
+    b2 = np.asarray(beta, dtype=float) ** 2
+    return np.prod([b2 + (j - 0.5) ** 2 for j in range(1, k + 1)], axis=0)
+
+
+def decomposition_error(p, beta_max, count):
+    """max |m - m~ - B| / (1 + m) over count uniform frequencies in [0, beta_max]."""
+    grid = np.linspace(0.0, beta_max, count)
+    m = multiplier(GJMS, p, grid)
+    return float(np.max(np.abs(m - multiplier(INT, p, grid) - multiplier(REM, p, grid)) / (1.0 + m)))
 
 
 class TestMultiplier:
@@ -95,15 +107,22 @@ class TestBottoms:
         assert spectral_bottom(INT, Params(5, 2.0)) == pytest.approx(9.0 / 16.0, rel=1e-12)
 
     def test_exceptional_bottom_is_zero(self):
-        assert spectral_bottom(GJMS, Params(5, 1.5)) == 0.0
-        assert spectral_bottom(GJMS, Params(9, 3.5)) == 0.0
+        # 1/Gamma((3 - 2s)/4) vanishes at s = 3/2 + 2k: the symbol at beta = 0
+        # is 0.0 itself, not the roundoff of m~ + B
+        for s in (1.5, 3.5, 5.5):
+            p = Params(12, s)
+            assert multiplier(GJMS, p, np.zeros(3)).tolist() == [0.0] * 3
+            assert spectral_bottom(GJMS, p) == 0.0
+            assert multiplier(GJMS, p, 1e-9) > 0.0
 
     def test_bottom_matches_symbol_at_zero(self):
-        for n, s in ((3, 0.5), (4, 0.75), (5, 2.3)):
-            p = Params(n, s)
-            for kind in (GJMS, INT):
-                assert spectral_bottom(kind, p) == pytest.approx(
-                    multiplier(kind, p, 0.0), rel=1e-12)
+        for n in (2, 3, 4, 5, 8, 13):
+            for s in np.linspace(0.05, n / 2.0 - 0.05, 37):
+                p = Params(n, float(s))
+                for kind in (GJMS, INT):
+                    bottom = spectral_bottom(kind, p)
+                    assert type(bottom) is float
+                    assert bottom.hex() == multiplier(kind, p, 0.0).hex()
 
     def test_remainder_has_no_bottom(self):
         with pytest.raises(ParameterError):
@@ -115,6 +134,15 @@ class TestConstants:
         assert b_constant(0.5) == pytest.approx(1.0 / math.pi, rel=1e-12)
         assert b_constant(1.5) == 0.0
         assert b_constant(3.0) == 0.0
+
+    def test_b_is_the_closed_form_bit_for_bit(self):
+        # max{0, sin(pi s)/pi} Gamma(s+1/2)^2 in its closed-form evaluation order
+        for s in np.concatenate([np.linspace(0.01, 12.0, 1200), np.arange(1, 13) / 2.0]):
+            s = float(s)
+            sp = sin_pi(s)
+            closed = sp / math.pi * float(np.exp(log_abs_gamma_sq(s + 0.5, 0.0))) if sp > 0.0 else 0.0
+            assert type(b_constant(s)) is float
+            assert b_constant(s).hex() == closed.hex()
 
     def test_sin_pi_exact_zeros(self):
         for k in range(1, 8):
@@ -139,38 +167,28 @@ class TestConstants:
 
 class TestIntegerMultiplier:
     def test_values(self):
-        assert integer_multiplier(1, 0.0) == 0.25
-        assert integer_multiplier(2, 1.0) == pytest.approx(4.0625, rel=1e-15)
-        assert integer_multiplier(3, 0.0) == pytest.approx(225.0 / 64.0, rel=1e-15)
+        assert multiplier(INT, Params(3, 1.0), 0.0) == pytest.approx(0.25, rel=1e-15)
+        assert multiplier(INT, Params(5, 2.0), 1.0) == pytest.approx(4.0625, rel=1e-14)
+        assert multiplier(INT, Params(7, 3.0), 0.0) == pytest.approx(225.0 / 64.0, rel=1e-14)
 
     def test_agrees_with_gamma_route(self):
         grid = np.linspace(0.0, 50.0, 501)
         for k in (1, 2, 3):
-            product = integer_multiplier(k, grid)
+            product = integer_product(k, grid)
             gamma_route = multiplier(INT, Params(9, float(k)), grid)
             assert np.max(np.abs(product - gamma_route) / product) <= 1e-12
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            integer_multiplier(0, 1.0)
 
 
 class TestDecomposition:
     def test_integer_order(self):
-        assert verify_decomposition(Params(5, 2.0), 50.0, 200) <= 1e-12
+        assert decomposition_error(Params(5, 2.0), 50.0, 200) <= 1e-12
 
     def test_fractional_orders(self):
-        assert verify_decomposition(Params(4, 0.75), 50.0, 500) <= 1e-10
-        assert verify_decomposition(Params(3, 1.25), 50.0, 500) <= 1e-10
+        assert decomposition_error(Params(4, 0.75), 50.0, 500) <= 1e-10
+        assert decomposition_error(Params(3, 1.25), 50.0, 500) <= 1e-10
 
     def test_exceptional_order(self):
-        assert verify_decomposition(Params(5, 1.5), 50.0, 500) <= 1e-10
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            verify_decomposition(Params(3, 1.0), -1.0, 100)
-        with pytest.raises(ParameterError):
-            verify_decomposition(Params(3, 1.0), 10.0, 1)
+        assert decomposition_error(Params(5, 1.5), 50.0, 500) <= 1e-10
 
 
 class TestParams:

@@ -484,7 +484,7 @@ class TestGapScan:
                 gap_scan(kind, Params(5, 0.8), [0.0, bottom * (1.0 + 1e-9)], family)
 
     def test_bottom_up_to_roundoff_runs(self):
-        # the computed intertwined bottom at s = 1 is 0.2499999999999997
+        # the computed intertwined bottom at s = 1 is 0.24999999999999994
         p = Params(3, 1.0)
         assert spectral_bottom(INT, p) < 0.25
         rep = gap_scan(INT, p, [0.25], SplineFamily(knots=6, radius=3.0))[0]

@@ -175,6 +175,26 @@ class TestBesselJ:
         scale = np.where(xs < nu, np.abs(ref_scaled), np.maximum(np.abs(ref_scaled), floor))
         assert np.max(np.abs(bessel_j_scaled(nu, xs) - ref_scaled) / scale) <= 1e-13
 
+    def test_scipy_half_odd_orders_to_2e5(self):
+        # every half-odd order above the numpy route, 21.5 to 60.5, takes
+        # scipy.special.jv: J/x^nu relative below x = nu, where J has no zero,
+        # and above it against the amplitude envelope sqrt(2/(pi x)) / x^nu,
+        # up to x = 2e5 or where x^nu leaves the double range
+        worst_below = worst_above = 0.0
+        for nu in np.arange(21.5, 61.0, 1.0):
+            xs = np.concatenate([np.geomspace(1e-3, 2e5, 80), np.linspace(nu, 3.0 * nu, 12)])
+            xs = xs[nu * np.log10(xs) < 300.0]
+            ours = bessel_j_scaled(nu, xs)
+            for x, got in zip(xs, ours):
+                ref = mp.besselj(nu, x) / mp.mpf(x) ** nu
+                if x < nu:
+                    worst_below = max(worst_below, float(abs((got - ref) / ref)))
+                else:
+                    envelope = mp.sqrt(2 / (mp.pi * x)) / mp.mpf(x) ** nu
+                    worst_above = max(worst_above, float(abs(got - ref) / envelope))
+        assert worst_below <= 1e-13
+        assert worst_above <= 2e-12
+
     @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5, 4.5])
     def test_half_odd_against_spherical_jn(self, nu):
         # numpy series below the switch, upward recurrence above: both sides

@@ -10,7 +10,8 @@ from conftest import hyperbolic_bump, windowed_gaussian
 from oracles import legendre_phi, mehler_phi_matrix, panelwise_regularized_kernel
 from gjmslab import special, spherical
 from gjmslab.bubbles import fractional_energy
-from gjmslab.errors import DegenerateData, DomainError, NonConvergence, SupportError, TailError
+from gjmslab.errors import DegenerateData, DomainError, NonConvergence, ParameterError, \
+    SupportError, TailError
 from gjmslab.geometry import conformal_lift
 from gjmslab.grids import RadialFunction, RadialGrid, Space, SpectralProfile, uniform_grid
 from gjmslab.multipliers import multiplier, spectral_bottom
@@ -461,6 +462,19 @@ class TestStreamedTransforms:
         assert spherical._transforms(5, bg, grid, columns, phi).tobytes() == streamed.tobytes()
         assert quadratic_form(MultiplierKind.REMAINDER, p, f, phi=phi).hex() == energy.hex()
         assert len(phi_passes) == 3
+
+    def test_caller_built_phi_of_other_grids_is_refused(self):
+        # a Phi for a shorter r-grid would contract only its own columns, a
+        # truncated transform priced silently; one for other frequencies is
+        # refused by name too
+        p = Params(5, 0.8)
+        f = RadialFunction.from_profile(lambda r: np.exp(-r * r), uniform_grid(1.0, 0.025),
+                                        1.0, Space.HYPERBOLIC)
+        bg = default_beta_grid(1.0, 60.0)
+        for phi in (phi_matrix(5, bg, uniform_grid(0.5, 0.025)),
+                    phi_matrix(5, default_beta_grid(1.0, 30.0), f.grid)):
+            with pytest.raises(ParameterError, match="not the 480 x 640 of its beta and r grids"):
+                quadratic_form(MultiplierKind.REMAINDER, p, f, phi=phi)
 
     def test_repeated_requests_stream_each_time(self, phi_passes):
         # nothing is kept between calls: each transform makes its own pass,
