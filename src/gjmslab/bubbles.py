@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateData, ParameterError, SupportError, TailError
+from .errors import NumericalError, ParameterError
 from .geometry import sphere_area
 from .grids import (
     BLOCK_CELLS,
@@ -295,7 +295,7 @@ def _banded_energy(profile, support, window, p: Params):
         if hi >= rho_max and band_abs <= 1e-9 * max(abs(total), 1e-300):
             break
         if hi >= cap:
-            raise TailError("fractional energy tail did not close before the frequency cap")
+            raise NumericalError("fractional energy tail did not close before the frequency cap")
         lo = hi
     return sphere_area(n) * total
 
@@ -305,15 +305,15 @@ def fractional_energy(w: RadialFunction, p: Params) -> float:
 
     For s = 1 this is the Dirichlet integral. The frequency range extends
     adaptively until the spectral tail closes. The bands evaluate w.profile,
-    not the samples: a nonzero w without one raises SupportError.
+    not the samples: a nonzero w without one raises ParameterError.
     """
     if w.space is not Space.EUCLIDEAN:
-        raise SupportError("fractional_energy expects a Euclidean profile")
+        raise ParameterError("fractional_energy expects a Euclidean profile")
     w.require_compact_support()
     if w.is_zero():
         return 0.0
     if w.profile is None:
-        raise SupportError("fractional_energy needs a trial built by RadialFunction.from_profile")
+        raise ParameterError("fractional_energy needs a trial built by RadialFunction.from_profile")
     support = min(w.support_radius, w.grid.r_max)
     return _banded_energy(w.profile, support, None, p)
 
@@ -369,7 +369,7 @@ def fit_loglog_slope(x, y) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 3 or np.any(y <= 0.0):
-        raise DegenerateData("slope fit needs >= 3 points with positive values")
+        raise NumericalError("slope fit needs >= 3 points with positive values")
     lx, ly = np.log(x), np.log(y)
     coeffs = np.polyfit(lx, ly, 1)
     if x.size >= 4:
@@ -412,7 +412,7 @@ def fit_leading_exponent(x, y, correction_exponent: float):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 3 or np.any(y <= 0.0):
-        raise DegenerateData("exponent fit needs >= 3 points with positive values")
+        raise NumericalError("exponent fit needs >= 3 points with positive values")
 
     def solve(a):
         columns = np.column_stack([x ** a, x ** correction_exponent]) / y[:, None]

@@ -1,10 +1,11 @@
 """Batch driver: every experiment as a subcommand emitting diff-able CSV/JSON
 plus a run manifest.
 
-Exit codes: 0 success, 2 input validation, 3 I/O failure, 4 acceptance-fit
-failure, 5 numerical-contract failure (TailError, NonConvergence,
-BudgetExceeded, DegenerateData). Re-running with identical flags gives
-byte-identical data files; the timestamps live only in the manifest sidecar.
+Exit codes: 0 success, 2 bad input (ParameterError, or a flag argparse
+rejects), 3 I/O failure, 4 acceptance-fit failure, 5 numerical-contract
+failure (NumericalError; BudgetExceeded is one). Re-running with identical
+flags gives byte-identical data files; the timestamps live only in the
+manifest sidecar.
 
 Provenance: the manifest's "source" names the package by its version and the
 CRC-32 of its module sources (_source_digest), read from the package's own
@@ -35,8 +36,7 @@ import numpy as np
 
 from . import __version__
 from .bubbles import bubble_asymptotics
-from .errors import BudgetExceeded, DegenerateData, GjmsLabError, NonConvergence, \
-    ParameterError, TailError
+from .errors import GjmsLabError, NumericalError, ParameterError
 from .multipliers import b_constant, gap_constant, multiplier, spectral_bottom
 from .params import MultiplierKind, Params
 from .quotients import BubbleFamily, SplineFamily, blowdown, gap_scan, \
@@ -320,7 +320,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (TailError, NonConvergence, BudgetExceeded, DegenerateData) as exc:
+    except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 5
     except GjmsLabError as exc:

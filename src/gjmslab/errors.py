@@ -1,8 +1,11 @@
-"""Exception hierarchy for gjmslab.
+"""Exception hierarchy for gjmslab: one class per way a command can fail.
 
-Every numerical-contract violation raises a subclass of GjmsLabError so
-callers (and the CLI driver) can map failures onto exit codes without
-string matching.
+ParameterError is bad input (CLI exit 2). NumericalError is a numerical
+contract that did not hold: a tail guard, a series or a kernel's halves that
+missed their tolerance, data a fit cannot use, a search that priced nothing
+(CLI exit 5). BudgetExceeded is the NumericalError of a search's evaluation
+cap, which gap_scan catches by name. The CLI maps by class, so which failure
+is numerical is decided here alone.
 """
 
 
@@ -10,37 +13,13 @@ class GjmsLabError(Exception):
     """Base class for all package errors."""
 
 
-class DomainError(GjmsLabError):
-    """Argument outside the mathematical domain of the operation."""
-
-
-class UnsupportedOrder(DomainError):
-    """Bessel order outside the half-integer lattice."""
-
-
-class NonConvergence(GjmsLabError):
-    """Series or adaptive quadrature failed to reach tolerance in budget."""
-
-
-class SupportError(GjmsLabError):
-    """Radial profile support violates an operation precondition."""
-
-
-class TailError(GjmsLabError):
-    """Truncated-integral tail estimate exceeds tolerance."""
-
-
-class DegenerateData(GjmsLabError):
-    """Data unusable for fitting (underflow, too few points, ...)."""
-
-
-class BudgetExceeded(GjmsLabError):
-    """Optimizer hit its evaluation cap before the stopping tolerance."""
-
-
 class ParameterError(GjmsLabError):
-    """Invalid parameter combination for an experiment."""
+    """Input outside the domain of an operation or experiment."""
 
 
-class ZeroTrial(GjmsLabError):
-    """A quotient was requested for an identically-zero trial function."""
+class NumericalError(GjmsLabError):
+    """A numerical contract (tolerance, tail, convergence, fit data) failed."""
+
+
+class BudgetExceeded(NumericalError):
+    """A search hit its evaluation cap before the stopping tolerance."""

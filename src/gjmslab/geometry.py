@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, SupportError
+from .errors import ParameterError
 from .grids import RadialFunction, RadialGrid, Space
 from .params import Params
 
@@ -34,14 +34,14 @@ def conformal_lift(w: RadialFunction, p: Params) -> RadialFunction:
     the intertwined energy of u equal their Euclidean counterparts for w.
     """
     if w.space is not Space.EUCLIDEAN:
-        raise DomainError("conformal_lift expects a Euclidean radial profile")
+        raise ParameterError("conformal_lift expects a Euclidean radial profile")
     if w.support_radius >= 1.0:
-        raise SupportError(
+        raise ParameterError(
             f"conformal_lift needs support inside the unit ball, got {w.support_radius}"
         )
     t = w.grid.nodes
     if t[-1] >= 1.0:
-        raise SupportError("conformal_lift grid reaches the ball boundary")
+        raise ParameterError("conformal_lift grid reaches the ball boundary")
     phi = 2.0 / (1.0 - t * t)
     r_nodes = ball_to_geodesic(t)
     r_weights = w.grid.weights * phi

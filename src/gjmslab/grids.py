@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ParameterError, SupportError
+from .errors import ParameterError
 
 PHASE_PER_PANEL = 18.0     # radians of oscillation a 16-node panel resolves cleanly
 # cells in the largest array of one block of a blocked matrix build (a
@@ -200,7 +200,7 @@ class RadialFunction:
 
     def require_compact_support(self):
         if not np.isfinite(self.support_radius):
-            raise SupportError("operation requires compactly supported data")
+            raise ParameterError("operation requires compactly supported data")
 
 
 @dataclass(frozen=True)

@@ -48,24 +48,15 @@ def _remainder(s, beta):
 
 
 def _gjms(s, beta):
-    beta = np.asarray(beta, dtype=float)
-    direct_ok = ~(is_exceptional_order(s) & (np.abs(beta) < 1e-8))
-    out = np.empty(beta.shape, dtype=float)
-    if np.any(direct_ok):
-        b = beta[direct_ok]
-        out[direct_ok] = np.exp(
-            2.0 * s * math.log(2.0)
-            + log_abs_gamma_sq((3.0 + 2.0 * s) / 4.0, b / 2.0)
-            - log_abs_gamma_sq((3.0 - 2.0 * s) / 4.0, b / 2.0)
-        )
-    if np.any(~direct_ok):
-        # exceptional orders: the denominator pole at beta = 0 makes the
-        # direct quotient 0*inf; the decomposition into the intertwined
-        # symbol plus the remainder is pole-free, and at beta = 0 itself,
-        # where 1/Gamma((3-2s)/4) vanishes, the symbol is exactly 0.
-        b = beta[~direct_ok]
-        out[~direct_ok] = np.where(b == 0.0, 0.0, _intertwined(s, b) + _remainder(s, b))
-    return out
+    """The direct Gamma ratio at every beta; at the exceptional orders the
+    denominator's pole at beta = 0 is not evaluated, and there, where
+    1/Gamma((3-2s)/4) vanishes, the symbol is exactly 0."""
+    pole = is_exceptional_order(s) & (beta == 0.0)
+    half = np.where(pole, 1.0, beta) / 2.0
+    out = np.exp(2.0 * s * math.log(2.0)
+                 + log_abs_gamma_sq((3.0 + 2.0 * s) / 4.0, half)
+                 - log_abs_gamma_sq((3.0 - 2.0 * s) / 4.0, half))
+    return np.where(pole, 0.0, out)
 
 
 def multiplier(kind: MultiplierKind, p: Params, beta):

@@ -24,7 +24,7 @@ from .bubbles import (
     sampled_bubble,
     smooth_window,
 )
-from .errors import BudgetExceeded, DegenerateData, ParameterError, TailError, ZeroTrial
+from .errors import BudgetExceeded, NumericalError, ParameterError
 from .geometry import conformal_lift
 from .grids import RadialFunction, Space, uniform_grid
 from .multipliers import multiplier, sin_pi, spectral_bottom
@@ -78,7 +78,7 @@ def standard_hyperbolic_grid(r_max: float):
 
 def _report(p, lam, energy, l2, crit_integral, descriptor):
     if crit_integral <= 0.0:
-        raise ZeroTrial("trial function has vanishing critical norm")
+        raise ParameterError("trial function has vanishing critical norm")
     crit = crit_integral ** (2.0 / p.two_star)
     quotient = (energy - lam * l2) / crit
     return QuotientReport(lam, energy, l2, crit, quotient, descriptor)
@@ -104,7 +104,7 @@ def sobolev_quotient(kind: MultiplierKind, p: Params, lam: float,
     """
     energy_kind = _energy_kind(kind, p)
     if u.is_zero():
-        raise ZeroTrial("sobolev_quotient needs a nonzero trial")
+        raise ParameterError("sobolev_quotient needs a nonzero trial")
     energy = quadratic_form(energy_kind, p, u, b_max)
     l2 = lp_mass(u, p.n, 2.0)
     crit_integral = lp_mass(u, p.n, p.two_star)
@@ -525,8 +525,8 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
     Earlier winners are re-priced at each lambda (free: the numerator is
     affine in lambda), so the quotients do not increase with lambda.
     A row whose quotient is not finite (an energy that overflows a double,
-    the intertwined bubble scan at (100, 0.8)) raises DegenerateData.
-    A row more than FLOOR_REL_TOL below its level_floor raises TailError:
+    the intertwined bubble scan at (100, 0.8)) raises NumericalError.
+    A row more than FLOOR_REL_TOL below its level_floor raises NumericalError:
     no trial lies below it, so the search found a trial whose spectrum the
     b_max cut-off truncates (a spline family of fine knots).
     Raises ParameterError, before any work, for b_max <= 0 (also for the
@@ -585,13 +585,13 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
             if candidate.quotient < rep.quotient:
                 rep = candidate
         if not math.isfinite(rep.quotient):
-            raise DegenerateData(
+            raise NumericalError(
                 f"{name} search at lambda {lam!r} found the quotient {rep.quotient!r}: a "
                 "trial's energy or mass overflows a double"
             )
         floor = floors[idx]
         if floor is not None and rep.quotient < floor * (1.0 - FLOOR_REL_TOL):
-            raise TailError(
+            raise NumericalError(
                 f"{name} search at lambda {lam!r} found the quotient {rep.quotient!r}, below "
                 f"the closed-form floor {floor!r} of the level: the b_max {b_max!r} "
                 "cut-off truncates the trial's spectrum"
@@ -658,9 +658,9 @@ def blowdown(p: Params, lam: float, N_values):
     rows holds (N, R_N, bound, scaled bound) of multibump_blowdown; summary
     holds q, C, alpha, R0, the target slope 2s/n and, when two or more scaled
     bounds are all negative, the log-log slope of -scaled bound against N.
-    Raises DegenerateData when the arch's numerator is not negative. At
+    Raises NumericalError when the arch's numerator is not negative. At
     n >= 4 the arch (R = 40, b_max 8) fails the quadratic form's tail guard,
-    so blowdown raises TailError there (CLI exit 5): the tail fraction is
+    so blowdown raises NumericalError there (CLI exit 5): the tail fraction is
     8.7e-4 at (5, 0.8), lambda 0.9, and 5.5e-4 at (4, 1), lambda 0.9, against
     the tolerance 1e-4.
     """
@@ -675,7 +675,7 @@ def blowdown(p: Params, lam: float, N_values):
     rep, u = _wide_negative_trial(p, lam)
     numerator = rep.energy - lam * rep.l2_mass
     if numerator >= 0.0:
-        raise DegenerateData("calibration trial failed to reach a negative numerator")
+        raise NumericalError("calibration trial failed to reach a negative numerator")
     q = -numerator
     fit_radii = [2.0, 3.0, 4.0, 5.0]
     ks = [regularized_kernel(MultiplierKind.INTERTWINED, p, r, 0.01) for r in fit_radii]

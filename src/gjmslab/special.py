@@ -24,10 +24,10 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, UnsupportedOrder
+from .errors import NumericalError, ParameterError
 
 SERIES_TOL = 1e-14      # 2F1 term-ratio stopping tolerance
-SERIES_CAP = 10_000     # 2F1 iteration cap before NonConvergence
+SERIES_CAP = 10_000     # 2F1 iteration cap before NumericalError
 
 _BESSEL_SMALL_X = 0.5   # bessel_j_scaled, scipy orders: ascending series below this x
 # largest m whose half-odd order m + 1/2 is numpy; above it neither the series
@@ -123,7 +123,7 @@ class _GaussSeries:
     starts where every row's kept coefficients, relative to t_0, times
     max(y)^k fall below SERIES_TOL, and grows until every cell's last term is
     within SERIES_TOL of its sum; past SERIES_CAP terms it raises
-    NonConvergence.
+    NumericalError.
     """
 
     def __init__(self, a, b, c, scale=1.0):
@@ -170,7 +170,7 @@ class _GaussSeries:
             if np.all(np.multiply.outer(last, powers[-1] ** 2) <= size):
                 return re, im
             if count > SERIES_CAP:
-                raise NonConvergence(f"2F1 series did not converge in {SERIES_CAP} terms "
+                raise NumericalError(f"2F1 series did not converge in {SERIES_CAP} terms "
                                      f"(largest y = {y_max:.17g})")
             count = min(count + max(8, count // 2), SERIES_CAP + 1)
 
@@ -253,7 +253,7 @@ def _elementary_columns(n, beta, radii, shifts, offsets):
 def _validate_order(order):
     two = 2.0 * float(order)
     if order < 0 or abs(two - round(two)) > 1e-12:
-        raise UnsupportedOrder(f"order {order} is not on the half-integer lattice >= 0")
+        raise ParameterError(f"order {order} is not on the half-integer lattice >= 0")
     return round(two) / 2.0
 
 
@@ -301,7 +301,7 @@ def _bessel_argument(x):
     """(x as a 1-d float array, whether x was a scalar); x must be finite, >= 0."""
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0.0) or not np.all(np.isfinite(xa)):
-        raise DomainError("bessel_j_scaled requires finite x >= 0")
+        raise ParameterError("bessel_j_scaled requires finite x >= 0")
     return np.atleast_1d(xa), xa.ndim == 0
 
 

@@ -83,7 +83,7 @@ _phi_blocks call per block of frequency rows. regularized_kernel is one
 fixed composite Gauss rule on the pointwise spherical_function, which stays
 on the per-radius Mehler integral at every r > 0, checked against its
 halves: it prices its panels in one batch and their halves in a second, and
-raises NonConvergence when halves miss their panel, never refining.
+raises NumericalError when halves miss their panel, never refining.
 quotients.blowdown calls it: at (n, s) = (3, 1) the kernel values it
 reduces to its constants are quadrature roundoff, so any change of route or
 summation order would move them. kernel_decay calls it once, as a runtime
@@ -98,8 +98,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateData, DomainError, NonConvergence, ParameterError, SupportError, \
-    TailError
+from .errors import NumericalError, ParameterError
 from .geometry import sphere_area
 from .grids import (
     BLOCK_CELLS,
@@ -148,7 +147,7 @@ def plancherel_density(n: int, beta):
     Gamma(i beta) = Gamma(1 + i beta)/(i beta) to remove the pole.
     """
     if n < 2:
-        raise DomainError(f"plancherel_density requires n >= 2, got {n}")
+        raise ParameterError(f"plancherel_density requires n >= 2, got {n}")
     beta_arr = np.asarray(beta, dtype=float)
     scalar = beta_arr.ndim == 0
     beta_arr = np.atleast_1d(beta_arr)
@@ -239,7 +238,7 @@ def _phi_blocks(n, beta_grid, r_grid):
     count whose K x N_u arrays stay under BLOCK_CELLS cells.
     """
     if n < 2:
-        raise DomainError(f"phi_matrix requires n >= 2, got {n}")
+        raise ParameterError(f"phi_matrix requires n >= 2, got {n}")
     beta, radii = beta_grid.nodes, r_grid.nodes
     shifts, offsets = beta_grid.panel_factors()
     beta_max = float(np.max(np.abs(beta)))
@@ -340,10 +339,10 @@ def spherical_function(n: int, beta, r: float):
     (_phi_mehler).
     """
     if n < 2:
-        raise DomainError(f"spherical_function requires n >= 2, got {n}")
+        raise ParameterError(f"spherical_function requires n >= 2, got {n}")
     r = float(r)
     if r < 0.0:
-        raise DomainError(f"spherical_function requires r >= 0, got {r}")
+        raise ParameterError(f"spherical_function requires r >= 0, got {r}")
     beta_arr = np.asarray(beta, dtype=float)
     scalar = beta_arr.ndim == 0
     beta_arr = np.atleast_1d(beta_arr).astype(float)
@@ -401,10 +400,10 @@ def spherical_transform(f: RadialFunction, n: int, beta_grid: RadialGrid) -> Spe
 def _profile_column(f: RadialFunction):
     """f's values as one profile column, once f is known to have a transform."""
     if f.space is not Space.HYPERBOLIC:
-        raise DomainError("spherical_transform expects a hyperbolic radial profile")
+        raise ParameterError("spherical_transform expects a hyperbolic radial profile")
     f.require_compact_support()
     if f.support_radius > f.grid.r_max * (1.0 + 1e-12):
-        raise SupportError("radial grid does not cover the support of f")
+        raise ParameterError("radial grid does not cover the support of f")
     return f.values[:, None]
 
 
@@ -447,7 +446,7 @@ def inverse_spherical_transform(F: SpectralProfile, n: int, r_grid: RadialGrid,
     dens = plancherel_density(n, F.beta_grid.nodes)
     tail = F.beta_grid.tail_fraction(F.values * dens)
     if tail > tail_tol:
-        raise TailError(
+        raise NumericalError(
             f"inverse transform tail fraction {tail:.3e} exceeds tolerance {tail_tol:.1e}"
         )
     weighted = F.values * dens * F.beta_grid.weights
@@ -496,7 +495,7 @@ def quadratic_form(kind: MultiplierKind, p: Params, f: RadialFunction,
     """int_0^{b_max} m(beta) |f_hat|^2 |c|^{-2} d beta, m the multiplier of
     kind (half-line normalization, as in the radial Plancherel identity).
 
-    The one-column case of _spectral_forms: raises TailError when f fails
+    The one-column case of _spectral_forms: raises NumericalError when f fails
     its tail guard, with the tail fraction of the same transform. A caller
     that prices many profiles on one grid may pass
     phi = phi_matrix(p.n, default_beta_grid(f.support_radius, b_max), f.grid),
@@ -505,7 +504,7 @@ def quadratic_form(kind: MultiplierKind, p: Params, f: RadialFunction,
     energy, guard, tails = _spectral_forms(kind, p, f.grid, _profile_column(f),
                                            f.support_radius, b_max, phi)
     if guard[0, 0] < 0.0:
-        raise TailError(
+        raise NumericalError(
             f"quadratic form tail fraction {tails[0]:.3e} exceeds tolerance {DEFAULT_TAIL_TOL:.1e}"
         )
     return float(energy[0, 0])
@@ -561,7 +560,7 @@ def regularized_kernel(kind: MultiplierKind, p: Params, r: float, eps_reg: float
     the Gaussian factor falls below 1e-16, checked against its halves: the
     kernel is 2 fsum of each panel's two halves, and when the halves of a
     panel miss its one-panel value by more than KERNEL_REL_TOL times the
-    scale (the sum of |panel value|), it raises NonConvergence naming the
+    scale (the sum of |panel value|), it raises NumericalError naming the
     worst miss. It never refines: where a survey of (kind, n, s, r, eps)
     saw halves miss, the integral was cancellation, no refined value agreed
     with kernel_decay's Phi product within 1e-4, and two refinement orders
@@ -574,14 +573,14 @@ def regularized_kernel(kind: MultiplierKind, p: Params, r: float, eps_reg: float
     """
     r = float(r)
     if r < 0.5:
-        raise DomainError(f"regularized_kernel requires r >= 0.5, got {r}")
+        raise ParameterError(f"regularized_kernel requires r >= 0.5, got {r}")
     if not eps_reg > 0.0:
-        raise DomainError(f"eps_reg must be > 0, got {eps_reg}")
+        raise ParameterError(f"eps_reg must be > 0, got {eps_reg}")
     beta_cut = _kernel_beta_cut(eps_reg)
 
     def panel_values(a, b):
         """The one-panel rule on each panel [a[i], b[i]], as one batch."""
-        nodes = (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * GAUSS_NODES[None, :]
+        nodes, _ = gauss_panels(np.stack([a, b], axis=-1))
         flat = nodes.ravel()
         m = multiplier(kind, p, flat)
         phi = spherical_function(p.n, nodes, r).ravel()
@@ -604,7 +603,7 @@ def regularized_kernel(kind: MultiplierKind, p: Params, r: float, eps_reg: float
     miss = np.abs(fine - coarse)
     if not np.all(miss <= KERNEL_REL_TOL * scale):
         worst = int(np.argmax(miss))   # the first NaN, if any
-        raise NonConvergence(
+        raise NumericalError(
             f"regularized_kernel: the halves of the panel [{a[worst]:.6g}, {b[worst]:.6g}] "
             f"miss its value by {miss[worst]:.3e}, more than {KERNEL_REL_TOL:.0e} of the "
             f"scale {scale:.3e}"
@@ -634,12 +633,12 @@ def decay_slope(radii, values) -> float:
     radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=float)
     if radii.size < 4 or decay_fit_radii(radii).size != radii.size:
-        raise DegenerateData("decay fit needs >= 4 radii, all in [2, 8]")
+        raise NumericalError("decay fit needs >= 4 radii, all in [2, 8]")
     # a set, not np.unique, which would load numpy.ma
     if len(set(radii.tolist())) != radii.size:
-        raise DegenerateData("decay fit needs distinct radii")
+        raise NumericalError("decay fit needs distinct radii")
     if np.any(values == 0.0) or not np.all(np.isfinite(values)):
-        raise DegenerateData("kernel values underflowed; cannot fit a decay rate")
+        raise NumericalError("kernel values underflowed; cannot fit a decay rate")
     return float(np.polyfit(radii, np.log(np.abs(values)), 1)[0])
 
 
@@ -694,7 +693,7 @@ def kernel_decay(kind: MultiplierKind, p: Params, radii, eps_reg: float):
     One regularized_kernel is its runtime witness, at the smallest radius
     and eps_reg, where the kernel is largest. When the product's value there
     is more than KERNEL_WITNESS_TOL off it, relative, kernel_decay raises
-    NonConvergence: then one route or both are at roundoff (the intertwined
+    NumericalError: then one route or both are at roundoff (the intertwined
     kernel at integer s, whose symbol is a polynomial, is analytically about
     e^{-r^2 / (4 eps)}). So does the witness itself, when its halves miss
     their panels (intertwined (6, 1.3) at r = 5, eps = 3e-4).
@@ -702,13 +701,13 @@ def kernel_decay(kind: MultiplierKind, p: Params, radii, eps_reg: float):
     At non-integer s every radius of the fit window [2, 8] is also checked
     against the closed form: the eps_extrapolation of the product's eps_reg
     and eps_reg / 2 values must lie within KERNEL_CLOSED_FORM_TOL, relative,
-    of 2 operator_kernel(kind, p, r), else NonConvergence (at large n + 2s
+    of 2 operator_kernel(kind, p, r), else NumericalError (at large n + 2s
     the product is cancellation there: intertwined (7, 2.5) is 1.9 off at
     r = 4). Below r = 2 the eps = 0.01 kernel is still far from its limit,
     so those radii go unchecked.
     """
     if any(r < 0.5 for r in radii) or not eps_reg > 0.0:
-        raise DomainError("kernel_decay needs radii r >= 0.5 and eps_reg > 0")
+        raise ParameterError("kernel_decay needs radii r >= 0.5 and eps_reg > 0")
     if len(set(radii)) != len(radii):
         raise ParameterError("kernel_decay radii must be distinct")
     increasing = sorted(map(float, radii))
@@ -722,7 +721,7 @@ def kernel_decay(kind: MultiplierKind, p: Params, radii, eps_reg: float):
     witness = regularized_kernel(kind, p, r_min, eps_reg)
     product = kernel(r_min, eps_reg)
     if not abs(product - witness) <= KERNEL_WITNESS_TOL * abs(witness):
-        raise NonConvergence(
+        raise NumericalError(
             f"kernel_decay: the Phi product gives k^{eps_reg!r}({r_min!r}) = {product:.6e} "
             f"against {witness:.6e} from regularized_kernel, more than "
             f"{KERNEL_WITNESS_TOL:.0e} apart (relative)"
@@ -733,7 +732,7 @@ def kernel_decay(kind: MultiplierKind, p: Params, radii, eps_reg: float):
             limit = eps_extrapolation({eps: kernel(r, eps) for eps in (eps_reg, eps_reg / 2.0)})
             closed = 2.0 * operator_kernel(kind, p, r)
             if not abs(limit - closed) <= KERNEL_CLOSED_FORM_TOL * abs(closed):
-                raise NonConvergence(
+                raise NumericalError(
                     f"kernel_decay: the eps-Richardson limit at r = {r!r} is {limit:.6e} "
                     f"against {closed:.6e}, twice the closed-form {kind.value} kernel, "
                     f"more than {KERNEL_CLOSED_FORM_TOL:.0e} apart (relative)"

@@ -25,7 +25,7 @@ import mpmath as mp
 import numpy as np
 
 from gjmslab.bubbles import _banded_energy, smooth_window
-from gjmslab.errors import DomainError, NonConvergence
+from gjmslab.errors import NumericalError, ParameterError
 from gjmslab.geometry import sphere_area
 from gjmslab.grids import GAUSS_WEIGHTS, PHASE_PER_PANEL, gauss_panels, geometric_grid
 from gjmslab.multipliers import multiplier
@@ -96,9 +96,9 @@ def panelwise_regularized_kernel(kind, p, r, eps_reg, rel_tol=1e-10):
     halves, the scale, the acceptance test, fsum)."""
     r = float(r)
     if r < 0.5:
-        raise DomainError(f"regularized_kernel requires r >= 0.5, got {r}")
+        raise ParameterError(f"regularized_kernel requires r >= 0.5, got {r}")
     if not eps_reg > 0.0:
-        raise DomainError(f"eps_reg must be > 0, got {eps_reg}")
+        raise ParameterError(f"eps_reg must be > 0, got {eps_reg}")
     beta_cut = math.sqrt(16.0 * math.log(10.0) / eps_reg)
 
     def panel_value(a, b):
@@ -122,7 +122,7 @@ def panelwise_regularized_kernel(kind, p, r, eps_reg, rel_tol=1e-10):
         mid = 0.5 * (a + b)
         fine.append(panel_value(a, mid) + panel_value(mid, b))
         if not abs(fine[-1] - value) <= rel_tol * scale:
-            raise NonConvergence(f"regularized_kernel: the halves of the panel [{a:.6g}, {b:.6g}] "
+            raise NumericalError(f"regularized_kernel: the halves of the panel [{a:.6g}, {b:.6g}] "
                                  "miss its value")
     return 2.0 * math.fsum(fine)
 

@@ -36,7 +36,7 @@ from gjmslab.bubbles import (
     smooth_step,
     smooth_window,
 )
-from gjmslab.errors import DegenerateData, ParameterError, SupportError
+from gjmslab.errors import NumericalError, ParameterError
 from gjmslab.geometry import sphere_area
 from gjmslab.grids import RadialFunction, RadialGrid, Space, geometric_grid, uniform_grid
 from gjmslab.params import MultiplierKind, Params
@@ -232,9 +232,9 @@ class TestLeadingExponent:
         assert fit_leading_exponent(ladder, masses, b)[0] == pytest.approx(brent, abs=1e-7)
 
     def test_needs_three_positive_points(self):
-        with pytest.raises(DegenerateData):
+        with pytest.raises(NumericalError, match="exponent fit needs >= 3 points"):
             fit_leading_exponent([0.05, 0.025], [1.0, 0.5], 3.0)
-        with pytest.raises(DegenerateData):
+        with pytest.raises(NumericalError, match="exponent fit needs >= 3 points"):
             fit_leading_exponent([0.05, 0.025, 0.0125], [1.0, 0.0, 0.5], 3.0)
 
 
@@ -262,7 +262,7 @@ class TestFractionalEnergy:
         w = euclidean_bump()
         bare = RadialFunction(w.grid, w.values, w.support_radius, Space.EUCLIDEAN)
         assert fractional_energy(w, Params(3, 0.75)) > 0.0
-        with pytest.raises(SupportError, match="from_profile"):
+        with pytest.raises(ParameterError, match="from_profile"):
             fractional_energy(bare, Params(3, 0.75))
 
     def test_scale_invariance(self):

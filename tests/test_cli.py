@@ -14,9 +14,9 @@ import zlib
 import numpy as np
 import pytest
 
-from gjmslab import __version__, cli
+from gjmslab import __version__, cli, errors
 from gjmslab.cli import main, write_manifest
-from gjmslab.errors import DegenerateData
+from gjmslab.errors import BudgetExceeded, NumericalError, ParameterError
 from gjmslab.params import Params
 from gjmslab.special import SERIES_CAP, SERIES_TOL
 from gjmslab.spherical import DEFAULT_TAIL_TOL
@@ -223,7 +223,7 @@ class TestBlowdown:
 
         rep = quotients.QuotientReport(0.3, 1.0, 0.0, 1.0, 1.0, "flat")
         monkeypatch.setattr(quotients, "_wide_negative_trial", lambda p, lam: (rep, None))
-        with pytest.raises(DegenerateData):
+        with pytest.raises(NumericalError, match="failed to reach a negative numerator"):
             quotients.blowdown(Params(3, 1.0), 0.3, [4, 16])
         out = str(tmp_path / "bd.csv")
         assert run(["blowdown", "--n", "3", "--s", "1", "--lambda", "0.3",
@@ -470,6 +470,32 @@ class TestExitCodes:
                     "--r-spec", "2,3,4,5,6", "--eps-reg", "0.01", "--out", out]) == 5
         assert "numerical error" in capsys.readouterr().err
         assert run(["constants", "--n", "3", "--s", "2"]) == 2
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        (ParameterError, 2, "error: "),
+        (NumericalError, 5, "numerical error: "),
+        (BudgetExceeded, 5, "numerical error: "),
+    ])
+    def test_exit_code_follows_the_error_class(self, error, code, prefix, tmp_path, capsys,
+                                               monkeypatch):
+        def failing(*args, **kwargs):
+            raise error("refused")
+
+        monkeypatch.setattr(cli, "gap_scan", failing)
+        assert run(["gap-scan", "--kind", "gjms", "--n", "5", "--s", "0.8", "--lambda-spec=0",
+                    "--family", "bubble", "--out", str(tmp_path / "x.csv")]) == code
+        assert capsys.readouterr().err == prefix + "refused\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_two_failure_kinds(self):
+        # bad input or a numerical contract; BudgetExceeded is the numerical
+        # failure of a search's evaluation cap
+        classes = {name for name, value in vars(errors).items() if isinstance(value, type)}
+        assert classes == {"GjmsLabError", "ParameterError", "NumericalError", "BudgetExceeded"}
+        assert issubclass(ParameterError, errors.GjmsLabError)
+        assert issubclass(NumericalError, errors.GjmsLabError)
+        assert issubclass(BudgetExceeded, NumericalError)
+        assert not issubclass(ParameterError, NumericalError)
 
 
 class TestManifest:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import windowed_gaussian
-from gjmslab.errors import SupportError
+from gjmslab.errors import ParameterError
 from gjmslab.geometry import ball_to_geodesic, conformal_lift, sphere_area
 from gjmslab.grids import RadialFunction, Space, gauss_panels, geometric_grid, uniform_grid
 from gjmslab.params import Params
@@ -57,7 +57,7 @@ class TestConformalLift:
     def test_support_error(self):
         grid = uniform_grid(1.2, panel_width=0.02)
         w = RadialFunction(grid, np.zeros_like(grid.nodes), 1.2, Space.EUCLIDEAN)
-        with pytest.raises(SupportError):
+        with pytest.raises(ParameterError, match="support inside the unit ball"):
             conformal_lift(w, Params(3, 1.0))
 
     def test_geodesic_mapping(self):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -94,6 +95,19 @@ class TestMultiplier:
         assert multiplier(GJMS, p, 0.0) == pytest.approx(0.0, abs=1e-14)
         small = multiplier(GJMS, p, np.array([1e-3, 2e-3]))
         assert small[1] / small[0] == pytest.approx(4.0, rel=1e-3)
+
+    @pytest.mark.parametrize("s", [1.5, 3.5, 5.5])
+    def test_exceptional_order_near_pole_against_mpmath(self, s):
+        # below |beta| = 1e-8 the symbol is O(beta^2): the direct Gamma ratio
+        # keeps its relative accuracy there, where m~ + B is a difference of
+        # O(1) terms (beta = 0 itself: test_exceptional_bottom_is_zero)
+        values = multiplier(GJMS, Params(12, s), np.array([1e-11, 1e-9, 5e-9]))
+        with mp.workdps(40):
+            for beta, value in zip((1e-11, 1e-9, 5e-9), values):
+                half = 1j * mp.mpf(beta) / 2
+                exact = (mp.mpf(4) ** mp.mpf(s) * abs(mp.gamma((3 + 2 * mp.mpf(s)) / 4 + half)) ** 2
+                         / abs(mp.gamma((3 - 2 * mp.mpf(s)) / 4 + half)) ** 2)
+                assert value == pytest.approx(float(exact), rel=1e-9, abs=0.0)
 
 
 class TestBottoms:

@@ -6,7 +6,7 @@ import pytest
 from conftest import hyperbolic_bump
 from oracles import quadrature_mass_limit, slsqp_spline_search, windowed_bubble_energy
 from gjmslab.bubbles import BubbleParams, bubble_energy_limit, smooth_window
-from gjmslab.errors import BudgetExceeded, ParameterError, TailError, ZeroTrial
+from gjmslab.errors import BudgetExceeded, NumericalError, ParameterError
 from gjmslab.grids import RadialFunction, Space, uniform_grid
 from gjmslab.multipliers import b_constant, spectral_bottom
 from gjmslab.params import MultiplierKind, Params
@@ -73,7 +73,7 @@ class TestSobolevQuotient:
         p = Params(3, 1.0)
         u = hyperbolic_bump(0.5, 3.0)
         zero = RadialFunction(u.grid, np.zeros_like(u.values), 3.0, Space.HYPERBOLIC)
-        with pytest.raises(ZeroTrial):
+        with pytest.raises(ParameterError, match="needs a nonzero trial"):
             sobolev_quotient(INT, p, 0.0, zero)
 
     def test_amplitude_invariance(self):
@@ -343,7 +343,7 @@ class TestMinimize:
         # the search prices knot values through the family's matrices; the
         # trial it returns, rebuilt by spline_trial and priced through one
         # spherical transform, gives the same report and passes the tail
-        # guard (sobolev_quotient raises TailError otherwise)
+        # guard (sobolev_quotient raises NumericalError otherwise)
         priced = priced_spline_trials(monkeypatch)
         p = Params(n, s)
         rep = gap_scan(kind, p, [lam], family, b_max=b_max)[0]
@@ -682,7 +682,7 @@ class TestLevelFloor:
         s_est = sharp_constant_estimate(p)
         monkeypatch.setattr(quotients, "sharp_constant_estimate", lambda p: factor * s_est)
         if fails:
-            with pytest.raises(TailError, match=r"lambda 0\.0 found the quotient 8\.86"):
+            with pytest.raises(NumericalError, match=r"lambda 0\.0 found the quotient 8\.86"):
                 gap_scan(INT, p, [0.0], BubbleFamily())
         else:
             assert gap_scan(INT, p, [0.0], BubbleFamily())[0].quotient > s_est
@@ -708,7 +708,7 @@ class TestLevelFloor:
             return True
 
         monkeypatch.setattr(quotients, "_minimize_spline", recorded)
-        with pytest.raises(TailError, match="closed-form floor"):
+        with pytest.raises(NumericalError, match="closed-form floor"):
             gap_scan(GJMS, p, [0.0], family)
 
 
