@@ -11,13 +11,20 @@ Provenance: the manifest's "source" names the package by its version and the
 CRC-32 of its module sources (_source_digest), read from the package's own
 files. No command starts a child process or reads a git repository.
 
-BLAS threads: a command run as `gjms-lab` (the console script,
+BLAS threads and heap: a command run as `gjms-lab` (the console script,
 gjmslab.entry.main) or as `python -m gjmslab.cli` uses one BLAS thread,
 unless the user has set OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
-OMP_NUM_THREADS (gjmslab.entry). The manifest records the three as the run
-saw them. `import gjmslab.cli` and a main() called from Python leave the
-environment, and so the thread count, as they are.
+OMP_NUM_THREADS, and imports with the cyclic collector off, then freezes
+what the imports made and runs with the collector on (gjmslab.entry). The
+manifest records the three variables as the run saw them. `import
+gjmslab.cli` and a main() called from Python leave the environment, and so
+the thread count, and the collector as they are.
 """
+
+from .entry import BLAS_THREAD_VARS, begin_imports, end_imports
+
+if __name__ == "__main__":
+    begin_imports()   # python -m gjmslab.cli: before the command's imports
 
 import argparse
 import datetime
@@ -26,11 +33,6 @@ import math
 import os
 import resource
 import sys
-
-from .entry import BLAS_THREAD_VARS, one_blas_thread
-
-if __name__ == "__main__":
-    one_blas_thread()   # python -m gjmslab.cli: before numpy loads
 
 import numpy as np
 
@@ -329,4 +331,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    end_imports()
     sys.exit(main())

@@ -187,6 +187,35 @@ class SplineFamily:
         if not self.grading >= 0.0:
             raise ParameterError("grading must be >= 0")
 
+    def trial(self, theta) -> RadialFunction:
+        """Radial trial from the free knot values theta (the last knot is 0):
+        the clamped cubic spline (zero slope at both ends) times a smooth
+        window vanishing at the support radius (keeps the transform tail
+        closed). It depends on no (n, s)."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (self.knots - 1,):
+            raise ParameterError(f"expected {self.knots - 1} free knot values")
+        knots_x = spline_knots(self)
+        windowed = _windowed_spline(self, np.concatenate([theta, [0.0]]))
+        # trailing zero knots truncate the support: past-the-support spline
+        # ringing (~1e-15) would otherwise be amplified by sinh^{n-1} weights
+        nonzero = np.nonzero(theta)[0]
+        if nonzero.size == 0:
+            support = 0.0
+        else:
+            support = float(knots_x[min(int(nonzero[-1]) + 1, self.knots - 1)])
+
+        def profile(r):
+            r = np.asarray(r, dtype=float)
+            inside = r <= support
+            out = np.zeros_like(r)
+            out[inside] = windowed(r[inside])
+            return out
+
+        grid = standard_hyperbolic_grid(self.radius)
+        return RadialFunction.from_profile(profile, grid, min(support, self.radius),
+                                           Space.HYPERBOLIC)
+
 
 def spline_knots(family: SplineFamily) -> np.ndarray:
     """Knot abscissas per the family's grading (0 = uniform)."""
@@ -234,35 +263,6 @@ def _windowed_spline(family: SplineFamily, values):
         return spline.reshape(r.shape + values.shape[1:])
 
     return windowed
-
-
-def spline_trial(family: SplineFamily, theta, p: Params) -> RadialFunction:
-    """Radial trial from knot values: the clamped cubic spline (zero slope at
-    both ends) times a smooth window vanishing at the support radius (keeps
-    the transform tail closed)."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (family.knots - 1,):
-        raise ParameterError(f"expected {family.knots - 1} free knot values")
-    knots_x = spline_knots(family)
-    windowed = _windowed_spline(family, np.concatenate([theta, [0.0]]))
-    R = family.radius
-    # trailing zero knots truncate the support: past-the-support spline
-    # ringing (~1e-15) would otherwise be amplified by sinh^{n-1} weights
-    nonzero = np.nonzero(theta)[0]
-    if nonzero.size == 0:
-        support = 0.0
-    else:
-        support = float(knots_x[min(int(nonzero[-1]) + 1, family.knots - 1)])
-
-    def profile(r):
-        r = np.asarray(r, dtype=float)
-        inside = r <= support
-        out = np.zeros_like(r)
-        out[inside] = windowed(r[inside])
-        return out
-
-    grid = standard_hyperbolic_grid(R)
-    return RadialFunction.from_profile(profile, grid, min(support, R), Space.HYPERBOLIC)
 
 
 class _Budget:
@@ -644,7 +644,7 @@ def _wide_negative_trial(p: Params, lam: float):
         theta = np.where(kx <= arch,
                          np.sin(np.pi * kx / arch) / np.sinh(np.maximum(kx, 1e-9)), 0.0)
     theta[0] = math.pi / arch
-    u = spline_trial(family, theta, p)
+    u = family.trial(theta)
     rep = sobolev_quotient(MultiplierKind.INTERTWINED, p, lam, u, b_max=8.0)
     return rep, u
 

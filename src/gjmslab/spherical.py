@@ -144,15 +144,22 @@ def plancherel_density(n: int, beta):
 
     Computed as 2^{1-n}/(Gamma(n/2) pi^{n/2}) * beta^2
     * |Gamma(rho + i beta)|^2 / |Gamma(1 + i beta)|^2, using
-    Gamma(i beta) = Gamma(1 + i beta)/(i beta) to remove the pole.
+    Gamma(i beta) = Gamma(1 + i beta)/(i beta) to remove the pole. At odd
+    n = 2k + 1 the Gamma ratio is the polynomial prod_{j=1}^{k-1} (beta^2 + j^2),
+    so no Gamma function is evaluated (at n = 3 the product is empty).
     """
     if n < 2:
         raise ParameterError(f"plancherel_density requires n >= 2, got {n}")
     beta_arr = np.asarray(beta, dtype=float)
     scalar = beta_arr.ndim == 0
     beta_arr = np.atleast_1d(beta_arr)
-    rho = (n - 1) / 2.0
     const = 2.0 ** (1 - n) / (math.gamma(n / 2.0) * math.pi ** (n / 2.0))
+    if n % 2:
+        out = const * beta_arr * beta_arr
+        for j in range(1, (n - 1) // 2):
+            out *= beta_arr * beta_arr + j * j
+        return float(out[0]) if scalar else out
+    rho = (n - 1) / 2.0
     out = np.zeros_like(beta_arr)
     nz = beta_arr != 0.0
     if np.any(nz):

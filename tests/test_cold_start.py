@@ -12,8 +12,10 @@ loads every layer module that perfbench/tracer.py wraps. No benchmark
 command loads subprocess either: the manifest starts no child process.
 kernel-decay and blowdown load no numpy.ma.
 The two program entries, python -m gjmslab.cli and the gjms-lab console script, run
-a command with one BLAS thread unless the user set a thread count; a library
-import leaves os.environ alone.
+a command with one BLAS thread unless the user set a thread count, and
+import with the cyclic collector off, then run the command with it on and
+the import-time objects frozen; a library import leaves os.environ and the
+collector alone. All three routes write the same bytes.
 """
 
 import json
@@ -161,12 +163,24 @@ print(json.dumps(steps))
 
 # Runs a gjms-lab command through one program entry ("-m": gjmslab.cli as
 # python -m runs it; else the console script's "module:function", as its
-# wrapper calls it) and prints the exit code and the process's thread count
-# (None without /proc).
+# wrapper calls it) and prints the exit code, the process's thread count
+# (None without /proc) and, as the command builds its argument parser,
+# whether the cyclic collector is on, how many objects are frozen and how
+# many collections ran while numpy and the package imported.
 ENTRY_RUN = """
-import importlib, json, os, runpy, sys
+import argparse, gc, importlib, json, os, runpy, sys
 entry = sys.argv[1]
 sys.argv = ["gjms-lab", *sys.argv[2:]]
+collections, heap = [], []
+def importing(phase, info):
+    if phase == "start" and "numpy" in sys.modules:
+        collections.append(info["generation"])
+gc.callbacks.append(importing)
+init = argparse.ArgumentParser.__init__
+def recorded(self, *args, **kwargs):
+    heap[:] = heap or [gc.isenabled(), gc.get_freeze_count(), len(collections)]
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = recorded
 try:
     if entry == "-m":
         runpy.run_module("gjmslab.cli", run_name="__main__", alter_sys=True)
@@ -176,7 +190,7 @@ try:
 except SystemExit as exc:
     code = exc.code
 task = "/proc/self/task"
-print(json.dumps([code, len(os.listdir(task)) if os.path.isdir(task) else None]))
+print(json.dumps([code, len(os.listdir(task)) if os.path.isdir(task) else None, heap]))
 """
 
 MULTIPLIER = ["multiplier", "--kind", "gjms", "--n", "3", "--s", "0.5", "--beta-max", "2",
@@ -299,7 +313,7 @@ def test_entry_blas_threads(entry, user, tmp_path):
     # one BLAS thread unless the user set a count, which then stands; the
     # manifest records the three variables as the run saw them
     out = str(tmp_path / "m.csv")
-    code, threads = probe(ENTRY_RUN, console_script() if entry == "console" else entry,
+    code, threads, _ = probe(ENTRY_RUN, console_script() if entry == "console" else entry,
                           *MULTIPLIER, "--out", out, env=child_env(**user))
     assert code == 0
     with open(out + ".manifest.json") as fh:
@@ -309,3 +323,65 @@ def test_entry_blas_threads(entry, user, tmp_path):
     assert recorded == expected
     if threads is not None:
         assert threads == (1 if not user else min(2, len(os.sched_getaffinity(0))))
+
+
+@pytest.mark.parametrize("entry", ["-m", "console"])
+def test_entry_imports_without_collections_and_runs_on_a_frozen_heap(entry, tmp_path):
+    code, _, (enabled, frozen, collections) = probe(
+        ENTRY_RUN, console_script() if entry == "console" else entry, *KERNEL_DECAY,
+        "--out", str(tmp_path / "k.csv"))
+    assert code == 0
+    assert enabled and frozen > 0
+    assert collections == 0
+
+
+# Imports gjmslab.cli and calls its main from Python; prints, after each
+# step, whether the cyclic collector is on and how many objects are frozen.
+LIBRARY_HEAP = """
+import gc, json, sys
+import gjmslab.cli
+steps = [[gc.isenabled(), gc.get_freeze_count()]]
+code = gjmslab.cli.main(sys.argv[1:])
+steps.append([gc.isenabled(), gc.get_freeze_count()])
+print(json.dumps([code, steps]))
+"""
+
+
+def test_library_import_and_main_leave_the_collector(tmp_path):
+    assert probe(LIBRARY_HEAP, *MULTIPLIER, "--out", str(tmp_path / "m.csv")) == \
+        [0, [[True, 0], [True, 0]]]
+
+
+# The console script's wrapper: calls "module:function" (argv[1]) with the
+# remaining arguments as the command line
+CONSOLE_WRAPPER = """
+import importlib, sys
+module, function = sys.argv.pop(1).split(":")
+sys.exit(getattr(importlib.import_module(module), function)())
+"""
+
+
+def test_entries_and_main_write_the_same_bytes(tmp_path):
+    # the README kernel-decay through python -m gjmslab.cli, the console
+    # script and an in-process main: the same CSV and summary bytes
+    from gjmslab import cli
+
+    routes = {"module": [sys.executable, "-m", "gjmslab.cli"],
+              "console": [sys.executable, "-c", CONSOLE_WRAPPER, console_script()]}
+    outputs = {}
+    for name, command in routes.items():
+        path = str(tmp_path / f"{name}.csv")
+        done = subprocess.run(command + KERNEL_DECAY + ["--out", path], env=child_env(),
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs[name] = path
+    outputs["main"] = str(tmp_path / "main.csv")
+    assert cli.main(KERNEL_DECAY + ["--out", outputs["main"]]) == 0
+
+    def read(path):
+        with open(path, "rb") as fh:
+            return fh.read()
+
+    for suffix in ("", ".summary.json"):
+        module, console, main = (read(path + suffix) for path in outputs.values())
+        assert module == console == main

@@ -25,7 +25,6 @@ from gjmslab.quotients import (
     sharp_constant_estimate,
     sobolev_quotient,
     spline_knots,
-    spline_trial,
     standard_hyperbolic_grid,
 )
 from gjmslab.spherical import DEFAULT_B_MAX, quadratic_form
@@ -201,7 +200,7 @@ class TestSplineTrial:
     def test_knot_count_validation(self):
         fam = SplineFamily(knots=8, radius=3.0)
         with pytest.raises(ParameterError):
-            spline_trial(fam, np.ones(8), Params(3, 1.0))
+            fam.trial(np.ones(8))
 
     def test_grading_validation(self):
         for grading in (-1.0, float("nan")):
@@ -210,13 +209,13 @@ class TestSplineTrial:
 
     def test_zero_knots_give_zero_trial(self):
         fam = SplineFamily(knots=8, radius=3.0)
-        u = spline_trial(fam, np.zeros(7), Params(3, 1.0))
+        u = fam.trial(np.zeros(7))
         assert u.is_zero()
 
     def test_support_truncates_at_trailing_zeros(self):
         fam = SplineFamily(knots=8, radius=3.0, grading=0.0)
         theta = np.array([1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0])
-        u = spline_trial(fam, theta, Params(3, 1.0))
+        u = fam.trial(theta)
         knots = spline_knots(fam)
         assert u.support_radius == pytest.approx(knots[2])
 
@@ -232,7 +231,7 @@ class TestSplineTrial:
         p, family = Params(n, s), SplineFamily(knots=12, radius=3.5)
         candidates = _spline_start_candidates(family, p)
         for theta in (candidates[0], candidates[2]):
-            u = spline_trial(family, theta, p)
+            u = family.trial(theta)
             split = quadratic_form(INT, p, u) + quadratic_form(REMAINDER, p, u)
             assert quadratic_form(GJMS, p, u) == pytest.approx(split, rel=1e-13)
 
@@ -341,14 +340,14 @@ class TestMinimize:
     def test_spline_search_matches_sobolev_quotient(self, monkeypatch, kind, n, s, lam,
                                                     family, b_max):
         # the search prices knot values through the family's matrices; the
-        # trial it returns, rebuilt by spline_trial and priced through one
+        # trial it returns, rebuilt by SplineFamily.trial and priced through one
         # spherical transform, gives the same report and passes the tail
         # guard (sobolev_quotient raises NumericalError otherwise)
         priced = priced_spline_trials(monkeypatch)
         p = Params(n, s)
         rep = gap_scan(kind, p, [lam], family, b_max=b_max)[0]
         theta = next(theta for theta, r in priced if r is rep)
-        direct = sobolev_quotient(kind, p, lam, spline_trial(family, theta, p), b_max=b_max)
+        direct = sobolev_quotient(kind, p, lam, family.trial(theta), b_max=b_max)
         for field in ("energy", "l2_mass", "crit_norm", "quotient"):
             assert getattr(rep, field) == pytest.approx(getattr(direct, field), rel=1e-10)
 

@@ -72,6 +72,49 @@ class TestPlancherelDensity:
             target = beta * math.tanh(math.pi * beta) / (2.0 * math.pi)
             assert plancherel_density(2, beta) == pytest.approx(target, rel=1e-12)
 
+    ODD_BETAS = np.concatenate([[0.0, 1e-300, 1e-8, 0.3], np.linspace(0.01, 480.0, 997)])
+
+    @staticmethod
+    def gamma_route(n, beta):
+        """The even-n route at any n: const beta^2 |Gamma(rho + i beta)|^2
+        / |Gamma(1 + i beta)|^2 from two Lanczos sums."""
+        const = 2.0 ** (1 - n) / (math.gamma(n / 2.0) * math.pi ** (n / 2.0))
+        out = np.zeros_like(beta)
+        b = beta[beta != 0.0]
+        out[beta != 0.0] = const * b * b * np.exp(
+            special.log_abs_gamma_sq((n - 1) / 2.0, b) - special.log_abs_gamma_sq(1.0, b))
+        return out
+
+    def test_n3_polynomial_is_the_gamma_route_bit_for_bit(self):
+        # at n = 3 the two Lanczos sums are one sum, so the Gamma route is
+        # const b b exp(0.0): every n = 3 output keeps its bits
+        got = plancherel_density(3, self.ODD_BETAS)
+        assert got.tobytes() == self.gamma_route(3, self.ODD_BETAS).tobytes()
+
+    @pytest.mark.parametrize("n", [5, 7, 9])
+    def test_odd_polynomial_against_gamma_route_and_mpmath(self, n):
+        got = plancherel_density(n, self.ODD_BETAS)
+        nz = self.ODD_BETAS != 0.0
+        assert got[0] == 0.0
+        # measured at most 6e-13: the Lanczos sums' own error
+        assert np.allclose(got[nz], self.gamma_route(n, self.ODD_BETAS)[nz], rtol=2e-12, atol=0.0)
+        with mp.workdps(40):
+            rho = mp.mpf(n - 1) / 2
+            const = mp.mpf(2) ** (1 - n) / (mp.gamma(mp.mpf(n) / 2) * mp.pi ** (mp.mpf(n) / 2))
+            for beta in self.ODD_BETAS[1::50]:
+                b = mp.mpf(float(beta))
+                exact = const * b * b * abs(mp.gamma(rho + 1j * b) / mp.gamma(1 + 1j * b)) ** 2
+                assert plancherel_density(n, beta) == pytest.approx(float(exact), rel=2e-15)
+
+    def test_odd_n_evaluates_no_log_gamma(self, monkeypatch):
+        def refuse(z):
+            raise AssertionError("log Gamma evaluated")
+
+        monkeypatch.setattr(special, "_lanczos_log_gamma", refuse)
+        for n in (3, 5, 7, 9, 11):
+            plancherel_density(n, self.ODD_BETAS)
+            plancherel_density(n, 2.5)
+
 
 class TestSphericalFunction:
     def test_normalized_at_origin(self):
