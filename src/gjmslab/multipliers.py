@@ -6,6 +6,8 @@ the symbols at beta = 0; the explicit gap is the paper's closed form.
 All symbols are functions of the frequency beta >= 0 through |Gamma|^2
 factors only, hence even in beta; the implementations work on log-Gamma
 differences so ratios stay finite far beyond the float range of the factors.
+A Gamma pole is a log|Gamma|^2 of +inf, so at s = 3/2 + 2k the GJMS symbol is
+0.0 at beta = 0; a value that overflows a double is a ParameterError.
 """
 
 import math
@@ -16,10 +18,6 @@ from .errors import ParameterError
 from .params import MultiplierKind, Params
 from .special import log_abs_gamma_sq
 
-# GJMS denominators Gamma((3-2s)/4 + i beta/2) hit a pole only at beta = 0
-# with (3-2s)/4 a non-positive integer, i.e. s in {3/2, 7/2, 11/2, ...}.
-_EXCEPTIONAL_TOL = 1e-12
-
 
 def sin_pi(s: float) -> float:
     """sin(pi s) with exact zeros at integers (argument reduction)."""
@@ -28,35 +26,31 @@ def sin_pi(s: float) -> float:
     return (-1.0) ** (k % 2) * math.sin(math.pi * (s - k))
 
 
-def is_exceptional_order(s: float) -> bool:
-    """True when (3 - 2s)/4 is within _EXCEPTIONAL_TOL of a Gamma pole (s = 3/2 + 2k)."""
-    a = (3.0 - 2.0 * float(s)) / 4.0
-    return a <= _EXCEPTIONAL_TOL and abs(a - round(a)) <= _EXCEPTIONAL_TOL
+def _exp(log_value, what):
+    """exp(log_value), or ParameterError naming `what`, with no overflow
+    warning, where it overflows a double."""
+    with np.errstate(over="ignore"):
+        value = np.exp(log_value)
+    if not np.all(np.isfinite(value)):
+        raise ParameterError(f"{what} overflows a double")
+    return value
 
 
-def _gamma_sq(a: float) -> float:
-    """Gamma(a)^2 for real a off the pole set (via |Gamma(a+0i)|^2)."""
-    return float(np.exp(log_abs_gamma_sq(a, 0.0)))
+def _intertwined(s, beta, what):
+    return _exp(log_abs_gamma_sq(s + 0.5, beta) - log_abs_gamma_sq(0.5, beta), what)
 
 
-def _intertwined(s, beta):
-    return np.exp(log_abs_gamma_sq(s + 0.5, beta) - log_abs_gamma_sq(0.5, beta))
+def _remainder(s, beta, what):
+    return sin_pi(s) / math.pi * _exp(log_abs_gamma_sq(s + 0.5, beta), what)
 
 
-def _remainder(s, beta):
-    return sin_pi(s) / math.pi * np.exp(log_abs_gamma_sq(s + 0.5, beta))
-
-
-def _gjms(s, beta):
-    """The direct Gamma ratio at every beta; at the exceptional orders the
-    denominator's pole at beta = 0 is not evaluated, and there, where
-    1/Gamma((3-2s)/4) vanishes, the symbol is exactly 0."""
-    pole = is_exceptional_order(s) & (beta == 0.0)
-    half = np.where(pole, 1.0, beta) / 2.0
-    out = np.exp(2.0 * s * math.log(2.0)
-                 + log_abs_gamma_sq((3.0 + 2.0 * s) / 4.0, half)
-                 - log_abs_gamma_sq((3.0 - 2.0 * s) / 4.0, half))
-    return np.where(pole, 0.0, out)
+def _gjms(s, beta, what):
+    """The direct Gamma ratio at every beta. At the exceptional orders
+    s = 3/2 + 2k the denominator's log|Gamma|^2 is +inf at beta = 0, where
+    1/Gamma((3-2s)/4) vanishes, so the symbol there is exactly 0."""
+    return _exp(2.0 * s * math.log(2.0)
+                + log_abs_gamma_sq((3.0 + 2.0 * s) / 4.0, beta / 2.0)
+                - log_abs_gamma_sq((3.0 - 2.0 * s) / 4.0, beta / 2.0), what)
 
 
 def multiplier(kind: MultiplierKind, p: Params, beta):
@@ -71,21 +65,18 @@ def multiplier(kind: MultiplierKind, p: Params, beta):
         raise ParameterError("multiplier requires finite beta")
     scalar = beta_arr.ndim == 0
     beta_arr = np.atleast_1d(beta_arr)
-    s = p.s
-    if kind is MultiplierKind.INTERTWINED:
-        out = _intertwined(s, beta_arr)
-    elif kind is MultiplierKind.REMAINDER:
-        out = _remainder(s, beta_arr)
-    elif kind is MultiplierKind.GJMS:
-        out = _gjms(s, beta_arr)
-    else:
+    symbols = {MultiplierKind.INTERTWINED: _intertwined, MultiplierKind.REMAINDER: _remainder,
+               MultiplierKind.GJMS: _gjms}
+    if kind not in symbols:
         raise ParameterError(f"unknown multiplier kind {kind!r}")
+    out = symbols[kind](p.s, beta_arr, f"n = {p.n}, s = {p.s!r}: the {kind.value} symbol")
     return float(out[0]) if scalar else out
 
 
 def spectral_bottom(kind: MultiplierKind, p: Params) -> float:
-    """Bottom of the L^2 spectrum: the symbol value at beta = 0 (0 for GJMS
-    at the exceptional orders s = 3/2 + 2k)."""
+    """Bottom of the L^2 spectrum: the symbol value at beta = 0 (0.0 for GJMS
+    at the exceptional orders s = 3/2 + 2k, where the denominator's Gamma has
+    its pole; ParameterError where it overflows a double)."""
     if kind not in (MultiplierKind.GJMS, MultiplierKind.INTERTWINED):
         raise ParameterError(f"spectral_bottom is defined for GJMS/INTERTWINED, not {kind!r}")
     return multiplier(kind, p, 0.0)
@@ -93,11 +84,14 @@ def spectral_bottom(kind: MultiplierKind, p: Params) -> float:
 
 def b_constant(s: float) -> float:
     """max{0, B_s(0)} = max{0, sin(pi s)/pi} * Gamma(s+1/2)^2: the remainder
-    symbol at beta = 0, exactly 0 when sin(pi s) <= 0."""
+    symbol at beta = 0, exactly 0 when sin(pi s) <= 0; ParameterError where
+    it overflows a double."""
     s = float(s)
     if not s > 0.0:
         raise ParameterError(f"b_constant requires s > 0, got {s}")
-    return float(max(0.0, _remainder(s, 0.0)))
+    if sin_pi(s) <= 0.0:
+        return 0.0
+    return float(_remainder(s, 0.0, f"s = {s!r}: b"))
 
 
 def gap_constant(s: float) -> float:
@@ -105,13 +99,14 @@ def gap_constant(s: float) -> float:
 
     Gamma(s+1/2)^2 / pi            when sin(pi s) > 0,
     (1 + sin(pi s))/pi * Gamma(s+1/2)^2  when sin(pi s) <= 0;
-    always equal to spectral_bottom(GJMS) - b_constant(s).
+    always equal to spectral_bottom(GJMS) - b_constant(s); ParameterError
+    where Gamma(s+1/2)^2 overflows a double.
     """
     s = float(s)
     if not s > 0.0:
         raise ParameterError(f"gap_constant requires s > 0, got {s}")
     sp = sin_pi(s)
-    g2 = _gamma_sq(s + 0.5)
+    g2 = float(_exp(log_abs_gamma_sq(s + 0.5, 0.0), f"s = {s!r}: Gamma(s + 1/2)^2"))
     if sp > 0.0:
         return g2 / math.pi
     return (1.0 + sp) / math.pi * g2

@@ -61,43 +61,18 @@ def _lanczos_log_gamma(z):
     return _LOG_SQRT_TWO_PI + (w + 0.5) * np.log(t) - t + np.log(acc)
 
 
-def _log_sin_pi(z):
-    """log(sin(pi z)) without overflow for large |Im z| (ndarray in/out)."""
-    z = np.asarray(z, dtype=complex)
-    out = np.empty(z.shape, dtype=complex)
-    big = np.abs(z.imag) > 20.0
-    mod = ~big
-    if np.any(mod):
-        out[mod] = np.log(np.sin(np.pi * z[mod]))
-    if np.any(big):
-        # conjugate-reflect to Im > 0, where e^{2 i pi z} is tiny
-        zb = z[big]
-        flip = zb.imag < 0
-        zb = np.where(flip, np.conj(zb), zb)
-        val = (
-            -1j * np.pi * zb
-            + 1j * np.pi
-            - (math.log(2.0) + 1j * np.pi / 2.0)
-            + np.log1p(-np.exp(2j * np.pi * zb))
-        )
-        out[big] = np.where(flip, np.conj(val), val)
-    return out
-
-
 def _log_gamma_array(z):
-    """Vectorized complex log Gamma; no pole checks (callers' duty)."""
+    """Vectorized complex log Gamma by Gamma(z) = Gamma(z + k) / prod_{j<k} (z + j):
+    the Lanczos sum at z + k, k the least shift with Re(z + k) >= 1/2 (0, and
+    the Lanczos sum's bits, on the right half-plane). At a pole z = -j one log
+    is log 0 = -inf, so the real part is +inf exactly, with no warning."""
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty(z.shape, dtype=complex)
-    right = z.real >= 0.5
-    if np.any(right):
-        out[right] = _lanczos_log_gamma(z[right])
-    left = ~right
-    if np.any(left):
-        zl = z[left]
-        out[left] = math.log(math.pi) - _log_sin_pi(zl) - _lanczos_log_gamma(1.0 - zl)
-    return out[0] if scalar else out
+    shift = np.maximum(np.ceil(0.5 - z.real), 0.0)
+    out = _lanczos_log_gamma(z + shift)
+    with np.errstate(divide="ignore"):
+        for j in range(int(np.max(shift, initial=0.0))):
+            out -= np.log(np.where(j < shift, z + j, 1.0))
+    return out
 
 
 def log_abs_gamma_sq(a, b):
@@ -126,7 +101,7 @@ class _GaussSeries:
     NumericalError.
     """
 
-    def __init__(self, a, b, c, scale=1.0):
+    def __init__(self, a, b, c, scale):
         self.params = tuple(np.asarray(v, dtype=complex) for v in (a, b, c))
         shape = np.broadcast_shapes(*(v.shape for v in self.params))
         first = np.broadcast_to(np.asarray(scale, dtype=complex), (1,) + shape)

@@ -140,13 +140,13 @@ KERNEL_CLOSED_FORM_TOL = 2e-2
 
 
 def plancherel_density(n: int, beta):
-    """|c(beta)|^{-2} with the beta -> 0 limit taken continuously.
+    """|c(beta)|^{-2} = 2^{1-n}/(Gamma(n/2) pi^{n/2})
+    * |Gamma(rho + i beta)|^2 / |Gamma(i beta)|^2.
 
-    Computed as 2^{1-n}/(Gamma(n/2) pi^{n/2}) * beta^2
-    * |Gamma(rho + i beta)|^2 / |Gamma(1 + i beta)|^2, using
-    Gamma(i beta) = Gamma(1 + i beta)/(i beta) to remove the pole. At odd
-    n = 2k + 1 the Gamma ratio is the polynomial prod_{j=1}^{k-1} (beta^2 + j^2),
-    so no Gamma function is evaluated (at n = 3 the product is empty).
+    At even n the Gamma ratio is taken as it stands: Gamma(i beta) has its
+    pole at beta = 0, a log|Gamma|^2 of +inf, so the density there is 0.0.
+    At odd n = 2k + 1 it is beta^2 prod_{j=1}^{k-1} (beta^2 + j^2), so no
+    Gamma function is evaluated (at n = 3 the product is empty).
     """
     if n < 2:
         raise ParameterError(f"plancherel_density requires n >= 2, got {n}")
@@ -158,15 +158,9 @@ def plancherel_density(n: int, beta):
         out = const * beta_arr * beta_arr
         for j in range(1, (n - 1) // 2):
             out *= beta_arr * beta_arr + j * j
-        return float(out[0]) if scalar else out
-    rho = (n - 1) / 2.0
-    out = np.zeros_like(beta_arr)
-    nz = beta_arr != 0.0
-    if np.any(nz):
-        b = beta_arr[nz]
-        out[nz] = const * b * b * np.exp(
-            log_abs_gamma_sq(rho, b) - log_abs_gamma_sq(1.0, b)
-        )
+    else:
+        rho = (n - 1) / 2.0
+        out = const * np.exp(log_abs_gamma_sq(rho, beta_arr) - log_abs_gamma_sq(0.0, beta_arr))
     return float(out[0]) if scalar else out
 
 

@@ -24,7 +24,6 @@ from gjmslab.grids import RadialFunction, Space, uniform_grid
 from gjmslab.multipliers import (
     b_constant,
     gap_constant,
-    is_exceptional_order,
     multiplier,
     spectral_bottom,
 )
@@ -90,8 +89,6 @@ def test_03_closed_form_constants(rng):
     worst = 0.0
     while count < 100:
         s = float(rng.uniform(0.02, 4.0))
-        if is_exceptional_order(s):
-            continue
         gap = gap_constant(s)
         assembled = spectral_bottom(GJMS, Params(9, s)) - b_constant(s)
         worst = max(worst, abs(gap - assembled))

@@ -440,6 +440,24 @@ class TestExitCodes:
         assert err.startswith("error: n = 171, s = 85.4 is too large: ") and err.count("\n") == 1
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["constants", "--n", "400", "--s", "150.3"],
+        ["multiplier", "--kind", "gjms", "--n", "400", "--s", "150.3", "--beta-max", "1000",
+         "--count", "5", "--out", "x.csv"],
+    ], ids=["constants", "multiplier"])
+    def test_overflowing_symbol_exits_2(self, argv, tmp_path, capsys, monkeypatch):
+        # the GJMS symbol at (400, 150.3) overflows a double from beta = 0:
+        # bad input on one error line, no overflow warning, no JSON Infinity
+        # and no CSV of inf
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: n = 400, s = 150.3") and captured.err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
     def test_non_finite_quotient_exits_5(self, tmp_path, capsys, monkeypatch):
         # a bubble energy that overflows a double makes the row's quotient
         # inf: a numerical failure, and no file is written

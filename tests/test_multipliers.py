@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -8,13 +9,13 @@ from gjmslab.errors import ParameterError
 from gjmslab.multipliers import (
     b_constant,
     gap_constant,
-    is_exceptional_order,
     multiplier,
     sin_pi,
     spectral_bottom,
 )
 from gjmslab.params import MultiplierKind, Params
 from gjmslab.special import log_abs_gamma_sq
+from gjmslab.spherical import plancherel_density
 
 GJMS = MultiplierKind.GJMS
 INT = MultiplierKind.INTERTWINED
@@ -91,7 +92,6 @@ class TestMultiplier:
     def test_exceptional_order_low_frequency(self):
         # s = 3/2: the symbol vanishes quadratically at beta = 0
         p = Params(5, 1.5)
-        assert is_exceptional_order(1.5)
         assert multiplier(GJMS, p, 0.0) == pytest.approx(0.0, abs=1e-14)
         small = multiplier(GJMS, p, np.array([1e-3, 2e-3]))
         assert small[1] / small[0] == pytest.approx(4.0, rel=1e-3)
@@ -128,6 +128,20 @@ class TestBottoms:
             assert multiplier(GJMS, p, np.zeros(3)).tolist() == [0.0] * 3
             assert spectral_bottom(GJMS, p) == 0.0
             assert multiplier(GJMS, p, 1e-9) > 0.0
+
+    def test_gamma_poles_need_no_special_case(self):
+        # log|Gamma|^2 is +inf at the poles z = 0, -1, ..., -42 (a shift of
+        # up to 43 terms), so the GJMS symbol at beta = 0, s = 3/2 + 2k, and
+        # the even-n Plancherel density at beta = 0 are 0.0 from the one
+        # Gamma ratio, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(43):
+                assert log_abs_gamma_sq(float(-k), 0.0) == math.inf
+            for n, s in ((12, 1.5), (12, 3.5), (12, 5.5), (172, 85.5)):
+                assert multiplier(GJMS, Params(n, s), 0.0) == 0.0
+            for n in (2, 4, 6):
+                assert plancherel_density(n, 0.0) == 0.0
 
     def test_bottom_matches_symbol_at_zero(self):
         for n in (2, 3, 4, 5, 8, 13):
@@ -171,8 +185,6 @@ class TestConstants:
         count = 0
         while count < 100:
             s = float(rng.uniform(0.02, 4.0))
-            if is_exceptional_order(s):
-                continue
             direct = gap_constant(s)
             assembled = spectral_bottom(GJMS, Params(9, s)) - b_constant(s)
             assert abs(direct - assembled) <= 1e-12 * max(1.0, abs(direct))

@@ -41,11 +41,13 @@ class TestLogGamma:
         assert 2 * val.real == pytest.approx(math.log(math.pi / math.cosh(math.pi)), abs=1e-12)
 
     def test_against_mpmath_grid(self, rng):
-        # Re z < 1/2 takes the reflection branch (as the Jacobi columns of _phi_blocks do at n = 2
-        # and _gjms for s > 1/2), and |Im z| > 20 there the large-|Im z| branch
-        # of _log_sin_pi
-        z = rng.uniform(-4.7, 6.0, 60) + 1j * rng.uniform(-25.0, 25.0, 60)
-        z = np.concatenate([z, [-3.3 + 22.0j, -0.7 - 24.5j, 0.25 + 21.0j, 0.25 - 0.5j]])
+        # Re z < 1/2 takes the shift recurrence (as the Jacobi columns of _phi_blocks do at n = 2
+        # and _gjms for s > 1/2), up to 46 shifts at Re z = -45: the range the
+        # GJMS symbols reach at s <= 85.5 and beta <= 480
+        z = rng.uniform(-45.0, 6.0, 60) + 1j * rng.uniform(-240.0, 240.0, 60)
+        z = np.concatenate([z, rng.uniform(-45.0, 0.5, 60) + 1j * rng.uniform(-240.0, 240.0, 60),
+                            [-42.5 + 240.0j, -44.9 - 0.3j, -3.3 + 22.0j, -0.7 - 24.5j,
+                             0.25 + 21.0j, 0.25 - 0.5j]])
         z = z[(np.abs(z.imag) >= 1e-3) | (z.real > 0.5)]
         ours = _log_gamma_array(z)
         ref = np.array([complex(mp.loggamma(mp.mpc(v.real, v.imag))) for v in z])
@@ -87,7 +89,7 @@ class TestAbsGammaSq:
 def _gauss(a, b, c, y):
     """2F1(a, b; c; y) for each row of the 1-d parameter rows a, b, c at each
     y of the 1-d y (rows x y.size), by one _GaussSeries."""
-    re, im = _GaussSeries(a, b, c)(y)
+    re, im = _GaussSeries(a, b, c, scale=1.0)(y)
     return re + 1j * im
 
 
