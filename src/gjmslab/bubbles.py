@@ -1,22 +1,15 @@
-"""The standard bubble family, smooth cut-offs, and the Euclidean fractional
-energy through radial Fourier (Hankel) analysis, plus the cut-off asymptotics
-experiments built on them.
-
-The energy of wide profiles is computed with octave-banded quadrature: each
-frequency band integrates r only out to where its own oscillation budget
-allows, behind a smooth sub-window, which keeps every Bessel oscillation
-resolved without ever building an r-grid of millions of nodes. A band's
-kernel (Bessel matrix, r^{n-1}, r weights, cut-off window and sub-window in
-one read-only matrix) is held in the module's one memo, an LRU of one
-support's bands, and an energy evaluates its profile once per distinct
-r-grid. A kernel is filled in row blocks of at most grids.BLOCK_CELLS
-cells, so the Bessel temporaries of a build stay within a few block budgets.
+"""The standard bubble family, smooth cut-offs, the truncated bubble's
+Euclidean fractional energy, and the cut-off asymptotics experiments built
+on them.
 
 The truncated bubble's energy (bubble_energy) depends on t = eps/delta
 alone, so every one is priced on the one support [0, 2 ENERGY_DELTA]: at
 s = 1 as the Dirichlet integral of (cutoff U_eps)' in closed form on a
 graded plateau and a panelled cut-off ramp, with no band built; at every
-other s by the Hankel bands, with the cut-off folded into their kernels.
+other s by radial Fourier (Hankel) quadrature over octave frequency bands.
+A band's kernel (Bessel matrix, r^{n-1}, r weights and cut-off in one
+read-only matrix, filled in row blocks of at most grids.BLOCK_CELLS cells)
+is held in the module's one memo, an LRU of BAND_KERNELS_HELD bands.
 
 The untruncated bubble U = (1+r^2)^{-(n-2s)/2} solves (-Delta)^s U = c U^{2*-1}
 (Lieb 1983; Cotsiolis-Tavoularis 2004), so its energy and critical mass are
@@ -45,12 +38,10 @@ from .grids import (
 )
 from .params import Params
 
-OSC_BUDGET = 4000.0          # max r*rho phase per frequency band (with sub-window)
-
 # the cut-off radius of every bubble energy (bubble_energy), and the largest
 # delta of the bubble family's box (quotients.BUBBLE_DELTA)
 ENERGY_DELTA = 0.245
-BAND_KERNELS_HELD = 32       # one support's bands: a bubble energy at t = 0.005 spans 29
+BAND_KERNELS_HELD = 32       # one n's bands: a bubble energy at t = 0.005 spans 29
 
 # the 48-node Gauss-Legendre rule on [-1, 1] of _mollifier_mass: the positive
 # half of numpy.polynomial.legendre.leggauss(48), mirrored (grids.GAUSS_NODES
@@ -247,75 +238,47 @@ class _BandKernel(NamedTuple):
 
 
 @functools.lru_cache(maxsize=BAND_KERNELS_HELD)
-def _band_kernel(n, support, window, lo, hi):
-    """The kernel of the band [lo, hi] for profiles on [0, support] times
-    smooth_window(r, *window) (window None: no factor), held while among the
-    BAND_KERNELS_HELD most recent. r is truncated at r_cut, under a smooth
-    sub-window when r_cut < support, so that r*rho stays within the
-    oscillation budget; the Bessel matrix, r^{n-1}, the r weights, the
-    window and the sub-window are folded into one read-only matrix."""
+def _band_kernel(n, lo, hi):
+    """The kernel of the band [lo, hi] on the energy support [0, 2 ENERGY_DELTA],
+    held while among the BAND_KERNELS_HELD most recent: the Bessel matrix,
+    r^{n-1}, the r weights and the cut-off smooth_window(r, ENERGY_DELTA,
+    2 ENERGY_DELTA) folded into one read-only matrix."""
     rho, weights = gauss_panels(np.linspace(lo, hi, 4))
-    r_cut = min(support, max(200.0, OSC_BUDGET / max(float(rho[0]), 1e-300)))
-    grid = geometric_grid(r_cut, 0.02, max_width=max(PHASE_PER_PANEL / float(rho[-1]), 1e-4))
+    support = 2.0 * ENERGY_DELTA
+    grid = geometric_grid(support, 0.02, max_width=max(PHASE_PER_PANEL / float(rho[-1]), 1e-4))
     r = grid.nodes
-    density = r ** (n - 1) * grid.weights
-    if window is not None:
-        density *= smooth_window(r, *window)
-    if r_cut < support:
-        density *= smooth_window(r, 0.5 * r_cut, r_cut)
     kernel = _scaled_bessel_matrix(n, rho, r)
-    kernel *= density
+    kernel *= r ** (n - 1) * grid.weights * smooth_window(r, ENERGY_DELTA, support)
     for array in (rho, weights, r, kernel):
         array.flags.writeable = False
     return _BandKernel(rho, weights, r, r.tobytes(), kernel)
 
 
-def _banded_energy(profile, support, window, p: Params):
-    """omega int rho^{2s+n-1} w_hat^2 d rho of w = profile on [0, support]
-    times smooth_window(r, *window) (window None: profile alone), over
-    octave bands from min(1e-4, 0.05/support), extending past rho = 64
-    until the running tail undershoots 1e-9 of the accumulated total.
+def _banded_energy(p: Params, eps: float) -> float:
+    """omega int rho^{2s+n-1} w_hat^2 d rho of w = cutoff(ENERGY_DELTA, r) U_eps(r),
+    over octave bands from rho = 1e-4, extending past rho = 64 until the
+    running tail undershoots 1e-9 of the accumulated total.
 
-    The profile is evaluated once per distinct r-grid of its bands."""
+    U_eps is evaluated once per distinct r-grid of the bands."""
     n, s = p.n, p.s
-    values = {}
-    contributions = []
-    lo, rho_max = min(1e-4, 0.05 / support), 64.0
-    cap = rho_max * 4096.0
+    values, contributions = {}, []
+    lo, rho_max, cap = 1e-4, 64.0, 64.0 * 4096.0
     while True:
         hi = min(2.0 * lo, cap)
-        band = _band_kernel(n, support, window, lo, hi)
+        band = _band_kernel(n, lo, hi)
         if band.grid_key not in values:
-            values[band.grid_key] = profile(band.r)
+            values[band.grid_key] = _bubble_values(p, eps, band.r)
         # rho^{s+(n-1)/2} w_hat, squared: rho^{2s+n-1} alone overflows at large n + 2s
         what = band.rho ** (s + 0.5 * (n - 1.0)) * (band.kernel @ values[band.grid_key])
         contributions.append(float(np.dot(band.weights, what * what)))
         total = math.fsum(contributions)
-        band_abs = abs(contributions[-1]) + abs(contributions[-2]) if len(contributions) > 1 else abs(contributions[-1])
+        band_abs = sum(map(abs, contributions[-2:]))   # the last two bands
         if hi >= rho_max and band_abs <= 1e-9 * max(abs(total), 1e-300):
             break
         if hi >= cap:
             raise NumericalError("fractional energy tail did not close before the frequency cap")
         lo = hi
     return sphere_area(n) * total
-
-
-def fractional_energy(w: RadialFunction, p: Params) -> float:
-    """The 2s-weighted Plancherel integral omega int rho^{2s} |w_hat|^2 rho^{n-1} d rho.
-
-    For s = 1 this is the Dirichlet integral. The frequency range extends
-    adaptively until the spectral tail closes. The bands evaluate w.profile,
-    not the samples: a nonzero w without one raises ParameterError.
-    """
-    if w.space is not Space.EUCLIDEAN:
-        raise ParameterError("fractional_energy expects a Euclidean profile")
-    w.require_compact_support()
-    if w.is_zero():
-        return 0.0
-    if w.profile is None:
-        raise ParameterError("fractional_energy needs a trial built by RadialFunction.from_profile")
-    support = min(w.support_radius, w.grid.r_max)
-    return _banded_energy(w.profile, support, None, p)
 
 
 # panels of the cut-off ramp [delta, 2 delta] in the s = 1 energy: 8 move it
@@ -358,8 +321,7 @@ def bubble_energy(p: Params, bp: BubbleParams) -> float:
     eps = bp.eps / bp.delta * ENERGY_DELTA
     if p.s == 1.0:
         return _dirichlet_energy(p, eps, RadialGrid.from_edges(_dirichlet_edges(eps)))
-    return _banded_energy(functools.partial(_bubble_values, p, eps), 2.0 * ENERGY_DELTA,
-                          (ENERGY_DELTA, 2.0 * ENERGY_DELTA), p)
+    return _banded_energy(p, eps)
 
 
 def fit_loglog_slope(x, y) -> float:

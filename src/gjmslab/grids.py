@@ -168,8 +168,8 @@ class RadialFunction:
 
     values must vanish at nodes beyond support_radius. The optional profile
     callable (set by from_profile) remembers the analytic formula the samples
-    came from, which lets pushforwards (conformal lift, regridding) and
-    fractional_energy's Hankel bands stay exact.
+    came from, which lets pushforwards (conformal lift, regridding) stay
+    exact.
     """
 
     grid: RadialGrid

@@ -7,7 +7,9 @@ All symbols are functions of the frequency beta >= 0 through |Gamma|^2
 factors only, hence even in beta; the implementations work on log-Gamma
 differences so ratios stay finite far beyond the float range of the factors.
 A Gamma pole is a log|Gamma|^2 of +inf, so at s = 3/2 + 2k the GJMS symbol is
-0.0 at beta = 0; a value that overflows a double is a ParameterError.
+0.0 at beta = 0; a value that overflows a double is a ParameterError, and so
+is a |beta| above BETA_MAX, where the log-Gamma difference has lost its
+relative accuracy.
 """
 
 import math
@@ -17,6 +19,11 @@ import numpy as np
 from .errors import ParameterError
 from .params import MultiplierKind, Params
 from .special import log_abs_gamma_sq
+
+
+# a symbol is exp of a difference of log|Gamma|^2 values of size ~ pi |beta|:
+# its relative error grows like pi |beta| 1e-16, to 5.3e-12 at this bound
+BETA_MAX = 1e5
 
 
 def sin_pi(s: float) -> float:
@@ -61,8 +68,8 @@ def multiplier(kind: MultiplierKind, p: Params, beta):
     REMAINDER:   (sin pi s / pi) |G(s+1/2+ib)|^2   (may be negative)
     """
     beta_arr = np.asarray(beta, dtype=float)
-    if not np.all(np.isfinite(beta_arr)):
-        raise ParameterError("multiplier requires finite beta")
+    if not np.all(np.abs(beta_arr) <= BETA_MAX):
+        raise ParameterError(f"multiplier requires finite |beta| <= {BETA_MAX:g}")
     scalar = beta_arr.ndim == 0
     beta_arr = np.atleast_1d(beta_arr)
     symbols = {MultiplierKind.INTERTWINED: _intertwined, MultiplierKind.REMAINDER: _remainder,

@@ -82,16 +82,16 @@ the columns and one (beta x eps) weight matrix for all its eps, one
 _phi_blocks call per block of frequency rows. regularized_kernel is one
 fixed composite Gauss rule on the pointwise spherical_function, which stays
 on the per-radius Mehler integral at every r > 0, checked against its
-halves: it prices its panels in one batch and their halves in a second, and
-raises NumericalError when halves miss their panel, never refining.
+halves: it prices its panels and their halves in one batch, and raises
+NumericalError when halves miss their panel, never refining.
 quotients.blowdown calls it: at (n, s) = (3, 1) the kernel values it
 reduces to its constants are quadrature roundoff, so any change of route or
 summation order would move them. kernel_decay calls it once, as a runtime
 witness of its product. spherical_function and the Mehler columns of
 _phi_blocks take their u-nodes, weights and h_r from one rule,
-_mehler_rule, built at each use. _phi_mehler takes a 2-d block of frequency
-rows; regularized_kernel passes spherical_function each of its two
-batches as one block.
+_mehler_rule, built at each use, once per u-panel count of a 2-d block of
+frequency rows (_phi_mehler); regularized_kernel passes spherical_function
+its one batch as one block.
 """
 
 import math
@@ -566,11 +566,11 @@ def regularized_kernel(kind: MultiplierKind, p: Params, r: float, eps_reg: float
     saw halves miss, the integral was cancellation, no refined value agreed
     with kernel_decay's Phi product within 1e-4, and two refinement orders
     that met the same tolerance disagreed by 3-4%. The integrand is
-    evaluated in two batches, the panels and then their halves: a batch is
-    one symbol, Plancherel-density and Gaussian pass on its flattened nodes
-    and one spherical_function call on its (panels x 16) block, and each
-    panel's value is the one-panel rule, so the kernel values are
-    bit-identical to panel-by-panel evaluation.
+    evaluated in one batch, the panels and then their halves: one symbol,
+    Plancherel-density and Gaussian pass on its flattened nodes and one
+    spherical_function call on its (panels x 16) block. Each panel's value
+    is the one-panel rule, so the kernel values are bit-identical to
+    panel-by-panel evaluation.
     """
     r = float(r)
     if r < 0.5:
@@ -596,9 +596,10 @@ def regularized_kernel(kind: MultiplierKind, p: Params, r: float, eps_reg: float
     edges = np.linspace(0.0, beta_cut, max(8, int(math.ceil(beta_cut / width))) + 1)
     a, b = edges[:-1], edges[1:]
     mid = 0.5 * (a + b)
-    coarse = panel_values(a, b)
-    # the halves [a, mid] and [mid, b] of each panel, in panel order
-    halves = panel_values(np.column_stack((a, mid)).ravel(), np.column_stack((mid, b)).ravel())
+    # the panels, then the halves [a, mid] and [mid, b] of each panel in panel order
+    values = panel_values(np.concatenate((a, np.column_stack((a, mid)).ravel())),
+                          np.concatenate((b, np.column_stack((mid, b)).ravel())))
+    coarse, halves = values[:a.size], values[a.size:]
     fine = halves[0::2] + halves[1::2]
     scale = sum(map(abs, coarse.tolist())) + 1e-300
     miss = np.abs(fine - coarse)

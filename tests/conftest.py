@@ -22,12 +22,6 @@ def hyperbolic_bump(width=0.5, support=3.0, panel_width=0.05):
                                        support, Space.HYPERBOLIC)
 
 
-def euclidean_bump(width=0.1, support=0.8, panel_width=0.01):
-    grid = uniform_grid(support, panel_width=panel_width)
-    return RadialFunction.from_profile(windowed_gaussian(width, support), grid,
-                                       support, Space.EUCLIDEAN)
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

@@ -1,10 +1,13 @@
 """Numerical routes that the closed forms and fast paths of gjmslab are
 checked against.
 
-windowed_bubble_energy prices the untruncated bubble with the package's own
-octave-banded Hankel energies, so a test comparing it with
-bubble_energy_limit checks the Hankel machinery and the closed form against
-each other. panelwise_regularized_kernel is the kernel's fixed composite
+transform_bubble_energy prices the untruncated bubble by mpmath quadrature
+of its closed-form Fourier transform, with no code of gjmslab.bubbles, so a
+test comparing it with bubble_energy_limit checks the closed form against
+an independent integral; dirichlet_bubble_energy prices the truncated
+bubble's s = 1 energy on its own support the same way, the value that
+bubble_energy takes from the one support [0, 2 ENERGY_DELTA].
+panelwise_regularized_kernel is the kernel's fixed composite
 rule evaluated one panel at a time, the route that the batched
 spherical.regularized_kernel must reproduce bit for bit.
 slsqp_spline_search is the spline search as one scipy SLSQP solve, the
@@ -24,7 +27,6 @@ import math
 import mpmath as mp
 import numpy as np
 
-from gjmslab.bubbles import _banded_energy, smooth_window
 from gjmslab.errors import NumericalError, ParameterError
 from gjmslab.geometry import sphere_area
 from gjmslab.grids import GAUSS_WEIGHTS, PHASE_PER_PANEL, gauss_panels, geometric_grid
@@ -33,29 +35,62 @@ from gjmslab.quotients import _spline_report, _spline_start_candidates
 from gjmslab.special import bessel_j_scaled
 from gjmslab.spherical import plancherel_density, spherical_function
 
-WINDOW_RADII = (2000.0, 4000.0)
+# the upper limit of transform_bubble_energy's integral: beyond it
+# rho^{n-1} K_s(rho)^2 ~ (pi/2) rho^{n-2} e^{-2 rho} carries below 1e-37 of
+# the total for n <= 12
+TRANSFORM_RHO_MAX = 64
 
 
 @functools.lru_cache(maxsize=None)
-def windowed_bubble_energy(p) -> dict:
-    """E(U) for U = (1+r^2)^{-(n-2s)/2} by smooth windowing at two radii and
-    Richardson extrapolation in the window radius (bias ~ R^-(n-2s)).
-
-    Returns {"energy", "tail_bound"}; tail_bound is the spread |E_R2 - E_R1|
-    of the two windowed energies.
+def transform_bubble_energy(p) -> float:
+    """E(U) = omega int rho^{2s+n-1} U_hat(rho)^2 d rho for U = (1+r^2)^{-a},
+    a = (n-2s)/2, from its unitary Fourier transform in closed form,
+    U_hat(rho) = 2^{1-a} rho^{-s} K_s(rho) / Gamma(a) (the Bessel-potential
+    pair), so E(U) = omega (2^{1-a} / Gamma(a))^2 int rho^{n-1} K_s(rho)^2 d rho:
+    mpmath's tanh-sinh quadrature at 16 digits on [0, 1, 4, 16, TRANSFORM_RHO_MAX].
     """
-    q = (p.n - 2.0 * p.s) / 2.0
-    raw = {}
-    for R in WINDOW_RADII:
-        def prof(r, _R=R):
-            r = np.asarray(r, dtype=float)
-            return (1.0 + r * r) ** (-q) * smooth_window(r, 0.5 * _R, _R)
+    n = p.n
+    with mp.workdps(16):
+        s = mp.mpf(p.s)
+        a = (n - 2 * s) / 2
+        scale = mp.mpf(2) ** (1 - a) / mp.gamma(a)
+        integral = mp.quad(lambda rho: rho ** (n - 1) * mp.besselk(s, rho) ** 2,
+                           [0, 1, 4, 16, TRANSFORM_RHO_MAX])
+        omega = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+        return float(omega * scale * scale * integral)
 
-        raw[R] = _banded_energy(prof, R, None, p)
-    r1, r2 = WINDOW_RADII
-    ratio = (r2 / r1) ** (p.n - 2.0 * p.s)
-    energy = (ratio * raw[r2] - raw[r1]) / (ratio - 1.0)
-    return {"energy": energy, "tail_bound": abs(raw[r2] - raw[r1])}
+
+@functools.lru_cache(maxsize=None)
+def dirichlet_bubble_energy(n, eps, delta) -> float:
+    """omega int (w')^2 r^{n-1} dr, the s = 1 energy of w = cutoff(delta, r) U_eps(r),
+    U_eps = eps^{-q} (1 + (r/eps)^2)^{-q}, q = (n-2)/2, by mpmath's tanh-sinh
+    quadrature at 16 digits of w' = chi' U + chi U' in closed form: on the
+    ramp t = (r - delta)/delta in (0, 1), chi = 1 - F(t)/F(1) and
+    chi' = -F'(t)/(F(1) delta), F(t) = int_0^t exp(-1/(u(1-u))) du, and
+    U' = -2q r U / (eps^2 + r^2)."""
+    with mp.workdps(16):
+        eps, delta = mp.mpf(eps), mp.mpf(delta)
+        q = mp.mpf(n - 2) / 2
+
+        def density(t):
+            return mp.exp(-1 / (t * (1 - t)))
+
+        def u(r):
+            return eps ** -q * (1 + (r / eps) ** 2) ** -q
+
+        def du(r):
+            return -2 * q * r / (eps ** 2 + r * r) * u(r)
+
+        def ramp(r):
+            t = (r - delta) / delta
+            dw = (1 - mp.quad(density, [0, t]) / total) * du(r) - density(t) / (total * delta) * u(r)
+            return dw * dw * r ** (n - 1)
+
+        total = mp.quad(density, [0, 0.5, 1])
+        core = [k * eps for k in (1, 4, 16) if k * eps < delta]
+        plateau = mp.quad(lambda r: du(r) ** 2 * r ** (n - 1), [0] + core + [delta])
+        omega = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+        return float(omega * (plateau + mp.quad(ramp, [delta, 1.5 * delta, 2 * delta])))
 
 
 def mehler_phi_matrix(n, beta, radii):

@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 
 from conftest import windowed_gaussian
-from oracles import windowed_bubble_energy
+from oracles import transform_bubble_energy
 from gjmslab.bubbles import (
     BubbleParams,
     bubble_asymptotics,
@@ -186,7 +186,7 @@ def test_07_l2_three_regimes():
 
 
 def test_08_energy_expansion():
-    base = windowed_bubble_energy(Params(3, 1.0))["energy"]
+    base = transform_bubble_energy(Params(3, 1.0))
     target = 3.0 * math.pi ** 2 / 4.0
     dirichlet_err = abs(base - target) / target
     assert dirichlet_err <= 1e-4

@@ -458,6 +458,19 @@ class TestExitCodes:
         assert captured.err.startswith("error: n = 400, s = 150.3") and captured.err.count("\n") == 1
         assert os.listdir(tmp_path) == []
 
+    def test_beta_beyond_the_bound_exits_2(self, tmp_path, capsys, monkeypatch):
+        # beyond multipliers.BETA_MAX the symbols have lost their relative
+        # accuracy (this command printed 1.0 at beta = 1e300 and exited 0):
+        # bad input on one error line, no CSV
+        monkeypatch.chdir(tmp_path)
+        assert run(["multiplier", "--kind", "gjms", "--n", "3", "--s", "1", "--beta-max", "1e300",
+                    "--count", "3", "--out", "m.csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: multiplier requires finite |beta| <= 100000")
+        assert captured.err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
     def test_non_finite_quotient_exits_5(self, tmp_path, capsys, monkeypatch):
         # a bubble energy that overflows a double makes the row's quotient
         # inf: a numerical failure, and no file is written

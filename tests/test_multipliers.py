@@ -7,6 +7,7 @@ import pytest
 
 from gjmslab.errors import ParameterError
 from gjmslab.multipliers import (
+    BETA_MAX,
     b_constant,
     gap_constant,
     multiplier,
@@ -88,6 +89,16 @@ class TestMultiplier:
             r3 = multiplier(INT, p, 1e3) / (1.0 + 1e6) ** s
             r2 = multiplier(INT, p, 1e2) / (1.0 + 1e4) ** s
             assert 0.9 <= r3 / r2 <= 1.1
+
+    def test_beta_beyond_the_bound_rejected(self):
+        # each symbol is exp of a difference of log|Gamma|^2 values of size
+        # ~ pi beta: the k = 1 symbol beta^2 + 1/4 is 5.3e-12 off at BETA_MAX,
+        # and the GJMS one read 1.0 at beta = 1e300
+        p = Params(3, 1.0)
+        assert multiplier(INT, p, BETA_MAX) == pytest.approx(BETA_MAX ** 2 + 0.25, rel=1e-11)
+        for beta in (np.nextafter(BETA_MAX, math.inf), -1e6, np.array([0.0, 1e300])):
+            with pytest.raises(ParameterError, match=r"finite \|beta\| <= 100000"):
+                multiplier(GJMS, p, beta)
 
     def test_exceptional_order_low_frequency(self):
         # s = 3/2: the symbol vanishes quadratically at beta = 0

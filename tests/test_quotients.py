@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import hyperbolic_bump
-from oracles import quadrature_mass_limit, slsqp_spline_search, windowed_bubble_energy
-from gjmslab.bubbles import BubbleParams, bubble_energy_limit, smooth_window
+from oracles import quadrature_mass_limit, slsqp_spline_search, transform_bubble_energy
+from gjmslab.bubbles import BubbleParams, smooth_window
 from gjmslab.errors import BudgetExceeded, NumericalError, ParameterError
 from gjmslab.grids import RadialFunction, Space, uniform_grid
 from gjmslab.multipliers import b_constant, spectral_bottom
@@ -756,20 +756,12 @@ class TestSharpConstant:
         assert sharp_constant_estimate(Params(3, 1.0)) == pytest.approx(
             3.0 * (math.pi / 2.0) ** (4.0 / 3.0), rel=1e-12)
 
-    def test_window_stability(self):
-        # the two window radii of the Hankel oracle bracket a (n-2s)-power
-        # tail model of the energy the estimate is built on
-        p = Params(3, 0.75)
-        raw = windowed_bubble_energy(p)["tail_bound"]
-        assert raw <= 2e-3 * bubble_energy_limit(p)
-
     def test_range_validation(self):
         # no bound beyond Params' own: at n = 11 and 12 the estimate is the
-        # Hankel oracle's energy of U over the quadrature critical mass
-        # (measured: 4.4e-16 and 1.6e-15)
+        # transform oracle's energy of U over the quadrature critical mass
         for n, s in ((11, 0.8), (12, 2.5)):
             p = Params(n, s)
-            oracle = (windowed_bubble_energy(p)["energy"]
+            oracle = (transform_bubble_energy(p)
                       / quadrature_mass_limit(n) ** (2.0 / p.two_star))
             assert sharp_constant_estimate(p) == pytest.approx(oracle, rel=1e-12)
         with pytest.raises(ParameterError):

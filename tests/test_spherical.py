@@ -9,7 +9,7 @@ import oracles
 from conftest import hyperbolic_bump, windowed_gaussian
 from oracles import legendre_phi, mehler_phi_matrix, panelwise_regularized_kernel
 from gjmslab import special, spherical
-from gjmslab.bubbles import fractional_energy
+from gjmslab.bubbles import BubbleParams, bubble_energy, sampled_bubble
 from gjmslab.errors import NumericalError, ParameterError
 from gjmslab.geometry import conformal_lift
 from gjmslab.grids import RadialFunction, RadialGrid, Space, SpectralProfile, uniform_grid
@@ -577,15 +577,12 @@ class TestQuadraticForm:
 
     @pytest.mark.parametrize("n,s", [(3, 1.0), (4, 0.75), (5, 0.8)])
     def test_conformal_energy_identity(self, n, s):
-        # intertwined energy of the lift equals the Euclidean fractional energy
+        # intertwined energy of the lifted truncated bubble equals its
+        # Euclidean fractional energy (measured: at most 1.7e-5 apart)
         p = Params(n, s)
-        grid = uniform_grid(0.6, panel_width=0.005)
-        w = RadialFunction.from_profile(windowed_gaussian(0.05, 0.6), grid, 0.6,
-                                        Space.EUCLIDEAN)
-        u = conformal_lift(w, p)
-        hyperbolic = quadratic_form(INT, p, u)
-        euclidean = fractional_energy(w, p)
-        assert hyperbolic == pytest.approx(euclidean, rel=1e-3)
+        bp = BubbleParams(0.1, 0.2)
+        hyperbolic = quadratic_form(INT, p, conformal_lift(sampled_bubble(p, bp), p))
+        assert hyperbolic == pytest.approx(bubble_energy(p, bp), rel=1e-4)
 
     def test_gjms_quotient_transforms_once(self, monkeypatch):
         # the intertwined and remainder forms of a GJMS energy (non-integer
@@ -746,20 +743,29 @@ class TestKernel:
             panelwise_regularized_kernel(INT, p, 5.0, 3e-4)
 
     def test_integrand_batches(self, monkeypatch):
-        # two Plancherel-density passes, the panels and their halves; panel
-        # by panel it was one per panel (123 to 174 on these cases)
-        calls = []
+        # one Plancherel-density pass for the panels and their halves (two
+        # when the halves took their own; panel by panel it was one per
+        # panel, 123 to 174 on these cases), and one Mehler rule per u-panel
+        # count (blowdown's four kernels built 166 rules for 83 distinct)
+        calls, rules = [], []
 
         def counted(n, beta):
             calls.append(n)
             return plancherel_density(n, beta)
 
+        def recorded(n, radii, count, _fn=spherical._mehler_rule):
+            rules.append((n, radii.tobytes(), count))
+            return _fn(n, radii, count)
+
         monkeypatch.setattr(spherical, "plancherel_density", counted)
+        monkeypatch.setattr(spherical, "_mehler_rule", recorded)
         for p, r, eps in ((Params(3, 0.6), 2.0, 0.01), (Params(5, 0.7), 8.0, 0.005),
                           (Params(3, 1.0), 5.0, 0.01)):
             calls.clear()
+            rules.clear()
             regularized_kernel(INT, p, r, eps)
-            assert len(calls) == 2
+            assert len(calls) == 1
+            assert len(rules) == len(set(rules)) > 1
 
     def test_batch_memory(self):
         tracemalloc.start()
