@@ -155,14 +155,17 @@ def bubble_grid(eps: float, r_max: float) -> RadialGrid:
     return RadialGrid.from_edges(_bubble_edges(eps, r_max))
 
 
+def truncated_bubble(p: Params, bp: BubbleParams):
+    """The standard trial's profile r -> cutoff(delta, r) U_eps(r), supported
+    in [0, 2 delta]."""
+    return lambda r: cutoff(bp.delta, r) * bubble(p, bp, r)
+
+
 def sampled_bubble(p: Params, bp: BubbleParams) -> RadialFunction:
-    """The standard trial cutoff(delta, r) U_eps(r) on bubble_grid(eps, 2 delta)."""
-
-    def profile(r):
-        return cutoff(bp.delta, r) * bubble(p, bp, r)
-
+    """truncated_bubble(p, bp) on bubble_grid(eps, 2 delta)."""
     grid = bubble_grid(bp.eps, 2.0 * bp.delta)
-    return RadialFunction.from_profile(profile, grid, 2.0 * bp.delta, Space.EUCLIDEAN)
+    return RadialFunction.from_profile(truncated_bubble(p, bp), grid, 2.0 * bp.delta,
+                                       Space.EUCLIDEAN)
 
 
 def crit_mass(p: Params, w: RadialFunction) -> float:

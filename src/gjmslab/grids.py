@@ -12,8 +12,8 @@ applied by callers.
 """
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -164,19 +164,16 @@ def geometric_grid(r_max: float, first_width: float, growth: float = 1.2,
 
 @dataclass(frozen=True)
 class RadialFunction:
-    """A radial profile sampled on a quadrature grid.
-
-    values must vanish at nodes beyond support_radius. The optional profile
-    callable (set by from_profile) remembers the analytic formula the samples
-    came from, which lets pushforwards (conformal lift, regridding) stay
-    exact.
+    """A radial profile sampled on a quadrature grid: samples only, which
+    must vanish at nodes beyond support_radius. A profile is carried from
+    one space to another as a function (geometry.conformal_lift) and
+    sampled once, on the grid that prices it.
     """
 
     grid: RadialGrid
     values: np.ndarray
     support_radius: float
     space: Space
-    profile: Optional[Callable] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -191,9 +188,10 @@ class RadialFunction:
 
     @classmethod
     def from_profile(cls, fn, grid: RadialGrid, support_radius: float, space: Space):
+        """fn sampled on grid, zero at the nodes beyond support_radius."""
         nodes = grid.nodes
         values = np.where(nodes <= support_radius, fn(nodes), 0.0)
-        return cls(grid, values, float(support_radius), space, profile=fn)
+        return cls(grid, values, float(support_radius), space)
 
     def is_zero(self) -> bool:
         return bool(np.all(self.values == 0.0))

@@ -23,11 +23,12 @@ from .bubbles import (
     hyperbolic_l2_mass,
     sampled_bubble,
     smooth_window,
+    truncated_bubble,
 )
 from .errors import BudgetExceeded, NumericalError, ParameterError
 from .geometry import conformal_lift
 from .grids import RadialFunction, Space, uniform_grid
-from .multipliers import multiplier, sin_pi, spectral_bottom
+from .multipliers import BETA_MAX, multiplier, sin_pi, spectral_bottom
 from .params import MultiplierKind, Params
 from .spherical import DEFAULT_B_MAX, _polar_measure, _spectral_forms, decay_slope, \
     default_beta_grid, lp_mass, phi_matrix, quadratic_form, regularized_kernel
@@ -117,28 +118,24 @@ def bubble_quotient(kind: MultiplierKind, p: Params, lam: float,
 
     The intertwined energy is taken as the Euclidean fractional energy of
     the truncated bubble (the exact conformal reduction; bubble_energy, a
-    Dirichlet integral at s = 1). This is the one energy that uses the
-    split P_s = P~_s + B_s: GJMS at non-integer s adds the remainder form of
-    the lifted trial (spherical transform), on frequencies up to
-    REMAINDER_B_MAX. Every trial's remainder form takes one domain, grid
-    and declared support [0, LIFTED_BUBBLE_RADIUS], so every trial reads
-    one Phi, _remainder_phi(kind, p), which gap_scan builds once and passes
-    as phi; a call without it streams its own.
+    Dirichlet integral at s = 1), and the masses as Euclidean integrals of
+    sampled_bubble. This is the one energy that uses the split
+    P_s = P~_s + B_s: GJMS at non-integer s adds the remainder form of the
+    lifted trial, the conformal_lift of truncated_bubble sampled once on
+    standard_hyperbolic_grid(LIFTED_BUBBLE_RADIUS) with declared support
+    [0, LIFTED_BUBBLE_RADIUS], on frequencies up to REMAINDER_B_MAX. So
+    every trial reads one Phi, _remainder_phi(kind, p), which gap_scan
+    builds once and passes as phi; a call without it streams its own.
     """
-    add_remainder = _energy_kind(kind, p) is MultiplierKind.GJMS
-    w = sampled_bubble(p, bp)
     energy = bubble_energy(p, bp)
-    if add_remainder:
-        u = conformal_lift(w, p)
-        u_std = RadialFunction.from_profile(u.profile,
-                                            standard_hyperbolic_grid(LIFTED_BUBBLE_RADIUS),
-                                            LIFTED_BUBBLE_RADIUS, Space.HYPERBOLIC)
-        energy += quadratic_form(MultiplierKind.REMAINDER, p, u_std,
-                                 b_max=REMAINDER_B_MAX, phi=phi)
-    l2 = hyperbolic_l2_mass(p, w)
-    crit_integral = crit_mass(p, w)
-    descriptor = f"bubble[eps={bp.eps:.6g},delta={bp.delta:.6g}]"
-    return _report(p, lam, energy, l2, crit_integral, descriptor)
+    if _energy_kind(kind, p) is MultiplierKind.GJMS:
+        u = RadialFunction.from_profile(conformal_lift(truncated_bubble(p, bp), 2.0 * bp.delta, p),
+                                        standard_hyperbolic_grid(LIFTED_BUBBLE_RADIUS),
+                                        LIFTED_BUBBLE_RADIUS, Space.HYPERBOLIC)
+        energy += quadratic_form(MultiplierKind.REMAINDER, p, u, b_max=REMAINDER_B_MAX, phi=phi)
+    w = sampled_bubble(p, bp)
+    return _report(p, lam, energy, hyperbolic_l2_mass(p, w), crit_mass(p, w),
+                   f"bubble[eps={bp.eps:.6g},delta={bp.delta:.6g}]")
 
 
 def _remainder_phi(kind, p):
@@ -196,7 +193,6 @@ class SplineFamily:
         if theta.shape != (self.knots - 1,):
             raise ParameterError(f"expected {self.knots - 1} free knot values")
         knots_x = spline_knots(self)
-        windowed = _windowed_spline(self, np.concatenate([theta, [0.0]]))
         # trailing zero knots truncate the support: past-the-support spline
         # ringing (~1e-15) would otherwise be amplified by sinh^{n-1} weights
         nonzero = np.nonzero(theta)[0]
@@ -204,17 +200,11 @@ class SplineFamily:
             support = 0.0
         else:
             support = float(knots_x[min(int(nonzero[-1]) + 1, self.knots - 1)])
-
-        def profile(r):
-            r = np.asarray(r, dtype=float)
-            inside = r <= support
-            out = np.zeros_like(r)
-            out[inside] = windowed(r[inside])
-            return out
-
         grid = standard_hyperbolic_grid(self.radius)
-        return RadialFunction.from_profile(profile, grid, min(support, self.radius),
-                                           Space.HYPERBOLIC)
+        inside = grid.nodes <= support
+        values = np.zeros_like(grid.nodes)
+        values[inside] = _windowed_spline(self, np.concatenate([theta, [0.0]]))(grid.nodes[inside])
+        return RadialFunction(grid, values, float(min(support, self.radius)), Space.HYPERBOLIC)
 
 
 def spline_knots(family: SplineFamily) -> np.ndarray:
@@ -529,18 +519,19 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
     A row more than FLOOR_REL_TOL below its level_floor raises NumericalError:
     no trial lies below it, so the search found a trial whose spectrum the
     b_max cut-off truncates (a spline family of fine knots).
-    Raises ParameterError, before any work, for b_max <= 0 (also for the
-    bubble family, which does not read it), the spline family at s >= 7/2
-    (a C^2 cubic has jumps in its third derivative, so it lies in H^s only
-    for s < 7/2 and every trial there has infinite energy), a lambda above
-    the spectral bottom of kind (beyond 1e-12 relative roundoff), where the
-    level is -infinity, and n > bubbles.MAX_N where kind has a level_floor.
+    Raises ParameterError, before any work, for a b_max outside
+    (0, multipliers.BETA_MAX] (also for the bubble family, which does not
+    read it), the spline family at s >= 7/2 (a C^2 cubic has jumps in its
+    third derivative, so it lies in H^s only for s < 7/2 and every trial
+    there has infinite energy), a lambda above the spectral bottom of kind
+    (beyond 1e-12 relative roundoff), where the level is -infinity, and
+    n > bubbles.MAX_N where kind has a level_floor.
     """
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.size == 0:
         raise ParameterError("gap_scan needs a nonempty lambda grid")
-    if not b_max > 0.0:
-        raise ParameterError(f"b_max must be > 0, got {b_max}")
+    if not 0.0 < b_max <= BETA_MAX:
+        raise ParameterError(f"b_max must be > 0 and at most {BETA_MAX:g}, got {b_max}")
     if isinstance(family, SplineFamily) and p.s >= 3.5:
         raise ParameterError(
             f"the cubic spline family has no trial of finite energy at s = {p.s!r}: a C^2 "

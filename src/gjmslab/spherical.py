@@ -111,7 +111,7 @@ from .grids import (
     SpectralProfile,
     gauss_panels,
 )
-from .multipliers import multiplier, sin_pi
+from .multipliers import BETA_MAX, multiplier, sin_pi
 from .params import MultiplierKind, Params
 from .special import _GaussSeries, _elementary_columns, _log_gamma_array, log_abs_gamma_sq
 
@@ -688,7 +688,8 @@ def kernel_decay(kind: MultiplierKind, p: Params, radii, eps_reg: float):
     [2, 8] the decay slopes at eps_reg ("slope") and eps_reg / 2
     ("slope_half_eps"); also k^eps at the largest radius over
     KERNEL_SCAN_EPS and its eps_extrapolation. A repeated radius raises
-    ParameterError before any kernel is computed.
+    ParameterError before any kernel is computed, and so does an eps_reg
+    whose kernels run beyond multipliers.BETA_MAX (_kernel_beta_cut).
 
     Every reported value comes from one Phi product (_kernel_table) over
     all radii and every eps of eps_reg, eps_reg / 2 and KERNEL_SCAN_EPS.
@@ -712,8 +713,12 @@ def kernel_decay(kind: MultiplierKind, p: Params, radii, eps_reg: float):
         raise ParameterError("kernel_decay needs radii r >= 0.5 and eps_reg > 0")
     if len(set(radii)) != len(radii):
         raise ParameterError("kernel_decay radii must be distinct")
-    increasing = sorted(map(float, radii))
     eps_values = list(dict.fromkeys((eps_reg, eps_reg / 2.0) + KERNEL_SCAN_EPS))
+    beta_cut = _kernel_beta_cut(min(eps_values))
+    if beta_cut > BETA_MAX:
+        raise ParameterError(f"eps_reg {eps_reg!r} is too small: the kernels at eps_reg / 2 run "
+                             f"to |beta| = {beta_cut:.6g}, beyond the symbols' bound {BETA_MAX:g}")
+    increasing = sorted(map(float, radii))
     table = dict(zip(eps_values, _kernel_table(kind, p, np.array(increasing), eps_values)))
 
     def kernel(r, eps):

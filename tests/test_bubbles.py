@@ -544,3 +544,54 @@ class TestEnergyBits:
         p = Params(n, s)
         got = tuple(bubble_energy(p, BubbleParams(eps, delta)).hex() for eps, delta in self.TRIALS)
         assert got == self.BITS[(n, s)]
+
+
+class TestGjmsEnergyBits:
+    """float.hex of bubble_quotient(GJMS, p, 0, bp).energy, the Hankel energy
+    plus the remainder form of the lifted trial sampled on the one remainder
+    grid, and of that remainder form itself: it is at most 2.6e-3 of the
+    energy here, so only its own bits show a change of one ulp in the
+    conformal lift or its sampling (same BLAS caveat as TestEnergyBits)."""
+
+    TRIALS = ((0.02, 0.245), (0.3, 0.245), (0.05, 0.05), (0.1, 0.2))
+    BITS = {
+        (5, 0.8): ("0x1.15a65446743cfp+3", "0x1.115f5ae14662fp+3",
+                   "0x1.27e5c3205147ep+3", "0x1.2426b31298fd2p+3"),
+        (3, 0.6): ("0x1.673764dc6398dp+2", "0x1.8309e34b678d8p+2",
+                   "0x1.9b3c82b8be241p+2", "0x1.9c2a4ae556dd0p+2"),
+        (4, 0.75): ("0x1.08c2bf4cec7e2p+3", "0x1.1f7be0b218792p+3",
+                    "0x1.31c3829bbca61p+3", "0x1.2655a501e4a08p+3"),
+        (6, 1.3): ("0x1.e8c73e3f25a35p+4", "0x1.6e048889f3c90p+5",
+                   "0x1.6c47f06f8f12ep+5", "0x1.18320c071b4e4p+5"),
+        (7, 2.5): ("0x1.256aef5f136b1p+10", "0x1.21859b4dacc9cp+14",
+                   "0x1.00349195400e5p+14", "0x1.c4849ceaf7402p+12"),
+    }
+    REMAINDER_BITS = {
+        (5, 0.8): ("0x1.74c722dd393e5p-20", "0x1.493744635d956p-11",
+                   "0x1.1c432ac00ac4bp-26", "0x1.0bd8e6ca8897dp-14"),
+        (3, 0.6): ("0x1.e2052ee05aa73p-11", "0x1.fe55b401bde26p-7",
+                   "0x1.4dcae8cb3e60dp-16", "0x1.3f02933745b26p-8"),
+        (4, 0.75): ("0x1.6c6a6b33c320ep-15", "0x1.a9cd85030013ap-9",
+                    "0x1.11554344347c7p-21", "0x1.31c5b0b1d9125p-11"),
+        (6, 1.3): ("-0x1.754797618cfa2p-21", "-0x1.05008752a88cep-11",
+                   "-0x1.1d157e5594812p-31", "-0x1.cfe1219dfb924p-16"),
+        (7, 2.5): ("0x1.30bf279490a08p-14", "0x1.27f73f2728805p-8",
+                   "0x1.6617e40eca413p-36", "0x1.66e1df87bb164p-13"),
+    }
+
+    @pytest.mark.parametrize("n,s", list(BITS))
+    def test_gjms_energy_bits_pinned(self, n, s, monkeypatch):
+        import gjmslab.quotients as quotients
+
+        forms = []
+
+        def recorded(*args, _fn=quotients.quadratic_form, **kwargs):
+            forms.append(_fn(*args, **kwargs))
+            return forms[-1]
+
+        monkeypatch.setattr(quotients, "quadratic_form", recorded)
+        p = Params(n, s)
+        got = tuple(bubble_quotient(MultiplierKind.GJMS, p, 0.0, BubbleParams(eps, delta))
+                    .energy.hex() for eps, delta in self.TRIALS)
+        assert got == self.BITS[(n, s)]
+        assert tuple(form.hex() for form in forms) == self.REMAINDER_BITS[(n, s)]

@@ -471,6 +471,29 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("argv, name, builder", [
+        # the kernels at eps_reg / 2 = 5e-10 run to |beta| = 2.7e5
+        (["kernel-decay", "--kind", "intertwined", "--n", "3", "--s", "0.6", "--r-spec", "2,3",
+          "--eps-reg", "1e-9"], "eps_reg", "gjmslab.spherical._kernel_table"),
+        (["gap-scan", "--kind", "gjms", "--n", "3", "--s", "1", "--lambda-spec=0",
+          "--family", "spline", "--spline-radius", "3.5", "--b-max", "2e5"], "b_max",
+         "gjmslab.quotients._spline_forms"),
+    ], ids=["eps-reg", "b-max"])
+    def test_frequency_cut_beyond_the_bound_exits_2(self, argv, name, builder, tmp_path,
+                                                    capsys, monkeypatch):
+        # a frequency cut-off beyond multipliers.BETA_MAX is refused before
+        # any frequency grid is built (the eps_reg one held 17 million
+        # nodes), on one error line naming the flag's quantity
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a frequency grid was built")
+
+        monkeypatch.setattr(builder, unreachable)
+        out = str(tmp_path / "x.csv")
+        assert run(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
     def test_non_finite_quotient_exits_5(self, tmp_path, capsys, monkeypatch):
         # a bubble energy that overflows a double makes the row's quotient
         # inf: a numerical failure, and no file is written

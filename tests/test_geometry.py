@@ -3,7 +3,7 @@ import pytest
 
 from conftest import windowed_gaussian
 from gjmslab.errors import ParameterError
-from gjmslab.geometry import ball_to_geodesic, conformal_lift, sphere_area
+from gjmslab.geometry import conformal_lift, sphere_area
 from gjmslab.grids import RadialFunction, Space, gauss_panels, geometric_grid, uniform_grid
 from gjmslab.params import Params
 
@@ -48,25 +48,18 @@ class TestGrids:
 
 class TestConformalLift:
     def test_zero_maps_to_zero(self):
-        grid = uniform_grid(0.8, panel_width=0.02)
-        w = RadialFunction(grid, np.zeros_like(grid.nodes), 0.8, Space.EUCLIDEAN)
-        u = conformal_lift(w, Params(3, 1.0))
-        assert u.is_zero()
-        assert u.space is Space.HYPERBOLIC
+        lifted = conformal_lift(np.zeros_like, 0.8, Params(3, 1.0))
+        assert not np.any(lifted(uniform_grid(2.0 * np.arctanh(0.8)).nodes))
 
     def test_support_error(self):
-        grid = uniform_grid(1.2, panel_width=0.02)
-        w = RadialFunction(grid, np.zeros_like(grid.nodes), 1.2, Space.EUCLIDEAN)
-        with pytest.raises(ParameterError, match="support inside the unit ball"):
-            conformal_lift(w, Params(3, 1.0))
-
-    def test_geodesic_mapping(self):
-        grid = uniform_grid(0.4, panel_width=0.01)
-        w = RadialFunction.from_profile(windowed_gaussian(0.1, 0.4), grid, 0.4,
-                                        Space.EUCLIDEAN)
-        u = conformal_lift(w, Params(4, 0.75))
-        assert np.allclose(u.grid.nodes, 2.0 * np.arctanh(grid.nodes))
-        assert u.support_radius == pytest.approx(float(ball_to_geodesic(0.4)))
+        for support in (1.0, 1.2, float("nan")):
+            with pytest.raises(ParameterError, match="support inside the unit ball"):
+                conformal_lift(windowed_gaussian(0.1, 0.4), support, Params(3, 1.0))
+        # the lift vanishes beyond the geodesic radius 2 artanh(support)
+        lifted = conformal_lift(lambda t: np.ones_like(t), 0.4, Params(4, 0.75))
+        edge = 2.0 * np.arctanh(0.4)
+        assert np.all(lifted(np.array([0.5, 0.99 * edge])) > 0.0)
+        assert not np.any(lifted(np.array([1.01 * edge, 3.0])))
 
     @pytest.mark.parametrize("n,s", [(3, 1.0), (4, 0.75), (5, 0.8)])
     def test_critical_norm_identity(self, n, s, rng):
@@ -75,10 +68,13 @@ class TestConformalLift:
         for _ in range(4):
             width = float(rng.uniform(0.02, 0.12))
             support = float(rng.uniform(0.3, 0.6))
+            profile = windowed_gaussian(width, support)
             grid = uniform_grid(support, panel_width=0.005)
-            w = RadialFunction.from_profile(windowed_gaussian(width, support), grid,
-                                            support, Space.EUCLIDEAN)
-            u = conformal_lift(w, p)
+            w = RadialFunction.from_profile(profile, grid, support, Space.EUCLIDEAN)
+            radius = 2.0 * np.arctanh(support)
+            u = RadialFunction.from_profile(conformal_lift(profile, support, p),
+                                            uniform_grid(radius, panel_width=0.025), radius,
+                                            Space.HYPERBOLIC)
             two_star = p.two_star
             eucl = sphere_area(n) * grid.integrate(
                 np.abs(w.values) ** two_star * grid.nodes ** (n - 1))

@@ -145,7 +145,7 @@ class TestBubbleQuotient:
         # box edge delta = 0.245, and the GJMS energy within 1e-14 of itself
         # on the box corners, where a tiny remainder form moves more
         import gjmslab.quotients as quotients
-        from gjmslab.bubbles import sampled_bubble
+        from gjmslab.bubbles import truncated_bubble
         from gjmslab.geometry import conformal_lift
 
         assert 12.0 <= quotients.REMAINDER_B_MAX <= 16.0
@@ -153,9 +153,9 @@ class TestBubbleQuotient:
         p = Params(n, s)
         for eps in (0.02, 0.1, 0.3):
             bp = BubbleParams(eps, 0.245)
-            u = conformal_lift(sampled_bubble(p, bp), p)
             radius = quotients.LIFTED_BUBBLE_RADIUS
-            u = RadialFunction.from_profile(u.profile, quotients.standard_hyperbolic_grid(radius),
+            u = RadialFunction.from_profile(conformal_lift(truncated_bubble(p, bp), 0.49, p),
+                                            quotients.standard_hyperbolic_grid(radius),
                                             radius, Space.HYPERBOLIC)
             short, full = (quadratic_form(MultiplierKind.REMAINDER, p, u, b_max=b_max)
                            for b_max in (quotients.REMAINDER_B_MAX, DEFAULT_B_MAX))
