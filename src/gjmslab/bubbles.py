@@ -1,10 +1,10 @@
-"""The standard bubble family, smooth cut-offs, the truncated bubble's
-Euclidean fractional energy, and the cut-off asymptotics experiments built
-on them.
+"""The standard bubble family, smooth cut-offs, the truncated bubble with
+its two Euclidean masses (bubble_masses, its one sampling) and its Euclidean
+fractional energy, and the cut-off asymptotics experiments built on them.
 
 The truncated bubble's energy (bubble_energy) depends on t = eps/delta
 alone, so every one is priced on the one support [0, 2 ENERGY_DELTA]: at
-s = 1 as the Dirichlet integral of (cutoff U_eps)' in closed form on a
+s = 1 as the Dirichlet integral of (chi U_eps)' in closed form on a
 graded plateau and a panelled cut-off ramp, with no band built; at every
 other s by radial Fourier (Hankel) quadrature over octave frequency bands.
 A band's kernel (Bessel matrix, r^{n-1}, r weights and cut-off in one
@@ -28,9 +28,7 @@ from .geometry import sphere_area
 from .grids import (
     BLOCK_CELLS,
     PHASE_PER_PANEL,
-    RadialFunction,
     RadialGrid,
-    Space,
     _mirrored_rule,
     gauss_panels,
     geometric_edges,
@@ -82,15 +80,6 @@ def _bubble_values(p: Params, eps: float, r):
     return eps ** (-q) * (1.0 + (r / eps) ** 2) ** (-q)
 
 
-def bubble(p: Params, bp: BubbleParams, r):
-    """U_eps(r) = eps^-(n-2s)/2 (1 + (r/eps)^2)^-(n-2s)/2; decreasing, U(0)=1."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0):
-        raise ParameterError("bubble requires r >= 0")
-    out = _bubble_values(p, bp.eps, r)
-    return float(out) if out.ndim == 0 else out
-
-
 def _mollifier_density(t):
     """exp(-1/(t(1-t))) on (0, 1): the cut-off's ramp is its normalized integral."""
     return np.exp(-1.0 / (t * (1.0 - t)))
@@ -126,53 +115,32 @@ def smooth_window(r, r_on: float, r_off: float):
     return 1.0 - smooth_step((np.asarray(r, dtype=float) - r_on) / (r_off - r_on))
 
 
-def cutoff(delta: float, r):
-    """The flat mollifier cut-off: 1 on [0, delta], 0 beyond 2*delta.
-
-    Built from the normalized integral of exp(-1/(t(1-t))), so it is genuinely
-    C-infinity and takes the exact value 1/2 at the midpoint 3*delta/2.
-    """
-    if not (0.0 < delta < 0.25):
-        raise ParameterError(f"cutoff requires delta in (0, 1/4), got {delta}")
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0):
-        raise ParameterError("cutoff requires r >= 0")
-    out = smooth_window(r, delta, 2.0 * delta)
-    return float(out) if out.ndim == 0 else out
-
-
 def _bubble_edges(eps: float, r_max: float):
-    """The panel edges of bubble_grid(eps, r_max)."""
+    """Graded panel edges resolving the bubble core scale eps on [0, r_max]:
+    uniform eps/2 panels out to 6 eps, then panels growing by 1.25 from eps."""
     core = min(6.0 * eps, r_max)
     core_edges = np.linspace(0.0, core, max(2, int(np.ceil(core / (eps / 2.0))) + 1))
     tail_edges = geometric_edges(r_max, eps, growth=1.25, start=core)
     return np.concatenate([core_edges[:-1], tail_edges])
 
 
-def bubble_grid(eps: float, r_max: float) -> RadialGrid:
-    """Graded grid resolving the bubble core scale eps on [0, r_max]: uniform
-    eps/2 panels out to 6 eps, then panels growing by 1.25 from eps."""
-    return RadialGrid.from_edges(_bubble_edges(eps, r_max))
-
-
 def truncated_bubble(p: Params, bp: BubbleParams):
-    """The standard trial's profile r -> cutoff(delta, r) U_eps(r), supported
-    in [0, 2 delta]."""
-    return lambda r: cutoff(bp.delta, r) * bubble(p, bp, r)
+    """The standard trial's profile r -> chi(r) U_eps(r), U_eps(r) =
+    eps^-(n-2s)/2 (1 + (r/eps)^2)^-(n-2s)/2, cut off by chi = smooth_window(r,
+    delta, 2 delta), the normalized integral of exp(-1/(t(1-t))): C-infinity,
+    1 on [0, delta], 0 beyond 2 delta, exactly 1/2 at the midpoint 3 delta/2."""
+    return lambda r: smooth_window(r, bp.delta, 2.0 * bp.delta) * _bubble_values(p, bp.eps, r)
 
 
-def sampled_bubble(p: Params, bp: BubbleParams) -> RadialFunction:
-    """truncated_bubble(p, bp) on bubble_grid(eps, 2 delta)."""
-    grid = bubble_grid(bp.eps, 2.0 * bp.delta)
-    return RadialFunction.from_profile(truncated_bubble(p, bp), grid, 2.0 * bp.delta,
-                                       Space.EUCLIDEAN)
-
-
-def crit_mass(p: Params, w: RadialFunction) -> float:
-    """int |w|^{2*_s} dx of the Euclidean radial trial w by radial quadrature;
-    -> M_inf as eps -> 0 for the truncated bubble sampled_bubble(p, bp)."""
-    r = w.grid.nodes
-    return sphere_area(p.n) * w.grid.integrate(np.abs(w.values) ** p.two_star * r ** (p.n - 1))
+def bubble_masses(p: Params, bp: BubbleParams):
+    """(int |w|^{2*_s} dx -> M_inf, int |w|^2 phi^{2s} dx = int |u|^2 dV) of
+    w = truncated_bubble(p, bp) sampled on _bubble_edges(eps, 2 delta), u its
+    lift; phi = 2/(1-|x|^2), the exponent +2s that of the lift identity."""
+    grid = RadialGrid.from_edges(_bubble_edges(bp.eps, 2.0 * bp.delta))
+    r, w = grid.nodes, truncated_bubble(p, bp)(grid.nodes)
+    crit = sphere_area(p.n) * grid.integrate(np.abs(w) ** p.two_star * r ** (p.n - 1))
+    weight = (2.0 / (1.0 - r * r)) ** (2.0 * p.s)
+    return crit, sphere_area(p.n) * grid.integrate(w ** 2 * weight * r ** (p.n - 1))
 
 
 # the largest n of bubble_mass_limit: math.gamma(n) overflows a double from n = 172
@@ -200,15 +168,6 @@ def bubble_energy_limit(p: Params) -> float:
                              "energy 2^{2s} Gamma((n+2s)/2) / Gamma((n-2s)/2) M_inf "
                              "overflows a double")
     return energy
-
-
-def hyperbolic_l2_mass(p: Params, w: RadialFunction) -> float:
-    """int |w|^2 phi^{2s} dx over the ball = int |u|^2 dV for the lift u of
-    the Euclidean radial trial w; phi = 2/(1-|x|^2), and the exponent +2s is
-    what the lift identity requires under this convention."""
-    r = w.grid.nodes
-    weight = (2.0 / (1.0 - r * r)) ** (2.0 * p.s)
-    return sphere_area(p.n) * w.grid.integrate(w.values ** 2 * weight * r ** (p.n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +217,9 @@ def _band_kernel(n, lo, hi):
 
 
 def _banded_energy(p: Params, eps: float) -> float:
-    """omega int rho^{2s+n-1} w_hat^2 d rho of w = cutoff(ENERGY_DELTA, r) U_eps(r),
-    over octave bands from rho = 1e-4, extending past rho = 64 until the
-    running tail undershoots 1e-9 of the accumulated total.
+    """omega int rho^{2s+n-1} w_hat^2 d rho of w = truncated_bubble at (eps,
+    ENERGY_DELTA), over octave bands from rho = 1e-4, extending past rho = 64
+    until the running tail undershoots 1e-9 of the accumulated total.
 
     U_eps is evaluated once per distinct r-grid of the bands."""
     n, s = p.n, p.s
@@ -286,23 +245,23 @@ def _banded_energy(p: Params, eps: float) -> float:
 
 # panels of the cut-off ramp [delta, 2 delta] in the s = 1 energy: 8 move it
 # by at most 3e-15 when each is split in 2 or 4, where the trial's own
-# bubble_grid panels, which straddle delta, leave it 2.4e-8 off at t = 0.8
+# _bubble_edges panels, which straddle delta, leave it 2.4e-8 off at t = 0.8
 RAMP_PANELS = 8
 
 
 def _dirichlet_edges(eps: float):
-    """Panel edges for the s = 1 energy of cutoff(ENERGY_DELTA, r) U_eps(r):
-    the bubble_grid panels of the plateau [0, ENERGY_DELTA], where the
-    cut-off is 1, then RAMP_PANELS equal panels on the ramp."""
+    """Panel edges for the s = 1 energy of truncated_bubble at (eps,
+    ENERGY_DELTA): the _bubble_edges panels of the plateau [0, ENERGY_DELTA],
+    where the cut-off is 1, then RAMP_PANELS equal panels on the ramp."""
     return np.concatenate([_bubble_edges(eps, ENERGY_DELTA)[:-1],
                            np.linspace(ENERGY_DELTA, 2.0 * ENERGY_DELTA, RAMP_PANELS + 1)])
 
 
 def _dirichlet_energy(p: Params, eps: float, grid: RadialGrid) -> float:
-    """omega int (w')^2 r^{n-1} dr of w = cutoff(delta, r) U_eps(r) on grid,
-    delta = ENERGY_DELTA, with w' = chi' U + chi U' in closed form: chi' is
-    minus _mollifier_density(t) / (_MOLLIFIER_TOTAL delta), t = (r - delta)/delta,
-    and U' = -(n-2s) r U / (eps^2 + r^2)."""
+    """omega int (w')^2 r^{n-1} dr of w = chi U = truncated_bubble at (eps,
+    delta = ENERGY_DELTA) on grid, with w' = chi' U + chi U' in closed form:
+    chi' is minus _mollifier_density(t) / (_MOLLIFIER_TOTAL delta),
+    t = (r - delta)/delta, and U' = -(n-2s) r U / (eps^2 + r^2)."""
     delta, r = ENERGY_DELTA, grid.nodes
     u = _bubble_values(p, eps, r)
     t = (r - delta) / delta
@@ -310,12 +269,12 @@ def _dirichlet_energy(p: Params, eps: float, grid: RadialGrid) -> float:
     d_chi = np.zeros_like(r)
     d_chi[ramp] = -_mollifier_density(t[ramp]) / (_MOLLIFIER_TOTAL * delta)
     d_u = -(p.n - 2.0 * p.s) * r / (eps ** 2 + r * r) * u
-    d_w = d_chi * u + cutoff(delta, r) * d_u
+    d_w = d_chi * u + smooth_window(r, delta, 2.0 * delta) * d_u
     return sphere_area(p.n) * grid.integrate(d_w * d_w * r ** (p.n - 1))
 
 
 def bubble_energy(p: Params, bp: BubbleParams) -> float:
-    """E(w) of the truncated bubble w = sampled_bubble(p, bp). By Euclidean
+    """E(w) of the truncated bubble w = truncated_bubble(p, bp). By Euclidean
     scaling it depends on t = eps/delta alone, so it is priced at
     (t ENERGY_DELTA, ENERGY_DELTA), and equal float t give equal bits: at
     s = 1 the Dirichlet integral on the _dirichlet_edges panels, no Hankel
@@ -413,11 +372,12 @@ def bubble_asymptotics(p: Params, delta: float, eps_ladder):
     """The cut-off bubble asymptotics over an eps ladder.
 
     rows holds (eps, critical mass, hyperbolic L2 mass, fractional energy) of
-    the truncated bubble at each eps. summary holds one verdict block each,
-    with its target, tolerance and "passed": crit, the log-log slope of
-    M_inf minus the critical mass (target n); energy, the log-log slope of
-    |E - E(U)| (target n - 2s, within 15%); l2, see _l2_verdict. A ladder of
-    fewer than three or of repeated eps, or an n beyond MAX_N, raises
+    the truncated bubble at each eps, the masses from bubble_masses. summary
+    holds one verdict block each, with its target, tolerance and "passed":
+    crit, the log-log slope of M_inf minus the critical mass (target n);
+    energy, the log-log slope of |E - E(U)| (target n - 2s, within 15%); l2,
+    see _l2_verdict. A ladder of fewer than three or of repeated eps, or an
+    n beyond MAX_N, raises
     ParameterError before any work.
     """
     if len(eps_ladder) < 3:   # every rate is fitted over at least three points
@@ -426,10 +386,7 @@ def bubble_asymptotics(p: Params, delta: float, eps_ladder):
         raise ParameterError("eps ladder entries must be distinct")
     mass_limit, energy_limit = bubble_mass_limit(p.n), bubble_energy_limit(p)
     trials = [BubbleParams(eps, delta) for eps in eps_ladder]
-    rows = []
-    for bp in trials:
-        w = sampled_bubble(p, bp)
-        rows.append((bp.eps, crit_mass(p, w), hyperbolic_l2_mass(p, w), bubble_energy(p, bp)))
+    rows = [(bp.eps, *bubble_masses(p, bp), bubble_energy(p, bp)) for bp in trials]
     eps, crit, l2, energy = (np.array(column) for column in zip(*rows))
     crit_slope = fit_loglog_slope(eps, np.abs(mass_limit - crit))
     energy_slope = fit_loglog_slope(eps, np.abs(energy - energy_limit))

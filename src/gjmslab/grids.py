@@ -11,7 +11,6 @@ and the 48-node rule by 6e-15. A RadialGrid holds plain dr-weights on
 applied by callers.
 """
 
-import enum
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,11 +47,6 @@ GAUSS_NODES, GAUSS_WEIGHTS = _mirrored_rule(
 )
 
 
-class Space(enum.Enum):
-    HYPERBOLIC = "hyperbolic"
-    EUCLIDEAN = "euclidean"
-
-
 def gauss_panels(edges):
     """Composite 16-node Gauss-Legendre nodes and weights, panel by panel,
     on the panels [edges[..., i], edges[..., i+1]] (plain arrays, no
@@ -82,7 +76,7 @@ def geometric_edges(r_max: float, first_width: float, growth: float = 1.2,
 class RadialGrid:
     nodes: np.ndarray
     weights: np.ndarray
-    domain_end: Optional[float] = None   # right edge of the covered interval
+    r_max: Optional[float] = None   # right edge of the covered interval
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -95,18 +89,14 @@ class RadialGrid:
             raise ParameterError("grid weights must be positive")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-        if self.domain_end is None:
-            object.__setattr__(self, "domain_end", float(nodes[-1]))
+        if self.r_max is None:
+            object.__setattr__(self, "r_max", float(nodes[-1]))
 
     @classmethod
     def from_edges(cls, edges) -> "RadialGrid":
         """The gauss_panels grid on the given edges, covering [edges[0], edges[-1]]."""
         nodes, weights = gauss_panels(edges)
-        return cls(nodes, weights, domain_end=float(edges[-1]))
-
-    @property
-    def r_max(self) -> float:
-        return float(self.domain_end)
+        return cls(nodes, weights, r_max=float(edges[-1]))
 
     def integrate(self, values) -> float:
         return float(np.dot(self.weights, np.asarray(values, dtype=float)))
@@ -147,8 +137,12 @@ def uniform_grid(r_max: float, panel_width: float = 0.05) -> RadialGrid:
     """Composite Gauss-Legendre grid with (near-)uniform panels on [0, r_max]."""
     if not r_max > 0.0:
         raise ParameterError(f"r_max must be > 0, got {r_max}")
-    n_panels = max(1, int(np.ceil(r_max / panel_width)))
-    return RadialGrid.from_edges(np.linspace(0.0, r_max, n_panels + 1))
+    return RadialGrid.from_edges(np.linspace(0.0, r_max, _uniform_panels(r_max, panel_width) + 1))
+
+
+def _uniform_panels(r_max: float, panel_width: float) -> int:
+    """The panel count of uniform_grid(r_max, panel_width)."""
+    return max(1, int(np.ceil(r_max / panel_width)))
 
 
 def geometric_grid(r_max: float, first_width: float, growth: float = 1.2,
@@ -164,16 +158,14 @@ def geometric_grid(r_max: float, first_width: float, growth: float = 1.2,
 
 @dataclass(frozen=True)
 class RadialFunction:
-    """A radial profile sampled on a quadrature grid: samples only, which
-    must vanish at nodes beyond support_radius. A profile is carried from
-    one space to another as a function (geometry.conformal_lift) and
-    sampled once, on the grid that prices it.
-    """
+    """A hyperbolic radial profile sampled on a geodesic grid: samples only,
+    zero at nodes beyond support_radius. A Euclidean profile is lifted as a
+    function (geometry.conformal_lift) and sampled once, on the grid that
+    prices it; the truncated bubble's Euclidean samples stay in bubbles."""
 
     grid: RadialGrid
     values: np.ndarray
     support_radius: float
-    space: Space
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -187,18 +179,10 @@ class RadialFunction:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def from_profile(cls, fn, grid: RadialGrid, support_radius: float, space: Space):
+    def from_profile(cls, fn, grid: RadialGrid, support_radius: float):
         """fn sampled on grid, zero at the nodes beyond support_radius."""
-        nodes = grid.nodes
-        values = np.where(nodes <= support_radius, fn(nodes), 0.0)
-        return cls(grid, values, float(support_radius), space)
-
-    def is_zero(self) -> bool:
-        return bool(np.all(self.values == 0.0))
-
-    def require_compact_support(self):
-        if not np.isfinite(self.support_radius):
-            raise ParameterError("operation requires compactly supported data")
+        values = np.where(grid.nodes <= support_radius, fn(grid.nodes), 0.0)
+        return cls(grid, values, float(support_radius))
 
 
 @dataclass(frozen=True)

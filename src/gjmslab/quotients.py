@@ -19,19 +19,18 @@ from .bubbles import (
     bubble_energy,
     bubble_energy_limit,
     bubble_mass_limit,
-    crit_mass,
-    hyperbolic_l2_mass,
-    sampled_bubble,
+    bubble_masses,
     smooth_window,
     truncated_bubble,
 )
 from .errors import BudgetExceeded, NumericalError, ParameterError
 from .geometry import conformal_lift
-from .grids import RadialFunction, Space, uniform_grid
+from .grids import GAUSS_NODES, RadialFunction, _uniform_panels, uniform_grid
 from .multipliers import BETA_MAX, multiplier, sin_pi, spectral_bottom
 from .params import MultiplierKind, Params
-from .spherical import DEFAULT_B_MAX, _polar_measure, _spectral_forms, decay_slope, \
-    default_beta_grid, lp_mass, phi_matrix, quadratic_form, regularized_kernel
+from .spherical import DEFAULT_B_MAX, MAX_TABLE_CELLS, _beta_panels, _polar_measure, \
+    _spectral_forms, decay_slope, default_beta_grid, lp_mass, phi_matrix, quadratic_form, \
+    regularized_kernel
 
 MAX_GRID_RADIUS = 40.0   # the widest trial support, the blow-down arch's
 
@@ -66,15 +65,19 @@ class QuotientReport:
         return replace(self, lam=lam, quotient=q)
 
 
-def standard_hyperbolic_grid(r_max: float):
-    """The uniform geodesic grid on exactly [0, r_max]: panels of width 0.025
-    up to r_max = 2, where bubble cores live, 0.05 up to 16 and 0.125 up to
+def _hyperbolic_width(r_max: float) -> float:
+    """The panel width of standard_hyperbolic_grid(r_max): 0.025 up to
+    r_max = 2, where bubble cores live, 0.05 up to 16 and 0.125 up to
     MAX_GRID_RADIUS for the wide trials; ParameterError beyond it."""
     if r_max > MAX_GRID_RADIUS:
         raise ParameterError(
             f"trial support {r_max} exceeds the largest grid radius {MAX_GRID_RADIUS}")
-    width = 0.025 if r_max <= 2.0 else (0.05 if r_max <= 16.0 else 0.125)
-    return uniform_grid(r_max, panel_width=width)
+    return 0.025 if r_max <= 2.0 else (0.05 if r_max <= 16.0 else 0.125)
+
+
+def standard_hyperbolic_grid(r_max: float):
+    """The uniform geodesic grid on exactly [0, r_max], panels _hyperbolic_width wide."""
+    return uniform_grid(r_max, panel_width=_hyperbolic_width(r_max))
 
 
 def _report(p, lam, energy, l2, crit_integral, descriptor):
@@ -104,7 +107,7 @@ def sobolev_quotient(kind: MultiplierKind, p: Params, lam: float,
     (_energy_kind), from one spherical transform of u.
     """
     energy_kind = _energy_kind(kind, p)
-    if u.is_zero():
+    if not np.any(u.values):
         raise ParameterError("sobolev_quotient needs a nonzero trial")
     energy = quadratic_form(energy_kind, p, u, b_max)
     l2 = lp_mass(u, p.n, 2.0)
@@ -118,8 +121,8 @@ def bubble_quotient(kind: MultiplierKind, p: Params, lam: float,
 
     The intertwined energy is taken as the Euclidean fractional energy of
     the truncated bubble (the exact conformal reduction; bubble_energy, a
-    Dirichlet integral at s = 1), and the masses as Euclidean integrals of
-    sampled_bubble. This is the one energy that uses the split
+    Dirichlet integral at s = 1), and the masses as its Euclidean integrals
+    (bubble_masses). This is the one energy that uses the split
     P_s = P~_s + B_s: GJMS at non-integer s adds the remainder form of the
     lifted trial, the conformal_lift of truncated_bubble sampled once on
     standard_hyperbolic_grid(LIFTED_BUBBLE_RADIUS) with declared support
@@ -131,10 +134,10 @@ def bubble_quotient(kind: MultiplierKind, p: Params, lam: float,
     if _energy_kind(kind, p) is MultiplierKind.GJMS:
         u = RadialFunction.from_profile(conformal_lift(truncated_bubble(p, bp), 2.0 * bp.delta, p),
                                         standard_hyperbolic_grid(LIFTED_BUBBLE_RADIUS),
-                                        LIFTED_BUBBLE_RADIUS, Space.HYPERBOLIC)
+                                        LIFTED_BUBBLE_RADIUS)
         energy += quadratic_form(MultiplierKind.REMAINDER, p, u, b_max=REMAINDER_B_MAX, phi=phi)
-    w = sampled_bubble(p, bp)
-    return _report(p, lam, energy, hyperbolic_l2_mass(p, w), crit_mass(p, w),
+    crit_integral, l2 = bubble_masses(p, bp)
+    return _report(p, lam, energy, l2, crit_integral,
                    f"bubble[eps={bp.eps:.6g},delta={bp.delta:.6g}]")
 
 
@@ -204,7 +207,7 @@ class SplineFamily:
         inside = grid.nodes <= support
         values = np.zeros_like(grid.nodes)
         values[inside] = _windowed_spline(self, np.concatenate([theta, [0.0]]))(grid.nodes[inside])
-        return RadialFunction(grid, values, float(min(support, self.radius)), Space.HYPERBOLIC)
+        return RadialFunction(grid, values, float(min(support, self.radius)))
 
 
 def spline_knots(family: SplineFamily) -> np.ndarray:
@@ -373,6 +376,13 @@ def _spline_forms(kind, p, family, b_max):
     return basis, measure, energy, basis.T @ (measure[:, None] * basis), guard
 
 
+def _spline_phi_cells(family, b_max) -> int:
+    """The cells of the Phi that _spline_forms reads at b_max, from the panel
+    counts of its two grids, neither built."""
+    r_panels = _uniform_panels(family.radius, _hyperbolic_width(family.radius))
+    return GAUSS_NODES.size ** 2 * _beta_panels(family.radius, b_max) * r_panels
+
+
 def _spline_report(family, p, lam, forms, theta):
     """Report of the spline trial theta from the family's matrices; the
     descriptor lists theta scaled to unit critical integral."""
@@ -523,7 +533,8 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
     (0, multipliers.BETA_MAX] (also for the bubble family, which does not
     read it), the spline family at s >= 7/2 (a C^2 cubic has jumps in its
     third derivative, so it lies in H^s only for s < 7/2 and every trial
-    there has infinite energy), a lambda above the spectral bottom of kind
+    there has infinite energy) or with a Phi of more than MAX_TABLE_CELLS
+    cells (_spline_phi_cells), a lambda above the spectral bottom of kind
     (beyond 1e-12 relative roundoff), where the level is -infinity, and
     n > bubbles.MAX_N where kind has a level_floor.
     """
@@ -537,6 +548,10 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
             f"the cubic spline family has no trial of finite energy at s = {p.s!r}: a C^2 "
             "cubic has jumps in its third derivative, so it lies in H^s only for s < 7/2"
         )
+    cells = _spline_phi_cells(family, b_max) if isinstance(family, SplineFamily) else 0
+    if cells > MAX_TABLE_CELLS:
+        raise ParameterError(f"b_max {b_max!r} asks for too much work: the spline forms read "
+                             f"a Phi of {cells:.3g} cells, more than {MAX_TABLE_CELLS:.0e}")
     bottom = spectral_bottom(kind, p)
     top = float(np.max(lambda_grid))
     if not (top <= bottom or math.isclose(top, bottom, rel_tol=1e-12)):

@@ -107,7 +107,6 @@ from .grids import (
     PHASE_PER_PANEL,
     RadialFunction,
     RadialGrid,
-    Space,
     SpectralProfile,
     gauss_panels,
 )
@@ -137,6 +136,9 @@ KERNEL_WITNESS_TOL = 1e-4  # kernel_decay: product against regularized_kernel, r
 # at each radius of the fit window; measured at most 7.3e-3 at r = 2..6 and
 # 1.2e-2 at r = 8 (GJMS (3, 1.3), intertwined (6, 1.3): a kernel near roundoff)
 KERNEL_CLOSED_FORM_TOL = 2e-2
+# work bound, counted before any grid is built: the cells of kernel_decay's witness
+# Mehler table (_witness_cells) or of a spline gap_scan's Phi (quotients._spline_phi_cells)
+MAX_TABLE_CELLS = 10 ** 8
 
 
 def plancherel_density(n: int, beta):
@@ -388,9 +390,13 @@ def phi_matrix(n: int, beta_grid: RadialGrid, r_grid: RadialGrid) -> np.ndarray:
 def default_beta_grid(support_radius: float, b_max: float = DEFAULT_B_MAX) -> RadialGrid:
     """Frequency grid on [0, b_max] resolving the transform of a profile
     supported in [0, support_radius] (whose transform oscillates at that scale)."""
+    return RadialGrid.from_edges(np.linspace(0.0, b_max, _beta_panels(support_radius, b_max) + 1))
+
+
+def _beta_panels(support_radius: float, b_max: float) -> int:
+    """The panel count of default_beta_grid(support_radius, b_max)."""
     width = min(2.0, PHASE_PER_PANEL / max(support_radius, 1.0))
-    n_panels = max(8, int(math.ceil(b_max / width)))
-    return RadialGrid.from_edges(np.linspace(0.0, b_max, n_panels + 1))
+    return max(8, int(math.ceil(b_max / width)))
 
 
 def spherical_transform(f: RadialFunction, n: int, beta_grid: RadialGrid) -> SpectralProfile:
@@ -399,10 +405,10 @@ def spherical_transform(f: RadialFunction, n: int, beta_grid: RadialGrid) -> Spe
 
 
 def _profile_column(f: RadialFunction):
-    """f's values as one profile column, once f is known to have a transform."""
-    if f.space is not Space.HYPERBOLIC:
-        raise ParameterError("spherical_transform expects a hyperbolic radial profile")
-    f.require_compact_support()
+    """f's values as one profile column, once f is known to have a transform:
+    ParameterError unless its support is compact and inside its grid."""
+    if not np.isfinite(f.support_radius):
+        raise ParameterError("operation requires compactly supported data")
     if f.support_radius > f.grid.r_max * (1.0 + 1e-12):
         raise ParameterError("radial grid does not cover the support of f")
     return f.values[:, None]
@@ -454,8 +460,7 @@ def inverse_spherical_transform(F: SpectralProfile, n: int, r_grid: RadialGrid,
     values = np.empty(r_grid.nodes.size)
     for cols, block in _phi_blocks(n, F.beta_grid, r_grid):
         values[cols] = block.T @ weighted
-    return RadialFunction(values=values, grid=r_grid, support_radius=r_grid.r_max,
-                          space=Space.HYPERBOLIC)
+    return RadialFunction(values=values, grid=r_grid, support_radius=r_grid.r_max)
 
 
 def lp_mass(f: RadialFunction, n: int, p_exp: float) -> float:
@@ -521,6 +526,25 @@ def _kernel_beta_cut(eps_reg):
     return math.sqrt(16.0 * math.log(10.0) / eps_reg)
 
 
+def _kernel_rows(r, eps_reg):
+    """The (lower, upper) edges of regularized_kernel's batch: its panels, then their halves."""
+    beta_cut = _kernel_beta_cut(eps_reg)
+    width = min(1.5, PHASE_PER_PANEL / max(r, 1.0))
+    edges = np.linspace(0.0, beta_cut, max(8, int(math.ceil(beta_cut / width))) + 1)
+    a, b = edges[:-1], edges[1:]
+    mid = 0.5 * (a + b)
+    return (np.concatenate((a, np.column_stack((a, mid)).ravel())),
+            np.concatenate((b, np.column_stack((mid, b)).ravel())))
+
+
+def _witness_cells(r, eps_reg) -> int:
+    """The cells of regularized_kernel's Mehler cos table (_phi_mehler): 16
+    nodes per batch row times 16 u-nodes per u-panel at its largest node."""
+    lo, hi = _kernel_rows(r, eps_reg)
+    top = 0.5 * (lo + hi) + 0.5 * (hi - lo) * GAUSS_NODES[-1]   # as gauss_panels
+    return GAUSS_NODES.size ** 2 * sum(_mehler_u_panels(r, b) for b in top.tolist())
+
+
 def operator_kernel(kind: MultiplierKind, p: Params, r: float) -> float:
     """The radial kernel of the operator of kind at geodesic distance r > 0,
     with C_{n,s} = 2^{2s} s Gamma((n+2s)/2) / (pi^{n/2} Gamma(1-s)), the
@@ -577,7 +601,6 @@ def regularized_kernel(kind: MultiplierKind, p: Params, r: float, eps_reg: float
         raise ParameterError(f"regularized_kernel requires r >= 0.5, got {r}")
     if not eps_reg > 0.0:
         raise ParameterError(f"eps_reg must be > 0, got {eps_reg}")
-    beta_cut = _kernel_beta_cut(eps_reg)
 
     def panel_values(a, b):
         """The one-panel rule on each panel [a[i], b[i]], as one batch."""
@@ -592,14 +615,8 @@ def regularized_kernel(kind: MultiplierKind, p: Params, r: float, eps_reg: float
         return np.array([0.5 * (hi - lo) * float(np.dot(GAUSS_WEIGHTS, row))
                          for lo, hi, row in zip(a, b, g)])
 
-    width = min(1.5, PHASE_PER_PANEL / max(r, 1.0))
-    edges = np.linspace(0.0, beta_cut, max(8, int(math.ceil(beta_cut / width))) + 1)
-    a, b = edges[:-1], edges[1:]
-    mid = 0.5 * (a + b)
-    # the panels, then the halves [a, mid] and [mid, b] of each panel in panel order
-    values = panel_values(np.concatenate((a, np.column_stack((a, mid)).ravel())),
-                          np.concatenate((b, np.column_stack((mid, b)).ravel())))
-    coarse, halves = values[:a.size], values[a.size:]
+    a, b = _kernel_rows(r, eps_reg)
+    coarse, halves = np.split(panel_values(a, b), [a.size // 3])
     fine = halves[0::2] + halves[1::2]
     scale = sum(map(abs, coarse.tolist())) + 1e-300
     miss = np.abs(fine - coarse)
@@ -689,7 +706,9 @@ def kernel_decay(kind: MultiplierKind, p: Params, radii, eps_reg: float):
     ("slope_half_eps"); also k^eps at the largest radius over
     KERNEL_SCAN_EPS and its eps_extrapolation. A repeated radius raises
     ParameterError before any kernel is computed, and so does an eps_reg
-    whose kernels run beyond multipliers.BETA_MAX (_kernel_beta_cut).
+    whose kernels run beyond multipliers.BETA_MAX (_kernel_beta_cut) or
+    whose witness builds a Mehler table of more than MAX_TABLE_CELLS cells
+    (_witness_cells).
 
     Every reported value comes from one Phi product (_kernel_table) over
     all radii and every eps of eps_reg, eps_reg / 2 and KERNEL_SCAN_EPS.
@@ -719,12 +738,16 @@ def kernel_decay(kind: MultiplierKind, p: Params, radii, eps_reg: float):
         raise ParameterError(f"eps_reg {eps_reg!r} is too small: the kernels at eps_reg / 2 run "
                              f"to |beta| = {beta_cut:.6g}, beyond the symbols' bound {BETA_MAX:g}")
     increasing = sorted(map(float, radii))
+    r_min = increasing[0]
+    cells = _witness_cells(r_min, eps_reg)
+    if cells > MAX_TABLE_CELLS:
+        raise ParameterError(f"eps_reg {eps_reg!r} asks for too much work: the witness kernel "
+                             f"builds {cells:.3g} cells, more than {MAX_TABLE_CELLS:.0e}")
     table = dict(zip(eps_values, _kernel_table(kind, p, np.array(increasing), eps_values)))
 
     def kernel(r, eps):
         return float(table[eps][increasing.index(r)])
 
-    r_min = increasing[0]
     witness = regularized_kernel(kind, p, r_min, eps_reg)
     product = kernel(r_min, eps_reg)
     if not abs(product - witness) <= KERNEL_WITNESS_TOL * abs(witness):

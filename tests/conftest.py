@@ -3,7 +3,7 @@ import pytest
 
 from gjmslab import spherical
 from gjmslab.bubbles import smooth_window
-from gjmslab.grids import RadialFunction, Space, uniform_grid
+from gjmslab.grids import RadialFunction, uniform_grid
 
 
 def windowed_gaussian(width: float, support: float):
@@ -18,8 +18,7 @@ def windowed_gaussian(width: float, support: float):
 
 def hyperbolic_bump(width=0.5, support=3.0, panel_width=0.05):
     grid = uniform_grid(support, panel_width=panel_width)
-    return RadialFunction.from_profile(windowed_gaussian(width, support), grid,
-                                       support, Space.HYPERBOLIC)
+    return RadialFunction.from_profile(windowed_gaussian(width, support), grid, support)
 
 
 @pytest.fixture

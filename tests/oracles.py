@@ -62,7 +62,7 @@ def transform_bubble_energy(p) -> float:
 
 @functools.lru_cache(maxsize=None)
 def dirichlet_bubble_energy(n, eps, delta) -> float:
-    """omega int (w')^2 r^{n-1} dr, the s = 1 energy of w = cutoff(delta, r) U_eps(r),
+    """omega int (w')^2 r^{n-1} dr, the s = 1 energy of w = chi(r) U_eps(r),
     U_eps = eps^{-q} (1 + (r/eps)^2)^{-q}, q = (n-2)/2, by mpmath's tanh-sinh
     quadrature at 16 digits of w' = chi' U + chi U' in closed form: on the
     ramp t = (r - delta)/delta in (0, 1), chi = 1 - F(t)/F(1) and

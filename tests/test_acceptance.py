@@ -13,14 +13,12 @@ from gjmslab.bubbles import (
     BubbleParams,
     bubble_asymptotics,
     bubble_mass_limit,
-    crit_mass,
+    bubble_masses,
     fit_leading_exponent,
     fit_loglog_slope,
-    hyperbolic_l2_mass,
-    sampled_bubble,
 )
 from gjmslab.cli import main as cli_main
-from gjmslab.grids import RadialFunction, Space, uniform_grid
+from gjmslab.grids import RadialFunction, uniform_grid
 from gjmslab.multipliers import (
     b_constant,
     gap_constant,
@@ -103,8 +101,7 @@ def test_04_plancherel_roundtrip():
     bg = default_beta_grid(3.0, 60.0)
     for n in (3, 4, 5):
         for width in (0.5, 1.0):
-            f = RadialFunction.from_profile(windowed_gaussian(width, 3.0), grid,
-                                            3.0, Space.HYPERBOLIC)
+            f = RadialFunction.from_profile(windowed_gaussian(width, 3.0), grid, 3.0)
             F = spherical_transform(f, n, bg)
             spectral = float(np.dot(bg.weights, F.values ** 2
                                     * plancherel_density(n, bg.nodes)))
@@ -155,7 +152,7 @@ def test_06_cutoff_critical_mass():
     assert abs(m_inf - oracle) <= 1e-6 * oracle
     p = Params(3, 1.0)
     ladder = [0.1, 0.05, 0.025, 0.0125]
-    diffs = [m_inf - crit_mass(p, sampled_bubble(p, BubbleParams(e, 0.24))) for e in ladder]
+    diffs = [m_inf - bubble_masses(p, BubbleParams(e, 0.24))[0] for e in ladder]
     slope = fit_loglog_slope(ladder, diffs)
     assert abs(slope - 3.0) <= 0.3
     report(6, f"critical-mass limit within {abs(m_inf - oracle) / oracle:.2e} of the "
@@ -165,7 +162,7 @@ def test_06_cutoff_critical_mass():
 def test_07_l2_three_regimes():
     def l2(n, s, eps):
         p = Params(n, s)
-        return hyperbolic_l2_mass(p, sampled_bubble(p, BubbleParams(eps, 0.2)))
+        return bubble_masses(p, BubbleParams(eps, 0.2))[1]
 
     ladder = [0.025, 0.0125, 0.00625, 0.003125]
     m51 = [l2(5, 1.0, e) for e in ladder]
@@ -214,8 +211,7 @@ def test_09_sharp_inequality_floor():
         # 8 direct hyperbolic trials through the spectral energy
         grid = uniform_grid(3.0)
         for width in (0.4, 0.7, 1.0, 1.4, 1.9, 2.4, 3.0, 3.6):
-            u = RadialFunction.from_profile(windowed_gaussian(width, 3.0), grid,
-                                            3.0, Space.HYPERBOLIC)
+            u = RadialFunction.from_profile(windowed_gaussian(width, 3.0), grid, 3.0)
             rep = sobolev_quotient(INT, p, 0.0, u)
             margins.append(rep.quotient / s_est - 1.0)
         assert len(margins) >= 20

@@ -20,20 +20,17 @@ from gjmslab.bubbles import (
     _band_kernel,
     _dirichlet_edges,
     _banded_energy,
+    _bubble_values,
     _dirichlet_energy,
     _mollifier_mass,
     _scaled_bessel_matrix,
-    bubble,
     bubble_asymptotics,
     bubble_energy,
     bubble_energy_limit,
     bubble_mass_limit,
-    crit_mass,
-    cutoff,
+    bubble_masses,
     fit_leading_exponent,
     fit_loglog_slope,
-    hyperbolic_l2_mass,
-    sampled_bubble,
     smooth_step,
     smooth_window,
 )
@@ -49,26 +46,25 @@ mp.mp.dps = 30
 class TestBubble:
     def test_center_value(self):
         p = Params(5, 1.0)
-        assert bubble(p, BubbleParams(0.999999999999, 0.2), 0.0) == pytest.approx(1.0, rel=1e-10)
+        assert _bubble_values(p, 1.0, 0.0) == 1.0
 
     def test_known_value(self):
         p = Params(5, 1.0)
-        assert bubble(p, BubbleParams(0.999999999999, 0.2), 1.0) == pytest.approx(
-            2.0 ** -1.5, rel=1e-10)
+        assert _bubble_values(p, 1.0, 1.0) == pytest.approx(2.0 ** -1.5, rel=1e-15)
 
     def test_scaling_exact(self):
         p = Params(4, 0.75)
         eps = 0.125  # power of two: the scaling identity is float-exact
         q = (p.n - 2 * p.s) / 2.0
         for r in (0.25, 0.5, 2.0):
-            lhs = bubble(p, BubbleParams(eps, 0.2), eps * r)
-            rhs = eps ** (-q) * bubble(p, BubbleParams(1.0 - 1e-16, 0.2), r)
+            lhs = _bubble_values(p, eps, eps * r)
+            rhs = eps ** (-q) * _bubble_values(p, 1.0, r)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_decreasing(self):
         p = Params(3, 0.75)
         r = np.linspace(0.0, 3.0, 100)
-        vals = bubble(p, BubbleParams(0.3, 0.2), r)
+        vals = _bubble_values(p, 0.3, r)
         assert np.all(np.diff(vals) < 0.0)
 
     def test_params_validation(self):
@@ -83,28 +79,26 @@ class TestBubble:
         bp = BubbleParams(0.05, 0.2)
         delta = 0.25
         r = np.linspace(delta, 5.0, 2000)
-        vals = bubble(p, bp, r)
+        vals = _bubble_values(p, bp.eps, r)
         assert np.argmax(vals) == 0
 
 
 class TestCutoff:
+    """The truncated bubble's cut-off smooth_window(r, delta, 2 delta)."""
+
     def test_plateau_and_support(self):
-        assert cutoff(0.2, 0.1) == 1.0
-        assert cutoff(0.2, 0.5) == 0.0
-        assert cutoff(0.2, 0.2) == pytest.approx(1.0, abs=1e-14)
+        assert smooth_window(0.1, 0.2, 0.4) == 1.0
+        assert smooth_window(0.5, 0.2, 0.4) == 0.0
+        assert smooth_window(0.2, 0.2, 0.4) == pytest.approx(1.0, abs=1e-14)
 
     def test_exact_midpoint(self):
-        assert cutoff(0.2, 0.3) == pytest.approx(0.5, abs=1e-12)
-        assert 0.0 < cutoff(0.2, 0.25) < 1.0
+        assert smooth_window(0.3, 0.2, 0.4) == pytest.approx(0.5, abs=1e-12)
+        assert 0.0 < smooth_window(0.25, 0.2, 0.4) < 1.0
 
     def test_monotone(self):
         r = np.linspace(0.0, 0.5, 400)
-        vals = cutoff(0.2, r)
+        vals = smooth_window(r, 0.2, 0.4)
         assert np.all(np.diff(vals) <= 1e-13)
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            cutoff(0.3, 0.1)
 
     def test_step_flat_parts_exact_and_ramp_bit_equal(self):
         # the 48-node quadrature of the mollifier mass on every node, as
@@ -169,7 +163,7 @@ class TestCritMass:
         p = Params(3, 1.0)
         m_inf = bubble_mass_limit(3)
         ladder = [0.1, 0.05, 0.025, 0.0125]
-        diffs = [m_inf - crit_mass(p, sampled_bubble(p, BubbleParams(e, 0.24))) for e in ladder]
+        diffs = [m_inf - bubble_masses(p, BubbleParams(e, 0.24))[0] for e in ladder]
         assert np.all(np.asarray(diffs) > 0.0)
         slope = fit_loglog_slope(ladder, diffs)
         assert slope == pytest.approx(3.0, abs=0.3)
@@ -179,14 +173,14 @@ class TestHyperbolicL2Mass:
     def test_power_regime(self):
         ladder = [0.025, 0.0125, 0.00625, 0.003125]
         p = Params(5, 1.0)
-        masses = [hyperbolic_l2_mass(p, sampled_bubble(p, BubbleParams(e, 0.2)))
+        masses = [bubble_masses(p, BubbleParams(e, 0.2))[1]
                   for e in ladder]
         assert fit_loglog_slope(ladder, masses) == pytest.approx(2.0, abs=0.1)
 
     def test_log_regime(self):
         ladder = [0.0125, 0.00625, 0.003125]
         p = Params(4, 1.0)
-        ratios = [hyperbolic_l2_mass(p, sampled_bubble(p, BubbleParams(e, 0.2)))
+        ratios = [bubble_masses(p, BubbleParams(e, 0.2))[1]
                   / (e ** 2 * abs(math.log(e))) for e in ladder]
         assert all(r > 0 for r in ratios)
         assert abs(ratios[-1] / ratios[-2] - 1.0) <= 0.10
@@ -194,7 +188,7 @@ class TestHyperbolicL2Mass:
     def test_low_regime(self):
         ladder = [0.00625, 0.003125, 0.0015625, 0.00078125]
         p = Params(3, 1.0)
-        masses = [hyperbolic_l2_mass(p, sampled_bubble(p, BubbleParams(e, 0.2)))
+        masses = [bubble_masses(p, BubbleParams(e, 0.2))[1]
                   for e in ladder]
         assert fit_loglog_slope(ladder, masses) == pytest.approx(1.0, abs=0.05)
 
@@ -219,7 +213,7 @@ class TestLeadingExponent:
 
         ladder = np.array([0.05, 0.025, 0.0125, 0.00625])
         p = Params(n, s)
-        masses = np.array([hyperbolic_l2_mass(p, sampled_bubble(p, BubbleParams(e, 0.2)))
+        masses = np.array([bubble_masses(p, BubbleParams(e, 0.2))[1]
                            for e in ladder])
         b = max(2.0 * s, n - 2.0 * s)
 
@@ -295,7 +289,7 @@ class TestDirichletRoute:
     @pytest.mark.parametrize("n", [3, 5])
     def test_hankel_floor_at_the_energy_support(self, n):
         # bubble_energy's Hankel route (s != 1) against the Dirichlet
-        # integral, both of cutoff(ENERGY_DELTA, r) U_eps(r), over the bubble
+        # integral, both of the truncated bubble at ENERGY_DELTA, over the bubble
         # box (t up to eps_hi/delta_lo = 6) and below it; measured at n = 3,
         # 5: -6.2e-6, +1.0e-5 at t = 0.005, at most 6.2e-7 at 0.01, 5.4e-8 at
         # 0.02 and 1.3e-8 from 0.04 on
@@ -360,7 +354,7 @@ class TestRatioInvariance:
         for bp in (bps[0], bps[-1]):
             assert bubble_energy(Params(5, 1.0), bp) == pytest.approx(
                 dirichlet_bubble_energy(5, bp.eps, bp.delta), rel=1e-13)
-        masses = [crit_mass(p, sampled_bubble(p, bp)) for bp in bps]
+        masses = [bubble_masses(p, bp)[0] for bp in bps]
         assert max(masses) - min(masses) <= 1e-12 * min(masses)
 
     @pytest.mark.parametrize("s", [0.8, 1.0])
@@ -378,8 +372,7 @@ class TestRatioInvariance:
     @pytest.mark.parametrize("t", [0.1, 0.2])
     def test_l2_mass_grows_with_delta(self, t):
         p = Params(5, 0.8)
-        l2 = [hyperbolic_l2_mass(p, sampled_bubble(p, BubbleParams(t * delta, delta)))
-              for delta in self.DELTAS]
+        l2 = [bubble_masses(p, BubbleParams(t * delta, delta))[1] for delta in self.DELTAS]
         assert all(a < b for a, b in zip(l2, l2[1:]))
 
 
@@ -427,13 +420,14 @@ class TestBandKernels:
     def test_windowed_route_bit_equal(self):
         # each band's r-grid ends inside the energy support, and its kernel is
         # the Bessel matrix times r^{n-1}, the r weights and the trial's own
-        # cut-off, cutoff(ENERGY_DELTA, r), bit for bit
+        # cut-off, smooth_window(r, ENERGY_DELTA, 2 ENERGY_DELTA), bit for bit
         for n in (3, 5):
             band = _band_kernel(n, *self.BAND)
             grid = geometric_grid(2.0 * ENERGY_DELTA, 0.02,
                                   max_width=max(PHASE_PER_PANEL / float(band.rho[-1]), 1e-4))
             assert grid.nodes.tobytes() == band.r.tobytes() and band.r[-1] < 2.0 * ENERGY_DELTA
-            density = band.r ** (n - 1) * grid.weights * cutoff(ENERGY_DELTA, band.r)
+            density = (band.r ** (n - 1) * grid.weights
+                       * smooth_window(band.r, ENERGY_DELTA, 2.0 * ENERGY_DELTA))
             expected = _scaled_bessel_matrix(n, band.rho, band.r) * density
             assert expected.tobytes() == band.kernel.tobytes()
 
@@ -595,3 +589,51 @@ class TestGjmsEnergyBits:
                     .energy.hex() for eps, delta in self.TRIALS)
         assert got == self.BITS[(n, s)]
         assert tuple(form.hex() for form in forms) == self.REMAINDER_BITS[(n, s)]
+
+
+class TestMassBits:
+    """float.hex of the (critical integral, hyperbolic L2 mass) pair of
+    bubble_masses on the trials of TestGjmsEnergyBits: the values the
+    sampled Euclidean trial and its two mass functions gave before
+    bubble_masses replaced them (same BLAS caveat as TestEnergyBits)."""
+
+    TRIALS = TestGjmsEnergyBits.TRIALS
+    BITS = {
+        (5, 0.8): (
+            ("0x1.f0192eaf1b05ap-1", "0x1.282d269181411p-5"),
+            ("0x1.29154e248d97cp-1", "0x1.621abf71bbd57p-1"),
+            ("0x1.73863876d93ddp-1", "0x1.a8fe65a394d77p-5"),
+            ("0x1.e4c4cd4335608p-1", "0x1.6709df6979c4ap-2"),
+        ),
+        (3, 0.6): (
+            ("0x1.3bb63a3a4f624p+1", "0x1.3492edaac1721p-2"),
+            ("0x1.67fdcf39cfdbfp+0", "0x1.7a3a1ce99febcp+0"),
+            ("0x1.b35d1be3713a0p+0", "0x1.bf045ba57715cp-3"),
+            ("0x1.26a523d3a7b9cp+1", "0x1.147208aa83008p+0"),
+        ),
+        (4, 0.75): (
+            ("0x1.a51639ab9afb2p+0", "0x1.9011bfc7c0a87p-4"),
+            ("0x1.ebbbfafb5d618p-1", "0x1.16fa1bdff0439p+0"),
+            ("0x1.2f77dce056635p+0", "0x1.8c591900d501cp-4"),
+            ("0x1.94b05a9dff3c1p+0", "0x1.46ec984d6a0a6p-1"),
+        ),
+        (6, 1.3): (
+            ("0x1.0896362d2edafp-1", "0x1.2ecfac8984d8cp-8"),
+            ("0x1.3cb3dc9bdc9dap-2", "0x1.dbf2d3b302577p-2"),
+            ("0x1.936fa2d3e48f1p-2", "0x1.92a8ff64fef93p-8"),
+            ("0x1.04bb8c1fa0dbep-1", "0x1.12447daca1ed7p-3"),
+        ),
+        (7, 2.5): (
+            ("0x1.03c1ef4c1c8bep-2", "0x1.2971d625bbf52p-7"),
+            ("0x1.27b93d6a77a87p-3", "0x1.d811ca47ee9b7p-2"),
+            ("0x1.86e654f4591bdp-3", "0x1.956c8969e26b2p-14"),
+            ("0x1.00ea8d272dcccp-2", "0x1.25a28a479e37cp-4"),
+        ),
+    }
+
+    @pytest.mark.parametrize("n,s", list(BITS))
+    def test_mass_bits_pinned(self, n, s):
+        p = Params(n, s)
+        got = tuple(tuple(mass.hex() for mass in bubble_masses(p, BubbleParams(eps, delta)))
+                    for eps, delta in self.TRIALS)
+        assert got == self.BITS[(n, s)]

@@ -494,6 +494,32 @@ class TestExitCodes:
         assert err.startswith(f"error: {name} ") and err.count("\n") == 1
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("argv, name, cells", [
+        # inside BETA_MAX: the witness kernel's Mehler table held 2.1e11
+        # cells (killed after 150 s), the spline forms' Phi 8.06e8 (34 s)
+        (["kernel-decay", "--kind", "intertwined", "--n", "3", "--s", "0.6",
+          "--r-spec", "2,3,4,5,6", "--eps-reg", "1e-8"], "eps_reg", "2.1e+11"),
+        (["gap-scan", "--kind", "gjms", "--n", "3", "--s", "1", "--lambda-spec=0",
+          "--family", "spline", "--spline-radius", "3.5", "--b-max", "9e4"], "b_max", "8.06e+08"),
+    ], ids=["eps-reg", "b-max"])
+    def test_work_beyond_the_bound_exits_2(self, argv, name, cells, tmp_path, capsys,
+                                           monkeypatch):
+        # a frequency cut-off whose table exceeds spherical.MAX_TABLE_CELLS
+        # is refused before any table is built, on one error line naming
+        # the flag's quantity and the count
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a table was built")
+
+        for builder in ("gjmslab.spherical.regularized_kernel", "gjmslab.spherical._kernel_table",
+                        "gjmslab.quotients._spline_forms"):
+            monkeypatch.setattr(builder, unreachable)
+        out = str(tmp_path / "x.csv")
+        assert run(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} ") and err.count("\n") == 1
+        assert f" {cells} cells, more than 1e+08" in err
+        assert os.listdir(tmp_path) == []
+
     def test_non_finite_quotient_exits_5(self, tmp_path, capsys, monkeypatch):
         # a bubble energy that overflows a double makes the row's quotient
         # inf: a numerical failure, and no file is written

@@ -4,7 +4,7 @@ import pytest
 from conftest import windowed_gaussian
 from gjmslab.errors import ParameterError
 from gjmslab.geometry import conformal_lift, sphere_area
-from gjmslab.grids import RadialFunction, Space, gauss_panels, geometric_grid, uniform_grid
+from gjmslab.grids import RadialFunction, gauss_panels, geometric_grid, uniform_grid
 from gjmslab.params import Params
 
 
@@ -70,14 +70,13 @@ class TestConformalLift:
             support = float(rng.uniform(0.3, 0.6))
             profile = windowed_gaussian(width, support)
             grid = uniform_grid(support, panel_width=0.005)
-            w = RadialFunction.from_profile(profile, grid, support, Space.EUCLIDEAN)
+            w = profile(grid.nodes)
             radius = 2.0 * np.arctanh(support)
             u = RadialFunction.from_profile(conformal_lift(profile, support, p),
-                                            uniform_grid(radius, panel_width=0.025), radius,
-                                            Space.HYPERBOLIC)
+                                            uniform_grid(radius, panel_width=0.025), radius)
             two_star = p.two_star
             eucl = sphere_area(n) * grid.integrate(
-                np.abs(w.values) ** two_star * grid.nodes ** (n - 1))
+                np.abs(w) ** two_star * grid.nodes ** (n - 1))
             r = u.grid.nodes
             hyp = sphere_area(n) * u.grid.integrate(
                 np.abs(u.values) ** two_star * np.sinh(r) ** (n - 1))

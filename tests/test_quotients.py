@@ -7,7 +7,7 @@ from conftest import hyperbolic_bump
 from oracles import quadrature_mass_limit, slsqp_spline_search, transform_bubble_energy
 from gjmslab.bubbles import BubbleParams, smooth_window
 from gjmslab.errors import BudgetExceeded, NumericalError, ParameterError
-from gjmslab.grids import RadialFunction, Space, uniform_grid
+from gjmslab.grids import RadialFunction, uniform_grid
 from gjmslab.multipliers import b_constant, spectral_bottom
 from gjmslab.params import MultiplierKind, Params
 from gjmslab.quotients import (
@@ -16,6 +16,7 @@ from gjmslab.quotients import (
     FLOOR_REL_TOL,
     BubbleFamily,
     SplineFamily,
+    _spline_phi_cells,
     _spline_report,
     _windowed_spline,
     bubble_quotient,
@@ -27,7 +28,7 @@ from gjmslab.quotients import (
     spline_knots,
     standard_hyperbolic_grid,
 )
-from gjmslab.spherical import DEFAULT_B_MAX, quadratic_form
+from gjmslab.spherical import DEFAULT_B_MAX, default_beta_grid, quadratic_form
 
 GJMS = MultiplierKind.GJMS
 INT = MultiplierKind.INTERTWINED
@@ -71,14 +72,14 @@ class TestSobolevQuotient:
     def test_zero_trial(self):
         p = Params(3, 1.0)
         u = hyperbolic_bump(0.5, 3.0)
-        zero = RadialFunction(u.grid, np.zeros_like(u.values), 3.0, Space.HYPERBOLIC)
+        zero = RadialFunction(u.grid, np.zeros_like(u.values), 3.0)
         with pytest.raises(ParameterError, match="needs a nonzero trial"):
             sobolev_quotient(INT, p, 0.0, zero)
 
     def test_amplitude_invariance(self):
         p = Params(4, 0.75)
         u = hyperbolic_bump(0.6, 3.0)
-        scaled = RadialFunction(u.grid, 7.0 * u.values, u.support_radius, Space.HYPERBOLIC)
+        scaled = RadialFunction(u.grid, 7.0 * u.values, u.support_radius)
         q1 = sobolev_quotient(INT, p, 0.2, u).quotient
         q2 = sobolev_quotient(INT, p, 0.2, scaled).quotient
         assert q2 == pytest.approx(q1, rel=1e-12)
@@ -155,8 +156,7 @@ class TestBubbleQuotient:
             bp = BubbleParams(eps, 0.245)
             radius = quotients.LIFTED_BUBBLE_RADIUS
             u = RadialFunction.from_profile(conformal_lift(truncated_bubble(p, bp), 0.49, p),
-                                            quotients.standard_hyperbolic_grid(radius),
-                                            radius, Space.HYPERBOLIC)
+                                            quotients.standard_hyperbolic_grid(radius), radius)
             short, full = (quadratic_form(MultiplierKind.REMAINDER, p, u, b_max=b_max)
                            for b_max in (quotients.REMAINDER_B_MAX, DEFAULT_B_MAX))
             assert abs(short - full) <= 1e-14 * abs(full)
@@ -176,6 +176,16 @@ class TestStandardGrid:
     def test_support_beyond_the_largest_radius_rejected(self):
         with pytest.raises(ParameterError):
             standard_hyperbolic_grid(41.0)
+
+    @pytest.mark.parametrize("radius", [0.5, 2.0, 3.5, 16.5, 40.0])
+    @pytest.mark.parametrize("b_max", [1.0, 1234.5])
+    def test_spline_phi_cells_count_the_grids(self, radius, b_max):
+        # gap_scan's work bound counts the spline forms' Phi from the panel
+        # counts, before either grid is built
+        family = SplineFamily(radius=radius)
+        built = (default_beta_grid(radius, b_max).nodes.size
+                 * standard_hyperbolic_grid(radius).nodes.size)
+        assert _spline_phi_cells(family, b_max) == built
 
     @pytest.mark.parametrize("kind, n, s", [(GJMS, 5, 0.8), (INT, 3, 1.0)])
     def test_spline_forms_match_a_wider_grid(self, kind, n, s, monkeypatch):
@@ -210,7 +220,7 @@ class TestSplineTrial:
     def test_zero_knots_give_zero_trial(self):
         fam = SplineFamily(knots=8, radius=3.0)
         u = fam.trial(np.zeros(7))
-        assert u.is_zero()
+        assert not np.any(u.values)
 
     def test_support_truncates_at_trailing_zeros(self):
         fam = SplineFamily(knots=8, radius=3.0, grading=0.0)

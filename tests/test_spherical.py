@@ -12,7 +12,7 @@ from gjmslab import special, spherical
 from gjmslab.bubbles import BubbleParams, bubble_energy, truncated_bubble
 from gjmslab.errors import NumericalError, ParameterError
 from gjmslab.geometry import conformal_lift
-from gjmslab.grids import RadialFunction, RadialGrid, Space, SpectralProfile, uniform_grid
+from gjmslab.grids import RadialFunction, RadialGrid, SpectralProfile, uniform_grid
 from gjmslab.multipliers import multiplier, spectral_bottom
 from gjmslab.params import MultiplierKind, Params
 from gjmslab.quotients import standard_hyperbolic_grid
@@ -190,18 +190,18 @@ class TestSphericalFunction:
 class TestTransforms:
     def test_zero_transform(self):
         grid = uniform_grid(2.0)
-        f = RadialFunction(grid, np.zeros_like(grid.nodes), 2.0, Space.HYPERBOLIC)
+        f = RadialFunction(grid, np.zeros_like(grid.nodes), 2.0)
         F = spherical_transform(f, 3, default_beta_grid(2.0, 40.0))
         assert np.all(F.values == 0.0)
         back = inverse_spherical_transform(F, 3, grid)
-        assert back.is_zero()
+        assert not np.any(back.values)
 
     def test_linearity(self):
         grid = uniform_grid(3.0)
         bg = default_beta_grid(3.0, 40.0)
-        f = RadialFunction.from_profile(windowed_gaussian(0.5, 3.0), grid, 3.0, Space.HYPERBOLIC)
-        g = RadialFunction.from_profile(windowed_gaussian(0.9, 3.0), grid, 3.0, Space.HYPERBOLIC)
-        combo = RadialFunction(grid, 2.0 * f.values - 3.0 * g.values, 3.0, Space.HYPERBOLIC)
+        f = RadialFunction.from_profile(windowed_gaussian(0.5, 3.0), grid, 3.0)
+        g = RadialFunction.from_profile(windowed_gaussian(0.9, 3.0), grid, 3.0)
+        combo = RadialFunction(grid, 2.0 * f.values - 3.0 * g.values, 3.0)
         Fc = spherical_transform(combo, 4, bg)
         Ff = spherical_transform(f, 4, bg)
         Fg = spherical_transform(g, 4, bg)
@@ -212,8 +212,7 @@ class TestTransforms:
         grid = uniform_grid(3.0)
         bg = default_beta_grid(3.0, 60.0)
         for width in (0.3, 0.5, 0.8, 1.2, 2.0):
-            f = RadialFunction.from_profile(windowed_gaussian(width, 3.0), grid,
-                                            3.0, Space.HYPERBOLIC)
+            f = RadialFunction.from_profile(windowed_gaussian(width, 3.0), grid, 3.0)
             F = spherical_transform(f, n, bg)
             spectral = float(np.dot(bg.weights,
                                     F.values ** 2 * plancherel_density(n, bg.nodes)))
@@ -227,7 +226,7 @@ class TestTransforms:
 
     def test_support_errors(self):
         grid = uniform_grid(2.0)
-        f = RadialFunction(grid, np.zeros_like(grid.nodes), math.inf, Space.HYPERBOLIC)
+        f = RadialFunction(grid, np.zeros_like(grid.nodes), math.inf)
         with pytest.raises(ParameterError, match="requires compactly supported data"):
             spherical_transform(f, 3, default_beta_grid(2.0, 40.0))
 
@@ -510,8 +509,7 @@ class TestStreamedTransforms:
         # truncated transform priced silently; one for other frequencies is
         # refused by name too
         p = Params(5, 0.8)
-        f = RadialFunction.from_profile(lambda r: np.exp(-r * r), uniform_grid(1.0, 0.025),
-                                        1.0, Space.HYPERBOLIC)
+        f = RadialFunction.from_profile(lambda r: np.exp(-r * r), uniform_grid(1.0, 0.025), 1.0)
         bg = default_beta_grid(1.0, 60.0)
         for phi in (phi_matrix(5, bg, uniform_grid(0.5, 0.025)),
                     phi_matrix(5, default_beta_grid(1.0, 30.0), f.grid)):
@@ -584,7 +582,7 @@ class TestQuadraticForm:
         bp = BubbleParams(0.1, 0.2)
         radius = 2.0 * math.atanh(0.4)
         u = RadialFunction.from_profile(conformal_lift(truncated_bubble(p, bp), 0.4, p),
-                                        uniform_grid(radius, 0.025), radius, Space.HYPERBOLIC)
+                                        uniform_grid(radius, 0.025), radius)
         hyperbolic = quadratic_form(INT, p, u)
         assert hyperbolic == pytest.approx(bubble_energy(p, bp), rel=1e-4)
 
@@ -695,7 +693,7 @@ class TestKernel:
         p = Params(n, s)
         grid = uniform_grid(60.0, 0.05)
         kernel = [operator_kernel(MultiplierKind.REMAINDER, p, r) for r in grid.nodes]
-        f = RadialFunction(grid, np.array(kernel), grid.r_max, Space.HYPERBOLIC)
+        f = RadialFunction(grid, np.array(kernel), grid.r_max)
         beta_grid = default_beta_grid(60.0, 10.0)
         symbol = multiplier(MultiplierKind.REMAINDER, p, beta_grid.nodes)
         transform = spherical_transform(f, n, beta_grid).values
@@ -770,6 +768,26 @@ class TestKernel:
             regularized_kernel(INT, p, r, eps)
             assert len(calls) == 1
             assert len(rules) == len(set(rules)) > 1
+
+    def test_witness_cells_count_the_cos_table(self, monkeypatch):
+        # kernel_decay's work bound counts, before any grid is built, the
+        # cells of every cosine the witness kernel takes
+        sizes = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def cos(self, x, *args, **kwargs):
+                sizes.append(np.size(x))
+                return np.cos(x, *args, **kwargs)
+
+        monkeypatch.setattr(spherical, "np", CountingNumpy())
+        for p, r, eps in ((Params(3, 0.6), 2.0, 0.01), (Params(5, 0.7), 8.0, 0.005),
+                          (Params(4, 1.3), 0.5, 0.02)):
+            sizes.clear()
+            regularized_kernel(INT, p, r, eps)
+            assert sum(sizes) == spherical._witness_cells(r, eps) > 0
 
     def test_batch_memory(self):
         tracemalloc.start()
