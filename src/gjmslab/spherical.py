@@ -48,9 +48,11 @@ where g <= JACOBI_GROWTH_MAX for the largest beta of the grid; that moves
 the switch above R_MIN_JACOBI once beta_max > 4 JACOBI_GROWTH_MAX cosh^2(1)
 (~67).
 
-One generator, _phi_blocks, computes Phi and yields it in column blocks of
-at most grids.BLOCK_CELLS cells, after doing its per-row work once.
-phi_matrix fills a new matrix from the blocks. A transform
+grids.BLOCK_CELLS is the module's one memory budget: it sets the column
+blocks of Phi, the row chunks of a pointwise Mehler cos table and the
+frequency-row blocks of the kernel product. One generator, _phi_blocks,
+computes Phi and yields it in column blocks of at most BLOCK_CELLS cells,
+after doing its per-row work once. phi_matrix fills a new matrix from the blocks. A transform
 (_transforms, inverse_spherical_transform) multiplies each block into its
 result as it arrives, so a Phi it reads once is never held whole. The
 module keeps no Phi between calls: a forward transform reads a matrix only
@@ -79,7 +81,10 @@ k^eps(r) = 2 int m(beta) e^{-eps beta^2} Phi_beta(r) |c(beta)|^{-2} d beta.
 kernel_decay reads every value it reports from one Phi product
 (_kernel_table): one fixed composite Gauss rule in beta, all its radii as
 the columns and one (beta x eps) weight matrix for all its eps, one
-_phi_blocks call per block of frequency rows. regularized_kernel is one
+_phi_blocks call per block of BLOCK_CELLS // 16 frequency rows. Before it
+builds any grid, kernel_decay counts the Mehler cells of its witness and of
+its product together (_witness_cells, _product_cells) and refuses an
+eps_reg that asks for more than MAX_TABLE_CELLS. regularized_kernel is one
 fixed composite Gauss rule on the pointwise spherical_function, which stays
 on the per-radius Mehler integral at every r > 0, checked against its
 halves: it prices its panels and their halves in one batch, and raises
@@ -90,8 +95,9 @@ summation order would move them. kernel_decay calls it once, as a runtime
 witness of its product. spherical_function and the Mehler columns of
 _phi_blocks take their u-nodes, weights and h_r from one rule,
 _mehler_rule, built at each use, once per u-panel count of a 2-d block of
-frequency rows (_phi_mehler); regularized_kernel passes spherical_function
-its one batch as one block.
+frequency rows (_phi_mehler, whose cos table is built in chunks of whole
+rows of at most BLOCK_CELLS cells); regularized_kernel passes
+spherical_function its one batch as one block.
 """
 
 import math
@@ -127,17 +133,14 @@ DEFAULT_B_MAX = 60.0
 DEFAULT_TAIL_TOL = 1e-4    # runtime guard on inverse/quadratic-form truncation
 KERNEL_REL_TOL = 1e-10     # regularized_kernel: halves against their panel, relative to its scale
 KERNEL_PANEL_WIDTH = 0.25  # kernel_decay: frequency panel width (at most PHASE_PER_PANEL / r_max)
-# kernel_decay: frequency panels per row block of its Phi pass (1024 rows);
-# the whole ~5500-row pass of the benchmark's (5, 0.7) kernel-decay peaks at
-# 1.06 MB of temporaries (tracemalloc), blocks of 64 panels at 0.42 MB
-KERNEL_ROW_PANELS = 64
 KERNEL_WITNESS_TOL = 1e-4  # kernel_decay: product against regularized_kernel, relative
 # kernel_decay: eps-Richardson limit against twice operator_kernel, relative,
 # at each radius of the fit window; measured at most 7.3e-3 at r = 2..6 and
 # 1.2e-2 at r = 8 (GJMS (3, 1.3), intertwined (6, 1.3): a kernel near roundoff)
 KERNEL_CLOSED_FORM_TOL = 2e-2
-# work bound, counted before any grid is built: the cells of kernel_decay's witness
-# Mehler table (_witness_cells) or of a spline gap_scan's Phi (quotients._spline_phi_cells)
+# work bound, counted before any grid is built: the Mehler cells of kernel_decay's
+# witness (_witness_cells) and Phi product (_product_cells) together, or the
+# cells of a spline gap_scan's Phi (quotients._spline_phi_cells)
 MAX_TABLE_CELLS = 10 ** 8
 
 
@@ -197,9 +200,11 @@ def _mehler_rule(n, radii, count):
 def _phi_mehler(n, beta, r):
     """Phi_beta(r) by the Mehler-Dirichlet integral, for a 1-d beta (one row)
     or a 2-d block of rows. Each row takes the u-quadrature that its own
-    max |beta| selects, and rows with the same u-panel count share one cos
-    block; every row's integral is one matrix-vector product of its own, so
-    a row's values do not depend on the rows beside it."""
+    max |beta| selects, and rows with the same u-panel count share one rule;
+    their cos table is built in chunks of whole rows of at most BLOCK_CELLS
+    cells (one row when a row is larger). Every row's integral is one
+    matrix-vector product of its own, so a row's values do not depend on
+    the rows beside it or on the chunk."""
     rows = np.atleast_2d(beta)
     groups = {}   # u-panel count -> indices of its rows
     for i, b_max in enumerate(np.max(np.abs(rows), axis=1, initial=0.0)):
@@ -207,9 +212,12 @@ def _phi_mehler(n, beta, r):
     integral = np.empty(rows.shape)
     for count, same in groups.items():
         phase, hw = _mehler_rule(n, np.array([r]), count)
-        kernel = rows[same][:, :, None] * phase[0]
-        np.cos(kernel, out=kernel)
-        integral[same] = kernel @ hw[0]
+        step = max(1, BLOCK_CELLS // max(1, rows.shape[1] * phase.size))
+        for start in range(0, len(same), step):
+            chunk = same[start:start + step]
+            kernel = rows[chunk][:, :, None] * phase[0]
+            np.cos(kernel, out=kernel)
+            integral[chunk] = kernel @ hw[0]
     return _mehler_constant(n) * math.sinh(r) ** (2 - n) * integral.reshape(np.shape(beta))
 
 
@@ -219,6 +227,16 @@ def _column_chunks(rows, columns):
     BLOCK_CELLS // rows columns each (at least one), the last one narrower."""
     step = max(1, BLOCK_CELLS // rows)
     return [slice(j, min(j + step, columns)) for j in range(0, columns, step)]
+
+
+def _mehler_counts(n, radii, beta_max):
+    """The u-panel count of each Mehler column of a Phi pass on the
+    increasing radii whose largest |beta| is beta_max: one per radius below
+    the switch, R_MIN_ELEMENTARY[n] at n = 3, 5, 7, 9 and
+    _jacobi_switch_radius(beta_max) at other n."""
+    switch = R_MIN_ELEMENTARY[n] if n in R_MIN_ELEMENTARY else _jacobi_switch_radius(beta_max)
+    near = int(np.searchsorted(radii, switch))
+    return [_mehler_u_panels(r, beta_max) for r in radii[:near]]
 
 
 def _phi_blocks(n, beta_grid, r_grid):
@@ -233,8 +251,9 @@ def _phi_blocks(n, beta_grid, r_grid):
 
     The per-row work is done once, before the first block: the panel
     factors beta = shifts[k] + offsets[i] (RadialGrid.panel_factors), the
-    u-panel count of each Mehler column (the one spherical_function takes at
-    the grid's largest |beta|) and the frequency factors of the far route.
+    u-panel count of each Mehler column (_mehler_counts: the one
+    spherical_function takes at the grid's largest |beta|) and the
+    frequency factors of the far route.
     With cos(beta phi) = cos(m phi) cos(o phi) - sin(m phi) sin(o phi),
     m a shift, o an offset and phi = r - u^2, a Mehler column's u-sum is
     two (K x N_u)(N_u x 16) products, batched over columns of one u-panel
@@ -244,15 +263,11 @@ def _phi_blocks(n, beta_grid, r_grid):
         raise ParameterError(f"phi_matrix requires n >= 2, got {n}")
     beta, radii = beta_grid.nodes, r_grid.nodes
     shifts, offsets = beta_grid.panel_factors()
-    beta_max = float(np.max(np.abs(beta)))
-    if n in R_MIN_ELEMENTARY:
-        switch, far_columns = R_MIN_ELEMENTARY[n], _elementary_columns
-    else:
-        switch, far_columns = _jacobi_switch_radius(beta_max), _jacobi_columns
-    near = int(np.searchsorted(radii, switch))   # nodes increase
-    counts = np.array([_mehler_u_panels(r, beta_max) for r in radii[:near]], dtype=int)
+    counts = np.array(_mehler_counts(n, radii, float(np.max(np.abs(beta)))), dtype=int)
+    near = counts.size
     scale = _mehler_constant(n) * np.sinh(radii[:near]) ** (2 - n)
     if near < radii.size:
+        far_columns = _elementary_columns if n in R_MIN_ELEMENTARY else _jacobi_columns
         far = far_columns(n, beta, radii, shifts, offsets)
 
     def mehler(cols, count):
@@ -538,11 +553,18 @@ def _kernel_rows(r, eps_reg):
 
 
 def _witness_cells(r, eps_reg) -> int:
-    """The cells of regularized_kernel's Mehler cos table (_phi_mehler): 16
-    nodes per batch row times 16 u-nodes per u-panel at its largest node."""
-    lo, hi = _kernel_rows(r, eps_reg)
-    top = 0.5 * (lo + hi) + 0.5 * (hi - lo) * GAUSS_NODES[-1]   # as gauss_panels
-    return GAUSS_NODES.size ** 2 * sum(_mehler_u_panels(r, b) for b in top.tolist())
+    """The cells of regularized_kernel's Mehler cos table (_phi_mehler), over
+    all its chunks: 16 nodes per batch row times 16 u-nodes per u-panel at
+    the row's largest node, taken from gauss_panels of its edges in blocks
+    of BLOCK_CELLS // 16 rows. kernel_decay's work bound adds _product_cells
+    to it."""
+    edges = np.stack(_kernel_rows(r, eps_reg), axis=-1)
+    step = BLOCK_CELLS // GAUSS_NODES.size
+    u_panels = 0
+    for start in range(0, edges.shape[0], step):
+        top = gauss_panels(edges[start:start + step])[0][:, -1]
+        u_panels += sum(_mehler_u_panels(r, b) for b in top.tolist())
+    return GAUSS_NODES.size ** 2 * u_panels
 
 
 def operator_kernel(kind: MultiplierKind, p: Params, r: float) -> float:
@@ -661,26 +683,32 @@ def decay_slope(radii, values) -> float:
     return float(np.polyfit(radii, np.log(np.abs(values)), 1)[0])
 
 
+def _kernel_edges(radii, eps_values):
+    """The panel edges of _kernel_table's frequency rule on [0, beta_cut]
+    (_kernel_beta_cut of the smallest eps): panels KERNEL_PANEL_WIDTH wide
+    or, for a larger r_max, PHASE_PER_PANEL / r_max."""
+    beta_cut = _kernel_beta_cut(float(np.min(eps_values)))
+    width = min(KERNEL_PANEL_WIDTH, PHASE_PER_PANEL / radii[-1])
+    return np.linspace(0.0, beta_cut, int(math.ceil(beta_cut / width)) + 1)
+
+
 def _kernel_table(kind, p, radii, eps_values):
     """k^eps(r), the integral of regularized_kernel, for each eps of
     eps_values (rows) at each radius of the increasing 1-d radii (columns),
     from one pass over the frequency rows.
 
-    One fixed composite 16-node rule on [0, beta_cut] (_kernel_beta_cut of
-    the smallest eps), in panels KERNEL_PANEL_WIDTH wide or, for a larger
-    r_max, PHASE_PER_PANEL / r_max. The table is W^T Phi with
-    W[beta, eps] = 2 w m(beta) e^{-eps beta^2} |c(beta)|^{-2}, summed over
-    row blocks of KERNEL_ROW_PANELS panels: each block is a grid of its own
-    for _phi_blocks, so the frequency factors (at n = 3, 5, 7, 9 elementary,
-    with no c(beta) log-Gamma and no 2F1 coefficients) and the Phi block of
-    one row block are held at a time."""
+    One fixed composite 16-node rule on _kernel_edges. The table is W^T Phi
+    with W[beta, eps] = 2 w m(beta) e^{-eps beta^2} |c(beta)|^{-2}, summed
+    over row blocks of BLOCK_CELLS // 16 frequency rows, the one block
+    budget of the module: each block is a grid of its own for _phi_blocks,
+    so the frequency factors (at n = 3, 5, 7, 9 elementary, with no c(beta)
+    log-Gamma and no 2F1 coefficients) and the Phi block of one row block
+    are held at a time."""
     eps = np.asarray(eps_values, dtype=float)
-    beta_cut = _kernel_beta_cut(float(np.min(eps)))
-    width = min(KERNEL_PANEL_WIDTH, PHASE_PER_PANEL / radii[-1])
-    beta = RadialGrid.from_edges(np.linspace(0.0, beta_cut, int(math.ceil(beta_cut / width)) + 1))
+    beta = RadialGrid.from_edges(_kernel_edges(radii, eps))
     r_grid = RadialGrid(radii, np.ones(radii.size))
     table = np.zeros((eps.size, radii.size))
-    rows = GAUSS_NODES.size * KERNEL_ROW_PANELS
+    rows = BLOCK_CELLS // GAUSS_NODES.size
     for start in range(0, beta.nodes.size, rows):
         block = RadialGrid(beta.nodes[start:start + rows], beta.weights[start:start + rows])
         b = block.nodes
@@ -689,6 +717,23 @@ def _kernel_table(kind, p, radii, eps_values):
         for cols, phi in _phi_blocks(p.n, block, r_grid):
             table[:, cols] += weights.T @ phi
     return table
+
+
+def _product_cells(n, radii, eps_values) -> int:
+    """The Mehler cells of _kernel_table's Phi product, counted from its
+    edges before any node grid is built: for each row block, its rows times
+    the u-nodes of every column below that block's switch (_mehler_counts
+    at the block's largest node, as _phi_blocks takes it)."""
+    edges = _kernel_edges(radii, eps_values)
+    size = GAUSS_NODES.size
+    nodes, rows = (edges.size - 1) * size, BLOCK_CELLS // size
+    cells = 0
+    for start in range(0, nodes, rows):
+        stop = min(start + rows, nodes)
+        panel, node = divmod(stop - 1, size)   # the block's largest node
+        top = float(gauss_panels(edges[panel:panel + 2])[0][node])
+        cells += (stop - start) * size * sum(_mehler_counts(n, radii, top))
+    return cells
 
 
 def kernel_decay(kind: MultiplierKind, p: Params, radii, eps_reg: float):
@@ -707,8 +752,11 @@ def kernel_decay(kind: MultiplierKind, p: Params, radii, eps_reg: float):
     KERNEL_SCAN_EPS and its eps_extrapolation. A repeated radius raises
     ParameterError before any kernel is computed, and so does an eps_reg
     whose kernels run beyond multipliers.BETA_MAX (_kernel_beta_cut) or
-    whose witness builds a Mehler table of more than MAX_TABLE_CELLS cells
-    (_witness_cells).
+    whose witness and Phi product together build more than MAX_TABLE_CELLS
+    Mehler cells (_witness_cells plus _product_cells, counted before any
+    grid is built; the product's count is its row blocks' rows times the
+    u-nodes of their columns below the switch, which at n = 3 from r = 0
+    is none).
 
     Every reported value comes from one Phi product (_kernel_table) over
     all radii and every eps of eps_reg, eps_reg / 2 and KERNEL_SCAN_EPS.
@@ -739,11 +787,15 @@ def kernel_decay(kind: MultiplierKind, p: Params, radii, eps_reg: float):
                              f"to |beta| = {beta_cut:.6g}, beyond the symbols' bound {BETA_MAX:g}")
     increasing = sorted(map(float, radii))
     r_min = increasing[0]
-    cells = _witness_cells(r_min, eps_reg)
+    columns = np.array(increasing)
+    product = _product_cells(p.n, columns, eps_values)
+    cells = _witness_cells(r_min, eps_reg) + product
     if cells > MAX_TABLE_CELLS:
-        raise ParameterError(f"eps_reg {eps_reg!r} asks for too much work: the witness kernel "
-                             f"builds {cells:.3g} cells, more than {MAX_TABLE_CELLS:.0e}")
-    table = dict(zip(eps_values, _kernel_table(kind, p, np.array(increasing), eps_values)))
+        builds = "the witness kernel and the Phi product build" if product else \
+            "the witness kernel builds"
+        raise ParameterError(f"eps_reg {eps_reg!r} asks for too much work: {builds} "
+                             f"{cells:.3g} cells, more than {MAX_TABLE_CELLS:.0e}")
+    table = dict(zip(eps_values, _kernel_table(kind, p, columns, eps_values)))
 
     def kernel(r, eps):
         return float(table[eps][increasing.index(r)])

@@ -496,12 +496,21 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, name, cells", [
         # inside BETA_MAX: the witness kernel's Mehler table held 2.1e11
-        # cells (killed after 150 s), the spline forms' Phi 8.06e8 (34 s)
+        # cells (killed after 150 s), the spline forms' Phi 8.06e8 (34 s);
+        # at n = 4 the witness's 8.8e7 cells pass and the Phi product's
+        # Mehler columns below the Jacobi switch do not: 2.79e10 cells with
+        # the 30 radii 0.5, 0.55, ..., 1.95 (ran 50 s), 2.47e9 without them
+        # (6.1 s)
         (["kernel-decay", "--kind", "intertwined", "--n", "3", "--s", "0.6",
           "--r-spec", "2,3,4,5,6", "--eps-reg", "1e-8"], "eps_reg", "2.1e+11"),
         (["gap-scan", "--kind", "gjms", "--n", "3", "--s", "1", "--lambda-spec=0",
           "--family", "spline", "--spline-radius", "3.5", "--b-max", "9e4"], "b_max", "8.06e+08"),
-    ], ids=["eps-reg", "b-max"])
+        (["kernel-decay", "--kind", "intertwined", "--n", "4", "--s", "0.7", "--r-spec",
+          ",".join([f"{0.5 + 0.05 * i:g}" for i in range(30)] + ["2", "3", "4", "5"]),
+          "--eps-reg", "6e-6"], "eps_reg", "2.8e+10"),
+        (["kernel-decay", "--kind", "intertwined", "--n", "4", "--s", "0.7",
+          "--r-spec", "0.5,2,3,4,5", "--eps-reg", "6e-6"], "eps_reg", "2.56e+09"),
+    ], ids=["eps-reg", "b-max", "product-34-radii", "product-5-radii"])
     def test_work_beyond_the_bound_exits_2(self, argv, name, cells, tmp_path, capsys,
                                            monkeypatch):
         # a frequency cut-off whose table exceeds spherical.MAX_TABLE_CELLS

@@ -12,7 +12,7 @@ from gjmslab import special, spherical
 from gjmslab.bubbles import BubbleParams, bubble_energy, truncated_bubble
 from gjmslab.errors import NumericalError, ParameterError
 from gjmslab.geometry import conformal_lift
-from gjmslab.grids import RadialFunction, RadialGrid, SpectralProfile, uniform_grid
+from gjmslab.grids import GAUSS_NODES, RadialFunction, RadialGrid, SpectralProfile, uniform_grid
 from gjmslab.multipliers import multiplier, spectral_bottom
 from gjmslab.params import MultiplierKind, Params
 from gjmslab.quotients import standard_hyperbolic_grid
@@ -771,32 +771,59 @@ class TestKernel:
 
     def test_witness_cells_count_the_cos_table(self, monkeypatch):
         # kernel_decay's work bound counts, before any grid is built, the
-        # cells of every cosine the witness kernel takes
-        sizes = []
+        # cells of every cosine the witness kernel takes; _phi_mehler builds
+        # each u-panel group's cos table in chunks of whole rows, none over
+        # BLOCK_CELLS cells unless one row is larger (r = 8 at eps 3e-4:
+        # 16 x 4976 cells a row)
+        sizes, row_cells = [], []
 
         class CountingNumpy:
             def __getattr__(self, name):
                 return getattr(np, name)
 
             def cos(self, x, *args, **kwargs):
-                sizes.append(np.size(x))
+                sizes.append((np.size(x), row_cells[-1]))
                 return np.cos(x, *args, **kwargs)
 
+        def recorded(n, radii, count, _fn=spherical._mehler_rule):
+            phase, hw = _fn(n, radii, count)
+            row_cells.append(GAUSS_NODES.size * phase.size)
+            return phase, hw
+
         monkeypatch.setattr(spherical, "np", CountingNumpy())
+        monkeypatch.setattr(spherical, "_mehler_rule", recorded)
         for p, r, eps in ((Params(3, 0.6), 2.0, 0.01), (Params(5, 0.7), 8.0, 0.005),
-                          (Params(4, 1.3), 0.5, 0.02)):
+                          (Params(4, 1.3), 0.5, 0.02), (Params(3, 0.6), 8.0, 3e-4)):
             sizes.clear()
             regularized_kernel(INT, p, r, eps)
-            assert sum(sizes) == spherical._witness_cells(r, eps) > 0
+            assert sum(size for size, _ in sizes) == spherical._witness_cells(r, eps) > 0
+            assert all(size <= max(spherical.BLOCK_CELLS, row) for size, row in sizes)
+        assert max(row for _, row in sizes) > spherical.BLOCK_CELLS
 
     def test_batch_memory(self):
+        # measured 1.80 MB (4.22 MB when each u-panel group took one cos table)
         tracemalloc.start()
         try:
             regularized_kernel(INT, Params(3, 0.6), 8.0, 3e-4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2 ** 20
+        assert peak < 2.5 * 2 ** 20
+
+    @pytest.mark.parametrize("n, s, r, eps, bits", [
+        (3, 1.0, 2.0, 0.01, "0x1.44b89433986a9p-41"),
+        (3, 1.0, 3.0, 0.01, "-0x1.1c2ebb5323506p-41"),
+        (3, 1.0, 4.0, 0.01, "-0x1.2f1ff29d79399p-45"),
+        (3, 1.0, 5.0, 0.01, "-0x1.12d71deeab5c2p-47"),
+        (3, 0.6, 2.0, 0.01, "-0x1.b6d5c33f12acep-8"),
+        (3, 0.6, 2.0, 1e-3, "-0x1.a853d7c894bb4p-8"),
+        (5, 0.7, 2.0, 0.01, "-0x1.8f9c017b3d386p-11"),
+    ])
+    def test_pinned_kernel_bits(self, n, s, r, eps, bits):
+        # blowdown's four (3, 1) kernels are roundoff that the benchmark's
+        # references freeze, so the cos-table chunks must not move a bit of
+        # them or of the decay experiment's kernels
+        assert regularized_kernel(INT, Params(n, s), r, eps).hex() == bits
 
     def test_mehler_rows_are_independent(self):
         # a (rows x nodes) block gives each row the values of its own 1-d
@@ -816,9 +843,9 @@ class TestKernel:
 
     def test_each_kernel_value_once(self, monkeypatch, phi_passes):
         # every value comes from one Phi product that reads each frequency row
-        # once (344 panels of 0.25 up to beta_cut(0.005), in row blocks of 64
-        # panels), and the one regularized_kernel is the witness at the smallest
-        # radius and eps_reg
+        # once (344 panels of 0.25 up to beta_cut(0.005), in row blocks of
+        # BLOCK_CELLS // 16 = 1024 rows), and the one regularized_kernel is
+        # the witness at the smallest radius and eps_reg
         calls = []
 
         def counted(*args):
@@ -866,16 +893,46 @@ class TestKernelProduct:
         # product, which moves the cancelling r = 6 value (8e-10 against 27 at
         # r = 0.5) by up to 2.6e-9
         p, radii, eps = Params(5, 0.7), np.array([0.5, 2.0, 6.0]), [0.005, 0.01]
+        # (blocks of 7, 64 and 10^6 panels of 16 rows)
         tables = {}
         for panels in (7, 64, 10 ** 6):
-            monkeypatch.setattr(spherical, "KERNEL_ROW_PANELS", panels)
+            monkeypatch.setattr(spherical, "BLOCK_CELLS", panels * 16 * 16)
             tables[panels] = spherical._kernel_table(INT, p, radii, eps)
         for panels in (7, 64):
             assert np.max(np.abs(tables[panels] / tables[10 ** 6] - 1.0)) < 1e-7, panels
 
+    @pytest.mark.parametrize("n, radii, eps", [
+        (4, [0.5, 1.0, 2.0, 3.0, 4.0], [0.01, 0.005]),
+        (4, [0.5, 2.0, 3.0, 4.0, 5.0], [0.01, 0.005, 0.02]),
+        (6, [0.5, 0.8, 1.2, 3.0], [0.002, 0.001]),
+        (5, [0.1, 0.2, 0.3, 2.0], [0.01]),
+        (3, [2.0, 3.0, 4.0, 5.0, 6.0], [0.01, 0.005]),
+    ])
+    def test_product_cells_count_the_mehler_cells(self, monkeypatch, n, radii, eps):
+        # kernel_decay's work bound counts, from the edges alone, the rows
+        # times u-nodes of every Mehler column that _phi_blocks builds (none
+        # at n = 3 from r = 0; 583680 at n = 4 with r = 0.5 and 1)
+        built, rows = [], []
+
+        def blocks(n, beta_grid, r_grid, _fn=spherical._phi_blocks):
+            rows.append(beta_grid.nodes.size)
+            return _fn(n, beta_grid, r_grid)
+
+        def rule(n, radii, count, _fn=spherical._mehler_rule):
+            phase, hw = _fn(n, radii, count)
+            built.append(rows[-1] * phase.size)
+            return phase, hw
+
+        monkeypatch.setattr(spherical, "_phi_blocks", blocks)
+        monkeypatch.setattr(spherical, "_mehler_rule", rule)
+        radii = np.array(radii)
+        spherical._kernel_table(INT, Params(n, 0.7), radii, eps)
+        assert spherical._product_cells(n, radii, eps) == sum(built)
+        assert (sum(built) > 0) == (n != 3)
+
     def test_row_blocks_bound_the_memory(self):
         # the benchmark's (5, 0.7) product peaks at 0.42 MB of temporaries in
-        # blocks of 64 panels, 1.06 MB as one block
+        # row blocks of 1024, 1.06 MB as one block
         tracemalloc.start()
         try:
             spherical._kernel_table(INT, Params(5, 0.7), np.arange(2.0, 7.0), [0.01, 0.005, 0.02])
