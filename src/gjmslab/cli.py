@@ -286,9 +286,9 @@ def build_parser():
     sp.add_argument("--lambda-spec", type=str, required=True)
     sp.add_argument("--family", choices=["bubble", "spline"], required=True)
     sp.add_argument("--b-max", type=finite_float, default=DEFAULT_B_MAX)
-    sp.add_argument("--spline-knots", type=int, default=12)
-    sp.add_argument("--spline-radius", type=finite_float, default=8.0)
-    sp.add_argument("--spline-grading", type=finite_float, default=3.3)
+    sp.add_argument("--spline-knots", type=int, default=SplineFamily.knots)
+    sp.add_argument("--spline-radius", type=finite_float, default=SplineFamily.radius)
+    sp.add_argument("--spline-grading", type=finite_float, default=SplineFamily.grading)
     sp.add_argument("--out", type=str, required=True)
     sp.set_defaults(func=cmd_gap_scan)
 

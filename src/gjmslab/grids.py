@@ -6,13 +6,13 @@ uniform edges for transform-grade resolution and geometric edges for the
 wide-range bubble integrals. The exception is bubbles._mollifier_mass, the
 integral of the mollifier density exp(-1/(u(1-u))) on (0, t), which takes
 one 48-node rule: at t = 1 three 16-node panels miss by 4.3e-10, relative,
-and the 48-node rule by 6e-15. A RadialGrid holds plain dr-weights on
-[0, R]; measure factors (sinh^{n-1}, ball weights, Plancherel densities) are
-applied by callers.
+and the 48-node rule by 6e-15. A RadialGrid holds the nodes and plain
+dr-weights of the rule on a list of edges and r_max, the last edge
+(RadialGrid.from_edges, its one constructor); measure factors (sinh^{n-1},
+ball weights, Plancherel densities) are applied by callers.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -74,9 +74,13 @@ def geometric_edges(r_max: float, first_width: float, growth: float = 1.2,
 
 @dataclass(frozen=True)
 class RadialGrid:
+    """Quadrature nodes and plain dr-weights on an interval whose right edge
+    is r_max, from which the tail guard's last decade is measured; built by
+    from_edges, the package's one constructor."""
+
     nodes: np.ndarray
     weights: np.ndarray
-    r_max: Optional[float] = None   # right edge of the covered interval
+    r_max: float   # right edge of the covered interval
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -89,8 +93,6 @@ class RadialGrid:
             raise ParameterError("grid weights must be positive")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-        if self.r_max is None:
-            object.__setattr__(self, "r_max", float(nodes[-1]))
 
     @classmethod
     def from_edges(cls, edges) -> "RadialGrid":

@@ -348,13 +348,17 @@ def _minimize_bubble(kind, p, lam, budget, reports, phi):
 
 def _spline_start_candidates(family, p):
     """Deterministic starting knot values: a wide bump plus the geodesic
-    profiles of lifted ball-truncated bubbles, each peak-normalized."""
+    profiles of lifted ball-truncated bubbles, each peak-normalized. From
+    knot radii of 38 on, tanh(r/2) rounds to 1 and the conformal factor
+    2 / (1 - t^2) is inf, so its power s - n/2 < 0 is exactly 0 there."""
     knots_x = spline_knots(family)
     t = np.tanh(knots_x / 2.0)
     q = (p.n - 2.0 * p.s) / 2.0
     cands = [np.exp(-((2.2 * knots_x / family.radius) ** 2))]
+    with np.errstate(divide="ignore"):
+        conformal = 2.0 / (1.0 - t * t)
     for eps, de in ((0.3, 0.35), (0.15, 0.45), (0.08, 0.45), (0.05, 0.45)):
-        vals = ((2.0 / (1.0 - t * t)) ** (p.s - p.n / 2.0)
+        vals = (conformal ** (p.s - p.n / 2.0)
                 * smooth_window(t, de, min(2.0 * de, 0.999))
                 * eps ** (-q) * (1.0 + (t / eps) ** 2) ** (-q))
         cands.append(vals / np.max(np.abs(vals)))

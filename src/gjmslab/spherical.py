@@ -51,8 +51,10 @@ the switch above R_MIN_JACOBI once beta_max > 4 JACOBI_GROWTH_MAX cosh^2(1)
 grids.BLOCK_CELLS is the module's one memory budget: it sets the column
 blocks of Phi, the row chunks of a pointwise Mehler cos table and the
 frequency-row blocks of the kernel product. One generator, _phi_blocks,
-computes Phi and yields it in column blocks of at most BLOCK_CELLS cells,
-after doing its per-row work once. phi_matrix fills a new matrix from the blocks. A transform
+computes Phi on a frequency grid and an array of radii (a radial grid's
+nodes; a Phi pass reads no radial weight) and yields it in column blocks of
+at most BLOCK_CELLS cells, after doing its per-row work once. phi_matrix
+fills a new matrix from the blocks. A transform
 (_transforms, inverse_spherical_transform) multiplies each block into its
 result as it arrives, so a Phi it reads once is never held whole. The
 module keeps no Phi between calls: a forward transform reads a matrix only
@@ -81,10 +83,13 @@ k^eps(r) = 2 int m(beta) e^{-eps beta^2} Phi_beta(r) |c(beta)|^{-2} d beta.
 kernel_decay reads every value it reports from one Phi product
 (_kernel_table): one fixed composite Gauss rule in beta, all its radii as
 the columns and one (beta x eps) weight matrix for all its eps, one
-_phi_blocks call per block of BLOCK_CELLS // 16 frequency rows. Before it
-builds any grid, kernel_decay counts the Mehler cells of its witness and of
-its product together (_witness_cells, _product_cells) and refuses an
-eps_reg that asks for more than MAX_TABLE_CELLS. regularized_kernel is one
+_phi_blocks call per row block. The row blocks are written once, as the
+edge slices of _kernel_blocks (BLOCK_CELLS // 16**2 whole panels each):
+_kernel_table builds each slice's grid, and _product_cells reads each
+slice's rows and top node. Before it builds any grid, kernel_decay counts
+the Mehler cells of its witness and of its product together
+(_witness_cells, _product_cells) and refuses an eps_reg that asks for more
+than MAX_TABLE_CELLS. regularized_kernel is one
 fixed composite Gauss rule on the pointwise spherical_function, which stays
 on the per-radius Mehler integral at every r > 0, checked against its
 halves: it prices its panels and their halves in one batch, and raises
@@ -239,9 +244,11 @@ def _mehler_counts(n, radii, beta_max):
     return [_mehler_u_panels(r, beta_max) for r in radii[:near]]
 
 
-def _phi_blocks(n, beta_grid, r_grid):
-    """Phi_beta(r) on beta_grid x r_grid as (column slice, C-ordered block)
-    pairs over _column_chunks, each block built when it is asked for.
+def _phi_blocks(n, beta_grid, radii):
+    """Phi_beta(r) on beta_grid x radii, radii a 1-d array of increasing,
+    positive radii (a radial grid's nodes: a Phi pass reads no weight), as
+    (column slice, C-ordered block) pairs over _column_chunks, each block
+    built when it is asked for.
 
     Columns from the switch on: at n = 3, 5, 7, 9 from
     R_MIN_ELEMENTARY[n] = 0, 0.25, 0.5, 1 on, the elementary form
@@ -261,7 +268,7 @@ def _phi_blocks(n, beta_grid, r_grid):
     """
     if n < 2:
         raise ParameterError(f"phi_matrix requires n >= 2, got {n}")
-    beta, radii = beta_grid.nodes, r_grid.nodes
+    beta = beta_grid.nodes
     shifts, offsets = beta_grid.panel_factors()
     counts = np.array(_mehler_counts(n, radii, float(np.max(np.abs(beta)))), dtype=int)
     near = counts.size
@@ -397,7 +404,7 @@ def phi_matrix(n: int, beta_grid: RadialGrid, r_grid: RadialGrid) -> np.ndarray:
     (5e-14 at n = 7, r = 0.5).
     """
     mat = np.empty((beta_grid.nodes.size, r_grid.nodes.size))
-    for cols, block in _phi_blocks(n, beta_grid, r_grid):
+    for cols, block in _phi_blocks(n, beta_grid, r_grid.nodes):
         mat[:, cols] = block
     return mat
 
@@ -445,7 +452,7 @@ def _transforms(n, beta_grid, grid, columns, phi=None):
     weighted = _polar_measure(n, grid)[:, None] * columns
     out = np.zeros((beta_grid.nodes.size, columns.shape[1]))
     if phi is None:
-        blocks = _phi_blocks(n, beta_grid, grid)
+        blocks = _phi_blocks(n, beta_grid, grid.nodes)
     elif phi.shape != (beta_grid.nodes.size, grid.nodes.size):
         raise ParameterError(f"phi is {phi.shape[0]} x {phi.shape[1]}, not the "
                              f"{beta_grid.nodes.size} x {grid.nodes.size} of its beta and r grids")
@@ -473,7 +480,7 @@ def inverse_spherical_transform(F: SpectralProfile, n: int, r_grid: RadialGrid,
         )
     weighted = F.values * dens * F.beta_grid.weights
     values = np.empty(r_grid.nodes.size)
-    for cols, block in _phi_blocks(n, F.beta_grid, r_grid):
+    for cols, block in _phi_blocks(n, F.beta_grid, r_grid.nodes):
         values[cols] = block.T @ weighted
     return RadialFunction(values=values, grid=r_grid, support_radius=r_grid.r_max)
 
@@ -683,13 +690,18 @@ def decay_slope(radii, values) -> float:
     return float(np.polyfit(radii, np.log(np.abs(values)), 1)[0])
 
 
-def _kernel_edges(radii, eps_values):
-    """The panel edges of _kernel_table's frequency rule on [0, beta_cut]
-    (_kernel_beta_cut of the smallest eps): panels KERNEL_PANEL_WIDTH wide
-    or, for a larger r_max, PHASE_PER_PANEL / r_max."""
+def _kernel_blocks(radii, eps_values):
+    """The edge slices, in order, of _kernel_table's frequency row blocks:
+    the rule's panels on [0, beta_cut] (_kernel_beta_cut of the smallest
+    eps), KERNEL_PANEL_WIDTH wide or, for a larger r_max, PHASE_PER_PANEL /
+    r_max, taken BLOCK_CELLS // 16**2 whole panels (BLOCK_CELLS // 16 rows)
+    at a time, the last slice shorter; each slice starts at its
+    predecessor's last edge."""
     beta_cut = _kernel_beta_cut(float(np.min(eps_values)))
     width = min(KERNEL_PANEL_WIDTH, PHASE_PER_PANEL / radii[-1])
-    return np.linspace(0.0, beta_cut, int(math.ceil(beta_cut / width)) + 1)
+    edges = np.linspace(0.0, beta_cut, int(math.ceil(beta_cut / width)) + 1)
+    panels = BLOCK_CELLS // GAUSS_NODES.size ** 2
+    return [edges[j:j + panels + 1] for j in range(0, edges.size - 1, panels)]
 
 
 def _kernel_table(kind, p, radii, eps_values):
@@ -697,42 +709,37 @@ def _kernel_table(kind, p, radii, eps_values):
     eps_values (rows) at each radius of the increasing 1-d radii (columns),
     from one pass over the frequency rows.
 
-    One fixed composite 16-node rule on _kernel_edges. The table is W^T Phi
-    with W[beta, eps] = 2 w m(beta) e^{-eps beta^2} |c(beta)|^{-2}, summed
-    over row blocks of BLOCK_CELLS // 16 frequency rows, the one block
-    budget of the module: each block is a grid of its own for _phi_blocks,
-    so the frequency factors (at n = 3, 5, 7, 9 elementary, with no c(beta)
-    log-Gamma and no 2F1 coefficients) and the Phi block of one row block
-    are held at a time."""
+    One fixed composite 16-node rule, walked in the row blocks of
+    _kernel_blocks, the one block budget of the module: each edge slice is
+    a grid of its own (RadialGrid.from_edges, whose nodes and weights are
+    the whole rule's, bit for bit) and one _phi_blocks pass on the radii. The
+    table is W^T Phi with W[beta, eps] = 2 w m(beta) e^{-eps beta^2}
+    |c(beta)|^{-2}, summed over the blocks, so the frequency factors (at
+    n = 3, 5, 7, 9 elementary, with no c(beta) log-Gamma and no 2F1
+    coefficients) and the Phi block of one row block are held at a time."""
     eps = np.asarray(eps_values, dtype=float)
-    beta = RadialGrid.from_edges(_kernel_edges(radii, eps))
-    r_grid = RadialGrid(radii, np.ones(radii.size))
     table = np.zeros((eps.size, radii.size))
-    rows = BLOCK_CELLS // GAUSS_NODES.size
-    for start in range(0, beta.nodes.size, rows):
-        block = RadialGrid(beta.nodes[start:start + rows], beta.weights[start:start + rows])
+    for edges in _kernel_blocks(radii, eps):
+        block = RadialGrid.from_edges(edges)
         b = block.nodes
         w = 2.0 * block.weights * multiplier(kind, p, b) * plancherel_density(p.n, b)
         weights = w[:, None] * np.exp(-np.multiply.outer(b * b, eps))
-        for cols, phi in _phi_blocks(p.n, block, r_grid):
+        for cols, phi in _phi_blocks(p.n, block, radii):
             table[:, cols] += weights.T @ phi
     return table
 
 
 def _product_cells(n, radii, eps_values) -> int:
-    """The Mehler cells of _kernel_table's Phi product, counted from its
-    edges before any node grid is built: for each row block, its rows times
-    the u-nodes of every column below that block's switch (_mehler_counts
-    at the block's largest node, as _phi_blocks takes it)."""
-    edges = _kernel_edges(radii, eps_values)
+    """The Mehler cells of _kernel_table's Phi product, counted from the
+    edge slices of _kernel_blocks before any node grid is built: for each
+    slice, its (edges.size - 1) * 16 rows times the u-nodes of every column
+    below its switch (_mehler_counts at its largest node, the top node of
+    its last panel, as _phi_blocks takes it)."""
     size = GAUSS_NODES.size
-    nodes, rows = (edges.size - 1) * size, BLOCK_CELLS // size
     cells = 0
-    for start in range(0, nodes, rows):
-        stop = min(start + rows, nodes)
-        panel, node = divmod(stop - 1, size)   # the block's largest node
-        top = float(gauss_panels(edges[panel:panel + 2])[0][node])
-        cells += (stop - start) * size * sum(_mehler_counts(n, radii, top))
+    for edges in _kernel_blocks(radii, eps_values):
+        top = float(gauss_panels(edges[-2:])[0][-1])
+        cells += (edges.size - 1) * size * size * sum(_mehler_counts(n, radii, top))
     return cells
 
 
@@ -754,9 +761,10 @@ def kernel_decay(kind: MultiplierKind, p: Params, radii, eps_reg: float):
     whose kernels run beyond multipliers.BETA_MAX (_kernel_beta_cut) or
     whose witness and Phi product together build more than MAX_TABLE_CELLS
     Mehler cells (_witness_cells plus _product_cells, counted before any
-    grid is built; the product's count is its row blocks' rows times the
-    u-nodes of their columns below the switch, which at n = 3 from r = 0
-    is none).
+    grid is built; the product's count walks the edge slices of
+    _kernel_blocks that the product builds on, each slice's rows times the
+    u-nodes of its columns below the switch, which at n = 3 from r = 0 is
+    none).
 
     Every reported value comes from one Phi product (_kernel_table) over
     all radii and every eps of eps_reg, eps_reg / 2 and KERNEL_SCAN_EPS.

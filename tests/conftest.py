@@ -32,9 +32,9 @@ def phi_passes(monkeypatch):
     of the test."""
     passes = []
 
-    def counted(n, beta_grid, r_grid, _fn=spherical._phi_blocks):
-        passes.append((n, beta_grid.nodes.size, r_grid.nodes.size))
-        return _fn(n, beta_grid, r_grid)
+    def counted(n, beta_grid, radii, _fn=spherical._phi_blocks):
+        passes.append((n, beta_grid.nodes.size, radii.size))
+        return _fn(n, beta_grid, radii)
 
     monkeypatch.setattr(spherical, "_phi_blocks", counted)
     return passes

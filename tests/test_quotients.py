@@ -245,6 +245,19 @@ class TestSplineTrial:
             split = quadratic_form(INT, p, u) + quadratic_form(REMAINDER, p, u)
             assert quadratic_form(GJMS, p, u) == pytest.approx(split, rel=1e-13)
 
+    @pytest.mark.parametrize("grading", [3.3, 0.0])
+    def test_start_candidates_at_radius_40_warn_nothing(self, grading):
+        # from knot radii of 38 on tanh(r/2) rounds to 1, so the conformal
+        # factor 2 / (1 - t^2) is inf there and its power s - n/2 exactly 0;
+        # pyproject makes the RuntimeWarning of its division an error
+        from gjmslab.quotients import _spline_start_candidates
+
+        family = SplineFamily(knots=12, radius=40.0, grading=grading)
+        candidates = _spline_start_candidates(family, Params(3, 0.6))
+        assert len(candidates) == 5
+        for theta in candidates:
+            assert theta.shape == (11,) and np.all(np.isfinite(theta))
+
 
 class TestWindowedSpline:
     @pytest.mark.parametrize("family", [SplineFamily(knots=51, radius=40.0, grading=0.0),

@@ -243,7 +243,8 @@ _SWITCH_RADII = np.array([0.3, 0.7, 0.99, 1.0, 1.01, 1.7, 3.0, 5.5, 12.0])
 
 
 def _radii_grid(radii):
-    return RadialGrid(np.asarray(radii, dtype=float), np.ones(len(radii)))
+    radii = np.asarray(radii, dtype=float)
+    return RadialGrid(radii, np.ones(radii.size), r_max=radii[-1])
 
 
 def _switch_radius(n, beta_max):
@@ -478,7 +479,7 @@ class TestStreamedTransforms:
         assert chunks[0].start == 0 and chunks[-1].stop == grid.nodes.size
         assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
         whole = phi_matrix(3, bg, grid)
-        for cols, (got, block) in zip(chunks, spherical._phi_blocks(3, bg, grid)):
+        for cols, (got, block) in zip(chunks, spherical._phi_blocks(3, bg, grid.nodes)):
             assert got == cols and block.flags.c_contiguous
             assert bg.nodes.size * block.shape[1] <= spherical.BLOCK_CELLS
             assert np.array_equal(block, whole[:, cols])
@@ -914,9 +915,9 @@ class TestKernelProduct:
         # at n = 3 from r = 0; 583680 at n = 4 with r = 0.5 and 1)
         built, rows = [], []
 
-        def blocks(n, beta_grid, r_grid, _fn=spherical._phi_blocks):
+        def blocks(n, beta_grid, radii, _fn=spherical._phi_blocks):
             rows.append(beta_grid.nodes.size)
-            return _fn(n, beta_grid, r_grid)
+            return _fn(n, beta_grid, radii)
 
         def rule(n, radii, count, _fn=spherical._mehler_rule):
             phase, hw = _fn(n, radii, count)
@@ -929,6 +930,36 @@ class TestKernelProduct:
         spherical._kernel_table(INT, Params(n, 0.7), radii, eps)
         assert spherical._product_cells(n, radii, eps) == sum(built)
         assert (sum(built) > 0) == (n != 3)
+
+    @pytest.mark.parametrize("n, s, radii, bits", [
+        (3, 0.6, [2.0, 3.0, 4.0, 5.0, 6.0], [
+            ["-0x1.b6d5c33f257a2p-8", "-0x1.1c365ae2a977bp-11", "-0x1.e33a429988d05p-15",
+             "-0x1.c1e59c2868312p-18", "-0x1.b0a2ad9a53e9fp-21"],
+            ["-0x1.aea40842100a9p-8", "-0x1.196b511ff4e5bp-11", "-0x1.dfaee6afed270p-15",
+             "-0x1.bef90e249613bp-18", "-0x1.adf3c0e86aee5p-21"],
+            ["-0x1.c85786df17321p-8", "-0x1.21f4a4cbbdd51p-11", "-0x1.ea6e24397a64bp-15",
+             "-0x1.c7d03b3540b87p-18", "-0x1.b60e5db0df329p-21"]]),
+        (5, 0.7, [2.0, 3.5, 4.5, 5.0, 6.0], [
+            ["-0x1.8f9c0183edd16p-11", "-0x1.867e3adc20b0dp-19", "-0x1.bf8c42507934cp-24",
+             "-0x1.5f0565c9b442fp-26", "-0x1.bd1264129b8a9p-31"],
+            ["-0x1.84892be4b2554p-11", "-0x1.824bf1060ff9fp-19", "-0x1.bbc5de8c14b66p-24",
+             "-0x1.5c3ca777b1eadp-26", "-0x1.b9c184df3c676p-31"],
+            ["-0x1.a7e24e9eeac3dp-11", "-0x1.8f1dc56f54eadp-19", "-0x1.c73a19d04b8aap-24",
+             "-0x1.64abd245368e9p-26", "-0x1.c3c8fe388f87bp-31"]]),
+        (4, 0.7, [0.5, 2.0, 3.0, 4.0, 5.0], [
+            ["-0x1.cd63c240a83a2p+4", "-0x1.07825ca00889bp-9", "-0x1.4c5bcc2b5afbbp-14",
+             "-0x1.29b023d6eb68ap-18", "-0x1.2bc7136a6298bp-22"],
+            ["-0x1.a6a59ab5d2418p+3", "-0x1.010f0553ffbf2p-9", "-0x1.483fd18648dbep-14",
+             "-0x1.2705af6448aecp-18", "-0x1.296f773e71468p-22"],
+            ["-0x1.66032c6856207p+3", "-0x1.1582214cfc746p-9", "-0x1.54dc80a47f364p-14",
+             "-0x1.2f1fc80a1d0eap-18", "-0x1.3087384d35b57p-22"]]),
+    ], ids=["n3", "n5", "n4"])
+    def test_pinned_table_bits(self, n, s, radii, bits):
+        # the product's every bit at eps 0.01, 0.005, 0.02 (rows): the
+        # benchmark's (3, 0.6) and (5, 0.7) shapes, and at n = 4 Mehler
+        # (r = 0.5) and Jacobi columns across six row blocks
+        table = spherical._kernel_table(INT, Params(n, s), np.array(radii), (0.01, 0.005, 0.02))
+        assert [[v.hex() for v in row] for row in table.tolist()] == bits
 
     def test_row_blocks_bound_the_memory(self):
         # the benchmark's (5, 0.7) product peaks at 0.42 MB of temporaries in
