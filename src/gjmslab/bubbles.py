@@ -29,6 +29,7 @@ from .grids import (
     BLOCK_CELLS,
     PHASE_PER_PANEL,
     RadialGrid,
+    _least_squares,
     _mirrored_rule,
     gauss_panels,
     geometric_edges,
@@ -287,23 +288,25 @@ def bubble_energy(p: Params, bp: BubbleParams) -> float:
 
 
 def fit_loglog_slope(x, y) -> float:
-    """OLS slope of log y against log x; the largest-x point is dropped when
-    its residual exceeds twice the residual spread (leading-constant
-    contamination at the coarse end of an eps ladder)."""
+    """OLS slope of log y against log x (grids._least_squares, columns 1
+    and log x); the largest-x point is dropped when its residual exceeds
+    twice the residual spread (leading-constant contamination at the coarse
+    end of an eps ladder). Raises NumericalError for fewer than three
+    points, a y <= 0, or x all equal."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 3 or np.any(y <= 0.0):
         raise NumericalError("slope fit needs >= 3 points with positive values")
     lx, ly = np.log(x), np.log(y)
-    coeffs = np.polyfit(lx, ly, 1)
+    intercept, slope = _least_squares(np.ones_like(lx), lx, ly)
     if x.size >= 4:
-        resid = ly - np.polyval(coeffs, lx)
+        resid = ly - (intercept + slope * lx)
         sigma = float(np.std(resid))
         largest = int(np.argmax(x))
         if sigma > 0.0 and abs(resid[largest]) > 2.0 * sigma:
             keep = np.arange(x.size) != largest
-            coeffs = np.polyfit(lx[keep], ly[keep], 1)
-    return float(coeffs[0])
+            slope = _least_squares(np.ones(keep.sum()), lx[keep], ly[keep])[1]
+    return slope
 
 
 def _golden_section(f, lo, hi, *, steps):
@@ -329,7 +332,8 @@ def fit_leading_exponent(x, y, correction_exponent: float):
     """Leading exponent a of y ~ A x^a + B x^b with the correction exponent b
     known, by variable projection: a golden-section search over a in (0, b)
     (60 steps shrink the bracket by 0.618^60 < 3e-13), with A and B from a
-    linear least-squares solve in relative residuals at each a.
+    least-squares fit in relative residuals at each a: the two-column QR
+    grids._least_squares on the columns x^a / y and x^b / y.
 
     Returns a and the correction's relative size B x^b / y at the smallest x.
     """
@@ -340,7 +344,7 @@ def fit_leading_exponent(x, y, correction_exponent: float):
 
     def solve(a):
         columns = np.column_stack([x ** a, x ** correction_exponent]) / y[:, None]
-        coeffs = np.linalg.lstsq(columns, np.ones_like(y), rcond=None)[0]
+        coeffs = np.array(_least_squares(columns[:, 0], columns[:, 1], np.ones_like(y)))
         resid = columns @ coeffs - 1.0
         return float(resid @ resid), coeffs
 

@@ -36,7 +36,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, spherical
 from .bubbles import bubble_asymptotics
 from .errors import GjmsLabError, NumericalError, ParameterError
 from .multipliers import b_constant, gap_constant, multiplier, spectral_bottom
@@ -165,6 +165,9 @@ def _parse_lambda_spec(spec):
             raise ParameterError(f"bad lambda spec {spec!r}")
         if count < 1:
             raise ParameterError("lambda count must be >= 1")
+        if count > spherical.MAX_TABLE_CELLS:
+            raise ParameterError(f"lambda_spec {spec!r} asks for too much work: a lambda grid "
+                                 f"of {count:.3g} cells, more than {spherical.MAX_TABLE_CELLS:.0e}")
         return list(np.linspace(start, stop, count))
     return _parse_floats(spec)
 
@@ -194,6 +197,9 @@ def cmd_multiplier(args) -> int:
     kind = _KINDS[args.kind]
     if args.count < 2 or args.beta_max <= 0:
         raise ParameterError("need count >= 2 and beta-max > 0")
+    if args.count > spherical.MAX_TABLE_CELLS:
+        raise ParameterError(f"count {args.count} asks for too much work: a table of "
+                             f"{args.count:.3g} cells, more than {spherical.MAX_TABLE_CELLS:.0e}")
     betas = np.linspace(0.0, args.beta_max, args.count)
     values = multiplier(kind, p, betas)
     _write_outputs(args, ["beta", "value"],

@@ -9,14 +9,16 @@ one 48-node rule: at t = 1 three 16-node panels miss by 4.3e-10, relative,
 and the 48-node rule by 6e-15. A RadialGrid holds the nodes and plain
 dr-weights of the rule on a list of edges and r_max, the last edge
 (RadialGrid.from_edges, its one constructor); measure factors (sinh^{n-1},
-ball weights, Plancherel densities) are applied by callers.
+ball weights, Plancherel densities) are applied by callers. The package's
+one least-squares fit, _least_squares, lives here too: the lowest module
+that every fitting module imports.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 
 PHASE_PER_PANEL = 18.0     # radians of oscillation a 16-node panel resolves cleanly
 # cells in the largest array of one block of a blocked matrix build (a
@@ -58,6 +60,32 @@ def gauss_panels(edges):
     nodes = (mid[..., None] + half[..., None] * GAUSS_NODES).reshape(shape)
     weights = (half[..., None] * GAUSS_WEIGHTS).reshape(shape)
     return nodes, weights
+
+
+def _least_squares(c1, c2, y):
+    """The coefficients (b1, b2) minimizing |b1 c1 + b2 c2 - y|, by a
+    two-column Gram-Schmidt QR: c2 less its projection on c1, y less its
+    projections on both, then back-substitution. Every least-squares fit of
+    the package is this routine: numpy only, no LAPACK call (numpy's line
+    and least-squares fits enter LAPACK's SVD driver, whose first call
+    raises a cold command's peak memory by about 1 MB). Raises
+    NumericalError when the columns are dependent to roundoff, where no fit
+    is determined."""
+    c1, c2, y = (np.asarray(v, dtype=float) for v in (c1, c2, y))
+    r11 = float(np.sqrt(c1 @ c1))
+    if not r11 > 0.0:
+        raise NumericalError("least-squares fit of dependent columns")
+    q1 = c1 / r11
+    r12 = float(q1 @ c2)
+    v = c2 - r12 * q1
+    r22 = float(np.sqrt(v @ v))
+    if not r22 > c1.size * np.finfo(float).eps * max(r11, float(np.sqrt(c2 @ c2))):
+        raise NumericalError("least-squares fit of dependent columns")
+    q2 = v / r22
+    z1 = float(q1 @ y)
+    z2 = float(q2 @ (y - z1 * q1))
+    b2 = z2 / r22
+    return (z1 - r12 * b2) / r11, b2
 
 
 def geometric_edges(r_max: float, first_width: float, growth: float = 1.2,

@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import spherical
 from .bubbles import (
     ENERGY_DELTA,
     BubbleParams,
@@ -25,10 +26,10 @@ from .bubbles import (
 )
 from .errors import BudgetExceeded, NumericalError, ParameterError
 from .geometry import conformal_lift
-from .grids import GAUSS_NODES, RadialFunction, _uniform_panels, uniform_grid
+from .grids import GAUSS_NODES, RadialFunction, _least_squares, _uniform_panels, uniform_grid
 from .multipliers import BETA_MAX, multiplier, sin_pi, spectral_bottom
 from .params import MultiplierKind, Params
-from .spherical import DEFAULT_B_MAX, MAX_TABLE_CELLS, _beta_panels, _polar_measure, \
+from .spherical import DEFAULT_B_MAX, _beta_panels, _polar_measure, \
     _spectral_forms, decay_slope, default_beta_grid, lp_mass, phi_matrix, quadratic_form, \
     regularized_kernel
 
@@ -537,8 +538,10 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
     (0, multipliers.BETA_MAX] (also for the bubble family, which does not
     read it), the spline family at s >= 7/2 (a C^2 cubic has jumps in its
     third derivative, so it lies in H^s only for s < 7/2 and every trial
-    there has infinite energy) or with a Phi of more than MAX_TABLE_CELLS
-    cells (_spline_phi_cells), a lambda above the spectral bottom of kind
+    there has infinite energy) or with a Phi and knot system of more than
+    spherical.MAX_TABLE_CELLS cells (_spline_phi_cells plus knots^2, the
+    identity and slope system of _clamped_slopes; the bound is read at the
+    call), a lambda above the spectral bottom of kind
     (beyond 1e-12 relative roundoff), where the level is -infinity, and
     n > bubbles.MAX_N where kind has a level_floor.
     """
@@ -552,10 +555,13 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
             f"the cubic spline family has no trial of finite energy at s = {p.s!r}: a C^2 "
             "cubic has jumps in its third derivative, so it lies in H^s only for s < 7/2"
         )
-    cells = _spline_phi_cells(family, b_max) if isinstance(family, SplineFamily) else 0
-    if cells > MAX_TABLE_CELLS:
-        raise ParameterError(f"b_max {b_max!r} asks for too much work: the spline forms read "
-                             f"a Phi of {cells:.3g} cells, more than {MAX_TABLE_CELLS:.0e}")
+    if isinstance(family, SplineFamily):
+        bound, phi_cells = spherical.MAX_TABLE_CELLS, _spline_phi_cells(family, b_max)
+        cells = phi_cells + family.knots ** 2   # the Phi and _clamped_slopes' knot system
+        if cells > bound:
+            flag = f"b_max {b_max!r}" if phi_cells > bound else f"spline_knots {family.knots}"
+            raise ParameterError(f"{flag} asks for too much work: the spline forms read a Phi "
+                                 f"and a knot system of {cells:.3g} cells, more than {bound:.0e}")
     bottom = spectral_bottom(kind, p)
     top = float(np.max(lambda_grid))
     if not (top <= bottom or math.isclose(top, bottom, rel_tol=1e-12)):
@@ -667,7 +673,10 @@ def blowdown(p: Params, lam: float, N_values):
     e^{alpha r} times the arch's squared L1 norm, R0 = max(1, log(8 C/q)/alpha).
     rows holds (N, R_N, bound, scaled bound) of multibump_blowdown; summary
     holds q, C, alpha, R0, the target slope 2s/n and, when two or more scaled
-    bounds are all negative, the log-log slope of -scaled bound against N.
+    bounds are all negative, the log-log slope of -scaled bound against N
+    (grids._least_squares, columns 1 and log N; the decay slope is
+    spherical.decay_slope's). The one LAPACK call is the calibration
+    spline's solve (_clamped_slopes).
     Raises NumericalError when the arch's numerator is not negative. At
     n >= 4 the arch (R = 40, b_max 8) fails the quadratic form's tail guard,
     so blowdown raises NumericalError there (CLI exit 5): the tail fraction is
@@ -701,7 +710,7 @@ def blowdown(p: Params, lam: float, N_values):
     summary = {"target_slope": 2.0 * p.s / p.n,
                "q": q, "C": C, "alpha": alpha, "R0": R0}
     if len(table) >= 2 and np.all(scaled > 0):
-        summary["slope"] = float(np.polyfit(np.log(ns), np.log(scaled), 1)[0])
+        summary["slope"] = _least_squares(np.ones_like(ns), np.log(ns), np.log(scaled))[1]
     return rows, summary
 
 

@@ -119,6 +119,7 @@ from .grids import (
     RadialFunction,
     RadialGrid,
     SpectralProfile,
+    _least_squares,
     gauss_panels,
 )
 from .multipliers import BETA_MAX, multiplier, sin_pi
@@ -143,9 +144,11 @@ KERNEL_WITNESS_TOL = 1e-4  # kernel_decay: product against regularized_kernel, r
 # at each radius of the fit window; measured at most 7.3e-3 at r = 2..6 and
 # 1.2e-2 at r = 8 (GJMS (3, 1.3), intertwined (6, 1.3): a kernel near roundoff)
 KERNEL_CLOSED_FORM_TOL = 2e-2
-# work bound, counted before any grid is built: the Mehler cells of kernel_decay's
-# witness (_witness_cells) and Phi product (_product_cells) together, or the
-# cells of a spline gap_scan's Phi (quotients._spline_phi_cells)
+# the package's one work bound, counted before any grid is built and read at
+# the call: the Mehler cells of kernel_decay's witness (_witness_cells) and
+# Phi product (_product_cells) together; the cells of a spline gap_scan's Phi
+# (quotients._spline_phi_cells) and knot system; the samples of a CLI
+# multiplier table and the lambda count of a gap-scan spec
 MAX_TABLE_CELLS = 10 ** 8
 
 
@@ -676,8 +679,9 @@ def decay_fit_radii(r_values) -> np.ndarray:
 
 
 def decay_slope(radii, values) -> float:
-    """Least-squares slope of log|values| against radii, over at least four
-    distinct radii of the window [2, 8] (see decay_fit_radii)."""
+    """Least-squares slope of log|values| against radii (grids._least_squares,
+    columns 1 and radii), over at least four distinct radii of the window
+    [2, 8] (see decay_fit_radii)."""
     radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=float)
     if radii.size < 4 or decay_fit_radii(radii).size != radii.size:
@@ -687,7 +691,7 @@ def decay_slope(radii, values) -> float:
         raise NumericalError("decay fit needs distinct radii")
     if np.any(values == 0.0) or not np.all(np.isfinite(values)):
         raise NumericalError("kernel values underflowed; cannot fit a decay rate")
-    return float(np.polyfit(radii, np.log(np.abs(values)), 1)[0])
+    return _least_squares(np.ones_like(radii), radii, np.log(np.abs(values)))[1]
 
 
 def _kernel_blocks(radii, eps_values):

@@ -494,7 +494,7 @@ class TestExitCodes:
         assert err.startswith(f"error: {name} ") and err.count("\n") == 1
         assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("argv, name, cells", [
+    @pytest.mark.parametrize("argv, name, cells, bound", [
         # inside BETA_MAX: the witness kernel's Mehler table held 2.1e11
         # cells (killed after 150 s), the spline forms' Phi 8.06e8 (34 s);
         # at n = 4 the witness's 8.8e7 cells pass and the Phi product's
@@ -502,31 +502,47 @@ class TestExitCodes:
         # the 30 radii 0.5, 0.55, ..., 1.95 (ran 50 s), 2.47e9 without them
         # (6.1 s)
         (["kernel-decay", "--kind", "intertwined", "--n", "3", "--s", "0.6",
-          "--r-spec", "2,3,4,5,6", "--eps-reg", "1e-8"], "eps_reg", "2.1e+11"),
+          "--r-spec", "2,3,4,5,6", "--eps-reg", "1e-8"], "eps_reg", "2.1e+11", 10 ** 8),
         (["gap-scan", "--kind", "gjms", "--n", "3", "--s", "1", "--lambda-spec=0",
-          "--family", "spline", "--spline-radius", "3.5", "--b-max", "9e4"], "b_max", "8.06e+08"),
+          "--family", "spline", "--spline-radius", "3.5", "--b-max", "9e4"], "b_max", "8.06e+08",
+         10 ** 8),
         (["kernel-decay", "--kind", "intertwined", "--n", "4", "--s", "0.7", "--r-spec",
           ",".join([f"{0.5 + 0.05 * i:g}" for i in range(30)] + ["2", "3", "4", "5"]),
-          "--eps-reg", "6e-6"], "eps_reg", "2.8e+10"),
+          "--eps-reg", "6e-6"], "eps_reg", "2.8e+10", 10 ** 8),
         (["kernel-decay", "--kind", "intertwined", "--n", "4", "--s", "0.7",
-          "--r-spec", "0.5,2,3,4,5", "--eps-reg", "6e-6"], "eps_reg", "2.56e+09"),
-    ], ids=["eps-reg", "b-max", "product-34-radii", "product-5-radii"])
-    def test_work_beyond_the_bound_exits_2(self, argv, name, cells, tmp_path, capsys,
+          "--r-spec", "0.5,2,3,4,5", "--eps-reg", "6e-6"], "eps_reg", "2.56e+09", 10 ** 8),
+        # counts read the same bound, here lowered so that no run allocates
+        # much: at the full bound, --count and a lambda count of 1e11 asked
+        # numpy for 745 GiB and --spline-knots 100000 for a 74.5 GiB identity
+        # (a MemoryError traceback, exit 1); the R = 3.5 spline Phi's 537600
+        # cells pass a bound of 1e6, and with 700 knots its knot system's
+        # 490000 do not
+        (["multiplier", "--kind", "gjms", "--n", "3", "--s", "1", "--beta-max", "2",
+          "--count", "5000"], "count", "5e+03", 1000),
+        (["gap-scan", "--kind", "intertwined", "--n", "5", "--s", "0.8",
+          "--lambda-spec=0:0.25:5000", "--family", "bubble"], "lambda_spec", "5e+03", 1000),
+        (["gap-scan", "--kind", "gjms", "--n", "3", "--s", "1", "--lambda-spec=0",
+          "--family", "spline", "--spline-radius", "3.5", "--spline-knots", "700"],
+         "spline_knots", "1.03e+06", 10 ** 6),
+    ], ids=["eps-reg", "b-max", "product-34-radii", "product-5-radii", "multiplier-count",
+            "lambda-count", "spline-knots"])
+    def test_work_beyond_the_bound_exits_2(self, argv, name, cells, bound, tmp_path, capsys,
                                            monkeypatch):
-        # a frequency cut-off whose table exceeds spherical.MAX_TABLE_CELLS
-        # is refused before any table is built, on one error line naming
-        # the flag's quantity and the count
+        # a frequency cut-off or a count whose table exceeds
+        # spherical.MAX_TABLE_CELLS (read at the call) is refused before any
+        # table is built, on one error line naming the flag and the count
         def unreachable(*args, **kwargs):
             raise AssertionError("a table was built")
 
         for builder in ("gjmslab.spherical.regularized_kernel", "gjmslab.spherical._kernel_table",
-                        "gjmslab.quotients._spline_forms"):
+                        "gjmslab.quotients._spline_forms", "gjmslab.quotients._remainder_phi"):
             monkeypatch.setattr(builder, unreachable)
+        monkeypatch.setattr("gjmslab.spherical.MAX_TABLE_CELLS", bound)
         out = str(tmp_path / "x.csv")
         assert run(argv + ["--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {name} ") and err.count("\n") == 1
-        assert f" {cells} cells, more than 1e+08" in err
+        assert f" {cells} cells, more than {bound:.0e}" in err
         assert os.listdir(tmp_path) == []
 
     def test_non_finite_quotient_exits_5(self, tmp_path, capsys, monkeypatch):

@@ -10,7 +10,9 @@ source digest is zlib's CRC-32), no numpy.polynomial (the Gauss-Legendre
 rules are literals), no subprocess and makes no LAPACK call, while it still
 loads every layer module that perfbench/tracer.py wraps. No benchmark
 command loads subprocess either: the manifest starts no child process.
-kernel-decay and blowdown load no numpy.ma.
+kernel-decay and blowdown load no numpy.ma. kernel-decay and
+bubble-asymptotics make no LAPACK call, and blowdown only the clamped
+spline's solve: every least-squares fit is numpy.
 The two program entries, python -m gjmslab.cli and the gjms-lab console script, run
 a command with one BLAS thread unless the user set a thread count, and
 import with the cyclic collector off, then run the command with it on and
@@ -202,8 +204,9 @@ MULTIPLIER = ["multiplier", "--kind", "gjms", "--n", "3", "--s", "0.5", "--beta-
 TRACED_LAYERS = ("special", "multipliers", "geometry", "grids", "spherical", "bubbles",
                  "quotients")
 
-# Records every LAPACK gufunc numpy.linalg calls, then imports gjmslab.cli;
-# prints the calls and the loaded module names.
+# Records every LAPACK gufunc numpy.linalg calls, then imports gjmslab.cli
+# and runs gjmslab.cli.main on argv (none: import only); prints the calls,
+# the loaded module names and the exit code.
 LAPACK_PROBE = """
 import json, sys
 from numpy.linalg import _umath_linalg
@@ -217,12 +220,13 @@ for name in dir(_umath_linalg):
     if not name.startswith("_") and callable(getattr(_umath_linalg, name)):
         setattr(_umath_linalg, name, recorder(name, getattr(_umath_linalg, name)))
 import gjmslab.cli
-print(json.dumps([calls, sorted(sys.modules)]))
+code = gjmslab.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps([calls, sorted(sys.modules), code]))
 """
 
 
 def test_cli_import_is_lean_and_loads_every_traced_layer():
-    calls, modules = probe(LAPACK_PROBE)
+    calls, modules, _ = probe(LAPACK_PROBE)
     assert calls == []
     assert not [m for m in modules if m.split(".")[:2] == ["numpy", "polynomial"]]
     assert "subprocess" not in modules
@@ -235,6 +239,19 @@ def test_lapack_probe_sees_an_eigensolve():
     code = LAPACK_PROBE.replace("import gjmslab.cli",
                                 "from numpy.polynomial.legendre import leggauss; leggauss(16)")
     assert probe(code)[0] == ["eigvalsh_lo"]
+
+
+@pytest.mark.parametrize("argv, lapack", [(KERNEL_DECAY, []), (README_ASYMPTOTICS, []),
+                                          (BLOWDOWN, ["solve"])],
+                         ids=["kernel-decay", "bubble-asymptotics", "blowdown"])
+def test_commands_make_only_their_lapack_calls(argv, lapack, tmp_path):
+    # every least-squares fit is grids._least_squares, numpy only (numpy's
+    # line and least-squares fits called lstsq, whose first call raised a
+    # cold command's peak memory by about 1 MB); blowdown's one LAPACK
+    # routine is the clamped spline's solve
+    calls, _, code = probe(LAPACK_PROBE, *argv, "--out", str(tmp_path / "out.csv"))
+    assert code == 0
+    assert sorted(set(calls)) == lapack
 
 
 def test_cli_import_loads_no_logging():
