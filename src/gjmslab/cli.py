@@ -39,19 +39,13 @@ import numpy as np
 from . import __version__, spherical
 from .bubbles import bubble_asymptotics
 from .errors import GjmsLabError, NumericalError, ParameterError
+from .grids import BLOCK_CELLS
 from .multipliers import b_constant, gap_constant, multiplier, spectral_bottom
 from .params import MultiplierKind, Params
 from .quotients import BubbleFamily, SplineFamily, blowdown, gap_scan, \
     sharp_constant_estimate
 from .spherical import DEFAULT_B_MAX, DEFAULT_TAIL_TOL, kernel_decay
 from .special import SERIES_CAP, SERIES_TOL
-
-_KINDS = {
-    "gjms": MultiplierKind.GJMS,
-    "intertwined": MultiplierKind.INTERTWINED,
-    "remainder": MultiplierKind.REMAINDER,
-}
-
 
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
 
@@ -114,11 +108,11 @@ def write_manifest(out_path, command, params, started_at):
 
 
 def write_csv(out_path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    """The header, then each row of the iterable rows as it is formatted."""
     with open(out_path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+                      for row in rows)
 
 
 def write_json(path, payload):
@@ -168,7 +162,7 @@ def _parse_lambda_spec(spec):
         if count > spherical.MAX_TABLE_CELLS:
             raise ParameterError(f"lambda_spec {spec!r} asks for too much work: a lambda grid "
                                  f"of {count:.3g} cells, more than {spherical.MAX_TABLE_CELLS:.0e}")
-        return list(np.linspace(start, stop, count))
+        return np.linspace(start, stop, count).tolist()
     return _parse_floats(spec)
 
 
@@ -194,16 +188,19 @@ def cmd_constants(args) -> int:
 
 def cmd_multiplier(args) -> int:
     p = Params(args.n, args.s)
-    kind = _KINDS[args.kind]
+    kind = MultiplierKind(args.kind)
     if args.count < 2 or args.beta_max <= 0:
         raise ParameterError("need count >= 2 and beta-max > 0")
     if args.count > spherical.MAX_TABLE_CELLS:
         raise ParameterError(f"count {args.count} asks for too much work: a table of "
                              f"{args.count:.3g} cells, more than {spherical.MAX_TABLE_CELLS:.0e}")
     betas = np.linspace(0.0, args.beta_max, args.count)
-    values = multiplier(kind, p, betas)
-    _write_outputs(args, ["beta", "value"],
-                   [(float(b), float(v)) for b, v in zip(betas, values)])
+    values = np.empty_like(betas)   # every block priced before the file is opened
+    blocks = [slice(j, j + BLOCK_CELLS) for j in range(0, args.count, BLOCK_CELLS)]
+    for block in blocks:
+        values[block] = multiplier(kind, p, betas[block])
+    _write_outputs(args, ["beta", "value"], (row for block in blocks for row in
+                                             zip(betas[block].tolist(), values[block].tolist())))
     return 0
 
 
@@ -225,7 +222,7 @@ def _family_from_args(args):
 
 def cmd_gap_scan(args) -> int:
     p = Params(args.n, args.s)
-    kind = _KINDS[args.kind]
+    kind = MultiplierKind(args.kind)
     lambdas = _parse_lambda_spec(args.lambda_spec)
     family = _family_from_args(args)
     s_est = sharp_constant_estimate(p)
@@ -237,7 +234,7 @@ def cmd_gap_scan(args) -> int:
 
 
 def cmd_kernel_decay(args) -> int:
-    rows, summary = kernel_decay(_KINDS[args.kind], Params(args.n, args.s),
+    rows, summary = kernel_decay(MultiplierKind(args.kind), Params(args.n, args.s),
                                  _parse_floats(args.r_spec), args.eps_reg)
     _write_outputs(args, ["r", "k_eps", "log_abs_k"], rows, summary)
     return 0
@@ -273,7 +270,7 @@ def build_parser():
 
     sp = sub.add_parser("multiplier", help="spectral symbol samples as CSV")
     add_common(sp)
-    sp.add_argument("--kind", choices=sorted(_KINDS), required=True)
+    sp.add_argument("--kind", choices=[kind.value for kind in MultiplierKind], required=True)
     sp.add_argument("--beta-max", type=finite_float, required=True)
     sp.add_argument("--count", type=int, required=True)
     sp.add_argument("--out", type=str, required=True)
@@ -300,7 +297,7 @@ def build_parser():
 
     sp = sub.add_parser("kernel-decay", help="regularized radial kernel decay")
     add_common(sp)
-    sp.add_argument("--kind", choices=sorted(_KINDS), required=True)
+    sp.add_argument("--kind", choices=[kind.value for kind in MultiplierKind], required=True)
     sp.add_argument("--r-spec", type=str, required=True)
     sp.add_argument("--eps-reg", type=finite_float, required=True)
     sp.add_argument("--out", type=str, required=True)

@@ -167,12 +167,8 @@ def uniform_grid(r_max: float, panel_width: float = 0.05) -> RadialGrid:
     """Composite Gauss-Legendre grid with (near-)uniform panels on [0, r_max]."""
     if not r_max > 0.0:
         raise ParameterError(f"r_max must be > 0, got {r_max}")
-    return RadialGrid.from_edges(np.linspace(0.0, r_max, _uniform_panels(r_max, panel_width) + 1))
-
-
-def _uniform_panels(r_max: float, panel_width: float) -> int:
-    """The panel count of uniform_grid(r_max, panel_width)."""
-    return max(1, int(np.ceil(r_max / panel_width)))
+    panels = max(1, int(np.ceil(r_max / panel_width)))
+    return RadialGrid.from_edges(np.linspace(0.0, r_max, panels + 1))
 
 
 def geometric_grid(r_max: float, first_width: float, growth: float = 1.2,

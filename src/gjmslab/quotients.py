@@ -26,10 +26,10 @@ from .bubbles import (
 )
 from .errors import BudgetExceeded, NumericalError, ParameterError
 from .geometry import conformal_lift
-from .grids import GAUSS_NODES, RadialFunction, _least_squares, _uniform_panels, uniform_grid
+from .grids import RadialFunction, _least_squares, uniform_grid
 from .multipliers import BETA_MAX, multiplier, sin_pi, spectral_bottom
 from .params import MultiplierKind, Params
-from .spherical import DEFAULT_B_MAX, _beta_panels, _polar_measure, \
+from .spherical import DEFAULT_B_MAX, _beta_edges, _phi_cells, _polar_measure, \
     _spectral_forms, decay_slope, default_beta_grid, lp_mass, phi_matrix, quadratic_form, \
     regularized_kernel
 
@@ -381,13 +381,6 @@ def _spline_forms(kind, p, family, b_max):
     return basis, measure, energy, basis.T @ (measure[:, None] * basis), guard
 
 
-def _spline_phi_cells(family, b_max) -> int:
-    """The cells of the Phi that _spline_forms reads at b_max, from the panel
-    counts of its two grids, neither built."""
-    r_panels = _uniform_panels(family.radius, _hyperbolic_width(family.radius))
-    return GAUSS_NODES.size ** 2 * _beta_panels(family.radius, b_max) * r_panels
-
-
 def _spline_report(family, p, lam, forms, theta):
     """Report of the spline trial theta from the family's matrices; the
     descriptor lists theta scaled to unit critical integral."""
@@ -538,10 +531,12 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
     (0, multipliers.BETA_MAX] (also for the bubble family, which does not
     read it), the spline family at s >= 7/2 (a C^2 cubic has jumps in its
     third derivative, so it lies in H^s only for s < 7/2 and every trial
-    there has infinite energy) or with a Phi and knot system of more than
-    spherical.MAX_TABLE_CELLS cells (_spline_phi_cells plus knots^2, the
-    identity and slope system of _clamped_slopes; the bound is read at the
-    call), a lambda above the spectral bottom of kind
+    there has infinite energy) or with a Phi pass and knot system of more
+    than spherical.MAX_TABLE_CELLS cells (read at the call: the
+    spherical._phi_cells of the family's frequency edges and r-grid nodes,
+    plus knots^2, the identity and slope system of _clamped_slopes; the
+    small r-grid is built before the check, neither Phi nor the frequency
+    grid is), a lambda above the spectral bottom of kind
     (beyond 1e-12 relative roundoff), where the level is -infinity, and
     n > bubbles.MAX_N where kind has a level_floor.
     """
@@ -556,8 +551,9 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
             "cubic has jumps in its third derivative, so it lies in H^s only for s < 7/2"
         )
     if isinstance(family, SplineFamily):
-        bound, phi_cells = spherical.MAX_TABLE_CELLS, _spline_phi_cells(family, b_max)
-        cells = phi_cells + family.knots ** 2   # the Phi and _clamped_slopes' knot system
+        bound, radii = spherical.MAX_TABLE_CELLS, standard_hyperbolic_grid(family.radius).nodes
+        phi_cells = _phi_cells(p.n, _beta_edges(family.radius, b_max), radii)
+        cells = phi_cells + family.knots ** 2   # the Phi pass and _clamped_slopes' knot system
         if cells > bound:
             flag = f"b_max {b_max!r}" if phi_cells > bound else f"spline_knots {family.knots}"
             raise ParameterError(f"{flag} asks for too much work: the spline forms read a Phi "

@@ -85,11 +85,13 @@ kernel_decay reads every value it reports from one Phi product
 the columns and one (beta x eps) weight matrix for all its eps, one
 _phi_blocks call per row block. The row blocks are written once, as the
 edge slices of _kernel_blocks (BLOCK_CELLS // 16**2 whole panels each):
-_kernel_table builds each slice's grid, and _product_cells reads each
-slice's rows and top node. Before it builds any grid, kernel_decay counts
-the Mehler cells of its witness and of its product together
-(_witness_cells, _product_cells) and refuses an eps_reg that asks for more
-than MAX_TABLE_CELLS. regularized_kernel is one
+_kernel_table builds each slice's grid, and _product_cells counts each
+slice's pass with _phi_cells, the one count of a _phi_blocks pass, taken
+from its frequency edges and radii alone (quotients.gap_scan counts a
+spline family's pass with it too). Before it builds any grid, kernel_decay
+counts its witness and its product together (_witness_cells,
+_product_cells) and refuses an eps_reg that asks for more than
+MAX_TABLE_CELLS. regularized_kernel is one
 fixed composite Gauss rule on the pointwise spherical_function, which stays
 on the per-radius Mehler integral at every r > 0, checked against its
 halves: it prices its panels and their halves in one batch, and raises
@@ -145,10 +147,10 @@ KERNEL_WITNESS_TOL = 1e-4  # kernel_decay: product against regularized_kernel, r
 # 1.2e-2 at r = 8 (GJMS (3, 1.3), intertwined (6, 1.3): a kernel near roundoff)
 KERNEL_CLOSED_FORM_TOL = 2e-2
 # the package's one work bound, counted before any grid is built and read at
-# the call: the Mehler cells of kernel_decay's witness (_witness_cells) and
-# Phi product (_product_cells) together; the cells of a spline gap_scan's Phi
-# (quotients._spline_phi_cells) and knot system; the samples of a CLI
-# multiplier table and the lambda count of a gap-scan spec
+# the call: the cells of kernel_decay's witness (_witness_cells) and Phi
+# product (_product_cells) together; the cells of a spline gap_scan's Phi
+# pass and knot system; each Phi pass counted by _phi_cells; the samples of
+# a CLI multiplier table and the lambda count of a gap-scan spec
 MAX_TABLE_CELLS = 10 ** 8
 
 
@@ -245,6 +247,17 @@ def _mehler_counts(n, radii, beta_max):
     switch = R_MIN_ELEMENTARY[n] if n in R_MIN_ELEMENTARY else _jacobi_switch_radius(beta_max)
     near = int(np.searchsorted(radii, switch))
     return [_mehler_u_panels(r, beta_max) for r in radii[:near]]
+
+
+def _phi_cells(n, beta_edges, radii) -> int:
+    """The cells of one _phi_blocks pass on the grid of beta_edges and the
+    radii, counted from the edges before any node is built: its rows times
+    one per far column and 16 u-nodes per u-panel of each Mehler column, the
+    u-panels taken at the top node of the last panel, the largest |beta| of
+    the pass. Every work bound on a Phi pass is this count."""
+    counts = _mehler_counts(n, radii, float(gauss_panels(beta_edges[-2:])[0][-1]))
+    size = GAUSS_NODES.size
+    return (len(beta_edges) - 1) * size * (radii.size - len(counts) + size * sum(counts))
 
 
 def _phi_blocks(n, beta_grid, radii):
@@ -415,13 +428,13 @@ def phi_matrix(n: int, beta_grid: RadialGrid, r_grid: RadialGrid) -> np.ndarray:
 def default_beta_grid(support_radius: float, b_max: float = DEFAULT_B_MAX) -> RadialGrid:
     """Frequency grid on [0, b_max] resolving the transform of a profile
     supported in [0, support_radius] (whose transform oscillates at that scale)."""
-    return RadialGrid.from_edges(np.linspace(0.0, b_max, _beta_panels(support_radius, b_max) + 1))
+    return RadialGrid.from_edges(_beta_edges(support_radius, b_max))
 
 
-def _beta_panels(support_radius: float, b_max: float) -> int:
-    """The panel count of default_beta_grid(support_radius, b_max)."""
+def _beta_edges(support_radius: float, b_max: float):
+    """The panel edges of default_beta_grid(support_radius, b_max)."""
     width = min(2.0, PHASE_PER_PANEL / max(support_radius, 1.0))
-    return max(8, int(math.ceil(b_max / width)))
+    return np.linspace(0.0, b_max, max(8, int(math.ceil(b_max / width))) + 1)
 
 
 def spherical_transform(f: RadialFunction, n: int, beta_grid: RadialGrid) -> SpectralProfile:
@@ -734,17 +747,9 @@ def _kernel_table(kind, p, radii, eps_values):
 
 
 def _product_cells(n, radii, eps_values) -> int:
-    """The Mehler cells of _kernel_table's Phi product, counted from the
-    edge slices of _kernel_blocks before any node grid is built: for each
-    slice, its (edges.size - 1) * 16 rows times the u-nodes of every column
-    below its switch (_mehler_counts at its largest node, the top node of
-    its last panel, as _phi_blocks takes it)."""
-    size = GAUSS_NODES.size
-    cells = 0
-    for edges in _kernel_blocks(radii, eps_values):
-        top = float(gauss_panels(edges[-2:])[0][-1])
-        cells += (edges.size - 1) * size * size * sum(_mehler_counts(n, radii, top))
-    return cells
+    """The cells of _kernel_table's Phi product: the _phi_cells of each edge
+    slice of _kernel_blocks, counted before any node grid is built."""
+    return sum(_phi_cells(n, edges, radii) for edges in _kernel_blocks(radii, eps_values))
 
 
 def kernel_decay(kind: MultiplierKind, p: Params, radii, eps_reg: float):
@@ -764,11 +769,12 @@ def kernel_decay(kind: MultiplierKind, p: Params, radii, eps_reg: float):
     ParameterError before any kernel is computed, and so does an eps_reg
     whose kernels run beyond multipliers.BETA_MAX (_kernel_beta_cut) or
     whose witness and Phi product together build more than MAX_TABLE_CELLS
-    Mehler cells (_witness_cells plus _product_cells, counted before any
-    grid is built; the product's count walks the edge slices of
-    _kernel_blocks that the product builds on, each slice's rows times the
-    u-nodes of its columns below the switch, which at n = 3 from r = 0 is
-    none).
+    cells (_witness_cells plus _product_cells, counted before any grid is
+    built; the product's count is the _phi_cells of each edge slice of
+    _kernel_blocks that the product builds on: its rows times its far
+    columns and the u-nodes of its columns below the switch, which at
+    n = 3 from r = 0 are none; the refusal names the witness alone when it
+    alone is over the bound).
 
     Every reported value comes from one Phi product (_kernel_table) over
     all radii and every eps of eps_reg, eps_reg / 2 and KERNEL_SCAN_EPS.
@@ -800,11 +806,11 @@ def kernel_decay(kind: MultiplierKind, p: Params, radii, eps_reg: float):
     increasing = sorted(map(float, radii))
     r_min = increasing[0]
     columns = np.array(increasing)
-    product = _product_cells(p.n, columns, eps_values)
-    cells = _witness_cells(r_min, eps_reg) + product
+    witness = _witness_cells(r_min, eps_reg)
+    cells = witness + _product_cells(p.n, columns, eps_values)
     if cells > MAX_TABLE_CELLS:
-        builds = "the witness kernel and the Phi product build" if product else \
-            "the witness kernel builds"
+        builds, cells = (("the witness kernel builds", witness) if witness > MAX_TABLE_CELLS
+                         else ("the witness kernel and the Phi product build", cells))
         raise ParameterError(f"eps_reg {eps_reg!r} asks for too much work: {builds} "
                              f"{cells:.3g} cells, more than {MAX_TABLE_CELLS:.0e}")
     table = dict(zip(eps_values, _kernel_table(kind, p, columns, eps_values)))

@@ -38,3 +38,39 @@ def phi_passes(monkeypatch):
 
     monkeypatch.setattr(spherical, "_phi_blocks", counted)
     return passes
+
+
+@pytest.fixture
+def phi_cells_built(monkeypatch):
+    """The cells that the Phi passes (spherical._phi_blocks calls) of the
+    test build, one entry per piece: rows times u-nodes of each Mehler rule,
+    rows times columns of each far block (elementary or Jacobi)."""
+    built, rows = [], []
+
+    def blocks(n, beta_grid, radii, _fn=spherical._phi_blocks):
+        rows.append(beta_grid.nodes.size)
+        return _fn(n, beta_grid, radii)
+
+    def rule(n, radii, count, _fn=spherical._mehler_rule):
+        phase, hw = _fn(n, radii, count)
+        built.append(rows[-1] * phase.size)
+        return phase, hw
+
+    def counted(factory):
+        def far_columns(*args):
+            columns = factory(*args)
+
+            def block(cols):
+                out = columns(cols)
+                built.append(out.size)
+                return out
+
+            return block
+
+        return far_columns
+
+    monkeypatch.setattr(spherical, "_phi_blocks", blocks)
+    monkeypatch.setattr(spherical, "_mehler_rule", rule)
+    for name in ("_elementary_columns", "_jacobi_columns"):
+        monkeypatch.setattr(spherical, name, counted(getattr(spherical, name)))
+    return built

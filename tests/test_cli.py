@@ -511,6 +511,13 @@ class TestExitCodes:
           "--eps-reg", "6e-6"], "eps_reg", "2.8e+10", 10 ** 8),
         (["kernel-decay", "--kind", "intertwined", "--n", "4", "--s", "0.7",
           "--r-spec", "0.5,2,3,4,5", "--eps-reg", "6e-6"], "eps_reg", "2.56e+09", 10 ** 8),
+        # the spline forms' one Phi pass, counted as the product is: at n = 4
+        # its Mehler columns below the Jacobi switch, which b_max 960 raises
+        # to r = 2.45, held 1.27e10 cells (ran 32 s); rows times columns
+        # alone were 8.6e6
+        (["gap-scan", "--kind", "intertwined", "--n", "4", "--s", "0.75", "--lambda-spec=0",
+          "--family", "spline", "--spline-radius", "3.5", "--b-max", "960"], "b_max", "1.27e+10",
+         10 ** 8),
         # counts read the same bound, here lowered so that no run allocates
         # much: at the full bound, --count and a lambda count of 1e11 asked
         # numpy for 745 GiB and --spline-knots 100000 for a 74.5 GiB identity
@@ -524,8 +531,8 @@ class TestExitCodes:
         (["gap-scan", "--kind", "gjms", "--n", "3", "--s", "1", "--lambda-spec=0",
           "--family", "spline", "--spline-radius", "3.5", "--spline-knots", "700"],
          "spline_knots", "1.03e+06", 10 ** 6),
-    ], ids=["eps-reg", "b-max", "product-34-radii", "product-5-radii", "multiplier-count",
-            "lambda-count", "spline-knots"])
+    ], ids=["eps-reg", "b-max", "product-34-radii", "product-5-radii", "n4-spline-b-max",
+            "multiplier-count", "lambda-count", "spline-knots"])
     def test_work_beyond_the_bound_exits_2(self, argv, name, cells, bound, tmp_path, capsys,
                                            monkeypatch):
         # a frequency cut-off or a count whose table exceeds

@@ -16,7 +16,7 @@ from gjmslab.quotients import (
     FLOOR_REL_TOL,
     BubbleFamily,
     SplineFamily,
-    _spline_phi_cells,
+    _spline_forms,
     _spline_report,
     _windowed_spline,
     bubble_quotient,
@@ -28,7 +28,8 @@ from gjmslab.quotients import (
     spline_knots,
     standard_hyperbolic_grid,
 )
-from gjmslab.spherical import DEFAULT_B_MAX, default_beta_grid, quadratic_form
+from gjmslab.spherical import DEFAULT_B_MAX, _beta_edges, _phi_cells, default_beta_grid, \
+    quadratic_form
 
 GJMS = MultiplierKind.GJMS
 INT = MultiplierKind.INTERTWINED
@@ -180,12 +181,23 @@ class TestStandardGrid:
     @pytest.mark.parametrize("radius", [0.5, 2.0, 3.5, 16.5, 40.0])
     @pytest.mark.parametrize("b_max", [1.0, 1234.5])
     def test_spline_phi_cells_count_the_grids(self, radius, b_max):
-        # gap_scan's work bound counts the spline forms' Phi from the panel
-        # counts, before either grid is built
-        family = SplineFamily(radius=radius)
-        built = (default_beta_grid(radius, b_max).nodes.size
-                 * standard_hyperbolic_grid(radius).nodes.size)
-        assert _spline_phi_cells(family, b_max) == built
+        # at n = 3 every Phi column is elementary, so the one count of a Phi
+        # pass (spherical._phi_cells, from the frequency edges alone) is the
+        # product of the two grids' node counts
+        radii = standard_hyperbolic_grid(radius).nodes
+        built = default_beta_grid(radius, b_max).nodes.size * radii.size
+        assert _phi_cells(3, _beta_edges(radius, b_max), radii) == built
+
+    @pytest.mark.parametrize("n, s", [(3, 1.0), (4, 0.75), (5, 0.8)])
+    @pytest.mark.parametrize("b_max", [60.0, 120.0])
+    def test_phi_cells_count_what_the_spline_forms_build(self, n, s, b_max, phi_cells_built):
+        # gap_scan's work bound is the cells of the spline forms' one Phi
+        # pass: rows times u-nodes of every Mehler column below the switch
+        # (none at n = 3; at n = 4 the Jacobi switch rises with b_max) and
+        # rows times every far column
+        _spline_forms(INT, Params(n, s), SplineFamily(radius=3.5), b_max)
+        radii = standard_hyperbolic_grid(3.5).nodes
+        assert _phi_cells(n, _beta_edges(3.5, b_max), radii) == sum(phi_cells_built)
 
     @pytest.mark.parametrize("kind, n, s", [(GJMS, 5, 0.8), (INT, 3, 1.0)])
     def test_spline_forms_match_a_wider_grid(self, kind, n, s, monkeypatch):
@@ -403,8 +415,6 @@ class TestMinimize:
         # holds and is active, and on the tangent space theta^T d = 0 (Q is
         # 0-homogeneous) the gradient of Q is a nonnegative multiple of the
         # guard's gradient; gradients by central differences of Q
-        from gjmslab.quotients import _spline_forms, _spline_report
-
         kind, n, s, lam, family, b_max = BENCHMARK_SPLINE_SCAN
         p = Params(n, s)
         priced = priced_spline_trials(monkeypatch)

@@ -909,27 +909,16 @@ class TestKernelProduct:
         (5, [0.1, 0.2, 0.3, 2.0], [0.01]),
         (3, [2.0, 3.0, 4.0, 5.0, 6.0], [0.01, 0.005]),
     ])
-    def test_product_cells_count_the_mehler_cells(self, monkeypatch, n, radii, eps):
+    def test_product_cells_count_the_mehler_cells(self, phi_cells_built, n, radii, eps):
         # kernel_decay's work bound counts, from the edges alone, the rows
-        # times u-nodes of every Mehler column that _phi_blocks builds (none
-        # at n = 3 from r = 0; 583680 at n = 4 with r = 0.5 and 1)
-        built, rows = [], []
-
-        def blocks(n, beta_grid, radii, _fn=spherical._phi_blocks):
-            rows.append(beta_grid.nodes.size)
-            return _fn(n, beta_grid, radii)
-
-        def rule(n, radii, count, _fn=spherical._mehler_rule):
-            phase, hw = _fn(n, radii, count)
-            built.append(rows[-1] * phase.size)
-            return phase, hw
-
-        monkeypatch.setattr(spherical, "_phi_blocks", blocks)
-        monkeypatch.setattr(spherical, "_mehler_rule", rule)
+        # times u-nodes of every Mehler column and the rows of every far
+        # column that _phi_blocks builds (at n = 3 from r = 0 every column is
+        # far; 583680 Mehler cells at n = 4 with r = 0.5 and 1)
         radii = np.array(radii)
         spherical._kernel_table(INT, Params(n, 0.7), radii, eps)
-        assert spherical._product_cells(n, radii, eps) == sum(built)
-        assert (sum(built) > 0) == (n != 3)
+        assert spherical._product_cells(n, radii, eps) == sum(phi_cells_built)
+        rows = sum(16 * (edges.size - 1) for edges in spherical._kernel_blocks(radii, eps))
+        assert (sum(phi_cells_built) > rows * radii.size) == (n != 3)
 
     @pytest.mark.parametrize("n, s, radii, bits", [
         (3, 0.6, [2.0, 3.0, 4.0, 5.0, 6.0], [
