@@ -222,24 +222,34 @@ def spline_knots(family: SplineFamily) -> np.ndarray:
 
 def _clamped_slopes(x, y):
     """Knot slopes of the C2 cubic spline through (x, y) with zero slope at
-    both ends, one column per column of y: one k x k solve of the
-    second-derivative continuity conditions."""
+    both ends, one column per column of y. The second-derivative continuity
+    conditions at the k - 2 inner knots are tridiagonal, knot i reading
+    h_i s_{i-1} + 2 (h_{i-1} + h_i) s_i + h_{i-1} s_{i+1}
+    = 3 (h_i d_{i-1} + h_{i-1} d_i), h_i = x_{i+1} - x_i and d_i the secants,
+    and strictly diagonally dominant, so one forward elimination and one
+    back substitution without pivoting solve them, each step over all
+    columns."""
     h = np.diff(x)
     secant = np.diff(y, axis=0) / h[:, None]
-    inner = np.arange(1, x.size - 1)
-    system = np.eye(x.size)
-    system[inner, inner - 1] = h[1:]
-    system[inner, inner] = 2.0 * (h[:-1] + h[1:])
-    system[inner, inner + 1] = h[:-1]
-    rhs = np.zeros_like(y)
-    rhs[1:-1] = 3.0 * (h[1:, None] * secant[:-1] + h[:-1, None] * secant[1:])
-    return np.linalg.solve(system, rhs)
+    # row i of rhs and pivots is the inner knot i + 1
+    rhs = 3.0 * (h[1:, None] * secant[:-1] + h[:-1, None] * secant[1:])
+    pivots = 2.0 * (h[:-1] + h[1:])
+    for i in range(1, pivots.size):
+        factor = h[i + 1] / pivots[i - 1]
+        pivots[i] -= factor * h[i - 1]
+        rhs[i] -= factor * rhs[i - 1]
+    slopes = np.zeros_like(y)
+    slopes[-2] = rhs[-1] / pivots[-1]
+    for i in range(pivots.size - 2, -1, -1):
+        slopes[i + 1] = (rhs[i] - h[i] * slopes[i + 2]) / pivots[i]
+    return slopes
 
 
 def _windowed_spline(family: SplineFamily, values):
     """r -> the clamped cubic spline through (knots, values), in cubic Hermite
-    form, times the smooth window vanishing at the radius; one column per
-    column of a 2-d values."""
+    form with the knot slopes of _clamped_slopes' tridiagonal sweep, times
+    the smooth window vanishing at the radius; one column per column of a
+    2-d values."""
     x = spline_knots(family)
     y = values.reshape(x.size, -1)
     slopes = _clamped_slopes(x, y)
@@ -534,7 +544,8 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
     there has infinite energy) or with a Phi pass and knot system of more
     than spherical.MAX_TABLE_CELLS cells (read at the call: the
     spherical._phi_cells of the family's frequency edges and r-grid nodes,
-    plus knots^2, the identity and slope system of _clamped_slopes; the
+    plus knots^2, the np.eye(k, k - 1) right-hand sides and the slopes that
+    _spline_forms passes through _clamped_slopes' sweep; the
     small r-grid is built before the check, neither Phi nor the frequency
     grid is), a lambda above the spectral bottom of kind
     (beyond 1e-12 relative roundoff), where the level is -infinity, and
@@ -553,7 +564,7 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
     if isinstance(family, SplineFamily):
         bound, radii = spherical.MAX_TABLE_CELLS, standard_hyperbolic_grid(family.radius).nodes
         phi_cells = _phi_cells(p.n, _beta_edges(family.radius, b_max), radii)
-        cells = phi_cells + family.knots ** 2   # the Phi pass and _clamped_slopes' knot system
+        cells = phi_cells + family.knots ** 2   # the Phi pass and the knot basis' sweep
         if cells > bound:
             flag = f"b_max {b_max!r}" if phi_cells > bound else f"spline_knots {family.knots}"
             raise ParameterError(f"{flag} asks for too much work: the spline forms read a Phi "
@@ -671,8 +682,8 @@ def blowdown(p: Params, lam: float, N_values):
     holds q, C, alpha, R0, the target slope 2s/n and, when two or more scaled
     bounds are all negative, the log-log slope of -scaled bound against N
     (grids._least_squares, columns 1 and log N; the decay slope is
-    spherical.decay_slope's). The one LAPACK call is the calibration
-    spline's solve (_clamped_slopes).
+    spherical.decay_slope's). It makes no LAPACK call: the calibration
+    spline's slopes are one tridiagonal sweep (_clamped_slopes).
     Raises NumericalError when the arch's numerator is not negative. At
     n >= 4 the arch (R = 40, b_max 8) fails the quadratic form's tail guard,
     so blowdown raises NumericalError there (CLI exit 5): the tail fraction is

@@ -10,9 +10,10 @@ source digest is zlib's CRC-32), no numpy.polynomial (the Gauss-Legendre
 rules are literals), no subprocess and makes no LAPACK call, while it still
 loads every layer module that perfbench/tracer.py wraps. No benchmark
 command loads subprocess either: the manifest starts no child process.
-kernel-decay and blowdown load no numpy.ma. kernel-decay and
-bubble-asymptotics make no LAPACK call, and blowdown only the clamped
-spline's solve: every least-squares fit is numpy.
+kernel-decay and blowdown load no numpy.ma. kernel-decay,
+bubble-asymptotics and blowdown make no LAPACK call: every least-squares
+fit and the clamped spline's tridiagonal solve are numpy. The spline
+gap-scan's only LAPACK calls are its Newton steps' qr and eigh.
 The two program entries, python -m gjmslab.cli and the gjms-lab console script, run
 a command with one BLAS thread unless the user set a thread count, and
 import with the cyclic collector off, then run the command with it on and
@@ -242,13 +243,16 @@ def test_lapack_probe_sees_an_eigensolve():
 
 
 @pytest.mark.parametrize("argv, lapack", [(KERNEL_DECAY, []), (README_ASYMPTOTICS, []),
-                                          (BLOWDOWN, ["solve"])],
-                         ids=["kernel-decay", "bubble-asymptotics", "blowdown"])
+                                          (BLOWDOWN, []),
+                                          (SPLINE_SCAN, ["eigh_lo", "qr_complete", "qr_r_raw"])],
+                         ids=["kernel-decay", "bubble-asymptotics", "blowdown", "spline-scan"])
 def test_commands_make_only_their_lapack_calls(argv, lapack, tmp_path):
     # every least-squares fit is grids._least_squares, numpy only (numpy's
     # line and least-squares fits called lstsq, whose first call raised a
-    # cold command's peak memory by about 1 MB); blowdown's one LAPACK
-    # routine is the clamped spline's solve
+    # cold command's peak memory by about 1 MB); the clamped spline's
+    # tridiagonal system is one numpy sweep (its dense solve raised a cold
+    # blowdown's peak by about 0.4 MB), so the spline search's Newton steps,
+    # a qr and an eigh each, are the only LAPACK left
     calls, _, code = probe(LAPACK_PROBE, *argv, "--out", str(tmp_path / "out.csv"))
     assert code == 0
     assert sorted(set(calls)) == lapack

@@ -3,7 +3,8 @@ two-column Gram-Schmidt QR), against numpy's np.polyfit and
 np.linalg.lstsq on the data of every fit it serves: the benchmark's
 kernel-decay radii and values, blowdown's N tables and the README eps
 ladder. The fitted summary values are pinned to those the package printed
-when its fits were np.polyfit and np.linalg.lstsq."""
+when its fits were np.polyfit and np.linalg.lstsq, and blowdown's
+calibration to the one it printed when its spline solve was LAPACK's."""
 
 import functools
 
@@ -34,6 +35,13 @@ BLOWDOWN_SLOPES = {
     (2, 8, 32, 128, 512): 0.6880098716907852,
     (3, 9, 27, 81, 243): 0.6846023631876782,
 }
+# blowdown's calibration, shared by every N table, as the package printed it
+# when the clamped spline's slopes were a dense LAPACK solve. C, and R0
+# through log C, is fitted from kernel values that are quadrature roundoff
+# at (3, 1): it moves by 0.4% across OpenBLAS's kernels (OPENBLAS_CORETYPE
+# Prescott, Haswell and SkylakeX), q and alpha do not move
+BLOWDOWN_CALIBRATION = {"q": 2.7367610180984343, "alpha": 0.8, "C": 181065.43532477642,
+                        "R0": 16.474100245940708}
 
 
 @functools.cache
@@ -133,6 +141,15 @@ class TestPinnedSummaries:
     def test_blowdown_slopes(self, counts):
         assert _blowdown_run(counts)[1]["slope"] == pytest.approx(
             BLOWDOWN_SLOPES[counts], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("counts", sorted(BLOWDOWN_SLOPES))
+    def test_blowdown_calibration(self, counts):
+        summary = _blowdown_run(counts)[1]
+        assert summary["target_slope"] == 2.0 / 3.0
+        assert summary["alpha"] == BLOWDOWN_CALIBRATION["alpha"]
+        assert summary["q"] == pytest.approx(BLOWDOWN_CALIBRATION["q"], rel=1e-12, abs=0.0)
+        assert summary["C"] == pytest.approx(BLOWDOWN_CALIBRATION["C"], rel=1e-2, abs=0.0)
+        assert summary["R0"] == pytest.approx(BLOWDOWN_CALIBRATION["R0"], rel=1e-3, abs=0.0)
 
     def test_readme_asymptotics(self):
         summary = _readme_run()[1]

@@ -16,6 +16,7 @@ from gjmslab.quotients import (
     FLOOR_REL_TOL,
     BubbleFamily,
     SplineFamily,
+    _clamped_slopes,
     _spline_forms,
     _spline_report,
     _windowed_spline,
@@ -289,6 +290,44 @@ class TestWindowedSpline:
         got = _windowed_spline(family, values)(r)
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-13
+
+
+def _dense_clamped_slopes(x, y):
+    """The clamped spline's knot slopes from the k x k system solved densely
+    by LAPACK: identity rows for the zero end slopes, the three diagonals
+    of the continuity conditions at the inner knots."""
+    h = np.diff(x)
+    secant = np.diff(y, axis=0) / h[:, None]
+    inner = np.arange(1, x.size - 1)
+    system = np.eye(x.size)
+    system[inner, inner - 1] = h[1:]
+    system[inner, inner] = 2.0 * (h[:-1] + h[1:])
+    system[inner, inner + 1] = h[:-1]
+    rhs = np.zeros_like(y)
+    rhs[1:-1] = 3.0 * (h[1:, None] * secant[:-1] + h[:-1, None] * secant[1:])
+    return np.linalg.solve(system, rhs)
+
+
+class TestClampedSlopes:
+    # blowdown's arch, the default family, the benchmark's, a graded one,
+    # the smallest system and the spline-knots refusal's 700 knots
+    @pytest.mark.parametrize("family", [SplineFamily(51, 40.0, 0.0), SplineFamily(12, 8.0, 3.3),
+                                        SplineFamily(12, 3.5, 3.3), SplineFamily(24, 3.5, 5.0),
+                                        SplineFamily(4, 1.0, 0.0), SplineFamily(700, 3.5, 3.3)],
+                             ids=["arch", "default", "benchmark", "graded", "smallest", "knots-700"])
+    @pytest.mark.parametrize("rhs", ["column", "basis"])
+    def test_sweep_matches_the_dense_solve(self, rng, family, rhs):
+        # measured at most 3.2e-16 of the largest slope
+        x = spline_knots(family)
+        if rhs == "column":
+            y = rng.uniform(-1.0, 1.0, (family.knots, 1))
+        else:
+            y = np.eye(family.knots, family.knots - 1)
+        got = _clamped_slopes(x, y)
+        expected = _dense_clamped_slopes(x, y)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+        assert np.all(got[0] == 0.0) and np.all(got[-1] == 0.0)
 
 
 class TestGuardedNewtonStep:
