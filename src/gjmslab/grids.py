@@ -1,4 +1,4 @@
-"""Quadrature grids and sampled radial/spectral profiles.
+"""Quadrature grids and sampled radial profiles.
 
 Every quadrature in the package but one is built here from one rule:
 16-node Gauss-Legendre on each panel of a list of edges (gauss_panels), with
@@ -209,19 +209,3 @@ class RadialFunction:
         """fn sampled on grid, zero at the nodes beyond support_radius."""
         values = np.where(grid.nodes <= support_radius, fn(grid.nodes), 0.0)
         return cls(grid, values, float(support_radius))
-
-
-@dataclass(frozen=True)
-class SpectralProfile:
-    """Samples of a spherical/Fourier transform on a frequency grid."""
-
-    beta_grid: RadialGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != self.beta_grid.nodes.shape:
-            raise ParameterError("values must match the frequency grid")
-        if not np.all(np.isfinite(values)):
-            raise ParameterError("spectral values must be finite")
-        object.__setattr__(self, "values", values)

@@ -2,9 +2,9 @@
 bubble and spline trial families (gap_scan, the one search), the explicit
 multi-bump blow-down bound and its experiment, and the internal
 sharp-constant estimate with the closed-form floor of each level it gives
-(level_floor), which every gap_scan row is checked against. The spline
-search is a Newton SQP (Nocedal-Wright, ch. 18) in numpy on the family's
-quadratic forms."""
+(level_floor), which every gap_scan row is checked against. The search of
+a linear family (_minimize_linear, the spline's) is a Newton SQP
+(Nocedal-Wright, ch. 18) in numpy on the family's quadratic forms."""
 
 import functools
 import math
@@ -128,8 +128,9 @@ def bubble_quotient(kind: MultiplierKind, p: Params, lam: float,
     lifted trial, the conformal_lift of truncated_bubble sampled once on
     standard_hyperbolic_grid(LIFTED_BUBBLE_RADIUS) with declared support
     [0, LIFTED_BUBBLE_RADIUS], on frequencies up to REMAINDER_B_MAX. So
-    every trial reads one Phi, _remainder_phi(kind, p), which gap_scan
-    builds once and passes as phi; a call without it streams its own.
+    every trial reads one Phi, _remainder_phi(kind, p), which a scan builds
+    once (BubbleFamily._search) and passes as phi; a call without it
+    streams its own.
     """
     energy = bubble_energy(p, bp)
     if _energy_kind(kind, p) is MultiplierKind.GJMS:
@@ -164,7 +165,19 @@ BUBBLE_DELTA = (0.05, ENERGY_DELTA)
 @dataclass(frozen=True)
 class BubbleFamily:
     """The truncated bubbles of the box BUBBLE_EPS x BUBBLE_DELTA, searched
-    along t = eps/delta."""
+    along t = eps/delta: a scan runs _minimize_bubble's golden section at
+    each lambda, and an evaluation is one bubble_quotient or the read-back
+    of one priced at an earlier lambda. It refuses nothing and reads no
+    b_max; at non-integer s a GJMS scan builds the Phi of the remainder
+    forms (_remainder_phi, up to REMAINDER_B_MAX) once, for every trial of
+    every lambda."""
+
+    name = "bubble"
+
+    def _search(self, kind, p, b_max):
+        """gap_scan's search: one trial memo and one _remainder_phi for every lambda."""
+        return functools.partial(_minimize_bubble, kind, p, reports={},
+                                 phi=_remainder_phi(kind, p))
 
 
 @dataclass(frozen=True)
@@ -176,11 +189,23 @@ class SplineFamily:
     knots, the right choice for wide low-frequency trials on large supports
     (graded tails under-resolve there and the sinh^{n-1} weight amplifies
     any spline wiggle).
+
+    A scan runs _minimize_linear over the knot values under the tail guard
+    of the energy's symbol, on the forms (_forms) built once per scan, and
+    returns only guard-passing trials. _search raises ParameterError, before
+    Phi or its frequency grid is built (the small r-grid is), at s >= 7/2 (a
+    C^2 cubic has jumps in its third derivative, so it lies in H^s only for
+    s < 7/2 and every trial there has infinite energy) and for forms of more
+    than spherical.MAX_TABLE_CELLS cells (read at the call): the
+    spherical._phi_cells of the family's frequency edges and r-grid nodes,
+    plus knots^2, the np.eye(k, k - 1) right-hand sides and the slopes that
+    _forms passes through _clamped_slopes' sweep.
     """
 
     knots: int = 12
     radius: float = 8.0
     grading: float = 3.3
+    name = "spline"
 
     def __post_init__(self):
         if self.knots < 4 or not self.radius > 0.0:
@@ -209,6 +234,66 @@ class SplineFamily:
         values = np.zeros_like(grid.nodes)
         values[inside] = _windowed_spline(self, np.concatenate([theta, [0.0]]))(grid.nodes[inside])
         return RadialFunction(grid, values, float(min(support, self.radius)))
+
+    def _search(self, kind, p, b_max):
+        """gap_scan's search, after the refusals of the class docstring: one
+        build of the forms for every lambda."""
+        if p.s >= 3.5:
+            raise ParameterError(
+                f"the cubic spline family has no trial of finite energy at s = {p.s!r}: a C^2 "
+                "cubic has jumps in its third derivative, so it lies in H^s only for s < 7/2"
+            )
+        bound, radii = spherical.MAX_TABLE_CELLS, standard_hyperbolic_grid(self.radius).nodes
+        phi_cells = _phi_cells(p.n, _beta_edges(self.radius, b_max), radii)
+        cells = phi_cells + self.knots ** 2   # the Phi pass and the knot basis' sweep
+        if cells > bound:
+            flag = f"b_max {b_max!r}" if phi_cells > bound else f"spline_knots {self.knots}"
+            raise ParameterError(f"{flag} asks for too much work: the spline forms read a Phi "
+                                 f"and a knot system of {cells:.3g} cells, more than {bound:.0e}")
+        return functools.partial(_minimize_linear, p, family=self,
+                                 forms=self._forms(kind, p, b_max))
+
+    def _forms(self, kind, p, b_max):
+        """(basis, measure, energy, l2, guard) of the family on its full
+        support: knot values theta give the trial basis @ theta, critical
+        integral measure @ |basis @ theta|^{2*}, energy theta^T energy theta,
+        L2 mass theta^T l2 theta, and pass the tail guard of quadratic_form
+        for the energy's symbol (_energy_kind) iff theta^T guard theta >= 0
+        (_spectral_forms)."""
+        grid = standard_hyperbolic_grid(self.radius)
+        basis = _windowed_spline(self, np.eye(self.knots, self.knots - 1))(grid.nodes)
+        measure = _polar_measure(p.n, grid)
+        energy, guard, _ = _spectral_forms(_energy_kind(kind, p), p, grid, basis, self.radius,
+                                           b_max)
+        return basis, measure, energy, basis.T @ (measure[:, None] * basis), guard
+
+    def _start_candidates(self, p):
+        """Deterministic starting knot values: a wide bump plus the geodesic
+        profiles of lifted ball-truncated bubbles, each peak-normalized. From
+        knot radii of 38 on, tanh(r/2) rounds to 1 and the conformal factor
+        2 / (1 - t^2) is inf, so its power s - n/2 < 0 is exactly 0 there."""
+        knots_x = spline_knots(self)
+        t = np.tanh(knots_x / 2.0)
+        q = (p.n - 2.0 * p.s) / 2.0
+        cands = [np.exp(-((2.2 * knots_x / self.radius) ** 2))]
+        with np.errstate(divide="ignore"):
+            conformal = 2.0 / (1.0 - t * t)
+        for eps, de in ((0.3, 0.35), (0.15, 0.45), (0.08, 0.45), (0.05, 0.45)):
+            vals = (conformal ** (p.s - p.n / 2.0)
+                    * smooth_window(t, de, min(2.0 * de, 0.999))
+                    * eps ** (-q) * (1.0 + (t / eps) ** 2) ** (-q))
+            cands.append(vals / np.max(np.abs(vals)))
+        return [cand[:-1] for cand in cands]
+
+    def _report(self, p, lam, forms, theta):
+        """Report of the trial theta from the family's forms; the descriptor
+        lists theta scaled to unit critical integral."""
+        basis, measure, energy, l2, _ = forms
+        crit_integral = float(measure @ np.abs(basis @ theta) ** p.two_star)
+        values = np.array2string(theta / crit_integral ** (1.0 / p.two_star), precision=4,
+                                 separator=",", max_line_width=np.inf)
+        return _report(p, lam, float(theta @ energy @ theta), float(theta @ l2 @ theta),
+                       crit_integral, f"spline[m={self.knots},R={self.radius:.6g},theta={values}]")
 
 
 def spline_knots(family: SplineFamily) -> np.ndarray:
@@ -357,51 +442,6 @@ def _minimize_bubble(kind, p, lam, budget, reports, phi):
     return True
 
 
-def _spline_start_candidates(family, p):
-    """Deterministic starting knot values: a wide bump plus the geodesic
-    profiles of lifted ball-truncated bubbles, each peak-normalized. From
-    knot radii of 38 on, tanh(r/2) rounds to 1 and the conformal factor
-    2 / (1 - t^2) is inf, so its power s - n/2 < 0 is exactly 0 there."""
-    knots_x = spline_knots(family)
-    t = np.tanh(knots_x / 2.0)
-    q = (p.n - 2.0 * p.s) / 2.0
-    cands = [np.exp(-((2.2 * knots_x / family.radius) ** 2))]
-    with np.errstate(divide="ignore"):
-        conformal = 2.0 / (1.0 - t * t)
-    for eps, de in ((0.3, 0.35), (0.15, 0.45), (0.08, 0.45), (0.05, 0.45)):
-        vals = (conformal ** (p.s - p.n / 2.0)
-                * smooth_window(t, de, min(2.0 * de, 0.999))
-                * eps ** (-q) * (1.0 + (t / eps) ** 2) ** (-q))
-        cands.append(vals / np.max(np.abs(vals)))
-    return [cand[:-1] for cand in cands]
-
-
-def _spline_forms(kind, p, family, b_max):
-    """(basis, measure, energy, l2, guard) of the family on its full support:
-    knot values theta give the trial basis @ theta, critical integral
-    measure @ |basis @ theta|^{2*}, energy theta^T energy theta, L2 mass
-    theta^T l2 theta, and pass the tail guard of quadratic_form for the
-    energy's symbol (_energy_kind) iff theta^T guard theta >= 0
-    (_spectral_forms)."""
-    grid = standard_hyperbolic_grid(family.radius)
-    basis = _windowed_spline(family, np.eye(family.knots, family.knots - 1))(grid.nodes)
-    measure = _polar_measure(p.n, grid)
-    energy, guard, _ = _spectral_forms(_energy_kind(kind, p), p, grid, basis, family.radius,
-                                       b_max)
-    return basis, measure, energy, basis.T @ (measure[:, None] * basis), guard
-
-
-def _spline_report(family, p, lam, forms, theta):
-    """Report of the spline trial theta from the family's matrices; the
-    descriptor lists theta scaled to unit critical integral."""
-    basis, measure, energy, l2, _ = forms
-    crit_integral = float(measure @ np.abs(basis @ theta) ** p.two_star)
-    values = np.array2string(theta / crit_integral ** (1.0 / p.two_star), precision=4,
-                             separator=",", max_line_width=np.inf)
-    return _report(p, lam, float(theta @ energy @ theta), float(theta @ l2 @ theta),
-                   crit_integral, f"spline[m={family.knots},R={family.radius:.6g},theta={values}]")
-
-
 def _guarded_newton_step(grad, vals, vecs, jac, value, margin):
     """Minimizer y of grad.y + y^T H y / 2, H = vecs diag(vals) vecs^T positive
     definite, under value + jac.y >= margin, and its multiplier mu: the free
@@ -423,10 +463,12 @@ def _guarded_newton_step(grad, vals, vecs, jac, value, margin):
     return None
 
 
-def _minimize_spline(p, lam, family, budget, forms):
-    """Newton SQP (Nocedal-Wright, ch. 18) on Q = theta^T (A - lam M) theta /
-    crit^{2/2*} under the tail guard theta^T G theta >= 0, from the best
-    start candidate scaled to unit critical integral; forms: _spline_forms.
+def _minimize_linear(p, lam, family, budget, forms):
+    """Newton SQP (Nocedal-Wright, ch. 18) over the coefficients theta of a
+    linear trial family, on Q = theta^T (A - lam M) theta / crit^{2/2*}
+    under the tail guard theta^T G theta >= 0, from the best of
+    family._start_candidates(p) scaled to unit critical integral; forms:
+    family._forms, and every trial is priced by family._report.
 
     Q is 0-homogeneous and the guard 2-homogeneous, so each step d is
     tangent (theta^T d = 0) and each trial is rescaled to unit critical
@@ -455,8 +497,7 @@ def _minimize_spline(p, lam, family, budget, forms):
     def quotient(theta):
         # a trial outside the guard steers the search but is never returned
         g = guard_value(theta)
-        return budget.price(_spline_report, family, p, lam, forms, theta,
-                            admissible=g >= 0.0), g
+        return budget.price(family._report, p, lam, forms, theta, admissible=g >= 0.0), g
 
     def gradient_hessian(theta):
         # of Q at unit critical integral: N = measure @ |u|^{2*}, u = basis
@@ -472,7 +513,7 @@ def _minimize_spline(p, lam, family, budget, forms):
                                 - (power - 1.0) * (basis.T * w) @ basis))
         return 2.0 * (s_theta - q * pull), hessian
 
-    candidates = _spline_start_candidates(family, p)
+    candidates = family._start_candidates(p)
     start = [quotient(cand)[0] for cand in candidates]
     best = int(np.argmin(start))
     theta, q = unit(candidates[best]), start[best]
@@ -515,40 +556,18 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
              b_max: float = DEFAULT_B_MAX):
     """Best quotient report found over the trial family at each lambda.
 
-    BubbleFamily: one golden section over log(eps/delta), each ratio priced
-    on the box edge the sign of lambda selects; an evaluation is one
-    bubble_quotient or the read-back of one priced at an earlier lambda.
-    At non-integer s a GJMS scan builds the Phi of the remainder forms
-    (_remainder_phi, up to REMAINDER_B_MAX whatever b_max) once, for every
-    trial of every lambda.
-    SplineFamily: a Newton SQP over knot values under quadratic_form's tail
-    guard for the symbol of the energy, stopped once a guard-passing trial
-    moves the quotient by <= 1e-14 relative or a step is <= 1e-12 |theta|;
-    an evaluation is one _spline_report from the family's matrices, built
-    once per scan (line-search trials included), and only guard-passing
-    trials are returned.
-    Deterministic; each lambda's search prices at most DEFAULT_EVAL_CAP
-    trials (read at the call) and raises BudgetExceeded when it priced none,
-    or spent the cap before it finished (the bubble search needs 32).
+    The search of family._search(kind, p, b_max), built once per scan (each
+    family states its search and refusals), runs at each lambda in
+    increasing order and prices at most DEFAULT_EVAL_CAP trials (read at the
+    call); BudgetExceeded when it priced none, or spent the cap unfinished.
     Earlier winners are re-priced at each lambda (free: the numerator is
-    affine in lambda), so the quotients do not increase with lambda.
-    A row whose quotient is not finite (an energy that overflows a double,
-    the intertwined bubble scan at (100, 0.8)) raises NumericalError.
-    A row more than FLOOR_REL_TOL below its level_floor raises NumericalError:
-    no trial lies below it, so the search found a trial whose spectrum the
-    b_max cut-off truncates (a spline family of fine knots).
-    Raises ParameterError, before any work, for a b_max outside
-    (0, multipliers.BETA_MAX] (also for the bubble family, which does not
-    read it), the spline family at s >= 7/2 (a C^2 cubic has jumps in its
-    third derivative, so it lies in H^s only for s < 7/2 and every trial
-    there has infinite energy) or with a Phi pass and knot system of more
-    than spherical.MAX_TABLE_CELLS cells (read at the call: the
-    spherical._phi_cells of the family's frequency edges and r-grid nodes,
-    plus knots^2, the np.eye(k, k - 1) right-hand sides and the slopes that
-    _spline_forms passes through _clamped_slopes' sweep; the
-    small r-grid is built before the check, neither Phi nor the frequency
-    grid is), a lambda above the spectral bottom of kind
-    (beyond 1e-12 relative roundoff), where the level is -infinity, and
+    affine in lambda), so the quotients do not increase with lambda. A row
+    whose quotient is not finite, or more than FLOOR_REL_TOL below its
+    level_floor (b_max truncated its trial's spectrum), raises
+    NumericalError. Raises ParameterError, before the search is built, for
+    an empty lambda grid, a b_max outside (0, multipliers.BETA_MAX], a
+    family without _search, a lambda above the spectral bottom of kind
+    (beyond 1e-12 relative roundoff; the level is -infinity there) and
     n > bubbles.MAX_N where kind has a level_floor.
     """
     lambda_grid = np.asarray(lambda_grid, dtype=float)
@@ -556,19 +575,8 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
         raise ParameterError("gap_scan needs a nonempty lambda grid")
     if not 0.0 < b_max <= BETA_MAX:
         raise ParameterError(f"b_max must be > 0 and at most {BETA_MAX:g}, got {b_max}")
-    if isinstance(family, SplineFamily) and p.s >= 3.5:
-        raise ParameterError(
-            f"the cubic spline family has no trial of finite energy at s = {p.s!r}: a C^2 "
-            "cubic has jumps in its third derivative, so it lies in H^s only for s < 7/2"
-        )
-    if isinstance(family, SplineFamily):
-        bound, radii = spherical.MAX_TABLE_CELLS, standard_hyperbolic_grid(family.radius).nodes
-        phi_cells = _phi_cells(p.n, _beta_edges(family.radius, b_max), radii)
-        cells = phi_cells + family.knots ** 2   # the Phi pass and the knot basis' sweep
-        if cells > bound:
-            flag = f"b_max {b_max!r}" if phi_cells > bound else f"spline_knots {family.knots}"
-            raise ParameterError(f"{flag} asks for too much work: the spline forms read a Phi "
-                                 f"and a knot system of {cells:.3g} cells, more than {bound:.0e}")
+    if not hasattr(family, "_search"):
+        raise ParameterError(f"unknown trial family {family!r}")
     bottom = spectral_bottom(kind, p)
     top = float(np.max(lambda_grid))
     if not (top <= bottom or math.isclose(top, bottom, rel_tol=1e-12)):
@@ -578,14 +586,7 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
             "quotient to -infinity there"
         )
     floors = [level_floor(kind, p, lam) for lam in lambda_grid.tolist()]
-    if isinstance(family, BubbleFamily):
-        name, search = "bubble", functools.partial(_minimize_bubble, kind, p, reports={},
-                                                   phi=_remainder_phi(kind, p))
-    elif isinstance(family, SplineFamily):
-        name, search = "spline", functools.partial(_minimize_spline, p, family=family,
-                                                   forms=_spline_forms(kind, p, family, b_max))
-    else:
-        raise ParameterError(f"unknown trial family {family!r}")
+    search = family._search(kind, p, b_max)
     order = np.argsort(lambda_grid, kind="stable")
     reports = {}        # in increasing lambda: the carried-over winners
     for idx in order:
@@ -596,12 +597,11 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
         except BudgetExceeded:
             converged = False
         if budget.best is None:
-            raise BudgetExceeded(
-                f"{name} search priced no trial in {budget.used} of {budget.cap} evaluations")
+            raise BudgetExceeded(f"{family.name} search priced no trial in {budget.used} of "
+                                 f"{budget.cap} evaluations")
         if not converged and budget.spent:
-            raise BudgetExceeded(
-                f"{name} search used {budget.used} of {budget.cap} evaluations"
-                " without converging")
+            raise BudgetExceeded(f"{family.name} search used {budget.used} of {budget.cap} "
+                                 "evaluations without converging")
         rep = budget.best
         for earlier in reports.values():
             candidate = earlier.at_lambda(lam)
@@ -609,14 +609,14 @@ def gap_scan(kind: MultiplierKind, p: Params, lambda_grid, family,
                 rep = candidate
         if not math.isfinite(rep.quotient):
             raise NumericalError(
-                f"{name} search at lambda {lam!r} found the quotient {rep.quotient!r}: a "
+                f"{family.name} search at lambda {lam!r} found the quotient {rep.quotient!r}: a "
                 "trial's energy or mass overflows a double"
             )
         floor = floors[idx]
         if floor is not None and rep.quotient < floor * (1.0 - FLOOR_REL_TOL):
             raise NumericalError(
-                f"{name} search at lambda {lam!r} found the quotient {rep.quotient!r}, below "
-                f"the closed-form floor {floor!r} of the level: the b_max {b_max!r} "
+                f"{family.name} search at lambda {lam!r} found the quotient {rep.quotient:.6g}, "
+                f"below the closed-form floor {floor:.6g} of the level: the b_max {b_max!r} "
                 "cut-off truncates the trial's spectrum"
             )
         reports[idx] = rep

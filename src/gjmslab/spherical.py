@@ -1,9 +1,11 @@
 """Radial spherical-transform calculus on hyperbolic space.
 
-Plancherel density, spherical functions, forward/inverse transforms,
-spectral quadratic forms (each energy and its one tail guard from _spectral_forms),
-the closed-form operator kernels (operator_kernel), and the regularized
-radial kernel with its decay experiment (kernel_decay), checked against them.
+Plancherel density, spherical functions, the forward transform of profile
+columns (_transforms; the inverse transform is a test oracle,
+tests/oracles.py), spectral quadratic forms (each energy and its one tail
+guard from _spectral_forms), the closed-form operator kernels
+(operator_kernel), and the regularized radial kernel with its decay
+experiment (kernel_decay), checked against them.
 The spherical function Phi_beta(r) is the Legendre function of degree
 -1/2 + i*beta. Pointwise (spherical_function) it is evaluated through the
 Mehler-Dirichlet integral
@@ -54,15 +56,15 @@ frequency-row blocks of the kernel product. One generator, _phi_blocks,
 computes Phi on a frequency grid and an array of radii (a radial grid's
 nodes; a Phi pass reads no radial weight) and yields it in column blocks of
 at most BLOCK_CELLS cells, after doing its per-row work once. phi_matrix
-fills a new matrix from the blocks. A transform
-(_transforms, inverse_spherical_transform) multiplies each block into its
-result as it arrives, so a Phi it reads once is never held whole. The
-module keeps no Phi between calls: a forward transform reads a matrix only
-when its caller built it (phi_matrix) and passed it in, and then reads its
-column blocks in the streamed order, with the streamed bits. The one caller
-that does is the GJMS bubble scan at non-integer s (quotients.gap_scan): it
-builds the Phi of the lifted-bubble domain and the short grid
-quotients.REMAINDER_B_MAX once per scan, for every trial's remainder form.
+fills a new matrix from the blocks. A transform (_transforms) multiplies
+each block into its result as it arrives, so a Phi it reads once is never
+held whole. The module keeps no Phi between calls: a forward transform
+reads a matrix only when its caller built it (phi_matrix) and passed it
+in, and then reads its column blocks in the streamed order, with the
+streamed bits. The one caller that does is the GJMS bubble scan at
+non-integer s (quotients.BubbleFamily): it builds the Phi of the
+lifted-bubble domain and the short grid quotients.REMAINDER_B_MAX once per
+scan, for every trial's remainder form.
 Every frequency grid of the package (default_beta_grid) is made of 16-node
 Gauss panels of one width, so each node is beta = m + o, one of K panel
 shifts plus one of 16 in-panel offsets (RadialGrid.panel_factors; the first
@@ -87,8 +89,8 @@ _phi_blocks call per row block. The row blocks are written once, as the
 edge slices of _kernel_blocks (BLOCK_CELLS // 16**2 whole panels each):
 _kernel_table builds each slice's grid, and _product_cells counts each
 slice's pass with _phi_cells, the one count of a _phi_blocks pass, taken
-from its frequency edges and radii alone (quotients.gap_scan counts a
-spline family's pass with it too). Before it builds any grid, kernel_decay
+from its frequency edges and radii alone (quotients.SplineFamily counts
+its forms' pass with it too). Before it builds any grid, kernel_decay
 counts its witness and its product together (_witness_cells,
 _product_cells) and refuses an eps_reg that asks for more than
 MAX_TABLE_CELLS. regularized_kernel is one
@@ -120,7 +122,6 @@ from .grids import (
     PHASE_PER_PANEL,
     RadialFunction,
     RadialGrid,
-    SpectralProfile,
     _least_squares,
     gauss_panels,
 )
@@ -138,7 +139,7 @@ JACOBI_GROWTH_MAX = 7.0
 # 5.4e-13 and 5.0e-13 one step of the table nearer 0)
 R_MIN_ELEMENTARY = {3: 0.0, 5: 0.25, 7: 0.5, 9: 1.0}
 DEFAULT_B_MAX = 60.0
-DEFAULT_TAIL_TOL = 1e-4    # runtime guard on inverse/quadratic-form truncation
+DEFAULT_TAIL_TOL = 1e-4    # runtime guard on quadratic-form truncation
 KERNEL_REL_TOL = 1e-10     # regularized_kernel: halves against their panel, relative to its scale
 KERNEL_PANEL_WIDTH = 0.25  # kernel_decay: frequency panel width (at most PHASE_PER_PANEL / r_max)
 KERNEL_WITNESS_TOL = 1e-4  # kernel_decay: product against regularized_kernel, relative
@@ -437,11 +438,6 @@ def _beta_edges(support_radius: float, b_max: float):
     return np.linspace(0.0, b_max, max(8, int(math.ceil(b_max / width))) + 1)
 
 
-def spherical_transform(f: RadialFunction, n: int, beta_grid: RadialGrid) -> SpectralProfile:
-    """f_hat(beta) = omega_{n-1} int_0^inf f(r) Phi_beta(r) sinh^{n-1}(r) dr."""
-    return SpectralProfile(beta_grid, _transforms(n, beta_grid, f.grid, _profile_column(f))[:, 0])
-
-
 def _profile_column(f: RadialFunction):
     """f's values as one profile column, once f is known to have a transform:
     ParameterError unless its support is compact and inside its grid."""
@@ -478,27 +474,6 @@ def _transforms(n, beta_grid, grid, columns, phi=None):
         out += block @ weighted[cols]
         del block   # not held while the next block is built
     return out
-
-
-def inverse_spherical_transform(F: SpectralProfile, n: int, r_grid: RadialGrid,
-                                tail_tol: float = DEFAULT_TAIL_TOL) -> RadialFunction:
-    """f(r) = int_0^{b_max} F(beta) Phi_beta(r) |c(beta)|^{-2} d beta.
-
-    Radial Plancherel/inversion live on the half-line with this density
-    (checked against the raw transform definition by 3-d quadrature); the
-    full-line form double counts the +-beta symmetry.
-    """
-    dens = plancherel_density(n, F.beta_grid.nodes)
-    tail = F.beta_grid.tail_fraction(F.values * dens)
-    if tail > tail_tol:
-        raise NumericalError(
-            f"inverse transform tail fraction {tail:.3e} exceeds tolerance {tail_tol:.1e}"
-        )
-    weighted = F.values * dens * F.beta_grid.weights
-    values = np.empty(r_grid.nodes.size)
-    for cols, block in _phi_blocks(n, F.beta_grid, r_grid.nodes):
-        values[cols] = block.T @ weighted
-    return RadialFunction(values=values, grid=r_grid, support_radius=r_grid.r_max)
 
 
 def lp_mass(f: RadialFunction, n: int, p_exp: float) -> float:
@@ -616,8 +591,8 @@ def operator_kernel(kind: MultiplierKind, p: Params, r: float) -> float:
 def regularized_kernel(kind: MultiplierKind, p: Params, r: float, eps_reg: float) -> float:
     """k^eps(r) = 2 int_0^inf m(beta) e^{-eps beta^2} Phi_beta(r) |c|^{-2} d beta.
 
-    This is twice the half-line inversion integral of
-    inverse_spherical_transform (of the profile m(beta) e^{-eps beta^2}), so
+    This is twice the half-line inversion integral (the inverse transform
+    of tests/oracles.py) of the profile m(beta) e^{-eps beta^2}, so
     its eps -> 0 limit is twice the operator's radial kernel. With C_{n,s}
     the constant of the Euclidean (-Delta)^s, the linear-in-eps Richardson
     limit (eps_extrapolation) over eps = 0.01, 0.005 at (n, s) in

@@ -11,7 +11,7 @@ panelwise_regularized_kernel is the kernel's fixed composite
 rule evaluated one panel at a time, the route that the batched
 spherical.regularized_kernel must reproduce bit for bit.
 slsqp_spline_search is the spline search as one scipy SLSQP solve, the
-route that quotients._minimize_spline replaced; its quotients bound the
+route that quotients._minimize_linear replaced; its quotients bound the
 Newton search's from above. outer_scaled_bessel_matrix is a Hankel band's
 Bessel matrix as one outer product, the route that the row blocks of
 bubbles._scaled_bessel_matrix must reproduce bit for bit.
@@ -19,21 +19,28 @@ mehler_phi_matrix is a Phi matrix one spherical_function (Mehler) column at
 a time, and legendre_phi one Phi value from mpmath's Legendre function: the
 routes that the Jacobi and elementary columns of spherical.phi_matrix are
 checked against.
+spherical_transform and inverse_spherical_transform (with SpectralProfile,
+the samples of a transform on a frequency grid) are the one-profile forward
+transform and the half-line inversion, which no command calls: the
+Plancherel round trip checks the runtime forward route,
+spherical._transforms, against the inverse.
 """
 
 import functools
 import math
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 
+from gjmslab import spherical
 from gjmslab.errors import NumericalError, ParameterError
 from gjmslab.geometry import sphere_area
-from gjmslab.grids import GAUSS_WEIGHTS, PHASE_PER_PANEL, gauss_panels, geometric_grid
+from gjmslab.grids import GAUSS_WEIGHTS, PHASE_PER_PANEL, RadialFunction, RadialGrid, \
+    gauss_panels, geometric_grid
 from gjmslab.multipliers import multiplier
-from gjmslab.quotients import _spline_report, _spline_start_candidates
 from gjmslab.special import bessel_j_scaled
-from gjmslab.spherical import plancherel_density, spherical_function
+from gjmslab.spherical import DEFAULT_TAIL_TOL, plancherel_density, spherical_function
 
 # the upper limit of transform_bubble_energy's integral: beyond it
 # rho^{n-1} K_s(rho)^2 ~ (pi/2) rho^{n-2} e^{-2 rho} carries below 1e-37 of
@@ -164,9 +171,9 @@ def panelwise_regularized_kernel(kind, p, r, eps_reg, rel_tol=1e-10):
 
 def slsqp_spline_search(p, lam, family, budget, forms):
     """SLSQP on theta^T (A - lam M) theta / crit^{2/2*} under the tail guard
-    of the family's _spline_forms, from the best start candidate scaled to
-    unit critical integral; returns whether it converged (at SLSQP's default
-    accuracy, 1e-6 on Q). Takes the place of quotients._minimize_spline in
+    of the family's _forms, from the best start candidate scaled to unit
+    critical integral; returns whether it converged (at SLSQP's default
+    accuracy, 1e-6 on Q). Takes the place of quotients._minimize_linear in
     gap_scan."""
     basis, measure, energy, l2, guard = forms
     shifted = energy - lam * l2
@@ -176,7 +183,7 @@ def slsqp_spline_search(p, lam, family, budget, forms):
 
     def quotient(theta):
         # a trial outside the guard steers the search but is never returned
-        return budget.price(_spline_report, family, p, lam, forms, theta,
+        return budget.price(family._report, p, lam, forms, theta,
                             admissible=bool(guard_value(theta) >= 0.0))
 
     def gradient(theta):
@@ -188,7 +195,7 @@ def slsqp_spline_search(p, lam, family, budget, forms):
 
     from scipy.optimize import minimize
 
-    candidates = _spline_start_candidates(family, p)
+    candidates = family._start_candidates(p)
     theta0 = candidates[int(np.argmin([quotient(cand) for cand in candidates]))]
     theta0 = theta0 / (measure @ np.abs(basis @ theta0) ** p.two_star) ** (1.0 / p.two_star)
     result = minimize(quotient, theta0, jac=gradient, method="SLSQP",
@@ -196,3 +203,49 @@ def slsqp_spline_search(p, lam, family, budget, forms):
                                    "jac": lambda theta: 2.0 * guard @ theta},
                       options={"maxiter": budget.cap})
     return bool(result.success)
+
+
+@dataclass(frozen=True)
+class SpectralProfile:
+    """Samples of a spherical/Fourier transform on a frequency grid."""
+
+    beta_grid: RadialGrid
+    values: np.ndarray
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        if values.shape != self.beta_grid.nodes.shape:
+            raise ParameterError("values must match the frequency grid")
+        if not np.all(np.isfinite(values)):
+            raise ParameterError("spectral values must be finite")
+        object.__setattr__(self, "values", values)
+
+
+def spherical_transform(f: RadialFunction, n: int, beta_grid: RadialGrid) -> SpectralProfile:
+    """f_hat(beta) = omega_{n-1} int_0^inf f(r) Phi_beta(r) sinh^{n-1}(r) dr."""
+    columns = spherical._profile_column(f)
+    return SpectralProfile(beta_grid, spherical._transforms(n, beta_grid, f.grid, columns)[:, 0])
+
+
+def inverse_spherical_transform(F: SpectralProfile, n: int, r_grid: RadialGrid,
+                                tail_tol: float = DEFAULT_TAIL_TOL) -> RadialFunction:
+    """f(r) = int_0^{b_max} F(beta) Phi_beta(r) |c(beta)|^{-2} d beta.
+
+    Radial Plancherel/inversion live on the half-line with this density
+    (checked against the raw transform definition by 3-d quadrature); the
+    full-line form double counts the +-beta symmetry. NumericalError when
+    the last decade of F's frequencies carries more than tail_tol of
+    |F| |c|^{-2}.
+    """
+    dens = plancherel_density(n, F.beta_grid.nodes)
+    tail = F.beta_grid.tail_fraction(F.values * dens)
+    if tail > tail_tol:
+        raise NumericalError(
+            f"inverse transform tail fraction {tail:.3e} exceeds tolerance {tail_tol:.1e}"
+        )
+    weighted = F.values * dens * F.beta_grid.weights
+    values = np.empty(r_grid.nodes.size)
+    # through the module, so a test that counts Phi passes counts this one
+    for cols, block in spherical._phi_blocks(n, F.beta_grid, r_grid.nodes):
+        values[cols] = block.T @ weighted
+    return RadialFunction(values=values, grid=r_grid, support_radius=r_grid.r_max)

@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 
 from conftest import windowed_gaussian
-from oracles import transform_bubble_energy
+from oracles import inverse_spherical_transform, spherical_transform, transform_bubble_energy
 from gjmslab.bubbles import (
     BubbleParams,
     bubble_asymptotics,
@@ -38,13 +38,11 @@ from gjmslab.quotients import (
 )
 from gjmslab.spherical import (
     default_beta_grid,
-    inverse_spherical_transform,
     kernel_decay,
     lp_mass,
     operator_kernel,
     plancherel_density,
     spherical_function,
-    spherical_transform,
 )
 
 GJMS = MultiplierKind.GJMS

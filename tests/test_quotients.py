@@ -17,8 +17,6 @@ from gjmslab.quotients import (
     BubbleFamily,
     SplineFamily,
     _clamped_slopes,
-    _spline_forms,
-    _spline_report,
     _windowed_spline,
     bubble_quotient,
     gap_scan,
@@ -48,17 +46,15 @@ SPLINE_SEARCH_IDS = ["benchmark-scan", "strict-gap-intertwined", "strict-gap-gjm
 
 
 def priced_spline_trials(monkeypatch):
-    """(theta, report) of every _spline_report the search prices, in order."""
-    import gjmslab.quotients as quotients
-
+    """(theta, report) of every SplineFamily._report the search prices, in order."""
     priced = []
 
-    def recorded(*args, _fn=quotients._spline_report):
+    def recorded(*args, _fn=SplineFamily._report):
         rep = _fn(*args)
         priced.append((np.array(args[-1]), rep))
         return rep
 
-    monkeypatch.setattr(quotients, "_spline_report", recorded)
+    monkeypatch.setattr(SplineFamily, "_report", recorded)
     return priced
 
 
@@ -196,7 +192,7 @@ class TestStandardGrid:
         # pass: rows times u-nodes of every Mehler column below the switch
         # (none at n = 3; at n = 4 the Jacobi switch rises with b_max) and
         # rows times every far column
-        _spline_forms(INT, Params(n, s), SplineFamily(radius=3.5), b_max)
+        SplineFamily(radius=3.5)._forms(INT, Params(n, s), b_max)
         radii = standard_hyperbolic_grid(3.5).nodes
         assert _phi_cells(n, _beta_edges(3.5, b_max), radii) == sum(phi_cells_built)
 
@@ -207,10 +203,10 @@ class TestStandardGrid:
         import gjmslab.quotients as quotients
 
         family, p = SplineFamily(knots=12, radius=3.5), Params(n, s)
-        exact = quotients._spline_forms(kind, p, family, DEFAULT_B_MAX)
+        exact = family._forms(kind, p, DEFAULT_B_MAX)
         monkeypatch.setattr(quotients, "standard_hyperbolic_grid",
                             lambda r_max: uniform_grid(5.0, 0.05))
-        wide = quotients._spline_forms(kind, p, family, DEFAULT_B_MAX)
+        wide = family._forms(kind, p, DEFAULT_B_MAX)
         rows = exact[0].shape[0]
         assert rows < wide[0].shape[0] and not np.any(wide[0][rows:])
         assert exact[0].tobytes() == wide[0][:rows].tobytes()
@@ -249,10 +245,8 @@ class TestSplineTrial:
         # two forms, at s with sin(pi s) > 0, < 0 and the exceptional order
         # s = 3/2; trials: the wide bump and the (0.15, 0.45) bubble profile,
         # which pass all three tail guards (quadratic_form raises otherwise)
-        from gjmslab.quotients import _spline_start_candidates
-
         p, family = Params(n, s), SplineFamily(knots=12, radius=3.5)
-        candidates = _spline_start_candidates(family, p)
+        candidates = family._start_candidates(p)
         for theta in (candidates[0], candidates[2]):
             u = family.trial(theta)
             split = quadratic_form(INT, p, u) + quadratic_form(REMAINDER, p, u)
@@ -263,10 +257,8 @@ class TestSplineTrial:
         # from knot radii of 38 on tanh(r/2) rounds to 1, so the conformal
         # factor 2 / (1 - t^2) is inf there and its power s - n/2 exactly 0;
         # pyproject makes the RuntimeWarning of its division an error
-        from gjmslab.quotients import _spline_start_candidates
-
         family = SplineFamily(knots=12, radius=40.0, grading=grading)
-        candidates = _spline_start_candidates(family, Params(3, 0.6))
+        candidates = family._start_candidates(Params(3, 0.6))
         assert len(candidates) == 5
         for theta in candidates:
             assert theta.shape == (11,) and np.all(np.isfinite(theta))
@@ -397,11 +389,11 @@ class TestMinimize:
 
         monkeypatch.setattr(quotients, "DEFAULT_EVAL_CAP", 7)
         calls = []
-        for name in ("bubble_quotient", "_spline_report"):
-            def counted(*args, _fn=getattr(quotients, name), **kwargs):
+        for owner, name in ((quotients, "bubble_quotient"), (SplineFamily, "_report")):
+            def counted(*args, _fn=getattr(owner, name), **kwargs):
                 calls.append(1)
                 return _fn(*args, **kwargs)
-            monkeypatch.setattr(quotients, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         p = Params(5, 0.8)
         for family in (BubbleFamily(), SplineFamily(knots=6, radius=3.0)):
             calls.clear()
@@ -444,7 +436,7 @@ class TestMinimize:
 
         p = Params(n, s)
         newton = gap_scan(kind, p, lambdas, family, b_max=b_max)
-        monkeypatch.setattr(quotients, "_minimize_spline", slsqp_spline_search)
+        monkeypatch.setattr(quotients, "_minimize_linear", slsqp_spline_search)
         oracle = gap_scan(kind, p, lambdas, family, b_max=b_max)
         for new, old in zip(newton, oracle):
             assert new.quotient <= old.quotient * (1.0 + 1e-9)
@@ -459,14 +451,14 @@ class TestMinimize:
         priced = priced_spline_trials(monkeypatch)
         rep = gap_scan(kind, p, [lam], family, b_max=b_max)[0]
         theta = next(theta for theta, r in priced if r is rep)
-        forms = _spline_forms(kind, p, family, b_max)
+        forms = family._forms(kind, p, b_max)
         guard = forms[-1]
         value = theta @ guard @ theta
         scale = np.abs(theta) @ np.abs(guard) @ np.abs(theta)
         assert 0.0 <= value <= 1e-8 * scale
 
         def q(x):
-            return _spline_report(family, p, lam, forms, x).quotient
+            return family._report(p, lam, forms, x).quotient
 
         h = 1e-6 * np.linalg.norm(theta)
         gradient = np.array([(q(theta + h * e) - q(theta - h * e)) / (2.0 * h)
@@ -535,12 +527,21 @@ class TestGapScan:
 
     def test_spline_family_from_s_7_2_is_bad_input(self, monkeypatch):
         # a C^2 cubic lies in H^s only for s < 7/2: rejected before any work
-        import gjmslab.quotients as quotients
-
-        monkeypatch.setattr(quotients, "_spline_forms", None)   # a build would raise TypeError
+        monkeypatch.setattr(SplineFamily, "_forms", None)   # a build would raise TypeError
         for s in (3.5, 4.0):
             with pytest.raises(ParameterError, match="no trial of finite energy"):
                 gap_scan(INT, Params(9, s), [0.0], SplineFamily(knots=6, radius=3.0))
+
+    @pytest.mark.parametrize("family", [None, "spline", BubbleParams(0.1, 0.2)],
+                             ids=["none", "name", "bubble-params"])
+    def test_object_without_a_search_is_not_a_family(self, monkeypatch, family):
+        # a trial family is whatever has gap_scan's entry point, _search;
+        # anything else is refused before any work
+        import gjmslab.quotients as quotients
+
+        monkeypatch.setattr(quotients, "_Budget", None)   # a search would raise TypeError
+        with pytest.raises(ParameterError, match="unknown trial family"):
+            gap_scan(INT, Params(5, 0.8), [0.0], family)
 
     @pytest.mark.parametrize("family", [BubbleFamily(), SplineFamily(knots=6, radius=3.0)],
                              ids=["bubble", "spline"])
@@ -678,18 +679,17 @@ class TestGapScan:
         p, family, lambdas = Params(5, 0.8), SplineFamily(knots=12, radius=3.5), [-1.0, 0.0, 0.25]
         built = []
 
-        def counted(*args, _fn=quotients._spline_forms):
+        def counted(*args, _fn=SplineFamily._forms):
             built.append(1)
             return _fn(*args)
 
-        def rebuilding(p, lam, family, budget, forms, _fn=quotients._minimize_spline):
-            return _fn(p, lam, family, budget, quotients._spline_forms(INT, p, family,
-                                                                      DEFAULT_B_MAX))
+        def rebuilding(p, lam, family, budget, forms, _fn=quotients._minimize_linear):
+            return _fn(p, lam, family, budget, family._forms(INT, p, DEFAULT_B_MAX))
 
-        monkeypatch.setattr(quotients, "_spline_forms", counted)
+        monkeypatch.setattr(SplineFamily, "_forms", counted)
         shared = gap_scan(INT, p, lambdas, family)
         assert len(built) == 1
-        monkeypatch.setattr(quotients, "_minimize_spline", rebuilding)
+        monkeypatch.setattr(quotients, "_minimize_linear", rebuilding)
         assert gap_scan(INT, p, lambdas, family) == shared
         assert len(built) == 1 + 1 + len(lambdas)
 
@@ -769,16 +769,16 @@ class TestLevelFloor:
         p, family = Params(5, 0.8), SplineFamily(knots=12, radius=3.5, grading=6)
         theta = np.array([2845.25, 836.963, -35.1199, 0.751592, -0.0103337, -0.00142615,
                           0.000220099, 0.000125982, -4.89077e-05, 1.68605e-05, -4.88351e-07])
-        forms = quotients._spline_forms(GJMS, p, family, DEFAULT_B_MAX)
+        forms = family._forms(GJMS, p, DEFAULT_B_MAX)
         assert theta @ forms[4] @ theta >= 0.0
         floor = level_floor(GJMS, p, 0.0)
-        assert _spline_report(family, p, 0.0, forms, theta).quotient < floor * (1.0 - FLOOR_REL_TOL)
+        assert family._report(p, 0.0, forms, theta).quotient < floor * (1.0 - FLOOR_REL_TOL)
 
         def recorded(p, lam, family, budget, forms):
-            budget.price(_spline_report, family, p, lam, forms, theta)
+            budget.price(family._report, p, lam, forms, theta)
             return True
 
-        monkeypatch.setattr(quotients, "_minimize_spline", recorded)
+        monkeypatch.setattr(quotients, "_minimize_linear", recorded)
         with pytest.raises(NumericalError, match="closed-form floor"):
             gap_scan(GJMS, p, [0.0], family)
 

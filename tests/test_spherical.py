@@ -7,12 +7,13 @@ import pytest
 
 import oracles
 from conftest import hyperbolic_bump, windowed_gaussian
-from oracles import legendre_phi, mehler_phi_matrix, panelwise_regularized_kernel
+from oracles import SpectralProfile, inverse_spherical_transform, legendre_phi, \
+    mehler_phi_matrix, panelwise_regularized_kernel, spherical_transform
 from gjmslab import special, spherical
 from gjmslab.bubbles import BubbleParams, bubble_energy, truncated_bubble
 from gjmslab.errors import NumericalError, ParameterError
 from gjmslab.geometry import conformal_lift
-from gjmslab.grids import GAUSS_NODES, RadialFunction, RadialGrid, SpectralProfile, uniform_grid
+from gjmslab.grids import GAUSS_NODES, RadialFunction, RadialGrid, uniform_grid
 from gjmslab.multipliers import multiplier, spectral_bottom
 from gjmslab.params import MultiplierKind, Params
 from gjmslab.quotients import standard_hyperbolic_grid
@@ -20,7 +21,6 @@ from gjmslab.spherical import (
     decay_slope,
     default_beta_grid,
     eps_extrapolation,
-    inverse_spherical_transform,
     kernel_decay,
     lp_mass,
     operator_kernel,
@@ -29,7 +29,6 @@ from gjmslab.spherical import (
     quadratic_form,
     regularized_kernel,
     spherical_function,
-    spherical_transform,
 )
 
 INT = MultiplierKind.INTERTWINED
@@ -540,7 +539,7 @@ class TestStreamedTransforms:
     def test_single_use_spline_forms_memory(self, phi_passes):
         # the (3, 1) R = 5 spline forms at b_max 240 read a 1920 x 1600 Phi
         # (24.6 MB) once; streamed, they hold under a quarter of it
-        from gjmslab.quotients import SplineFamily, _spline_forms
+        from gjmslab.quotients import SplineFamily
 
         family = SplineFamily(knots=12, radius=5.0)
         phi_bytes = 8 * default_beta_grid(5.0, 240.0).nodes.size * \
@@ -548,7 +547,7 @@ class TestStreamedTransforms:
         assert phi_bytes == pytest.approx(24.6e6, rel=1e-3)
         tracemalloc.start()
         try:
-            _spline_forms(MultiplierKind.GJMS, Params(3, 1.0), family, 240.0)
+            family._forms(MultiplierKind.GJMS, Params(3, 1.0), 240.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
